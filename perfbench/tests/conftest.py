@@ -1,0 +1,8 @@
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1]
+ROOT = BENCH_DIR.parent
+for path in (ROOT / "src", BENCH_DIR):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
