@@ -19,6 +19,23 @@ Level sets of the registered products are closed forms where possible
 (constants, decaying exponentials, the deviation ``|t - x|`` against its
 own kernel via Lambert W) and bracketed root-finding on the piecewise
 monotone profile otherwise.
+
+The oracle comes in two forms.  ``level(alpha)`` returns one canonical
+:class:`IntervalUnion`; ``levels(alphas)`` answers a whole array of N
+levels at once with two endpoint arrays ``(lo, hi)`` of shape
+``[pieces, N]``.  Column ``i`` describes the level set at ``alphas[i]`` as
+pieces that are pairwise disjoint except at shared endpoints; an empty
+piece has ``lo > hi`` (never NaN).  Closed forms evaluate their formulas
+on the arrays; root-finding products solve each monotone bracket for all
+levels at once.
+
+The two engines are independent of each other.  The adaptive engine
+(:func:`choquet_integral_real`) runs ``scipy.quad`` over the scalar oracle,
+whose root-finding uses ``brentq``; the cross-check engine
+(:func:`choquet_integral_real_grid`) applies a fixed Simpson rule to the
+batched oracle, whose root-finding is a vectorised bisection.  They share
+only the layer profile: the breakpoints and the ``alpha = exp(-s)``
+substitution.
 """
 
 from __future__ import annotations
@@ -35,10 +52,11 @@ from scipy.special import lambertw
 
 from .errors import CapabilityError, DivergenceError, QuadratureError
 from .functions import FunctionSpec
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, empty_pieces, pack_unions, pieces_where
 from .realline import LAPLACE, Kernel, RealCapacity
 
 _ROOT_XTOL = 1e-13
+_ROOT_RTOL = 4.0 * np.finfo(float).eps   # brentq's default
 _EXP_BRANCH_MIN = -1.0 / math.e
 
 
@@ -61,7 +79,11 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 @dataclass(frozen=True)
 class LevelSetFunction:
-    """A nonnegative function together with its super-level-set oracle."""
+    """A nonnegative function together with its super-level-set oracle.
+
+    ``level_batch`` is the batched form of ``level`` (see :meth:`levels`);
+    without it, :meth:`levels` calls ``level`` once per level.
+    """
 
     value: Callable[[float], float]
     level: Callable[[float], IntervalUnion]
@@ -69,12 +91,27 @@ class LevelSetFunction:
     alpha_breakpoints: tuple = ()
     log_substitution: bool = True
     label: str = ""
+    level_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+
+    def levels(self, alphas) -> tuple[np.ndarray, np.ndarray]:
+        """Super-level sets at every positive level of ``alphas`` as endpoint
+        arrays ``(lo, hi)`` of shape ``[pieces, N]``; empty pieces have
+        ``lo > hi``."""
+        alphas = np.asarray(alphas, dtype=float)
+        if alphas.ndim != 1:
+            raise ValueError("levels takes a 1-d array of levels")
+        if not np.all(alphas > 0):
+            raise ValueError("level must be positive")
+        if self.level_batch is not None:
+            return self.level_batch(alphas)
+        return pack_unions([self.level(a) for a in alphas.tolist()])
 
 
 def kernel_level_function(kernel: Kernel) -> LevelSetFunction:
     """The bare kernel as a level-set function (sup is 1 at the peak)."""
     return LevelSetFunction(kernel.__call__, kernel.level_set, 1.0,
-                            label=f"{kernel.family}-kernel")
+                            label=f"{kernel.family}-kernel",
+                            level_batch=kernel.levels)
 
 
 def indicator_plateau(height: float, a: float, b: float) -> LevelSetFunction:
@@ -89,9 +126,12 @@ def indicator_plateau(height: float, a: float, b: float) -> LevelSetFunction:
             raise ValueError("level must be positive")
         return IntervalUnion.single(a, b) if alpha <= height else IntervalUnion.empty()
 
+    def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return pieces_where(alphas <= height, a, b)
+
     return LevelSetFunction(
         lambda t: height if a <= t <= b else 0.0, level, height,
-        log_substitution=False, label="plateau")
+        log_substitution=False, label="plateau", level_batch=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +139,22 @@ def indicator_plateau(height: float, a: float, b: float) -> LevelSetFunction:
 
 
 def _lambert_pair(arg: float) -> tuple[float, float]:
-    """Both real solutions w of w * exp(w) = arg for arg in [-1/e, 0)."""
-    arg = max(arg, _EXP_BRANCH_MIN)
+    """Both real solutions w of w * exp(w) = arg for arg in [-1/e, 0).
+
+    At (and, after rounding, below) the branch point -1/e both branches
+    meet at w = -1; scipy's lambertw returns NaN exactly there.
+    """
+    if arg <= _EXP_BRANCH_MIN:
+        return -1.0, -1.0
     return float(lambertw(arg, 0).real), float(lambertw(arg, -1).real)
+
+
+def _lambert_pairs(args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_lambert_pair` on an array."""
+    branch = args <= _EXP_BRANCH_MIN
+    safe = np.where(branch, -0.25, args)
+    return (np.where(branch, -1.0, lambertw(safe, 0).real),
+            np.where(branch, -1.0, lambertw(safe, -1).real))
 
 
 def _product_exp_neg(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
@@ -128,6 +181,13 @@ def _product_exp_neg(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
             hi = (n * x - la) / (n + lam)
             return IntervalUnion.single(min(lo, hi), max(lo, hi))
 
+        def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            inside = alphas <= sup
+            la = np.log(np.minimum(alphas, sup) / scale)
+            lo = (n * x + la) / (n - lam)
+            hi = (n * x - la) / (n + lam)
+            return pieces_where(inside, np.minimum(lo, hi), np.maximum(lo, hi))
+
     else:
         # exponential times Gaussian always decays; the exponent is a
         # downward parabola with vertex x - lam/(2n)
@@ -145,7 +205,15 @@ def _product_exp_neg(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
             hi = ((2 * n * x - lam) + root) / (2 * n)
             return IntervalUnion.single(lo, hi)
 
-    return LevelSetFunction(value, level, sup, label=f"exp_neg*{kernel.family}")
+        def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            inside = alphas <= sup
+            la = np.log(np.minimum(alphas, sup) / scale)
+            root = np.sqrt(np.maximum(lam * lam - 4 * n * lam * x - 4 * n * la, 0.0))
+            return pieces_where(inside, ((2 * n * x - lam) - root) / (2 * n),
+                           ((2 * n * x - lam) + root) / (2 * n))
+
+    return LevelSetFunction(value, level, sup, label=f"exp_neg*{kernel.family}",
+                            level_batch=levels)
 
 
 def _product_abs_dev_centered(kernel: Kernel) -> LevelSetFunction:
@@ -167,12 +235,20 @@ def _product_abs_dev_centered(kernel: Kernel) -> LevelSetFunction:
             w0, wm1 = _lambert_pair(-n * alpha)
             return -w0 / n, -wm1 / n
 
+        def radii_batch(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            w0, wm1 = _lambert_pairs(-n * alphas)
+            return -w0 / n, -wm1 / n
+
     else:
         sup = 1.0 / math.sqrt(2.0 * n * math.e)
 
         def radii(alpha: float) -> tuple[float, float]:
             w0, wm1 = _lambert_pair(-2.0 * n * alpha * alpha)
             return math.sqrt(-w0 / (2 * n)), math.sqrt(-wm1 / (2 * n))
+
+        def radii_batch(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            w0, wm1 = _lambert_pairs(-2.0 * n * alphas * alphas)
+            return np.sqrt(-w0 / (2 * n)), np.sqrt(-wm1 / (2 * n))
 
     def level(alpha: float) -> IntervalUnion:
         if alpha <= 0:
@@ -182,7 +258,13 @@ def _product_abs_dev_centered(kernel: Kernel) -> LevelSetFunction:
         y1, y2 = radii(alpha)
         return IntervalUnion.from_pairs([(x - y2, x - y1), (x + y1, x + y2)])
 
-    return LevelSetFunction(value, level, sup, label=f"abs_dev*{kernel.family}")
+    def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y1, y2 = radii_batch(np.minimum(alphas, sup))
+        return pieces_where(alphas <= sup, np.array([x - y2, x + y1]),
+                       np.array([x - y1, x + y2]))
+
+    return LevelSetFunction(value, level, sup, label=f"abs_dev*{kernel.family}",
+                            level_batch=levels)
 
 
 def _linear_pieces(spec: FunctionSpec) -> list[tuple[float, float, float, float]]:
@@ -259,6 +341,41 @@ def _expand_right(g, start: float, alpha: float, step: float) -> float:
     raise DivergenceError("product does not decay to the right")
 
 
+def _bisect(g: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+            alphas: np.ndarray, rising: bool) -> np.ndarray:
+    """Crossings ``g(t) = alpha`` of a monotone ``g`` on ``[a, b]``, one lane
+    per level, by vectorised bisection.
+
+    ``rising`` says whether ``g`` increases on the bracket.  Each lane stops
+    on brentq's rule (bracket narrower than ``xtol + rtol * |t|``) and the
+    midpoint of its bracket is returned.  The bracket halves every step, so
+    ``ceil(log2(width / xtol)) + 2`` steps suffice; a bracket that is not
+    finite, a NaN profile value or a lane still open after that many steps
+    raises :class:`QuadratureError`.
+    """
+    width = b - a
+    if not (math.isfinite(width) and width >= 0.0):
+        raise QuadratureError(f"bisection bracket [{a}, {b}] is not finite",
+                              value=math.nan, error_estimate=math.inf)
+    lo = np.full(alphas.shape, a)
+    hi = np.full(alphas.shape, b)
+    steps = math.ceil(math.log2(max(width, _ROOT_XTOL)) - math.log2(_ROOT_XTOL)) + 2
+    for _ in range(steps):
+        mid = lo + 0.5 * (hi - lo)
+        if np.all(hi - lo < _ROOT_XTOL + _ROOT_RTOL * np.abs(mid)):
+            return mid
+        gm = g(mid)
+        if np.isnan(gm).any():
+            raise QuadratureError(f"level profile is NaN inside [{a}, {b}]",
+                                  value=math.nan, error_estimate=width)
+        # the crossing lies left of mid when mid is on the rising side of it
+        left = (gm >= alphas) == rising
+        lo = np.where(left, lo, mid)
+        hi = np.where(left, mid, hi)
+    raise QuadratureError(f"bisection on [{a}, {b}] did not converge in {steps} steps",
+                          value=math.nan, error_estimate=float(np.max(hi - lo)))
+
+
 def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     """Bracketed root-finding on the piecewise monotone product profile."""
     f = spec.fn
@@ -279,7 +396,8 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
             f"no level-set construction for function family {spec.name!r}")
 
     pts = sorted(set(knots) | {kernel.x} | set(stationaries))
-    sup = max(g(p) for p in pts)
+    vals = [g(p) for p in pts]
+    sup = max(vals)
     step0 = max(1.0, 1.0 / kernel.n)
 
     def level(alpha: float) -> IntervalUnion:
@@ -287,7 +405,6 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
             raise ValueError("level must be positive")
         if alpha > sup:
             return IntervalUnion.empty()
-        vals = [g(p) for p in pts]
         out = []
         open_start = None
         if vals[0] >= alpha:
@@ -308,9 +425,46 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
             out.append((open_start, c))
         return IntervalUnion.from_pairs(out)
 
-    alpha_breaks = tuple(sorted(v for v in {g(p) for p in pts} if 0.0 < v < sup))
+    f_array = spec.array_fn
+
+    def g_array(t: np.ndarray) -> np.ndarray:
+        return f_array(t) * kernel.values(t)
+
+    def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # one piece per monotone bracket: the left tail, the gaps between
+        # consecutive pts, the right tail
+        lo, hi = empty_pieces(len(pts) + 1, alphas.size)
+
+        def fill(row: int, a: float, b: float, va: float, vb: float) -> None:
+            in_a = va >= alphas
+            in_b = vb >= alphas
+            lo[row, in_a] = a
+            hi[row, in_b] = b
+            cross = in_a != in_b
+            if cross.any():
+                rising = vb > va
+                root = _bisect(g_array, a, b, alphas[cross], rising)
+                # like brentq, take the bracket end where the profile meets
+                # the level exactly (a local maximum at alpha = its value)
+                end, v_end = (b, vb) if rising else (a, va)
+                root[alphas[cross] == v_end] = end
+                (lo if rising else hi)[row, cross] = root
+
+        # the tails decay to 0; one bracket, wide enough for the lowest
+        # level that reaches them, serves every level
+        if np.any(alphas <= vals[0]):
+            start = _expand_left(g, pts[0], alphas[alphas <= vals[0]].min(), step0)
+            fill(0, start, pts[0], 0.0, vals[0])
+        for j in range(len(pts) - 1):
+            fill(j + 1, pts[j], pts[j + 1], vals[j], vals[j + 1])
+        if np.any(alphas <= vals[-1]):
+            end = _expand_right(g, pts[-1], alphas[alphas <= vals[-1]].min(), step0)
+            fill(len(pts), pts[-1], end, vals[-1], 0.0)
+        return lo, hi
+
+    alpha_breaks = tuple(sorted(v for v in set(vals) if 0.0 < v < sup))
     return LevelSetFunction(g, level, sup, alpha_breakpoints=alpha_breaks,
-                            label=f"{spec.name}*{kernel.family}")
+                            label=f"{spec.name}*{kernel.family}", level_batch=levels)
 
 
 def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
@@ -330,7 +484,8 @@ def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFuncti
             return kernel.level_set(alpha / c)
 
         return LevelSetFunction(lambda t: c * kernel(t), level, c,
-                                label=f"const*{kernel.family}")
+                                label=f"const*{kernel.family}",
+                                level_batch=lambda alphas: kernel.levels(alphas / c))
     if spec.name == "exp_neg":
         return _product_exp_neg(spec, kernel)
     if spec.name == "abs_dev" and spec.param("center", 0.0) == kernel.x:
@@ -370,6 +525,57 @@ def _quad_piece(fn, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, f
     return value, err
 
 
+@dataclass(frozen=True)
+class _LayerProfile:
+    """Where and in which variable an engine integrates the layer cake.
+
+    The integration variable is ``s`` with ``alpha = exp(-s)`` under the log
+    substitution (the integrand then carries the Jacobian ``alpha``), or
+    ``alpha`` itself; ``edges`` split its range at every level breakpoint.
+    """
+
+    edges: list
+    log_substitution: bool
+
+    def pieces(self) -> list[tuple[float, float]]:
+        return [(a, b) for a, b in zip(self.edges[:-1], self.edges[1:]) if a < b]
+
+    def integrand(self, h: Callable[[float], float]) -> Callable[[float], float]:
+        """The integrand at one node, from ``h(alpha) = mu({g >= alpha})``."""
+        if not self.log_substitution:
+            return h
+
+        def fn(s: float) -> float:
+            a = math.exp(-s)
+            if a == 0.0:  # underflow deep in the tail
+                return 0.0
+            return h(a) * a
+
+        return fn
+
+    def integrand_values(self, hs: Callable[[np.ndarray], np.ndarray],
+                         nodes: np.ndarray) -> np.ndarray:
+        """The integrand at every node, from ``h`` on an array of levels;
+        the layer at level 0 (or one underflowed to it) adds nothing."""
+        alphas = np.exp(-nodes) if self.log_substitution else nodes
+        out = np.zeros_like(alphas)
+        live = alphas > 0.0
+        out[live] = hs(alphas[live])
+        return out * alphas if self.log_substitution else out
+
+
+def _layer_profile(g: LevelSetFunction, s_span: float) -> _LayerProfile:
+    """The profile of ``g``'s layer cake on ``(0, sup]``; under the log
+    substitution ``s`` runs over ``[-log(sup), -log(sup) + s_span]``."""
+    sup = g.sup_value
+    breaks = [b for b in g.alpha_breakpoints if 0.0 < b < sup]
+    if g.log_substitution:
+        s0 = -math.log(sup)
+        return _LayerProfile([s0] + sorted(-math.log(b) for b in breaks) + [s0 + s_span],
+                             True)
+    return _LayerProfile([0.0] + sorted(breaks) + [sup], False)
+
+
 def choquet_integral_real_with_error(g: LevelSetFunction, mu: RealCapacity,
                                      cfg: QuadratureConfig = DEFAULT_QUADRATURE
                                      ) -> tuple[float, float]:
@@ -380,29 +586,11 @@ def choquet_integral_real_with_error(g: LevelSetFunction, mu: RealCapacity,
     if sup <= 0:
         return 0.0, 0.0
 
-    def h(alpha: float) -> float:
-        return mu.value(g.level(alpha))
-
+    profile = _layer_profile(g, math.inf)
+    integrand = profile.integrand(lambda alpha: mu.value(g.level(alpha)))
     total = 0.0
     err = 0.0
-    if g.log_substitution:
-        s0 = -math.log(sup)
-        edges = [s0] + sorted(-math.log(b) for b in g.alpha_breakpoints
-                              if 0.0 < b < sup) + [math.inf]
-
-        def integrand(s: float) -> float:
-            a = math.exp(-s)
-            if a == 0.0:  # underflow deep in the tail
-                return 0.0
-            return h(a) * a
-
-    else:
-        edges = [0.0] + sorted(b for b in g.alpha_breakpoints if 0.0 < b < sup) + [sup]
-        integrand = h
-
-    for a, b in zip(edges[:-1], edges[1:]):
-        if a >= b:
-            continue
+    for a, b in profile.pieces():
         v, e = _quad_piece(integrand, a, b, cfg)
         total += v
         err += e
@@ -419,31 +607,21 @@ def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity,
     """Fixed-grid Simpson evaluation of the same layer-cake integral.
 
     Deliberately independent of the adaptive path; used as a cross-check
-    engine (and by the CLI to report both paths).
+    engine (and by the CLI to report both paths).  Each piece of the
+    profile takes one batched oracle call (:meth:`LevelSetFunction.levels`)
+    and one batched capacity call (:meth:`RealCapacity.values`).
     """
     sup = g.sup_value
     if sup <= 0:
         return 0.0
 
-    def h(alpha: float) -> float:
-        return mu.value(g.level(alpha))
+    def hs(alphas: np.ndarray) -> np.ndarray:
+        return mu.values(*g.levels(alphas))
 
+    profile = _layer_profile(g, s_span)
+    span = profile.edges[-1] - profile.edges[0]
     total = 0.0
-    if g.log_substitution:
-        s0 = -math.log(sup)
-        edges = [s0] + sorted(-math.log(b) for b in g.alpha_breakpoints
-                              if 0.0 < b < sup) + [s0 + s_span]
-
-        def fn(s: float) -> float:
-            a = math.exp(-s)
-            return h(a) * a if a > 0.0 else 0.0
-    else:
-        edges = [0.0] + sorted(b for b in g.alpha_breakpoints if 0.0 < b < sup) + [sup]
-        fn = h
-    span = edges[-1] - edges[0]
-    for a, b in zip(edges[:-1], edges[1:]):
-        if a >= b:
-            continue
+    for a, b in profile.pieces():
         m = max(8, int(num * (b - a) / span))
         m += m % 2  # Simpson needs an even cell count
         # smoothstep substitution clusters nodes at both piece ends, where
@@ -451,7 +629,7 @@ def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity,
         us = np.linspace(0.0, 1.0, m + 1)
         ts = a + (b - a) * (3.0 * us ** 2 - 2.0 * us ** 3)
         dts = (b - a) * 6.0 * us * (1.0 - us)
-        ys = np.array([fn(float(t)) for t in ts]) * dts
+        ys = profile.integrand_values(hs, ts) * dts
         wts = np.ones(m + 1)
         wts[1:-1:2] = 4.0
         wts[2:-1:2] = 2.0

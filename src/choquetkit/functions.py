@@ -4,7 +4,9 @@ Fixed names (used by the CLI and JSON configs): ``exp_neg``, ``const``,
 ``abs_dev``, ``sqrt``, ``concave_quad``, ``e0``, ``e1``, ``pw_linear``.
 Monotonicity / concavity metadata refers to the spec's natural domain
 ([0, 1] for the polynomial-type specs); ``nonneg_real_line`` marks the
-specs that are valid integrands for the real-line operators.
+specs that are valid integrands for the real-line operators.  The
+non-constant ones among them also carry ``array_fn``, the same function on
+a numpy array, for the batched level-set oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -24,6 +28,7 @@ class FunctionSpec:
     lipschitz: Optional[float] = None
     nonneg_real_line: bool = False
     params: tuple = field(default=())
+    array_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, t: float) -> float:
         return self.fn(t)
@@ -39,7 +44,8 @@ def exp_neg(lam: float = 1.0, scale: float = 1.0) -> FunctionSpec:
     return FunctionSpec(
         "exp_neg", lambda t: scale * math.exp(-lam * t),
         monotone="nonincreasing", concave=False, nonneg_real_line=True,
-        params=(("lam", lam), ("scale", scale)))
+        params=(("lam", lam), ("scale", scale)),
+        array_fn=lambda t: scale * np.exp(-lam * t))
 
 
 def const(c: float = 1.0) -> FunctionSpec:
@@ -61,7 +67,8 @@ def abs_dev(center: float = 0.0) -> FunctionSpec:
     """f(t) = |t - center| (the deviation the quantitative bound integrates)."""
     return FunctionSpec(
         "abs_dev", lambda t: abs(t - center), monotone=None, concave=False,
-        lipschitz=1.0, nonneg_real_line=True, params=(("center", center),))
+        lipschitz=1.0, nonneg_real_line=True, params=(("center", center),),
+        array_fn=lambda t: np.abs(t - center))
 
 
 def sqrt_spec(shift: float = 0.0) -> FunctionSpec:
@@ -69,7 +76,8 @@ def sqrt_spec(shift: float = 0.0) -> FunctionSpec:
     return FunctionSpec(
         "sqrt", lambda t: math.sqrt(t + shift) if t + shift > 0 else 0.0,
         monotone="nondecreasing", concave=True, nonneg_real_line=True,
-        params=(("shift", shift),))
+        params=(("shift", shift),),
+        array_fn=lambda t: np.sqrt(np.maximum(t + shift, 0.0)))
 
 
 def concave_quad() -> FunctionSpec:
@@ -109,7 +117,8 @@ def pw_linear(knots: Sequence[Tuple[float, float]]) -> FunctionSpec:
     return FunctionSpec("pw_linear", fn, monotone=mono, concave=concave,
                         lipschitz=max(abs(s) for s in slopes),
                         nonneg_real_line=all(v >= 0 for v in vs),
-                        params=(("knots", tuple(pts)),))
+                        params=(("knots", tuple(pts)),),
+                        array_fn=lambda t: np.interp(t, ts, vs))
 
 
 _FACTORY = {

@@ -6,6 +6,13 @@ are sorted, pairwise disjoint and non-adjacent, so every union of intervals
 has exactly one representation.  Degenerate components ``[a, a]`` are kept:
 level sets collapse to single points at the peak level and the capacity of
 a point set is still meaningful (length 0, kernel supremum 1).
+
+The batched level-set oracle describes N sets at once by two endpoint
+arrays ``(lo, hi)`` of shape ``[pieces, N]``: column ``i`` lists the pieces
+of set ``i``, pairwise disjoint except at shared endpoints, and a piece
+with ``lo > hi`` is empty (stored as ``[inf, -inf]``, never NaN).  These
+sets are not canonicalised; the helpers at the end of this module build
+them.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
+
+import numpy as np
 
 Pair = Tuple[float, float]
 
@@ -108,3 +117,26 @@ def normalize(pairs: Sequence[Pair]) -> IntervalUnion:
 
 def total_length(union: IntervalUnion) -> float:
     return union.total_length
+
+
+def empty_pieces(pieces: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays ``[pieces, n]`` with every piece empty."""
+    return np.full((pieces, n), math.inf), np.full((pieces, n), -math.inf)
+
+
+def pieces_where(inside: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays of the pieces ``[lo, hi]`` (one row each, or a single
+    piece if ``lo`` and ``hi`` are 1-d or scalars), emptied in the columns
+    where ``inside`` is false."""
+    return (np.atleast_2d(np.where(inside, lo, math.inf)),
+            np.atleast_2d(np.where(inside, hi, -math.inf)))
+
+
+def pack_unions(unions: Sequence[IntervalUnion]) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays ``[pieces, N]`` of N interval unions."""
+    lo, hi = empty_pieces(max([1] + [u.n_components for u in unions]), len(unions))
+    for i, union in enumerate(unions):
+        for j, (a, b) in enumerate(union.intervals):
+            lo[j, i] = a
+            hi[j, i] = b
+    return lo, hi

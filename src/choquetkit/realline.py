@@ -12,6 +12,11 @@ The kernels are the two convolution-type bumps the operators use,
 ``exp(-n |t - x|)`` and ``exp(-n (t - x)**2)``; both peak at ``x`` with
 value 1, so their supremum over an interval is attained at the endpoint
 nearest ``x`` (or is 1 when ``x`` lies inside).
+
+The kernels' level sets and the capacities also come in a batched form
+over an array of levels: :meth:`Kernel.levels` returns the endpoint arrays
+``(lo, hi)`` of shape ``[pieces, N]`` described in :mod:`.intervals`, and
+:meth:`RealCapacity.values` takes such arrays.
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .capacity import DistortionFunction
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, pieces_where
 
 LAPLACE = "laplace"
 GAUSS = "gauss"
@@ -35,6 +42,8 @@ class Kernel:
     def __post_init__(self):
         if self.family not in (LAPLACE, GAUSS):
             raise ValueError(f"unknown kernel family {self.family!r}")
+        if not (math.isfinite(self.n) and math.isfinite(self.x)):
+            raise ValueError(f"kernel parameters must be finite, got n={self.n}, x={self.x}")
         if not self.n > 0:
             raise ValueError("kernel parameter n must be positive")
 
@@ -51,6 +60,12 @@ class Kernel:
             return math.exp(-self.n * abs(t - self.x))
         return math.exp(-self.n * (t - self.x) ** 2)
 
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """The kernel at every point of an array."""
+        if self.family == LAPLACE:
+            return np.exp(-self.n * np.abs(ts - self.x))
+        return np.exp(-self.n * (ts - self.x) ** 2)
+
     def sup_on(self, a: float, b: float) -> float:
         """Supremum over the closed interval [a, b]."""
         if a <= self.x <= b:
@@ -62,6 +77,15 @@ class Kernel:
         if self.family == LAPLACE:
             return level_set_laplace(self.n, self.x, alpha)
         return level_set_gauss(self.n, self.x, alpha)
+
+    def levels(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`level_set` for an array of positive levels, as one piece
+        ``[1, N]``; levels above the peak value 1 give an empty piece."""
+        inside = alphas <= 1.0
+        r = -np.log(np.where(inside, alphas, 1.0)) / self.n
+        if self.family == GAUSS:
+            r = np.sqrt(r)
+        return pieces_where(inside, self.x - r, self.x + r)
 
 
 def level_set_laplace(n: float, x: float, alpha: float) -> IntervalUnion:
@@ -115,6 +139,25 @@ class RealCapacity:
             length = A.total_length
             return self.gamma(length) if length > 0 else 0.0
         return max(self.kernel.sup_on(a, b) for a, b in A.intervals)
+
+    def values(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """:meth:`value` of N sets at once, each given by the columns of
+        endpoint arrays of shape ``[pieces, N]``.
+
+        The pieces of one set must not overlap (touching is fine); a piece
+        with ``lo > hi`` is empty.  Neither the total length nor the
+        supremum changes when touching pieces merge, so no
+        canonicalisation is needed.
+        """
+        present = lo <= hi
+        if self.kind == "distorted_lebesgue":
+            lengths = np.where(present, hi - lo, 0.0).sum(axis=0)
+            return np.array([self.gamma(length) if length > 0 else 0.0
+                             for length in lengths.tolist()])
+        nearest = np.clip(self.kernel.x, np.where(present, lo, 0.0),
+                          np.where(present, hi, 0.0))
+        sups = np.where(present, self.kernel.values(nearest), 0.0)
+        return sups.max(axis=0)
 
 
 def evaluate_real(cap: RealCapacity, A: IntervalUnion) -> float:

@@ -65,6 +65,30 @@ class TestIntegrate:
         _, rows = read_rows(out)
         assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_real_gauss_centred_deviation(self, tmp_path):
+        # the grid engine's first node is the Lambert W branch point -1/e
+        out = tmp_path / "out.csv"
+        cfg = write_config(tmp_path, {
+            "mode": "real",
+            "capacity": "possibility",
+            "kernel": {"family": "gauss", "n": 2, "x": 0.3},
+            "function": {"name": "abs_dev", "center": 0.3},
+            "out": str(out),
+        })
+        assert main(["integrate", "--config", cfg]) == 0
+        _, rows = read_rows(out)
+        primary, check = float(rows[0][2]), float(rows[0][4])
+        assert math.isfinite(check)
+        assert check == pytest.approx(primary, rel=1e-6)
+
+    def test_non_finite_kernel_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "mode": "real",
+            "capacity": {"kind": "distorted_lebesgue", "gamma": "sqrt"},
+            "kernel": {"family": "laplace", "n": float("inf"), "x": 0.0},
+        })
+        assert main(["integrate", "--config", cfg]) == 2
+
     def test_missing_values_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {
             "mode": "discrete",

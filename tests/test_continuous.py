@@ -12,8 +12,41 @@ from choquetkit import (DivergenceError, IntervalUnion, Kernel,
                         integrate_adaptive, kernel_level_function,
                         kernel_normalizer, level_set_product,
                         product_level_function)
+from choquetkit import continuous
+from choquetkit.continuous import _bisect, _lambert_pair, _lambert_pairs
 
 SQRT_M = RealCapacity.sqrt_lebesgue()
+PW_KNOTS = [(-1.0, 0.0), (0.0, 2.0), (1.0, 0.5), (2.0, 1.5)]
+
+
+def level_functions():
+    """Every level-set constructor, against both kernel families."""
+    out = [("plateau", indicator_plateau(2.5, -1.0, 3.0))]
+    specs = [("const", function_spec("const", c=2.0)),
+             ("exp_neg", function_spec("exp_neg")),
+             ("exp_neg_lam2", function_spec("exp_neg", lam=2.0, scale=0.5)),
+             ("abs_dev_centred", function_spec("abs_dev", center=0.3)),
+             ("abs_dev_off_centre", function_spec("abs_dev", center=-0.4)),
+             ("sqrt", function_spec("sqrt", shift=1.0)),
+             ("pw_linear", function_spec("pw_linear", knots=PW_KNOTS))]
+    for k in (Kernel.laplace(3.0, 0.3), Kernel.gauss(3.0, 0.3)):
+        out.append((f"kernel*{k.family}", kernel_level_function(k)))
+        out += [(f"{name}*{k.family}", product_level_function(spec, k))
+                for name, spec in specs]
+    # built by hand with only the scalar oracle
+    k = Kernel.gauss(2.0, -0.5)
+    out.append(("scalar_only", LevelSetFunction(k.__call__, k.level_set, 1.0)))
+    return out
+
+
+def batched_union(lo, hi, i):
+    return IntervalUnion.from_pairs(
+        [(a, b) for a, b in zip(lo[:, i], hi[:, i]) if a <= b])
+
+
+def close_gaps(union, tol=1e-12):
+    """Merge components closer than the root solvers resolve."""
+    return IntervalUnion.from_pairs((a - tol / 2, b + tol / 2) for a, b in union)
 
 
 class TestProductLevelSets:
@@ -128,6 +161,108 @@ class TestProductLevelSets:
             product_level_function(function_spec("e1"), Kernel.laplace(2.0, 0.0))
 
 
+@pytest.mark.parametrize("n,x", [(math.inf, 0.0), (math.nan, 0.0), (2.0, math.nan),
+                                 (2.0, -math.inf)])
+def test_kernel_rejects_non_finite_parameters(n, x):
+    for family in ("laplace", "gauss"):
+        with pytest.raises(ValueError, match="finite"):
+            Kernel(family, n, x)
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize("label,g", level_functions(),
+                             ids=[label for label, _ in level_functions()])
+    def test_levels_match_level(self, label, g):
+        sup = g.sup_value
+        alphas = np.concatenate([
+            np.linspace(sup * 1e-3, sup, 15), list(g.alpha_breakpoints),
+            [sup * math.exp(-60.0), sup * math.exp(-20.0), sup * (1 + 1e-9),
+             2.0 * sup]])
+        lo, hi = g.levels(alphas)
+        assert lo.shape == hi.shape and lo.shape[1] == alphas.size
+        assert not np.isnan(lo).any() and not np.isnan(hi).any()
+        for i, alpha in enumerate(alphas):
+            want = close_gaps(g.level(float(alpha)))
+            got = close_gaps(batched_union(lo, hi, i))
+            assert got.n_components == want.n_components, (alpha, got, want)
+            for (a1, b1), (a2, b2) in zip(got.intervals, want.intervals):
+                assert a1 == pytest.approx(a2, abs=1e-12), alpha
+                assert b1 == pytest.approx(b2, abs=1e-12), alpha
+        assert (lo[:, -2:] > hi[:, -2:]).all()  # above sup: every piece empty
+
+    def test_levels_require_positive_alpha(self):
+        g = product_level_function(function_spec("sqrt"), Kernel.laplace(2.0, 0.0))
+        for bad in ([0.5, 0.0], [-1.0], [math.nan]):
+            with pytest.raises(ValueError):
+                g.levels(bad)
+
+    @pytest.mark.parametrize("kernel", [Kernel.laplace(2.0, 0.4), Kernel.gauss(3.0, -0.2)])
+    def test_capacity_values_match_value(self, kernel):
+        rng = np.random.default_rng(5)
+        caps = [SQRT_M, RealCapacity.lebesgue(), RealCapacity.possibility(kernel)]
+        sets = []
+        for _ in range(60):
+            ends = np.sort(rng.uniform(-3.0, 3.0, size=6))
+            pairs = [(ends[0], ends[1]), (ends[2], ends[3]), (ends[4], ends[5])]
+            if rng.random() < 0.3:  # touching pieces
+                pairs[1] = (ends[1], ends[3])
+            if rng.random() < 0.2:  # a single point
+                pairs[2] = (ends[4], ends[4])
+            sets.append([p if rng.random() < 0.7 else (math.inf, -math.inf)
+                         for p in pairs])
+        sets.append([(math.inf, -math.inf)] * 3)
+        sets.append([(kernel.x - 1.0, kernel.x + 1.0)] + [(math.inf, -math.inf)] * 2)
+        lo = np.array([[p[j][0] for p in sets] for j in range(3)])
+        hi = np.array([[p[j][1] for p in sets] for j in range(3)])
+        for mu in caps:
+            got = mu.values(lo, hi)
+            for i, pairs in enumerate(sets):
+                want = mu.value(IntervalUnion.from_pairs(p for p in pairs if p[0] <= p[1]))
+                assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+    def test_lambert_branch_point(self):
+        # scipy's lambertw is NaN at -1/e itself; both branches meet at -1 there
+        for arg in (-1.0 / math.e, -1.0 / math.e - 1e-17, -0.5):
+            assert _lambert_pair(arg) == (-1.0, -1.0)
+        w0, wm1 = _lambert_pairs(np.array([-1.0 / math.e, -0.5, -0.1]))
+        assert w0[:2].tolist() == [-1.0, -1.0] and wm1[:2].tolist() == [-1.0, -1.0]
+        assert (w0[2], wm1[2]) == _lambert_pair(-0.1)
+
+    def test_bisection_matches_brentq_within_its_step_cap(self):
+        from scipy.optimize import brentq
+        calls = []
+
+        def g(t):
+            calls.append(t.size)
+            return np.exp(-2.0 * t)
+
+        alphas = np.array([0.9, 0.3, 1e-6])
+        roots = _bisect(g, 0.0, 16.0, alphas, rising=False)
+        for alpha, root in zip(alphas, roots):
+            want = brentq(lambda t: math.exp(-2.0 * t) - alpha, 0.0, 16.0, xtol=1e-13)
+            assert root == pytest.approx(want, abs=2e-13)
+        assert len(calls) <= math.ceil(math.log2(16.0 / 1e-13)) + 2
+
+    def test_bisection_never_loops_unbounded(self, monkeypatch):
+        falling = lambda t: -t  # noqa: E731
+        with pytest.raises(QuadratureError):
+            _bisect(falling, math.nan, 1.0, np.array([0.5]), rising=False)
+        with pytest.raises(QuadratureError):
+            _bisect(falling, -math.inf, 1.0, np.array([0.5]), rising=False)
+        with pytest.raises(QuadratureError):
+            _bisect(lambda t: t * math.nan, 0.0, 1.0, np.array([0.5]), rising=True)
+        # a bracket at the top of the float range has no overflowing midpoint
+        root = _bisect(falling, 1e308, 1.7e308, np.array([-1.5e308]), rising=False)
+        assert root[0] == pytest.approx(1.5e308, rel=1e-15)
+        # with a stopping rule no lane can meet, the step cap ends the loop
+        monkeypatch.setattr(continuous, "_ROOT_RTOL", -1.0)
+        calls = []
+        with pytest.raises(QuadratureError, match="did not converge"):
+            _bisect(lambda t: calls.append(1) or -t, 0.0, 1.0, np.array([-0.5]),
+                    rising=False)
+        assert len(calls) == math.ceil(-math.log2(1e-13)) + 2
+
+
 class TestQuadrature:
     def test_possibility_normalizer_exact_and_by_quadrature(self):
         k = Kernel.laplace(4.0, 1.0)
@@ -178,6 +313,59 @@ class TestQuadrature:
             a = choquet_integral_real(g, mu)
             b = choquet_integral_real_grid(g, mu)
             assert a == pytest.approx(b, rel=1e-6, abs=1e-9)
+        gauss = Kernel.gauss(2.0, 0.3)
+        cases = [
+            (kernel_level_function(Kernel.laplace(2.0, 0.3)), SQRT_M),
+            (kernel_level_function(Kernel.gauss(8.0, -0.4)),
+             RealCapacity.possibility(Kernel.laplace(3.0, 0.1))),
+            (product_level_function(function_spec("sqrt", shift=3.0),
+                                    Kernel.laplace(2.0, 0.3)), SQRT_M),
+            (product_level_function(function_spec("pw_linear", knots=PW_KNOTS[:3]),
+                                    Kernel.laplace(8.0, 0.3)), SQRT_M),
+            (product_level_function(function_spec("abs_dev", center=0.3), gauss),
+             RealCapacity.possibility(Kernel.laplace(2.0, 0.3))),
+            (indicator_plateau(2.5, 0.0, 4.0), SQRT_M),
+        ]
+        for g, mu in cases:
+            a = choquet_integral_real(g, mu)
+            b = choquet_integral_real_grid(g, mu)
+            assert a == pytest.approx(b, rel=1e-6, abs=1e-9), g.label
+
+    def test_grid_engine_pinned(self):
+        # values of the scalar-oracle Simpson engine this one replaced
+        pw = function_spec("pw_linear", knots=[(-1.0, 1.0), (0.0, 2.0), (1.0, 0.5)])
+
+        def poss(n, x):
+            return RealCapacity.possibility(Kernel.laplace(n, x))
+
+        cases = [
+            (None, Kernel.laplace(2.0, 0.3), SQRT_M, 0.8862269254535947),
+            (None, Kernel.gauss(8.0, -0.4), poss(3.0, 0.1), 0.594195921340691),
+            (function_spec("exp_neg"), Kernel.laplace(3.0, 0.2), poss(3.0, 0.2),
+             0.8187307530848761),
+            (function_spec("exp_neg", lam=2.0), Kernel.gauss(2.0, 0.5), SQRT_M,
+             0.6537795779795622),
+            (function_spec("abs_dev", center=0.3), Kernel.laplace(2.0, 0.3), SQRT_M,
+             0.2899745786270968),
+            (function_spec("abs_dev", center=0.0), Kernel.laplace(8.0, 0.3),
+             poss(8.0, 0.3), 0.3000000004850715),
+            (function_spec("sqrt", shift=3.0), Kernel.laplace(2.0, 0.3), SQRT_M,
+             1.6073414504278714),
+            (function_spec("sqrt", shift=1.0), Kernel.gauss(8.0, 0.3), poss(8.0, 0.3),
+             1.1450515193511408),
+            (pw, Kernel.laplace(8.0, 0.3), SQRT_M, 0.6862728174951809),
+            (pw, Kernel.gauss(2.0, -0.5), poss(2.0, -0.5), 1.5700908227309116),
+        ]
+        for spec, k, mu, want in cases:
+            g = kernel_level_function(k) if spec is None else product_level_function(spec, k)
+            assert choquet_integral_real_grid(g, mu) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [SQRT_M, RealCapacity.possibility(Kernel.laplace(2.0, 0.3))])
+    def test_grid_engine_at_lambert_branch_point(self, mu):
+        # the first grid node sits at alpha = sup, where lambertw(-1/e) is NaN
+        g = product_level_function(function_spec("abs_dev", center=0.3),
+                                   Kernel.gauss(2.0, 0.3))
+        assert math.isfinite(choquet_integral_real_grid(g, mu))
 
     def test_monotone_in_capacity(self):
         # pointwise-dominated possibility kernels order the integrals
