@@ -5,19 +5,19 @@ kernel operators, with the error bounds that certify their convergence."""
 from .capacity import (DiscreteCapacity, DistortionFunction, PropertyReport,
                        additive_capacity, capacity_from_table, check_properties,
                        counting_distortion, distorted_probability,
-                       distortion_by_name, dual, evaluate_discrete,
-                       possibility_capacity, random_monotone_capacity,
-                       uniform_additive, validate_distortion)
+                       distortion_by_name, dual, possibility_capacity,
+                       random_monotone_capacity, uniform_additive,
+                       validate_distortion)
 from .continuous import (DEFAULT_QUADRATURE, LevelSetFunction, QuadratureConfig,
                          choquet_integral_real, choquet_integral_real_grid,
                          choquet_integral_real_with_error, has_finite_integral,
                          indicator_plateau, integrate_adaptive,
                          kernel_level_function, kernel_normalizer,
-                         level_set_product, product_level_function)
+                         product_level_function)
 from .discrete import (Pushforward, PropertySuiteReport,
-                       change_of_variables_check, choquet_expectance,
-                       choquet_integral, choquet_integral_layer_cake,
-                       choquet_variance, property_suite, pushforward)
+                       change_of_variables_check, choquet_integral,
+                       choquet_integral_layer_cake, choquet_variance,
+                       property_suite, pushforward)
 from .errors import CapabilityError, ConfigError, DivergenceError, QuadratureError
 from .estimates import (ChebyshevResult, DiscreteScheme, ErrorTable,
                         MomentDiagnostics, ModulusResult,
@@ -26,14 +26,13 @@ from .estimates import (ChebyshevResult, DiscreteScheme, ErrorTable,
                         modulus_of_continuity_detailed, quantitative_bound,
                         scheme_moments)
 from .functions import FunctionSpec, REGISTERED, function_spec
-from .intervals import IntervalUnion, normalize, total_length
+from .intervals import IntervalUnion
 from .operators import (DEFAULT_PROFILE, PerturbationProfile, bernstein_basis,
                         bernstein_choquet, bernstein_choquet_capacity,
                         bernstein_choquet_closedform, bernstein_classical,
                         perturbation_gap, picard_choquet, picard_classical,
                         weierstrass_choquet)
-from .realline import (Kernel, RealCapacity, evaluate_real, level_set_gauss,
-                       level_set_laplace)
+from .realline import Kernel, RealCapacity
 
 __version__ = "0.1.0"
 
@@ -43,24 +42,22 @@ __all__ = [
     "DistortionFunction", "DivergenceError", "ErrorTable", "FunctionSpec",
     "IntervalUnion", "Kernel", "LevelSetFunction", "MomentDiagnostics",
     "ModulusResult", "PerturbationProfile", "PropertyReport",
-    "PropertySuiteReport", "Pushforward", "QuadratureConfig", "QuadratureError",
-    "REGISTERED", "RealCapacity", "additive_capacity", "bernstein_basis",
-    "bernstein_choquet", "bernstein_choquet_capacity",
+    "PropertySuiteReport", "Pushforward", "QuadratureConfig",
+    "QuadratureError", "REGISTERED", "RealCapacity", "additive_capacity",
+    "bernstein_basis", "bernstein_choquet", "bernstein_choquet_capacity",
     "bernstein_choquet_closedform", "bernstein_choquet_scheme",
     "bernstein_classical", "capacity_from_table", "change_of_variables_check",
-    "chebyshev_check", "check_properties", "choquet_expectance",
-    "choquet_integral", "choquet_integral_layer_cake", "choquet_integral_real",
+    "chebyshev_check", "check_properties", "choquet_integral",
+    "choquet_integral_layer_cake", "choquet_integral_real",
     "choquet_integral_real_grid", "choquet_integral_real_with_error",
     "choquet_variance", "convergence_report", "counting_distortion",
     "delta_rule", "distorted_probability", "distortion_by_name", "dual",
-    "evaluate_discrete", "evaluate_real", "function_spec", "has_finite_integral",
-    "indicator_plateau", "integrate_adaptive", "kernel_level_function",
-    "kernel_normalizer", "level_set_gauss", "level_set_laplace",
-    "level_set_product", "modulus_of_continuity",
-    "modulus_of_continuity_detailed", "normalize", "perturbation_gap",
-    "picard_choquet", "picard_classical", "possibility_capacity",
-    "product_level_function", "property_suite", "pushforward",
-    "quantitative_bound", "random_monotone_capacity", "scheme_moments",
-    "total_length", "uniform_additive", "validate_distortion",
+    "function_spec", "has_finite_integral", "indicator_plateau",
+    "integrate_adaptive", "kernel_level_function", "kernel_normalizer",
+    "modulus_of_continuity", "modulus_of_continuity_detailed",
+    "perturbation_gap", "picard_choquet", "picard_classical",
+    "possibility_capacity", "product_level_function", "property_suite",
+    "pushforward", "quantitative_bound", "random_monotone_capacity",
+    "scheme_moments", "uniform_additive", "validate_distortion",
     "weierstrass_choquet",
 ]

@@ -20,15 +20,6 @@ from .errors import CapabilityError
 TABLE_BOUND = 20
 EXHAUSTIVE_BOUND = 6
 
-Subset = frozenset
-
-
-def subsets_of(size: int) -> Iterable[frozenset]:
-    """All subsets of {0..size-1}, in mask order (empty set first)."""
-    for mask in range(1 << size):
-        yield _mask_to_set(mask)
-
-
 def _mask_to_set(mask: int) -> frozenset:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -96,14 +87,6 @@ class PropertyReport:
     normalized: bool
     sampled: bool
     witnesses: dict = field(default_factory=dict)
-
-    def all_core(self) -> bool:
-        return self.monotone and self.subadditive and self.submodular
-
-
-def evaluate_discrete(cap: DiscreteCapacity, subset: Iterable[int]) -> float:
-    """Evaluate ``cap`` on ``subset`` (indices must lie in the ground set)."""
-    return cap.value(subset)
 
 
 def dual(cap: DiscreteCapacity) -> DiscreteCapacity:

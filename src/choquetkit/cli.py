@@ -19,7 +19,10 @@ import argparse
 import json
 import math
 import sys
-from typing import Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,8 +35,8 @@ from .continuous import (QuadratureConfig, choquet_integral_real,
 from .discrete import (choquet_integral, choquet_integral_layer_cake,
                        property_suite)
 from .errors import ConfigError, DivergenceError, QuadratureError
-from .estimates import (ErrorTable, chebyshev_check, delta_rule, format_float,
-                        modulus_of_continuity, quantitative_bound)
+from .estimates import (chebyshev_check, convergence_report, delta_rule,
+                        format_float, modulus_of_continuity, quantitative_bound)
 from .functions import FunctionSpec, function_spec
 from .intervals import IntervalUnion
 from .operators import (PerturbationProfile, bernstein_choquet,
@@ -47,8 +50,6 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-OPERATORS = ("bernstein", "bernstein_choquet", "picard", "picard_choquet",
-             "weierstrass_choquet")
 SUITES = ("capacity", "integral", "chebyshev", "bounds")
 
 
@@ -146,6 +147,13 @@ def _parse_function(raw) -> FunctionSpec:
         raise ConfigError(f"invalid function spec {raw!r}: {exc}") from exc
 
 
+def _nonneg(spec: FunctionSpec) -> FunctionSpec:
+    """``spec`` if it may meet a Choquet kernel operator (real-line engine)."""
+    if not spec.nonneg_real_line:
+        raise ConfigError(f"function {spec.name!r} is not nonnegative on the real line")
+    return spec
+
+
 def _parse_gamma(raw):
     if raw is None:
         raw = "sqrt"
@@ -212,11 +220,15 @@ def _real_capacity_factory(raw):
     raise ConfigError(f"unknown real capacity spec {raw!r}")
 
 
-def _open_out(cfg: dict):
+@contextmanager
+def _output(cfg: dict):
+    """The CSV stream: the ``out`` file, or stdout for none or ``-``."""
     path = cfg.get("out")
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
+        yield sys.stdout
+        return
+    with open(path, "w", newline="\n") as stream:
+        yield stream
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +247,17 @@ def cmd_integrate(cfg: dict) -> int:
         if not isinstance(values, list) or len(values) != cap.size:
             raise ConfigError("values must list one number per ground element")
         values = [float(v) for v in values]
-        primary = choquet_integral(values, cap)
-        check = choquet_integral_layer_cake(values, cap)
+        try:
+            primary = choquet_integral(values, cap)
+            check = choquet_integral_layer_cake(values, cap)
+        except ValueError as exc:  # a NaN or infinite value
+            raise ConfigError(str(exc)) from exc
         engines = ("sorted_tail_sum", "layer_cake_exact")
     elif mode == "real":
         factory = _real_capacity_factory(cfg.get("capacity"))
         kernel = _parse_kernel(cfg.get("kernel"), default_n=2.0)
         mu = factory(kernel)
-        spec = _parse_function(cfg.get("function", "e0"))
+        spec = _nonneg(_parse_function(cfg.get("function", "e0")))
         if spec.name == "const" and spec.param("c", 1.0) == 1.0:
             g = kernel_level_function(kernel)
         else:
@@ -253,15 +268,11 @@ def cmd_integrate(cfg: dict) -> int:
     else:
         raise ConfigError(f"unknown integrate mode {mode!r}")
 
-    stream, close = _open_out(cfg)
-    try:
+    with _output(cfg) as stream:
         stream.write("mode,primary_engine,primary_value,check_engine,check_value,abs_difference\n")
         stream.write(",".join([mode, engines[0], format_float(primary),
                                engines[1], format_float(check),
                                format_float(abs(primary - check))]) + "\n")
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -269,123 +280,118 @@ def cmd_integrate(cfg: dict) -> int:
 # operator / compare
 
 
-def _omega_window(x_grid) -> tuple[float, float]:
-    return float(np.min(x_grid)) - 1.0, float(np.max(x_grid)) + 1.0
+@dataclass(frozen=True)
+class _Setup:
+    """The config fields ``operator`` and ``compare`` share."""
+
+    spec: FunctionSpec
+    n_list: list
+    x_grid: np.ndarray
+    profile: PerturbationProfile
+    quad: QuadratureConfig
+    capacity: Callable[[Kernel], RealCapacity]
+    window: tuple
+
+    @staticmethod
+    def parse(cfg: dict, names) -> _Setup:
+        spec = _parse_function(cfg.get("function"))
+        n_list = _parse_n_list(cfg.get("n_list"))
+        x_grid = _parse_x_grid(cfg.get("x_grid"))
+        profile = _parse_profile(cfg)
+        quad = _parse_quadrature(cfg)
+        capacity = _real_capacity_factory(cfg.get("capacity"))
+        lo, hi = float(np.min(x_grid)), float(np.max(x_grid))
+        if any(name.startswith("bernstein") for name in names) and (lo < 0 or hi > 1):
+            raise ConfigError("bernstein operators need an x grid inside [0, 1]")
+        return _Setup(spec, n_list, x_grid, profile, quad, capacity, (lo - 1.0, hi + 1.0))
 
 
-def _bernstein_bound(spec: FunctionSpec, n: int, profile: PerturbationProfile) -> float:
+def _bernstein_bound(setup: _Setup, n: int, x: float) -> float:
+    spec, i0 = setup.spec, setup.profile.i0
     if spec.monotone == "nondecreasing":
-        return abs(spec.fn(profile.i0 / n) - spec.fn(0.0)) * 2.0 ** -n
+        return abs(spec.fn(i0 / n) - spec.fn(0.0)) * 2.0 ** -n
     if spec.monotone == "nonincreasing":
-        return abs(spec.fn(profile.i0 / n) - spec.fn(1.0)) * 2.0 ** -n
+        return abs(spec.fn(i0 / n) - spec.fn(1.0)) * 2.0 ** -n
     return math.nan
 
 
-def _kernel_bound(op_name: str, spec: FunctionSpec, n: int, x: float,
-                  mu: RealCapacity, quad_cfg: QuadratureConfig, window) -> float:
-    phi = function_spec("abs_dev", center=x)
-    deviation = weierstrass_choquet if op_name == "weierstrass_choquet" else picard_choquet
-    tn_phi = deviation(phi, n, x, mu, quad_cfg)
+def kernel_bound(deviation, spec: FunctionSpec, n: int, x: float,
+                 mu: RealCapacity, cfg: QuadratureConfig, window) -> float:
+    """The quantitative bound at (n, x), its delta from the deviation
+    integral ``deviation(|. - x|)(x)`` and its modulus over ``window``."""
+    tn_phi = deviation(function_spec("abs_dev", center=x), n, x, mu, cfg)
     delta = delta_rule(tn_phi, n)
     return quantitative_bound(tn_phi, delta, modulus_of_continuity(spec, delta, window))
 
 
-def _evaluate_operator(name: str, spec: FunctionSpec, n: int, x: float,
-                       profile: PerturbationProfile, factory,
-                       quad_cfg: QuadratureConfig) -> float:
-    if name == "bernstein":
-        return bernstein_classical(spec.fn, n, x)
-    if name == "bernstein_choquet":
-        return bernstein_choquet(spec.fn, n, x, profile)
-    if name == "picard":
-        return picard_classical(spec.fn, n, x, quad_cfg)
-    if name == "picard_choquet":
-        return picard_choquet(spec, n, x, factory(Kernel.laplace(n, x)), quad_cfg)
-    if name == "weierstrass_choquet":
-        return weierstrass_choquet(spec, n, x, factory(Kernel.gauss(n, x)), quad_cfg)
-    raise ConfigError(f"unknown operator {name!r}; choose from {OPERATORS}")
+def _kernel_operator(op, kernel):
+    """Table row of a Choquet kernel operator; the capacity follows its kernel."""
+
+    def evaluate(setup: _Setup, n: int, x: float) -> float:
+        return op(_nonneg(setup.spec), n, x, setup.capacity(kernel(n, x)), setup.quad)
+
+    def bound(setup: _Setup, n: int, x: float) -> float:
+        return kernel_bound(op, setup.spec, n, x, setup.capacity(kernel(n, x)),
+                            setup.quad, setup.window)
+
+    return evaluate, bound
+
+
+_PICARD_CHOQUET = _kernel_operator(picard_choquet, Kernel.laplace)
+
+# name -> (evaluate, bound), each called as f(setup, n, x); the classical
+# Picard operator takes its bound from the Picard-Choquet deviation integral
+OPERATORS = {
+    "bernstein": (lambda s, n, x: bernstein_classical(s.spec.fn, n, x),
+                  _bernstein_bound),
+    "bernstein_choquet": (lambda s, n, x: bernstein_choquet(s.spec.fn, n, x, s.profile),
+                          _bernstein_bound),
+    "picard": (lambda s, n, x: picard_classical(s.spec.fn, n, x, s.quad),
+               _PICARD_CHOQUET[1]),
+    "picard_choquet": _PICARD_CHOQUET,
+    "weierstrass_choquet": _kernel_operator(weierstrass_choquet, Kernel.gauss),
+}
+# compare pair -> (classical, Choquet) operator names
+PAIRS = {"bernstein": ("bernstein", "bernstein_choquet"),
+         "picard": ("picard", "picard_choquet")}
 
 
 def cmd_operator(cfg: dict) -> int:
     name = cfg.get("operator", "bernstein_choquet")
     if name not in OPERATORS:
-        raise ConfigError(f"unknown operator {name!r}; choose from {OPERATORS}")
-    spec = _parse_function(cfg.get("function"))
-    n_list = _parse_n_list(cfg.get("n_list"))
-    x_grid = _parse_x_grid(cfg.get("x_grid"))
-    profile = _parse_profile(cfg)
-    quad_cfg = _parse_quadrature(cfg)
-    factory = _real_capacity_factory(cfg.get("capacity"))
-    window = _omega_window(x_grid)
-
-    if name.startswith("bernstein") and (np.min(x_grid) < 0 or np.max(x_grid) > 1):
-        raise ConfigError("bernstein operators need an x grid inside [0, 1]")
-
-    table = ErrorTable()
-    for n in n_list:
-        for x in x_grid:
-            x = float(x)
-            value = _evaluate_operator(name, spec, n, x, profile, factory, quad_cfg)
-            if name.startswith("bernstein"):
-                bound = _bernstein_bound(spec, n, profile)
-            else:
-                op_kernel = (Kernel.gauss(n, x) if name == "weierstrass_choquet"
-                             else Kernel.laplace(n, x))
-                bound = _kernel_bound(name, spec, n, x, factory(op_kernel),
-                                      quad_cfg, window)
-            table.add(n, x, value, spec.fn(x), bound)
-
-    stream, close = _open_out(cfg)
-    try:
+        raise ConfigError(f"unknown operator {name!r}; choose from {tuple(OPERATORS)}")
+    setup = _Setup.parse(cfg, [name])
+    evaluate, bound = OPERATORS[name]
+    table = convergence_report(partial(evaluate, setup), setup.spec.fn, setup.n_list,
+                               setup.x_grid, partial(bound, setup))
+    with _output(cfg) as stream:
         table.to_csv(stream)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
 def cmd_compare(cfg: dict) -> int:
     pair = cfg.get("pair", "bernstein")
-    if pair not in ("bernstein", "picard"):
-        raise ConfigError("compare pairs: bernstein | picard")
-    spec = _parse_function(cfg.get("function"))
-    n_list = _parse_n_list(cfg.get("n_list"))
-    x_grid = _parse_x_grid(cfg.get("x_grid"))
-    profile = _parse_profile(cfg)
-    quad_cfg = _parse_quadrature(cfg)
-    factory = _real_capacity_factory(cfg.get("capacity"))
-    window = _omega_window(x_grid)
-
-    if pair == "bernstein" and (np.min(x_grid) < 0 or np.max(x_grid) > 1):
-        raise ConfigError("bernstein operators need an x grid inside [0, 1]")
+    if pair not in PAIRS:
+        raise ConfigError(f"compare pairs: {' | '.join(PAIRS)}")
+    classical_name, choquet_name = PAIRS[pair]
+    setup = _Setup.parse(cfg, PAIRS[pair])
+    classical_op = OPERATORS[classical_name][0]
+    choquet_op, bound = OPERATORS[choquet_name]
 
     rows = []
-    for n in n_list:
-        for x in x_grid:
+    for n in setup.n_list:
+        for x in setup.x_grid:
             x = float(x)
-            fx = spec.fn(x)
-            if pair == "bernstein":
-                classical = bernstein_classical(spec.fn, n, x)
-                choquet = bernstein_choquet(spec.fn, n, x, profile)
-                bound = _bernstein_bound(spec, n, profile)
-            else:
-                mu = factory(Kernel.laplace(n, x))
-                classical = picard_classical(spec.fn, n, x, quad_cfg)
-                choquet = picard_choquet(spec, n, x, mu, quad_cfg)
-                bound = _kernel_bound("picard_choquet", spec, n, x, mu,
-                                      quad_cfg, window)
-            rows.append((n, x, fx, classical, choquet,
-                         abs(classical - fx), abs(choquet - fx), bound))
+            fx = setup.spec.fn(x)
+            classical = classical_op(setup, n, x)
+            choquet = choquet_op(setup, n, x)
+            rows.append((n, x, fx, classical, choquet, abs(classical - fx),
+                         abs(choquet - fx), bound(setup, n, x)))
 
-    stream, close = _open_out(cfg)
-    try:
+    with _output(cfg) as stream:
         stream.write("n,x,f,classical,choquet,err_classical,err_choquet,bound\n")
-        for n, x, fx, cl, ch, ec, eh, bd in rows:
-            stream.write(",".join([str(n)] + [format_float(v) for v in
-                                              (x, fx, cl, ch, ec, eh, bd)]) + "\n")
-    finally:
-        if close:
-            stream.close()
+        for n, *values in rows:
+            stream.write(",".join([str(n)] + [format_float(v) for v in values]) + "\n")
     return EXIT_OK
 
 
@@ -487,11 +493,7 @@ def _verify_bounds(rng: np.random.Generator, trials: int) -> list[str]:
             if abs(picard_choquet(function_spec("e0"), n, x, mu, quad_cfg) - 1.0) > 1e-9:
                 bad.append(f"T_n(e0) != 1 at n={n}, x={x}")
             tn = picard_choquet(spec, n, x, mu, quad_cfg)
-            phi = function_spec("abs_dev", center=x)
-            tn_phi = picard_choquet(phi, n, x, mu, quad_cfg)
-            delta = delta_rule(tn_phi, n)
-            bound = quantitative_bound(tn_phi, delta,
-                                       modulus_of_continuity(spec, delta, window))
+            bound = kernel_bound(picard_choquet, spec, n, x, mu, quad_cfg, window)
             if abs(tn - spec.fn(x)) > bound + 1e-6:
                 bad.append(f"quantitative bound violated at n={n}, x={x}")
     return bad
@@ -548,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "operator":
             p.add_argument("--operator", choices=OPERATORS)
         else:
-            p.add_argument("--pair", choices=("bernstein", "picard"))
+            p.add_argument("--pair", choices=PAIRS)
         p.add_argument("--capacity", help="capacity shorthand (possibility, sqrt_lebesgue, lebesgue)")
         p.add_argument("--function", help="function spec name")
         p.add_argument("--n", help="comma-separated n values")

@@ -65,7 +65,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
     max_subdivisions: int = 2000
-    rule: str = "adaptive-gk21"
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -493,11 +492,6 @@ def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFuncti
     return _generic_product(spec, kernel)
 
 
-def level_set_product(spec: FunctionSpec, kernel: Kernel, alpha: float) -> IntervalUnion:
-    """One super-level set of the product (see :func:`product_level_function`)."""
-    return product_level_function(spec, kernel).level(alpha)
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 
@@ -509,10 +503,6 @@ def integrate_adaptive(fn, a: float, b: float,
     Raises :class:`QuadratureError` (carrying the partial value and error
     estimate) instead of silently returning a non-converged result.
     """
-    return _quad_piece(fn, a, b, cfg)
-
-
-def _quad_piece(fn, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, float]:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
         value, err = quad(fn, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
@@ -591,7 +581,7 @@ def choquet_integral_real_with_error(g: LevelSetFunction, mu: RealCapacity,
     total = 0.0
     err = 0.0
     for a, b in profile.pieces():
-        v, e = _quad_piece(integrand, a, b, cfg)
+        v, e = integrate_adaptive(integrand, a, b, cfg)
         total += v
         err += e
     return total, err

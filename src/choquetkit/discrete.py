@@ -26,14 +26,27 @@ from .capacity import DiscreteCapacity, check_properties, dual
 EXACT_TOL = 1e-12
 
 
+def _require_finite(values: Sequence[float]) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("integrand values must be finite")
+
+
 def choquet_integral(values: Sequence[float], cap: DiscreteCapacity) -> float:
-    """Choquet integral of ``values`` (indexed by the ground set) against ``cap``."""
+    """Choquet integral of ``values`` (indexed by the ground set) against ``cap``.
+
+    Raises ``ValueError`` on a NaN or infinite value.
+    """
     m = cap.size
     if len(values) != m:
         raise ValueError("integrand length must match the ground set size")
     order = sorted(range(m), key=lambda i: (values[i], i))
     tails = cap.tails(order)
-    return math.fsum(values[order[k]] * (tails[k] - tails[k + 1]) for k in range(m))
+    total = math.fsum(values[order[k]] * (tails[k] - tails[k + 1]) for k in range(m))
+    # a non-finite value makes the sum non-finite (or fsum raise), so finite
+    # sums need no scan
+    if not math.isfinite(total):
+        _require_finite(values)
+    return total
 
 
 def choquet_integral_layer_cake(values: Sequence[float],
@@ -43,11 +56,13 @@ def choquet_integral_layer_cake(values: Sequence[float],
     ``alpha -> mu({X >= alpha})`` is a step function whose jumps can only
     sit at attained values, so integrating it exactly amounts to summing
     cell width times the capacity at the cell midpoint.  The negative part
-    uses the signed correction ``mu({X >= alpha}) - mu(Omega)``.
+    uses the signed correction ``mu({X >= alpha}) - mu(Omega)``.  Raises
+    ``ValueError`` on a NaN or infinite value.
     """
     m = cap.size
     if len(values) != m:
         raise ValueError("integrand length must match the ground set size")
+    _require_finite(values)
 
     def mu_at(level: float) -> float:
         return cap.evaluator(frozenset(i for i in range(m) if values[i] >= level))
@@ -67,10 +82,6 @@ def choquet_integral_layer_cake(values: Sequence[float],
             total += (p - prev) * (mu_at((prev + p) / 2) - mu_omega)
             prev = p
     return total
-
-
-def choquet_expectance(values: Sequence[float], cap: DiscreteCapacity) -> float:
-    return choquet_integral(values, cap)
 
 
 def choquet_variance(values: Sequence[float], cap: DiscreteCapacity) -> float:

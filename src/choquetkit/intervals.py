@@ -110,15 +110,6 @@ class IntervalUnion:
         return iter(self.intervals)
 
 
-def normalize(pairs: Sequence[Pair]) -> IntervalUnion:
-    """Canonicalize a raw list of ``(a, b)`` pairs (idempotent)."""
-    return IntervalUnion.from_pairs(pairs)
-
-
-def total_length(union: IntervalUnion) -> float:
-    return union.total_length
-
-
 def empty_pieces(pieces: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays ``[pieces, n]`` with every piece empty."""
     return np.full((pieces, n), math.inf), np.full((pieces, n), -math.inf)

@@ -41,10 +41,13 @@ def bernstein_basis_vector(n: int, x: float) -> list[float]:
     return [bernstein_basis(n, i, x) for i in range(n + 1)]
 
 
+def _basis_sum(f: Callable[[float], float], n: int, p: Sequence[float]) -> float:
+    return math.fsum(f(i / n) * p[i] for i in range(n + 1))
+
+
 def bernstein_classical(f: Callable[[float], float], n: int, x: float) -> float:
     """B_n(f)(x) = sum of f(i/n) weighted by the basis."""
-    p = bernstein_basis_vector(n, x)
-    return math.fsum(f(i / n) * p[i] for i in range(n + 1))
+    return _basis_sum(f, n, bernstein_basis_vector(n, x))
 
 
 @dataclass(frozen=True)
@@ -65,11 +68,14 @@ class PerturbationProfile:
 DEFAULT_PROFILE = PerturbationProfile()
 
 
+def _gap(p: Sequence[float], profile: PerturbationProfile) -> float:
+    return profile.theta * min(v for i, v in enumerate(p) if i != profile.i0)
+
+
 def perturbation_gap(n: int, x: float, profile: PerturbationProfile = DEFAULT_PROFILE) -> float:
     """The perturbed singleton mass minus its basis weight:
     theta * min over the other basis weights."""
-    p = bernstein_basis_vector(n, x)
-    return profile.theta * min(p[i] for i in range(n + 1) if i != profile.i0)
+    return _gap(bernstein_basis_vector(n, x), profile)
 
 
 def bernstein_choquet_capacity(n: int, x: float,
@@ -88,7 +94,7 @@ def bernstein_choquet_capacity(n: int, x: float,
     if i0 > n:
         raise ValueError("perturbed index outside the ground set")
     p = bernstein_basis_vector(n, x)
-    gap = profile.theta * min(p[i] for i in range(n + 1) if i != i0)
+    gap = _gap(p, profile)
     size = n + 1
     full = frozenset(range(size))
 
@@ -138,10 +144,10 @@ def bernstein_choquet_closedform(spec: FunctionSpec, n: int, x: float,
         raise ValueError("closed form requires monotone metadata on the spec")
     if n < 2:
         raise ValueError("perturbed basis capacity needs n >= 2")
-    base = bernstein_classical(spec.fn, n, x)
-    gap = perturbation_gap(n, x, profile)
+    p = bernstein_basis_vector(n, x)
     anchor = 0.0 if spec.monotone == "nondecreasing" else 1.0
-    return base + (spec.fn(profile.i0 / n) - spec.fn(anchor)) * gap
+    return (_basis_sum(spec.fn, n, p)
+            + (spec.fn(profile.i0 / n) - spec.fn(anchor)) * _gap(p, profile))
 
 
 # ---------------------------------------------------------------------------

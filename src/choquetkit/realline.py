@@ -74,9 +74,17 @@ class Kernel:
         return self(nearest)
 
     def level_set(self, alpha: float) -> IntervalUnion:
-        if self.family == LAPLACE:
-            return level_set_laplace(self.n, self.x, alpha)
-        return level_set_gauss(self.n, self.x, alpha)
+        """{t : kernel(t) >= alpha}: empty above the peak value 1, else
+        [x - r, x + r] with radius r = -ln(alpha)/n (its square root for
+        the Gaussian kernel)."""
+        if alpha <= 0:
+            raise ValueError("level must be positive")
+        if alpha > 1:
+            return IntervalUnion.empty()
+        r = -math.log(alpha) / self.n
+        if self.family == GAUSS:
+            r = math.sqrt(r)
+        return IntervalUnion.single(self.x - r, self.x + r)
 
     def levels(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`level_set` for an array of positive levels, as one piece
@@ -86,26 +94,6 @@ class Kernel:
         if self.family == GAUSS:
             r = np.sqrt(r)
         return pieces_where(inside, self.x - r, self.x + r)
-
-
-def level_set_laplace(n: float, x: float, alpha: float) -> IntervalUnion:
-    """{t : exp(-n |t - x|) >= alpha}: empty above 1, else [x + ln(a)/n, x - ln(a)/n]."""
-    if alpha <= 0:
-        raise ValueError("level must be positive")
-    if alpha > 1:
-        return IntervalUnion.empty()
-    r = -math.log(alpha) / n
-    return IntervalUnion.single(x - r, x + r)
-
-
-def level_set_gauss(n: float, x: float, alpha: float) -> IntervalUnion:
-    """{t : exp(-n (t - x)**2) >= alpha}: radius sqrt(-ln(a)/n)."""
-    if alpha <= 0:
-        raise ValueError("level must be positive")
-    if alpha > 1:
-        return IntervalUnion.empty()
-    r = math.sqrt(-math.log(alpha) / n)
-    return IntervalUnion.single(x - r, x + r)
 
 
 @dataclass(frozen=True)
@@ -159,6 +147,3 @@ class RealCapacity:
         sups = np.where(present, self.kernel.values(nearest), 0.0)
         return sups.max(axis=0)
 
-
-def evaluate_real(cap: RealCapacity, A: IntervalUnion) -> float:
-    return cap.value(A)

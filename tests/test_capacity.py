@@ -7,10 +7,8 @@ from choquetkit import (CapabilityError, DiscreteCapacity, DistortionFunction,
                         IntervalUnion, Kernel, RealCapacity, additive_capacity,
                         capacity_from_table, check_properties,
                         counting_distortion, distorted_probability, dual,
-                        evaluate_discrete, evaluate_real, level_set_gauss,
-                        level_set_laplace, possibility_capacity,
-                        random_monotone_capacity, uniform_additive,
-                        validate_distortion)
+                        possibility_capacity, random_monotone_capacity,
+                        uniform_additive, validate_distortion)
 
 SQRT_THIRD = math.sqrt(1.0 / 3.0)
 
@@ -18,21 +16,21 @@ SQRT_THIRD = math.sqrt(1.0 / 3.0)
 class TestEvaluateDiscrete:
     def test_additive_uniform(self):
         cap = uniform_additive(3)
-        assert evaluate_discrete(cap, {0, 2}) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert cap.value({0, 2}) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_sqrt_counting(self):
         cap = counting_distortion(DistortionFunction.sqrt(), 3)
-        assert evaluate_discrete(cap, {1}) == pytest.approx(SQRT_THIRD, abs=1e-12)
+        assert cap.value({1}) == pytest.approx(SQRT_THIRD, abs=1e-12)
 
     def test_empty_set_is_zero(self):
         for cap in (uniform_additive(4),
                     counting_distortion(DistortionFunction.sqrt(), 3),
                     possibility_capacity([0.2, 1.0])):
-            assert evaluate_discrete(cap, ()) == 0.0
+            assert cap.value(()) == 0.0
 
     def test_out_of_range_index(self):
         with pytest.raises(ValueError):
-            evaluate_discrete(uniform_additive(3), {5})
+            uniform_additive(3).value({5})
 
 
 class TestDual:
@@ -159,24 +157,24 @@ class TestRealCapacity:
     def test_sqrt_length(self):
         mu = RealCapacity.sqrt_lebesgue()
         A = IntervalUnion.from_pairs([(0.0, 1.0), (2.0, 3.0)])
-        assert evaluate_real(mu, A) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert mu.value(A) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_empty_is_zero(self):
         empty = IntervalUnion.empty()
-        assert evaluate_real(RealCapacity.sqrt_lebesgue(), empty) == 0.0
+        assert RealCapacity.sqrt_lebesgue().value(empty) == 0.0
         mu = RealCapacity.possibility(Kernel.laplace(2.0, 0.0))
-        assert evaluate_real(mu, empty) == 0.0
+        assert mu.value(empty) == 0.0
 
     def test_possibility_peak_inside(self):
         mu = RealCapacity.possibility(Kernel.laplace(3.0, 0.5))
-        assert evaluate_real(mu, IntervalUnion.single(0.0, 1.0)) == 1.0
+        assert mu.value(IntervalUnion.single(0.0, 1.0)) == 1.0
 
     def test_possibility_nearest_endpoint(self):
         k = Kernel.laplace(2.0, 0.0)
         mu = RealCapacity.possibility(k)
-        assert evaluate_real(mu, IntervalUnion.single(1.0, 3.0)) == pytest.approx(
+        assert mu.value(IntervalUnion.single(1.0, 3.0)) == pytest.approx(
             math.exp(-2.0), abs=1e-15)
-        assert evaluate_real(mu, IntervalUnion.single(-3.0, -0.5)) == pytest.approx(
+        assert mu.value(IntervalUnion.single(-3.0, -0.5)) == pytest.approx(
             math.exp(-1.0), abs=1e-15)
 
     def test_possibility_max_rule_random(self, rng):
@@ -187,8 +185,8 @@ class TestRealCapacity:
             pts = np.sort(rng.uniform(-3.0, 3.0, size=6))
             a = IntervalUnion.from_pairs([(pts[0], pts[1]), (pts[2], pts[3])])
             b = IntervalUnion.single(pts[4], pts[5])
-            assert evaluate_real(mu, a.union(b)) == pytest.approx(
-                max(evaluate_real(mu, a), evaluate_real(mu, b)), abs=1e-15)
+            assert mu.value(a.union(b)) == pytest.approx(
+                max(mu.value(a), mu.value(b)), abs=1e-15)
 
     def test_monotone_on_nested_unions(self, rng):
         sqrt_mu = RealCapacity.sqrt_lebesgue()
@@ -210,18 +208,24 @@ class TestKernels:
                 assert 0.0 < k(float(t)) <= 1.0
 
     def test_level_set_laplace(self):
-        assert level_set_laplace(2.0, 0.5, 1.0).intervals == ((0.5, 0.5),)
-        lv = level_set_laplace(2.0, 0.5, math.exp(-2.0))
+        assert Kernel.laplace(2.0, 0.5).level_set(1.0).intervals == ((0.5, 0.5),)
+        lv = Kernel.laplace(2.0, 0.5).level_set(math.exp(-2.0))
         assert lv.intervals[0] == pytest.approx((-0.5, 1.5), abs=1e-12)
-        assert level_set_laplace(2.0, 0.5, 1.5).is_empty
+        assert Kernel.laplace(2.0, 0.5).level_set(1.5).is_empty
+        r = -math.log(0.3) / 2.0
+        assert Kernel.laplace(2.0, 0.5).level_set(0.3).intervals == ((0.5 - r, 0.5 + r),)
         with pytest.raises(ValueError):
-            level_set_laplace(2.0, 0.5, 0.0)
+            Kernel.laplace(2.0, 0.5).level_set(0.0)
 
     def test_level_set_gauss(self):
-        assert level_set_gauss(4.0, 0.0, 1.0).intervals == ((0.0, 0.0),)
-        lv = level_set_gauss(4.0, 0.0, math.exp(-4.0))
+        assert Kernel.gauss(4.0, 0.0).level_set(1.0).intervals == ((0.0, 0.0),)
+        lv = Kernel.gauss(4.0, 0.0).level_set(math.exp(-4.0))
         assert lv.intervals[0] == pytest.approx((-1.0, 1.0), abs=1e-12)
-        assert level_set_gauss(4.0, 0.0, 2.0).is_empty
+        assert Kernel.gauss(4.0, 0.0).level_set(2.0).is_empty
+        r = math.sqrt(-math.log(0.3) / 4.0)
+        assert Kernel.gauss(4.0, 0.0).level_set(0.3).intervals == ((-r, r),)
+        with pytest.raises(ValueError):
+            Kernel.gauss(4.0, 0.0).level_set(-1.0)
 
     def test_bad_kernel_parameters(self):
         with pytest.raises(ValueError):

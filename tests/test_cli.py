@@ -89,6 +89,29 @@ class TestIntegrate:
         })
         assert main(["integrate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, bad):
+        out = tmp_path / "out.csv"
+        cfg = write_config(tmp_path, {
+            "mode": "discrete",
+            "capacity": {"kind": "discrete", "rule": "distorted_uniform",
+                         "gamma": "sqrt", "size": 3},
+            "values": [bad, 1.0, 2.0],
+            "out": str(out),
+        })
+        assert main(["integrate", "--config", cfg]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("function", [
+        "e1", {"name": "const", "c": -1.0},
+        {"name": "pw_linear", "knots": [[0.0, -1.0], [1.0, 1.0]]}])
+    def test_real_negative_integrand_is_config_error(self, tmp_path, capsys,
+                                                     function):
+        cfg = write_config(tmp_path, {"mode": "real", "function": function})
+        assert main(["integrate", "--config", cfg]) == 2
+        assert "not nonnegative" in capsys.readouterr().err
+
     def test_missing_values_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {
             "mode": "discrete",
@@ -144,6 +167,26 @@ class TestOperator:
         cfg = write_config(tmp_path, {"operator": "bernstein", "n_list": []})
         assert main(["operator", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("operator", ["picard_choquet", "weierstrass_choquet"])
+    @pytest.mark.parametrize("function", ["e1", "concave_quad"])
+    def test_negative_integrand_is_config_error(self, tmp_path, capsys,
+                                                operator, function):
+        out = tmp_path / "o.csv"
+        assert main(["operator", "--operator", operator, "--function", function,
+                     "--n", "2", "--xgrid", "0:1:2", "--out", str(out)]) == 2
+        assert "not nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_classical_picard_takes_signed_function(self, tmp_path):
+        # only the deviation integral of the bound meets the Choquet engine
+        out = tmp_path / "o.csv"
+        assert main(["operator", "--operator", "picard", "--function", "e1",
+                     "--n", "2,4", "--xgrid=-1:1:3", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        for row in rows:
+            assert float(row[2]) == pytest.approx(float(row[1]), abs=1e-9)
+            assert math.isfinite(float(row[5]))
+
     def test_divergent_product_is_numeric_error(self, tmp_path):
         cfg = write_config(tmp_path, {
             "operator": "picard_choquet",
@@ -175,6 +218,42 @@ class TestCompare:
         assert float(row0[4]) == pytest.approx(math.exp(-x), abs=1e-6)
         assert float(row0[6]) <= 1e-6  # Choquet side is exact
         assert float(row0[5]) == pytest.approx(math.exp(-x) / 3.0, abs=1e-6)
+
+    def test_picard_pair_negative_integrand_is_config_error(self, tmp_path, capsys):
+        assert main(["compare", "--pair", "picard", "--function", "e1",
+                     "--n", "2", "--xgrid", "0:1:2"]) == 2
+        assert "not nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair, members, flags", [
+        ("bernstein", ("bernstein", "bernstein_choquet"),
+         ["--function", "sqrt", "--n", "3,6", "--xgrid", "0:1:5", "--theta", "0.5"]),
+        ("picard", ("picard", "picard_choquet"),
+         ["--function", "sqrt", "--capacity", "sqrt_lebesgue", "--n", "2,3",
+          "--xgrid=-1:1:3"]),
+    ])
+    def test_columns_match_operator_tables(self, tmp_path, pair, members, flags):
+        """compare's value and bound columns are the operator tables' cells,
+        byte for byte, on the same grid."""
+        out = tmp_path / "c.csv"
+        assert main(["compare", "--pair", pair, "--out", str(out)] + flags) == 0
+        header, rows = read_rows(out)
+        col = {name: header.index(name) for name in ("classical", "choquet", "bound")}
+        tables = {}
+        for name in members:
+            path = tmp_path / f"{name}.csv"
+            assert main(["operator", "--operator", name, "--out", str(path)]
+                        + flags) == 0
+            tables[name] = read_rows(path)[1]
+        classical, choquet = (tables[name] for name in members)
+        assert len(rows) == len(classical) == len(choquet)
+        for row, cl, ch in zip(rows, classical, choquet):
+            assert row[:2] == cl[:2] == ch[:2]
+            assert row[col["classical"]] == cl[2]
+            assert row[col["choquet"]] == ch[2]
+            assert row[col["bound"]] == ch[5]
+        if pair == "picard":
+            # classical Picard is bounded by the Picard-Choquet deviation integral
+            assert [r[5] for r in classical] == [r[5] for r in choquet]
 
     def test_bernstein_pair(self, tmp_path):
         out = tmp_path / "cb.csv"

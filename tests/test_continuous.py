@@ -10,8 +10,7 @@ from choquetkit import (DivergenceError, IntervalUnion, Kernel,
                         choquet_integral_real_with_error, function_spec,
                         has_finite_integral, indicator_plateau,
                         integrate_adaptive, kernel_level_function,
-                        kernel_normalizer, level_set_product,
-                        product_level_function)
+                        kernel_normalizer, product_level_function)
 from choquetkit import continuous
 from choquetkit.continuous import _bisect, _lambert_pair, _lambert_pairs
 
@@ -81,7 +80,7 @@ class TestProductLevelSets:
         prod = product_level_function(function_spec("e0"), k)
         for alpha in (0.2, 0.7, 1.0):
             assert prod.level(alpha) == bare.level(alpha)
-        assert level_set_product(function_spec("e0"), k, 0.5) == bare.level(0.5)
+        assert product_level_function(function_spec("e0"), k).level(0.5) == bare.level(0.5)
 
     def test_abs_dev_annulus(self):
         n, x = 3.0, 0.5

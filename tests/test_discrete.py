@@ -6,11 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from choquetkit import (DistortionFunction, additive_capacity,
-                        change_of_variables_check, choquet_expectance,
-                        choquet_integral, choquet_integral_layer_cake,
-                        choquet_variance, counting_distortion, property_suite,
-                        pushforward, random_monotone_capacity,
-                        uniform_additive)
+                        change_of_variables_check, choquet_integral,
+                        choquet_integral_layer_cake, choquet_variance,
+                        counting_distortion, property_suite, pushforward,
+                        random_monotone_capacity, uniform_additive)
 from choquetkit.capacity import DiscreteCapacity
 
 SQRT_CAP3 = counting_distortion(DistortionFunction.sqrt(), 3)
@@ -39,6 +38,17 @@ class TestSortingFormula:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             choquet_integral([1.0, 2.0], SQRT_CAP3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_value_rejected(self, bad, position):
+        values = [1.0, 2.0, 3.0]
+        values[position] = bad
+        for cap in (SQRT_CAP3, additive_capacity([0.0, 0.5, 0.5])):
+            with pytest.raises(ValueError, match="finite"):
+                choquet_integral(values, cap)
+            with pytest.raises(ValueError, match="finite"):
+                choquet_integral_layer_cake(values, cap)
 
     def test_layer_cake_agreement_signed(self, rng):
         for _ in range(300):
@@ -75,7 +85,7 @@ def test_tie_invariance(values, seed):
 class TestMoments:
     def test_constant(self):
         cap = uniform_additive(3)
-        assert choquet_expectance([2.0] * 3, cap) == pytest.approx(2.0, abs=1e-15)
+        assert choquet_integral([2.0] * 3, cap) == pytest.approx(2.0, abs=1e-15)
         assert choquet_variance([2.0] * 3, cap) == pytest.approx(0.0, abs=1e-15)
 
     def test_additive_matches_classical(self, rng):
@@ -86,7 +96,7 @@ class TestMoments:
             x = rng.uniform(-2.0, 2.0, size=4)
             mean = float(w @ x)
             var = float(w @ (x - mean) ** 2)
-            assert choquet_expectance(x, cap) == pytest.approx(mean, abs=1e-12)
+            assert choquet_integral(x, cap) == pytest.approx(mean, abs=1e-12)
             assert choquet_variance(x, cap) == pytest.approx(var, abs=1e-12)
 
     def test_variance_nonnegative(self, rng):

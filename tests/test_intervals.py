@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from choquetkit import IntervalUnion, normalize, total_length
+from choquetkit import IntervalUnion
 
 finite = st.floats(-50, 50, allow_nan=False)
 
@@ -15,17 +15,17 @@ def pairs_strategy():
 
 
 def test_overlap_merge():
-    u = normalize([(1.0, 2.0), (0.0, 1.5)])
+    u = IntervalUnion.from_pairs([(1.0, 2.0), (0.0, 1.5)])
     assert u.intervals == ((0.0, 2.0),)
 
 
 def test_touching_closed_intervals_merge():
-    u = normalize([(0.0, 1.0), (1.0, 2.0)])
+    u = IntervalUnion.from_pairs([(0.0, 1.0), (1.0, 2.0)])
     assert u.intervals == ((0.0, 2.0),)
 
 
 def test_degenerate_point_retained():
-    u = normalize([(3.0, 3.0), (0.0, 1.0)])
+    u = IntervalUnion.from_pairs([(3.0, 3.0), (0.0, 1.0)])
     assert u.intervals == ((0.0, 1.0), (3.0, 3.0))
     assert u.total_length == 1.0
 
@@ -33,28 +33,29 @@ def test_degenerate_point_retained():
 def test_empty_union():
     u = IntervalUnion.empty()
     assert u.is_empty
-    assert total_length(u) == 0.0
+    assert u.total_length == 0.0
     assert not u.contains(0.0)
 
 
 def test_invalid_endpoints():
     with pytest.raises(ValueError):
-        normalize([(2.0, 1.0)])
+        IntervalUnion.from_pairs([(2.0, 1.0)])
     with pytest.raises(ValueError):
-        normalize([(math.nan, 1.0)])
+        IntervalUnion.from_pairs([(math.nan, 1.0)])
 
 
 def test_halfline_intersection():
     u = IntervalUnion.single(0.0, 3.0)
     assert u.intersect_halfline(lo=2.0).intervals == ((2.0, 3.0),)
     assert u.intersect_halfline(hi=-1.0).is_empty
-    both = normalize([(0.0, 1.0), (2.0, 5.0)]).intersect_halfline(lo=0.5, hi=3.0)
+    both = IntervalUnion.from_pairs([(0.0, 1.0), (2.0, 5.0)])
+    both = both.intersect_halfline(lo=0.5, hi=3.0)
     assert both.intervals == ((0.5, 1.0), (2.0, 3.0))
 
 
 def test_issubset():
-    inner = normalize([(0.2, 0.4), (2.0, 2.5)])
-    outer = normalize([(0.0, 1.0), (1.8, 3.0)])
+    inner = IntervalUnion.from_pairs([(0.2, 0.4), (2.0, 2.5)])
+    outer = IntervalUnion.from_pairs([(0.0, 1.0), (1.8, 3.0)])
     assert inner.issubset(outer)
     assert not outer.issubset(inner)
 

@@ -141,6 +141,19 @@ class TestBernsteinChoquet:
                 assert bernstein_choquet(spec.fn, 4, x, prof) == pytest.approx(
                     bernstein_choquet_closedform(spec, 4, x, prof), abs=1e-12)
 
+    def test_closed_form_is_documented_formula(self):
+        # built from one basis vector, bit for bit the classical polynomial
+        # plus the gap correction
+        for name, anchor in (("sqrt", 0.0), ("exp_neg", 1.0)):
+            spec = function_spec(name)
+            for prof in (PerturbationProfile(), PerturbationProfile(i0=3, theta=0.4)):
+                for n in (3, 16, 64):
+                    for x in (0.0, 0.37, 0.9, 1.0):
+                        assert bernstein_choquet_closedform(spec, n, x, prof) == (
+                            bernstein_classical(spec.fn, n, x)
+                            + (spec.fn(prof.i0 / n) - spec.fn(anchor))
+                            * perturbation_gap(n, x, prof))
+
     def test_closed_form_needs_monotone_metadata(self):
         with pytest.raises(ValueError):
             bernstein_choquet_closedform(function_spec("abs_dev"), 4, 0.5)
