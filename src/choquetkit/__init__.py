@@ -10,10 +10,9 @@ from .capacity import (DiscreteCapacity, DistortionFunction, PropertyReport,
                        validate_distortion)
 from .continuous import (DEFAULT_QUADRATURE, LevelSetFunction, QuadratureConfig,
                          choquet_integral_real, choquet_integral_real_grid,
-                         choquet_integral_real_with_error, has_finite_integral,
-                         indicator_plateau, integrate_adaptive,
-                         kernel_level_function, kernel_normalizer,
-                         product_level_function)
+                         choquet_integral_real_with_error, indicator_plateau,
+                         integrate_adaptive, kernel_level_function,
+                         kernel_normalizer, product_level_function)
 from .discrete import (Pushforward, PropertySuiteReport,
                        change_of_variables_check, choquet_integral,
                        choquet_integral_layer_cake, choquet_variance,
@@ -52,7 +51,7 @@ __all__ = [
     "choquet_integral_real_grid", "choquet_integral_real_with_error",
     "choquet_variance", "convergence_report", "counting_distortion",
     "delta_rule", "distorted_probability", "distortion_by_name", "dual",
-    "function_spec", "has_finite_integral", "indicator_plateau",
+    "function_spec", "indicator_plateau",
     "integrate_adaptive", "kernel_level_function", "kernel_normalizer",
     "modulus_of_continuity", "modulus_of_continuity_detailed",
     "perturbation_gap", "picard_choquet", "picard_classical",

@@ -4,7 +4,8 @@ The ground set of size ``m`` is identified with the indices ``0..m-1``;
 subsets are passed around as iterables of indices.  Capacities up to
 ``TABLE_BOUND`` elements can be tabulated; exhaustive property checks
 (every pair of subsets) are only attempted up to ``EXHAUSTIVE_BOUND``
-elements, above that the checks are sampled and flagged as such.
+elements, above that ``SAMPLED_PAIRS`` random pairs (seed ``SAMPLE_SEED``)
+are checked and flagged as sampled.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from .errors import CapabilityError
 
 TABLE_BOUND = 20
 EXHAUSTIVE_BOUND = 6
+SAMPLED_PAIRS = 2000
+SAMPLE_SEED = 0
+EXACT_TOL = 1e-12
+DISTORTION_GRID = 101
 
 def _mask_to_set(mask: int) -> frozenset:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
@@ -101,8 +106,7 @@ def dual(cap: DiscreteCapacity) -> DiscreteCapacity:
                             name=f"dual({cap.name})" if cap.name else "dual")
 
 
-def check_properties(cap: DiscreteCapacity, *, n_samples: int = 2000,
-                     seed: int = 0, tol: float = 1e-12) -> PropertyReport:
+def check_properties(cap: DiscreteCapacity) -> PropertyReport:
     """Decide monotone / subadditive / submodular / normalized.
 
     Exhaustive over all subset pairs for ground sets of up to
@@ -114,9 +118,9 @@ def check_properties(cap: DiscreteCapacity, *, n_samples: int = 2000,
             f"ground set of size {cap.size} exceeds the enumeration bound {TABLE_BOUND}")
     sampled = cap.size > EXHAUSTIVE_BOUND
     if sampled:
-        rng = np.random.default_rng(seed)
-        masks = rng.integers(0, 1 << cap.size, size=n_samples)
-        pairs = zip(masks, rng.integers(0, 1 << cap.size, size=n_samples))
+        rng = np.random.default_rng(SAMPLE_SEED)
+        masks = rng.integers(0, 1 << cap.size, size=SAMPLED_PAIRS)
+        pairs = zip(masks, rng.integers(0, 1 << cap.size, size=SAMPLED_PAIRS))
         pair_list = [(int(a), int(b)) for a, b in pairs]
     else:
         all_masks = range(1 << cap.size)
@@ -130,7 +134,7 @@ def check_properties(cap: DiscreteCapacity, *, n_samples: int = 2000,
         return values[mask]
 
     witnesses: dict = {}
-    monotone = mu(0) <= tol
+    monotone = mu(0) <= EXACT_TOL
     if not monotone:
         witnesses["monotone"] = ("mu(empty) != 0", mu(0))
     # covers A -> A + {i} suffice for monotonicity and give minimal witnesses
@@ -142,7 +146,7 @@ def check_properties(cap: DiscreteCapacity, *, n_samples: int = 2000,
                 if a >> i & 1:
                     continue
                 b = a | (1 << i)
-                if mu(a) > mu(b) + tol:
+                if mu(a) > mu(b) + EXACT_TOL:
                     monotone = False
                     witnesses["monotone"] = (tuple(sorted(_mask_to_set(a))),
                                              tuple(sorted(_mask_to_set(b))))
@@ -156,18 +160,18 @@ def check_properties(cap: DiscreteCapacity, *, n_samples: int = 2000,
         union, inter = a | b, a & b
         lhs_mod = mu(union) + mu(inter)
         rhs = mu(a) + mu(b)
-        if submodular and lhs_mod > rhs + tol:
+        if submodular and lhs_mod > rhs + EXACT_TOL:
             submodular = False
             witnesses["submodular"] = (tuple(sorted(_mask_to_set(a))),
                                        tuple(sorted(_mask_to_set(b))))
-        if subadditive and mu(union) > rhs + tol:
+        if subadditive and mu(union) > rhs + EXACT_TOL:
             subadditive = False
             witnesses["subadditive"] = (tuple(sorted(_mask_to_set(a))),
                                         tuple(sorted(_mask_to_set(b))))
         if not subadditive and not submodular:
             break
 
-    normalized = abs(mu((1 << cap.size) - 1) - 1.0) <= tol
+    normalized = abs(mu((1 << cap.size) - 1) - 1.0) <= EXACT_TOL
     return PropertyReport(monotone, subadditive, submodular, normalized,
                           sampled, witnesses)
 
@@ -221,20 +225,20 @@ def distortion_by_name(name: str, **params) -> DistortionFunction:
         raise ValueError(f"unknown distortion {name!r}") from None
 
 
-def validate_distortion(gamma: DistortionFunction, grid_points: int = 101,
-                        tol: float = 1e-12) -> None:
-    """Check gamma(0)=0, gamma(1)=1, monotone and concave on a sample grid."""
-    if abs(gamma(0.0)) > tol:
+def validate_distortion(gamma: DistortionFunction) -> None:
+    """Check gamma(0)=0, gamma(1)=1, monotone and concave on
+    ``DISTORTION_GRID`` equispaced points of [0, 1]."""
+    if abs(gamma(0.0)) > EXACT_TOL:
         raise ValueError(f"distortion {gamma.name}: gamma(0) != 0")
-    if abs(gamma(1.0) - 1.0) > tol:
+    if abs(gamma(1.0) - 1.0) > EXACT_TOL:
         raise ValueError(f"distortion {gamma.name}: gamma(1) != 1")
-    ts = np.linspace(0.0, 1.0, grid_points)
+    ts = np.linspace(0.0, 1.0, DISTORTION_GRID)
     vals = [gamma(float(t)) for t in ts]
-    for i in range(1, grid_points):
-        if vals[i] < vals[i - 1] - tol:
+    for i in range(1, DISTORTION_GRID):
+        if vals[i] < vals[i - 1] - EXACT_TOL:
             raise ValueError(f"distortion {gamma.name}: not nondecreasing")
-    for i in range(1, grid_points - 1):
-        if vals[i] + tol < (vals[i - 1] + vals[i + 1]) / 2:
+    for i in range(1, DISTORTION_GRID - 1):
+        if vals[i] + EXACT_TOL < (vals[i - 1] + vals[i + 1]) / 2:
             raise ValueError(f"distortion {gamma.name}: not concave")
 
 

@@ -30,8 +30,7 @@ from . import capacity as cap_mod
 from .capacity import (DiscreteCapacity, check_properties, distortion_by_name,
                        dual, possibility_capacity, random_monotone_capacity)
 from .continuous import (QuadratureConfig, choquet_integral_real,
-                         choquet_integral_real_grid, kernel_level_function,
-                         product_level_function)
+                         choquet_integral_real_grid, product_level_function)
 from .discrete import (choquet_integral, choquet_integral_layer_cake,
                        property_suite)
 from .errors import ConfigError, DivergenceError, QuadratureError
@@ -227,7 +226,11 @@ def _output(cfg: dict):
     if path in (None, "-"):
         yield sys.stdout
         return
-    with open(path, "w", newline="\n") as stream:
+    try:
+        stream = open(path, "w", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+    with stream:
         yield stream
 
 
@@ -246,22 +249,24 @@ def cmd_integrate(cfg: dict) -> int:
         values = cfg.get("values")
         if not isinstance(values, list) or len(values) != cap.size:
             raise ConfigError("values must list one number per ground element")
-        values = [float(v) for v in values]
+        try:
+            values = [float(v) for v in values]
+        except (TypeError, ValueError):
+            raise ConfigError(f"values must be numbers: {values!r}") from None
         try:
             primary = choquet_integral(values, cap)
             check = choquet_integral_layer_cake(values, cap)
         except ValueError as exc:  # a NaN or infinite value
             raise ConfigError(str(exc)) from exc
+        except OverflowError as exc:  # finite values whose sum does not fit a float
+            raise DivergenceError(f"discrete integral overflows: {exc}") from exc
         engines = ("sorted_tail_sum", "layer_cake_exact")
     elif mode == "real":
         factory = _real_capacity_factory(cfg.get("capacity"))
         kernel = _parse_kernel(cfg.get("kernel"), default_n=2.0)
         mu = factory(kernel)
         spec = _nonneg(_parse_function(cfg.get("function", "e0")))
-        if spec.name == "const" and spec.param("c", 1.0) == 1.0:
-            g = kernel_level_function(kernel)
-        else:
-            g = product_level_function(spec, kernel)
+        g = product_level_function(spec, kernel)
         primary = choquet_integral_real(g, mu, quad_cfg)
         check = choquet_integral_real_grid(g, mu)
         engines = ("adaptive_levels", "simpson_grid")

@@ -7,8 +7,8 @@ returns each super-level set as an :class:`IntervalUnion`.
 
 Two things keep the quadrature honest:
 
-* the integration variable is substituted ``alpha = exp(-s)`` for
-  kernel-type integrands, whose level sets grow logarithmically as
+* the integration variable is substituted ``alpha = exp(-s)``, since the
+  level sets of kernel-type integrands grow logarithmically as
   ``alpha -> 0`` (the substituted integrand is smooth and decays
   exponentially, which adaptive quadrature handles well);
 * the domain is split at every level where the super-level set changes
@@ -32,10 +32,10 @@ levels at once.
 The two engines are independent of each other.  The adaptive engine
 (:func:`choquet_integral_real`) runs ``scipy.quad`` over the scalar oracle,
 whose root-finding uses ``brentq``; the cross-check engine
-(:func:`choquet_integral_real_grid`) applies a fixed Simpson rule to the
-batched oracle, whose root-finding is a vectorised bisection.  They share
-only the layer profile: the breakpoints and the ``alpha = exp(-s)``
-substitution.
+(:func:`choquet_integral_real_grid`) applies a fixed Simpson rule of about
+``GRID_NODES`` nodes over ``s`` in ``[-log(sup), -log(sup) + GRID_S_SPAN]``
+to the batched oracle, whose root-finding is a vectorised bisection.  They
+share only the pieces of the layer cake in ``s`` (:func:`_layer_edges`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -52,12 +52,14 @@ from scipy.special import lambertw
 
 from .errors import CapabilityError, DivergenceError, QuadratureError
 from .functions import FunctionSpec
-from .intervals import IntervalUnion, empty_pieces, pack_unions, pieces_where
+from .intervals import IntervalUnion, empty_pieces, pieces_where
 from .realline import LAPLACE, Kernel, RealCapacity
 
 _ROOT_XTOL = 1e-13
 _ROOT_RTOL = 4.0 * np.finfo(float).eps   # brentq's default
 _EXP_BRANCH_MIN = -1.0 / math.e
+GRID_NODES = 4001
+GRID_S_SPAN = 60.0
 
 
 @dataclass(frozen=True)
@@ -80,17 +82,15 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 class LevelSetFunction:
     """A nonnegative function together with its super-level-set oracle.
 
-    ``level_batch`` is the batched form of ``level`` (see :meth:`levels`);
-    without it, :meth:`levels` calls ``level`` once per level.
+    ``level_batch`` is the batched form of ``level`` (see :meth:`levels`).
     """
 
     value: Callable[[float], float]
     level: Callable[[float], IntervalUnion]
     sup_value: float
+    level_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     alpha_breakpoints: tuple = ()
-    log_substitution: bool = True
     label: str = ""
-    level_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def levels(self, alphas) -> tuple[np.ndarray, np.ndarray]:
         """Super-level sets at every positive level of ``alphas`` as endpoint
@@ -101,9 +101,7 @@ class LevelSetFunction:
             raise ValueError("levels takes a 1-d array of levels")
         if not np.all(alphas > 0):
             raise ValueError("level must be positive")
-        if self.level_batch is not None:
-            return self.level_batch(alphas)
-        return pack_unions([self.level(a) for a in alphas.tolist()])
+        return self.level_batch(alphas)
 
 
 def kernel_level_function(kernel: Kernel) -> LevelSetFunction:
@@ -128,9 +126,8 @@ def indicator_plateau(height: float, a: float, b: float) -> LevelSetFunction:
     def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return pieces_where(alphas <= height, a, b)
 
-    return LevelSetFunction(
-        lambda t: height if a <= t <= b else 0.0, level, height,
-        log_substitution=False, label="plateau", level_batch=levels)
+    return LevelSetFunction(lambda t: height if a <= t <= b else 0.0, level, height,
+                            label="plateau", level_batch=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -320,24 +317,16 @@ def _sqrt_stationaries(shift: float, kernel: Kernel) -> list[float]:
             if abs(r.imag) < 1e-12 and r.real + shift > 0]
 
 
-def _expand_left(g, start: float, alpha: float, step: float) -> float:
-    t = start - step
+def _expand(g, start: float, alpha: float, step: float) -> float:
+    """The first ``start + step * 2**k`` where ``g`` drops below ``alpha``; a
+    negative ``step`` searches to the left."""
     for _ in range(200):
-        if g(t) < alpha:
-            return t
-        step *= 2.0
-        t = start - step
-    raise DivergenceError("product does not decay to the left")
-
-
-def _expand_right(g, start: float, alpha: float, step: float) -> float:
-    t = start + step
-    for _ in range(200):
-        if g(t) < alpha:
-            return t
-        step *= 2.0
         t = start + step
-    raise DivergenceError("product does not decay to the right")
+        if g(t) < alpha:
+            return t
+        step *= 2.0
+    side = "left" if step < 0 else "right"
+    raise DivergenceError(f"product does not decay to the {side}")
 
 
 def _bisect(g: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -407,7 +396,7 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
         out = []
         open_start = None
         if vals[0] >= alpha:
-            lo = _expand_left(g, pts[0], alpha, step0)
+            lo = _expand(g, pts[0], alpha, -step0)
             open_start = brentq(lambda t: g(t) - alpha, lo, pts[0], xtol=_ROOT_XTOL)
         for j in range(len(pts) - 1):
             inside_next = vals[j + 1] >= alpha
@@ -419,7 +408,7 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
                 open_start = brentq(lambda t: alpha - g(t), pts[j], pts[j + 1],
                                     xtol=_ROOT_XTOL)
         if open_start is not None:
-            hi = _expand_right(g, pts[-1], alpha, step0)
+            hi = _expand(g, pts[-1], alpha, step0)
             c = brentq(lambda t: g(t) - alpha, pts[-1], hi, xtol=_ROOT_XTOL)
             out.append((open_start, c))
         return IntervalUnion.from_pairs(out)
@@ -452,12 +441,12 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
         # the tails decay to 0; one bracket, wide enough for the lowest
         # level that reaches them, serves every level
         if np.any(alphas <= vals[0]):
-            start = _expand_left(g, pts[0], alphas[alphas <= vals[0]].min(), step0)
+            start = _expand(g, pts[0], alphas[alphas <= vals[0]].min(), -step0)
             fill(0, start, pts[0], 0.0, vals[0])
         for j in range(len(pts) - 1):
             fill(j + 1, pts[j], pts[j + 1], vals[j], vals[j + 1])
         if np.any(alphas <= vals[-1]):
-            end = _expand_right(g, pts[-1], alphas[alphas <= vals[-1]].min(), step0)
+            end = _expand(g, pts[-1], alphas[alphas <= vals[-1]].min(), step0)
             fill(len(pts), pts[-1], end, vals[-1], 0.0)
         return lo, hi
 
@@ -474,8 +463,8 @@ def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFuncti
     if spec.name == "const":
         c = spec.param("c", 1.0)
         if c == 0.0:
-            return LevelSetFunction(lambda t: 0.0,
-                                    lambda a: IntervalUnion.empty(), 0.0)
+            return LevelSetFunction(lambda t: 0.0, lambda a: IntervalUnion.empty(), 0.0,
+                                    level_batch=lambda alphas: empty_pieces(1, alphas.size))
 
         def level(alpha: float) -> IntervalUnion:
             if alpha <= 0:
@@ -515,55 +504,15 @@ def integrate_adaptive(fn, a: float, b: float,
     return value, err
 
 
-@dataclass(frozen=True)
-class _LayerProfile:
-    """Where and in which variable an engine integrates the layer cake.
-
-    The integration variable is ``s`` with ``alpha = exp(-s)`` under the log
-    substitution (the integrand then carries the Jacobian ``alpha``), or
-    ``alpha`` itself; ``edges`` split its range at every level breakpoint.
-    """
-
-    edges: list
-    log_substitution: bool
-
-    def pieces(self) -> list[tuple[float, float]]:
-        return [(a, b) for a, b in zip(self.edges[:-1], self.edges[1:]) if a < b]
-
-    def integrand(self, h: Callable[[float], float]) -> Callable[[float], float]:
-        """The integrand at one node, from ``h(alpha) = mu({g >= alpha})``."""
-        if not self.log_substitution:
-            return h
-
-        def fn(s: float) -> float:
-            a = math.exp(-s)
-            if a == 0.0:  # underflow deep in the tail
-                return 0.0
-            return h(a) * a
-
-        return fn
-
-    def integrand_values(self, hs: Callable[[np.ndarray], np.ndarray],
-                         nodes: np.ndarray) -> np.ndarray:
-        """The integrand at every node, from ``h`` on an array of levels;
-        the layer at level 0 (or one underflowed to it) adds nothing."""
-        alphas = np.exp(-nodes) if self.log_substitution else nodes
-        out = np.zeros_like(alphas)
-        live = alphas > 0.0
-        out[live] = hs(alphas[live])
-        return out * alphas if self.log_substitution else out
-
-
-def _layer_profile(g: LevelSetFunction, s_span: float) -> _LayerProfile:
-    """The profile of ``g``'s layer cake on ``(0, sup]``; under the log
-    substitution ``s`` runs over ``[-log(sup), -log(sup) + s_span]``."""
+def _layer_edges(g: LevelSetFunction, span: float) -> list[float]:
+    """Edges of the pieces on which both engines integrate ``g``'s layer
+    cake on ``(0, sup]``.  The variable is ``s`` with ``alpha = exp(-s)``
+    (the integrand carries the Jacobian ``alpha``); it runs over
+    ``[-log(sup), -log(sup) + span]``, split at every level breakpoint."""
     sup = g.sup_value
-    breaks = [b for b in g.alpha_breakpoints if 0.0 < b < sup]
-    if g.log_substitution:
-        s0 = -math.log(sup)
-        return _LayerProfile([s0] + sorted(-math.log(b) for b in breaks) + [s0 + s_span],
-                             True)
-    return _LayerProfile([0.0] + sorted(breaks) + [sup], False)
+    s0 = -math.log(sup)
+    breaks = sorted(-math.log(b) for b in g.alpha_breakpoints if 0.0 < b < sup)
+    return [s0] + breaks + [s0 + span]
 
 
 def choquet_integral_real_with_error(g: LevelSetFunction, mu: RealCapacity,
@@ -576,11 +525,18 @@ def choquet_integral_real_with_error(g: LevelSetFunction, mu: RealCapacity,
     if sup <= 0:
         return 0.0, 0.0
 
-    profile = _layer_profile(g, math.inf)
-    integrand = profile.integrand(lambda alpha: mu.value(g.level(alpha)))
+    def integrand(s: float) -> float:
+        alpha = math.exp(-s)
+        if alpha == 0.0:  # underflow deep in the tail
+            return 0.0
+        return mu.value(g.level(alpha)) * alpha
+
+    edges = _layer_edges(g, math.inf)
     total = 0.0
     err = 0.0
-    for a, b in profile.pieces():
+    for a, b in zip(edges, edges[1:]):
+        if a >= b:
+            continue
         v, e = integrate_adaptive(integrand, a, b, cfg)
         total += v
         err += e
@@ -592,34 +548,37 @@ def choquet_integral_real(g: LevelSetFunction, mu: RealCapacity,
     return choquet_integral_real_with_error(g, mu, cfg)[0]
 
 
-def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity,
-                               num: int = 4001, s_span: float = 60.0) -> float:
+def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity) -> float:
     """Fixed-grid Simpson evaluation of the same layer-cake integral.
 
     Deliberately independent of the adaptive path; used as a cross-check
     engine (and by the CLI to report both paths).  Each piece of the
-    profile takes one batched oracle call (:meth:`LevelSetFunction.levels`)
+    layer cake takes one batched oracle call (:meth:`LevelSetFunction.levels`)
     and one batched capacity call (:meth:`RealCapacity.values`).
     """
     sup = g.sup_value
     if sup <= 0:
         return 0.0
 
-    def hs(alphas: np.ndarray) -> np.ndarray:
-        return mu.values(*g.levels(alphas))
-
-    profile = _layer_profile(g, s_span)
-    span = profile.edges[-1] - profile.edges[0]
+    edges = _layer_edges(g, GRID_S_SPAN)
+    span = edges[-1] - edges[0]
     total = 0.0
-    for a, b in profile.pieces():
-        m = max(8, int(num * (b - a) / span))
+    for a, b in zip(edges, edges[1:]):
+        if a >= b:
+            continue
+        m = max(8, int(GRID_NODES * (b - a) / span))
         m += m % 2  # Simpson needs an even cell count
         # smoothstep substitution clusters nodes at both piece ends, where
         # the level-set length can vanish with a square-root profile
         us = np.linspace(0.0, 1.0, m + 1)
         ts = a + (b - a) * (3.0 * us ** 2 - 2.0 * us ** 3)
         dts = (b - a) * 6.0 * us * (1.0 - us)
-        ys = profile.integrand_values(hs, ts) * dts
+        # the layer at level 0 (or one underflowed to it) adds nothing
+        alphas = np.exp(-ts)
+        live = alphas > 0.0
+        hs = np.zeros_like(alphas)
+        hs[live] = mu.values(*g.levels(alphas[live]))
+        ys = hs * alphas * dts
         wts = np.ones(m + 1)
         wts[1:-1:2] = 4.0
         wts[2:-1:2] = 2.0
@@ -641,21 +600,3 @@ def kernel_normalizer(kernel: Kernel, mu: RealCapacity,
         return 1.0
     return choquet_integral_real(kernel_level_function(kernel), mu, cfg)
 
-
-def has_finite_integral(g: LevelSetFunction, mu: RealCapacity,
-                        probes: Iterable[float] = (20.0, 30.0, 40.0)) -> bool:
-    """Heuristic finiteness check: finite sup and a decaying substituted tail.
-
-    There is no general algorithm for unbounded integrands; this probes the
-    transformed integrand at a few points deep in the tail and requires it
-    to be decreasing and small.
-    """
-    if not math.isfinite(g.sup_value):
-        return False
-    if g.sup_value <= 0:
-        return True
-    vals = []
-    for s in probes:
-        alpha = g.sup_value * math.exp(-s)
-        vals.append(mu.value(g.level(alpha)) * alpha)
-    return all(b <= a for a, b in zip(vals, vals[1:])) and vals[-1] < 1e-6

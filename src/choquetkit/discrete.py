@@ -21,9 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .capacity import DiscreteCapacity, check_properties, dual
-
-EXACT_TOL = 1e-12
+from .capacity import EXACT_TOL, DiscreteCapacity, check_properties, dual
 
 
 def _require_finite(values: Sequence[float]) -> None:
@@ -160,8 +158,9 @@ class PropertySuiteReport:
 
 
 def property_suite(cap: DiscreteCapacity, trials: int = 1000,
-                   seed: int = 0, tol: float = EXACT_TOL) -> PropertySuiteReport:
-    """Randomized verification of the structural integral identities.
+                   seed: int = 0) -> PropertySuiteReport:
+    """Randomized verification of the structural integral identities, each
+    to ``EXACT_TOL``.
 
     Positive homogeneity, monotonicity, translation by constants and the
     dual identity must hold for every monotone capacity; subadditivity of
@@ -185,30 +184,30 @@ def property_suite(cap: DiscreteCapacity, trials: int = 1000,
 
         lhs = choquet_integral(a * x, cap)
         counts["homogeneity"] += 1
-        if abs(lhs - a * ix) > tol:
+        if abs(lhs - a * ix) > EXACT_TOL:
             rep.violations.append(("homogeneity", a, x.tolist(), lhs, a * ix))
 
         bigger = x + np.abs(y)
         counts["monotonicity"] += 1
-        if ix > choquet_integral(bigger, cap) + tol:
+        if ix > choquet_integral(bigger, cap) + EXACT_TOL:
             rep.violations.append(("monotonicity", x.tolist(), bigger.tolist()))
 
         counts["translation"] += 1
         lhs = choquet_integral(x + c, cap)
-        if abs(lhs - (ix + c * mu_omega)) > tol:
+        if abs(lhs - (ix + c * mu_omega)) > EXACT_TOL:
             rep.violations.append(("translation", c, x.tolist(), lhs, ix + c * mu_omega))
 
         counts["dual"] += 1
         lhs = choquet_integral(-x, cap)
         rhs = -choquet_integral(x, dual_cap)
-        if abs(lhs - rhs) > tol:
+        if abs(lhs - rhs) > EXACT_TOL:
             rep.violations.append(("dual", x.tolist(), lhs, rhs))
 
         if report_props.submodular:
             counts["subadditivity"] += 1
             lhs = choquet_integral(x + y, cap)
             rhs = choquet_integral(x, cap) + choquet_integral(y, cap)
-            if lhs > rhs + tol:
+            if lhs > rhs + EXACT_TOL:
                 rep.violations.append(("subadditivity", x.tolist(), y.tolist(), lhs, rhs))
 
     rep.checked = counts

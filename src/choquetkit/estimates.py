@@ -9,8 +9,8 @@ to ``1/n`` otherwise.
 Moduli are evaluated on an explicit compact window.  For the specs whose
 shape pins down where the supremum is attained (constants, Lipschitz
 ramps, concave or convex monotone rules) the value is analytic; otherwise
-a pair-sup over a grid is used, which is a certified lower approximation
-reported together with a refinement delta.
+a pair-sup over ``MODULUS_GRID`` equispaced points is used, which is a
+certified lower approximation reported with a refinement delta.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .capacity import DiscreteCapacity
+from .capacity import EXACT_TOL, DiscreteCapacity
 from .discrete import choquet_integral, choquet_variance
 from .functions import FunctionSpec
 from .operators import (DEFAULT_PROFILE, PerturbationProfile,
                         bernstein_choquet_capacity)
 
-EXACT_TOL = 1e-12
+MODULUS_GRID = 2001
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class ModulusResult:
 
 
 def _modulus_grid(fn: Callable[[float], float], delta: float,
-                  window: tuple[float, float], grid_points: int) -> ModulusResult:
+                  window: tuple[float, float], points: int) -> ModulusResult:
     a, b = window
 
     def grid_sup(num: int) -> float:
@@ -51,18 +51,15 @@ def _modulus_grid(fn: Callable[[float], float], delta: float,
             best = max(best, float(np.max(np.abs(vals[k:] - vals[:-k]))))
         return best
 
-    coarse = grid_sup(grid_points)
-    fine = grid_sup(2 * grid_points - 1)
+    coarse = grid_sup(points)
+    fine = grid_sup(2 * points - 1)
     return ModulusResult(max(coarse, fine), abs(fine - coarse), "grid")
 
 
 def modulus_of_continuity_detailed(spec: FunctionSpec, delta: float,
-                                   window: tuple[float, float],
-                                   grid_points: int = 2001) -> ModulusResult:
+                                   window: tuple[float, float]) -> ModulusResult:
     if delta <= 0:
         raise ValueError("modulus step must be positive")
-    if grid_points < 1000:
-        raise ValueError("modulus grid needs at least 1000 points")
     a, b = window
     if not a < b:
         raise ValueError("window must have positive length")
@@ -99,14 +96,13 @@ def modulus_of_continuity_detailed(spec: FunctionSpec, delta: float,
         # increasing concave on (-inf, 1]: largest rise at the left edge
         fn = spec.fn
         return ModulusResult(fn(a + reach) - fn(a), 0.0, "analytic")
-    return _modulus_grid(spec.fn, delta, window, grid_points)
+    return _modulus_grid(spec.fn, delta, window, MODULUS_GRID)
 
 
 def modulus_of_continuity(spec: FunctionSpec, delta: float,
-                          window: tuple[float, float],
-                          grid_points: int = 2001) -> float:
+                          window: tuple[float, float]) -> float:
     """omega1(f; delta) over the window (see module docstring)."""
-    return modulus_of_continuity_detailed(spec, delta, window, grid_points).value
+    return modulus_of_continuity_detailed(spec, delta, window).value
 
 
 def quantitative_bound(tn_phi_x: float, delta: float, omega1: float) -> float:
@@ -133,11 +129,12 @@ class ChebyshevResult:
 
 
 def chebyshev_check(values: Sequence[float], cap: DiscreteCapacity,
-                    r: float, tol: float = EXACT_TOL) -> ChebyshevResult:
+                    r: float) -> ChebyshevResult:
     """Capacity of the r-deviation set vs Choquet variance over r**2.
 
     The left side is evaluated exactly on the deviation subset; the right
-    side divides the Choquet variance by r**2.
+    side divides the Choquet variance by r**2.  The inequality holds when
+    the left side exceeds the right by at most ``EXACT_TOL``.
     """
     if r <= 0:
         raise ValueError("deviation radius must be positive")
@@ -145,7 +142,7 @@ def chebyshev_check(values: Sequence[float], cap: DiscreteCapacity,
     deviation_set = frozenset(i for i, v in enumerate(values) if abs(v - mean) >= r)
     lhs = cap.evaluator(deviation_set)
     rhs = choquet_variance(values, cap) / (r * r)
-    return ChebyshevResult(lhs, rhs, lhs <= rhs + tol)
+    return ChebyshevResult(lhs, rhs, lhs <= rhs + EXACT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +210,10 @@ class ErrorTable:
             out[n] = max(out.get(n, 0.0), err)
         return out
 
-    def max_error_decreasing(self, strict: bool = True) -> bool:
+    def max_error_decreasing(self) -> bool:
+        """Whether the max error strictly decreases along increasing n."""
         errs = [e for _, e in sorted(self.max_errors().items())]
-        if strict:
-            return all(b < a for a, b in zip(errs, errs[1:]))
-        return all(b <= a for a, b in zip(errs, errs[1:]))
+        return all(b < a for a, b in zip(errs, errs[1:]))
 
     def nondecreasing_error_flags(self) -> list:
         """The (n_prev, n) steps where the max error failed to decrease."""

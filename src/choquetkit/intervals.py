@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -61,10 +61,6 @@ class IntervalUnion:
     @staticmethod
     def single(a: float, b: float) -> "IntervalUnion":
         return IntervalUnion.from_pairs([(a, b)])
-
-    @staticmethod
-    def point(a: float) -> "IntervalUnion":
-        return IntervalUnion.from_pairs([(a, a)])
 
     @staticmethod
     def empty() -> "IntervalUnion":
@@ -122,12 +118,3 @@ def pieces_where(inside: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return (np.atleast_2d(np.where(inside, lo, math.inf)),
             np.atleast_2d(np.where(inside, hi, -math.inf)))
 
-
-def pack_unions(unions: Sequence[IntervalUnion]) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays ``[pieces, N]`` of N interval unions."""
-    lo, hi = empty_pieces(max([1] + [u.n_components for u in unions]), len(unions))
-    for i, union in enumerate(unions):
-        for j, (a, b) in enumerate(union.intervals):
-            lo[j, i] = a
-            hi[j, i] = b
-    return lo, hi

@@ -27,6 +27,8 @@ from .discrete import choquet_integral
 from .functions import FunctionSpec
 from .realline import Kernel, RealCapacity
 
+PICARD_TAIL = 40.0
+
 
 def bernstein_basis(n: int, i: int, x: float) -> float:
     """Basis polynomial C(n, i) * x**i * (1 - x)**(n - i)."""
@@ -174,14 +176,13 @@ def weierstrass_choquet(spec: FunctionSpec, n: float, x: float, mu: RealCapacity
 
 
 def picard_classical(f: Callable[[float], float], n: float, x: float,
-                     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-                     tail: float = 40.0) -> float:
+                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """(n/2) * integral of f(t) exp(-n|t - x|) dt.
 
-    The domain is truncated to |t - x| <= tail/n (the discarded mass is
-    below exp(-tail)); the kernel kink at x splits the quadrature.
+    The domain is truncated to |t - x| <= PICARD_TAIL/n (the discarded mass
+    is below exp(-PICARD_TAIL)); the kernel kink at x splits the quadrature.
     """
-    r = tail / n
+    r = PICARD_TAIL / n
 
     def integrand(t: float) -> float:
         return f(t) * math.exp(-n * abs(t - x))

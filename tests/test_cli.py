@@ -120,6 +120,49 @@ class TestIntegrate:
         })
         assert main(["integrate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("values", [["a", 1.0], [None, 1.0]])
+    def test_non_numeric_value_is_config_error(self, tmp_path, capsys, values):
+        cfg = write_config(tmp_path, {
+            "mode": "discrete",
+            "capacity": {"kind": "discrete", "rule": "additive",
+                         "weights": [0.5, 0.5]},
+            "values": values,
+        })
+        assert main(["integrate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: values must be numbers")
+
+    def test_overflowing_sum_is_numeric_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "mode": "discrete",
+            "capacity": {"kind": "discrete", "rule": "additive", "weights": [1, 1]},
+            "values": [1e308, 1e308],
+        })
+        assert main(["integrate", "--config", cfg]) == 3
+        assert capsys.readouterr().err.startswith("numeric error:")
+
+    def test_power_distortion_from_gamma_config(self, tmp_path):
+        # power 0.5 is the sqrt distortion of test_discrete_fixture
+        out = tmp_path / "out.csv"
+        cfg = write_config(tmp_path, {
+            "mode": "discrete",
+            "capacity": {"kind": "discrete", "rule": "distorted_uniform",
+                         "gamma": {"name": "power", "p": 0.5}, "size": 3},
+            "values": [1.0, 3.0, 2.0],
+            "out": str(out),
+        })
+        assert main(["integrate", "--config", cfg]) == 0
+        _, rows = read_rows(out)
+        assert float(rows[0][2]) == pytest.approx(2.393846850117352, abs=1e-12)
+
+    @pytest.mark.parametrize("payload", [
+        {"mode": "discrete", "values": [1.0, 2.0],
+         "capacity": {"kind": "discrete", "rule": "distorted_uniform",
+                      "gamma": "cube", "size": 2}},
+        {"mode": "real", "capacity": {"kind": "distorted_lebesgue", "gamma": "cube"}}])
+    def test_unknown_distortion_is_config_error(self, tmp_path, capsys, payload):
+        assert main(["integrate", "--config", write_config(tmp_path, payload)]) == 2
+        assert "unknown distortion 'cube'" in capsys.readouterr().err
+
 
 class TestOperator:
     def test_table_and_determinism(self, tmp_path):
@@ -186,6 +229,14 @@ class TestOperator:
         for row in rows:
             assert float(row[2]) == pytest.approx(float(row[1]), abs=1e-9)
             assert math.isfinite(float(row[5]))
+
+    @pytest.mark.parametrize("argv", [["operator", "--n", "2"],
+                                      ["compare", "--pair", "bernstein", "--n", "2"]])
+    def test_out_in_missing_directory_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "nodir" / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write output")
+        assert not out.parent.exists()
 
     def test_divergent_product_is_numeric_error(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -8,11 +8,12 @@ from choquetkit import (DivergenceError, IntervalUnion, Kernel,
                         RealCapacity, choquet_integral_real,
                         choquet_integral_real_grid,
                         choquet_integral_real_with_error, function_spec,
-                        has_finite_integral, indicator_plateau,
-                        integrate_adaptive, kernel_level_function,
-                        kernel_normalizer, product_level_function)
+                        indicator_plateau, integrate_adaptive,
+                        kernel_level_function, kernel_normalizer,
+                        product_level_function)
 from choquetkit import continuous
 from choquetkit.continuous import _bisect, _lambert_pair, _lambert_pairs
+from choquetkit.intervals import empty_pieces
 
 SQRT_M = RealCapacity.sqrt_lebesgue()
 PW_KNOTS = [(-1.0, 0.0), (0.0, 2.0), (1.0, 0.5), (2.0, 1.5)]
@@ -32,9 +33,6 @@ def level_functions():
         out.append((f"kernel*{k.family}", kernel_level_function(k)))
         out += [(f"{name}*{k.family}", product_level_function(spec, k))
                 for name, spec in specs]
-    # built by hand with only the scalar oracle
-    k = Kernel.gauss(2.0, -0.5)
-    out.append(("scalar_only", LevelSetFunction(k.__call__, k.level_set, 1.0)))
     return out
 
 
@@ -188,6 +186,12 @@ class TestBatchedOracle:
                 assert a1 == pytest.approx(a2, abs=1e-12), alpha
                 assert b1 == pytest.approx(b2, abs=1e-12), alpha
         assert (lo[:, -2:] > hi[:, -2:]).all()  # above sup: every piece empty
+
+    def test_zero_constant_has_only_empty_levels(self):
+        g = product_level_function(function_spec("const", c=0.0), Kernel.laplace(2.0, 0.0))
+        lo, hi = g.levels([1e-9, 0.5, 2.0])
+        assert lo.shape == (1, 3) and (lo > hi).all()
+        assert g.level(0.5).is_empty
 
     def test_levels_require_positive_alpha(self):
         g = product_level_function(function_spec("sqrt"), Kernel.laplace(2.0, 0.0))
@@ -383,13 +387,6 @@ class TestQuadrature:
 
     def test_infinite_sup_rejected(self):
         g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion.empty(),
-                             math.inf)
+                             math.inf, lambda alphas: empty_pieces(1, alphas.size))
         with pytest.raises(DivergenceError):
             choquet_integral_real(g, SQRT_M)
-
-    def test_finiteness_probe(self):
-        g = product_level_function(function_spec("exp_neg"), Kernel.laplace(2.0, 0.0))
-        assert has_finite_integral(g, SQRT_M)
-        bad = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion.empty(),
-                               math.inf)
-        assert not has_finite_integral(bad, SQRT_M)
