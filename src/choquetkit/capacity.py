@@ -1,11 +1,10 @@
 """Monotone set functions (capacities) on finite ground sets.
 
 The ground set of size ``m`` is identified with the indices ``0..m-1``;
-subsets are passed around as iterables of indices.  Capacities up to
-``TABLE_BOUND`` elements can be tabulated; exhaustive property checks
-(every pair of subsets) are only attempted up to ``EXHAUSTIVE_BOUND``
-elements, above that ``SAMPLED_PAIRS`` random pairs (seed ``SAMPLE_SEED``)
-are checked and flagged as sampled.
+subsets are passed around as iterables of indices, and as bitmasks (bit
+``i`` for element ``i``) in tables.  Random capacities are tabulated up to
+``TABLE_BOUND`` elements; ``check_properties`` decides every property
+exactly on a table, up to ``EXHAUSTIVE_BOUND`` elements.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ import numpy as np
 from .errors import CapabilityError
 
 TABLE_BOUND = 20
-EXHAUSTIVE_BOUND = 6
-SAMPLED_PAIRS = 2000
-SAMPLE_SEED = 0
+EXHAUSTIVE_BOUND = 14
 EXACT_TOL = 1e-12
 DISTORTION_GRID = 101
 
@@ -48,7 +45,6 @@ class DiscreteCapacity:
 
     size: int
     evaluator: Callable[[frozenset], float]
-    normalized: bool = False
     name: str = ""
     tails_fn: Optional[Callable[[Sequence[int]], list[float]]] = None
 
@@ -84,13 +80,17 @@ class DiscreteCapacity:
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Outcome of capacity verification, with a witness per failed flag."""
+    """Outcome of capacity verification, with a witness per failed flag.
+
+    ``sampled`` is always ``False``: every check is exact.  The field stays
+    because benchmark records read it.
+    """
 
     monotone: bool
     subadditive: bool
     submodular: bool
     normalized: bool
-    sampled: bool
+    sampled: bool = False
     witnesses: dict = field(default_factory=dict)
 
 
@@ -102,78 +102,75 @@ def dual(cap: DiscreteCapacity) -> DiscreteCapacity:
     def rule(subset: frozenset) -> float:
         return total - cap.evaluator(omega - subset)
 
-    return DiscreteCapacity(cap.size, rule, normalized=cap.normalized,
+    return DiscreteCapacity(cap.size, rule,
                             name=f"dual({cap.name})" if cap.name else "dual")
 
 
+def _members(mask) -> tuple:
+    return tuple(sorted(_mask_to_set(int(mask))))
+
+
+def _digit_masks(index, base: int, digits: int):
+    """Subsets A, B of ``index`` read as one base-``base`` digit per element
+    (digit bit 0: in A, bit 1: in B), for ints and integer arrays alike."""
+    a = b = 0
+    for e in range(digits):
+        d = index % base
+        index = index // base
+        a, b = a | (d & 1) << e, b | (d >> 1) << e
+    return a, b
+
+
 def check_properties(cap: DiscreteCapacity) -> PropertyReport:
-    """Decide monotone / subadditive / submodular / normalized.
+    """Decide monotone / subadditive / submodular / normalized exactly.
 
-    Exhaustive over all subset pairs for ground sets of up to
-    ``EXHAUSTIVE_BOUND`` elements; sampled (and flagged) up to
-    ``TABLE_BOUND``; larger ground sets are rejected.
+    Checks one table of mu over all ``2**size`` subsets, so at most
+    ``EXHAUSTIVE_BOUND`` elements: every cover A -> A+i; every local square
+    mu(A+i) + mu(A+j) >= mu(A+i+j) + mu(A), equivalent to submodularity; and,
+    4096 at a time, every pair (A, B) for subadditivity, or only disjoint ones
+    when monotone, as then mu(A|B) <= mu(A) + mu(B-A) <= mu(A) + mu(B).
     """
-    if cap.size > TABLE_BOUND:
+    m = cap.size
+    if m > EXHAUSTIVE_BOUND:
         raise CapabilityError(
-            f"ground set of size {cap.size} exceeds the enumeration bound {TABLE_BOUND}")
-    sampled = cap.size > EXHAUSTIVE_BOUND
-    if sampled:
-        rng = np.random.default_rng(SAMPLE_SEED)
-        masks = rng.integers(0, 1 << cap.size, size=SAMPLED_PAIRS)
-        pairs = zip(masks, rng.integers(0, 1 << cap.size, size=SAMPLED_PAIRS))
-        pair_list = [(int(a), int(b)) for a, b in pairs]
-    else:
-        all_masks = range(1 << cap.size)
-        pair_list = [(a, b) for a in all_masks for b in all_masks]
+            f"ground set of size {m} exceeds the enumeration bound {EXHAUSTIVE_BOUND}")
+    mu = np.fromiter((cap.evaluator(_mask_to_set(k)) for k in range(1 << m)),
+                     dtype=float, count=1 << m)
+    # up[A, j] = A+j, which is A itself when j is in A: a check on such an
+    # entry compares a value with itself and cannot fire
+    up = np.arange(1 << m)[:, None] | 1 << np.arange(m)
+    witnesses: dict = {}  # one per failed flag
 
-    values = {}
+    if not mu[0] <= EXACT_TOL:
+        witnesses["monotone"] = ("mu(empty) != 0", float(mu[0]))
+    elif (drop := mu[:, None] > mu[up] + EXACT_TOL).any():
+        a, j = divmod(int(drop.argmax()), m)  # first in mask-then-element order
+        witnesses["monotone"] = (_members(a), _members(up[a, j]))
+    monotone = "monotone" not in witnesses
 
-    def mu(mask: int) -> float:
-        if mask not in values:
-            values[mask] = cap.evaluator(_mask_to_set(mask))
-        return values[mask]
-
-    witnesses: dict = {}
-    monotone = mu(0) <= EXACT_TOL
-    if not monotone:
-        witnesses["monotone"] = ("mu(empty) != 0", mu(0))
-    # covers A -> A + {i} suffice for monotonicity and give minimal witnesses
-    if monotone:
-        mono_masks = (range(1 << cap.size) if not sampled
-                      else [a for a, _ in pair_list])
-        for a in mono_masks:
-            for i in range(cap.size):
-                if a >> i & 1:
-                    continue
-                b = a | (1 << i)
-                if mu(a) > mu(b) + EXACT_TOL:
-                    monotone = False
-                    witnesses["monotone"] = (tuple(sorted(_mask_to_set(a))),
-                                             tuple(sorted(_mask_to_set(b))))
-                    break
-            if not monotone:
-                break
-
-    subadditive = True
-    submodular = True
-    for a, b in pair_list:
-        union, inter = a | b, a & b
-        lhs_mod = mu(union) + mu(inter)
-        rhs = mu(a) + mu(b)
-        if submodular and lhs_mod > rhs + EXACT_TOL:
-            submodular = False
-            witnesses["submodular"] = (tuple(sorted(_mask_to_set(a))),
-                                       tuple(sorted(_mask_to_set(b))))
-        if subadditive and mu(union) > rhs + EXACT_TOL:
-            subadditive = False
-            witnesses["subadditive"] = (tuple(sorted(_mask_to_set(a))),
-                                        tuple(sorted(_mask_to_set(b))))
-        if not subadditive and not submodular:
+    for i in range(m - 1):
+        ai, aj = up[:, i], up[:, i + 1:]
+        bad = mu[ai[:, None] | aj] + mu[:, None] > mu[ai][:, None] + mu[aj] + EXACT_TOL
+        if bad.any():
+            a, j = divmod(int(bad.argmax()), m - 1 - i)
+            witnesses["submodular"] = (_members(ai[a]), _members(aj[a, j]))
             break
 
-    normalized = abs(mu((1 << cap.size) - 1) - 1.0) <= EXACT_TOL
-    return PropertyReport(monotone, subadditive, submodular, normalized,
-                          sampled, witnesses)
+    base = 3 if monotone else 4
+    low = min(m, 7 if monotone else 6)  # base ** low <= 4096 pairs per chunk
+    a_low, b_low = _digit_masks(np.arange(base ** low), base, low)
+    for high in range(base ** (m - low)):
+        a_high, b_high = _digit_masks(high, base, m - low)
+        a, b = a_low | a_high << low, b_low | b_high << low
+        bad = mu[a | b] > mu[a] + mu[b] + EXACT_TOL
+        if bad.any():
+            k = bad.argmax()
+            witnesses["subadditive"] = (_members(a[k]), _members(b[k]))
+            break
+
+    return PropertyReport(monotone, "subadditive" not in witnesses,
+                          "submodular" not in witnesses,
+                          bool(abs(mu[-1] - 1.0) <= EXACT_TOL), witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +271,7 @@ def additive_capacity(weights: Sequence[float], name: str = "additive") -> Discr
     def rule(subset: frozenset) -> float:
         return math.fsum(w[i] for i in subset)
 
-    total = math.fsum(w)
-    return DiscreteCapacity(len(w), rule, normalized=abs(total - 1.0) < 1e-12,
-                            name=name, tails_fn=_weights_tails(w))
+    return DiscreteCapacity(len(w), rule, name=name, tails_fn=_weights_tails(w))
 
 
 def uniform_additive(size: int) -> DiscreteCapacity:
@@ -301,8 +296,7 @@ def distorted_probability(gamma: DistortionFunction,
     def transform(t: float) -> float:
         return gamma(t) if t > 0 else 0.0
 
-    return DiscreteCapacity(len(w), rule, normalized=True,
-                            name=f"distorted({gamma.name})",
+    return DiscreteCapacity(len(w), rule, name=f"distorted({gamma.name})",
                             tails_fn=_weights_tails(w, transform))
 
 
@@ -322,8 +316,7 @@ def possibility_capacity(weights: Sequence[float]) -> DiscreteCapacity:
             return 0.0
         return max(w[i] for i in subset)
 
-    return DiscreteCapacity(len(w), rule, normalized=abs(max(w) - 1.0) < 1e-12,
-                            name="possibility")
+    return DiscreteCapacity(len(w), rule, name="possibility")
 
 
 def capacity_from_table(size: int, table: Sequence[float],
@@ -336,9 +329,7 @@ def capacity_from_table(size: int, table: Sequence[float],
     def rule(subset: frozenset) -> float:
         return vals[_set_to_mask(subset)]
 
-    total = vals[(1 << size) - 1]
-    return DiscreteCapacity(size, rule, normalized=abs(total - 1.0) < 1e-12,
-                            name=name)
+    return DiscreteCapacity(size, rule, name=name)
 
 
 def random_monotone_capacity(rng: np.random.Generator, size: int,
@@ -349,16 +340,12 @@ def random_monotone_capacity(rng: np.random.Generator, size: int,
     """
     if size > TABLE_BOUND:
         raise CapabilityError("random capacity limited to the table bound")
-    n_masks = 1 << size
-    table = rng.uniform(0.0, 1.0, size=n_masks)
+    table = rng.uniform(0.0, 1.0, size=1 << size)
     table[0] = 0.0
     for i in range(size):
-        bit = 1 << i
-        for mask in range(n_masks):
-            if mask & bit:
-                prev = table[mask ^ bit]
-                if prev > table[mask]:
-                    table[mask] = prev
+        # rows [without bit i, with bit i]; the sources never change in a pass
+        pairs = table.reshape(-1, 2, 1 << i)
+        np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
     if normalized:
         top = table[-1]
         if top <= 0:

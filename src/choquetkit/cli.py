@@ -504,15 +504,23 @@ def _verify_bounds(rng: np.random.Generator, trials: int) -> list[str]:
     return bad
 
 
+def _parse_count(cfg: dict, key: str, default: int) -> int:
+    raw = cfg.get(key, default)
+    try:
+        value = int(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer: {raw!r}") from None
+    if value < 0:
+        raise ConfigError(f"{key} must be nonnegative")
+    return value
+
+
 def cmd_verify(cfg: dict) -> int:
     suite = cfg.get("suite", "capacity")
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
-    trials = int(cfg.get("trials", 200))
-    if trials < 0:
-        raise ConfigError("trials must be nonnegative")
-    seed = int(cfg.get("seed", 0))
-    rng = np.random.default_rng(seed)
+    trials = _parse_count(cfg, "trials", 200)
+    rng = np.random.default_rng(_parse_count(cfg, "seed", 0))
     inject = bool(cfg.get("inject_nonmonotone", False))
 
     if suite == "capacity":

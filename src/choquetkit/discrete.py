@@ -32,18 +32,24 @@ def _require_finite(values: Sequence[float]) -> None:
 def choquet_integral(values: Sequence[float], cap: DiscreteCapacity) -> float:
     """Choquet integral of ``values`` (indexed by the ground set) against ``cap``.
 
-    Raises ``ValueError`` on a NaN or infinite value.
+    Raises ``ValueError`` on a NaN or infinite value and ``OverflowError``
+    when finite values give a sum outside the float range.
     """
     m = cap.size
     if len(values) != m:
         raise ValueError("integrand length must match the ground set size")
     order = sorted(range(m), key=lambda i: (values[i], i))
     tails = cap.tails(order)
-    total = math.fsum(values[order[k]] * (tails[k] - tails[k + 1]) for k in range(m))
-    # a non-finite value makes the sum non-finite (or fsum raise), so finite
-    # sums need no scan
+    try:
+        total = math.fsum(values[order[k]] * (tails[k] - tails[k + 1]) for k in range(m))
+    except ValueError:  # infinite terms of both signs
+        if not all(math.isfinite(v) for v in values):
+            raise
+        total = math.inf
+    # a non-finite value makes the sum non-finite, so finite sums need no scan
     if not math.isfinite(total):
         _require_finite(values)
+        raise OverflowError("a weighted term exceeds the float range")
     return total
 
 
@@ -115,9 +121,7 @@ class Pushforward:
             preimage = frozenset(i for i, v in enumerate(self.values) if v in wanted)
             return self.source.evaluator(preimage)
 
-        return DiscreteCapacity(len(support), rule,
-                                normalized=self.source.normalized,
-                                name="pushforward")
+        return DiscreteCapacity(len(support), rule, name="pushforward")
 
 
 def pushforward(values: Sequence[float], cap: DiscreteCapacity) -> Pushforward:

@@ -97,9 +97,92 @@ class TestCheckProperties:
 
     def test_sampled_flag_and_capability_error(self, rng):
         cap = random_monotone_capacity(rng, 8)
-        assert check_properties(cap).sampled
-        with pytest.raises(CapabilityError):
-            check_properties(DiscreteCapacity(21, lambda s: 0.0))
+        assert check_properties(cap).sampled is False
+        for size in (15, 21):
+            with pytest.raises(CapabilityError):
+                check_properties(DiscreteCapacity(size, lambda s: 0.0))
+
+    def test_matches_brute_force_reference(self, rng):
+        # non-monotone tables (mu(empty) != 0 too), monotone and submodular
+        # ones; small integer tables add ties at the tolerance boundary
+        for t in range(400):
+            size = int(rng.integers(1, 7))
+            kind = t % 4
+            if kind == 0:
+                table = rng.uniform(-0.2, 1.0, size=1 << size)
+            elif kind == 1:
+                table = rng.integers(-1, 3, size=1 << size).astype(float)
+            elif kind == 2:
+                cap = random_monotone_capacity(rng, size, normalized=t % 8 == 2)
+                table = [cap.evaluator(_subset(mask)) for mask in range(1 << size)]
+            else:
+                w = rng.dirichlet(np.ones(size))
+                table = [math.sqrt(sum(w[i] for i in _subset(mask)))
+                         for mask in range(1 << size)]
+            cap = capacity_from_table(size, list(table))
+            report = check_properties(cap)
+            expected = brute_force_properties(cap)
+            got = (report.monotone, report.subadditive, report.submodular,
+                   report.normalized, report.witnesses.get("monotone"))
+            assert got == expected
+            assert_witnesses_violate(cap, report)
+
+    @pytest.mark.parametrize("size", [8, 10, 12])
+    def test_two_singleton_violation_found(self, size):
+        # every singleton 0.3, every larger set 1: mu({0, 1}) = 1 > 0.6
+        table = [0.0] + [0.3 if bin(mask).count("1") == 1 else 1.0
+                         for mask in range(1, 1 << size)]
+        cap = capacity_from_table(size, table)
+        report = check_properties(cap)
+        assert report.monotone and report.normalized
+        assert not report.subadditive and not report.submodular
+        assert_witnesses_violate(cap, report)
+
+    def test_flags_are_bools(self, rng):
+        for cap in (uniform_additive(3), random_monotone_capacity(rng, 9),
+                    capacity_from_table(2, [0.5, 0.8, 0.2, 0.3])):
+            report = check_properties(cap)
+            for flag in (report.monotone, report.subadditive,
+                         report.submodular, report.normalized, report.sampled):
+                assert type(flag) is bool
+            assert report.sampled is False
+
+
+def _subset(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def brute_force_properties(cap):
+    """Reference check over every cover and every pair of subsets: the
+    flags and the first monotonicity witness in mask-then-element order."""
+    size = cap.size
+    mu = [cap.evaluator(_subset(mask)) for mask in range(1 << size)]
+    tol = 1e-12
+    witness = None
+    if mu[0] > tol:
+        witness = ("mu(empty) != 0", mu[0])
+    else:
+        for a in range(1 << size):
+            ups = [a | 1 << i for i in range(size) if not a >> i & 1]
+            drops = [b for b in ups if mu[a] > mu[b] + tol]
+            if drops:
+                witness = (tuple(sorted(_subset(a))), tuple(sorted(_subset(drops[0]))))
+                break
+    pairs = [(a, b) for a in range(1 << size) for b in range(1 << size)]
+    subadditive = all(mu[a | b] <= mu[a] + mu[b] + tol for a, b in pairs)
+    submodular = all(mu[a | b] + mu[a & b] <= mu[a] + mu[b] + tol for a, b in pairs)
+    return (witness is None, subadditive, submodular,
+            abs(mu[-1] - 1.0) <= tol, witness)
+
+
+def assert_witnesses_violate(cap, report):
+    mu = cap.value
+    if "subadditive" in report.witnesses:
+        a, b = report.witnesses["subadditive"]
+        assert mu(set(a) | set(b)) > mu(a) + mu(b) + 1e-12
+    if "submodular" in report.witnesses:
+        a, b = report.witnesses["submodular"]
+        assert mu(set(a) | set(b)) + mu(set(a) & set(b)) > mu(a) + mu(b) + 1e-12
 
 
 class TestDistortedProbability:
@@ -144,6 +227,21 @@ class TestRandomCapacityGenerator:
                 for i in range(size):
                     if not m >> i & 1:
                         assert table[m] <= table[m | (1 << i)] + 1e-15
+
+    @pytest.mark.parametrize("size", [3, 8, 12, 16])
+    def test_matches_per_mask_reference(self, size):
+        seed = 1000 + size
+        got = random_monotone_capacity(np.random.default_rng(seed), size)
+        # the per-mask running max, one bit at a time, as first written
+        rng = np.random.default_rng(seed)
+        table = rng.uniform(0.0, 1.0, size=1 << size)
+        table[0] = 0.0
+        for i in range(size):
+            for mask in range(1 << size):
+                if mask >> i & 1 and table[mask ^ 1 << i] > table[mask]:
+                    table[mask] = table[mask ^ 1 << i]
+        expected = (table / table[-1]).tolist()
+        assert [got.evaluator(_subset(mask)) for mask in range(1 << size)] == expected
 
     def test_submodular_implies_subadditive_consistency(self, rng):
         # check_properties must never report submodular without subadditive

@@ -140,6 +140,18 @@ class TestIntegrate:
         assert main(["integrate", "--config", cfg]) == 3
         assert capsys.readouterr().err.startswith("numeric error:")
 
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [1e308, -1e308]])
+    def test_overflowing_terms_are_numeric_error(self, tmp_path, capsys, values):
+        # each weighted term is already outside the float range
+        cfg = write_config(tmp_path, {
+            "mode": "discrete",
+            "capacity": {"kind": "discrete", "rule": "additive", "weights": [2, 2]},
+            "values": values,
+        })
+        assert main(["integrate", "--config", cfg]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric error: discrete integral overflows")
+
     def test_power_distortion_from_gamma_config(self, tmp_path):
         # power 0.5 is the sqrt distortion of test_discrete_fixture
         out = tmp_path / "out.csv"
@@ -336,6 +348,17 @@ class TestVerify:
 
     def test_negative_trials_rejected(self):
         assert main(["verify", "--suite", "capacity", "--trials", "-3"]) == 2
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: seed must be nonnegative\n"
+
+    @pytest.mark.parametrize("payload", [{"trials": "abc"}, {"seed": "x"}])
+    def test_non_integer_config_rejected(self, tmp_path, capsys, payload):
+        cfg = write_config(tmp_path, payload)
+        assert main(["verify", "--config", cfg]) == 2
+        key = next(iter(payload))
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be an integer")
 
 
 def test_console_script_smoke(tmp_path):

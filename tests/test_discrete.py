@@ -50,6 +50,12 @@ class TestSortingFormula:
             with pytest.raises(ValueError, match="finite"):
                 choquet_integral_layer_cake(values, cap)
 
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [1e308, -1e308]])
+    def test_term_overflow_raises(self, values):
+        # each weighted term is already outside the float range
+        with pytest.raises(OverflowError):
+            choquet_integral(values, additive_capacity([2.0, 2.0]))
+
     def test_layer_cake_agreement_signed(self, rng):
         for _ in range(300):
             size = int(rng.integers(2, 7))
