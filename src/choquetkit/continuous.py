@@ -17,8 +17,10 @@ Two things keep the quadrature honest:
 
 Level sets of the registered products are closed forms where possible
 (constants, decaying exponentials, the deviation ``|t - x|`` against its
-own kernel via Lambert W) and bracketed root-finding on the piecewise
-monotone profile otherwise.
+own kernel via the two real Lambert W branches) and bracketed root-finding
+on the piecewise monotone profile otherwise.  Lambert W is solved here, in
+log space: the level enters as ``log(alpha)``, so the deviation's level
+sets stay finite down to the smallest positive ``alpha``.
 
 The oracle comes in two forms.  ``level(alpha)`` returns one canonical
 :class:`IntervalUnion`; ``levels(alphas)`` answers a whole array of N
@@ -31,7 +33,8 @@ levels at once.
 
 The two engines are independent of each other.  The adaptive engine
 (:func:`choquet_integral_real`) runs ``scipy.quad`` over the scalar oracle,
-whose root-finding uses ``brentq``; the cross-check engine
+whose root-finding uses ``brentq`` (both imported on first use, so that
+importing this module loads no scipy); the cross-check engine
 (:func:`choquet_integral_real_grid`) applies a fixed Simpson rule of about
 ``GRID_NODES`` nodes over ``s`` in ``[-log(sup), -log(sup) + GRID_S_SPAN]``
 to the batched oracle, whose root-finding is a vectorised bisection.  They
@@ -46,9 +49,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
-from scipy.special import lambertw
 
 from .errors import CapabilityError, DivergenceError, QuadratureError
 from .functions import FunctionSpec
@@ -57,7 +57,6 @@ from .realline import LAPLACE, Kernel, RealCapacity
 
 _ROOT_XTOL = 1e-13
 _ROOT_RTOL = 4.0 * np.finfo(float).eps   # brentq's default
-_EXP_BRANCH_MIN = -1.0 / math.e
 GRID_NODES = 4001
 GRID_S_SPAN = 60.0
 
@@ -134,23 +133,80 @@ def indicator_plateau(height: float, a: float, b: float) -> LevelSetFunction:
 # products  f(t) * kernel(t)
 
 
-def _lambert_pair(arg: float) -> tuple[float, float]:
-    """Both real solutions w of w * exp(w) = arg for arg in [-1/e, 0).
+# Both real branches of Lambert W at z = -exp(L), L <= -1, solve
+# w + log(-w) = L (Corless, Gonnet, Hare, Jeffrey & Knuth, "On the Lambert W
+# function", 1996).  The callers pass L, never z: z = -2*n*alpha**2
+# underflows to -0.0 long before L leaves the float range, and
+# W_{-1}(-0) = -inf would make the level set the whole line.
+#
+# * Near the branch point (p < _BRANCH_P, with p = sqrt(2(1 + e z)) taken
+#   from L by expm1) both branches start from the series
+#   w = -1 + p - p**2/3 + 11/72 p**3 (with -p for W_{-1}).
+# * Away from it W_{-1} starts from the asymptotic L - log(-L) + log(-L)/L and
+#   W_0 from the series -q - q**2 - 3/2 q**3 in q = -z = exp(L), which may
+#   underflow to 0: the inner radius is then 0 as well.
+# * Halley steps in v = w + 1 on v + log1p(-v) = L + 1 finish W_{-1}, and
+#   W_0 near the branch point; the terms are of the size of v, so v keeps
+#   full relative precision as w -> -1.  W_0 away from the branch point
+#   takes the usual steps on w*exp(w) = z, whose residual scales with q.
+# Three steps from every start end within 2 ulps of the exact value.
+_BRANCH_P = 1.0
+_HALLEY_STEPS = 3
 
-    At (and, after rounding, below) the branch point -1/e both branches
-    meet at w = -1; scipy's lambertw returns NaN exactly there.
+
+def _branch_v(p):
+    return p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+
+
+def _halley_v(v, l1, xp):
+    for _ in range(_HALLEY_STEPS):
+        f = v + xp.log1p(-v) - l1
+        v = v + 2.0 * v * (1.0 - v) * f / (2.0 * v * v + f)
+    return v
+
+
+def _halley_w(w, q, xp):
+    for _ in range(_HALLEY_STEPS):
+        e = xp.exp(w)
+        r = w * e + q
+        w = w - r / (e * (w + 1.0) - (w + 2.0) * r / (2.0 * w + 2.0))
+    return w
+
+
+def _pair_near(p, L, xp):
+    return (_halley_v(_branch_v(p), L + 1.0, xp) - 1.0,
+            _halley_v(_branch_v(-p), L + 1.0, xp) - 1.0)
+
+
+def _pair_far(L, xp):
+    q = xp.exp(L)
+    l2 = xp.log(-L)
+    return (_halley_w(-q * (1.0 + q * (1.0 + 1.5 * q)), q, xp),
+            _halley_v(L + 1.0 - l2 + l2 / L, L + 1.0, xp) - 1.0)
+
+
+def _lambert_pair(L: float) -> tuple[float, float]:
+    """``(W_0, W_{-1})`` at ``z = -exp(L)``, from ``math``.
+
+    For ``L >= -1`` (at and, after rounding, past the branch point -1/e)
+    both branches are -1.
     """
-    if arg <= _EXP_BRANCH_MIN:
+    if L >= -1.0:
         return -1.0, -1.0
-    return float(lambertw(arg, 0).real), float(lambertw(arg, -1).real)
+    p = math.sqrt(-2.0 * math.expm1(L + 1.0))
+    return _pair_near(p, L, math) if p < _BRANCH_P else _pair_far(L, math)
 
 
-def _lambert_pairs(args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_lambert_pair` on an array."""
-    branch = args <= _EXP_BRANCH_MIN
-    safe = np.where(branch, -0.25, args)
-    return (np.where(branch, -1.0, lambertw(safe, 0).real),
-            np.where(branch, -1.0, lambertw(safe, -1).real))
+def _lambert_pairs(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_lambert_pair` on an array, from numpy."""
+    w0 = np.full(L.shape, -1.0)
+    wm1 = np.full(L.shape, -1.0)
+    p = np.sqrt(-2.0 * np.expm1(np.minimum(L, -1.0) + 1.0))
+    near = (L < -1.0) & (p < _BRANCH_P)
+    far = p >= _BRANCH_P
+    w0[near], wm1[near] = _pair_near(p[near], L[near], np)
+    w0[far], wm1[far] = _pair_far(L[far], np)
+    return w0, wm1
 
 
 def _product_exp_neg(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
@@ -226,24 +282,26 @@ def _product_abs_dev_centered(kernel: Kernel) -> LevelSetFunction:
 
     if kernel.family == LAPLACE:
         sup = 1.0 / (n * math.e)
+        log_n = math.log(n)
 
         def radii(alpha: float) -> tuple[float, float]:
-            w0, wm1 = _lambert_pair(-n * alpha)
+            w0, wm1 = _lambert_pair(log_n + math.log(alpha))
             return -w0 / n, -wm1 / n
 
         def radii_batch(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            w0, wm1 = _lambert_pairs(-n * alphas)
+            w0, wm1 = _lambert_pairs(log_n + np.log(alphas))
             return -w0 / n, -wm1 / n
 
     else:
         sup = 1.0 / math.sqrt(2.0 * n * math.e)
+        log_2n = math.log(2.0 * n)
 
         def radii(alpha: float) -> tuple[float, float]:
-            w0, wm1 = _lambert_pair(-2.0 * n * alpha * alpha)
+            w0, wm1 = _lambert_pair(log_2n + 2.0 * math.log(alpha))
             return math.sqrt(-w0 / (2 * n)), math.sqrt(-wm1 / (2 * n))
 
         def radii_batch(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            w0, wm1 = _lambert_pairs(-2.0 * n * alphas * alphas)
+            w0, wm1 = _lambert_pairs(log_2n + 2.0 * np.log(alphas))
             return np.sqrt(-w0 / (2 * n)), np.sqrt(-wm1 / (2 * n))
 
     def level(alpha: float) -> IntervalUnion:
@@ -366,6 +424,8 @@ def _bisect(g: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     """Bracketed root-finding on the piecewise monotone product profile."""
+    from scipy.optimize import brentq
+
     f = spec.fn
 
     def g(t: float) -> float:
@@ -492,6 +552,8 @@ def integrate_adaptive(fn, a: float, b: float,
     Raises :class:`QuadratureError` (carrying the partial value and error
     estimate) instead of silently returning a non-converged result.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
         value, err = quad(fn, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
@@ -538,6 +600,10 @@ def choquet_integral_real_with_error(g: LevelSetFunction, mu: RealCapacity,
         if a >= b:
             continue
         v, e = integrate_adaptive(integrand, a, b, cfg)
+        # quad returns (inf, inf) on an infinite tail without a warning
+        if not (math.isfinite(v) and math.isfinite(e)):
+            raise QuadratureError(f"layer-cake piece [{a}, {b}] is not finite",
+                                  value=v, error_estimate=e)
         total += v
         err += e
     return total, err

@@ -43,8 +43,7 @@ def choquet_integral(values: Sequence[float], cap: DiscreteCapacity) -> float:
     try:
         total = math.fsum(values[order[k]] * (tails[k] - tails[k + 1]) for k in range(m))
     except ValueError:  # infinite terms of both signs
-        if not all(math.isfinite(v) for v in values):
-            raise
+        _require_finite(values)
         total = math.inf
     # a non-finite value makes the sum non-finite, so finite sums need no scan
     if not math.isfinite(total):

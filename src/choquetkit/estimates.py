@@ -58,6 +58,8 @@ def _modulus_grid(fn: Callable[[float], float], delta: float,
 
 def modulus_of_continuity_detailed(spec: FunctionSpec, delta: float,
                                    window: tuple[float, float]) -> ModulusResult:
+    if not math.isfinite(delta):
+        raise ValueError("modulus step must be finite")
     if delta <= 0:
         raise ValueError("modulus step must be positive")
     a, b = window

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from choquetkit import IntervalUnion, LevelSetFunction, cli
 from choquetkit.cli import main
+from choquetkit.intervals import empty_pieces
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -102,6 +104,26 @@ class TestIntegrate:
         assert main(["integrate", "--config", cfg]) == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_infinities_of_both_signs_are_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "mode": "discrete",
+            "capacity": {"kind": "discrete", "rule": "additive", "weights": [0.5, 0.5]},
+            "values": [math.inf, -math.inf],
+        })
+        assert main(["integrate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "config error: integrand values must be finite\n"
+
+    def test_infinite_level_set_is_numeric_error(self, tmp_path, capsys, monkeypatch):
+        # a level oracle that gives the whole line deep in the tail
+        whole = IntervalUnion.single(-math.inf, math.inf)
+        g = LevelSetFunction(
+            lambda t: 1.0, lambda a: whole if a < 1e-160 else IntervalUnion.single(0.0, 1.0),
+            1.0, lambda alphas: empty_pieces(1, alphas.size))
+        monkeypatch.setattr(cli, "product_level_function", lambda spec, kernel: g)
+        cfg = write_config(tmp_path, {"mode": "real", "capacity": "sqrt_lebesgue"})
+        assert main(["integrate", "--config", cfg]) == 3
+        assert capsys.readouterr().err.startswith("numeric error:")
 
     @pytest.mark.parametrize("function", [
         "e1", {"name": "const", "c": -1.0},
@@ -250,6 +272,19 @@ class TestOperator:
         assert capsys.readouterr().err.startswith("config error: cannot write output")
         assert not out.parent.exists()
 
+    def test_weierstrass_sqrt_lebesgue_bound_is_finite(self, capsys):
+        # the Gauss deviation integral behind this bound column is finite
+        assert main(["operator", "--operator", "weierstrass_choquet", "--function",
+                     "exp_neg", "--capacity", "sqrt_lebesgue", "--n", "2",
+                     "--xgrid=0:0.5:2"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        header = header.split(",")
+        assert len(rows) == 2
+        for row in rows:
+            cols = dict(zip(header, map(float, row.split(","))))
+            assert math.isfinite(cols["bound_value"])
+            assert cols["bound_value"] >= cols["abs_error"]
+
     def test_divergent_product_is_numeric_error(self, tmp_path):
         cfg = write_config(tmp_path, {
             "operator": "picard_choquet",
@@ -374,3 +409,15 @@ def test_console_script_smoke(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_import_leaves_scipy_submodules_unloaded():
+    # scipy loads on the first call of the adaptive engine, not on import
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, choquetkit; print(sorted(m for m in sys.modules "
+         "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'], "
+         "['scipy', 'special'])))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -226,10 +226,56 @@ class TestBatchedOracle:
     def test_lambert_branch_point(self):
         # scipy's lambertw is NaN at -1/e itself; both branches meet at -1 there
         for arg in (-1.0 / math.e, -1.0 / math.e - 1e-17, -0.5):
-            assert _lambert_pair(arg) == (-1.0, -1.0)
-        w0, wm1 = _lambert_pairs(np.array([-1.0 / math.e, -0.5, -0.1]))
+            assert _lambert_pair(math.log(-arg)) == (-1.0, -1.0)
+        w0, wm1 = _lambert_pairs(np.log([1.0 / math.e, 0.5, 0.1]))
         assert w0[:2].tolist() == [-1.0, -1.0] and wm1[:2].tolist() == [-1.0, -1.0]
-        assert (w0[2], wm1[2]) == _lambert_pair(-0.1)
+        assert (w0[2], wm1[2]) == pytest.approx(_lambert_pair(math.log(0.1)), rel=1e-15)
+
+    def test_lambert_matches_scipy(self):
+        # z log-spaced over [-1/e, -1e-300]; both solvers see the same z
+        from scipy.special import lambertw
+        L = np.linspace(math.log(1e-300), -1.0, 2001)
+        z = -np.exp(L)
+        far = z + 1.0 / math.e > 1e-8
+        w0, wm1 = _lambert_pairs(L)
+        scalar = np.array([_lambert_pair(float(v)) for v in L])
+        for col, (k, ours) in enumerate(((0, w0), (-1, wm1))):
+            want = lambertw(z[far], k).real
+            assert np.all(np.isfinite(want))
+            assert ours[far] == pytest.approx(want, rel=1e-15)
+            assert scalar[far, col] == pytest.approx(want, rel=1e-15)
+
+    def test_lambert_residual_at_branch_point(self):
+        # within 1e-8 of -1/e the values are held to w + log(-w) = L instead;
+        # scipy's W_{-1} keeps a residual near 5e-9 there
+        from scipy.special import lambertw
+        L = -1.0 - np.geomspace(1e-16, 2.7e-8, 200)
+        z = -np.exp(L)
+        assert np.all(z + 1.0 / math.e <= 1e-8)
+        w0, wm1 = _lambert_pairs(L)
+        scalar = np.array([_lambert_pair(float(v)) for v in L])
+        for ours in (w0, wm1, scalar[:, 0], scalar[:, 1]):
+            assert np.all(np.abs(ours + np.log(-ours) - L) <= 4e-16)
+        assert np.all(w0 >= -1.0) and np.all(wm1 <= -1.0)
+        for k in (0, -1):
+            theirs = lambertw(z, k).real
+            ok = np.isfinite(theirs)  # NaN where z rounds to -1/e itself
+            assert np.all(np.abs(theirs[ok] + np.log(-theirs[ok]) - L[ok]) <= 1e-8)
+
+    @pytest.mark.parametrize("kernel", [Kernel.laplace(2.0, 0.3), Kernel.gauss(2.0, 0.3)])
+    def test_deviation_radii_down_to_tiny_levels(self, kernel):
+        # alpha = 1e-300 is s = 690, far past where alpha**2 underflows
+        g = product_level_function(function_spec("abs_dev", center=0.3), kernel)
+        alphas = np.geomspace(g.sup_value, 1e-300, 400)
+        lo, hi = g.levels(alphas)
+        for i, alpha in enumerate(alphas):
+            level = g.level(float(alpha))
+            assert level.intervals[0][0] == pytest.approx(lo[0, i], rel=1e-15)
+            assert level.intervals[-1][1] == pytest.approx(hi[1, i], rel=1e-15)
+        inner, outer = lo[1] - 0.3, hi[1] - 0.3
+        assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+        assert np.all(np.diff(inner) <= 0.0) and np.all(np.diff(outer) >= 0.0)
+        assert inner[-1] >= 0.0 and outer[-1] > outer[0]
 
     def test_bisection_matches_brentq_within_its_step_cap(self):
         from scipy.optimize import brentq
@@ -327,6 +373,7 @@ class TestQuadrature:
                                     Kernel.laplace(8.0, 0.3)), SQRT_M),
             (product_level_function(function_spec("abs_dev", center=0.3), gauss),
              RealCapacity.possibility(Kernel.laplace(2.0, 0.3))),
+            (product_level_function(function_spec("abs_dev", center=0.3), gauss), SQRT_M),
             (indicator_plateau(2.5, 0.0, 4.0), SQRT_M),
         ]
         for g, mu in cases:
@@ -384,6 +431,19 @@ class TestQuadrature:
             integrate_adaptive(lambda t: abs(t - 1 / 3) ** -0.5, 0.0, 1.0, cfg)
         assert math.isfinite(err.value.value)
         assert err.value.error_estimate >= 0.0
+
+    def test_infinite_level_set_raises(self):
+        # a whole-line level set deep in the tail: quad returns (inf, inf)
+        # there without an IntegrationWarning
+        whole = IntervalUnion.single(-math.inf, math.inf)
+
+        def level(alpha):
+            return whole if alpha < 1e-160 else IntervalUnion.single(-1.0, 1.0)
+
+        g = LevelSetFunction(lambda t: 1.0, level, 1.0,
+                             lambda alphas: empty_pieces(1, alphas.size))
+        with pytest.raises(QuadratureError, match="not finite"):
+            choquet_integral_real_with_error(g, SQRT_M)
 
     def test_infinite_sup_rejected(self):
         g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion.empty(),

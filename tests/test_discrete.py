@@ -50,6 +50,14 @@ class TestSortingFormula:
             with pytest.raises(ValueError, match="finite"):
                 choquet_integral_layer_cake(values, cap)
 
+    @pytest.mark.parametrize("values", [[math.inf, -math.inf], [-math.inf, math.inf]])
+    def test_infinities_of_both_signs_rejected(self, values):
+        for cap in (additive_capacity([0.5, 0.5]), counting_distortion(
+                DistortionFunction.sqrt(), 2)):
+            for engine in (choquet_integral, choquet_integral_layer_cake):
+                with pytest.raises(ValueError, match="integrand values must be finite"):
+                    engine(values, cap)
+
     @pytest.mark.parametrize("values", [[1e308, 1e308], [1e308, -1e308]])
     def test_term_overflow_raises(self, values):
         # each weighted term is already outside the float range

@@ -63,6 +63,13 @@ class TestModulus:
         with pytest.raises(ValueError):
             modulus_of_continuity(function_spec("e1"), 0.0, (0.0, 1.0))
 
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_step_rejected(self, delta):
+        # pw_linear takes the grid path, whose int(delta / h) needs a finite step
+        spec = function_spec("pw_linear", knots=[(0.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(ValueError, match="modulus step must be finite"):
+            modulus_of_continuity_detailed(spec, delta, (0.0, 1.0))
+
 
 class TestQuantitativeBound:
     def test_zero_deviation(self):
