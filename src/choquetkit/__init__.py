@@ -8,8 +8,8 @@ from .capacity import (DiscreteCapacity, DistortionFunction, PropertyReport,
                        distortion_by_name, dual, possibility_capacity,
                        random_monotone_capacity, uniform_additive,
                        validate_distortion)
-from .continuous import (DEFAULT_QUADRATURE, LevelSetFunction, QuadratureConfig,
-                         choquet_integral_real, choquet_integral_real_grid,
+from .continuous import (LevelSetFunction, choquet_integral_real,
+                         choquet_integral_real_grid,
                          choquet_integral_real_with_error, indicator_plateau,
                          integrate_adaptive, kernel_level_function,
                          kernel_normalizer, product_level_function)
@@ -37,11 +37,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapabilityError", "ChebyshevResult", "ConfigError", "DEFAULT_PROFILE",
-    "DEFAULT_QUADRATURE", "DiscreteCapacity", "DiscreteScheme",
+    "DiscreteCapacity", "DiscreteScheme",
     "DistortionFunction", "DivergenceError", "ErrorTable", "FunctionSpec",
     "IntervalUnion", "Kernel", "LevelSetFunction", "MomentDiagnostics",
     "ModulusResult", "PerturbationProfile", "PropertyReport",
-    "PropertySuiteReport", "Pushforward", "QuadratureConfig",
+    "PropertySuiteReport", "Pushforward",
     "QuadratureError", "REGISTERED", "RealCapacity", "additive_capacity",
     "bernstein_basis", "bernstein_choquet", "bernstein_choquet_capacity",
     "bernstein_choquet_closedform", "bernstein_choquet_scheme",

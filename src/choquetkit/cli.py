@@ -29,8 +29,8 @@ import numpy as np
 from . import capacity as cap_mod
 from .capacity import (DiscreteCapacity, check_properties, distortion_by_name,
                        dual, possibility_capacity, random_monotone_capacity)
-from .continuous import (QuadratureConfig, choquet_integral_real,
-                         choquet_integral_real_grid, product_level_function)
+from .continuous import (choquet_integral_real, choquet_integral_real_grid,
+                         product_level_function)
 from .discrete import (choquet_integral, choquet_integral_layer_cake,
                        property_suite)
 from .errors import ConfigError, DivergenceError, QuadratureError
@@ -117,17 +117,6 @@ def _parse_profile(cfg: dict) -> PerturbationProfile:
     i0 = int(cfg.get("i0", pert.get("i0", 1)))
     try:
         return PerturbationProfile(i0=i0, theta=theta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _parse_quadrature(cfg: dict) -> QuadratureConfig:
-    q = cfg.get("quadrature", {})
-    try:
-        return QuadratureConfig(
-            abs_tol=float(q.get("abs_tol", 1e-9)),
-            rel_tol=float(q.get("rel_tol", 1e-8)),
-            max_subdivisions=int(q.get("max_subdivisions", 2000)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -240,7 +229,6 @@ def _output(cfg: dict):
 
 def cmd_integrate(cfg: dict) -> int:
     mode = cfg.get("mode", "discrete")
-    quad_cfg = _parse_quadrature(cfg)
     if mode == "discrete":
         raw_cap = cfg.get("capacity")
         if not isinstance(raw_cap, dict) or raw_cap.get("kind") != "discrete":
@@ -267,7 +255,7 @@ def cmd_integrate(cfg: dict) -> int:
         mu = factory(kernel)
         spec = _nonneg(_parse_function(cfg.get("function", "e0")))
         g = product_level_function(spec, kernel)
-        primary = choquet_integral_real(g, mu, quad_cfg)
+        primary = choquet_integral_real(g, mu)
         check = choquet_integral_real_grid(g, mu)
         engines = ("adaptive_levels", "simpson_grid")
     else:
@@ -293,7 +281,6 @@ class _Setup:
     n_list: list
     x_grid: np.ndarray
     profile: PerturbationProfile
-    quad: QuadratureConfig
     capacity: Callable[[Kernel], RealCapacity]
     window: tuple
 
@@ -303,12 +290,11 @@ class _Setup:
         n_list = _parse_n_list(cfg.get("n_list"))
         x_grid = _parse_x_grid(cfg.get("x_grid"))
         profile = _parse_profile(cfg)
-        quad = _parse_quadrature(cfg)
         capacity = _real_capacity_factory(cfg.get("capacity"))
         lo, hi = float(np.min(x_grid)), float(np.max(x_grid))
         if any(name.startswith("bernstein") for name in names) and (lo < 0 or hi > 1):
             raise ConfigError("bernstein operators need an x grid inside [0, 1]")
-        return _Setup(spec, n_list, x_grid, profile, quad, capacity, (lo - 1.0, hi + 1.0))
+        return _Setup(spec, n_list, x_grid, profile, capacity, (lo - 1.0, hi + 1.0))
 
 
 def _bernstein_bound(setup: _Setup, n: int, x: float) -> float:
@@ -321,10 +307,10 @@ def _bernstein_bound(setup: _Setup, n: int, x: float) -> float:
 
 
 def kernel_bound(deviation, spec: FunctionSpec, n: int, x: float,
-                 mu: RealCapacity, cfg: QuadratureConfig, window) -> float:
+                 mu: RealCapacity, window) -> float:
     """The quantitative bound at (n, x), its delta from the deviation
     integral ``deviation(|. - x|)(x)`` and its modulus over ``window``."""
-    tn_phi = deviation(function_spec("abs_dev", center=x), n, x, mu, cfg)
+    tn_phi = deviation(function_spec("abs_dev", center=x), n, x, mu)
     delta = delta_rule(tn_phi, n)
     return quantitative_bound(tn_phi, delta, modulus_of_continuity(spec, delta, window))
 
@@ -333,11 +319,11 @@ def _kernel_operator(op, kernel):
     """Table row of a Choquet kernel operator; the capacity follows its kernel."""
 
     def evaluate(setup: _Setup, n: int, x: float) -> float:
-        return op(_nonneg(setup.spec), n, x, setup.capacity(kernel(n, x)), setup.quad)
+        return op(_nonneg(setup.spec), n, x, setup.capacity(kernel(n, x)))
 
     def bound(setup: _Setup, n: int, x: float) -> float:
         return kernel_bound(op, setup.spec, n, x, setup.capacity(kernel(n, x)),
-                            setup.quad, setup.window)
+                            setup.window)
 
     return evaluate, bound
 
@@ -351,7 +337,7 @@ OPERATORS = {
                   _bernstein_bound),
     "bernstein_choquet": (lambda s, n, x: bernstein_choquet(s.spec.fn, n, x, s.profile),
                           _bernstein_bound),
-    "picard": (lambda s, n, x: picard_classical(s.spec.fn, n, x, s.quad),
+    "picard": (lambda s, n, x: picard_classical(s.spec.fn, n, x),
                _PICARD_CHOQUET[1]),
     "picard_choquet": _PICARD_CHOQUET,
     "weierstrass_choquet": _kernel_operator(weierstrass_choquet, Kernel.gauss),
@@ -491,14 +477,13 @@ def _verify_bounds(rng: np.random.Generator, trials: int) -> list[str]:
                 bad.append(f"band violated at n={n}, x={x:.3f}: gap={gap:.3e}")
     window = (-2.0, 3.0)
     spec = function_spec("exp_neg")
-    quad_cfg = QuadratureConfig()
     for n in (2, 4, 8):
         for x in (-1.0, 0.0, 1.5):
             mu = RealCapacity.possibility(Kernel.laplace(n, x))
-            if abs(picard_choquet(function_spec("e0"), n, x, mu, quad_cfg) - 1.0) > 1e-9:
+            if abs(picard_choquet(function_spec("e0"), n, x, mu) - 1.0) > 1e-9:
                 bad.append(f"T_n(e0) != 1 at n={n}, x={x}")
-            tn = picard_choquet(spec, n, x, mu, quad_cfg)
-            bound = kernel_bound(picard_choquet, spec, n, x, mu, quad_cfg, window)
+            tn = picard_choquet(spec, n, x, mu)
+            bound = kernel_bound(picard_choquet, spec, n, x, mu, window)
             if abs(tn - spec.fn(x)) > bound + 1e-6:
                 bad.append(f"quantitative bound violated at n={n}, x={x}")
     return bad

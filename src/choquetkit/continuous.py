@@ -32,7 +32,8 @@ on the arrays; root-finding products solve each monotone bracket for all
 levels at once.
 
 The two engines are independent of each other.  The adaptive engine
-(:func:`choquet_integral_real`) runs ``scipy.quad`` over the scalar oracle,
+(:func:`choquet_integral_real`) runs ``scipy.quad`` over the scalar oracle
+at the fixed tolerances ``QUAD_ABS_TOL``, ``QUAD_REL_TOL`` and ``QUAD_LIMIT``,
 whose root-finding uses ``brentq`` (both imported on first use, so that
 importing this module loads no scipy); the cross-check engine
 (:func:`choquet_integral_real_grid`) applies a fixed Simpson rule of about
@@ -59,22 +60,10 @@ _ROOT_XTOL = 1e-13
 _ROOT_RTOL = 4.0 * np.finfo(float).eps   # brentq's default
 GRID_NODES = 4001
 GRID_S_SPAN = 60.0
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions too small")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# scipy.quad's absolute and relative tolerance and subinterval limit
+QUAD_ABS_TOL = 1e-9
+QUAD_REL_TOL = 1e-8
+QUAD_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -545,9 +534,9 @@ def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFuncti
 # quadrature
 
 
-def integrate_adaptive(fn, a: float, b: float,
-                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> tuple[float, float]:
-    """Adaptive quadrature of ``fn`` on [a, b] honoring the config tolerances.
+def integrate_adaptive(fn, a: float, b: float) -> tuple[float, float]:
+    """Adaptive quadrature of ``fn`` on [a, b] to ``QUAD_ABS_TOL`` or
+    ``QUAD_REL_TOL`` in at most ``QUAD_LIMIT`` subintervals.
 
     Raises :class:`QuadratureError` (carrying the partial value and error
     estimate) instead of silently returning a non-converged result.
@@ -556,8 +545,8 @@ def integrate_adaptive(fn, a: float, b: float,
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
-        value, err = quad(fn, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                          limit=cfg.max_subdivisions)
+        value, err = quad(fn, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
+                          limit=QUAD_LIMIT)
     bad = [w for w in caught if issubclass(w.category, IntegrationWarning)]
     if bad:
         raise QuadratureError(
@@ -577,9 +566,8 @@ def _layer_edges(g: LevelSetFunction, span: float) -> list[float]:
     return [s0] + breaks + [s0 + span]
 
 
-def choquet_integral_real_with_error(g: LevelSetFunction, mu: RealCapacity,
-                                     cfg: QuadratureConfig = DEFAULT_QUADRATURE
-                                     ) -> tuple[float, float]:
+def choquet_integral_real_with_error(g: LevelSetFunction,
+                                     mu: RealCapacity) -> tuple[float, float]:
     """Layer-cake Choquet integral with the quadrature error estimate."""
     sup = g.sup_value
     if not math.isfinite(sup):
@@ -599,7 +587,7 @@ def choquet_integral_real_with_error(g: LevelSetFunction, mu: RealCapacity,
     for a, b in zip(edges, edges[1:]):
         if a >= b:
             continue
-        v, e = integrate_adaptive(integrand, a, b, cfg)
+        v, e = integrate_adaptive(integrand, a, b)
         # quad returns (inf, inf) on an infinite tail without a warning
         if not (math.isfinite(v) and math.isfinite(e)):
             raise QuadratureError(f"layer-cake piece [{a}, {b}] is not finite",
@@ -609,9 +597,8 @@ def choquet_integral_real_with_error(g: LevelSetFunction, mu: RealCapacity,
     return total, err
 
 
-def choquet_integral_real(g: LevelSetFunction, mu: RealCapacity,
-                          cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    return choquet_integral_real_with_error(g, mu, cfg)[0]
+def choquet_integral_real(g: LevelSetFunction, mu: RealCapacity) -> float:
+    return choquet_integral_real_with_error(g, mu)[0]
 
 
 def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity) -> float:
@@ -620,7 +607,9 @@ def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity) -> float:
     Deliberately independent of the adaptive path; used as a cross-check
     engine (and by the CLI to report both paths).  Each piece of the
     layer cake takes one batched oracle call (:meth:`LevelSetFunction.levels`)
-    and one batched capacity call (:meth:`RealCapacity.values`).
+    and one batched capacity call (:meth:`RealCapacity.values`).  A piece
+    whose sum is not finite raises :class:`QuadratureError`, as in the
+    adaptive engine.
     """
     sup = g.sup_value
     if sup <= 0:
@@ -644,25 +633,27 @@ def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity) -> float:
         live = alphas > 0.0
         hs = np.zeros_like(alphas)
         hs[live] = mu.values(*g.levels(alphas[live]))
-        ys = hs * alphas * dts
+        with np.errstate(invalid="ignore"):  # an infinite layer at a zero weight
+            ys = hs * alphas * dts
         wts = np.ones(m + 1)
         wts[1:-1:2] = 4.0
         wts[2:-1:2] = 2.0
-        total += 1.0 / m / 3.0 * float(wts @ ys)
+        piece = 1.0 / m / 3.0 * float(wts @ ys)
+        if not math.isfinite(piece):
+            raise QuadratureError(f"layer-cake piece [{a}, {b}] is not finite",
+                                  value=piece, error_estimate=math.inf)
+        total += piece
     return total
 
 
-def kernel_normalizer(kernel: Kernel, mu: RealCapacity,
-                      cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-                      force_quadrature: bool = False) -> float:
+def kernel_normalizer(kernel: Kernel, mu: RealCapacity) -> float:
     """Choquet integral of the bare kernel (the operator normalizer).
 
     For a possibility capacity whose own kernel peaks at the same point,
     every nonempty level set contains the peak, so the integrand is 1 on
     (0, 1] and the normalizer is exactly 1 -- no quadrature involved.
     """
-    if (not force_quadrature and mu.kind == "possibility"
-            and mu.kernel.x == kernel.x):
+    if mu.kind == "possibility" and mu.kernel.x == kernel.x:
         return 1.0
-    return choquet_integral_real(kernel_level_function(kernel), mu, cfg)
+    return choquet_integral_real(kernel_level_function(kernel), mu)
 

@@ -6,11 +6,12 @@ the modulus of continuity; ``delta`` defaults to the deviation integral
 itself when positive (which balances the bracket to a factor of 2) and
 to ``1/n`` otherwise.
 
-Moduli are evaluated on an explicit compact window.  For the specs whose
-shape pins down where the supremum is attained (constants, Lipschitz
-ramps, concave or convex monotone rules) the value is analytic; otherwise
-a pair-sup over ``MODULUS_GRID`` equispaced points is used, which is a
-certified lower approximation reported with a refinement delta.
+Moduli are exact, on an explicit compact window, for every registered
+spec, so the bound is a true upper bound.  Constants, Lipschitz ramps and
+the monotone concave or convex rules have closed forms; ``concave_quad``
+is a max over the window ends and the turning points of ``f(t + h) - f(t)``,
+and ``pw_linear`` a max over the vertices of the cells on which that
+difference is linear.  Any other family raises :class:`CapabilityError`.
 """
 
 from __future__ import annotations
@@ -23,37 +24,85 @@ import numpy as np
 
 from .capacity import EXACT_TOL, DiscreteCapacity
 from .discrete import choquet_integral, choquet_variance
+from .errors import CapabilityError
 from .functions import FunctionSpec
 from .operators import (DEFAULT_PROFILE, PerturbationProfile,
                         bernstein_choquet_capacity)
-
-MODULUS_GRID = 2001
 
 
 @dataclass(frozen=True)
 class ModulusResult:
     value: float
-    refinement_delta: float
-    method: str  # "analytic" | "grid"
+    method: str  # always "analytic"; the benchmark tracer reads it
 
 
-def _modulus_grid(fn: Callable[[float], float], delta: float,
-                  window: tuple[float, float], points: int) -> ModulusResult:
-    a, b = window
+def _pw_linear_modulus(knots, reach: float, a: float, b: float) -> float:
+    """omega1 of the interpolant through ``knots`` on [a, b] up to ``reach``.
 
-    def grid_sup(num: int) -> float:
-        ts = np.linspace(a, b, num)
-        vals = np.array([fn(float(t)) for t in ts])
-        h = (b - a) / (num - 1)
-        max_shift = min(num - 1, int(delta / h))
-        best = 0.0
-        for k in range(1, max_shift + 1):
-            best = max(best, float(np.max(np.abs(vals[k:] - vals[:-k]))))
-        return best
+    On the domain ``a <= t``, ``t + h <= b``, ``0 <= h <= reach`` the
+    difference ``f(t + h) - f(t)`` is linear on each cell cut out by the
+    lines ``t = knot``, ``t + h = knot`` and ``h = reach``, so its modulus
+    peaks at a vertex: ``t`` at a start (``a`` or an inner knot) and
+    ``t + h`` at an end (an inner knot or ``b``), or ``h = reach`` with one
+    of the two at such a point.  Clipping, not filtering, moves a candidate
+    that falls outside the domain onto a vertex, so rounding loses none.
+    """
+    ts, vs = np.array(knots).T
+    inner = ts[(ts > a) & (ts < b)]
+    starts = np.concatenate(([a], inner))
+    ends = np.concatenate((inner, [b]))
+    pair_t = np.repeat(starts, ends.size)
+    pair_h = np.clip(np.tile(ends, starts.size) - pair_t, 0.0, reach)
+    reach_t = np.clip(np.concatenate((starts, ends - reach)), a, b - reach)
+    t = np.concatenate((pair_t, reach_t))
+    h = np.concatenate((pair_h, np.full(reach_t.size, reach)))
+    return float(np.max(np.abs(np.interp(t + h, ts, vs) - np.interp(t, ts, vs))))
 
-    coarse = grid_sup(points)
-    fine = grid_sup(2 * points - 1)
-    return ModulusResult(max(coarse, fine), abs(fine - coarse), "grid")
+
+def _concave_quad_modulus(fn, reach: float, a: float, b: float) -> float:
+    """omega1 of ``2t - t**2`` on [a, b] up to ``reach``.
+
+    ``f(t + h) - f(t) = h(2 - 2t - h)`` falls as ``t`` grows, so its largest
+    rise starts at ``t = a`` and its largest drop ends at ``t + h = b``.  Both
+    are concave in ``h``: each peaks at ``h = reach`` or at its turning point,
+    ``h = 1 - a`` for the rise and ``h = b - 1`` for the drop.
+    """
+    hs = [h for h in (reach, 1.0 - a, b - 1.0) if 0.0 < h <= reach]
+    return max(max(fn(a + h) - fn(a), fn(b - h) - fn(b)) for h in hs)
+
+
+def _omega1(spec: FunctionSpec, delta: float, a: float, b: float) -> float:
+    reach = min(delta, b - a)
+    name = spec.name
+    if name == "const":
+        return 0.0
+    if name == "e1":
+        return reach
+    if name == "abs_dev":
+        c = spec.param("center", 0.0)
+        # slope +-1; the longest monotone run inside the window caps the rise
+        run = max(min(c, b) - a, b - max(c, a))
+        return min(delta, max(run, 0.0))
+    if name == "exp_neg":
+        lam = spec.param("lam", 1.0)
+        scale = spec.param("scale", 1.0)
+        # decreasing convex: largest drop at the left edge
+        return scale * (math.exp(-lam * a) - math.exp(-lam * (a + reach)))
+    if name == "sqrt":
+        shift = spec.param("shift", 0.0)
+        lo = a + shift
+        hi = b + shift
+        if hi <= 0:
+            return 0.0
+        # concave increasing: largest rise starts as far left as possible
+        if lo <= 0:
+            return math.sqrt(min(delta, hi))
+        return math.sqrt(min(lo + delta, hi)) - math.sqrt(lo)
+    if name == "concave_quad":
+        return _concave_quad_modulus(spec.fn, reach, a, b)
+    if name == "pw_linear":
+        return _pw_linear_modulus(spec.param("knots"), reach, a, b)
+    raise CapabilityError(f"no modulus of continuity for function family {name!r}")
 
 
 def modulus_of_continuity_detailed(spec: FunctionSpec, delta: float,
@@ -65,40 +114,7 @@ def modulus_of_continuity_detailed(spec: FunctionSpec, delta: float,
     a, b = window
     if not a < b:
         raise ValueError("window must have positive length")
-    reach = min(delta, b - a)
-    name = spec.name
-
-    if name == "const":
-        return ModulusResult(0.0, 0.0, "analytic")
-    if name == "e1":
-        return ModulusResult(reach, 0.0, "analytic")
-    if name == "abs_dev":
-        c = spec.param("center", 0.0)
-        # slope +-1; the longest monotone run inside the window caps the rise
-        run = max(min(c, b) - a, b - max(c, a))
-        return ModulusResult(min(delta, max(run, 0.0)), 0.0, "analytic")
-    if name == "exp_neg":
-        lam = spec.param("lam", 1.0)
-        scale = spec.param("scale", 1.0)
-        # decreasing convex: largest drop at the left edge
-        return ModulusResult(scale * (math.exp(-lam * a) - math.exp(-lam * (a + reach))),
-                             0.0, "analytic")
-    if name == "sqrt":
-        shift = spec.param("shift", 0.0)
-        lo = a + shift
-        hi = b + shift
-        if hi <= 0:
-            return ModulusResult(0.0, 0.0, "analytic")
-        # concave increasing: largest rise starts as far left as possible
-        if lo <= 0:
-            return ModulusResult(math.sqrt(min(delta, hi)), 0.0, "analytic")
-        return ModulusResult(math.sqrt(min(lo + delta, hi)) - math.sqrt(lo),
-                             0.0, "analytic")
-    if name == "concave_quad" and b <= 1.0:
-        # increasing concave on (-inf, 1]: largest rise at the left edge
-        fn = spec.fn
-        return ModulusResult(fn(a + reach) - fn(a), 0.0, "analytic")
-    return _modulus_grid(spec.fn, delta, window, MODULUS_GRID)
+    return ModulusResult(_omega1(spec, delta, a, b), "analytic")
 
 
 def modulus_of_continuity(spec: FunctionSpec, delta: float,

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .capacity import DiscreteCapacity
-from .continuous import (DEFAULT_QUADRATURE, QuadratureConfig,
-                         integrate_adaptive, kernel_normalizer,
+from .continuous import (integrate_adaptive, kernel_normalizer,
                          choquet_integral_real, product_level_function)
 from .discrete import choquet_integral
 from .functions import FunctionSpec
@@ -156,27 +155,24 @@ def bernstein_choquet_closedform(spec: FunctionSpec, n: int, x: float,
 # kernel operators
 
 
-def _kernel_choquet(spec: FunctionSpec, kernel: Kernel, mu: RealCapacity,
-                    cfg: QuadratureConfig) -> float:
+def _kernel_choquet(spec: FunctionSpec, kernel: Kernel, mu: RealCapacity) -> float:
     g = product_level_function(spec, kernel)
-    numerator = choquet_integral_real(g, mu, cfg)
-    return numerator / kernel_normalizer(kernel, mu, cfg)
+    numerator = choquet_integral_real(g, mu)
+    return numerator / kernel_normalizer(kernel, mu)
 
 
-def picard_choquet(spec: FunctionSpec, n: float, x: float, mu: RealCapacity,
-                   cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def picard_choquet(spec: FunctionSpec, n: float, x: float, mu: RealCapacity) -> float:
     """Normalized Choquet integral of f against the two-sided exponential kernel."""
-    return _kernel_choquet(spec, Kernel.laplace(n, x), mu, cfg)
+    return _kernel_choquet(spec, Kernel.laplace(n, x), mu)
 
 
-def weierstrass_choquet(spec: FunctionSpec, n: float, x: float, mu: RealCapacity,
-                        cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def weierstrass_choquet(spec: FunctionSpec, n: float, x: float,
+                        mu: RealCapacity) -> float:
     """Normalized Choquet integral of f against the Gaussian kernel."""
-    return _kernel_choquet(spec, Kernel.gauss(n, x), mu, cfg)
+    return _kernel_choquet(spec, Kernel.gauss(n, x), mu)
 
 
-def picard_classical(f: Callable[[float], float], n: float, x: float,
-                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def picard_classical(f: Callable[[float], float], n: float, x: float) -> float:
     """(n/2) * integral of f(t) exp(-n|t - x|) dt.
 
     The domain is truncated to |t - x| <= PICARD_TAIL/n (the discarded mass
@@ -187,6 +183,6 @@ def picard_classical(f: Callable[[float], float], n: float, x: float,
     def integrand(t: float) -> float:
         return f(t) * math.exp(-n * abs(t - x))
 
-    left, _ = integrate_adaptive(integrand, x - r, x, cfg)
-    right, _ = integrate_adaptive(integrand, x, x + r, cfg)
+    left, _ = integrate_adaptive(integrand, x - r, x)
+    right, _ = integrate_adaptive(integrand, x, x + r)
     return n / 2.0 * (left + right)

@@ -17,8 +17,9 @@ from choquetkit import (DistortionFunction, Kernel, PerturbationProfile,
                         bernstein_choquet_capacity,
                         bernstein_choquet_closedform, bernstein_classical,
                         chebyshev_check, choquet_integral,
-                        choquet_integral_layer_cake, convergence_report,
-                        counting_distortion, function_spec, kernel_normalizer,
+                        choquet_integral_layer_cake, choquet_integral_real,
+                        convergence_report, counting_distortion, function_spec,
+                        kernel_level_function, kernel_normalizer,
                         modulus_of_continuity, perturbation_gap,
                         picard_choquet, picard_classical, property_suite,
                         quantitative_bound, random_monotone_capacity)
@@ -73,7 +74,7 @@ def test_criterion_03_normalizers():
                 k = Kernel.laplace(n, x)
                 mu = possibility(n, x)
                 assert kernel_normalizer(k, mu) == 1.0
-                assert abs(kernel_normalizer(k, mu, force_quadrature=True)
+                assert abs(choquet_integral_real(kernel_level_function(k), mu)
                            - 1.0) <= 1e-6
                 c = kernel_normalizer(k, RealCapacity.sqrt_lebesgue())
                 want = math.sqrt(math.pi / (2.0 * n))

@@ -3,9 +3,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from choquetkit import IntervalUnion, LevelSetFunction, cli
+from choquetkit import (IntervalUnion, Kernel, LevelSetFunction, RealCapacity,
+                        cli, function_spec, picard_choquet)
 from choquetkit.cli import main
 from choquetkit.intervals import empty_pieces
 
@@ -120,6 +122,22 @@ class TestIntegrate:
         g = LevelSetFunction(
             lambda t: 1.0, lambda a: whole if a < 1e-160 else IntervalUnion.single(0.0, 1.0),
             1.0, lambda alphas: empty_pieces(1, alphas.size))
+        monkeypatch.setattr(cli, "product_level_function", lambda spec, kernel: g)
+        cfg = write_config(tmp_path, {"mode": "real", "capacity": "sqrt_lebesgue"})
+        assert main(["integrate", "--config", cfg]) == 3
+        assert capsys.readouterr().err.startswith("numeric error:")
+
+    def test_grid_infinite_level_set_is_numeric_error(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # the adaptive engine sees a finite oracle; the grid engine's batched
+        # one gives the whole line below alpha = 1e-5
+        def levels(alphas):
+            whole = alphas < 1e-5
+            return (np.where(whole, -np.inf, 0.0)[None, :],
+                    np.where(whole, np.inf, 1.0)[None, :])
+
+        g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion.single(0.0, 1.0),
+                             1.0, levels)
         monkeypatch.setattr(cli, "product_level_function", lambda spec, kernel: g)
         cfg = write_config(tmp_path, {"mode": "real", "capacity": "sqrt_lebesgue"})
         assert main(["integrate", "--config", cfg]) == 3
@@ -284,6 +302,49 @@ class TestOperator:
             cols = dict(zip(header, map(float, row.split(","))))
             assert math.isfinite(cols["bound_value"])
             assert cols["bound_value"] >= cols["abs_error"]
+
+    def test_pw_linear_bound_uses_exact_modulus(self, tmp_path, capsys):
+        # slope -1.5 is the steepest on the window (-2, 2), so with delta the
+        # deviation integral T the bound is 2 * omega1(T) = 3 * T
+        cfg = write_config(tmp_path, {"function": {
+            "name": "pw_linear", "knots": [[-1.0, 1.0], [0.0, 2.0], [1.0, 0.5]]}})
+        assert main(["operator", "--operator", "picard_choquet", "--config", cfg,
+                     "--n", "4", "--xgrid=-1:1:3"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 3
+        for row in rows:
+            cols = dict(zip(header.split(","), map(float, row.split(","))))
+            x = cols["x"]
+            deviation = picard_choquet(function_spec("abs_dev", center=x), 4, x,
+                                       RealCapacity.possibility(Kernel.laplace(4, x)))
+            assert cols["bound_value"] == pytest.approx(3.0 * deviation, rel=1e-12)
+
+    def test_concave_quad_bound_past_1_not_lowered(self, capsys):
+        # on the window (-1, 2) the largest rise over a step T < 1 starts at
+        # -1: omega1(T) = T(4 - T), so with delta = T the bound is 2T(4 - T);
+        # the grid modulus printed the lower grid_bound values
+        assert main(["operator", "--operator", "picard", "--function", "concave_quad",
+                     "--n", "2,4", "--xgrid=0:1:3"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        grid_bound = {2: 1.093813875, 4: 0.5540595}
+        assert len(rows) == 6
+        for row in rows:
+            cols = dict(zip(header.split(","), map(float, row.split(","))))
+            n, x = int(cols["n"]), cols["x"]
+            deviation = picard_choquet(function_spec("abs_dev", center=x), n, x,
+                                       RealCapacity.possibility(Kernel.laplace(n, x)))
+            assert cols["bound_value"] == pytest.approx(
+                2.0 * deviation * (4.0 - deviation), rel=1e-12)
+            assert cols["bound_value"] >= grid_bound[n]
+
+    def test_quadrature_block_is_not_read(self, tmp_path, capsys):
+        args = ["operator", "--operator", "picard_choquet", "--function", "exp_neg",
+                "--n", "2", "--xgrid=0:1:2"]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        cfg = write_config(tmp_path, {"quadrature": {"abs_tol": -1.0}})
+        assert main(args + ["--config", cfg]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_divergent_product_is_numeric_error(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from choquetkit import (ErrorTable, Kernel, PerturbationProfile, RealCapacity,
+from choquetkit import (CapabilityError, ErrorTable, FunctionSpec, Kernel,
+                        PerturbationProfile, RealCapacity,
                         bernstein_choquet, bernstein_choquet_scheme,
                         chebyshev_check, convergence_report, delta_rule,
                         function_spec, modulus_of_continuity,
@@ -12,6 +13,25 @@ from choquetkit import (ErrorTable, Kernel, PerturbationProfile, RealCapacity,
                         picard_choquet, quantitative_bound,
                         random_monotone_capacity, scheme_moments,
                         uniform_additive)
+
+
+PW_KNOTS = [(-1.0, 1.0), (0.0, 2.0), (1.0, 0.5)]
+
+
+def grid_modulus(fn, delta, window, points):
+    """Pair-sup of ``|fn(s) - fn(t)|`` over nodes at most ``delta`` apart, the
+    larger of ``points`` and ``2 * points - 1`` equispaced ones: a lower
+    bound on omega1, short of it by at most two steps of the coarser grid
+    times the Lipschitz constant."""
+    a, b = window
+
+    def grid_sup(num):
+        vals = np.array([fn(float(t)) for t in np.linspace(a, b, num)])
+        max_shift = min(num - 1, int(delta / ((b - a) / (num - 1))))
+        return max((float(np.max(np.abs(vals[k:] - vals[:-k])))
+                    for k in range(1, max_shift + 1)), default=0.0)
+
+    return max(grid_sup(points), grid_sup(2 * points - 1))
 
 
 class TestModulus:
@@ -24,12 +44,11 @@ class TestModulus:
                                      (0.0, 1.0)) == pytest.approx(0.1)
 
     def test_lipschitz_ramp_grid_converges(self):
-        # slope-3 segment of length 0.5 >> delta: modulus = 3 * delta
+        # slope-3 segment of length 0.5 >> delta: modulus = 3 * delta, exactly
         spec = function_spec("pw_linear", knots=[(0.0, 0.0), (0.5, 1.5), (1.0, 1.5)])
         res = modulus_of_continuity_detailed(spec, 0.05, (0.0, 1.0))
-        assert res.method == "grid"
-        assert res.value <= 0.15 + 1e-12  # certified lower approximation
-        assert res.value == pytest.approx(0.15, rel=1e-2)
+        assert res.method == "analytic"
+        assert res.value == pytest.approx(0.15, rel=1e-12)
 
     def test_sqrt_modulus(self):
         assert modulus_of_continuity(function_spec("sqrt"), 0.04,
@@ -48,10 +67,74 @@ class TestModulus:
     def test_analytic_matches_grid(self, spec, window):
         analytic = modulus_of_continuity_detailed(spec, 0.3, window)
         assert analytic.method == "analytic"
-        from choquetkit.estimates import _modulus_grid
-        grid = _modulus_grid(spec.fn, 0.3, window, 4001)
-        assert grid.value <= analytic.value + 1e-12
-        assert analytic.value == pytest.approx(grid.value, rel=1e-5)
+        grid = grid_modulus(spec.fn, 0.3, window, 4001)
+        assert grid <= analytic.value + 1e-12
+        assert analytic.value == pytest.approx(grid, rel=1e-5)
+
+    @pytest.mark.parametrize("window", [(0.5, 1.7), (1.2, 3.0), (-1.0, 2.0)])
+    def test_concave_quad_past_1_against_grid(self, window):
+        # |f'| = |2 - 2t| is largest at a window end
+        lipschitz = 2.0 * max(abs(1.0 - window[0]), abs(1.0 - window[1]))
+        step = (window[1] - window[0]) / 4000
+        for delta in (0.05, 0.3, 1.3, 5.0):
+            exact = modulus_of_continuity(function_spec("concave_quad"), delta, window)
+            grid = grid_modulus(function_spec("concave_quad").fn, delta, window, 4001)
+            assert grid <= exact + 1e-12
+            assert exact - grid <= 2.0 * lipschitz * step
+
+    def test_pw_linear_exact_against_grid(self):
+        rng = np.random.default_rng(7)
+        points = 1001
+        for _ in range(40):
+            ts = np.sort(rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 6))))
+            knots = list(zip(ts, rng.uniform(-1.0, 2.0, size=ts.size)))
+            spec = function_spec("pw_linear", knots=knots)
+            a = rng.uniform(-3.0, 1.0)
+            window = (a, a + rng.uniform(0.2, 4.0))
+            step = (window[1] - window[0]) / (points - 1)
+            for delta in rng.uniform(0.01, 3.0, size=3):
+                exact = modulus_of_continuity(spec, delta, window)
+                grid = grid_modulus(spec.fn, delta, window, points)
+                assert grid <= exact + 1e-12
+                assert exact - grid <= 2.0 * spec.lipschitz * step + 1e-12
+
+    @pytest.mark.parametrize("knots,delta,window,want", [
+        # the benchmark's knots: the slope -1.5 run from 0 to 1 sets the
+        # modulus, which the 2001-point grid put at 0.07425
+        (PW_KNOTS, 0.05, (-2.0, 2.5), 0.075),
+        # the largest rise ends at the peak 1.5 and starts at 0.7, inside a
+        # segment: the vertex t + h = knot, h = delta
+        ([(0.0, 0.0), (1.0, 1.0), (1.5, 3.0), (3.0, 2.5)], 0.8, (0.0, 3.0), 2.3),
+    ], ids=["benchmark_knots", "rise_to_peak"])
+    def test_pw_linear_regression(self, knots, delta, window, want):
+        spec = function_spec("pw_linear", knots=knots)
+        assert modulus_of_continuity(spec, delta, window) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("delta,window,want", [
+        (3.0, (-1.0, 2.0), 4.0),     # the rise from t = -1 turns at h = 1 - a = 2
+        (3.0, (-2.0, 2.0), 9.0),     # f(1) - f(-2), a rise of the full reach
+        (0.05, (1.2, 1.3), 0.0275),  # the drop ending at t + h = b
+        (0.5, (0.0, 3.0), 1.75),     # the drop turns at h = b - 1 = 2, past
+    ])                               # the reach: f(2.5) - f(3)
+    def test_concave_quad_past_1(self, delta, window, want):
+        got = modulus_of_continuity(function_spec("concave_quad"), delta, window)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_concave_quad_up_to_1_keeps_left_edge_rise(self):
+        fn = function_spec("concave_quad").fn
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            b = min(1.0, rng.uniform(-3.0, 1.5))
+            a = b - rng.uniform(1e-3, 4.0)
+            delta = rng.choice([rng.uniform(1e-3, 5.0), b - a])
+            reach = min(delta, b - a)
+            got = modulus_of_continuity(function_spec("concave_quad"), delta, (a, b))
+            assert got == fn(a + reach) - fn(a)
+
+    def test_unregistered_family_rejected(self):
+        spec = FunctionSpec("cubic", lambda t: t ** 3)
+        with pytest.raises(CapabilityError, match="cubic"):
+            modulus_of_continuity(spec, 0.1, (0.0, 1.0))
 
     def test_abs_dev_window_limited(self):
         spec = function_spec("abs_dev", center=0.0)
@@ -65,7 +148,8 @@ class TestModulus:
 
     @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
     def test_non_finite_step_rejected(self, delta):
-        # pw_linear takes the grid path, whose int(delta / h) needs a finite step
+        # checked before any rule: an infinite reach would clip every vertex
+        # of the pw_linear rule to the window
         spec = function_spec("pw_linear", knots=[(0.0, 0.0), (1.0, 1.0)])
         with pytest.raises(ValueError, match="modulus step must be finite"):
             modulus_of_continuity_detailed(spec, delta, (0.0, 1.0))
