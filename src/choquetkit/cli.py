@@ -257,7 +257,7 @@ def cmd_integrate(cfg: dict) -> int:
         g = product_level_function(spec, kernel)
         primary = choquet_integral_real(g, mu)
         check = choquet_integral_real_grid(g, mu)
-        engines = ("adaptive_levels", "simpson_grid")
+        engines = ("adaptive_levels", "tanh_sinh")
     else:
         raise ConfigError(f"unknown integrate mode {mode!r}")
 

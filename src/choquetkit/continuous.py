@@ -31,19 +31,23 @@ piece has ``lo > hi`` (never NaN).  Closed forms evaluate their formulas
 on the arrays; root-finding products solve each monotone bracket for all
 levels at once.
 
-The two engines are independent of each other.  The adaptive engine
-(:func:`choquet_integral_real`) runs ``scipy.quad`` over the scalar oracle
-at the fixed tolerances ``QUAD_ABS_TOL``, ``QUAD_REL_TOL`` and ``QUAD_LIMIT``,
-whose root-finding uses ``brentq`` (both imported on first use, so that
-importing this module loads no scipy); the cross-check engine
-(:func:`choquet_integral_real_grid`) applies a fixed Simpson rule of about
-``GRID_NODES`` nodes over ``s`` in ``[-log(sup), -log(sup) + GRID_S_SPAN]``
-to the batched oracle, whose root-finding is a vectorised bisection.  They
-share only the pieces of the layer cake in ``s`` (:func:`_layer_edges`).
+The two engines are independent of each other.  The double-exponential
+engine (:func:`choquet_integral_real_grid`) serves the kernel operators and
+their normalizers: tanh-sinh on each finite piece of the layer cake in
+``s``, exp-sinh on the tail, all nodes of all pieces through one batched
+oracle call whose root-finding is a vectorised bisection, and a step that
+halves, from ``TS_STEP`` up to ``TS_HALVINGS`` times, only on the pieces
+that miss ``QUAD_ABS_TOL``/``QUAD_REL_TOL``.  The adaptive engine
+(:func:`choquet_integral_real`) is the check engine: it runs ``scipy.quad``
+over the scalar oracle at the same tolerances and ``QUAD_LIMIT``, and its
+root-finding uses ``brentq``.  Both are imported on first use, so the
+operators, and importing this module, load no scipy.  The engines share
+only the pieces of the layer cake in ``s`` (:func:`_layer_edges`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,12 +62,13 @@ from .realline import LAPLACE, Kernel, RealCapacity
 
 _ROOT_XTOL = 1e-13
 _ROOT_RTOL = 4.0 * np.finfo(float).eps   # brentq's default
-GRID_NODES = 4001
-GRID_S_SPAN = 60.0
 # scipy.quad's absolute and relative tolerance and subinterval limit
 QUAD_ABS_TOL = 1e-9
 QUAD_REL_TOL = 1e-8
 QUAD_LIMIT = 2000
+# the double-exponential engine's first step and its most halvings of it
+TS_STEP = 1.0 / 16.0
+TS_HALVINGS = 10
 
 
 @dataclass(frozen=True)
@@ -413,8 +418,6 @@ def _bisect(g: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     """Bracketed root-finding on the piecewise monotone product profile."""
-    from scipy.optimize import brentq
-
     f = spec.fn
 
     def g(t: float) -> float:
@@ -438,6 +441,8 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     step0 = max(1.0, 1.0 / kernel.n)
 
     def level(alpha: float) -> IntervalUnion:
+        from scipy.optimize import brentq
+
         if alpha <= 0:
             raise ValueError("level must be positive")
         if alpha > sup:
@@ -555,15 +560,16 @@ def integrate_adaptive(fn, a: float, b: float) -> tuple[float, float]:
     return value, err
 
 
-def _layer_edges(g: LevelSetFunction, span: float) -> list[float]:
+def _layer_edges(g: LevelSetFunction, mu: RealCapacity) -> list[float]:
     """Edges of the pieces on which both engines integrate ``g``'s layer
     cake on ``(0, sup]``.  The variable is ``s`` with ``alpha = exp(-s)``
     (the integrand carries the Jacobian ``alpha``); it runs over
-    ``[-log(sup), -log(sup) + span]``, split at every level breakpoint."""
+    ``[-log(sup), inf)``, split at every level breakpoint of ``g`` and at
+    every level where ``mu``'s formula changes (:meth:`RealCapacity.level_kinks`)."""
     sup = g.sup_value
-    s0 = -math.log(sup)
-    breaks = sorted(-math.log(b) for b in g.alpha_breakpoints if 0.0 < b < sup)
-    return [s0] + breaks + [s0 + span]
+    levels = set(g.alpha_breakpoints) | set(mu.level_kinks(g.value))
+    breaks = sorted(-math.log(b) for b in levels if 0.0 < b < sup)
+    return [-math.log(sup)] + breaks + [math.inf]
 
 
 def choquet_integral_real_with_error(g: LevelSetFunction,
@@ -581,7 +587,7 @@ def choquet_integral_real_with_error(g: LevelSetFunction,
             return 0.0
         return mu.value(g.level(alpha)) * alpha
 
-    edges = _layer_edges(g, math.inf)
+    edges = _layer_edges(g, mu)
     total = 0.0
     err = 0.0
     for a, b in zip(edges, edges[1:]):
@@ -601,49 +607,125 @@ def choquet_integral_real(g: LevelSetFunction, mu: RealCapacity) -> float:
     return choquet_integral_real_with_error(g, mu)[0]
 
 
-def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity) -> float:
-    """Fixed-grid Simpson evaluation of the same layer-cake integral.
+# Double-exponential rules (Takahasi & Mori, 1974; Mori & Sugihara, 2001):
+# the trapezoid rule in t after s = a + (b - a) (1 + tanh(u)) / 2 on a
+# finite piece (tanh-sinh) and s = a + exp(u) on the tail (exp-sinh), with
+# u = pi/2 sinh(t).  The t ranges end where a node comes within 4e-16 of a
+# finite piece's end (relative to its length), within 4e-15 of the tail's
+# start, or 80 past it, where the layer has decayed by exp(-80).
+_TANH_SINH_T = 3.125
+_EXP_SINH_T = (-3.75, 1.75)
 
-    Deliberately independent of the adaptive path; used as a cross-check
-    engine (and by the CLI to report both paths).  Each piece of the
-    layer cake takes one batched oracle call (:meth:`LevelSetFunction.levels`)
-    and one batched capacity call (:meth:`RealCapacity.values`).  A piece
-    whose sum is not finite raises :class:`QuadratureError`, as in the
-    adaptive engine.
+
+@functools.lru_cache(maxsize=None)
+def _de_rule(tail: bool, level: int) -> tuple[np.ndarray, ...]:
+    """The nodes a pass at step ``TS_STEP / 2**level`` adds, as read-only
+    arrays ``(offset, weight, coarse)``.
+
+    Pass 0 takes every multiple ``j h`` of the step in the t range, later
+    passes only the odd ones; the weights include the step.  ``coarse``
+    marks the even ``j`` of pass 0, the nodes of the rule at step ``2h``.
+    On the tail ``offset`` is ``exp(u)``.  On a finite piece it is the
+    distance to the nearer end as a fraction of the piece, signed: negative
+    when the nearer end is the right one, so that nodes next to either end
+    keep full precision.
+    """
+    h = TS_STEP / 2 ** level
+    lo_t, hi_t = _EXP_SINH_T if tail else (-_TANH_SINH_T, _TANH_SINH_T)
+    j = np.arange(math.ceil(lo_t / h), math.floor(hi_t / h) + 1)
+    if level:
+        j = j[j % 2 == 1]
+    t = j * h
+    u = 0.5 * math.pi * np.sinh(t)
+    if tail:
+        offset = np.exp(u)
+        weight = h * 0.5 * math.pi * np.cosh(t) * offset
+    else:
+        offset = np.copysign(1.0 / (1.0 + np.exp(2.0 * np.abs(u))), -t)
+        weight = h * 0.25 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+    coarse = j % 2 == 0
+    for arr in (offset, weight, coarse):
+        arr.flags.writeable = False
+    return offset, weight, coarse
+
+
+def _de_nodes(a: float, b: float, level: int) -> tuple[np.ndarray, ...]:
+    """Nodes ``s``, weights and the coarse mask of one pass on ``[a, b]``."""
+    tail = math.isinf(b)
+    offset, weight, coarse = _de_rule(tail, level)
+    if tail:
+        return a + offset, weight, coarse
+    width = b - a
+    s = np.where(offset >= 0.0, a + width * offset, b + width * offset)
+    return s, width * weight, coarse
+
+
+def _layer_heights(g: LevelSetFunction, mu: RealCapacity, s: np.ndarray) -> np.ndarray:
+    """``mu({g >= alpha}) * alpha`` at ``alpha = exp(-s)``, by one batched
+    oracle call and one batched capacity call; a level that underflows to 0
+    adds nothing."""
+    alphas = np.exp(-s)
+    live = alphas > 0.0
+    ys = np.zeros_like(alphas)
+    ys[live] = mu.values(*g.levels(alphas[live])) * alphas[live]
+    return ys
+
+
+def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity) -> float:
+    """The same layer-cake integral by double-exponential rules on the
+    batched oracle: tanh-sinh on each finite piece of :func:`_layer_edges`,
+    exp-sinh on the tail.
+
+    The first pass, at step ``TS_STEP``, evaluates the nodes of every piece
+    with one :meth:`LevelSetFunction.levels` and one
+    :meth:`RealCapacity.values` call.  A piece passes when the rule at
+    step ``h`` and at ``2h`` differ by at most ``QUAD_ABS_TOL`` or
+    ``QUAD_REL_TOL`` times its value; each further pass halves ``h`` on
+    the pieces that failed, again in one batched call, and evaluates only
+    their new nodes.  A piece still failing after ``TS_HALVINGS`` passes,
+    or whose sum is not finite, raises :class:`QuadratureError` carrying
+    the partial value and the summed estimate.
     """
     sup = g.sup_value
+    if not math.isfinite(sup):
+        raise DivergenceError("integrand has an infinite supremum")
     if sup <= 0:
         return 0.0
-
-    edges = _layer_edges(g, GRID_S_SPAN)
-    span = edges[-1] - edges[0]
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        if a >= b:
-            continue
-        m = max(8, int(GRID_NODES * (b - a) / span))
-        m += m % 2  # Simpson needs an even cell count
-        # smoothstep substitution clusters nodes at both piece ends, where
-        # the level-set length can vanish with a square-root profile
-        us = np.linspace(0.0, 1.0, m + 1)
-        ts = a + (b - a) * (3.0 * us ** 2 - 2.0 * us ** 3)
-        dts = (b - a) * 6.0 * us * (1.0 - us)
-        # the layer at level 0 (or one underflowed to it) adds nothing
-        alphas = np.exp(-ts)
-        live = alphas > 0.0
-        hs = np.zeros_like(alphas)
-        hs[live] = mu.values(*g.levels(alphas[live]))
-        with np.errstate(invalid="ignore"):  # an infinite layer at a zero weight
-            ys = hs * alphas * dts
-        wts = np.ones(m + 1)
-        wts[1:-1:2] = 4.0
-        wts[2:-1:2] = 2.0
-        piece = 1.0 / m / 3.0 * float(wts @ ys)
-        if not math.isfinite(piece):
-            raise QuadratureError(f"layer-cake piece [{a}, {b}] is not finite",
-                                  value=piece, error_estimate=math.inf)
-        total += piece
-    return total
+    edges = _layer_edges(g, mu)
+    pieces = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+    values = [0.0] * len(pieces)
+    errors = [math.inf] * len(pieces)
+    todo = list(range(len(pieces)))
+    for level in range(TS_HALVINGS + 1):
+        nodes = [_de_nodes(*pieces[i], level) for i in todo]
+        ys = _layer_heights(g, mu, np.concatenate([s for s, _, _ in nodes]))
+        start = 0
+        failing = []
+        for i, (s, w, coarse) in zip(todo, nodes):
+            y = ys[start:start + s.size]
+            start += s.size
+            with np.errstate(invalid="ignore", over="ignore"):  # an infinite layer
+                added = float(w @ y)
+                if level == 0:
+                    previous = 2.0 * float(w[coarse] @ y[coarse])  # the rule at 2h
+                    values[i] = added
+                else:
+                    previous = values[i]
+                    values[i] = 0.5 * previous + added
+            errors[i] = abs(values[i] - previous)
+            if not (math.isfinite(values[i]) and math.isfinite(errors[i])):
+                a, b = pieces[i]
+                raise QuadratureError(f"layer-cake piece [{a}, {b}] is not finite",
+                                      value=values[i], error_estimate=errors[i])
+            if errors[i] > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(values[i])):
+                failing.append(i)
+        todo = failing
+        if not todo:
+            return math.fsum(values)
+    raise QuadratureError(
+        f"tanh-sinh rule did not converge on {len(todo)} layer-cake piece(s) "
+        f"in {TS_HALVINGS} halvings", value=math.fsum(values),
+        error_estimate=math.fsum(errors))
 
 
 def kernel_normalizer(kernel: Kernel, mu: RealCapacity) -> float:
@@ -655,5 +737,5 @@ def kernel_normalizer(kernel: Kernel, mu: RealCapacity) -> float:
     """
     if mu.kind == "possibility" and mu.kernel.x == kernel.x:
         return 1.0
-    return choquet_integral_real(kernel_level_function(kernel), mu)
+    return choquet_integral_real_grid(kernel_level_function(kernel), mu)
 

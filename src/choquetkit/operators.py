@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .capacity import DiscreteCapacity
-from .continuous import (integrate_adaptive, kernel_normalizer,
-                         choquet_integral_real, product_level_function)
+from .continuous import (choquet_integral_real_grid, integrate_adaptive,
+                         kernel_normalizer, product_level_function)
 from .discrete import choquet_integral
 from .functions import FunctionSpec
 from .realline import Kernel, RealCapacity
@@ -157,7 +157,7 @@ def bernstein_choquet_closedform(spec: FunctionSpec, n: int, x: float,
 
 def _kernel_choquet(spec: FunctionSpec, kernel: Kernel, mu: RealCapacity) -> float:
     g = product_level_function(spec, kernel)
-    numerator = choquet_integral_real(g, mu)
+    numerator = choquet_integral_real_grid(g, mu)
     return numerator / kernel_normalizer(kernel, mu)
 
 

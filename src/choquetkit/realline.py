@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -127,6 +128,16 @@ class RealCapacity:
             length = A.total_length
             return self.gamma(length) if length > 0 else 0.0
         return max(self.kernel.sup_on(a, b) for a, b in A.intervals)
+
+    def level_kinks(self, g: Callable[[float], float]) -> tuple[float, ...]:
+        """Levels ``alpha`` at which ``alpha -> mu({g >= alpha})`` may change
+        formula for a function ``g`` on the line.  A possibility capacity
+        is 1 on the level sets that hold its kernel's peak, i.e. up to
+        ``alpha = g(peak)``, and the kernel's value at their nearest end
+        above it."""
+        if self.kind == "possibility":
+            return (g(self.kernel.x),)
+        return ()
 
     def values(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """:meth:`value` of N sets at once, each given by the columns of

@@ -56,6 +56,15 @@ class TestIntegrate:
         _, rows = read_rows(out)
         assert float(rows[0][2]) == pytest.approx(math.sqrt(math.pi / 4), abs=1e-6)
 
+    def test_real_default_engines_agree(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["integrate", "--mode", "real", "--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        assert header[1::2] == ["primary_engine", "check_engine", "abs_difference"]
+        assert (rows[0][1], rows[0][3]) == ("adaptive_levels", "tanh_sinh")
+        primary, check = float(rows[0][2]), float(rows[0][4])
+        assert abs(primary - check) <= 1e-9 * abs(primary)
+
     def test_real_possibility_is_one(self, tmp_path):
         out = tmp_path / "out.csv"
         cfg = write_config(tmp_path, {
@@ -70,7 +79,7 @@ class TestIntegrate:
         assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-9)
 
     def test_real_gauss_centred_deviation(self, tmp_path):
-        # the grid engine's first node is the Lambert W branch point -1/e
+        # the check engine's first nodes round to the Lambert W branch point -1/e
         out = tmp_path / "out.csv"
         cfg = write_config(tmp_path, {
             "mode": "real",
@@ -129,7 +138,7 @@ class TestIntegrate:
 
     def test_grid_infinite_level_set_is_numeric_error(self, tmp_path, capsys,
                                                       monkeypatch):
-        # the adaptive engine sees a finite oracle; the grid engine's batched
+        # the adaptive engine sees a finite oracle; the tanh-sinh engine's batched
         # one gives the whole line below alpha = 1e-5
         def levels(alphas):
             whole = alphas < 1e-5
@@ -482,3 +491,25 @@ def test_import_leaves_scipy_submodules_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_batched_operator_path_loads_no_scipy():
+    # the operators run on the batched oracle; scipy serves only the adaptive
+    # engine and the scalar root-finding oracle
+    code = "\n".join([
+        "import sys",
+        "from choquetkit import (RealCapacity, function_spec, picard_choquet,",
+        "                        weierstrass_choquet)",
+        "from choquetkit.cli import kernel_bound",
+        "mu = RealCapacity.sqrt_lebesgue()",
+        "for op, spec in ((picard_choquet, function_spec(",
+        "                      'pw_linear', knots=[(-1, 1), (0, 2), (1, 0.5)])),",
+        "                 (weierstrass_choquet, function_spec('sqrt', shift=3.0))):",
+        "    print(op(spec, 4, 0.3, mu), kernel_bound(op, spec, 4, 0.3, mu, (-2.0, 2.0)))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(math.isfinite(float(v)) for line in lines[:2] for v in line.split())
+    assert lines[2] == "[]"

@@ -380,37 +380,98 @@ class TestQuadrature:
             assert a == pytest.approx(b, rel=1e-6, abs=1e-9), g.label
 
     def test_grid_engine_pinned(self):
-        # values of the scalar-oracle Simpson engine this one replaced
+        # values of the tanh-sinh engine, each within rel 1e-9 of the adaptive one
         pw = function_spec("pw_linear", knots=[(-1.0, 1.0), (0.0, 2.0), (1.0, 0.5)])
 
         def poss(n, x):
             return RealCapacity.possibility(Kernel.laplace(n, x))
 
         cases = [
-            (None, Kernel.laplace(2.0, 0.3), SQRT_M, 0.8862269254535947),
-            (None, Kernel.gauss(8.0, -0.4), poss(3.0, 0.1), 0.594195921340691),
+            (None, Kernel.laplace(2.0, 0.3), SQRT_M, 0.886226925452758),
+            (None, Kernel.gauss(8.0, -0.4), poss(3.0, 0.1), 0.5941960653429479),
             (function_spec("exp_neg"), Kernel.laplace(3.0, 0.2), poss(3.0, 0.2),
-             0.8187307530848761),
+             0.818730753077981),
             (function_spec("exp_neg", lam=2.0), Kernel.gauss(2.0, 0.5), SQRT_M,
-             0.6537795779795622),
+             0.6537795647609583),
             (function_spec("abs_dev", center=0.3), Kernel.laplace(2.0, 0.3), SQRT_M,
-             0.2899745786270968),
+             0.28997457295787976),
             (function_spec("abs_dev", center=0.0), Kernel.laplace(8.0, 0.3),
-             poss(8.0, 0.3), 0.3000000004850715),
+             poss(8.0, 0.3), 0.2999999999999999),
             (function_spec("sqrt", shift=3.0), Kernel.laplace(2.0, 0.3), SQRT_M,
-             1.6073414504278714),
+             1.6073414504221117),
             (function_spec("sqrt", shift=1.0), Kernel.gauss(8.0, 0.3), poss(8.0, 0.3),
-             1.1450515193511408),
-            (pw, Kernel.laplace(8.0, 0.3), SQRT_M, 0.6862728174951809),
-            (pw, Kernel.gauss(2.0, -0.5), poss(2.0, -0.5), 1.5700908227309116),
+             1.1450513706294756),
+            (pw, Kernel.laplace(8.0, 0.3), SQRT_M, 0.6862728153626142),
+            (pw, Kernel.gauss(2.0, -0.5), poss(2.0, -0.5), 1.570087460924421),
         ]
         for spec, k, mu, want in cases:
             g = kernel_level_function(k) if spec is None else product_level_function(spec, k)
-            assert choquet_integral_real_grid(g, mu) == pytest.approx(want, rel=1e-12)
+            got = choquet_integral_real_grid(g, mu)
+            assert got == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(choquet_integral_real(g, mu), rel=1e-9)
+
+    @pytest.mark.parametrize("g,mu,want", [
+        # 30-digit mpmath values, split at the capacity kink alpha = g(x_mu)
+        (product_level_function(function_spec("exp_neg"), Kernel.gauss(16.0, 0.3)),
+         RealCapacity.possibility(Kernel.laplace(16.0, 0.3)),
+         0.750755613330227810243743579467),
+        (kernel_level_function(Kernel.gauss(8.0, -0.4)),
+         RealCapacity.possibility(Kernel.laplace(3.0, 0.1)),
+         0.594196065342948193735185190963),
+    ], ids=["exp_neg*gauss", "gauss-kernel"])
+    def test_possibility_kink_references(self, g, mu, want):
+        # below alpha = g(x_mu) the level set holds the capacity's peak; both
+        # engines split there (the adaptive one missed by 5e-9 without it)
+        assert continuous._layer_edges(g, mu)[1] == pytest.approx(-math.log(g.value(mu.kernel.x)))
+        assert choquet_integral_real(g, mu) == pytest.approx(want, rel=1e-11)
+        assert choquet_integral_real_grid(g, mu) == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_exp_sinh_tail_reproduces_laplace_normalizer(self, n):
+        # one piece [0, inf): the layer is sqrt(2 s / n) exp(-s)
+        g = kernel_level_function(Kernel.laplace(float(n), 0.7))
+        assert continuous._layer_edges(g, SQRT_M) == [0.0, math.inf]
+        assert choquet_integral_real_grid(g, SQRT_M) == pytest.approx(
+            math.sqrt(math.pi / (2 * n)), rel=1e-12)
+
+    def test_grid_refines_an_undeclared_kink(self):
+        # the level-set length s + 2 max(0, s - 1) kinks at s = 1, inside the
+        # single piece [0, inf); the rule at h = TS_STEP misses the tolerance
+        calls = []
+
+        def levels(alphas):
+            calls.append(alphas.size)
+            s = -np.log(alphas)
+            half = 0.5 * (s + 2.0 * np.maximum(0.0, s - 1.0))
+            return -half[None, :], half[None, :]
+
+        g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion.empty(), 1.0, levels)
+        # int_0^1 sqrt(s) e^-s ds + int_1^inf sqrt(3 s - 2) e^-s ds
+        want = (math.gamma(1.5) * math.erf(1.0) - math.exp(-1.0)
+                + 3.0 ** 1.5 * math.exp(-2.0 / 3.0) / 3.0
+                * (math.sqrt(1.0 / 3.0) * math.exp(-1.0 / 3.0)
+                   + math.gamma(1.5) * math.erfc(math.sqrt(1.0 / 3.0))))
+        got = choquet_integral_real_grid(g, SQRT_M)
+        assert len(calls) >= 2
+        assert abs(got - want) <= max(continuous.QUAD_ABS_TOL,
+                                      continuous.QUAD_REL_TOL * want)
+
+    def test_grid_nonconvergence_raises_with_partial_value(self):
+        # a layer that oscillates faster than any halving of the step resolves
+        def levels(alphas):
+            half = 1.0 + 0.5 * np.sin(1e6 * np.log(alphas))
+            return -half[None, :], half[None, :]
+
+        g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion.empty(), 1.0, levels)
+        with pytest.raises(QuadratureError, match="did not converge") as err:
+            choquet_integral_real_grid(g, SQRT_M)
+        assert math.isfinite(err.value.value)
+        assert math.isfinite(err.value.error_estimate)
+        assert err.value.error_estimate > 0.0
 
     @pytest.mark.parametrize("mu", [SQRT_M, RealCapacity.possibility(Kernel.laplace(2.0, 0.3))])
     def test_grid_engine_at_lambert_branch_point(self, mu):
-        # the first grid node sits at alpha = sup, where lambertw(-1/e) is NaN
+        # the first nodes of the rule round to alpha = sup, the Lambert W branch point
         g = product_level_function(function_spec("abs_dev", center=0.3),
                                    Kernel.gauss(2.0, 0.3))
         assert math.isfinite(choquet_integral_real_grid(g, mu))
@@ -463,3 +524,5 @@ class TestQuadrature:
                              math.inf, lambda alphas: empty_pieces(1, alphas.size))
         with pytest.raises(DivergenceError):
             choquet_integral_real(g, SQRT_M)
+        with pytest.raises(DivergenceError):
+            choquet_integral_real_grid(g, SQRT_M)
