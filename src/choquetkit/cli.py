@@ -111,10 +111,20 @@ def _parse_x_grid(raw) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _object(raw, what: str) -> dict:
+    """``raw`` if it is a JSON object, else a config error naming ``what``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object: {raw!r}")
+    return raw
+
+
 def _parse_profile(cfg: dict) -> PerturbationProfile:
-    pert = cfg.get("perturbation", {})
-    theta = float(cfg.get("theta", pert.get("theta", 1.0)))
-    i0 = int(cfg.get("i0", pert.get("i0", 1)))
+    pert = _object(cfg.get("perturbation", {}), "perturbation")
+    try:
+        theta = float(cfg.get("theta", pert.get("theta", 1.0)))
+        i0 = int(cfg.get("i0", pert.get("i0", 1)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid perturbation: {exc}") from exc
     try:
         return PerturbationProfile(i0=i0, theta=theta)
     except ValueError as exc:
@@ -126,10 +136,10 @@ def _parse_function(raw) -> FunctionSpec:
         raw = "exp_neg"
     if isinstance(raw, str):
         raw = {"name": raw}
-    params = {k: v for k, v in raw.items() if k != "name"}
-    if "knots" in params:
-        params["knots"] = [tuple(k) for k in params["knots"]]
+    params = {k: v for k, v in _object(raw, "function").items() if k != "name"}
     try:
+        if "knots" in params:
+            params["knots"] = [tuple(k) for k in params["knots"]]
         return function_spec(raw["name"], **params)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid function spec {raw!r}: {exc}") from exc
@@ -147,6 +157,7 @@ def _parse_gamma(raw):
         raw = "sqrt"
     if isinstance(raw, str):
         raw = {"name": raw}
+    raw = _object(raw, "distortion")
     try:
         return distortion_by_name(raw["name"], **{k: v for k, v in raw.items()
                                                   if k != "name"})
@@ -155,11 +166,11 @@ def _parse_gamma(raw):
 
 
 def _parse_kernel(raw, default_n=1.0, default_x=0.0) -> Kernel:
-    raw = raw or {}
+    raw = _object(raw or {}, "kernel")
     try:
         return Kernel(raw.get("family", "laplace"), float(raw.get("n", default_n)),
                       float(raw.get("x", default_x)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -195,7 +206,7 @@ def _real_capacity_factory(raw):
                         "lebesgue": "identity_lebesgue"}.get(raw, raw)}
         if raw["kind"] == "identity_lebesgue":
             raw = {"kind": "distorted_lebesgue", "gamma": "identity"}
-    kind = raw.get("kind")
+    kind = _object(raw, "real capacity").get("kind")
     if kind == "distorted_lebesgue":
         mu = RealCapacity.distorted_lebesgue(_parse_gamma(raw.get("gamma")))
         return lambda kernel: mu

@@ -27,9 +27,12 @@ The oracle comes in two forms.  ``level(alpha)`` returns one canonical
 levels at once with two endpoint arrays ``(lo, hi)`` of shape
 ``[pieces, N]``.  Column ``i`` describes the level set at ``alphas[i]`` as
 pieces that are pairwise disjoint except at shared endpoints; an empty
-piece has ``lo > hi`` (never NaN).  Closed forms evaluate their formulas
-on the arrays; root-finding products solve each monotone bracket for all
-levels at once.
+piece has ``lo > hi`` (never NaN).  A closed form is one endpoint formula
+that serves both forms (:func:`_closed_form`): ``level`` evaluates it with
+``math`` on a float, ``levels`` with numpy on the array.  Root-finding
+products are solved separately in each form, by ``brentq`` one level at a
+time and by a vectorised bisection of each monotone bracket for all levels
+at once, so there the two forms check each other.
 
 The two engines are independent of each other.  The double-exponential
 engine (:func:`choquet_integral_real_grid`) serves the kernel operators and
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -97,11 +101,55 @@ class LevelSetFunction:
         return self.level_batch(alphas)
 
 
+# ``math`` under the numpy names the endpoint formulas use, so that one
+# formula evaluates on a float as well as on an array
+_MATH = types.SimpleNamespace(**vars(math), minimum=min, maximum=max)
+
+
+def _closed_form(value: Callable[[float], float], ends, sup: float,
+                 label: str) -> LevelSetFunction:
+    """A level-set function whose level sets come from one endpoint formula.
+
+    ``ends(alpha, xp)`` returns ``(lo_rows, hi_rows)``, the pieces
+    ``[lo_rows[j], hi_rows[j]]`` of the level set at ``0 < alpha <= sup``;
+    a row is a number or an array shaped like ``alpha``.  ``xp`` is numpy
+    for an array of levels and :data:`_MATH` for one float.  Levels above
+    ``sup`` give the empty set; the batched oracle evaluates the formula on
+    the levels clipped to ``sup`` and empties those columns afterwards.
+    """
+
+    def level(alpha: float) -> IntervalUnion:
+        if alpha <= 0:
+            raise ValueError("level must be positive")
+        if alpha > sup:
+            return IntervalUnion.empty()
+        return IntervalUnion.from_pairs(zip(*ends(alpha, _MATH)))
+
+    def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return pieces_where(alphas <= sup, *ends(np.minimum(alphas, sup), np))
+
+    return LevelSetFunction(value, level, sup, label=label, level_batch=levels)
+
+
+def _kernel_ends(kernel: Kernel):
+    """Endpoint formula of ``{kernel >= alpha}`` for ``alpha <= 1``: the
+    interval ``[x - r, x + r]`` with radius ``r = -ln(alpha)/n``, its square
+    root for the Gaussian kernel."""
+    n, x, gauss = kernel.n, kernel.x, kernel.family != LAPLACE
+
+    def ends(alpha, xp):
+        r = -xp.log(alpha) / n
+        if gauss:
+            r = xp.sqrt(r)
+        return (x - r,), (x + r,)
+
+    return ends
+
+
 def kernel_level_function(kernel: Kernel) -> LevelSetFunction:
     """The bare kernel as a level-set function (sup is 1 at the peak)."""
-    return LevelSetFunction(kernel.__call__, kernel.level_set, 1.0,
-                            label=f"{kernel.family}-kernel",
-                            level_batch=kernel.levels)
+    return _closed_form(kernel.__call__, _kernel_ends(kernel), 1.0,
+                        f"{kernel.family}-kernel")
 
 
 def indicator_plateau(height: float, a: float, b: float) -> LevelSetFunction:
@@ -110,17 +158,8 @@ def indicator_plateau(height: float, a: float, b: float) -> LevelSetFunction:
         raise ValueError("plateau height must be nonnegative")
     if a > b:
         raise ValueError("plateau needs a <= b")
-
-    def level(alpha: float) -> IntervalUnion:
-        if alpha <= 0:
-            raise ValueError("level must be positive")
-        return IntervalUnion.single(a, b) if alpha <= height else IntervalUnion.empty()
-
-    def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return pieces_where(alphas <= height, a, b)
-
-    return LevelSetFunction(lambda t: height if a <= t <= b else 0.0, level, height,
-                            label="plateau", level_batch=levels)
+    return _closed_form(lambda t: height if a <= t <= b else 0.0,
+                        lambda alpha, xp: ((a,), (b,)), height, "plateau")
 
 
 # ---------------------------------------------------------------------------
@@ -217,49 +256,24 @@ def _product_exp_neg(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
                 f"exp_neg(lam={lam}) against a Laplace kernel needs n > lam, got n={n}")
         sup = scale * math.exp(-lam * x)
 
-        def level(alpha: float) -> IntervalUnion:
-            if alpha <= 0:
-                raise ValueError("level must be positive")
-            if alpha > sup:
-                return IntervalUnion.empty()
-            la = math.log(alpha / scale)
+        def ends(alpha, xp):
+            la = xp.log(alpha / scale)
             lo = (n * x + la) / (n - lam)
             hi = (n * x - la) / (n + lam)
-            return IntervalUnion.single(min(lo, hi), max(lo, hi))
-
-        def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            inside = alphas <= sup
-            la = np.log(np.minimum(alphas, sup) / scale)
-            lo = (n * x + la) / (n - lam)
-            hi = (n * x - la) / (n + lam)
-            return pieces_where(inside, np.minimum(lo, hi), np.maximum(lo, hi))
+            return (xp.minimum(lo, hi),), (xp.maximum(lo, hi),)
 
     else:
         # exponential times Gaussian always decays; the exponent is a
         # downward parabola with vertex x - lam/(2n)
         sup = scale * math.exp(-lam * x + lam * lam / (4 * n))
 
-        def level(alpha: float) -> IntervalUnion:
-            if alpha <= 0:
-                raise ValueError("level must be positive")
-            if alpha > sup:
-                return IntervalUnion.empty()
-            la = math.log(alpha / scale)
-            disc = max(lam * lam - 4 * n * lam * x - 4 * n * la, 0.0)
-            root = math.sqrt(disc)
-            lo = ((2 * n * x - lam) - root) / (2 * n)
-            hi = ((2 * n * x - lam) + root) / (2 * n)
-            return IntervalUnion.single(lo, hi)
+        def ends(alpha, xp):
+            la = xp.log(alpha / scale)
+            root = xp.sqrt(xp.maximum(lam * lam - 4 * n * lam * x - 4 * n * la, 0.0))
+            mid = 2 * n * x - lam  # 2n times the vertex
+            return ((mid - root) / (2 * n),), ((mid + root) / (2 * n),)
 
-        def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            inside = alphas <= sup
-            la = np.log(np.minimum(alphas, sup) / scale)
-            root = np.sqrt(np.maximum(lam * lam - 4 * n * lam * x - 4 * n * la, 0.0))
-            return pieces_where(inside, ((2 * n * x - lam) - root) / (2 * n),
-                           ((2 * n * x - lam) + root) / (2 * n))
-
-    return LevelSetFunction(value, level, sup, label=f"exp_neg*{kernel.family}",
-                            level_batch=levels)
+    return _closed_form(value, ends, sup, f"exp_neg*{kernel.family}")
 
 
 def _product_abs_dev_centered(kernel: Kernel) -> LevelSetFunction:
@@ -270,49 +284,25 @@ def _product_abs_dev_centered(kernel: Kernel) -> LevelSetFunction:
     the two real Lambert W branches.
     """
     n, x = kernel.n, kernel.x
+    gauss = kernel.family != LAPLACE
+    # the radii are -W/m, square-rooted for Gauss, with W at
+    # L = log(m) + p*log(alpha)
+    m, p = (2.0 * n, 2.0) if gauss else (n, 1.0)
+    sup = 1.0 / math.sqrt(m * math.e) if gauss else 1.0 / (m * math.e)
+    log_m = math.log(m)
 
     def value(t: float) -> float:
         return abs(t - x) * kernel(t)
 
-    if kernel.family == LAPLACE:
-        sup = 1.0 / (n * math.e)
-        log_n = math.log(n)
+    def ends(alpha, xp):
+        L = log_m + p * xp.log(alpha)
+        w0, wm1 = _lambert_pair(L) if xp is _MATH else _lambert_pairs(L)
+        y1, y2 = -w0 / m, -wm1 / m
+        if gauss:
+            y1, y2 = xp.sqrt(y1), xp.sqrt(y2)
+        return (x - y2, x + y1), (x - y1, x + y2)
 
-        def radii(alpha: float) -> tuple[float, float]:
-            w0, wm1 = _lambert_pair(log_n + math.log(alpha))
-            return -w0 / n, -wm1 / n
-
-        def radii_batch(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            w0, wm1 = _lambert_pairs(log_n + np.log(alphas))
-            return -w0 / n, -wm1 / n
-
-    else:
-        sup = 1.0 / math.sqrt(2.0 * n * math.e)
-        log_2n = math.log(2.0 * n)
-
-        def radii(alpha: float) -> tuple[float, float]:
-            w0, wm1 = _lambert_pair(log_2n + 2.0 * math.log(alpha))
-            return math.sqrt(-w0 / (2 * n)), math.sqrt(-wm1 / (2 * n))
-
-        def radii_batch(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            w0, wm1 = _lambert_pairs(log_2n + 2.0 * np.log(alphas))
-            return np.sqrt(-w0 / (2 * n)), np.sqrt(-wm1 / (2 * n))
-
-    def level(alpha: float) -> IntervalUnion:
-        if alpha <= 0:
-            raise ValueError("level must be positive")
-        if alpha > sup:
-            return IntervalUnion.empty()
-        y1, y2 = radii(alpha)
-        return IntervalUnion.from_pairs([(x - y2, x - y1), (x + y1, x + y2)])
-
-    def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y1, y2 = radii_batch(np.minimum(alphas, sup))
-        return pieces_where(alphas <= sup, np.array([x - y2, x + y1]),
-                       np.array([x - y1, x + y2]))
-
-    return LevelSetFunction(value, level, sup, label=f"abs_dev*{kernel.family}",
-                            level_batch=levels)
+    return _closed_form(value, ends, sup, f"abs_dev*{kernel.family}")
 
 
 def _linear_pieces(spec: FunctionSpec) -> list[tuple[float, float, float, float]]:
@@ -520,14 +510,10 @@ def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFuncti
             return LevelSetFunction(lambda t: 0.0, lambda a: IntervalUnion.empty(), 0.0,
                                     level_batch=lambda alphas: empty_pieces(1, alphas.size))
 
-        def level(alpha: float) -> IntervalUnion:
-            if alpha <= 0:
-                raise ValueError("level must be positive")
-            return kernel.level_set(alpha / c)
-
-        return LevelSetFunction(lambda t: c * kernel(t), level, c,
-                                label=f"const*{kernel.family}",
-                                level_batch=lambda alphas: kernel.levels(alphas / c))
+        kernel_ends = _kernel_ends(kernel)
+        return _closed_form(lambda t: c * kernel(t),
+                            lambda alpha, xp: kernel_ends(alpha / c, xp), c,
+                            f"const*{kernel.family}")
     if spec.name == "exp_neg":
         return _product_exp_neg(spec, kernel)
     if spec.name == "abs_dev" and spec.param("center", 0.0) == kernel.x:

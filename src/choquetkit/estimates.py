@@ -233,12 +233,6 @@ class ErrorTable:
         errs = [e for _, e in sorted(self.max_errors().items())]
         return all(b < a for a, b in zip(errs, errs[1:]))
 
-    def nondecreasing_error_flags(self) -> list:
-        """The (n_prev, n) steps where the max error failed to decrease."""
-        items = sorted(self.max_errors().items())
-        return [(a_n, b_n) for (a_n, a_e), (b_n, b_e) in zip(items, items[1:])
-                if b_e >= a_e]
-
     def to_csv(self, stream) -> None:
         stream.write(",".join(CSV_COLUMNS) + "\n")
         for n, x, value, fx, err, bound in self.rows:

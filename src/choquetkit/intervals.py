@@ -84,18 +84,6 @@ class IntervalUnion:
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion.from_pairs(self.intervals + other.intervals)
 
-    def intersect_halfline(self, lo: float | None = None, hi: float | None = None) -> "IntervalUnion":
-        """Intersect with ``{t >= lo}``, ``{t <= hi}`` or both."""
-        out = []
-        for a, b in self.intervals:
-            if lo is not None:
-                a = max(a, lo)
-            if hi is not None:
-                b = min(b, hi)
-            if a <= b:
-                out.append((a, b))
-        return IntervalUnion.from_pairs(out)
-
     def issubset(self, other: "IntervalUnion") -> bool:
         return all(
             any(oa <= a and b <= ob for oa, ob in other.intervals)
@@ -111,10 +99,9 @@ def empty_pieces(pieces: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.full((pieces, n), math.inf), np.full((pieces, n), -math.inf)
 
 
-def pieces_where(inside: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays of the pieces ``[lo, hi]`` (one row each, or a single
-    piece if ``lo`` and ``hi`` are 1-d or scalars), emptied in the columns
-    where ``inside`` is false."""
-    return (np.atleast_2d(np.where(inside, lo, math.inf)),
-            np.atleast_2d(np.where(inside, hi, -math.inf)))
-
+def pieces_where(inside: np.ndarray, lo_rows, hi_rows) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays of the pieces ``[lo_rows[j], hi_rows[j]]``, one row
+    each (a number or an array shaped like ``inside``), emptied in the
+    columns where ``inside`` is false."""
+    return (np.array([np.where(inside, lo, math.inf) for lo in lo_rows]),
+            np.array([np.where(inside, hi, -math.inf) for hi in hi_rows]))

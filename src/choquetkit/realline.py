@@ -13,10 +13,9 @@ The kernels are the two convolution-type bumps the operators use,
 value 1, so their supremum over an interval is attained at the endpoint
 nearest ``x`` (or is 1 when ``x`` lies inside).
 
-The kernels' level sets and the capacities also come in a batched form
-over an array of levels: :meth:`Kernel.levels` returns the endpoint arrays
-``(lo, hi)`` of shape ``[pieces, N]`` described in :mod:`.intervals`, and
-:meth:`RealCapacity.values` takes such arrays.
+The capacities also come in a batched form: :meth:`RealCapacity.values`
+takes the endpoint arrays ``(lo, hi)`` of shape ``[pieces, N]`` described
+in :mod:`.intervals`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .capacity import DistortionFunction
-from .intervals import IntervalUnion, pieces_where
+from .intervals import IntervalUnion
 
 LAPLACE = "laplace"
 GAUSS = "gauss"
@@ -73,28 +72,6 @@ class Kernel:
             return 1.0
         nearest = a if self.x < a else b
         return self(nearest)
-
-    def level_set(self, alpha: float) -> IntervalUnion:
-        """{t : kernel(t) >= alpha}: empty above the peak value 1, else
-        [x - r, x + r] with radius r = -ln(alpha)/n (its square root for
-        the Gaussian kernel)."""
-        if alpha <= 0:
-            raise ValueError("level must be positive")
-        if alpha > 1:
-            return IntervalUnion.empty()
-        r = -math.log(alpha) / self.n
-        if self.family == GAUSS:
-            r = math.sqrt(r)
-        return IntervalUnion.single(self.x - r, self.x + r)
-
-    def levels(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`level_set` for an array of positive levels, as one piece
-        ``[1, N]``; levels above the peak value 1 give an empty piece."""
-        inside = alphas <= 1.0
-        r = -np.log(np.where(inside, alphas, 1.0)) / self.n
-        if self.family == GAUSS:
-            r = np.sqrt(r)
-        return pieces_where(inside, self.x - r, self.x + r)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ from choquetkit import (CapabilityError, DiscreteCapacity, DistortionFunction,
                         IntervalUnion, Kernel, RealCapacity, additive_capacity,
                         capacity_from_table, check_properties,
                         counting_distortion, distorted_probability, dual,
-                        possibility_capacity, random_monotone_capacity,
-                        uniform_additive, validate_distortion)
+                        kernel_level_function, possibility_capacity,
+                        random_monotone_capacity, uniform_additive,
+                        validate_distortion)
 
 SQRT_THIRD = math.sqrt(1.0 / 3.0)
 
@@ -306,24 +307,24 @@ class TestKernels:
                 assert 0.0 < k(float(t)) <= 1.0
 
     def test_level_set_laplace(self):
-        assert Kernel.laplace(2.0, 0.5).level_set(1.0).intervals == ((0.5, 0.5),)
-        lv = Kernel.laplace(2.0, 0.5).level_set(math.exp(-2.0))
-        assert lv.intervals[0] == pytest.approx((-0.5, 1.5), abs=1e-12)
-        assert Kernel.laplace(2.0, 0.5).level_set(1.5).is_empty
+        level = kernel_level_function(Kernel.laplace(2.0, 0.5)).level
+        assert level(1.0).intervals == ((0.5, 0.5),)
+        assert level(math.exp(-2.0)).intervals[0] == pytest.approx((-0.5, 1.5), abs=1e-12)
+        assert level(1.5).is_empty
         r = -math.log(0.3) / 2.0
-        assert Kernel.laplace(2.0, 0.5).level_set(0.3).intervals == ((0.5 - r, 0.5 + r),)
+        assert level(0.3).intervals == ((0.5 - r, 0.5 + r),)
         with pytest.raises(ValueError):
-            Kernel.laplace(2.0, 0.5).level_set(0.0)
+            level(0.0)
 
     def test_level_set_gauss(self):
-        assert Kernel.gauss(4.0, 0.0).level_set(1.0).intervals == ((0.0, 0.0),)
-        lv = Kernel.gauss(4.0, 0.0).level_set(math.exp(-4.0))
-        assert lv.intervals[0] == pytest.approx((-1.0, 1.0), abs=1e-12)
-        assert Kernel.gauss(4.0, 0.0).level_set(2.0).is_empty
+        level = kernel_level_function(Kernel.gauss(4.0, 0.0)).level
+        assert level(1.0).intervals == ((0.0, 0.0),)
+        assert level(math.exp(-4.0)).intervals[0] == pytest.approx((-1.0, 1.0), abs=1e-12)
+        assert level(2.0).is_empty
         r = math.sqrt(-math.log(0.3) / 4.0)
-        assert Kernel.gauss(4.0, 0.0).level_set(0.3).intervals == ((-r, r),)
+        assert level(0.3).intervals == ((-r, r),)
         with pytest.raises(ValueError):
-            Kernel.gauss(4.0, 0.0).level_set(-1.0)
+            level(-1.0)
 
     def test_bad_kernel_parameters(self):
         with pytest.raises(ValueError):

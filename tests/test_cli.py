@@ -466,6 +466,22 @@ class TestVerify:
         assert capsys.readouterr().err.startswith(f"config error: {key} must be an integer")
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("integrate", {"mode": "real", "kernel": "laplace"}),
+    ("operator", {"capacity": ["x"]}),
+    ("operator", {"function": 3}),
+    ("operator", {"capacity": {"kind": "possibility", "kernel": "laplace"}}),
+    ("operator", {"capacity": {"kind": "distorted_lebesgue", "gamma": 3}}),
+    ("operator", {"perturbation": "x"}),
+    ("operator", {"function": {"name": "pw_linear", "knots": [1, 2]}}),
+    ("operator", {"theta": "abc"}),
+], ids=["kernel", "capacity", "function", "capacity_kernel", "gamma",
+        "perturbation", "knots", "theta"])
+def test_malformed_config_is_config_error(tmp_path, capsys, command, payload):
+    assert main([command, "--config", write_config(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_console_script_smoke(tmp_path):
     out = tmp_path / "o.csv"
     cfg = tmp_path / "cfg.json"

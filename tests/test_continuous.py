@@ -108,32 +108,20 @@ class TestProductLevelSets:
                 assert r * math.exp(-n * r * r) == pytest.approx(
                     g.sup_value / 2, abs=1e-12)
 
-    def test_generic_pw_linear_profile(self):
-        spec = function_spec("pw_linear",
-                             knots=[(-1.0, 0.0), (0.0, 2.0), (1.0, 0.5), (2.0, 1.5)])
-        k = Kernel.laplace(4.0, 0.25)
-        g = product_level_function(spec, k)
-        ts = np.linspace(-3.0, 4.0, 400)
-        for alpha in (0.05, 0.3, 0.9, 1.4):
-            level = g.level(alpha)
-            for t in ts:
-                t = float(t)
-                gt = g.value(t)
-                if abs(gt - alpha) > 1e-6:
-                    assert level.contains(t) == (gt >= alpha), (t, gt, alpha)
-
-    def test_generic_sqrt_profile(self):
-        spec = function_spec("sqrt", shift=1.0)
-        for k in (Kernel.laplace(3.0, 0.5), Kernel.gauss(3.0, 0.5)):
-            g = product_level_function(spec, k)
-            ts = np.linspace(-2.5, 3.5, 300)
-            for alpha in (0.1, 0.6, 1.0):
-                level = g.level(alpha)
-                for t in ts:
-                    t = float(t)
-                    gt = g.value(t)
+    @pytest.mark.parametrize("label,g", level_functions(),
+                             ids=[label for label, _ in level_functions()])
+    def test_level_sets_are_superlevel_sets(self, label, g):
+        # away from the boundary, both oracles hold exactly {t : g(t) >= alpha}
+        ts = [float(t) for t in np.linspace(-3.0, 4.0, 300)]
+        gts = [g.value(t) for t in ts]
+        alphas = [g.sup_value * f for f in (1e-3, 0.05, 0.3, 0.7, 1.0)]
+        alphas += list(g.alpha_breakpoints)
+        lo, hi = g.levels(alphas)
+        for i, alpha in enumerate(alphas):
+            for level in (g.level(alpha), batched_union(lo, hi, i)):
+                for t, gt in zip(ts, gts):
                     if abs(gt - alpha) > 1e-6:
-                        assert level.contains(t) == (gt >= alpha)
+                        assert level.contains(t) == (gt >= alpha), (t, gt, alpha)
 
     def test_nested_levels(self):
         specs = [

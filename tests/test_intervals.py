@@ -44,15 +44,6 @@ def test_invalid_endpoints():
         IntervalUnion.from_pairs([(math.nan, 1.0)])
 
 
-def test_halfline_intersection():
-    u = IntervalUnion.single(0.0, 3.0)
-    assert u.intersect_halfline(lo=2.0).intervals == ((2.0, 3.0),)
-    assert u.intersect_halfline(hi=-1.0).is_empty
-    both = IntervalUnion.from_pairs([(0.0, 1.0), (2.0, 5.0)])
-    both = both.intersect_halfline(lo=0.5, hi=3.0)
-    assert both.intervals == ((0.5, 1.0), (2.0, 3.0))
-
-
 def test_issubset():
     inner = IntervalUnion.from_pairs([(0.2, 0.4), (2.0, 2.5)])
     outer = IntervalUnion.from_pairs([(0.0, 1.0), (1.8, 3.0)])
