@@ -31,16 +31,16 @@ piece has ``lo > hi`` (never NaN).  A closed form is one endpoint formula
 that serves both forms (:func:`_closed_form`): ``level`` evaluates it with
 ``math`` on a float, ``levels`` with numpy on the array.  Root-finding
 products are solved separately in each form, by ``brentq`` one level at a
-time and by a vectorised bisection of each monotone bracket for all levels
-at once, so there the two forms check each other.
+time and by one vectorised bisection per call that solves every monotone
+bracket for all levels together, so there the two forms check each other.
 
 The two engines are independent of each other.  The double-exponential
 engine (:func:`choquet_integral_real_grid`) serves the kernel operators and
 their normalizers: tanh-sinh on each finite piece of the layer cake in
 ``s``, exp-sinh on the tail, all nodes of all pieces through one batched
-oracle call whose root-finding is a vectorised bisection, and a step that
-halves, from ``TS_STEP`` up to ``TS_HALVINGS`` times, only on the pieces
-that miss ``QUAD_ABS_TOL``/``QUAD_REL_TOL``.  The adaptive engine
+oracle call whose root-finding is a single vectorised bisection, and a
+step that halves, from ``TS_STEP`` up to ``TS_HALVINGS`` times, only on the
+pieces that miss ``QUAD_ABS_TOL``/``QUAD_REL_TOL``.  The adaptive engine
 (:func:`choquet_integral_real`) is the check engine: it runs ``scipy.quad``
 over the scalar oracle at the same tolerances and ``QUAD_LIMIT``, and its
 root-finding uses ``brentq``.  Both are imported on first use, so the
@@ -131,14 +131,16 @@ def _closed_form(value: Callable[[float], float], ends, sup: float,
     return LevelSetFunction(value, level, sup, label=label, level_batch=levels)
 
 
-def _kernel_ends(kernel: Kernel):
-    """Endpoint formula of ``{kernel >= alpha}`` for ``alpha <= 1``: the
-    interval ``[x - r, x + r]`` with radius ``r = -ln(alpha)/n``, its square
-    root for the Gaussian kernel."""
+def _kernel_ends(kernel: Kernel, c: float = 1.0):
+    """Endpoint formula of ``{c * kernel >= alpha}`` for ``alpha <= c``: the
+    interval ``[x - r, x + r]`` with radius ``r = (ln(c) - ln(alpha))/n``,
+    its square root for the Gaussian kernel.  The logs are taken apart, so
+    a level whose quotient ``alpha / c`` underflows keeps a finite radius."""
     n, x, gauss = kernel.n, kernel.x, kernel.family != LAPLACE
+    log_c = math.log(c)
 
     def ends(alpha, xp):
-        r = -xp.log(alpha) / n
+        r = (log_c - xp.log(alpha)) / n
         if gauss:
             r = xp.sqrt(r)
         return (x - r,), (x + r,)
@@ -246,6 +248,8 @@ def _product_exp_neg(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     lam = spec.param("lam", 1.0)
     scale = spec.param("scale", 1.0)
     n, x = kernel.n, kernel.x
+    # the logs are taken apart: alpha / scale underflows at the smallest levels
+    log_scale = math.log(scale)
 
     def value(t: float) -> float:
         return scale * math.exp(-lam * t) * kernel(t)
@@ -257,7 +261,7 @@ def _product_exp_neg(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
         sup = scale * math.exp(-lam * x)
 
         def ends(alpha, xp):
-            la = xp.log(alpha / scale)
+            la = xp.log(alpha) - log_scale
             lo = (n * x + la) / (n - lam)
             hi = (n * x - la) / (n + lam)
             return (xp.minimum(lo, hi),), (xp.maximum(lo, hi),)
@@ -268,7 +272,7 @@ def _product_exp_neg(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
         sup = scale * math.exp(-lam * x + lam * lam / (4 * n))
 
         def ends(alpha, xp):
-            la = xp.log(alpha / scale)
+            la = xp.log(alpha) - log_scale
             root = xp.sqrt(xp.maximum(lam * lam - 4 * n * lam * x - 4 * n * la, 0.0))
             mid = 2 * n * x - lam  # 2n times the vertex
             return ((mid - root) / (2 * n),), ((mid + root) / (2 * n),)
@@ -371,38 +375,44 @@ def _expand(g, start: float, alpha: float, step: float) -> float:
     raise DivergenceError(f"product does not decay to the {side}")
 
 
-def _bisect(g: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-            alphas: np.ndarray, rising: bool) -> np.ndarray:
-    """Crossings ``g(t) = alpha`` of a monotone ``g`` on ``[a, b]``, one lane
-    per level, by vectorised bisection.
+def _bisect(g: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
+            alphas: np.ndarray, rising: np.ndarray) -> np.ndarray:
+    """Crossings ``g(t) = alphas[i]`` on ``[a[i], b[i]]``, one lane per
+    bracket and level, by one vectorised bisection of all lanes.
 
-    ``rising`` says whether ``g`` increases on the bracket.  Each lane stops
-    on brentq's rule (bracket narrower than ``xtol + rtol * |t|``) and the
-    midpoint of its bracket is returned.  The bracket halves every step, so
-    ``ceil(log2(width / xtol)) + 2`` steps suffice; a bracket that is not
-    finite, a NaN profile value or a lane still open after that many steps
-    raises :class:`QuadratureError`.
+    ``g`` is monotone on every bracket, increasing where ``rising`` is
+    true.  The lanes stop together on brentq's rule (every bracket
+    narrower than ``xtol + rtol * |t|``) and the midpoints are returned.
+    The brackets halve every step, so ``ceil(log2(width / xtol)) + 2``
+    steps of the widest one suffice; a bracket that is not finite, a NaN
+    profile value or a lane still open after that many steps raises
+    :class:`QuadratureError` naming the bracket of the first such lane.
     """
     width = b - a
-    if not (math.isfinite(width) and width >= 0.0):
-        raise QuadratureError(f"bisection bracket [{a}, {b}] is not finite",
+    bad = ~(np.isfinite(width) & (width >= 0.0))
+    if bad.any():
+        i = np.argmax(bad)
+        raise QuadratureError(f"bisection bracket [{a[i]}, {b[i]}] is not finite",
                               value=math.nan, error_estimate=math.inf)
-    lo = np.full(alphas.shape, a)
-    hi = np.full(alphas.shape, b)
-    steps = math.ceil(math.log2(max(width, _ROOT_XTOL)) - math.log2(_ROOT_XTOL)) + 2
+    lo, hi = a, b
+    steps = math.ceil(math.log2(max(width.max(), _ROOT_XTOL)) - math.log2(_ROOT_XTOL)) + 2
     for _ in range(steps):
         mid = lo + 0.5 * (hi - lo)
-        if np.all(hi - lo < _ROOT_XTOL + _ROOT_RTOL * np.abs(mid)):
+        wide = hi - lo >= _ROOT_XTOL + _ROOT_RTOL * np.abs(mid)
+        if not wide.any():
             return mid
         gm = g(mid)
-        if np.isnan(gm).any():
-            raise QuadratureError(f"level profile is NaN inside [{a}, {b}]",
-                                  value=math.nan, error_estimate=width)
+        nan = np.isnan(gm)
+        if nan.any():
+            i = np.argmax(nan)
+            raise QuadratureError(f"level profile is NaN inside [{a[i]}, {b[i]}]",
+                                  value=math.nan, error_estimate=float(width[i]))
         # the crossing lies left of mid when mid is on the rising side of it
         left = (gm >= alphas) == rising
         lo = np.where(left, lo, mid)
         hi = np.where(left, mid, hi)
-    raise QuadratureError(f"bisection on [{a}, {b}] did not converge in {steps} steps",
+    i = np.argmax(wide)
+    raise QuadratureError(f"bisection on [{a[i]}, {b[i]}] did not converge in {steps} steps",
                           value=math.nan, error_estimate=float(np.max(hi - lo)))
 
 
@@ -462,36 +472,38 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     def g_array(t: np.ndarray) -> np.ndarray:
         return f_array(t) * kernel.values(t)
 
+    def tail_end(j: int, step: float, alphas: np.ndarray) -> float:
+        """Far end of the tail bracket at ``pts[j]``: the tails decay to 0,
+        so one bracket, wide enough for the lowest level that reaches the
+        tail, serves every level; a tail no level reaches is ``pts[j]``."""
+        reach = alphas <= vals[j]
+        return _expand(g, pts[j], alphas[reach].min(), step) if reach.any() else pts[j]
+
+    # one piece per monotone bracket: the left tail, the gaps between
+    # consecutive pts, the right tail; the profile at the bracket ends
+    va = np.array([0.0] + vals)
+    vb = np.array(vals + [0.0])
+
     def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # one piece per monotone bracket: the left tail, the gaps between
-        # consecutive pts, the right tail
-        lo, hi = empty_pieces(len(pts) + 1, alphas.size)
-
-        def fill(row: int, a: float, b: float, va: float, vb: float) -> None:
-            in_a = va >= alphas
-            in_b = vb >= alphas
-            lo[row, in_a] = a
-            hi[row, in_b] = b
-            cross = in_a != in_b
-            if cross.any():
-                rising = vb > va
-                root = _bisect(g_array, a, b, alphas[cross], rising)
-                # like brentq, take the bracket end where the profile meets
-                # the level exactly (a local maximum at alpha = its value)
-                end, v_end = (b, vb) if rising else (a, va)
-                root[alphas[cross] == v_end] = end
-                (lo if rising else hi)[row, cross] = root
-
-        # the tails decay to 0; one bracket, wide enough for the lowest
-        # level that reaches them, serves every level
-        if np.any(alphas <= vals[0]):
-            start = _expand(g, pts[0], alphas[alphas <= vals[0]].min(), -step0)
-            fill(0, start, pts[0], 0.0, vals[0])
-        for j in range(len(pts) - 1):
-            fill(j + 1, pts[j], pts[j + 1], vals[j], vals[j + 1])
-        if np.any(alphas <= vals[-1]):
-            end = _expand(g, pts[-1], alphas[alphas <= vals[-1]].min(), step0)
-            fill(len(pts), pts[-1], end, vals[-1], 0.0)
+        a = np.array([tail_end(0, -step0, alphas)] + pts)
+        b = np.array(pts + [tail_end(-1, step0, alphas)])
+        in_a = va[:, None] >= alphas
+        in_b = vb[:, None] >= alphas
+        lo = np.where(in_a, a[:, None], math.inf)
+        hi = np.where(in_b, b[:, None], -math.inf)
+        # every bracket and level whose set ends inside the bracket is one
+        # lane of a single bisection
+        row, col = np.nonzero(in_a != in_b)
+        if row.size:
+            rising = (vb > va)[row]
+            level = alphas[col]
+            root = _bisect(g_array, a[row], b[row], level, rising)
+            # like brentq, take the bracket end where the profile meets the
+            # level exactly (a local maximum at alpha = its value)
+            at_end = level == np.where(rising, vb[row], va[row])
+            root[at_end] = np.where(rising, b[row], a[row])[at_end]
+            lo[row[rising], col[rising]] = root[rising]
+            hi[row[~rising], col[~rising]] = root[~rising]
         return lo, hi
 
     alpha_breaks = tuple(sorted(v for v in set(vals) if 0.0 < v < sup))
@@ -510,9 +522,7 @@ def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFuncti
             return LevelSetFunction(lambda t: 0.0, lambda a: IntervalUnion.empty(), 0.0,
                                     level_batch=lambda alphas: empty_pieces(1, alphas.size))
 
-        kernel_ends = _kernel_ends(kernel)
-        return _closed_form(lambda t: c * kernel(t),
-                            lambda alpha, xp: kernel_ends(alpha / c, xp), c,
+        return _closed_form(lambda t: c * kernel(t), _kernel_ends(kernel, c), c,
                             f"const*{kernel.family}")
     if spec.name == "exp_neg":
         return _product_exp_neg(spec, kernel)

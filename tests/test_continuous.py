@@ -266,6 +266,30 @@ class TestBatchedOracle:
         assert np.all(np.diff(inner) <= 0.0) and np.all(np.diff(outer) >= 0.0)
         assert inner[-1] >= 0.0 and outer[-1] > outer[0]
 
+    @pytest.mark.parametrize("kernel", [Kernel.laplace(2.0, 0.3), Kernel.gauss(2.0, 0.3)])
+    @pytest.mark.parametrize("spec", [function_spec("const", c=2.0),
+                                      function_spec("const", c=3.0),
+                                      function_spec("exp_neg", scale=2.0)],
+                             ids=["const2", "const3", "exp_neg_scale2"])
+    def test_closed_forms_at_the_smallest_level(self, kernel, spec):
+        # alpha / c underflows to 0 at the smallest subnormal level, but the
+        # level set there is a finite interval
+        g = product_level_function(spec, kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            level = g.level(5e-324)
+            lo, hi = g.levels([5e-324])
+        ((a, b),) = level.intervals
+        assert math.isfinite(a) and math.isfinite(b) and a < b
+        assert lo[:, 0] == pytest.approx([a], rel=1e-15)
+        assert hi[:, 0] == pytest.approx([b], rel=1e-15)
+
+    @staticmethod
+    def lanes(*brackets):
+        """Per-lane arrays ``(a, b, alphas, rising)`` of ``(a, b, alpha, rising)``."""
+        a, b, alphas, rising = zip(*brackets)
+        return np.array(a), np.array(b), np.array(alphas), np.array(rising)
+
     def test_bisection_matches_brentq_within_its_step_cap(self):
         from scipy.optimize import brentq
         calls = []
@@ -274,31 +298,85 @@ class TestBatchedOracle:
             calls.append(t.size)
             return np.exp(-2.0 * t)
 
-        alphas = np.array([0.9, 0.3, 1e-6])
-        roots = _bisect(g, 0.0, 16.0, alphas, rising=False)
+        alphas = [0.9, 0.3, 1e-6]
+        roots = _bisect(g, *self.lanes(*[(0.0, 16.0, alpha, False) for alpha in alphas]))
         for alpha, root in zip(alphas, roots):
             want = brentq(lambda t: math.exp(-2.0 * t) - alpha, 0.0, 16.0, xtol=1e-13)
             assert root == pytest.approx(want, abs=2e-13)
         assert len(calls) <= math.ceil(math.log2(16.0 / 1e-13)) + 2
 
+    def test_bisection_solves_rising_and_falling_brackets_together(self):
+        # t * exp(-t) rises on [0, 1] and falls on [1, inf); brackets of
+        # different widths and directions share one call
+        from scipy.optimize import brentq
+        calls = []
+
+        def g(t):
+            calls.append(t.size)
+            return t * np.exp(-t)
+
+        brackets = [(0.0, 1.0, 0.2, True), (0.25, 1.0, 0.3, True),
+                    (1.0, 8.0, 0.2, False), (1.0, 40.0, 1e-9, False),
+                    (1.0, 3.0, 0.3, False), (0.0, 1.0, 1e-12, True)]
+        roots = _bisect(g, *self.lanes(*brackets))
+        assert len(set(calls)) == 1 and calls[0] == len(brackets)
+        assert len(calls) <= math.ceil(math.log2(40.0 / 1e-13)) + 2
+        for (a, b, alpha, _), root in zip(brackets, roots):
+            want = brentq(lambda t: t * math.exp(-t) - alpha, a, b, xtol=1e-13)
+            assert root == pytest.approx(want, abs=2e-13)
+
     def test_bisection_never_loops_unbounded(self, monkeypatch):
         falling = lambda t: -t  # noqa: E731
-        with pytest.raises(QuadratureError):
-            _bisect(falling, math.nan, 1.0, np.array([0.5]), rising=False)
-        with pytest.raises(QuadratureError):
-            _bisect(falling, -math.inf, 1.0, np.array([0.5]), rising=False)
-        with pytest.raises(QuadratureError):
-            _bisect(lambda t: t * math.nan, 0.0, 1.0, np.array([0.5]), rising=True)
+        with pytest.raises(QuadratureError, match=r"\[nan, 1.0\] is not finite"):
+            _bisect(falling, *self.lanes((0.0, 1.0, 0.5, False), (math.nan, 1.0, 0.5, False)))
+        with pytest.raises(QuadratureError, match="not finite"):
+            _bisect(falling, *self.lanes((-math.inf, 1.0, 0.5, False)))
+        with pytest.raises(QuadratureError, match=r"NaN inside \[0.0, 1.0\]"):
+            _bisect(lambda t: t * math.nan, *self.lanes((0.0, 1.0, 0.5, True)))
         # a bracket at the top of the float range has no overflowing midpoint
-        root = _bisect(falling, 1e308, 1.7e308, np.array([-1.5e308]), rising=False)
+        root = _bisect(falling, *self.lanes((1e308, 1.7e308, -1.5e308, False)))
         assert root[0] == pytest.approx(1.5e308, rel=1e-15)
         # with a stopping rule no lane can meet, the step cap ends the loop
         monkeypatch.setattr(continuous, "_ROOT_RTOL", -1.0)
         calls = []
-        with pytest.raises(QuadratureError, match="did not converge"):
-            _bisect(lambda t: calls.append(1) or -t, 0.0, 1.0, np.array([-0.5]),
-                    rising=False)
+        with pytest.raises(QuadratureError, match=r"on \[0.0, 1.0\] did not converge"):
+            _bisect(lambda t: calls.append(1) or -t,
+                    *self.lanes((0.0, 1.0, -0.5, False), (0.0, 0.5, -0.25, False)))
         assert len(calls) == math.ceil(-math.log2(1e-13)) + 2
+
+    @pytest.mark.parametrize("kernel", [Kernel.laplace(3.0, 0.3), Kernel.gauss(3.0, 0.3)])
+    @pytest.mark.parametrize("spec", [function_spec("pw_linear", knots=PW_KNOTS),
+                                      function_spec("sqrt", shift=1.0)],
+                             ids=["pw_linear", "sqrt"])
+    def test_one_bisection_per_levels_call(self, monkeypatch, kernel, spec):
+        g = product_level_function(spec, kernel)
+        brackets = []
+
+        def counted(g_array, a, b, alphas, rising):
+            brackets.append(set(zip(a.tolist(), b.tolist())))
+            return _bisect(g_array, a, b, alphas, rising)
+
+        monkeypatch.setattr(continuous, "_bisect", counted)
+        alphas = np.concatenate([np.geomspace(g.sup_value * 1e-6, g.sup_value, 40),
+                                 list(g.alpha_breakpoints)])
+        lo, hi = g.levels(alphas)
+        assert len(brackets) == 1
+        # every bracket but the left tail, where f vanishes, has a crossing
+        assert len(brackets[0]) == lo.shape[0] - 1
+
+    @pytest.mark.parametrize("kernel", [Kernel.laplace(3.0, 0.3), Kernel.gauss(3.0, 0.3)])
+    def test_breakpoint_level_takes_the_bracket_end(self, kernel):
+        # t = -1 is a local maximum below sup, so at the level g(-1) a rising
+        # and a falling bracket both meet the level at their shared end; the
+        # batched oracle returns that end bit for bit, as brentq does
+        knots = [(-2.0, 0.0), (-1.0, 3.0), (-0.9, 0.1), (1.0, 0.5)]
+        g = product_level_function(function_spec("pw_linear", knots=knots), kernel)
+        peak = g.value(-1.0)
+        assert peak in g.alpha_breakpoints and peak < g.sup_value
+        lo, hi = g.levels(list(g.alpha_breakpoints))
+        i = g.alpha_breakpoints.index(peak)
+        assert np.sum((lo[:, i] == -1.0) & (hi[:, i] == -1.0)) == 2
+        assert g.level(peak).contains(-1.0)
 
 
 class TestQuadrature:
