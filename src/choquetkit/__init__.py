@@ -18,12 +18,10 @@ from .discrete import (Pushforward, PropertySuiteReport,
                        choquet_integral_layer_cake, choquet_variance,
                        property_suite, pushforward)
 from .errors import CapabilityError, ConfigError, DivergenceError, QuadratureError
-from .estimates import (ChebyshevResult, DiscreteScheme, ErrorTable,
-                        MomentDiagnostics, ModulusResult,
-                        bernstein_choquet_scheme, chebyshev_check,
-                        convergence_report, delta_rule, modulus_of_continuity,
-                        modulus_of_continuity_detailed, quantitative_bound,
-                        scheme_moments)
+from .estimates import (ChebyshevResult, ErrorTable, ModulusResult,
+                        chebyshev_check, convergence_report, delta_rule,
+                        modulus_of_continuity, modulus_of_continuity_detailed,
+                        quantitative_bound)
 from .functions import FunctionSpec, REGISTERED, function_spec
 from .intervals import IntervalUnion
 from .operators import (DEFAULT_PROFILE, PerturbationProfile, bernstein_basis,
@@ -37,15 +35,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapabilityError", "ChebyshevResult", "ConfigError", "DEFAULT_PROFILE",
-    "DiscreteCapacity", "DiscreteScheme",
-    "DistortionFunction", "DivergenceError", "ErrorTable", "FunctionSpec",
-    "IntervalUnion", "Kernel", "LevelSetFunction", "MomentDiagnostics",
+    "DiscreteCapacity", "DistortionFunction", "DivergenceError", "ErrorTable",
+    "FunctionSpec", "IntervalUnion", "Kernel", "LevelSetFunction",
     "ModulusResult", "PerturbationProfile", "PropertyReport",
     "PropertySuiteReport", "Pushforward",
     "QuadratureError", "REGISTERED", "RealCapacity", "additive_capacity",
     "bernstein_basis", "bernstein_choquet", "bernstein_choquet_capacity",
-    "bernstein_choquet_closedform", "bernstein_choquet_scheme",
-    "bernstein_classical", "capacity_from_table", "change_of_variables_check",
+    "bernstein_choquet_closedform", "bernstein_classical", "capacity_from_table", "change_of_variables_check",
     "chebyshev_check", "check_properties", "choquet_integral",
     "choquet_integral_layer_cake", "choquet_integral_real",
     "choquet_integral_real_grid", "choquet_integral_real_with_error",
@@ -57,6 +53,6 @@ __all__ = [
     "perturbation_gap", "picard_choquet", "picard_classical",
     "possibility_capacity", "product_level_function", "property_suite",
     "pushforward", "quantitative_bound", "random_monotone_capacity",
-    "scheme_moments", "uniform_additive", "validate_distortion",
+    "uniform_additive", "validate_distortion",
     "weierstrass_choquet",
 ]

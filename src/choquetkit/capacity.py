@@ -10,6 +10,7 @@ exactly on a table, up to ``EXHAUSTIVE_BOUND`` elements.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -45,7 +46,6 @@ class DiscreteCapacity:
 
     size: int
     evaluator: Callable[[frozenset], float]
-    name: str = ""
     tails_fn: Optional[Callable[[Sequence[int]], list[float]]] = None
 
     def __post_init__(self):
@@ -102,8 +102,7 @@ def dual(cap: DiscreteCapacity) -> DiscreteCapacity:
     def rule(subset: frozenset) -> float:
         return total - cap.evaluator(omega - subset)
 
-    return DiscreteCapacity(cap.size, rule,
-                            name=f"dual({cap.name})" if cap.name else "dual")
+    return DiscreteCapacity(cap.size, rule)
 
 
 def _members(mask) -> tuple:
@@ -202,6 +201,8 @@ class DistortionFunction:
 
     @staticmethod
     def power(p: float) -> "DistortionFunction":
+        if isinstance(p, bool) or not isinstance(p, numbers.Real):
+            raise ValueError(f"power distortion needs a number p, got {p!r}")
         if not 0 < p <= 1:
             raise ValueError("power distortion requires 0 < p <= 1")
         return DistortionFunction(f"power_{p:g}", lambda t: t ** p)
@@ -262,7 +263,7 @@ def _weights_tails(weights: Sequence[float],
     return tails
 
 
-def additive_capacity(weights: Sequence[float], name: str = "additive") -> DiscreteCapacity:
+def additive_capacity(weights: Sequence[float]) -> DiscreteCapacity:
     """mu(A) = sum of weights over A (weights nonnegative, not necessarily normalized)."""
     w = [float(v) for v in weights]
     if any(v < 0 for v in w):
@@ -271,11 +272,11 @@ def additive_capacity(weights: Sequence[float], name: str = "additive") -> Discr
     def rule(subset: frozenset) -> float:
         return math.fsum(w[i] for i in subset)
 
-    return DiscreteCapacity(len(w), rule, name=name, tails_fn=_weights_tails(w))
+    return DiscreteCapacity(len(w), rule, tails_fn=_weights_tails(w))
 
 
 def uniform_additive(size: int) -> DiscreteCapacity:
-    return additive_capacity([1.0 / size] * size, name="uniform")
+    return additive_capacity([1.0 / size] * size)
 
 
 def distorted_probability(gamma: DistortionFunction,
@@ -296,12 +297,13 @@ def distorted_probability(gamma: DistortionFunction,
     def transform(t: float) -> float:
         return gamma(t) if t > 0 else 0.0
 
-    return DiscreteCapacity(len(w), rule, name=f"distorted({gamma.name})",
-                            tails_fn=_weights_tails(w, transform))
+    return DiscreteCapacity(len(w), rule, tails_fn=_weights_tails(w, transform))
 
 
 def counting_distortion(gamma: DistortionFunction, size: int) -> DiscreteCapacity:
     """mu(A) = gamma(|A| / size), e.g. sqrt(|A|/3) on three points."""
+    if size < 1:
+        raise ValueError("ground set must have at least one element")
     return distorted_probability(gamma, [1.0 / size] * size)
 
 
@@ -316,11 +318,10 @@ def possibility_capacity(weights: Sequence[float]) -> DiscreteCapacity:
             return 0.0
         return max(w[i] for i in subset)
 
-    return DiscreteCapacity(len(w), rule, name="possibility")
+    return DiscreteCapacity(len(w), rule)
 
 
-def capacity_from_table(size: int, table: Sequence[float],
-                        name: str = "table") -> DiscreteCapacity:
+def capacity_from_table(size: int, table: Sequence[float]) -> DiscreteCapacity:
     """Capacity given explicitly as 2**size values indexed by subset bitmask."""
     if len(table) != 1 << size:
         raise ValueError("table must have 2**size entries")
@@ -329,7 +330,7 @@ def capacity_from_table(size: int, table: Sequence[float],
     def rule(subset: frozenset) -> float:
         return vals[_set_to_mask(subset)]
 
-    return DiscreteCapacity(size, rule, name=name)
+    return DiscreteCapacity(size, rule)
 
 
 def random_monotone_capacity(rng: np.random.Generator, size: int,
@@ -351,4 +352,4 @@ def random_monotone_capacity(rng: np.random.Generator, size: int,
         if top <= 0:
             table[-1] = top = 1.0
         table = table / top
-    return capacity_from_table(size, table.tolist(), name="random")
+    return capacity_from_table(size, table.tolist())

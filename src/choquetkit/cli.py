@@ -49,33 +49,35 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-SUITES = ("capacity", "integral", "chebyshev", "bounds")
-
-
 # ---------------------------------------------------------------------------
 # config assembly
 
 
 def _load_config(args: argparse.Namespace) -> dict:
+    """The ``--config`` document overridden by the flags given; each flag's
+    ``dest`` is its config key and an absent flag leaves no attribute."""
+    flags = dict(vars(args))
+    del flags["command"]
+    path = flags.pop("config", None)
     cfg: dict = {}
-    if args.config:
+    if path:
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-    for key in ("operator", "capacity", "function", "seed", "out", "theta",
-                "i0", "suite", "trials", "mode", "pair"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "n", None):
-        cfg["n_list"] = args.n
-    if getattr(args, "xgrid", None):
-        cfg["x_grid"] = args.xgrid
+    cfg.update(flags)
     return cfg
+
+
+def _integer(raw) -> int:
+    """``int(raw)``, except that a bool or a number with a fractional part
+    is a ``ValueError`` instead of a truncation."""
+    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(raw)
 
 
 def _parse_n_list(raw) -> list[int]:
@@ -84,7 +86,7 @@ def _parse_n_list(raw) -> list[int]:
     if isinstance(raw, str):
         raw = [part for part in raw.split(",") if part]
     try:
-        ns = [int(v) for v in raw]
+        ns = [_integer(v) for v in raw]
     except (TypeError, ValueError):
         raise ConfigError(f"invalid n list: {raw!r}") from None
     if not ns or any(n <= 0 for n in ns):
@@ -101,7 +103,7 @@ def _parse_x_grid(raw) -> np.ndarray:
             raise ConfigError("xgrid must look like min:max:count")
         raw = {"min": parts[0], "max": parts[1], "count": parts[2]}
     try:
-        lo, hi, count = float(raw["min"]), float(raw["max"]), int(raw["count"])
+        lo, hi, count = float(raw["min"]), float(raw["max"]), _integer(raw["count"])
     except (KeyError, TypeError, ValueError):
         raise ConfigError(f"invalid x grid: {raw!r}") from None
     if count < 2:
@@ -122,7 +124,7 @@ def _parse_profile(cfg: dict) -> PerturbationProfile:
     pert = _object(cfg.get("perturbation", {}), "perturbation")
     try:
         theta = float(cfg.get("theta", pert.get("theta", 1.0)))
-        i0 = int(cfg.get("i0", pert.get("i0", 1)))
+        i0 = _integer(cfg.get("i0", pert.get("i0", 1)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid perturbation: {exc}") from exc
     try:
@@ -161,7 +163,7 @@ def _parse_gamma(raw):
     try:
         return distortion_by_name(raw["name"], **{k: v for k, v in raw.items()
                                                   if k != "name"})
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid distortion {raw!r}: {exc}") from exc
 
 
@@ -183,29 +185,34 @@ def _parse_discrete_capacity(raw: dict) -> DiscreteCapacity:
             return possibility_capacity(raw["weights"])
         if rule == "distorted_uniform":
             return cap_mod.counting_distortion(_parse_gamma(raw.get("gamma")),
-                                               int(raw["size"]))
+                                               _integer(raw["size"]))
         if rule == "bernstein_perturbed":
-            profile = PerturbationProfile(i0=int(raw.get("i0", 1)),
+            profile = PerturbationProfile(i0=_integer(raw.get("i0", 1)),
                                           theta=float(raw.get("theta", 1.0)))
-            return bernstein_choquet_capacity(int(raw["n"]), float(raw["x"]),
+            return bernstein_choquet_capacity(_integer(raw["n"]), float(raw["x"]),
                                               profile)
         if rule == "table":
-            return cap_mod.capacity_from_table(int(raw["size"]), raw["values"])
+            return cap_mod.capacity_from_table(_integer(raw["size"]), raw["values"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid discrete capacity {raw!r}: {exc}") from exc
     raise ConfigError(f"unknown discrete capacity rule {rule!r}")
+
+
+# the ``--capacity`` shorthands; any other string names a kind
+_CAPACITY_SHORTHANDS = {
+    "possibility": {"kind": "possibility"},
+    "sqrt_lebesgue": {"kind": "distorted_lebesgue", "gamma": "sqrt"},
+    "lebesgue": {"kind": "distorted_lebesgue", "gamma": "identity"},
+}
 
 
 def _real_capacity_factory(raw):
     """Returns kernel -> RealCapacity; possibility without an explicit kernel
     follows the operator's kernel (the capacity family mu_{n,x})."""
     if raw is None:
-        raw = {"kind": "possibility"}
+        raw = "possibility"
     if isinstance(raw, str):
-        raw = {"kind": {"sqrt_lebesgue": "distorted_lebesgue",
-                        "lebesgue": "identity_lebesgue"}.get(raw, raw)}
-        if raw["kind"] == "identity_lebesgue":
-            raw = {"kind": "distorted_lebesgue", "gamma": "identity"}
+        raw = _CAPACITY_SHORTHANDS.get(raw, {"kind": raw})
     kind = _object(raw, "real capacity").get("kind")
     if kind == "distorted_lebesgue":
         mu = RealCapacity.distorted_lebesgue(_parse_gamma(raw.get("gamma")))
@@ -401,8 +408,7 @@ def cmd_compare(cfg: dict) -> int:
 # verify
 
 
-def _verify_capacity(rng: np.random.Generator, trials: int,
-                     inject_nonmonotone: bool) -> list[str]:
+def _verify_capacity(rng: np.random.Generator, trials: int) -> list[str]:
     bad: list[str] = []
     for t in range(trials):
         size = int(rng.integers(2, 6))
@@ -429,12 +435,15 @@ def _verify_capacity(rng: np.random.Generator, trials: int,
         b = IntervalUnion.from_pairs([(pts[4], pts[5])])
         if abs(mu.value(a.union(b)) - max(mu.value(a), mu.value(b))) > 1e-12:
             bad.append(f"trial {t}: possibility max rule violated")
-    if inject_nonmonotone:
-        broken = cap_mod.capacity_from_table(2, [0.0, 0.8, 0.2, 0.3], name="broken")
-        report = check_properties(broken)
-        if not report.monotone:
-            bad.append(f"injected: capacity not monotone, witness {report.witnesses['monotone']}")
     return bad
+
+
+def _verify_injected() -> list[str]:
+    """Negative control: a non-monotone capacity the checks must catch."""
+    report = check_properties(cap_mod.capacity_from_table(2, [0.0, 0.8, 0.2, 0.3]))
+    if report.monotone:
+        return []
+    return [f"injected: capacity not monotone, witness {report.witnesses['monotone']}"]
 
 
 def _verify_integral(rng: np.random.Generator, trials: int) -> list[str]:
@@ -500,10 +509,14 @@ def _verify_bounds(rng: np.random.Generator, trials: int) -> list[str]:
     return bad
 
 
+SUITES = {"capacity": _verify_capacity, "integral": _verify_integral,
+          "chebyshev": _verify_chebyshev, "bounds": _verify_bounds}
+
+
 def _parse_count(cfg: dict, key: str, default: int) -> int:
     raw = cfg.get(key, default)
     try:
-        value = int(raw)
+        value = _integer(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be an integer: {raw!r}") from None
     if value < 0:
@@ -514,19 +527,12 @@ def _parse_count(cfg: dict, key: str, default: int) -> int:
 def cmd_verify(cfg: dict) -> int:
     suite = cfg.get("suite", "capacity")
     if suite not in SUITES:
-        raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
+        raise ConfigError(f"unknown suite {suite!r}; choose from {tuple(SUITES)}")
     trials = _parse_count(cfg, "trials", 200)
     rng = np.random.default_rng(_parse_count(cfg, "seed", 0))
-    inject = bool(cfg.get("inject_nonmonotone", False))
-
-    if suite == "capacity":
-        violations = _verify_capacity(rng, trials, inject)
-    elif suite == "integral":
-        violations = _verify_integral(rng, trials)
-    elif suite == "chebyshev":
-        violations = _verify_chebyshev(rng, trials)
-    else:
-        violations = _verify_bounds(rng, trials)
+    violations = SUITES[suite](rng, trials)
+    if suite == "capacity" and cfg.get("inject_nonmonotone", False):
+        violations += _verify_injected()
 
     for v in violations:
         print(f"VIOLATION [{suite}] {v}")
@@ -549,12 +555,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="random seed")
         p.add_argument("--out", help="output CSV path (default stdout)")
 
-    p = sub.add_parser("integrate", help="one-shot integral, two engines")
+    def add(name, **kw):
+        # an absent flag leaves no attribute, so the config file keeps its key
+        return sub.add_parser(name, argument_default=argparse.SUPPRESS, **kw)
+
+    p = add("integrate", help="one-shot integral, two engines")
     common(p)
     p.add_argument("--mode", choices=("discrete", "real"))
 
     for name in ("operator", "compare"):
-        p = sub.add_parser(name)
+        p = add(name)
         common(p)
         if name == "operator":
             p.add_argument("--operator", choices=OPERATORS)
@@ -562,35 +572,29 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--pair", choices=PAIRS)
         p.add_argument("--capacity", help="capacity shorthand (possibility, sqrt_lebesgue, lebesgue)")
         p.add_argument("--function", help="function spec name")
-        p.add_argument("--n", help="comma-separated n values")
-        p.add_argument("--xgrid", help="min:max:count")
+        p.add_argument("--n", dest="n_list", metavar="N", help="comma-separated n values")
+        p.add_argument("--xgrid", dest="x_grid", metavar="XGRID", help="min:max:count")
         p.add_argument("--theta", type=float, help="perturbation size in [0, 1]")
         p.add_argument("--i0", type=int, help="perturbed index")
 
-    p = sub.add_parser("verify", help="randomized property suites")
+    p = add("verify", help="randomized property suites")
     common(p)
     p.add_argument("--suite", choices=SUITES)
     p.add_argument("--trials", type=int)
     p.add_argument("--inject-nonmonotone", action="store_true",
-                   dest="inject_nonmonotone",
                    help="negative control: add a broken capacity to the suite")
 
     return parser
 
 
+COMMANDS = {"integrate": cmd_integrate, "operator": cmd_operator,
+            "compare": cmd_compare, "verify": cmd_verify}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        if args.command == "verify" and getattr(args, "inject_nonmonotone", False):
-            cfg["inject_nonmonotone"] = True
-        if args.command == "integrate":
-            return cmd_integrate(cfg)
-        if args.command == "operator":
-            return cmd_operator(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        return cmd_verify(cfg)
+        return COMMANDS[args.command](_load_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -87,7 +87,6 @@ class LevelSetFunction:
     sup_value: float
     level_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     alpha_breakpoints: tuple = ()
-    label: str = ""
 
     def levels(self, alphas) -> tuple[np.ndarray, np.ndarray]:
         """Super-level sets at every positive level of ``alphas`` as endpoint
@@ -106,8 +105,7 @@ class LevelSetFunction:
 _MATH = types.SimpleNamespace(**vars(math), minimum=min, maximum=max)
 
 
-def _closed_form(value: Callable[[float], float], ends, sup: float,
-                 label: str) -> LevelSetFunction:
+def _closed_form(value: Callable[[float], float], ends, sup: float) -> LevelSetFunction:
     """A level-set function whose level sets come from one endpoint formula.
 
     ``ends(alpha, xp)`` returns ``(lo_rows, hi_rows)``, the pieces
@@ -128,7 +126,7 @@ def _closed_form(value: Callable[[float], float], ends, sup: float,
     def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return pieces_where(alphas <= sup, *ends(np.minimum(alphas, sup), np))
 
-    return LevelSetFunction(value, level, sup, label=label, level_batch=levels)
+    return LevelSetFunction(value, level, sup, level_batch=levels)
 
 
 def _kernel_ends(kernel: Kernel, c: float = 1.0):
@@ -150,8 +148,7 @@ def _kernel_ends(kernel: Kernel, c: float = 1.0):
 
 def kernel_level_function(kernel: Kernel) -> LevelSetFunction:
     """The bare kernel as a level-set function (sup is 1 at the peak)."""
-    return _closed_form(kernel.__call__, _kernel_ends(kernel), 1.0,
-                        f"{kernel.family}-kernel")
+    return _closed_form(kernel.__call__, _kernel_ends(kernel), 1.0)
 
 
 def indicator_plateau(height: float, a: float, b: float) -> LevelSetFunction:
@@ -161,7 +158,7 @@ def indicator_plateau(height: float, a: float, b: float) -> LevelSetFunction:
     if a > b:
         raise ValueError("plateau needs a <= b")
     return _closed_form(lambda t: height if a <= t <= b else 0.0,
-                        lambda alpha, xp: ((a,), (b,)), height, "plateau")
+                        lambda alpha, xp: ((a,), (b,)), height)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +242,8 @@ def _lambert_pairs(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _product_exp_neg(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
-    lam = spec.param("lam", 1.0)
-    scale = spec.param("scale", 1.0)
+    lam = spec.param("lam")
+    scale = spec.param("scale")
     n, x = kernel.n, kernel.x
     # the logs are taken apart: alpha / scale underflows at the smallest levels
     log_scale = math.log(scale)
@@ -277,7 +274,7 @@ def _product_exp_neg(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
             mid = 2 * n * x - lam  # 2n times the vertex
             return ((mid - root) / (2 * n),), ((mid + root) / (2 * n),)
 
-    return _closed_form(value, ends, sup, f"exp_neg*{kernel.family}")
+    return _closed_form(value, ends, sup)
 
 
 def _product_abs_dev_centered(kernel: Kernel) -> LevelSetFunction:
@@ -306,13 +303,13 @@ def _product_abs_dev_centered(kernel: Kernel) -> LevelSetFunction:
             y1, y2 = xp.sqrt(y1), xp.sqrt(y2)
         return (x - y2, x + y1), (x - y1, x + y2)
 
-    return _closed_form(value, ends, sup, f"abs_dev*{kernel.family}")
+    return _closed_form(value, ends, sup)
 
 
 def _linear_pieces(spec: FunctionSpec) -> list[tuple[float, float, float, float]]:
     """(lo, hi, a, b) pieces with f = a + b*t covering the line."""
     if spec.name == "abs_dev":
-        c = spec.param("center", 0.0)
+        c = spec.param("center")
         return [(-math.inf, c, c, -1.0), (c, math.inf, -c, 1.0)]
     knots = spec.param("knots")
     ts = [t for t, _ in knots]
@@ -428,7 +425,7 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
         knots = [p for piece in pieces for p in piece[:2] if math.isfinite(p)]
         stationaries = _linear_stationaries(pieces, kernel)
     elif spec.name == "sqrt":
-        shift = spec.param("shift", 0.0)
+        shift = spec.param("shift")
         knots = [-shift]
         stationaries = _sqrt_stationaries(shift, kernel)
     else:
@@ -508,7 +505,7 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
 
     alpha_breaks = tuple(sorted(v for v in set(vals) if 0.0 < v < sup))
     return LevelSetFunction(g, level, sup, alpha_breakpoints=alpha_breaks,
-                            label=f"{spec.name}*{kernel.family}", level_batch=levels)
+                            level_batch=levels)
 
 
 def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
@@ -517,16 +514,15 @@ def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFuncti
         raise ValueError(
             f"function {spec.name!r} is not nonnegative on the real line")
     if spec.name == "const":
-        c = spec.param("c", 1.0)
+        c = spec.param("c")
         if c == 0.0:
             return LevelSetFunction(lambda t: 0.0, lambda a: IntervalUnion.empty(), 0.0,
                                     level_batch=lambda alphas: empty_pieces(1, alphas.size))
 
-        return _closed_form(lambda t: c * kernel(t), _kernel_ends(kernel, c), c,
-                            f"const*{kernel.family}")
+        return _closed_form(lambda t: c * kernel(t), _kernel_ends(kernel, c), c)
     if spec.name == "exp_neg":
         return _product_exp_neg(spec, kernel)
-    if spec.name == "abs_dev" and spec.param("center", 0.0) == kernel.x:
+    if spec.name == "abs_dev" and spec.param("center") == kernel.x:
         return _product_abs_dev_centered(kernel)
     return _generic_product(spec, kernel)
 

@@ -38,7 +38,7 @@ def choquet_integral(values: Sequence[float], cap: DiscreteCapacity) -> float:
     m = cap.size
     if len(values) != m:
         raise ValueError("integrand length must match the ground set size")
-    order = sorted(range(m), key=lambda i: (values[i], i))
+    order = sorted(range(m), key=values.__getitem__)  # stable: ties keep index order
     tails = cap.tails(order)
     try:
         total = math.fsum(values[order[k]] * (tails[k] - tails[k + 1]) for k in range(m))
@@ -120,7 +120,7 @@ class Pushforward:
             preimage = frozenset(i for i, v in enumerate(self.values) if v in wanted)
             return self.source.evaluator(preimage)
 
-        return DiscreteCapacity(len(support), rule, name="pushforward")
+        return DiscreteCapacity(len(support), rule)
 
 
 def pushforward(values: Sequence[float], cap: DiscreteCapacity) -> Pushforward:
@@ -150,7 +150,6 @@ def change_of_variables_check(f: Callable[[float], float],
 
 @dataclass
 class PropertySuiteReport:
-    trials: int
     submodular: bool
     violations: list = field(default_factory=list)
     checked: dict = field(default_factory=dict)
@@ -174,7 +173,7 @@ def property_suite(cap: DiscreteCapacity, trials: int = 1000,
     mu_omega = cap.total()
     dual_cap = dual(cap)
     rng = np.random.default_rng(seed)
-    rep = PropertySuiteReport(trials=trials, submodular=report_props.submodular)
+    rep = PropertySuiteReport(submodular=report_props.submodular)
     counts = {k: 0 for k in ("homogeneity", "monotonicity", "translation",
                              "dual", "subadditivity")}
 
@@ -209,7 +208,7 @@ def property_suite(cap: DiscreteCapacity, trials: int = 1000,
         if report_props.submodular:
             counts["subadditivity"] += 1
             lhs = choquet_integral(x + y, cap)
-            rhs = choquet_integral(x, cap) + choquet_integral(y, cap)
+            rhs = ix + choquet_integral(y, cap)
             if lhs > rhs + EXACT_TOL:
                 rep.violations.append(("subadditivity", x.tolist(), y.tolist(), lhs, rhs))
 

@@ -26,8 +26,6 @@ from .capacity import EXACT_TOL, DiscreteCapacity
 from .discrete import choquet_integral, choquet_variance
 from .errors import CapabilityError
 from .functions import FunctionSpec
-from .operators import (DEFAULT_PROFILE, PerturbationProfile,
-                        bernstein_choquet_capacity)
 
 
 @dataclass(frozen=True)
@@ -79,17 +77,17 @@ def _omega1(spec: FunctionSpec, delta: float, a: float, b: float) -> float:
     if name == "e1":
         return reach
     if name == "abs_dev":
-        c = spec.param("center", 0.0)
+        c = spec.param("center")
         # slope +-1; the longest monotone run inside the window caps the rise
         run = max(min(c, b) - a, b - max(c, a))
         return min(delta, max(run, 0.0))
     if name == "exp_neg":
-        lam = spec.param("lam", 1.0)
-        scale = spec.param("scale", 1.0)
+        lam = spec.param("lam")
+        scale = spec.param("scale")
         # decreasing convex: largest drop at the left edge
         return scale * (math.exp(-lam * a) - math.exp(-lam * (a + reach)))
     if name == "sqrt":
-        shift = spec.param("shift", 0.0)
+        shift = spec.param("shift")
         lo = a + shift
         hi = b + shift
         if hi <= 0:
@@ -161,44 +159,6 @@ def chebyshev_check(values: Sequence[float], cap: DiscreteCapacity,
     lhs = cap.evaluator(deviation_set)
     rhs = choquet_variance(values, cap) / (r * r)
     return ChebyshevResult(lhs, rhs, lhs <= rhs + EXACT_TOL)
-
-
-# ---------------------------------------------------------------------------
-# constructive-scheme moment diagnostics
-
-
-@dataclass(frozen=True)
-class MomentDiagnostics:
-    """Choquet mean and variance of the lattice variable of a scheme."""
-
-    mean: float
-    variance: float
-
-
-@dataclass(frozen=True)
-class DiscreteScheme:
-    """A family (ground set, capacity, lattice values) indexed by (n, x)."""
-
-    name: str
-    capacity_at: Callable[[int, float], DiscreteCapacity]
-    values_at: Callable[[int, float], list[float]]
-
-
-def bernstein_choquet_scheme(profile: PerturbationProfile = DEFAULT_PROFILE) -> DiscreteScheme:
-    return DiscreteScheme(
-        name="bernstein_choquet",
-        capacity_at=lambda n, x: bernstein_choquet_capacity(n, x, profile),
-        values_at=lambda n, x: [i / n for i in range(n + 1)])
-
-
-def scheme_moments(scheme: DiscreteScheme, n: int, x: float) -> MomentDiagnostics:
-    """Choquet expectance and variance of Z(n, x); the operator converges
-    where the mean tends to x and the variance to zero."""
-    cap = scheme.capacity_at(n, x)
-    values = scheme.values_at(n, x)
-    mean = choquet_integral(values, cap)
-    var = choquet_integral([(v - mean) ** 2 for v in values], cap)
-    return MomentDiagnostics(mean, var)
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,18 @@
 
 Fixed names (used by the CLI and JSON configs): ``exp_neg``, ``const``,
 ``abs_dev``, ``sqrt``, ``concave_quad``, ``e0``, ``e1``, ``pw_linear``.
-Monotonicity / concavity metadata refers to the spec's natural domain
-([0, 1] for the polynomial-type specs); ``nonneg_real_line`` marks the
-specs that are valid integrands for the real-line operators.  The
-non-constant ones among them also carry ``array_fn``, the same function on
-a numpy array, for the batched level-set oracle.
+Monotonicity metadata refers to the spec's natural domain ([0, 1] for the
+polynomial-type specs); ``nonneg_real_line`` marks the specs that are valid
+integrands for the real-line operators.  The non-constant ones among them
+also carry ``array_fn``, the same function on a numpy array, for the
+batched level-set oracle.  Every factory stores all of its parameters in
+``params`` and rejects a non-numeric or non-finite one with ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -24,8 +26,6 @@ class FunctionSpec:
     name: str
     fn: Callable[[float], float]
     monotone: Optional[str] = None  # "nondecreasing" | "nonincreasing" | None
-    concave: Optional[bool] = None
-    lipschitz: Optional[float] = None
     nonneg_real_line: bool = False
     params: tuple = field(default=())
     array_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -33,25 +33,33 @@ class FunctionSpec:
     def __call__(self, t: float) -> float:
         return self.fn(t)
 
-    def param(self, key: str, default=None):
-        return dict(self.params).get(key, default)
+    def param(self, key: str):
+        return dict(self.params)[key]
+
+
+def _finite(key: str, value):
+    """``value`` itself, if it is a finite real number (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return value
 
 
 def exp_neg(lam: float = 1.0, scale: float = 1.0) -> FunctionSpec:
     """f(t) = scale * exp(-lam * t)."""
-    if lam <= 0 or scale <= 0:
+    if _finite("lam", lam) <= 0 or _finite("scale", scale) <= 0:
         raise ValueError("exp_neg requires lam > 0 and scale > 0")
     return FunctionSpec(
         "exp_neg", lambda t: scale * math.exp(-lam * t),
-        monotone="nonincreasing", concave=False, nonneg_real_line=True,
+        monotone="nonincreasing", nonneg_real_line=True,
         params=(("lam", lam), ("scale", scale)),
         array_fn=lambda t: scale * np.exp(-lam * t))
 
 
 def const(c: float = 1.0) -> FunctionSpec:
-    return FunctionSpec(
-        "const", lambda t: c, monotone="nondecreasing", concave=True,
-        lipschitz=0.0, nonneg_real_line=c >= 0, params=(("c", c),))
+    _finite("c", c)
+    return FunctionSpec("const", lambda t: c, monotone="nondecreasing",
+                        nonneg_real_line=c >= 0, params=(("c", c),))
 
 
 def e0() -> FunctionSpec:
@@ -59,23 +67,24 @@ def e0() -> FunctionSpec:
 
 
 def e1() -> FunctionSpec:
-    return FunctionSpec("e1", lambda t: t, monotone="nondecreasing",
-                        concave=True, lipschitz=1.0, nonneg_real_line=False)
+    return FunctionSpec("e1", lambda t: t, monotone="nondecreasing")
 
 
 def abs_dev(center: float = 0.0) -> FunctionSpec:
     """f(t) = |t - center| (the deviation the quantitative bound integrates)."""
+    _finite("center", center)
     return FunctionSpec(
-        "abs_dev", lambda t: abs(t - center), monotone=None, concave=False,
-        lipschitz=1.0, nonneg_real_line=True, params=(("center", center),),
+        "abs_dev", lambda t: abs(t - center), nonneg_real_line=True,
+        params=(("center", center),),
         array_fn=lambda t: np.abs(t - center))
 
 
 def sqrt_spec(shift: float = 0.0) -> FunctionSpec:
     """f(t) = sqrt(max(t + shift, 0)); concave and nondecreasing on its support."""
+    _finite("shift", shift)
     return FunctionSpec(
         "sqrt", lambda t: math.sqrt(t + shift) if t + shift > 0 else 0.0,
-        monotone="nondecreasing", concave=True, nonneg_real_line=True,
+        monotone="nondecreasing", nonneg_real_line=True,
         params=(("shift", shift),),
         array_fn=lambda t: np.sqrt(np.maximum(t + shift, 0.0)))
 
@@ -83,13 +92,14 @@ def sqrt_spec(shift: float = 0.0) -> FunctionSpec:
 def concave_quad() -> FunctionSpec:
     """f(t) = 2t - t**2: increasing and strictly concave on [0, 1]."""
     return FunctionSpec("concave_quad", lambda t: 2.0 * t - t * t,
-                        monotone="nondecreasing", concave=True)
+                        monotone="nondecreasing")
 
 
 def pw_linear(knots: Sequence[Tuple[float, float]]) -> FunctionSpec:
     """Piecewise-linear interpolation through ``knots``; constant beyond the
     first and last knot (keeps the function bounded on the whole line)."""
-    pts = sorted((float(t), float(v)) for t, v in knots)
+    pts = sorted((float(_finite("knot", t)), float(_finite("knot", v)))
+                 for t, v in knots)
     if len(pts) < 2:
         raise ValueError("pw_linear needs at least two knots")
     ts = [t for t, _ in pts]
@@ -113,9 +123,7 @@ def pw_linear(knots: Sequence[Tuple[float, float]]) -> FunctionSpec:
         mono = "nonincreasing"
     else:
         mono = None
-    concave = all(slopes[j + 1] <= slopes[j] + 1e-15 for j in range(len(slopes) - 1))
-    return FunctionSpec("pw_linear", fn, monotone=mono, concave=concave,
-                        lipschitz=max(abs(s) for s in slopes),
+    return FunctionSpec("pw_linear", fn, monotone=mono,
                         nonneg_real_line=all(v >= 0 for v in vs),
                         params=(("knots", tuple(pts)),),
                         array_fn=lambda t: np.interp(t, ts, vs))

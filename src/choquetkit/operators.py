@@ -119,8 +119,7 @@ def bernstein_choquet_capacity(n: int, x: float,
         out[0] = 1.0
         return out
 
-    return DiscreteCapacity(size, rule, name=f"bernstein_perturbed(n={n})",
-                            tails_fn=tails)
+    return DiscreteCapacity(size, rule, tails_fn=tails)
 
 
 def bernstein_choquet(f: Callable[[float], float], n: int, x: float,

@@ -66,13 +66,6 @@ class Kernel:
             return np.exp(-self.n * np.abs(ts - self.x))
         return np.exp(-self.n * (ts - self.x) ** 2)
 
-    def sup_on(self, a: float, b: float) -> float:
-        """Supremum over the closed interval [a, b]."""
-        if a <= self.x <= b:
-            return 1.0
-        nearest = a if self.x < a else b
-        return self(nearest)
-
 
 @dataclass(frozen=True)
 class RealCapacity:
@@ -104,7 +97,8 @@ class RealCapacity:
         if self.kind == "distorted_lebesgue":
             length = A.total_length
             return self.gamma(length) if length > 0 else 0.0
-        return max(self.kernel.sup_on(a, b) for a, b in A.intervals)
+        x = self.kernel.x
+        return max(self.kernel(min(max(x, a), b)) for a, b in A.intervals)
 
     def level_kinks(self, g: Callable[[float], float]) -> tuple[float, ...]:
         """Levels ``alpha`` at which ``alpha -> mu({g >= alpha})`` may change

@@ -187,6 +187,15 @@ def assert_witnesses_violate(cap, report):
 
 
 class TestDistortedProbability:
+    @pytest.mark.parametrize("p", ["abc", None, True])
+    def test_power_rejects_non_numbers(self, p):
+        with pytest.raises(ValueError, match="needs a number"):
+            DistortionFunction.power(p)
+
+    def test_counting_needs_an_element(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            counting_distortion(DistortionFunction.sqrt(), 0)
+
     def test_identity_gives_additive(self):
         w = [0.5, 0.2, 0.3]
         cap = distorted_probability(DistortionFunction.identity(), w)

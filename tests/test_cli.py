@@ -458,7 +458,8 @@ class TestVerify:
         assert main(["verify", "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "config error: seed must be nonnegative\n"
 
-    @pytest.mark.parametrize("payload", [{"trials": "abc"}, {"seed": "x"}])
+    @pytest.mark.parametrize("payload", [{"trials": "abc"}, {"seed": "x"},
+                                         {"trials": 2.5}, {"seed": True}])
     def test_non_integer_config_rejected(self, tmp_path, capsys, payload):
         cfg = write_config(tmp_path, payload)
         assert main(["verify", "--config", cfg]) == 2
@@ -475,11 +476,47 @@ class TestVerify:
     ("operator", {"perturbation": "x"}),
     ("operator", {"function": {"name": "pw_linear", "knots": [1, 2]}}),
     ("operator", {"theta": "abc"}),
+    ("operator", {"function": {"name": "sqrt", "shift": math.nan}}),
+    ("operator", {"function": {"name": "const", "c": math.nan}}),
+    ("operator", {"function": {"name": "sqrt", "shift": "x"}}),
+    ("operator", {"function": {"name": "abs_dev", "center": None}}),
+    ("operator", {"function": {"name": "exp_neg", "lam": math.nan}}),
+    ("integrate", {"mode": "real", "capacity": {
+        "kind": "distorted_lebesgue", "gamma": {"name": "power", "p": "abc"}}}),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "distorted_uniform",
+                                "size": 0}, "values": []}),
+    ("operator", {"n_list": [2.5]}),
+    ("operator", {"x_grid": {"min": 0, "max": 1, "count": 2.5}}),
+    ("operator", {"perturbation": {"i0": 1.5}}),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "table", "size": 1.5,
+                                "values": [0, 1]}, "values": [1]}),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "bernstein_perturbed",
+                                "n": 2.5, "x": 0.3}, "values": [0, 0.5, 1]}),
 ], ids=["kernel", "capacity", "function", "capacity_kernel", "gamma",
-        "perturbation", "knots", "theta"])
+        "perturbation", "knots", "theta", "sqrt_shift_nan", "const_c_nan",
+        "sqrt_shift_str", "abs_dev_center_null", "exp_neg_lam_nan", "power_p_str",
+        "counting_size_0", "n_list_fraction", "count_fraction", "i0_fraction",
+        "size_fraction", "n_fraction"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, payload):
     assert main([command, "--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("flags", [["--n", "", "--xgrid", "0:1:2"],
+                                   ["--n", "2", "--xgrid", ""],
+                                   ["--n", "2", "--capacity", "identity_lebesgue"]],
+                         ids=["empty_n", "empty_xgrid", "identity_lebesgue"])
+def test_empty_or_unknown_flag_value_is_config_error(capsys, flags):
+    assert main(["operator", "--operator", "picard_choquet"] + flags) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_flags_override_only_their_config_keys(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"operator": "bernstein", "n_list": [3, 5],
+                                  "x_grid": {"min": 0, "max": 1, "count": 2}})
+    assert main(["operator", "--config", cfg, "--n", "7"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["7", "0"], ["7", "1"]]
 
 
 def test_console_script_smoke(tmp_path):

@@ -427,23 +427,26 @@ class TestQuadrature:
             b = choquet_integral_real_grid(g, mu)
             assert a == pytest.approx(b, rel=1e-6, abs=1e-9)
         gauss = Kernel.gauss(2.0, 0.3)
-        cases = [
-            (kernel_level_function(Kernel.laplace(2.0, 0.3)), SQRT_M),
-            (kernel_level_function(Kernel.gauss(8.0, -0.4)),
-             RealCapacity.possibility(Kernel.laplace(3.0, 0.1))),
-            (product_level_function(function_spec("sqrt", shift=3.0),
-                                    Kernel.laplace(2.0, 0.3)), SQRT_M),
-            (product_level_function(function_spec("pw_linear", knots=PW_KNOTS[:3]),
-                                    Kernel.laplace(8.0, 0.3)), SQRT_M),
-            (product_level_function(function_spec("abs_dev", center=0.3), gauss),
-             RealCapacity.possibility(Kernel.laplace(2.0, 0.3))),
-            (product_level_function(function_spec("abs_dev", center=0.3), gauss), SQRT_M),
-            (indicator_plateau(2.5, 0.0, 4.0), SQRT_M),
-        ]
-        for g, mu in cases:
+        cases = {
+            "laplace-kernel": (kernel_level_function(Kernel.laplace(2.0, 0.3)), SQRT_M),
+            "gauss-kernel": (kernel_level_function(Kernel.gauss(8.0, -0.4)),
+                             RealCapacity.possibility(Kernel.laplace(3.0, 0.1))),
+            "sqrt*laplace": (product_level_function(function_spec("sqrt", shift=3.0),
+                                                    Kernel.laplace(2.0, 0.3)), SQRT_M),
+            "pw_linear*laplace": (product_level_function(
+                function_spec("pw_linear", knots=PW_KNOTS[:3]), Kernel.laplace(8.0, 0.3)),
+                SQRT_M),
+            "abs_dev*gauss-possibility": (
+                product_level_function(function_spec("abs_dev", center=0.3), gauss),
+                RealCapacity.possibility(Kernel.laplace(2.0, 0.3))),
+            "abs_dev*gauss-sqrt": (
+                product_level_function(function_spec("abs_dev", center=0.3), gauss), SQRT_M),
+            "plateau": (indicator_plateau(2.5, 0.0, 4.0), SQRT_M),
+        }
+        for case, (g, mu) in cases.items():
             a = choquet_integral_real(g, mu)
             b = choquet_integral_real_grid(g, mu)
-            assert a == pytest.approx(b, rel=1e-6, abs=1e-9), g.label
+            assert a == pytest.approx(b, rel=1e-6, abs=1e-9), case
 
     def test_grid_engine_pinned(self):
         # values of the tanh-sinh engine, each within rel 1e-9 of the adaptive one

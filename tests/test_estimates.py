@@ -6,13 +6,12 @@ import pytest
 
 from choquetkit import (CapabilityError, ErrorTable, FunctionSpec, Kernel,
                         PerturbationProfile, RealCapacity,
-                        bernstein_choquet, bernstein_choquet_scheme,
-                        chebyshev_check, convergence_report, delta_rule,
-                        function_spec, modulus_of_continuity,
-                        modulus_of_continuity_detailed, perturbation_gap,
-                        picard_choquet, quantitative_bound,
-                        random_monotone_capacity, scheme_moments,
-                        uniform_additive)
+                        bernstein_choquet, bernstein_choquet_capacity,
+                        chebyshev_check, choquet_integral, choquet_variance,
+                        convergence_report, delta_rule, function_spec,
+                        modulus_of_continuity, modulus_of_continuity_detailed,
+                        perturbation_gap, picard_choquet, quantitative_bound,
+                        random_monotone_capacity, uniform_additive)
 
 
 PW_KNOTS = [(-1.0, 1.0), (0.0, 2.0), (1.0, 0.5)]
@@ -89,6 +88,8 @@ class TestModulus:
             ts = np.sort(rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 6))))
             knots = list(zip(ts, rng.uniform(-1.0, 2.0, size=ts.size)))
             spec = function_spec("pw_linear", knots=knots)
+            knot_t, knot_v = np.array(spec.param("knots")).T
+            lipschitz = np.max(np.abs(np.diff(knot_v) / np.diff(knot_t)))
             a = rng.uniform(-3.0, 1.0)
             window = (a, a + rng.uniform(0.2, 4.0))
             step = (window[1] - window[0]) / (points - 1)
@@ -96,7 +97,7 @@ class TestModulus:
                 exact = modulus_of_continuity(spec, delta, window)
                 grid = grid_modulus(spec.fn, delta, window, points)
                 assert grid <= exact + 1e-12
-                assert exact - grid <= 2.0 * spec.lipschitz * step + 1e-12
+                assert exact - grid <= 2.0 * lipschitz * step + 1e-12
 
     @pytest.mark.parametrize("knots,delta,window,want", [
         # the benchmark's knots: the slope -1.5 run from 0 to 1 sets the
@@ -201,30 +202,33 @@ class TestChebyshev:
             chebyshev_check([1.0, 2.0], uniform_additive(2), 0.0)
 
 
+def scheme_moments(n, x, profile=PerturbationProfile()):
+    """Choquet mean and variance of the lattice i/n under the basis capacity."""
+    cap = bernstein_choquet_capacity(n, x, profile)
+    lattice = [i / n for i in range(n + 1)]
+    return choquet_integral(lattice, cap), choquet_variance(lattice, cap)
+
+
 class TestSchemeMoments:
     def test_classical_scheme_binomial_oracle(self):
-        scheme = bernstein_choquet_scheme(PerturbationProfile(theta=0.0))
         for n in (4, 9):
             for x in (0.2, 0.7):
-                diag = scheme_moments(scheme, n, x)
-                assert diag.mean == pytest.approx(x, abs=1e-12)
-                assert diag.variance == pytest.approx(x * (1 - x) / n, abs=1e-12)
+                mean, variance = scheme_moments(n, x, PerturbationProfile(theta=0.0))
+                assert mean == pytest.approx(x, abs=1e-12)
+                assert variance == pytest.approx(x * (1 - x) / n, abs=1e-12)
 
     def test_perturbed_mean_display(self):
-        scheme = bernstein_choquet_scheme()
         for n in (4, 8, 16):
             for x in np.linspace(0.05, 0.95, 7):
                 x = float(x)
-                diag = scheme_moments(scheme, n, x)
-                assert diag.mean == pytest.approx(
+                mean, _ = scheme_moments(n, x)
+                assert mean == pytest.approx(
                     x + perturbation_gap(n, x) / n, abs=1e-12)
-                assert abs(diag.mean - x) <= 2.0 ** -n / n + 1e-15
+                assert abs(mean - x) <= 2.0 ** -n / n + 1e-15
 
     def test_variance_vanishes_like_1_over_n(self):
-        scheme = bernstein_choquet_scheme()
         for x in (0.25, 0.5, 0.8):
-            variances = [scheme_moments(scheme, n, x).variance
-                         for n in (4, 8, 16, 32, 64)]
+            variances = [scheme_moments(n, x)[1] for n in (4, 8, 16, 32, 64)]
             assert all(v >= 0 for v in variances)
             for v, n in zip(variances, (4, 8, 16, 32, 64)):
                 assert v <= 2.0 * x * (1 - x) / n + 2.0 / n ** 2 + 1e-12

