@@ -38,7 +38,7 @@ from .estimates import (chebyshev_check, convergence_report, delta_rule,
                         format_float, modulus_of_continuity, quantitative_bound)
 from .functions import FunctionSpec, function_spec
 from .intervals import IntervalUnion
-from .operators import (PerturbationProfile, bernstein_choquet,
+from .operators import (DEFAULT_PROFILE, PerturbationProfile, bernstein_choquet,
                         bernstein_choquet_capacity, bernstein_classical,
                         perturbation_gap, picard_choquet, picard_classical,
                         weierstrass_choquet)
@@ -110,6 +110,8 @@ def _parse_x_grid(raw) -> np.ndarray:
         raise ConfigError("x grid needs at least 2 points")
     if not lo < hi:
         raise ConfigError("x grid needs min < max")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"x grid needs finite min, max and max - min, got {lo}, {hi}")
     return np.linspace(lo, hi, count)
 
 
@@ -120,11 +122,12 @@ def _object(raw, what: str) -> dict:
     return raw
 
 
-def _parse_profile(cfg: dict) -> PerturbationProfile:
-    pert = _object(cfg.get("perturbation", {}), "perturbation")
+def _parse_profile(raw: dict) -> PerturbationProfile:
+    """The perturbation given by ``raw``'s ``theta`` and ``i0``; an absent
+    key takes the default of :class:`PerturbationProfile`."""
     try:
-        theta = float(cfg.get("theta", pert.get("theta", 1.0)))
-        i0 = _integer(cfg.get("i0", pert.get("i0", 1)))
+        theta = float(raw.get("theta", DEFAULT_PROFILE.theta))
+        i0 = _integer(raw.get("i0", DEFAULT_PROFILE.i0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid perturbation: {exc}") from exc
     try:
@@ -187,10 +190,8 @@ def _parse_discrete_capacity(raw: dict) -> DiscreteCapacity:
             return cap_mod.counting_distortion(_parse_gamma(raw.get("gamma")),
                                                _integer(raw["size"]))
         if rule == "bernstein_perturbed":
-            profile = PerturbationProfile(i0=_integer(raw.get("i0", 1)),
-                                          theta=float(raw.get("theta", 1.0)))
             return bernstein_choquet_capacity(_integer(raw["n"]), float(raw["x"]),
-                                              profile)
+                                              _parse_profile(raw))
         if rule == "table":
             return cap_mod.capacity_from_table(_integer(raw["size"]), raw["values"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -307,11 +308,18 @@ class _Setup:
         spec = _parse_function(cfg.get("function"))
         n_list = _parse_n_list(cfg.get("n_list"))
         x_grid = _parse_x_grid(cfg.get("x_grid"))
-        profile = _parse_profile(cfg)
+        # a top-level theta or i0 overrides the perturbation object's
+        profile = _parse_profile({**_object(cfg.get("perturbation", {}), "perturbation"),
+                                  **cfg})
         capacity = _real_capacity_factory(cfg.get("capacity"))
         lo, hi = float(np.min(x_grid)), float(np.max(x_grid))
         if any(name.startswith("bernstein") for name in names) and (lo < 0 or hi > 1):
             raise ConfigError("bernstein operators need an x grid inside [0, 1]")
+        if "bernstein_choquet" in names:
+            for n in n_list:
+                if n < 2 or profile.i0 > n:
+                    raise ConfigError(f"bernstein_choquet needs 2 <= n and i0 <= n, "
+                                      f"got n={n}, i0={profile.i0}")
         return _Setup(spec, n_list, x_grid, profile, capacity, (lo - 1.0, hi + 1.0))
 
 

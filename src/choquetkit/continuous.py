@@ -30,9 +30,11 @@ pieces that are pairwise disjoint except at shared endpoints; an empty
 piece has ``lo > hi`` (never NaN).  A closed form is one endpoint formula
 that serves both forms (:func:`_closed_form`): ``level`` evaluates it with
 ``math`` on a float, ``levels`` with numpy on the array.  Root-finding
-products are solved separately in each form, by ``brentq`` one level at a
-time and by one vectorised bisection per call that solves every monotone
-bracket for all levels together, so there the two forms check each other.
+products share one table of monotone brackets, built from one table of
+pieces ``f = c |t + d|**p`` (:func:`_log_pieces`), and are solved
+separately in each form, by ``brentq`` one level at a time and by one
+vectorised bisection per call that solves every bracket for all levels
+together, so there the two forms check each other.
 
 The two engines are independent of each other.  The double-exponential
 engine (:func:`choquet_integral_real_grid`) serves the kernel operators and
@@ -306,58 +308,49 @@ def _product_abs_dev_centered(kernel: Kernel) -> LevelSetFunction:
     return _closed_form(value, ends, sup)
 
 
-def _linear_pieces(spec: FunctionSpec) -> list[tuple[float, float, float, float]]:
-    """(lo, hi, a, b) pieces with f = a + b*t covering the line."""
+def _log_pieces(spec: FunctionSpec) -> tuple[list[float], list[tuple[float, float, float, float]]]:
+    """The knots of ``spec`` and the pieces ``(lo, hi, p, d)`` between them
+    on which ``f = c |t + d|**p`` with ``c > 0``, so ``f'/f = p/(t + d)``:
+    a linear piece ``a + b t`` is ``p = 1, d = a/b``, ``|t - center|`` is
+    ``p = 1, d = -center`` and ``sqrt(t + shift)`` is ``p = 1/2, d = shift``.
+    Constant pieces are left out; their only extremum, the kernel peak, is
+    in every profile's table anyway."""
     if spec.name == "abs_dev":
         c = spec.param("center")
-        return [(-math.inf, c, c, -1.0), (c, math.inf, -c, 1.0)]
-    knots = spec.param("knots")
-    ts = [t for t, _ in knots]
-    vs = [v for _, v in knots]
-    pieces = [(-math.inf, ts[0], vs[0], 0.0)]
-    for j in range(len(ts) - 1):
-        b = (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j])
-        a = vs[j] - b * ts[j]
-        pieces.append((ts[j], ts[j + 1], a, b))
-    pieces.append((ts[-1], math.inf, vs[-1], 0.0))
-    return pieces
+        return [c], [(-math.inf, c, 1.0, -c), (c, math.inf, 1.0, -c)]
+    if spec.name == "sqrt":
+        shift = spec.param("shift")
+        return [-shift], [(-shift, math.inf, 0.5, shift)]
+    if spec.name == "pw_linear":
+        knots = spec.param("knots")
+        pieces = []
+        for (t0, v0), (t1, v1) in zip(knots, knots[1:]):
+            b = (v1 - v0) / (t1 - t0)
+            if b != 0.0:
+                pieces.append((t0, t1, 1.0, (v0 - b * t0) / b))
+        return [t for t, _ in knots], pieces
+    raise CapabilityError(f"no level-set construction for function family {spec.name!r}")
 
 
-def _linear_stationaries(pieces, kernel: Kernel) -> list[float]:
-    """Interior zeros of d/dt[(a + b t) * kernel(t)] for every piece."""
+def _stationaries(pieces, kernel: Kernel) -> list[float]:
+    """Stationary points of ``f * kernel`` strictly inside the pieces of
+    :func:`_log_pieces`: the roots of ``p/(t + d) = -(log K)'(t)``."""
     n, x = kernel.n, kernel.x
     out = []
-    for lo, hi, a, b in pieces:
+    for lo, hi, p, d in pieces:
         if kernel.family == LAPLACE:
-            # split at the kernel kink; on each side K = exp(s*n*(t-x))
-            for plo, phi, s in ((lo, min(hi, x), 1.0), (max(lo, x), hi, -1.0)):
-                if plo >= phi or b == 0.0:
-                    continue
-                t_star = -1.0 / (s * n) - a / b
-                if plo < t_star < phi:
-                    out.append(t_star)
+            # -(log K)' is n left of the peak and -n right of it
+            roots = [t for t in (-p / n - d,) if t < x] + [t for t in (p / n - d,) if t > x]
         else:
-            if b == 0.0:
-                if lo < x < hi and a != 0.0:
-                    out.append(x)
-                continue
-            # 2nb t^2 + 2n(a - bx) t - (2nax + b) = 0
-            coeffs = [2 * n * b, 2 * n * (a - b * x), -(2 * n * a * x + b)]
-            for r in np.roots(coeffs):
-                if abs(r.imag) < 1e-12 and lo < r.real < hi:
-                    out.append(float(r.real))
+            # p = 2n (t - x)(t + d): t**2 + (d - x) t - (x d + p/(2n)) = 0,
+            # whose discriminant ((x + d)/2)**2 + p/(2n) is positive; the
+            # root of larger magnitude without cancellation, the other from
+            # the product of the two
+            h = 0.5 * (x - d)
+            big = h + math.copysign(math.sqrt((0.5 * (x + d)) ** 2 + p / (2 * n)), h)
+            roots = [big, -(x * d + p / (2 * n)) / big]
+        out += [t for t in roots if lo < t < hi]
     return out
-
-
-def _sqrt_stationaries(shift: float, kernel: Kernel) -> list[float]:
-    n, x = kernel.n, kernel.x
-    if kernel.family == LAPLACE:
-        t_star = 1.0 / (2 * n) - shift
-        return [t_star] if t_star > x else []
-    # 1 = 4n(t - x)(t + shift)
-    coeffs = [4 * n, 4 * n * (shift - x), -(4 * n * x * shift + 1.0)]
-    return [float(r.real) for r in np.roots(coeffs)
-            if abs(r.imag) < 1e-12 and r.real + shift > 0]
 
 
 def _expand(g, start: float, alpha: float, step: float) -> float:
@@ -414,28 +407,33 @@ def _bisect(g: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
 
 
 def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
-    """Bracketed root-finding on the piecewise monotone product profile."""
-    f = spec.fn
+    """Bracketed root-finding on the product profile, which is monotone on
+    each bracket: the left tail, each gap between consecutive ``pts`` (the
+    knots, the kernel peak and the stationary points) and the right tail."""
+    knots, pieces = _log_pieces(spec)
+    f, f_array = spec.fn, spec.array_fn
 
     def g(t: float) -> float:
         return f(t) * kernel(t)
 
-    if spec.name in ("pw_linear", "abs_dev"):
-        pieces = _linear_pieces(spec)
-        knots = [p for piece in pieces for p in piece[:2] if math.isfinite(p)]
-        stationaries = _linear_stationaries(pieces, kernel)
-    elif spec.name == "sqrt":
-        shift = spec.param("shift")
-        knots = [-shift]
-        stationaries = _sqrt_stationaries(shift, kernel)
-    else:
-        raise CapabilityError(
-            f"no level-set construction for function family {spec.name!r}")
+    def g_array(t: np.ndarray) -> np.ndarray:
+        return f_array(t) * kernel.values(t)
 
-    pts = sorted(set(knots) | {kernel.x} | set(stationaries))
+    pts = sorted(set(knots) | {kernel.x} | set(_stationaries(pieces, kernel)))
     vals = [g(p) for p in pts]
     sup = max(vals)
     step0 = max(1.0, 1.0 / kernel.n)
+    # the profile at the bracket ends; the tails decay to 0
+    va = [0.0] + vals
+    vb = vals + [0.0]
+
+    def brackets(alpha: float) -> tuple[list[float], list[float]]:
+        """Bracket ends ``(a, b)`` for every level from ``alpha`` up: a
+        tail reaches to where the profile drops below ``alpha``, a tail no
+        such level reaches is its point of ``pts``."""
+        left = _expand(g, pts[0], alpha, -step0) if vals[0] >= alpha else pts[0]
+        right = _expand(g, pts[-1], alpha, step0) if vals[-1] >= alpha else pts[-1]
+        return [left] + pts, pts + [right]
 
     def level(alpha: float) -> IntervalUnion:
         from scipy.optimize import brentq
@@ -445,59 +443,36 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
         if alpha > sup:
             return IntervalUnion.empty()
         out = []
-        open_start = None
-        if vals[0] >= alpha:
-            lo = _expand(g, pts[0], alpha, -step0)
-            open_start = brentq(lambda t: g(t) - alpha, lo, pts[0], xtol=_ROOT_XTOL)
-        for j in range(len(pts) - 1):
-            inside_next = vals[j + 1] >= alpha
-            if open_start is not None and not inside_next:
-                c = brentq(lambda t: g(t) - alpha, pts[j], pts[j + 1], xtol=_ROOT_XTOL)
-                out.append((open_start, c))
-                open_start = None
-            elif open_start is None and inside_next:
-                open_start = brentq(lambda t: alpha - g(t), pts[j], pts[j + 1],
-                                    xtol=_ROOT_XTOL)
-        if open_start is not None:
-            hi = _expand(g, pts[-1], alpha, step0)
-            c = brentq(lambda t: g(t) - alpha, pts[-1], hi, xtol=_ROOT_XTOL)
-            out.append((open_start, c))
+        for a, b, ga, gb in zip(*brackets(alpha), va, vb):
+            if ga < alpha and gb < alpha:
+                continue
+            if ga < alpha or gb < alpha:
+                c = brentq(lambda t: g(t) - alpha, a, b, xtol=_ROOT_XTOL)
+                a, b = (a, c) if ga >= alpha else (c, b)
+            # join a piece to the one it continues: from_pairs merging every
+            # whole bracket made the adaptive engine ~5% slower
+            if out and out[-1][1] == a:
+                a = out.pop()[0]
+            out.append((a, b))
         return IntervalUnion.from_pairs(out)
 
-    f_array = spec.array_fn
-
-    def g_array(t: np.ndarray) -> np.ndarray:
-        return f_array(t) * kernel.values(t)
-
-    def tail_end(j: int, step: float, alphas: np.ndarray) -> float:
-        """Far end of the tail bracket at ``pts[j]``: the tails decay to 0,
-        so one bracket, wide enough for the lowest level that reaches the
-        tail, serves every level; a tail no level reaches is ``pts[j]``."""
-        reach = alphas <= vals[j]
-        return _expand(g, pts[j], alphas[reach].min(), step) if reach.any() else pts[j]
-
-    # one piece per monotone bracket: the left tail, the gaps between
-    # consecutive pts, the right tail; the profile at the bracket ends
-    va = np.array([0.0] + vals)
-    vb = np.array(vals + [0.0])
-
     def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = np.array([tail_end(0, -step0, alphas)] + pts)
-        b = np.array(pts + [tail_end(-1, step0, alphas)])
-        in_a = va[:, None] >= alphas
-        in_b = vb[:, None] >= alphas
+        a, b = map(np.array, brackets(alphas.min(initial=math.inf)))
+        ga, gb = np.array(va), np.array(vb)
+        in_a = ga[:, None] >= alphas
+        in_b = gb[:, None] >= alphas
         lo = np.where(in_a, a[:, None], math.inf)
         hi = np.where(in_b, b[:, None], -math.inf)
         # every bracket and level whose set ends inside the bracket is one
         # lane of a single bisection
         row, col = np.nonzero(in_a != in_b)
         if row.size:
-            rising = (vb > va)[row]
+            rising = (gb > ga)[row]
             level = alphas[col]
             root = _bisect(g_array, a[row], b[row], level, rising)
             # like brentq, take the bracket end where the profile meets the
             # level exactly (a local maximum at alpha = its value)
-            at_end = level == np.where(rising, vb[row], va[row])
+            at_end = level == np.where(rising, gb[row], ga[row])
             root[at_end] = np.where(rising, b[row], a[row])[at_end]
             lo[row[rising], col[rising]] = root[rising]
             hi[row[~rising], col[~rising]] = root[~rising]

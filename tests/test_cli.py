@@ -355,6 +355,26 @@ class TestOperator:
         assert main(args + ["--config", cfg]) == 0
         assert capsys.readouterr().out == plain
 
+    @pytest.mark.parametrize("flags", [["--i0", "9", "--n", "2"],
+                                       ["--n", "1", "--xgrid", "0:1:2"]],
+                             ids=["i0_above_n", "n_1"])
+    def test_bernstein_choquet_ground_set_is_config_error(self, capsys, flags):
+        # the default operator needs 2 <= n and i0 <= n for every n of the list
+        assert main(["operator"] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: bernstein_choquet needs 2 <= n and i0 <= n")
+
+    @pytest.mark.parametrize("operator, grid", [
+        ("picard", {"min": 0, "max": math.inf, "count": 3}),
+        ("picard_choquet", "-1e308:1e308:3"),
+    ], ids=["infinite_max", "infinite_span"])
+    def test_x_grid_must_be_finite(self, tmp_path, capsys, operator, grid):
+        cfg = write_config(tmp_path, {"operator": operator, "n_list": [2], "x_grid": grid})
+        assert main(["operator", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: x grid needs finite min, max and max - min")
+
     def test_divergent_product_is_numeric_error(self, tmp_path):
         cfg = write_config(tmp_path, {
             "operator": "picard_choquet",
@@ -422,6 +442,12 @@ class TestCompare:
         if pair == "picard":
             # classical Picard is bounded by the Picard-Choquet deviation integral
             assert [r[5] for r in classical] == [r[5] for r in choquet]
+
+    def test_bernstein_pair_i0_above_n_is_config_error(self, capsys):
+        assert main(["compare", "--pair", "bernstein", "--i0", "9", "--n", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: bernstein_choquet needs 2 <= n and i0 <= n, got n=2, i0=9\n"
 
     def test_bernstein_pair(self, tmp_path):
         out = tmp_path / "cb.csv"

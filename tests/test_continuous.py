@@ -147,6 +147,43 @@ class TestProductLevelSets:
             product_level_function(function_spec("e1"), Kernel.laplace(2.0, 0.0))
 
 
+STATIONARY_SPECS = {
+    "sqrt_shift_-0.4": function_spec("sqrt", shift=-0.4),
+    "sqrt_shift_0": function_spec("sqrt", shift=0.0),
+    "sqrt_shift_3": function_spec("sqrt", shift=3.0),
+    "pw_linear_3": function_spec("pw_linear", knots=[(-1.0, 1.0), (0.0, 2.0), (1.0, 0.5)]),
+    "pw_linear_5_flat": function_spec("pw_linear", knots=[
+        (-2.0, 0.5), (-1.0, 1.5), (0.0, 1.5), (0.5, 0.2), (2.0, 1.0)]),
+    "abs_dev_off_centre": function_spec("abs_dev", center=-0.4),
+}
+
+
+@pytest.mark.parametrize("family", ["laplace", "gauss"])
+@pytest.mark.parametrize("spec", STATIONARY_SPECS.values(), ids=STATIONARY_SPECS.keys())
+def test_stationaries_split_the_profile_into_monotone_brackets(spec, family):
+    # the root-finding oracles assume the profile is monotone between the
+    # knots, the kernel peak and the stationary points; a stationary point
+    # that _stationaries misses turns a bracket and lowers sup_value.  The x
+    # values include knots of the pw_linear specs and the support start of
+    # every sqrt spec.  Below the smallest normal float the profile has no
+    # relative precision left to compare.
+    knots, pieces = continuous._log_pieces(spec)
+    for n in (1.5, 2.0, 8.0, 64.0):
+        for x in (-3.0, -1.0, 0.0, 0.4, 1.3):
+            kernel = Kernel(family, n, x)
+            pts = sorted(set(knots) | {x} | set(continuous._stationaries(pieces, kernel)))
+            ends = [pts[0] - 5.0] + pts + [pts[-1] + 5.0]
+            top = 0.0
+            for a, b in zip(ends, ends[1:]):
+                ts = np.linspace(a, b, 1001)
+                y = spec.array_fn(ts) * kernel.values(ts)
+                top = max(top, y.max())
+                step = np.diff(y)
+                tol = max(1e-12 * y.max(), np.finfo(float).tiny)
+                assert np.all(step >= -tol) or np.all(step <= tol), (n, x, a, b)
+            assert product_level_function(spec, kernel).sup_value >= top * (1.0 - 1e-12)
+
+
 @pytest.mark.parametrize("n,x", [(math.inf, 0.0), (math.nan, 0.0), (2.0, math.nan),
                                  (2.0, -math.inf)])
 def test_kernel_rejects_non_finite_parameters(n, x):
