@@ -176,19 +176,26 @@ def check_properties(cap: DiscreteCapacity) -> PropertyReport:
 # distortion functions
 
 
+def _float_or_array(scalar: Callable, array: Callable) -> Callable:
+    """One function that is ``scalar`` on a float and ``array`` on anything
+    else, such as a numpy array: a float keeps the speed of ``math``."""
+    return lambda t: scalar(t) if type(t) is float else array(t)
+
+
 @dataclass(frozen=True)
 class DistortionFunction:
     """Named nondecreasing concave distortion with gamma(0) = 0.
 
-    ``fn`` is defined on [0, inf); the normalization gamma(1) = 1 matters
-    only when distorting a probability vector, the real-line variants
-    (e.g. sqrt of Lebesgue length) apply it to arbitrary lengths.
+    ``fn`` is defined on [0, inf) and takes a float or a numpy array of
+    them; the normalization gamma(1) = 1 matters only when distorting a
+    probability vector, the real-line variants (e.g. sqrt of Lebesgue
+    length) apply it to arbitrary lengths.
     """
 
     name: str
-    fn: Callable[[float], float]
+    fn: Callable
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
         return self.fn(t)
 
     @staticmethod
@@ -197,7 +204,7 @@ class DistortionFunction:
 
     @staticmethod
     def sqrt() -> "DistortionFunction":
-        return DistortionFunction("sqrt", math.sqrt)
+        return DistortionFunction("sqrt", _float_or_array(math.sqrt, np.sqrt))
 
     @staticmethod
     def power(p: float) -> "DistortionFunction":
@@ -205,7 +212,9 @@ class DistortionFunction:
             raise ValueError(f"power distortion needs a number p, got {p!r}")
         if not 0 < p <= 1:
             raise ValueError("power distortion requires 0 < p <= 1")
-        return DistortionFunction(f"power_{p:g}", lambda t: t ** p)
+        # float_power, unlike numpy's power, rounds as float ** does
+        return DistortionFunction(f"power_{p:g}", _float_or_array(
+            lambda t: t ** p, lambda t: np.float_power(t, p)))
 
 
 _DISTORTIONS = {

@@ -112,6 +112,8 @@ def _parse_x_grid(raw) -> np.ndarray:
         raise ConfigError("x grid needs min < max")
     if not math.isfinite(hi - lo):
         raise ConfigError(f"x grid needs finite min, max and max - min, got {lo}, {hi}")
+    if lo + 1.0 == lo or hi + 1.0 == hi:
+        raise ConfigError(f"x grid needs points that x + 1 resolves, got {lo}, {hi}")
     return np.linspace(lo, hi, count)
 
 

@@ -32,15 +32,17 @@ that serves both forms (:func:`_closed_form`): ``level`` evaluates it with
 ``math`` on a float, ``levels`` with numpy on the array.  Root-finding
 products share one table of monotone brackets, built from one table of
 pieces ``f = c |t + d|**p`` (:func:`_log_pieces`), and are solved
-separately in each form, by ``brentq`` one level at a time and by one
-vectorised bisection per call that solves every bracket for all levels
-together, so there the two forms check each other.
+separately in each form: by ``brentq`` on ``f * kernel`` one level at a
+time, and by one safeguarded Newton iteration per call (:func:`_newton`)
+on the log profile ``log c + p log|t + d| + log K - log alpha`` that
+solves every bracket for all levels together, so there the two forms
+check each other.
 
 The two engines are independent of each other.  The double-exponential
 engine (:func:`choquet_integral_real_grid`) serves the kernel operators and
 their normalizers: tanh-sinh on each finite piece of the layer cake in
 ``s``, exp-sinh on the tail, all nodes of all pieces through one batched
-oracle call whose root-finding is a single vectorised bisection, and a
+oracle call whose root-finding is a single Newton solve, and a
 step that halves, from ``TS_STEP`` up to ``TS_HALVINGS`` times, only on the
 pieces that miss ``QUAD_ABS_TOL``/``QUAD_REL_TOL``.  The adaptive engine
 (:func:`choquet_integral_real`) is the check engine: it runs ``scipy.quad``
@@ -56,6 +58,7 @@ import functools
 import math
 import types
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,6 +71,11 @@ from .realline import LAPLACE, Kernel, RealCapacity
 
 _ROOT_XTOL = 1e-13
 _ROOT_RTOL = 4.0 * np.finfo(float).eps   # brentq's default
+# the Newton solver's residual stop |h| <= _ROOT_HTOL (1 + |log alpha|) and
+# its cap on passes
+_ROOT_HTOL = 8.0 * np.finfo(float).eps
+_NEWTON_PASSES = 32
+_TINY = np.finfo(float).tiny
 # scipy.quad's absolute and relative tolerance and subinterval limit
 QUAD_ABS_TOL = 1e-9
 QUAD_REL_TOL = 1e-8
@@ -308,36 +316,44 @@ def _product_abs_dev_centered(kernel: Kernel) -> LevelSetFunction:
     return _closed_form(value, ends, sup)
 
 
-def _log_pieces(spec: FunctionSpec) -> tuple[list[float], list[tuple[float, float, float, float]]]:
-    """The knots of ``spec`` and the pieces ``(lo, hi, p, d)`` between them
-    on which ``f = c |t + d|**p`` with ``c > 0``, so ``f'/f = p/(t + d)``:
-    a linear piece ``a + b t`` is ``p = 1, d = a/b``, ``|t - center|`` is
-    ``p = 1, d = -center`` and ``sqrt(t + shift)`` is ``p = 1/2, d = shift``.
-    Constant pieces are left out; their only extremum, the kernel peak, is
-    in every profile's table anyway."""
+def _log_pieces(spec: FunctionSpec) -> tuple[list[float], list[tuple[float, ...]]]:
+    """The knots of ``spec`` and the pieces ``(lo, hi, c, p, d)`` between
+    them, which cover the line, on which ``f = c |t + d|**p`` with
+    ``c >= 0``, so ``f'/f = p/(t + d)``: a linear piece ``a + b t`` is
+    ``c = |b|, p = 1, d = a/b``, ``|t - center|`` is ``p = 1, d = -center``
+    and ``sqrt(t + shift)`` is ``p = 1/2, d = shift``.  A constant stretch
+    is ``p = 0``, with ``d`` putting the zero of ``t + d`` a unit outside it
+    so that ``log|t + d|`` stays finite there."""
     if spec.name == "abs_dev":
         c = spec.param("center")
-        return [c], [(-math.inf, c, 1.0, -c), (c, math.inf, 1.0, -c)]
+        return [c], [(-math.inf, c, 1.0, 1.0, -c), (c, math.inf, 1.0, 1.0, -c)]
     if spec.name == "sqrt":
         shift = spec.param("shift")
-        return [-shift], [(-shift, math.inf, 0.5, shift)]
+        return [-shift], [(-math.inf, -shift, 0.0, 0.0, shift - 1.0),
+                          (-shift, math.inf, 1.0, 0.5, shift)]
     if spec.name == "pw_linear":
         knots = spec.param("knots")
-        pieces = []
+        (first, v_first), (last, v_last) = knots[0], knots[-1]
+        pieces = [(-math.inf, first, v_first, 0.0, -first - 1.0)]
         for (t0, v0), (t1, v1) in zip(knots, knots[1:]):
             b = (v1 - v0) / (t1 - t0)
-            if b != 0.0:
-                pieces.append((t0, t1, 1.0, (v0 - b * t0) / b))
+            pieces.append((t0, t1, abs(b), 1.0, (v0 - b * t0) / b) if b != 0.0
+                          else (t0, t1, v0, 0.0, 1.0 - t0))
+        pieces.append((last, math.inf, v_last, 0.0, 1.0 - last))
         return [t for t, _ in knots], pieces
     raise CapabilityError(f"no level-set construction for function family {spec.name!r}")
 
 
 def _stationaries(pieces, kernel: Kernel) -> list[float]:
     """Stationary points of ``f * kernel`` strictly inside the pieces of
-    :func:`_log_pieces`: the roots of ``p/(t + d) = -(log K)'(t)``."""
+    :func:`_log_pieces` where ``f`` is not constant: the roots of
+    ``p/(t + d) = -(log K)'(t)``.  A constant piece's only extremum, the
+    kernel peak, is in every profile's table anyway."""
     n, x = kernel.n, kernel.x
     out = []
-    for lo, hi, p, d in pieces:
+    for lo, hi, _, p, d in pieces:
+        if p == 0.0:
+            continue
         if kernel.family == LAPLACE:
             # -(log K)' is n left of the peak and -n right of it
             roots = [t for t in (-p / n - d,) if t < x] + [t for t in (p / n - d,) if t > x]
@@ -365,45 +381,127 @@ def _expand(g, start: float, alpha: float, step: float) -> float:
     raise DivergenceError(f"product does not decay to the {side}")
 
 
-def _bisect(g: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
-            alphas: np.ndarray, rising: np.ndarray) -> np.ndarray:
-    """Crossings ``g(t) = alphas[i]`` on ``[a[i], b[i]]``, one lane per
-    bracket and level, by one vectorised bisection of all lanes.
+def _newton(kernel: Kernel, a: np.ndarray, b: np.ndarray, log_alpha: np.ndarray,
+            rising: np.ndarray, log_c: np.ndarray, p: np.ndarray,
+            d: np.ndarray) -> np.ndarray:
+    """Crossings ``f(t) K(t) = alpha`` on ``[a, b]``, one lane per bracket
+    and level, by one vectorised safeguarded Newton iteration of all lanes.
 
-    ``g`` is monotone on every bracket, increasing where ``rising`` is
-    true.  The lanes stop together on brentq's rule (every bracket
-    narrower than ``xtol + rtol * |t|``) and the midpoints are returned.
-    The brackets halve every step, so ``ceil(log2(width / xtol)) + 2``
-    steps of the widest one suffice; a bracket that is not finite, a NaN
-    profile value or a lane still open after that many steps raises
-    :class:`QuadratureError` naming the bracket of the first such lane.
+    On lane ``i`` the product is monotone, increasing where ``rising`` is
+    true, ``f = c |t + d|**p`` with ``log c = log_c[i]`` (a piece of
+    :func:`_log_pieces`) and ``K`` is ``kernel``.  The solver works on the
+    log profile ``h = log c + p log|t + d| + log K(t) - log alpha``, which
+    is concave on the bracket: so is each of its terms.  In ``u = t`` on a
+    rising lane and ``u = -t`` on a falling one, ``h`` rises from the outer
+    end (``h < 0``) to the inner end (``h >= 0``), and every tangent of it
+    meets zero at or before the root.  Each pass probes three points of
+    every bracket:
+
+    * the tangent root of the bracket end with the shorter Newton step, at
+      least half a tolerance inside the bracket: a lower bound, the Newton
+      step that never overshoots;
+    * the Newton point in ``log|t + d|`` from the outer end, which is exact
+      where the log term dominates, next to a zero of ``f`` such as sqrt's
+      support start (where ``h = -inf``);
+    * the root of the quadratic model at the inner end, which is exact on
+      a Gauss constant stretch and starts a near-double root next to a
+      stationary inner end;
+
+    the last two at least half a tolerance past the first, so that a
+    tangent root within half a tolerance of the root ends the lane.  The
+    bracket shrinks to the probes next to the crossing; a probe with
+    ``|h| <= _ROOT_HTOL (1 + |log alpha|)`` counts as the root.  The lanes
+    stop together on brentq's rule (every bracket narrower than
+    ``xtol + rtol * |t|``, or ended on a probe at the root), and each lane
+    returns the root of the chord across its final bracket.  A bracket
+    that is not finite, a NaN profile value or a lane still open after
+    ``_NEWTON_PASSES`` passes raises :class:`QuadratureError` naming the
+    bracket of the first such lane.
     """
     width = b - a
     bad = ~(np.isfinite(width) & (width >= 0.0))
     if bad.any():
         i = np.argmax(bad)
-        raise QuadratureError(f"bisection bracket [{a[i]}, {b[i]}] is not finite",
+        raise QuadratureError(f"root bracket [{a[i]}, {b[i]}] is not finite",
                               value=math.nan, error_estimate=math.inf)
-    lo, hi = a, b
-    steps = math.ceil(math.log2(max(width.max(), _ROOT_XTOL)) - math.log2(_ROOT_XTOL)) + 2
-    for _ in range(steps):
-        mid = lo + 0.5 * (hi - lo)
-        wide = hi - lo >= _ROOT_XTOL + _ROOT_RTOL * np.abs(mid)
-        if not wide.any():
-            return mid
-        gm = g(mid)
-        nan = np.isnan(gm)
-        if nan.any():
-            i = np.argmax(nan)
-            raise QuadratureError(f"level profile is NaN inside [{a[i]}, {b[i]}]",
-                                  value=math.nan, error_estimate=float(width[i]))
-        # the crossing lies left of mid when mid is on the rising side of it
-        left = (gm >= alphas) == rising
-        lo = np.where(left, lo, mid)
-        hi = np.where(left, mid, hi)
-    i = np.argmax(wide)
-    raise QuadratureError(f"bisection on [{a[i]}, {b[i]}] did not converge in {steps} steps",
-                          value=math.nan, error_estimate=float(np.max(hi - lo)))
+    m = a.size
+    sign = np.where(rising, 1.0, -1.0)
+    # rows u, h, h' and -h'' of five blocks of m lanes: the outer end, the
+    # three probes and the inner end
+    state = np.zeros((4, 5 * m))
+    u, h, dh, curv = state
+    u[:m] = sign * np.where(rising, a, b)
+    u[4 * m:] = sign * np.where(rising, b, a)
+    lo, hi = u[:m], u[4 * m:]
+    n, gauss = kernel.n, kernel.family != LAPLACE
+    dt, xt = sign * d, sign * kernel.x
+    # log K is linear on a Laplace lane's bracket, which lies on one side of
+    # the peak: its slope in u is n left of the peak and -n right of it
+    slope = np.where(lo + 0.5 * (hi - lo) < xt, n, -n)
+    const5, p5, dt5, xt5, slope5 = (np.concatenate((v,) * 5)
+                                    for v in (log_c - log_alpha, p, dt, xt, slope))
+    res3 = np.concatenate((_ROOT_HTOL * (1.0 + np.abs(log_alpha)),) * 3)
+
+    def evaluate(rows: slice) -> None:
+        w = u[rows] + dt5[rows]
+        q = u[rows] - xt5[rows]
+        if gauss:
+            k, dk, kk = -n * q * q, -2.0 * n * q, 2.0 * n
+        else:
+            k, dk, kk = slope5[rows] * q, slope5[rows], 0.0
+        pw = p5[rows] / w
+        np.add(const5[rows] + p5[rows] * np.log(np.abs(w)), k, out=h[rows])
+        np.add(pw, dk, out=dh[rows])
+        np.add(pw / w, kk, out=curv[rows])
+
+    lanes = np.arange(m)
+    probes = slice(m, 4 * m)
+    h_lo, h_hi, d_lo, d_hi, c_hi = h[:m], h[4 * m:], dh[:m], dh[4 * m:], curv[4 * m:]
+    # a log of 0 at a zero of f; NaN quotients of infinities, which the
+    # comparisons and fmin/fmax below pass over
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        evaluate(slice(0, 5 * m))
+        for _ in range(_NEWTON_PASSES):
+            tol = _ROOT_XTOL + _ROOT_RTOL * np.abs(hi)
+            done = (hi - lo < tol) | (h_hi == 0.0)
+            if done.all():
+                nan = np.isnan(h_lo) | np.isnan(h_hi)
+                if nan.any():
+                    i = np.argmax(nan)
+                    raise QuadratureError(f"level profile is NaN inside [{a[i]}, {b[i]}]",
+                                          value=math.nan, error_estimate=float(width[i]))
+                # unlike the midpoint, the chord does not lean towards the
+                # inner end when a tangent root ended the lane; from
+                # h = -inf (a zero of f) it ends at the inner end
+                chord = np.fmax(np.fmin(h_lo / (h_lo - h_hi), 1.0), 0.0)
+                return sign * (lo + chord * (hi - lo))
+            # a finished lane probes inside its bracket without a step
+            half = np.where(done, 0.0, 0.5 * tol)
+            inner = hi - half
+            # both ends' tangent roots are lower bounds; the shorter step
+            # carries less rounding (a step across a wide tail can land past
+            # the root), and a -inf or a flat end has no step
+            step_lo, step_hi = -h_lo / d_lo, h_hi / np.maximum(d_hi, _TINY)
+            tangent = np.where(step_lo <= step_hi, lo + step_lo, hi - step_hi)
+            u[m:2 * m] = first = np.fmin(np.fmax(tangent, lo + half), inner)
+            w = lo + dt
+            log_newton = w * np.exp(-h_lo / (w * d_lo)) - dt
+            quadratic = hi - 2.0 * h_hi / (d_hi + np.sqrt(d_hi * d_hi + 2.0 * c_hi * h_hi))
+            past = first + half
+            np.fmin(np.fmax(np.fmin(log_newton, quadratic), past), inner, out=u[2 * m:3 * m])
+            np.fmin(np.fmax(np.fmax(log_newton, quadratic), past), inner, out=u[3 * m:4 * m])
+            evaluate(probes)
+            hp = h[probes]
+            hp[np.abs(hp) <= res3] = 0.0
+            # the probes rise along the bracket: the new outer end is the
+            # last one below the level, the new inner end the one after it
+            outer = (hp < 0.0).reshape(3, m).sum(axis=0) * m + lanes
+            state[:, :m], state[:, 4 * m:] = state[:, outer], state[:, outer + m]
+    open_ = ~done
+    i = np.argmax(open_)
+    raise QuadratureError(f"root finding on [{a[i]}, {b[i]}] did not converge in "
+                          f"{_NEWTON_PASSES} passes", value=math.nan,
+                          error_estimate=float(np.max((hi - lo)[open_])))
 
 
 def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
@@ -411,16 +509,20 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     each bracket: the left tail, each gap between consecutive ``pts`` (the
     knots, the kernel peak and the stationary points) and the right tail."""
     knots, pieces = _log_pieces(spec)
-    f, f_array = spec.fn, spec.array_fn
+    f = spec.fn
 
     def g(t: float) -> float:
         return f(t) * kernel(t)
 
-    def g_array(t: np.ndarray) -> np.ndarray:
-        return f_array(t) * kernel.values(t)
-
     pts = sorted(set(knots) | {kernel.x} | set(_stationaries(pieces, kernel)))
-    vals = [g(p) for p in pts]
+    # the piece of f under each bracket (the left tail, each gap of pts and
+    # the right tail) is the one in which the bracket's left end lies
+    his = [hi for _, hi, *_ in pieces]
+    _, _, c, p, d = map(np.array, zip(*(pieces[bisect_right(his, s)]
+                                        for s in [-math.inf] + pts)))
+    with np.errstate(divide="ignore"):  # c = 0 left of sqrt's support
+        log_c = np.log(c)
+    vals = [g(t) for t in pts]
     sup = max(vals)
     step0 = max(1.0, 1.0 / kernel.n)
     # the profile at the bracket ends; the tails decay to 0
@@ -464,16 +566,18 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
         lo = np.where(in_a, a[:, None], math.inf)
         hi = np.where(in_b, b[:, None], -math.inf)
         # every bracket and level whose set ends inside the bracket is one
-        # lane of a single bisection
+        # lane of a single Newton solve
         row, col = np.nonzero(in_a != in_b)
         if row.size:
             rising = (gb > ga)[row]
             level = alphas[col]
-            root = _bisect(g_array, a[row], b[row], level, rising)
             # like brentq, take the bracket end where the profile meets the
             # level exactly (a local maximum at alpha = its value)
-            at_end = level == np.where(rising, gb[row], ga[row])
-            root[at_end] = np.where(rising, b[row], a[row])[at_end]
+            root = np.where(rising, b[row], a[row])
+            solve = level != np.where(rising, gb[row], ga[row])
+            r = row[solve]
+            root[solve] = _newton(kernel, a[r], b[r], np.log(level[solve]), rising[solve],
+                                  log_c[r], p[r], d[r])
             lo[row[rising], col[rising]] = root[rising]
             hi[row[~rising], col[~rising]] = root[~rising]
         return lo, hi

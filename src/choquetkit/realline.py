@@ -46,6 +46,11 @@ class Kernel:
             raise ValueError(f"kernel parameters must be finite, got n={self.n}, x={self.x}")
         if not self.n > 0:
             raise ValueError("kernel parameter n must be positive")
+        # the level sets of a kernel product are resolved at the kernel's
+        # scale around x, at least 1
+        if self.x + max(1.0, 1.0 / self.n) == self.x:
+            raise ValueError(f"kernel centre x={self.x} is too large to resolve "
+                             f"at the kernel's scale (n={self.n})")
 
     @staticmethod
     def laplace(n: float, x: float) -> "Kernel":
@@ -121,9 +126,8 @@ class RealCapacity:
         """
         present = lo <= hi
         if self.kind == "distorted_lebesgue":
-            lengths = np.where(present, hi - lo, 0.0).sum(axis=0)
-            return np.array([self.gamma(length) if length > 0 else 0.0
-                             for length in lengths.tolist()])
+            # gamma(0) = 0, so an empty set needs no case of its own
+            return self.gamma(np.where(present, hi - lo, 0.0).sum(axis=0))
         nearest = np.clip(self.kernel.x, np.where(present, lo, 0.0),
                           np.where(present, hi, 0.0))
         sups = np.where(present, self.kernel.values(nearest), 0.0)

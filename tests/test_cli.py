@@ -102,6 +102,22 @@ class TestIntegrate:
         })
         assert main(["integrate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("x", [1e200, 1e100])
+    def test_unresolvable_kernel_centre_is_config_error(self, tmp_path, capsys, x):
+        # x + 1 == x: the level sets of the product cannot be resolved there
+        # (1e200 overflowed in a square, 1e100 ended in "does not decay")
+        cfg = write_config(tmp_path, {"mode": "real", "function": "sqrt",
+                                      "kernel": {"family": "gauss", "n": 2, "x": x}})
+        assert main(["integrate", "--config", cfg]) == 2
+        assert "kernel centre" in capsys.readouterr().err
+
+    def test_large_kernel_centre_still_integrates(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"mode": "real", "function": "sqrt",
+                                      "kernel": {"family": "gauss", "n": 2, "x": 1e15}})
+        assert main(["integrate", "--config", cfg]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(row[2]) == pytest.approx(float(row[4]), rel=1e-6)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, bad):
         out = tmp_path / "out.csv"
@@ -374,6 +390,12 @@ class TestOperator:
         assert main(["operator", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith(
             "config error: x grid needs finite min, max and max - min")
+
+    def test_x_grid_must_resolve_unit_steps(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"operator": "weierstrass_choquet", "function": "sqrt",
+                                      "n_list": [2], "x_grid": "1e200:2e200:2"})
+        assert main(["operator", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: x grid needs points that x + 1")
 
     def test_divergent_product_is_numeric_error(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -13,10 +13,11 @@ from choquetkit import (DivergenceError, IntervalUnion, Kernel,
                         kernel_level_function, kernel_normalizer,
                         product_level_function)
 from choquetkit import continuous
-from choquetkit.continuous import _bisect, _lambert_pair, _lambert_pairs
+from choquetkit.continuous import _lambert_pair, _lambert_pairs, _newton
 from choquetkit.intervals import empty_pieces
 
 SQRT_M = RealCapacity.sqrt_lebesgue()
+XTOL, RTOL, EPS = 1e-13, 4.0 * np.finfo(float).eps, np.finfo(float).eps
 PW_KNOTS = [(-1.0, 0.0), (0.0, 2.0), (1.0, 0.5), (2.0, 1.5)]
 
 
@@ -323,79 +324,88 @@ class TestBatchedOracle:
 
     @staticmethod
     def lanes(*brackets):
-        """Per-lane arrays ``(a, b, alphas, rising)`` of ``(a, b, alpha, rising)``."""
-        a, b, alphas, rising = zip(*brackets)
-        return np.array(a), np.array(b), np.array(alphas), np.array(rising)
+        """Per-lane arrays ``(a, b, log alpha, rising, log c, p, d)`` of
+        ``(a, b, alpha, rising, c, p, d)``, the lanes of ``f = c |t + d|**p``."""
+        a, b, alphas, rising, c, p, d = map(np.array, zip(*brackets))
+        with np.errstate(invalid="ignore"):
+            return a, b, np.log(alphas), rising, np.log(c), p, d
 
-    def test_bisection_matches_brentq_within_its_step_cap(self):
+    def test_newton_matches_brentq_within_its_pass_cap(self, monkeypatch):
+        # exp(-2t) on [0, 16]: the constant piece f = 1 (p = 0, with d
+        # keeping t + d >= 1) against Laplace(2, 0), a linear log profile
         from scipy.optimize import brentq
-        calls = []
-
-        def g(t):
-            calls.append(t.size)
-            return np.exp(-2.0 * t)
-
+        monkeypatch.setattr(continuous, "_NEWTON_PASSES", 3)
         alphas = [0.9, 0.3, 1e-6]
-        roots = _bisect(g, *self.lanes(*[(0.0, 16.0, alpha, False) for alpha in alphas]))
+        roots = _newton(Kernel.laplace(2.0, 0.0),
+                        *self.lanes(*[(0.0, 16.0, alpha, False, 1.0, 0.0, 1.0)
+                                      for alpha in alphas]))
         for alpha, root in zip(alphas, roots):
             want = brentq(lambda t: math.exp(-2.0 * t) - alpha, 0.0, 16.0, xtol=1e-13)
             assert root == pytest.approx(want, abs=2e-13)
-        assert len(calls) <= math.ceil(math.log2(16.0 / 1e-13)) + 2
 
-    def test_bisection_solves_rising_and_falling_brackets_together(self):
-        # t * exp(-t) rises on [0, 1] and falls on [1, inf); brackets of
-        # different widths and directions share one call
+    def test_newton_solves_rising_and_falling_brackets_together(self, monkeypatch):
+        # t * exp(-t), the piece f = |t| (p = 1, d = 0) against Laplace(1, 0),
+        # rises on [0, 1] and falls on [1, inf); brackets of different widths
+        # and directions share one call, and two rising ones start at the
+        # zero of f, where the log profile is -inf
         from scipy.optimize import brentq
-        calls = []
-
-        def g(t):
-            calls.append(t.size)
-            return t * np.exp(-t)
-
+        monkeypatch.setattr(continuous, "_NEWTON_PASSES", 8)
         brackets = [(0.0, 1.0, 0.2, True), (0.25, 1.0, 0.3, True),
                     (1.0, 8.0, 0.2, False), (1.0, 40.0, 1e-9, False),
                     (1.0, 3.0, 0.3, False), (0.0, 1.0, 1e-12, True)]
-        roots = _bisect(g, *self.lanes(*brackets))
-        assert len(set(calls)) == 1 and calls[0] == len(brackets)
-        assert len(calls) <= math.ceil(math.log2(40.0 / 1e-13)) + 2
+        roots = _newton(Kernel.laplace(1.0, 0.0),
+                        *self.lanes(*[lane + (1.0, 1.0, 0.0) for lane in brackets]))
         for (a, b, alpha, _), root in zip(brackets, roots):
             want = brentq(lambda t: t * math.exp(-t) - alpha, a, b, xtol=1e-13)
             assert root == pytest.approx(want, abs=2e-13)
 
-    def test_bisection_never_loops_unbounded(self, monkeypatch):
-        falling = lambda t: -t  # noqa: E731
+    def test_newton_never_loops_unbounded(self, monkeypatch):
+        laplace = Kernel.laplace(1.0, 0.0)
+        const = (1.0, 0.0, 2.0)  # f = 1, with t + d >= 1 on [0, 1]
         with pytest.raises(QuadratureError, match=r"\[nan, 1.0\] is not finite"):
-            _bisect(falling, *self.lanes((0.0, 1.0, 0.5, False), (math.nan, 1.0, 0.5, False)))
+            _newton(laplace, *self.lanes((0.0, 1.0, 0.5, False) + const,
+                                         (math.nan, 1.0, 0.5, False) + const))
         with pytest.raises(QuadratureError, match="not finite"):
-            _bisect(falling, *self.lanes((-math.inf, 1.0, 0.5, False)))
+            _newton(laplace, *self.lanes((-math.inf, 1.0, 0.5, False) + const))
         with pytest.raises(QuadratureError, match=r"NaN inside \[0.0, 1.0\]"):
-            _bisect(lambda t: t * math.nan, *self.lanes((0.0, 1.0, 0.5, True)))
-        # a bracket at the top of the float range has no overflowing midpoint
-        root = _bisect(falling, *self.lanes((1e308, 1.7e308, -1.5e308, False)))
+            _newton(laplace, *self.lanes((0.0, 1.0, 0.5, False, math.nan, 0.0, 2.0)))
+        # a bracket at the top of the float range has no overflowing midpoint:
+        # exp(-(t - 1e308) / 1e308) = exp(-1/2) at t = 1.5e308
+        root = _newton(Kernel.laplace(1e-308, 1e308),
+                       *self.lanes((1e308, 1.7e308, math.exp(-0.5), False,
+                                    1.0, 0.0, 1.0 - 1e308)))
         assert root[0] == pytest.approx(1.5e308, rel=1e-15)
-        # with a stopping rule no lane can meet, the step cap ends the loop
-        monkeypatch.setattr(continuous, "_ROOT_RTOL", -1.0)
-        calls = []
-        with pytest.raises(QuadratureError, match=r"on \[0.0, 1.0\] did not converge"):
-            _bisect(lambda t: calls.append(1) or -t,
-                    *self.lanes((0.0, 1.0, -0.5, False), (0.0, 0.5, -0.25, False)))
-        assert len(calls) == math.ceil(-math.log2(1e-13)) + 2
+        # with stopping rules no lane can meet, the pass cap ends the loop
+        monkeypatch.setattr(continuous, "_ROOT_XTOL", 0.0)
+        monkeypatch.setattr(continuous, "_ROOT_RTOL", 0.0)
+        monkeypatch.setattr(continuous, "_ROOT_HTOL", -1.0)
+        passes = continuous._NEWTON_PASSES
+        with pytest.raises(QuadratureError,
+                           match=rf"on \[0.0, 1.0\] did not converge in {passes} passes"):
+            _newton(laplace, *self.lanes((0.0, 1.0, 0.2, True, 1.0, 1.0, 0.0),
+                                         (1.0, 8.0, 0.2, False, 1.0, 1.0, 0.0)))
 
     @pytest.mark.parametrize("kernel", [Kernel.laplace(3.0, 0.3), Kernel.gauss(3.0, 0.3)])
     @pytest.mark.parametrize("spec", [function_spec("pw_linear", knots=PW_KNOTS),
                                       function_spec("sqrt", shift=1.0)],
                              ids=["pw_linear", "sqrt"])
     def test_one_bisection_per_levels_call(self, monkeypatch, kernel, spec):
+        # one call of the root solver (a Newton iteration since the bisection
+        # it replaced) answers every crossing of a levels call
         g = product_level_function(spec, kernel)
         brackets = []
 
-        def counted(g_array, a, b, alphas, rising):
+        def counted(kernel, a, b, *lanes):
             brackets.append(set(zip(a.tolist(), b.tolist())))
-            return _bisect(g_array, a, b, alphas, rising)
+            return _newton(kernel, a, b, *lanes)
 
-        monkeypatch.setattr(continuous, "_bisect", counted)
+        monkeypatch.setattr(continuous, "_newton", counted)
+        # a level at a bracket's inner end takes the end without a solve, so
+        # the levels between consecutive breakpoints give every bracket a
+        # crossing inside it
+        breaks = np.array(list(g.alpha_breakpoints) + [g.sup_value])
         alphas = np.concatenate([np.geomspace(g.sup_value * 1e-6, g.sup_value, 40),
-                                 list(g.alpha_breakpoints)])
+                                 breaks, np.sqrt(breaks[1:] * breaks[:-1])])
         lo, hi = g.levels(alphas)
         assert len(brackets) == 1
         # every bracket but the left tail, where f vanishes, has a crossing
@@ -414,6 +424,81 @@ class TestBatchedOracle:
         i = g.alpha_breakpoints.index(peak)
         assert np.sum((lo[:, i] == -1.0) & (hi[:, i] == -1.0)) == 2
         assert g.level(peak).contains(-1.0)
+
+    @staticmethod
+    def ends(g, alpha):
+        """The ends of the batched and of the scalar (brentq) level set at
+        ``alpha``, as two sorted lists."""
+        lo, hi = g.levels([alpha])
+        batched = batched_union(lo, hi, 0)
+        return ([t for piece in batched for t in piece],
+                [t for piece in g.level(alpha) for t in piece])
+
+    @pytest.mark.parametrize("spec", [function_spec("pw_linear", knots=PW_KNOTS),
+                                      function_spec("sqrt", shift=1.0)],
+                             ids=["pw_linear", "sqrt"])
+    @pytest.mark.parametrize("n,x", [(3.0, 0.3), (16.0, -0.5), (1.5, 1.2)])
+    def test_newton_next_to_a_gauss_local_maximum(self, spec, n, x):
+        # a level 1e-15 below a stationary peak t_m has a near-double root at
+        # distance delta from t_m, where log g drops by rel = 1e-15 ~ kappa
+        # delta**2 / 2.  A rounding of 8 eps in g moves that root by
+        # 8 eps / (kappa delta) = 4 eps delta / rel (about 1e-9), so the two
+        # oracles agree within brentq's tolerance plus that band only
+        kernel = Kernel.gauss(n, x)
+        g = product_level_function(spec, kernel)
+        rel = 1e-15
+        _, pieces = continuous._log_pieces(spec)
+        peaks = continuous._stationaries(pieces, kernel)
+        assert peaks
+        for t_m in peaks:
+            got, want = self.ends(g, g.value(t_m) * (1.0 - rel))
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                band = 4.0 * EPS * abs(b - t_m) / rel
+                assert abs(a - b) <= XTOL + RTOL * abs(b) + band, (t_m, a, b)
+
+    @pytest.mark.parametrize("kernel", [Kernel.laplace(3.0, 0.3), Kernel.gauss(3.0, 0.3)])
+    @pytest.mark.parametrize("eps", [0.0, 3e-14, 9e-14, 4e-13])
+    def test_newton_next_to_the_sqrt_support_start(self, kernel, eps):
+        # the level of sqrt(t + 1) K(t) at t = -1 + eps: the rising bracket
+        # starts at the zero of f, where log g is -inf, and the root lies
+        # within brentq's tolerance of it or just past it
+        g = product_level_function(function_spec("sqrt", shift=1.0), kernel)
+        alpha = g.value(-1.0 + eps) if eps else 1e-300
+        got, want = self.ends(g, alpha)
+        assert len(got) == len(want) == 2
+        assert got[0] == pytest.approx(want[0], abs=XTOL + RTOL)
+        assert got[1] == pytest.approx(want[1], abs=XTOL + RTOL * abs(want[1]))
+
+    @pytest.mark.parametrize("n,x", [(3.0, 0.3), (16.0, 1.5), (0.5, -2.0)])
+    def test_newton_on_a_laplace_constant_tail(self, n, x):
+        # pw_linear is constant beyond its first and last knot, where the
+        # log profile against a Laplace kernel is linear: the tangent from
+        # the outer end lands on the root
+        spec = function_spec("pw_linear", knots=[(-1.0, 1.0), (0.0, 2.0), (1.0, 0.5)])
+        g = product_level_function(spec, Kernel.laplace(n, x))
+        edge = min(g.value(-1.0), g.value(1.0))
+        for alpha in edge * np.geomspace(1e-30, 0.999, 9):
+            got, want = self.ends(g, alpha)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert abs(a - b) <= XTOL + RTOL * abs(b), (alpha, a, b)
+
+    @pytest.mark.parametrize("family", ["laplace", "gauss"])
+    @pytest.mark.parametrize("spec", STATIONARY_SPECS.values(), ids=STATIONARY_SPECS.keys())
+    def test_newton_passes_per_levels_call(self, monkeypatch, spec, family):
+        # every root-finding product, on the nodes of the tanh-sinh engine's
+        # first three passes, needs at most 7 Newton passes per levels call
+        # (the cap counts the final stopping test as a pass)
+        monkeypatch.setattr(continuous, "_NEWTON_PASSES", 8)
+        for n in (1.5, 4.0, 64.0):
+            for x in (-1.0, 0.3, 1.3):
+                g = product_level_function(spec, Kernel(family, n, x))
+                edges = continuous._layer_edges(g, SQRT_M)
+                s = np.concatenate([continuous._de_nodes(a, b, level)[0]
+                                    for a, b in zip(edges, edges[1:])
+                                    for level in range(3)])
+                g.levels(np.exp(-s[s < 700.0]))
 
 
 class TestQuadrature:

@@ -258,3 +258,22 @@ class TestWeierstrassChoquet:
         mu = RealCapacity.possibility(Kernel.laplace(n, x))
         got = weierstrass_choquet(function_spec("exp_neg"), n, x, mu)
         assert math.exp(-x) - 1e-9 <= got <= math.exp(-x + 1 / (4 * n)) + 1e-9
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("x", [-1.0, -0.0625, 0.8, 1.5])
+def test_off_centre_deviation_matches_lebesgue_closed_forms(n, x):
+    # Under the Lebesgue capacity both operators are expectations: with
+    # delta = |x - c|, E|Y + delta| is delta + exp(-n delta)/n for the
+    # Laplace kernel and delta erf(delta sqrt(n)) + exp(-n delta**2)/sqrt(pi n)
+    # for the Gauss kernel.  Off the kernel peak the deviation is a
+    # root-finding product, and a bias e in its level-set ends moves the
+    # value by about n e relative, so at n = 64 this pins the roots too.
+    c = 0.3
+    spec = function_spec("abs_dev", center=c)
+    mu = RealCapacity.lebesgue()
+    d = abs(x - c)
+    laplace = d + math.exp(-n * d) / n
+    gauss = d * math.erf(d * math.sqrt(n)) + math.exp(-n * d * d) / math.sqrt(math.pi * n)
+    assert picard_choquet(spec, n, x, mu) == pytest.approx(laplace, rel=2e-14, abs=0.0)
+    assert weierstrass_choquet(spec, n, x, mu) == pytest.approx(gauss, rel=2e-14, abs=0.0)
