@@ -20,7 +20,9 @@ Level sets of the registered products are closed forms where possible
 own kernel via the two real Lambert W branches) and bracketed root-finding
 on the piecewise monotone profile otherwise.  Lambert W is solved here, in
 log space: the level enters as ``log(alpha)``, so the deviation's level
-sets stay finite down to the smallest positive ``alpha``.
+sets stay finite down to the smallest positive ``alpha``.  W_0 of a
+positive argument, also from its log, serves the root-finding products
+against a Laplace kernel.
 
 The oracle comes in two forms.  ``level(alpha)`` returns one canonical
 :class:`IntervalUnion`; ``levels(alphas)`` answers a whole array of N
@@ -32,18 +34,20 @@ that serves both forms (:func:`_closed_form`): ``level`` evaluates it with
 ``math`` on a float, ``levels`` with numpy on the array.  Root-finding
 products share one table of monotone brackets, built from one table of
 pieces ``f = c |t + d|**p`` (:func:`_log_pieces`), and are solved
-separately in each form: by ``brentq`` on ``f * kernel`` one level at a
-time, and by one safeguarded Newton iteration per call (:func:`_newton`)
-on the log profile ``log c + p log|t + d| + log K - log alpha`` that
-solves every bracket for all levels together, so there the two forms
-check each other.
+separately in each form.  ``level`` runs ``brentq`` on ``f * kernel`` one
+level at a time.  ``levels`` solves every bracket for all levels in one
+call: against a Laplace kernel each crossing is a Lambert W value
+(:func:`_lambert_lanes`), against a Gauss kernel one safeguarded Newton
+iteration (:func:`_newton`) runs on the log profile
+``log c + p log|t + d| + log K - log alpha``.  brentq stays so that the
+two forms check each other: it never sees the pieces or a W.
 
 The two engines are independent of each other.  The double-exponential
 engine (:func:`choquet_integral_real_grid`) serves the kernel operators and
 their normalizers: tanh-sinh on each finite piece of the layer cake in
 ``s``, exp-sinh on the tail, all nodes of all pieces through one batched
-oracle call whose root-finding is a single Newton solve, and a
-step that halves, from ``TS_STEP`` up to ``TS_HALVINGS`` times, only on the
+oracle call whose root-finding is a single Lambert W or Newton solve, and
+a step that halves, from ``TS_STEP`` up to ``TS_HALVINGS`` times, only on the
 pieces that miss ``QUAD_ABS_TOL``/``QUAD_REL_TOL``.  The adaptive engine
 (:func:`choquet_integral_real`) is the check engine: it runs ``scipy.quad``
 over the scalar oracle at the same tolerances and ``QUAD_LIMIT``, and its
@@ -75,6 +79,9 @@ _ROOT_RTOL = 4.0 * np.finfo(float).eps   # brentq's default
 # its cap on passes
 _ROOT_HTOL = 8.0 * np.finfo(float).eps
 _NEWTON_PASSES = 32
+# the Lambert lanes' Newton step is taken where the quadratic term it
+# neglects is below half this fraction of it
+_STEP_TRUST = 0.1
 _TINY = np.finfo(float).tiny
 # scipy.quad's absolute and relative tolerance and subinterval limit
 QUAD_ABS_TOL = 1e-9
@@ -251,6 +258,34 @@ def _lambert_pairs(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w0, wm1
 
 
+# W_0 at z = exp(L) > 0, for any float L.  Below L = _W0_TINY_L, W_0(z) =
+# z - z**2 + ... is z to the last bit.  Above, every lane starts from
+# Winitzki's approximation l (1 - log(1 + l)/(2 + l)) with l = log(1 + z)
+# taken from L ("Uniform approximations for transcendental functions",
+# 2003), within 2% of W_0 for every z > 0.  Halley steps finish it: on
+# w + log(w) = L for L >= 0, where w >= 0.56 and the terms stay finite up to
+# the largest float, and on w*exp(w) = z below, where log(w) would carry an
+# absolute rounding of |L| ulps.
+_W0_TINY_L = -40.0
+
+
+def _lambert_w0(L: np.ndarray) -> np.ndarray:
+    """``W_0`` at ``z = exp(L) > 0``, from numpy."""
+    w = np.exp(np.minimum(L, _W0_TINY_L))
+    mid = L > _W0_TINY_L
+    big = L >= 0.0
+    small = mid & ~big
+    l1 = np.logaddexp(0.0, L[mid])
+    w[mid] = l1 * (1.0 - np.log1p(l1) / (2.0 + l1))
+    w[small] = _halley_w(w[small], -np.exp(L[small]), np)
+    wb, Lb = w[big], L[big]
+    for _ in range(_HALLEY_STEPS):
+        r = (wb + np.log(wb) - Lb) / (wb + 1.0)
+        wb = wb - wb * r / (1.0 + 0.5 * r / (wb + 1.0))
+    w[big] = wb
+    return w
+
+
 def _product_exp_neg(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     lam = spec.param("lam")
     scale = spec.param("scale")
@@ -389,7 +424,8 @@ def _newton(kernel: Kernel, a: np.ndarray, b: np.ndarray, log_alpha: np.ndarray,
 
     On lane ``i`` the product is monotone, increasing where ``rising`` is
     true, ``f = c |t + d|**p`` with ``log c = log_c[i]`` (a piece of
-    :func:`_log_pieces`) and ``K`` is ``kernel``.  The solver works on the
+    :func:`_log_pieces`) and ``K`` is ``kernel``, a Gauss kernel (a Laplace
+    kernel's lanes are :func:`_lambert_lanes`).  The solver works on the
     log profile ``h = log c + p log|t + d| + log K(t) - log alpha``, which
     is concave on the bracket: so is each of its terms.  In ``u = t`` on a
     rising lane and ``u = -t`` on a falling one, ``h`` rises from the outer
@@ -433,26 +469,19 @@ def _newton(kernel: Kernel, a: np.ndarray, b: np.ndarray, log_alpha: np.ndarray,
     u[:m] = sign * np.where(rising, a, b)
     u[4 * m:] = sign * np.where(rising, b, a)
     lo, hi = u[:m], u[4 * m:]
-    n, gauss = kernel.n, kernel.family != LAPLACE
+    n = kernel.n
     dt, xt = sign * d, sign * kernel.x
-    # log K is linear on a Laplace lane's bracket, which lies on one side of
-    # the peak: its slope in u is n left of the peak and -n right of it
-    slope = np.where(lo + 0.5 * (hi - lo) < xt, n, -n)
-    const5, p5, dt5, xt5, slope5 = (np.concatenate((v,) * 5)
-                                    for v in (log_c - log_alpha, p, dt, xt, slope))
+    const5, p5, dt5, xt5 = (np.concatenate((v,) * 5)
+                            for v in (log_c - log_alpha, p, dt, xt))
     res3 = np.concatenate((_ROOT_HTOL * (1.0 + np.abs(log_alpha)),) * 3)
 
     def evaluate(rows: slice) -> None:
         w = u[rows] + dt5[rows]
         q = u[rows] - xt5[rows]
-        if gauss:
-            k, dk, kk = -n * q * q, -2.0 * n * q, 2.0 * n
-        else:
-            k, dk, kk = slope5[rows] * q, slope5[rows], 0.0
         pw = p5[rows] / w
-        np.add(const5[rows] + p5[rows] * np.log(np.abs(w)), k, out=h[rows])
-        np.add(pw, dk, out=dh[rows])
-        np.add(pw / w, kk, out=curv[rows])
+        np.add(const5[rows] + p5[rows] * np.log(np.abs(w)), -n * q * q, out=h[rows])
+        np.add(pw, -2.0 * n * q, out=dh[rows])
+        np.add(pw / w, 2.0 * n, out=curv[rows])
 
     lanes = np.arange(m)
     probes = slice(m, 4 * m)
@@ -504,10 +533,76 @@ def _newton(kernel: Kernel, a: np.ndarray, b: np.ndarray, log_alpha: np.ndarray,
                           error_estimate=float(np.max((hi - lo)[open_])))
 
 
+def _lambert_lanes(kernel: Kernel, a: np.ndarray, b: np.ndarray,
+                   log_alpha: np.ndarray, rising: np.ndarray, log_c: np.ndarray,
+                   p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The lanes of :func:`_newton` against a Laplace kernel, in closed form.
+
+    A lane's bracket lies on one side ``sigma = sign(t - x)`` of the peak,
+    so ``K = exp(-n sigma (t - x))``.  On a constant piece (``p = 0``) the
+    crossing is the kernel's own, ``x + sigma (log c - log alpha)/n``.  On a
+    power piece ``c |t + d|**p K = alpha`` is ``w exp(w) = z`` in
+    ``w = -sigma m (t + d)`` with ``m = n/p``, where ``log|z| = log m +
+    (log alpha - log c)/p - sigma m (x + d)`` and ``z`` has the sign of
+    ``w``:
+
+    * ``z < 0`` on a bump that peaks at ``w = -1``, a stationary point and
+      so a bracket end: the rising side is ``W_0`` right of the kernel peak
+      and ``W_{-1}`` left of it, and the falling side the other branch;
+    * ``z > 0`` on a stretch where ``f`` and ``K`` fall together, with the
+      one root ``W_0``.
+
+    ``t = -sigma w/m - d`` carries the rounding of ``w``, ``eps |t + d|``,
+    which is far more than brentq's tolerance on a nearly flat linear
+    piece (``|d|`` large).  One Newton step on the log profile ``h`` of
+    :func:`_newton` removes it.  The step is taken only where the quadratic
+    term it neglects, ``|h h''| / (2 h'**2)``, is below ``_STEP_TRUST / 2``:
+    at a level within rounding of a bump's peak, ``w = -1`` puts the start
+    on the peak, where ``h`` is rounding and ``h'`` nearly 0, and the step
+    would leave for the far end of the bracket.  Every root is clipped to
+    its bracket.
+    """
+    n, x = kernel.n, kernel.x
+    mid = a + 0.5 * (b - a)
+    sigma = np.where(mid > x, 1.0, -1.0)
+    t = np.empty(a.shape)
+    flat = p == 0.0
+    t[flat] = x + sigma[flat] * (log_c[flat] - log_alpha[flat]) / n
+    power = np.flatnonzero(~flat)
+    sig, lc, la, pp, dp = (v[power] for v in (sigma, log_c, log_alpha, p, d))
+    m = n / pp
+    L = np.log(m) + (la - lc) / pp - sig * m * (x + dp)
+    w = np.empty(L.shape)
+    bump = np.sign(mid[power] + dp) == sig
+    w0, wm1 = _lambert_pairs(L[bump])
+    w[bump] = np.where(rising[power][bump] == (sig[bump] > 0.0), w0, wm1)
+    w[~bump] = _lambert_w0(L[~bump])
+    tp = -sig * w / m - dp
+    # the Newton step h / h' = h (t + d) / slope where t + d is not 0 (a W_0
+    # that underflowed) and the step is trusted
+    r = tp + dp
+    live = np.flatnonzero(r != 0.0)
+    r, pl = r[live], pp[live]
+    h = lc[live] + pl * np.log(np.abs(r)) - n * sig[live] * (tp[live] - x) - la[live]
+    slope = pl - n * sig[live] * r
+    trust = np.abs(h) * pl < _STEP_TRUST * slope * slope
+    tp[live[trust]] -= h[trust] * r[trust] / slope[trust]
+    t[power] = tp
+    return np.clip(t, a, b)
+
+
 def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     """Bracketed root-finding on the product profile, which is monotone on
     each bracket: the left tail, each gap between consecutive ``pts`` (the
-    knots, the kernel peak and the stationary points) and the right tail."""
+    knots, the kernel peak and the stationary points) and the right tail.
+
+    The scalar oracle solves each crossing by ``brentq`` on ``f * kernel``.
+    The batched one hands every crossing of a call to one lane solver:
+    :func:`_lambert_lanes` against a Laplace kernel, where the crossings
+    are Lambert W values, and :func:`_newton` against a Gauss kernel,
+    where they are not.  brentq is kept on purpose: it shares only the
+    bracket table with the batched solvers, so the adaptive engine and the
+    tests check their formulas independently."""
     knots, pieces = _log_pieces(spec)
     f = spec.fn
 
@@ -566,7 +661,7 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
         lo = np.where(in_a, a[:, None], math.inf)
         hi = np.where(in_b, b[:, None], -math.inf)
         # every bracket and level whose set ends inside the bracket is one
-        # lane of a single Newton solve
+        # lane of a single solve
         row, col = np.nonzero(in_a != in_b)
         if row.size:
             rising = (gb > ga)[row]
@@ -576,8 +671,9 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
             root = np.where(rising, b[row], a[row])
             solve = level != np.where(rising, gb[row], ga[row])
             r = row[solve]
-            root[solve] = _newton(kernel, a[r], b[r], np.log(level[solve]), rising[solve],
-                                  log_c[r], p[r], d[r])
+            lanes = _lambert_lanes if kernel.family == LAPLACE else _newton
+            root[solve] = lanes(kernel, a[r], b[r], np.log(level[solve]), rising[solve],
+                                log_c[r], p[r], d[r])
             lo[row[rising], col[rising]] = root[rising]
             hi[row[~rising], col[~rising]] = root[~rising]
         return lo, hi

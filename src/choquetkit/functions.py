@@ -4,10 +4,9 @@ Fixed names (used by the CLI and JSON configs): ``exp_neg``, ``const``,
 ``abs_dev``, ``sqrt``, ``concave_quad``, ``e0``, ``e1``, ``pw_linear``.
 Monotonicity metadata refers to the spec's natural domain ([0, 1] for the
 polynomial-type specs); ``nonneg_real_line`` marks the specs that are valid
-integrands for the real-line operators.  The non-constant ones among them
-also carry ``array_fn``, the same function on a numpy array, for the
-batched level-set oracle.  Every factory stores all of its parameters in
-``params`` and rejects a non-numeric or non-finite one with ``ValueError``.
+integrands for the real-line operators.  Every factory stores all of its
+parameters in ``params`` and rejects a non-numeric or non-finite one with
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class FunctionSpec:
@@ -28,7 +25,6 @@ class FunctionSpec:
     monotone: Optional[str] = None  # "nondecreasing" | "nonincreasing" | None
     nonneg_real_line: bool = False
     params: tuple = field(default=())
-    array_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, t: float) -> float:
         return self.fn(t)
@@ -52,8 +48,7 @@ def exp_neg(lam: float = 1.0, scale: float = 1.0) -> FunctionSpec:
     return FunctionSpec(
         "exp_neg", lambda t: scale * math.exp(-lam * t),
         monotone="nonincreasing", nonneg_real_line=True,
-        params=(("lam", lam), ("scale", scale)),
-        array_fn=lambda t: scale * np.exp(-lam * t))
+        params=(("lam", lam), ("scale", scale)))
 
 
 def const(c: float = 1.0) -> FunctionSpec:
@@ -75,8 +70,7 @@ def abs_dev(center: float = 0.0) -> FunctionSpec:
     _finite("center", center)
     return FunctionSpec(
         "abs_dev", lambda t: abs(t - center), nonneg_real_line=True,
-        params=(("center", center),),
-        array_fn=lambda t: np.abs(t - center))
+        params=(("center", center),))
 
 
 def sqrt_spec(shift: float = 0.0) -> FunctionSpec:
@@ -85,8 +79,7 @@ def sqrt_spec(shift: float = 0.0) -> FunctionSpec:
     return FunctionSpec(
         "sqrt", lambda t: math.sqrt(t + shift) if t + shift > 0 else 0.0,
         monotone="nondecreasing", nonneg_real_line=True,
-        params=(("shift", shift),),
-        array_fn=lambda t: np.sqrt(np.maximum(t + shift, 0.0)))
+        params=(("shift", shift),))
 
 
 def concave_quad() -> FunctionSpec:
@@ -125,8 +118,7 @@ def pw_linear(knots: Sequence[Tuple[float, float]]) -> FunctionSpec:
         mono = None
     return FunctionSpec("pw_linear", fn, monotone=mono,
                         nonneg_real_line=all(v >= 0 for v in vs),
-                        params=(("knots", tuple(pts)),),
-                        array_fn=lambda t: np.interp(t, ts, vs))
+                        params=(("knots", tuple(pts)),))
 
 
 _FACTORY = {

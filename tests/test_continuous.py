@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from choquetkit import (DivergenceError, IntervalUnion, Kernel,
                         LevelSetFunction, QuadratureError,
@@ -13,7 +15,8 @@ from choquetkit import (DivergenceError, IntervalUnion, Kernel,
                         kernel_level_function, kernel_normalizer,
                         product_level_function)
 from choquetkit import continuous
-from choquetkit.continuous import _lambert_pair, _lambert_pairs, _newton
+from choquetkit.continuous import (_lambert_lanes, _lambert_pair, _lambert_pairs,
+                                   _lambert_w0, _newton)
 from choquetkit.intervals import empty_pieces
 
 SQRT_M = RealCapacity.sqrt_lebesgue()
@@ -177,12 +180,72 @@ def test_stationaries_split_the_profile_into_monotone_brackets(spec, family):
             top = 0.0
             for a, b in zip(ends, ends[1:]):
                 ts = np.linspace(a, b, 1001)
-                y = spec.array_fn(ts) * kernel.values(ts)
+                y = np.array([spec.fn(float(t)) for t in ts]) * kernel.values(ts)
                 top = max(top, y.max())
                 step = np.diff(y)
                 tol = max(1e-12 * y.max(), np.finfo(float).tiny)
                 assert np.all(step >= -tol) or np.all(step <= tol), (n, x, a, b)
             assert product_level_function(spec, kernel).sup_value >= top * (1.0 - 1e-12)
+
+
+def root_finding_specs():
+    """sqrt with a shift, abs_dev with a centre and pw_linear with 2 to 5
+    knots, all in [-5, 5] (values of pw_linear in [0, 3])."""
+    coord = st.floats(-5.0, 5.0)
+    knots = st.lists(st.tuples(coord, st.floats(0.0, 3.0)), min_size=2, max_size=5,
+                     unique_by=lambda k: k[0])
+    return st.one_of(st.builds(lambda s: function_spec("sqrt", shift=s), coord),
+                     st.builds(lambda c: function_spec("abs_dev", center=c), coord),
+                     st.builds(lambda k: function_spec("pw_linear", knots=k), knots))
+
+
+def rounding_band(spec, kernel, t, log_alpha):
+    """How far the rounding of the log profile ``h = log f + log K`` moves
+    a root at ``t``: ``8 eps (1 + |log alpha| + kappa)`` over ``|h'(t)|``,
+    the larger where ``t`` is a knot.  The ``|log alpha|`` term is the
+    rounding of the logs, as in ``_ROOT_HTOL``; ``kappa`` is the relative
+    condition of ``f`` on a piece ``c |t + d|**p``, ``(|t| + |d| + |e + d|
+    summed over its finite ends e) / |t + d|``, which covers ``t + d`` in
+    the Lambert lanes and pw_linear's interpolation between the ends in
+    brentq's ``spec.fn``.  Next to a stationary point ``t_m``,
+    ``h' = kappa_h delta`` and ``rel = kappa_h delta**2 / 2`` make this the
+    band ``4 eps delta / rel`` of ``test_newton_next_to_a_gauss_local_maximum``
+    with a wider rounding."""
+    side = math.copysign(1.0, t - kernel.x)
+    bands = [0.0]  # at a zero of f the slope is infinite
+    for lo, hi, c, p, d in continuous._log_pieces(spec)[1]:
+        if lo <= t <= hi and t + d != 0.0 and c > 0.0:
+            ends = sum(abs(e + d) for e in (lo, hi) if math.isfinite(e))
+            kappa = (abs(t) + abs(d) + ends) / abs(t + d)
+            slope = (p / (t + d) if p > 0.0 else 0.0) - kernel.n * side
+            bands.append(8.0 * EPS * (1.0 + abs(log_alpha) + kappa) / max(abs(slope), EPS))
+    return max(bands)
+
+
+@given(root_finding_specs(), st.floats(1e-3, 1e4), st.floats(-100.0, 100.0),
+       st.floats(1e-12, 1.0))
+def test_laplace_lambert_ends_match_brentq(spec, n, x, frac):
+    # the batched oracle's Lambert lanes against the scalar oracle's brentq,
+    # within brentq's tolerance plus the rounding band, at levels from
+    # 1e-12 of sup up to sup and just below each level breakpoint; levels
+    # below the smallest normal float have no relative precision left
+    kernel = Kernel.laplace(n, x)
+    g = product_level_function(spec, kernel)
+    sup = g.sup_value
+    alphas = [sup * f for f in (1e-12, 1e-6, frac, 0.5, 1.0 - 1e-9, 1.0)]
+    alphas += [v * (1.0 - 1e-9) for v in g.alpha_breakpoints]
+    alphas = [alpha for alpha in alphas if alpha >= 1e-290]
+    if not alphas:
+        return
+    lo, hi = g.levels(alphas)
+    for i, alpha in enumerate(alphas):
+        got = close_gaps(batched_union(lo, hi, i))
+        want = close_gaps(g.level(alpha))
+        assert got.n_components == want.n_components, (alpha, got, want)
+        for a, b in zip([t for piece in got for t in piece],
+                        [t for piece in want for t in piece]):
+            band = rounding_band(spec, kernel, b, math.log(alpha))
+            assert abs(a - b) <= XTOL + RTOL * abs(b) + band, (alpha, a, b)
 
 
 @pytest.mark.parametrize("n,x", [(math.inf, 0.0), (math.nan, 0.0), (2.0, math.nan),
@@ -289,6 +352,27 @@ class TestBatchedOracle:
             ok = np.isfinite(theirs)  # NaN where z rounds to -1/e itself
             assert np.all(np.abs(theirs[ok] + np.log(-theirs[ok]) - L[ok]) <= 1e-8)
 
+    def test_lambert_w0_matches_scipy(self):
+        # z = exp(L) from the smallest subnormal to 1e304; both solvers see
+        # the same z
+        from scipy.special import lambertw
+        L = np.linspace(-745.0, 700.0, 20001)
+        want = lambertw(np.exp(L)).real
+        assert np.all(want > 0.0)
+        assert _lambert_w0(L) == pytest.approx(want, rel=1e-15)
+
+    def test_lambert_w0_residual_to_the_float_limits(self):
+        # where exp(L) overflows, w + log(w) = L holds within rounding; the
+        # largest L takes no square of w, the smallest gives W_0 = z = 0
+        big = np.finfo(float).max
+        L = np.concatenate([np.geomspace(1.0, 1e6, 2001), [1e100, 1e300, big]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = _lambert_w0(L)
+            tiny = _lambert_w0(np.array([-746.0, -1e6, -big]))
+        assert np.all(np.abs(w + np.log(w) - L) <= 2.0 * EPS * L)
+        assert tiny.tolist() == [0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("kernel", [Kernel.laplace(2.0, 0.3), Kernel.gauss(2.0, 0.3)])
     def test_deviation_radii_down_to_tiny_levels(self, kernel):
         # alpha = 1e-300 is s = 690, far past where alpha**2 underflows
@@ -331,75 +415,141 @@ class TestBatchedOracle:
             return a, b, np.log(alphas), rising, np.log(c), p, d
 
     def test_newton_matches_brentq_within_its_pass_cap(self, monkeypatch):
-        # exp(-2t) on [0, 16]: the constant piece f = 1 (p = 0, with d
-        # keeping t + d >= 1) against Laplace(2, 0), a linear log profile
+        # exp(-2 t**2) on [0, 16]: the constant piece f = 1 (p = 0, with d
+        # keeping t + d >= 1) against Gauss(2, 0), whose log profile is the
+        # quadratic model
         from scipy.optimize import brentq
         monkeypatch.setattr(continuous, "_NEWTON_PASSES", 3)
         alphas = [0.9, 0.3, 1e-6]
-        roots = _newton(Kernel.laplace(2.0, 0.0),
+        roots = _newton(Kernel.gauss(2.0, 0.0),
                         *self.lanes(*[(0.0, 16.0, alpha, False, 1.0, 0.0, 1.0)
                                       for alpha in alphas]))
         for alpha, root in zip(alphas, roots):
-            want = brentq(lambda t: math.exp(-2.0 * t) - alpha, 0.0, 16.0, xtol=1e-13)
+            want = brentq(lambda t: math.exp(-2.0 * t * t) - alpha, 0.0, 16.0, xtol=1e-13)
             assert root == pytest.approx(want, abs=2e-13)
 
     def test_newton_solves_rising_and_falling_brackets_together(self, monkeypatch):
-        # t * exp(-t), the piece f = |t| (p = 1, d = 0) against Laplace(1, 0),
-        # rises on [0, 1] and falls on [1, inf); brackets of different widths
-        # and directions share one call, and two rising ones start at the
-        # zero of f, where the log profile is -inf
+        # t * exp(-t**2), the piece f = |t| (p = 1, d = 0) against Gauss(1, 0),
+        # rises on [0, r] and falls on [r, inf) with r = sqrt(1/2); brackets
+        # of different widths and directions share one call, and two rising
+        # ones start at the zero of f, where the log profile is -inf
         from scipy.optimize import brentq
         monkeypatch.setattr(continuous, "_NEWTON_PASSES", 8)
-        brackets = [(0.0, 1.0, 0.2, True), (0.25, 1.0, 0.3, True),
-                    (1.0, 8.0, 0.2, False), (1.0, 40.0, 1e-9, False),
-                    (1.0, 3.0, 0.3, False), (0.0, 1.0, 1e-12, True)]
-        roots = _newton(Kernel.laplace(1.0, 0.0),
+        r = math.sqrt(0.5)
+        brackets = [(0.0, r, 0.2, True), (0.25, r, 0.3, True),
+                    (r, 8.0, 0.2, False), (r, 40.0, 1e-9, False),
+                    (r, 3.0, 0.3, False), (0.0, r, 1e-12, True)]
+        roots = _newton(Kernel.gauss(1.0, 0.0),
                         *self.lanes(*[lane + (1.0, 1.0, 0.0) for lane in brackets]))
         for (a, b, alpha, _), root in zip(brackets, roots):
-            want = brentq(lambda t: t * math.exp(-t) - alpha, a, b, xtol=1e-13)
+            want = brentq(lambda t: t * math.exp(-t * t) - alpha, a, b, xtol=1e-13)
             assert root == pytest.approx(want, abs=2e-13)
 
     def test_newton_never_loops_unbounded(self, monkeypatch):
-        laplace = Kernel.laplace(1.0, 0.0)
+        gauss = Kernel.gauss(1.0, 0.0)
         const = (1.0, 0.0, 2.0)  # f = 1, with t + d >= 1 on [0, 1]
         with pytest.raises(QuadratureError, match=r"\[nan, 1.0\] is not finite"):
-            _newton(laplace, *self.lanes((0.0, 1.0, 0.5, False) + const,
-                                         (math.nan, 1.0, 0.5, False) + const))
+            _newton(gauss, *self.lanes((0.0, 1.0, 0.5, False) + const,
+                                       (math.nan, 1.0, 0.5, False) + const))
         with pytest.raises(QuadratureError, match="not finite"):
-            _newton(laplace, *self.lanes((-math.inf, 1.0, 0.5, False) + const))
+            _newton(gauss, *self.lanes((-math.inf, 1.0, 0.5, False) + const))
         with pytest.raises(QuadratureError, match=r"NaN inside \[0.0, 1.0\]"):
-            _newton(laplace, *self.lanes((0.0, 1.0, 0.5, False, math.nan, 0.0, 2.0)))
-        # a bracket at the top of the float range has no overflowing midpoint:
-        # exp(-(t - 1e308) / 1e308) = exp(-1/2) at t = 1.5e308
-        root = _newton(Kernel.laplace(1e-308, 1e308),
-                       *self.lanes((1e308, 1.7e308, math.exp(-0.5), False,
-                                    1.0, 0.0, 1.0 - 1e308)))
-        assert root[0] == pytest.approx(1.5e308, rel=1e-15)
+            _newton(gauss, *self.lanes((0.0, 1.0, 0.5, False, math.nan, 0.0, 2.0)))
         # with stopping rules no lane can meet, the pass cap ends the loop
         monkeypatch.setattr(continuous, "_ROOT_XTOL", 0.0)
         monkeypatch.setattr(continuous, "_ROOT_RTOL", 0.0)
         monkeypatch.setattr(continuous, "_ROOT_HTOL", -1.0)
         passes = continuous._NEWTON_PASSES
+        r = math.sqrt(0.5)
         with pytest.raises(QuadratureError,
-                           match=rf"on \[0.0, 1.0\] did not converge in {passes} passes"):
-            _newton(laplace, *self.lanes((0.0, 1.0, 0.2, True, 1.0, 1.0, 0.0),
-                                         (1.0, 8.0, 0.2, False, 1.0, 1.0, 0.0)))
+                           match=rf"on \[0.0, {r}\] did not converge in {passes} passes"):
+            _newton(gauss, *self.lanes((0.0, r, 0.2, True, 1.0, 1.0, 0.0),
+                                       (r, 8.0, 0.2, False, 1.0, 1.0, 0.0)))
+
+    def test_lambert_lanes_match_brentq(self):
+        # c |t + d|**p exp(-n |t - x|) on both sides of the peak: the
+        # kernel's closed form on constant pieces, and on power pieces the
+        # bump t exp(-|t|) on W_0 (next to the zero of f) and W_{-1}, and
+        # |t -+ 2| exp(-|t|), which falls away from the peak with f, on the
+        # W_0 of z > 0
+        from scipy.optimize import brentq
+        cases = [
+            (Kernel.laplace(2.0, 0.0), (1.0, 0.0, 1.0),
+             [(0.0, 16.0, alpha, False) for alpha in (0.9, 0.3, 1e-6, 1e-12)]
+             + [(-16.0, 0.0, alpha, True) for alpha in (0.9, 1e-6)]),
+            (Kernel.laplace(1.0, 0.0), (1.0, 1.0, 0.0),
+             [(0.0, 1.0, 0.2, True), (0.25, 1.0, 0.3, True), (1.0, 8.0, 0.2, False),
+              (1.0, 40.0, 1e-9, False), (1.0, 3.0, 0.3, False), (0.0, 1.0, 1e-12, True),
+              (-40.0, -1.0, 1e-9, True), (-1.0, 0.0, 0.3, False)]),
+            (Kernel.laplace(1.0, 0.0), (1.0, 1.0, -2.0),
+             [(0.0, 2.0, alpha, False) for alpha in (1.9, 0.5, 1e-3, 1e-12)]),
+            (Kernel.laplace(1.0, 0.0), (3.0, 0.5, 2.0),
+             [(-2.0, 0.0, alpha, True) for alpha in (4.2, 1.0, 1e-9)]),
+        ]
+        for kernel, (c, p, d), brackets in cases:
+            def g(t):
+                return c * abs(t + d) ** p * kernel(t)
+
+            roots = _lambert_lanes(kernel, *self.lanes(*[lane + (c, p, d)
+                                                         for lane in brackets]))
+            for (a, b, alpha, _), root in zip(brackets, roots):
+                want = brentq(lambda t: g(t) - alpha, a, b, xtol=1e-13)
+                assert root == pytest.approx(want, abs=XTOL + RTOL * abs(want)), (p, d, a, b)
+
+    def test_lambert_lanes_at_the_top_of_the_float_range(self):
+        # exp(-(t - 1e308) / 1e308) = exp(-1/2) at t = 1.5e308, with no
+        # overflowing midpoint
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            root = _lambert_lanes(Kernel.laplace(1e-308, 1e308),
+                                  *self.lanes((1e308, 1.7e308, math.exp(-0.5), False,
+                                               1.0, 0.0, 1.0 - 1e308)))
+        assert root[0] == pytest.approx(1.5e308, rel=1e-15)
+
+    def test_lambert_lanes_at_a_bump_peak(self, rng):
+        # the bracket table lets a level through that is up to a few ulps
+        # above a bump's peak as the piece formula rounds it: the start is
+        # then the peak, where h' is nearly 0, and the Newton step must not
+        # carry it off to the far end of the bracket.  Each cell has the
+        # peak's two brackets, one towards the zero of f where it lies on
+        # the same side of the kernel peak
+        for _ in range(1500):
+            n, x = 10.0 ** rng.uniform(-3.0, 4.0), rng.uniform(-100.0, 100.0)
+            d = rng.uniform(-100.0, 100.0) * rng.choice([1.0, 1e-3])
+            p, log_c = rng.choice([0.5, 1.0]), rng.uniform(-5.0, 5.0)
+            side = rng.choice([1.0, -1.0])
+            t_m = side * p / n - d
+            if (t_m - x) * side <= 0.0:
+                continue
+            log_peak = log_c + p * math.log(abs(t_m + d)) - n * abs(t_m - x)
+            log_alpha = log_peak + rng.integers(-40, 3) * EPS * max(1.0, abs(log_peak))
+            ends = [t_m + side * 50.0 / n] + ([-d] if (-d - x) * side > 0.0 else [])
+            a, b = np.minimum(ends, t_m), np.maximum(ends, t_m)
+            k = len(ends)
+            roots = _lambert_lanes(Kernel.laplace(n, x), a, b, np.full(k, log_alpha),
+                                   b == t_m, np.full(k, log_c), np.full(k, p),
+                                   np.full(k, d))
+            # 64 eps (1 + |log peak|) below the peak the roots are delta from it
+            delta = math.sqrt(128.0 * EPS * (1.0 + abs(log_peak)) * p) / n
+            assert np.all(np.abs(roots - t_m) <= 4.0 * delta + 1e-12 * (1.0 + abs(t_m)))
 
     @pytest.mark.parametrize("kernel", [Kernel.laplace(3.0, 0.3), Kernel.gauss(3.0, 0.3)])
     @pytest.mark.parametrize("spec", [function_spec("pw_linear", knots=PW_KNOTS),
                                       function_spec("sqrt", shift=1.0)],
                              ids=["pw_linear", "sqrt"])
-    def test_one_bisection_per_levels_call(self, monkeypatch, kernel, spec):
-        # one call of the root solver (a Newton iteration since the bisection
-        # it replaced) answers every crossing of a levels call
+    def test_one_root_solve_per_levels_call(self, monkeypatch, kernel, spec):
+        # one call of the kernel's lane solver (Lambert W against Laplace,
+        # the Newton iteration against Gauss) answers every crossing of a
+        # levels call, and the other solver is not called
         g = product_level_function(spec, kernel)
-        brackets = []
+        calls = {"_lambert_lanes": [], "_newton": []}
+        for name, brackets in calls.items():
+            def counted(kernel, a, b, *lanes, solve=getattr(continuous, name),
+                        brackets=brackets):
+                brackets.append(set(zip(a.tolist(), b.tolist())))
+                return solve(kernel, a, b, *lanes)
 
-        def counted(kernel, a, b, *lanes):
-            brackets.append(set(zip(a.tolist(), b.tolist())))
-            return _newton(kernel, a, b, *lanes)
-
-        monkeypatch.setattr(continuous, "_newton", counted)
+            monkeypatch.setattr(continuous, name, counted)
         # a level at a bracket's inner end takes the end without a solve, so
         # the levels between consecutive breakpoints give every bracket a
         # crossing inside it
@@ -407,9 +557,12 @@ class TestBatchedOracle:
         alphas = np.concatenate([np.geomspace(g.sup_value * 1e-6, g.sup_value, 40),
                                  breaks, np.sqrt(breaks[1:] * breaks[:-1])])
         lo, hi = g.levels(alphas)
-        assert len(brackets) == 1
+        laplace = kernel.family == "laplace"
+        assert len(calls["_lambert_lanes"]) == int(laplace)
+        assert len(calls["_newton"]) == int(not laplace)
+        (brackets,) = calls["_lambert_lanes"] + calls["_newton"]
         # every bracket but the left tail, where f vanishes, has a crossing
-        assert len(brackets[0]) == lo.shape[0] - 1
+        assert len(brackets) == lo.shape[0] - 1
 
     @pytest.mark.parametrize("kernel", [Kernel.laplace(3.0, 0.3), Kernel.gauss(3.0, 0.3)])
     def test_breakpoint_level_takes_the_bracket_end(self, kernel):
@@ -457,12 +610,69 @@ class TestBatchedOracle:
                 band = 4.0 * EPS * abs(b - t_m) / rel
                 assert abs(a - b) <= XTOL + RTOL * abs(b) + band, (t_m, a, b)
 
+    @pytest.mark.parametrize("name,n,x", [
+        ("sqrt_shift_-0.4", 3.0, 0.3), ("sqrt_shift_0", 16.0, -0.5),
+        ("pw_linear_3", 1.5, 1.2), ("pw_linear_5_flat", 1.5, -3.0),
+        ("abs_dev_off_centre", 3.0, 0.3), ("abs_dev_off_centre", 1.5, -3.0)])
+    def test_lambert_next_to_a_laplace_local_maximum(self, name, n, x):
+        # levels 1e-15 to 1e-9 below a stationary peak, where w is next to
+        # the branch point -1 and the Newton step is not trusted: the Lambert
+        # ends agree with brentq within its tolerance plus the rounding band
+        spec = STATIONARY_SPECS[name]
+        kernel = Kernel.laplace(n, x)
+        g = product_level_function(spec, kernel)
+        peaks = continuous._stationaries(continuous._log_pieces(spec)[1], kernel)
+        assert peaks
+        for t_m in peaks:
+            for rel in (1e-15, 1e-12, 1e-9):
+                alpha = g.value(t_m) * (1.0 - rel)
+                got, want = self.ends(g, alpha)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    band = rounding_band(spec, kernel, b, math.log(alpha))
+                    assert abs(a - b) <= XTOL + RTOL * abs(b) + band, (t_m, rel, a, b)
+
+    @pytest.mark.parametrize("n,x", [(0.025, -0.5), (0.025, 2.5), (0.3, 0.5)])
+    def test_lambert_on_a_nearly_flat_linear_piece(self, n, x):
+        # slope -1/3000 puts the zero of f, -d, at t = 5999: w and t + d are
+        # about 6000 n and 6000, and t = -sigma w/m - d alone rounds to
+        # about 6000 eps, which the Newton step removes
+        spec = function_spec("pw_linear", knots=[(-1.0, 2.0), (2.0, 1.999)])
+        kernel = Kernel.laplace(n, x)
+        g = product_level_function(spec, kernel)
+        lo_end = min(g.value(-1.0), g.value(2.0))
+        for alpha in np.linspace(lo_end, g.sup_value, 12)[1:-1]:
+            got, want = self.ends(g, alpha)
+            assert len(got) == len(want) == 2
+            for a, b in zip(got, want):
+                assert abs(a - b) <= XTOL + RTOL * abs(b), (alpha, a, b)
+
+    def test_lambert_lanes_keep_extreme_cells_finite(self):
+        # n from 1e-4 to 1e6 and |x| up to 1e4 put log|z| near +-1e10 and
+        # levels down to 1e-300 put it near -700: no overflow, no NaN
+        specs = [function_spec("sqrt", shift=2.0), function_spec("abs_dev", center=-3.0),
+                 function_spec("pw_linear", knots=PW_KNOTS)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in specs:
+                for n in (1e-4, 1.0, 1e6):
+                    for x in (-1e4, 0.0, 1e4):
+                        g = product_level_function(spec, Kernel.laplace(n, x))
+                        if g.sup_value == 0.0:
+                            continue
+                        alphas = np.geomspace(max(g.sup_value * 1e-300, 1e-300),
+                                              g.sup_value, 60)
+                        lo, hi = g.levels(alphas)
+                        assert not np.isnan(lo).any() and not np.isnan(hi).any()
+                        assert np.all(np.isfinite(lo[lo <= hi]))
+
     @pytest.mark.parametrize("kernel", [Kernel.laplace(3.0, 0.3), Kernel.gauss(3.0, 0.3)])
     @pytest.mark.parametrize("eps", [0.0, 3e-14, 9e-14, 4e-13])
     def test_newton_next_to_the_sqrt_support_start(self, kernel, eps):
         # the level of sqrt(t + 1) K(t) at t = -1 + eps: the rising bracket
-        # starts at the zero of f, where log g is -inf, and the root lies
-        # within brentq's tolerance of it or just past it
+        # starts at the zero of f, where log g is -inf (against Laplace W_0
+        # of z > 0 is then about z), and the root lies within brentq's
+        # tolerance of it or just past it
         g = product_level_function(function_spec("sqrt", shift=1.0), kernel)
         alpha = g.value(-1.0 + eps) if eps else 1e-300
         got, want = self.ends(g, alpha)
@@ -472,9 +682,9 @@ class TestBatchedOracle:
 
     @pytest.mark.parametrize("n,x", [(3.0, 0.3), (16.0, 1.5), (0.5, -2.0)])
     def test_newton_on_a_laplace_constant_tail(self, n, x):
-        # pw_linear is constant beyond its first and last knot, where the
-        # log profile against a Laplace kernel is linear: the tangent from
-        # the outer end lands on the root
+        # pw_linear is constant beyond its first and last knot, where a
+        # level set against a Laplace kernel ends on the kernel's own closed
+        # form
         spec = function_spec("pw_linear", knots=[(-1.0, 1.0), (0.0, 2.0), (1.0, 0.5)])
         g = product_level_function(spec, Kernel.laplace(n, x))
         edge = min(g.value(-1.0), g.value(1.0))
@@ -489,7 +699,8 @@ class TestBatchedOracle:
     def test_newton_passes_per_levels_call(self, monkeypatch, spec, family):
         # every root-finding product, on the nodes of the tanh-sinh engine's
         # first three passes, needs at most 7 Newton passes per levels call
-        # (the cap counts the final stopping test as a pass)
+        # (the cap counts the final stopping test as a pass); against a
+        # Laplace kernel the Lambert lanes answer the same levels with none
         monkeypatch.setattr(continuous, "_NEWTON_PASSES", 8)
         for n in (1.5, 4.0, 64.0):
             for x in (-1.0, 0.3, 1.3):

@@ -47,17 +47,6 @@ def test_nonnegativity_metadata_consistent(spec, grid):
         assert all(spec(float(t)) >= 0.0 for t in np.linspace(-50, 50, 301))
 
 
-@pytest.mark.parametrize("spec,grid", spec_instances(),
-                         ids=lambda s: s.name if isinstance(s, FunctionSpec) else None)
-def test_array_form_matches_scalar(spec, grid):
-    if spec.name in ("const", "e1", "concave_quad"):
-        assert spec.array_fn is None
-        return
-    ts = np.concatenate([grid, np.linspace(-50, 50, 301)])
-    want = [spec(float(t)) for t in ts]
-    assert spec.array_fn(ts) == pytest.approx(want, rel=1e-15, abs=1e-15)
-
-
 def test_concave_metadata_on_natural_domain():
     # midpoint test on the domain the metadata refers to
     for spec, grid in ((function_spec("concave_quad"), UNIT),
