@@ -6,8 +6,7 @@ from .capacity import (DiscreteCapacity, DistortionFunction, PropertyReport,
                        additive_capacity, capacity_from_table, check_properties,
                        counting_distortion, distorted_probability,
                        distortion_by_name, dual, possibility_capacity,
-                       random_monotone_capacity, uniform_additive,
-                       validate_distortion)
+                       random_monotone_capacity, validate_distortion)
 from .continuous import (LevelSetFunction, choquet_integral_real,
                          choquet_integral_real_grid,
                          choquet_integral_real_with_error, indicator_plateau,
@@ -53,6 +52,6 @@ __all__ = [
     "perturbation_gap", "picard_choquet", "picard_classical",
     "possibility_capacity", "product_level_function", "property_suite",
     "pushforward", "quantitative_bound", "random_monotone_capacity",
-    "uniform_additive", "validate_distortion",
+    "validate_distortion",
     "weierstrass_choquet",
 ]

@@ -284,10 +284,6 @@ def additive_capacity(weights: Sequence[float]) -> DiscreteCapacity:
     return DiscreteCapacity(len(w), rule, tails_fn=_weights_tails(w))
 
 
-def uniform_additive(size: int) -> DiscreteCapacity:
-    return additive_capacity([1.0 / size] * size)
-
-
 def distorted_probability(gamma: DistortionFunction,
                           weights: Sequence[float]) -> DiscreteCapacity:
     """mu(A) = gamma(sum of weights over A) for a probability vector."""

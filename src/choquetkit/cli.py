@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -34,7 +34,7 @@ from .continuous import (choquet_integral_real, choquet_integral_real_grid,
 from .discrete import (choquet_integral, choquet_integral_layer_cake,
                        property_suite)
 from .errors import ConfigError, DivergenceError, QuadratureError
-from .estimates import (chebyshev_check, convergence_report, delta_rule,
+from .estimates import (ErrorTable, chebyshev_check, convergence_report, delta_rule,
                         format_float, modulus_of_continuity, quantitative_bound)
 from .functions import FunctionSpec, function_spec
 from .intervals import IntervalUnion
@@ -231,7 +231,7 @@ def _real_capacity_factory(raw):
 
 @contextmanager
 def _output(cfg: dict):
-    """The CSV stream: the ``out`` file, or stdout for none or ``-``."""
+    """The output stream: the ``out`` file, or stdout for none or ``-``."""
     path = cfg.get("out")
     if path in (None, "-"):
         yield sys.stdout
@@ -296,7 +296,7 @@ def cmd_integrate(cfg: dict) -> int:
 
 @dataclass(frozen=True)
 class _Setup:
-    """The config fields ``operator`` and ``compare`` share."""
+    """The config fields an operator table reads."""
 
     spec: FunctionSpec
     n_list: list
@@ -334,24 +334,19 @@ def _bernstein_bound(setup: _Setup, n: int, x: float) -> float:
     return math.nan
 
 
-def kernel_bound(deviation, spec: FunctionSpec, n: int, x: float,
-                 mu: RealCapacity, window) -> float:
-    """The quantitative bound at (n, x), its delta from the deviation
-    integral ``deviation(|. - x|)(x)`` and its modulus over ``window``."""
-    tn_phi = deviation(function_spec("abs_dev", center=x), n, x, mu)
-    delta = delta_rule(tn_phi, n)
-    return quantitative_bound(tn_phi, delta, modulus_of_continuity(spec, delta, window))
-
-
 def _kernel_operator(op, kernel):
-    """Table row of a Choquet kernel operator; the capacity follows its kernel."""
+    """Table row of a Choquet kernel operator; the capacity follows its kernel.
+    The bound takes its delta from the operator's own deviation integral
+    ``op(|. - x|)(x)`` and its modulus over the setup's window."""
 
     def evaluate(setup: _Setup, n: int, x: float) -> float:
         return op(_nonneg(setup.spec), n, x, setup.capacity(kernel(n, x)))
 
     def bound(setup: _Setup, n: int, x: float) -> float:
-        return kernel_bound(op, setup.spec, n, x, setup.capacity(kernel(n, x)),
-                            setup.window)
+        tn_phi = op(function_spec("abs_dev", center=x), n, x, setup.capacity(kernel(n, x)))
+        delta = delta_rule(tn_phi, n)
+        return quantitative_bound(tn_phi, delta,
+                                  modulus_of_continuity(setup.spec, delta, setup.window))
 
     return evaluate, bound
 
@@ -375,14 +370,17 @@ PAIRS = {"bernstein": ("bernstein", "bernstein_choquet"),
          "picard": ("picard", "picard_choquet")}
 
 
+def _table(setup: _Setup, evaluate, bound=None) -> ErrorTable:
+    """One operator's rows over the setup's (n, x) grid."""
+    return convergence_report(partial(evaluate, setup), setup.spec.fn, setup.n_list,
+                              setup.x_grid, bound and partial(bound, setup))
+
+
 def cmd_operator(cfg: dict) -> int:
     name = cfg.get("operator", "bernstein_choquet")
     if name not in OPERATORS:
         raise ConfigError(f"unknown operator {name!r}; choose from {tuple(OPERATORS)}")
-    setup = _Setup.parse(cfg, [name])
-    evaluate, bound = OPERATORS[name]
-    table = convergence_report(partial(evaluate, setup), setup.spec.fn, setup.n_list,
-                               setup.x_grid, partial(bound, setup))
+    table = _table(_Setup.parse(cfg, [name]), *OPERATORS[name])
     with _output(cfg) as stream:
         table.to_csv(stream)
     return EXIT_OK
@@ -394,23 +392,14 @@ def cmd_compare(cfg: dict) -> int:
         raise ConfigError(f"compare pairs: {' | '.join(PAIRS)}")
     classical_name, choquet_name = PAIRS[pair]
     setup = _Setup.parse(cfg, PAIRS[pair])
-    classical_op = OPERATORS[classical_name][0]
-    choquet_op, bound = OPERATORS[choquet_name]
-
-    rows = []
-    for n in setup.n_list:
-        for x in setup.x_grid:
-            x = float(x)
-            fx = setup.spec.fn(x)
-            classical = classical_op(setup, n, x)
-            choquet = choquet_op(setup, n, x)
-            rows.append((n, x, fx, classical, choquet, abs(classical - fx),
-                         abs(choquet - fx), bound(setup, n, x)))
-
+    classical = _table(setup, OPERATORS[classical_name][0])
+    choquet = _table(setup, *OPERATORS[choquet_name])
     with _output(cfg) as stream:
         stream.write("n,x,f,classical,choquet,err_classical,err_choquet,bound\n")
-        for n, *values in rows:
-            stream.write(",".join([str(n)] + [format_float(v) for v in values]) + "\n")
+        for (n, x, value, fx, err, _), (_, _, c_value, _, c_err, bound) in zip(
+                classical.rows, choquet.rows):
+            stream.write(",".join([str(n)] + [format_float(v) for v in (
+                x, fx, value, c_value, err, c_err, bound)]) + "\n")
     return EXIT_OK
 
 
@@ -505,17 +494,16 @@ def _verify_bounds(rng: np.random.Generator, trials: int) -> list[str]:
             gap = perturbation_gap(n, float(x))
             if not -1e-15 <= gap <= 2.0 ** -n + 1e-15:
                 bad.append(f"band violated at n={n}, x={x:.3f}: gap={gap:.3e}")
-    window = (-2.0, 3.0)
-    spec = function_spec("exp_neg")
-    for n in (2, 4, 8):
-        for x in (-1.0, 0.0, 1.5):
-            mu = RealCapacity.possibility(Kernel.laplace(n, x))
-            if abs(picard_choquet(function_spec("e0"), n, x, mu) - 1.0) > 1e-9:
-                bad.append(f"T_n(e0) != 1 at n={n}, x={x}")
-            tn = picard_choquet(spec, n, x, mu)
-            bound = kernel_bound(picard_choquet, spec, n, x, mu, window)
-            if abs(tn - spec.fn(x)) > bound + 1e-6:
-                bad.append(f"quantitative bound violated at n={n}, x={x}")
+    setup = _Setup(function_spec("exp_neg"), [2, 4, 8], np.array([-1.0, 0.0, 1.5]),
+                   DEFAULT_PROFILE, _real_capacity_factory(None), (-2.0, 3.0))
+    evaluate, bound = OPERATORS["picard_choquet"]
+    unit = _table(replace(setup, spec=function_spec("e0")), evaluate)
+    for (n, x, value, *_), (_, _, _, _, err, b) in zip(
+            unit.rows, _table(setup, evaluate, bound).rows):
+        if abs(value - 1.0) > 1e-9:
+            bad.append(f"T_n(e0) != 1 at n={n}, x={x}")
+        if err > b + 1e-6:
+            bad.append(f"quantitative bound violated at n={n}, x={x}")
     return bad
 
 
@@ -544,9 +532,10 @@ def cmd_verify(cfg: dict) -> int:
     if suite == "capacity" and cfg.get("inject_nonmonotone", False):
         violations += _verify_injected()
 
-    for v in violations:
-        print(f"VIOLATION [{suite}] {v}")
-    print(f"suite={suite} trials={trials} violations={len(violations)}")
+    with _output(cfg) as stream:
+        for v in violations:
+            stream.write(f"VIOLATION [{suite}] {v}\n")
+        stream.write(f"suite={suite} trials={trials} violations={len(violations)}\n")
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
@@ -562,8 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--out", help="output CSV path (default stdout)")
+        p.add_argument("--out", help="output path (default stdout)")
 
     def add(name, **kw):
         # an absent flag leaves no attribute, so the config file keeps its key
@@ -589,6 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", help="randomized property suites")
     common(p)
+    p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--suite", choices=SUITES)
     p.add_argument("--trials", type=int)
     p.add_argument("--inject-nonmonotone", action="store_true",

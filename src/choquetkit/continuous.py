@@ -198,7 +198,9 @@ def indicator_plateau(height: float, a: float, b: float) -> LevelSetFunction:
 #   W_0 near the branch point; the terms are of the size of v, so v keeps
 #   full relative precision as w -> -1.  W_0 away from the branch point
 #   takes the usual steps on w*exp(w) = z, whose residual scales with q.
-# Three steps from every start end within 2 ulps of the exact value.
+# Three steps from every start end within 2 ulps of the exact value.  The
+# numpy form solves only the branch each lane asks for, its v-form lanes in
+# one loop.
 _BRANCH_P = 1.0
 _HALLEY_STEPS = 3
 
@@ -222,18 +224,6 @@ def _halley_w(w, q, xp):
     return w
 
 
-def _pair_near(p, L, xp):
-    return (_halley_v(_branch_v(p), L + 1.0, xp) - 1.0,
-            _halley_v(_branch_v(-p), L + 1.0, xp) - 1.0)
-
-
-def _pair_far(L, xp):
-    q = xp.exp(L)
-    l2 = xp.log(-L)
-    return (_halley_w(-q * (1.0 + q * (1.0 + 1.5 * q)), q, xp),
-            _halley_v(L + 1.0 - l2 + l2 / L, L + 1.0, xp) - 1.0)
-
-
 def _lambert_pair(L: float) -> tuple[float, float]:
     """``(W_0, W_{-1})`` at ``z = -exp(L)``, from ``math``.
 
@@ -243,19 +233,33 @@ def _lambert_pair(L: float) -> tuple[float, float]:
     if L >= -1.0:
         return -1.0, -1.0
     p = math.sqrt(-2.0 * math.expm1(L + 1.0))
-    return _pair_near(p, L, math) if p < _BRANCH_P else _pair_far(L, math)
+    if p < _BRANCH_P:
+        return (_halley_v(_branch_v(p), L + 1.0, math) - 1.0,
+                _halley_v(_branch_v(-p), L + 1.0, math) - 1.0)
+    q = math.exp(L)
+    l2 = math.log(-L)
+    return (_halley_w(-q * (1.0 + q * (1.0 + 1.5 * q)), q, math),
+            _halley_v(L + 1.0 - l2 + l2 / L, L + 1.0, math) - 1.0)
 
 
-def _lambert_pairs(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_lambert_pair` on an array, from numpy."""
-    w0 = np.full(L.shape, -1.0)
-    wm1 = np.full(L.shape, -1.0)
+def _lambert_branch(L: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """:func:`_lambert_pair` on an array, from numpy, one branch per lane:
+    ``W_0`` where ``upper`` (which broadcasts against ``L``) and ``W_{-1}``
+    elsewhere."""
+    w = np.full(L.shape, -1.0)
     p = np.sqrt(-2.0 * np.expm1(np.minimum(L, -1.0) + 1.0))
-    near = (L < -1.0) & (p < _BRANCH_P)
     far = p >= _BRANCH_P
-    w0[near], wm1[near] = _pair_near(p[near], L[near], np)
-    w0[far], wm1[far] = _pair_far(L[far], np)
-    return w0, wm1
+    near = (L < -1.0) & ~far
+    v_lanes = near | far & ~upper
+    Lv = L[v_lanes]
+    l2 = np.log(-Lv)
+    start = np.where(near[v_lanes], _branch_v(np.where(upper, p, -p)[v_lanes]),
+                     Lv + 1.0 - l2 + l2 / Lv)
+    w[v_lanes] = _halley_v(start, Lv + 1.0, np) - 1.0
+    w_lanes = far & upper
+    q = np.exp(L[w_lanes])
+    w[w_lanes] = _halley_w(-q * (1.0 + q * (1.0 + 1.5 * q)), q, np)
+    return w
 
 
 # W_0 at z = exp(L) > 0, for any float L.  Below L = _W0_TINY_L, W_0(z) =
@@ -342,7 +346,8 @@ def _product_abs_dev_centered(kernel: Kernel) -> LevelSetFunction:
 
     def ends(alpha, xp):
         L = log_m + p * xp.log(alpha)
-        w0, wm1 = _lambert_pair(L) if xp is _MATH else _lambert_pairs(L)
+        w0, wm1 = (_lambert_pair(L) if xp is _MATH
+                   else _lambert_branch(np.stack((L, L)), np.array([[True], [False]])))
         y1, y2 = -w0 / m, -wm1 / m
         if gauss:
             y1, y2 = xp.sqrt(y1), xp.sqrt(y2)
@@ -574,8 +579,7 @@ def _lambert_lanes(kernel: Kernel, a: np.ndarray, b: np.ndarray,
     L = np.log(m) + (la - lc) / pp - sig * m * (x + dp)
     w = np.empty(L.shape)
     bump = np.sign(mid[power] + dp) == sig
-    w0, wm1 = _lambert_pairs(L[bump])
-    w[bump] = np.where(rising[power][bump] == (sig[bump] > 0.0), w0, wm1)
+    w[bump] = _lambert_branch(L[bump], rising[power][bump] == (sig[bump] > 0.0))
     w[~bump] = _lambert_w0(L[~bump])
     tp = -sig * w / m - dp
     # the Newton step h / h' = h (t + d) / slope where t + d is not 0 (a W_0

@@ -59,10 +59,6 @@ class IntervalUnion:
         return IntervalUnion(_canonicalize(pairs))
 
     @staticmethod
-    def single(a: float, b: float) -> "IntervalUnion":
-        return IntervalUnion.from_pairs([(a, b)])
-
-    @staticmethod
     def empty() -> "IntervalUnion":
         return IntervalUnion()
 

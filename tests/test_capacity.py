@@ -8,15 +8,14 @@ from choquetkit import (CapabilityError, DiscreteCapacity, DistortionFunction,
                         capacity_from_table, check_properties,
                         counting_distortion, distorted_probability, dual,
                         kernel_level_function, possibility_capacity,
-                        random_monotone_capacity, uniform_additive,
-                        validate_distortion)
+                        random_monotone_capacity, validate_distortion)
 
 SQRT_THIRD = math.sqrt(1.0 / 3.0)
 
 
 class TestEvaluateDiscrete:
     def test_additive_uniform(self):
-        cap = uniform_additive(3)
+        cap = additive_capacity([1.0 / 3] * 3)
         assert cap.value({0, 2}) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_sqrt_counting(self):
@@ -24,14 +23,14 @@ class TestEvaluateDiscrete:
         assert cap.value({1}) == pytest.approx(SQRT_THIRD, abs=1e-12)
 
     def test_empty_set_is_zero(self):
-        for cap in (uniform_additive(4),
+        for cap in (additive_capacity([1.0 / 4] * 4),
                     counting_distortion(DistortionFunction.sqrt(), 3),
                     possibility_capacity([0.2, 1.0])):
             assert cap.value(()) == 0.0
 
     def test_out_of_range_index(self):
         with pytest.raises(ValueError):
-            uniform_additive(3).value({5})
+            additive_capacity([1.0 / 3] * 3).value({5})
 
 
 class TestDual:
@@ -71,7 +70,7 @@ class TestDual:
 
 class TestCheckProperties:
     def test_additive_all_flags(self):
-        report = check_properties(uniform_additive(4))
+        report = check_properties(additive_capacity([1.0 / 4] * 4))
         assert report.monotone and report.subadditive and report.submodular
         assert report.normalized and not report.sampled
 
@@ -140,7 +139,7 @@ class TestCheckProperties:
         assert_witnesses_violate(cap, report)
 
     def test_flags_are_bools(self, rng):
-        for cap in (uniform_additive(3), random_monotone_capacity(rng, 9),
+        for cap in (additive_capacity([1.0 / 3] * 3), random_monotone_capacity(rng, 9),
                     capacity_from_table(2, [0.5, 0.8, 0.2, 0.3])):
             report = check_properties(cap)
             for flag in (report.monotone, report.subadditive,
@@ -275,14 +274,14 @@ class TestRealCapacity:
 
     def test_possibility_peak_inside(self):
         mu = RealCapacity.possibility(Kernel.laplace(3.0, 0.5))
-        assert mu.value(IntervalUnion.single(0.0, 1.0)) == 1.0
+        assert mu.value(IntervalUnion.from_pairs([(0.0, 1.0)])) == 1.0
 
     def test_possibility_nearest_endpoint(self):
         k = Kernel.laplace(2.0, 0.0)
         mu = RealCapacity.possibility(k)
-        assert mu.value(IntervalUnion.single(1.0, 3.0)) == pytest.approx(
+        assert mu.value(IntervalUnion.from_pairs([(1.0, 3.0)])) == pytest.approx(
             math.exp(-2.0), abs=1e-15)
-        assert mu.value(IntervalUnion.single(-3.0, -0.5)) == pytest.approx(
+        assert mu.value(IntervalUnion.from_pairs([(-3.0, -0.5)])) == pytest.approx(
             math.exp(-1.0), abs=1e-15)
 
     def test_possibility_max_rule_random(self, rng):
@@ -292,7 +291,7 @@ class TestRealCapacity:
             mu = RealCapacity.possibility(k)
             pts = np.sort(rng.uniform(-3.0, 3.0, size=6))
             a = IntervalUnion.from_pairs([(pts[0], pts[1]), (pts[2], pts[3])])
-            b = IntervalUnion.single(pts[4], pts[5])
+            b = IntervalUnion.from_pairs([(pts[4], pts[5])])
             assert mu.value(a.union(b)) == pytest.approx(
                 max(mu.value(a), mu.value(b)), abs=1e-15)
 
@@ -302,8 +301,8 @@ class TestRealCapacity:
         for _ in range(200):
             pts = np.sort(rng.uniform(-3.0, 3.0, size=4))
             small = IntervalUnion.from_pairs([(pts[0], pts[1]), (pts[2], pts[3])])
-            big = small.union(IntervalUnion.single(
-                float(rng.uniform(-4, 4)), float(rng.uniform(4, 5))))
+            big = small.union(IntervalUnion.from_pairs(
+                [(float(rng.uniform(-4, 4)), float(rng.uniform(4, 5)))]))
             for mu in (sqrt_mu, poss):
                 assert mu.value(small) <= mu.value(big) + 1e-12
 

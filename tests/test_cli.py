@@ -143,10 +143,10 @@ class TestIntegrate:
 
     def test_infinite_level_set_is_numeric_error(self, tmp_path, capsys, monkeypatch):
         # a level oracle that gives the whole line deep in the tail
-        whole = IntervalUnion.single(-math.inf, math.inf)
-        g = LevelSetFunction(
-            lambda t: 1.0, lambda a: whole if a < 1e-160 else IntervalUnion.single(0.0, 1.0),
-            1.0, lambda alphas: empty_pieces(1, alphas.size))
+        whole = IntervalUnion.from_pairs([(-math.inf, math.inf)])
+        unit = IntervalUnion.from_pairs([(0.0, 1.0)])
+        g = LevelSetFunction(lambda t: 1.0, lambda a: whole if a < 1e-160 else unit,
+                             1.0, lambda alphas: empty_pieces(1, alphas.size))
         monkeypatch.setattr(cli, "product_level_function", lambda spec, kernel: g)
         cfg = write_config(tmp_path, {"mode": "real", "capacity": "sqrt_lebesgue"})
         assert main(["integrate", "--config", cfg]) == 3
@@ -161,8 +161,8 @@ class TestIntegrate:
             return (np.where(whole, -np.inf, 0.0)[None, :],
                     np.where(whole, np.inf, 1.0)[None, :])
 
-        g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion.single(0.0, 1.0),
-                             1.0, levels)
+        unit = IntervalUnion.from_pairs([(0.0, 1.0)])
+        g = LevelSetFunction(lambda t: 1.0, lambda a: unit, 1.0, levels)
         monkeypatch.setattr(cli, "product_level_function", lambda spec, kernel: g)
         cfg = write_config(tmp_path, {"mode": "real", "capacity": "sqrt_lebesgue"})
         assert main(["integrate", "--config", cfg]) == 3
@@ -247,7 +247,7 @@ class TestOperator:
         out2 = tmp_path / "b.csv"
         args = ["operator", "--operator", "bernstein_choquet",
                 "--function", "concave_quad", "--n", "4,8",
-                "--xgrid", "0:1:5", "--theta", "1.0", "--seed", "3"]
+                "--xgrid", "0:1:5", "--theta", "1.0"]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -502,6 +502,26 @@ class TestVerify:
     def test_negative_trials_rejected(self):
         assert main(["verify", "--suite", "capacity", "--trials", "-3"]) == 2
 
+    def test_bounds_suite_reads_the_operator_table(self, monkeypatch, capsys):
+        # negative control: a broken bound column in the table must be caught.
+        # Picard-Choquet is exact on exp_neg under the possibility capacity
+        # (errors below 3e-15), so only a bound below -1e-6 can fail there
+        evaluate, _ = cli.OPERATORS["picard_choquet"]
+        monkeypatch.setitem(cli.OPERATORS, "picard_choquet", (evaluate, lambda s, n, x: -1.0))
+        assert main(["verify", "--suite", "bounds", "--trials", "1"]) == 1
+        assert "quantitative bound violated at n=2, x=-1.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, code", [(["--suite", "bounds"], 0),
+                                             (["--inject-nonmonotone"], 1)])
+    def test_out_writes_what_stdout_shows(self, tmp_path, capsys, flags, code):
+        args = ["verify", "--trials", "3", "--seed", "2"] + flags
+        out = tmp_path / "v.txt"
+        assert main(args) == code
+        shown = capsys.readouterr().out
+        assert main(args + ["--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == shown.encode()
+
     def test_negative_seed_rejected(self, capsys):
         assert main(["verify", "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "config error: seed must be nonnegative\n"
@@ -559,6 +579,14 @@ def test_empty_or_unknown_flag_value_is_config_error(capsys, flags):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("command", ["integrate", "operator", "compare"])
+def test_seed_is_a_verify_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 def test_flags_override_only_their_config_keys(tmp_path, capsys):
     cfg = write_config(tmp_path, {"operator": "bernstein", "n_list": [3, 5],
                                   "x_grid": {"min": 0, "max": 1, "count": 2}})
@@ -594,23 +622,26 @@ def test_import_leaves_scipy_submodules_unloaded():
     assert proc.stdout == "[]\n"
 
 
-def test_batched_operator_path_loads_no_scipy():
-    # the operators run on the batched oracle; scipy serves only the adaptive
-    # engine and the scalar root-finding oracle
+def test_batched_operator_path_loads_no_scipy(tmp_path):
+    # the operator table runs on the batched oracle; scipy serves only the
+    # adaptive engine and the scalar root-finding oracle
+    pw_linear = write_config(tmp_path, {"function": {
+        "name": "pw_linear", "knots": [[-1, 1], [0, 2], [1, 0.5]]}}, "pw.json")
+    sqrt3 = write_config(tmp_path, {"function": {"name": "sqrt", "shift": 3.0}}, "sqrt.json")
     code = "\n".join([
         "import sys",
-        "from choquetkit import (RealCapacity, function_spec, picard_choquet,",
-        "                        weierstrass_choquet)",
-        "from choquetkit.cli import kernel_bound",
-        "mu = RealCapacity.sqrt_lebesgue()",
-        "for op, spec in ((picard_choquet, function_spec(",
-        "                      'pw_linear', knots=[(-1, 1), (0, 2), (1, 0.5)])),",
-        "                 (weierstrass_choquet, function_spec('sqrt', shift=3.0))):",
-        "    print(op(spec, 4, 0.3, mu), kernel_bound(op, spec, 4, 0.3, mu, (-2.0, 2.0)))",
+        "from choquetkit.cli import main",
+        f"for name, cfg in (('picard_choquet', {pw_linear!r}),",
+        f"                  ('weierstrass_choquet', {sqrt3!r})):",
+        "    assert main(['operator', '--operator', name, '--config', cfg,",
+        "                 '--capacity', 'sqrt_lebesgue', '--n', '4',",
+        "                 '--xgrid=-0.7:0.3:2']) == 0",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert all(math.isfinite(float(v)) for line in lines[:2] for v in line.split())
-    assert lines[2] == "[]"
+    *tables, loaded = proc.stdout.splitlines()
+    rows = [row for row in tables if not row.startswith("n,")]
+    assert len(rows) == 4
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+    assert loaded == "[]"

@@ -15,7 +15,7 @@ from choquetkit import (DivergenceError, IntervalUnion, Kernel,
                         kernel_level_function, kernel_normalizer,
                         product_level_function)
 from choquetkit import continuous
-from choquetkit.continuous import (_lambert_lanes, _lambert_pair, _lambert_pairs,
+from choquetkit.continuous import (_lambert_branch, _lambert_lanes, _lambert_pair,
                                    _lambert_w0, _newton)
 from choquetkit.intervals import empty_pieces
 
@@ -44,6 +44,12 @@ def level_functions():
 def batched_union(lo, hi, i):
     return IntervalUnion.from_pairs(
         [(a, b) for a, b in zip(lo[:, i], hi[:, i]) if a <= b])
+
+
+def lambert_branches(L):
+    """``(W_0, W_{-1})`` at ``z = -exp(L)`` from the per-lane solver."""
+    return (_lambert_branch(L, np.ones(L.shape, bool)),
+            _lambert_branch(L, np.zeros(L.shape, bool)))
 
 
 def close_gaps(union, tol=1e-12):
@@ -317,7 +323,7 @@ class TestBatchedOracle:
         # scipy's lambertw is NaN at -1/e itself; both branches meet at -1 there
         for arg in (-1.0 / math.e, -1.0 / math.e - 1e-17, -0.5):
             assert _lambert_pair(math.log(-arg)) == (-1.0, -1.0)
-        w0, wm1 = _lambert_pairs(np.log([1.0 / math.e, 0.5, 0.1]))
+        w0, wm1 = lambert_branches(np.log([1.0 / math.e, 0.5, 0.1]))
         assert w0[:2].tolist() == [-1.0, -1.0] and wm1[:2].tolist() == [-1.0, -1.0]
         assert (w0[2], wm1[2]) == pytest.approx(_lambert_pair(math.log(0.1)), rel=1e-15)
 
@@ -327,13 +333,16 @@ class TestBatchedOracle:
         L = np.linspace(math.log(1e-300), -1.0, 2001)
         z = -np.exp(L)
         far = z + 1.0 / math.e > 1e-8
-        w0, wm1 = _lambert_pairs(L)
+        w0, wm1 = lambert_branches(L)
         scalar = np.array([_lambert_pair(float(v)) for v in L])
         for col, (k, ours) in enumerate(((0, w0), (-1, wm1))):
             want = lambertw(z[far], k).real
             assert np.all(np.isfinite(want))
             assert ours[far] == pytest.approx(want, rel=1e-15)
             assert scalar[far, col] == pytest.approx(want, rel=1e-15)
+        # a lane's value does not depend on the branches its neighbours ask for
+        upper = np.arange(L.size) % 3 == 0
+        assert np.array_equal(_lambert_branch(L, upper), np.where(upper, w0, wm1))
 
     def test_lambert_residual_at_branch_point(self):
         # within 1e-8 of -1/e the values are held to w + log(-w) = L instead;
@@ -342,7 +351,7 @@ class TestBatchedOracle:
         L = -1.0 - np.geomspace(1e-16, 2.7e-8, 200)
         z = -np.exp(L)
         assert np.all(z + 1.0 / math.e <= 1e-8)
-        w0, wm1 = _lambert_pairs(L)
+        w0, wm1 = lambert_branches(L)
         scalar = np.array([_lambert_pair(float(v)) for v in L])
         for ours in (w0, wm1, scalar[:, 0], scalar[:, 1]):
             assert np.all(np.abs(ours + np.log(-ours) - L) <= 4e-16)
@@ -897,10 +906,10 @@ class TestQuadrature:
     def test_infinite_level_set_raises(self):
         # a whole-line level set deep in the tail: quad returns (inf, inf)
         # there without an IntegrationWarning
-        whole = IntervalUnion.single(-math.inf, math.inf)
+        whole = IntervalUnion.from_pairs([(-math.inf, math.inf)])
 
         def level(alpha):
-            return whole if alpha < 1e-160 else IntervalUnion.single(-1.0, 1.0)
+            return whole if alpha < 1e-160 else IntervalUnion.from_pairs([(-1.0, 1.0)])
 
         g = LevelSetFunction(lambda t: 1.0, level, 1.0,
                              lambda alphas: empty_pieces(1, alphas.size))
@@ -914,8 +923,8 @@ class TestQuadrature:
             return (np.where(whole, -np.inf, -1.0)[None, :],
                     np.where(whole, np.inf, 1.0)[None, :])
 
-        g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion.single(-1.0, 1.0),
-                             1.0, levels)
+        unit = IntervalUnion.from_pairs([(-1.0, 1.0)])
+        g = LevelSetFunction(lambda t: 1.0, lambda a: unit, 1.0, levels)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(QuadratureError, match="not finite"):

@@ -9,7 +9,7 @@ from choquetkit import (DistortionFunction, additive_capacity,
                         change_of_variables_check, choquet_integral,
                         choquet_integral_layer_cake, choquet_variance,
                         counting_distortion, property_suite, pushforward,
-                        random_monotone_capacity, uniform_additive)
+                        random_monotone_capacity)
 from choquetkit.capacity import DiscreteCapacity
 
 SQRT_CAP3 = counting_distortion(DistortionFunction.sqrt(), 3)
@@ -19,7 +19,7 @@ FIXTURE_132 = 2.393846850117352
 
 class TestSortingFormula:
     def test_additive_mean(self):
-        assert choquet_integral([2.0, 4.0], uniform_additive(2)) == pytest.approx(
+        assert choquet_integral([2.0, 4.0], additive_capacity([0.5, 0.5])) == pytest.approx(
             3.0, abs=1e-15)
 
     def test_sqrt_counting_fixture(self):
@@ -98,7 +98,7 @@ def test_tie_invariance(values, seed):
 
 class TestMoments:
     def test_constant(self):
-        cap = uniform_additive(3)
+        cap = additive_capacity([1.0 / 3] * 3)
         assert choquet_integral([2.0] * 3, cap) == pytest.approx(2.0, abs=1e-15)
         assert choquet_variance([2.0] * 3, cap) == pytest.approx(0.0, abs=1e-15)
 
@@ -156,7 +156,7 @@ class TestPushforward:
 
 class TestPropertySuite:
     def test_additive_clean(self):
-        rep = property_suite(uniform_additive(3), trials=300)
+        rep = property_suite(additive_capacity([1.0 / 3] * 3), trials=300)
         assert rep.ok
         assert rep.submodular
 

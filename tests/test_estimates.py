@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from choquetkit import (CapabilityError, ErrorTable, FunctionSpec, Kernel,
-                        PerturbationProfile, RealCapacity,
+                        PerturbationProfile, RealCapacity, additive_capacity,
                         bernstein_choquet, bernstein_choquet_capacity,
                         chebyshev_check, choquet_integral, choquet_variance,
                         convergence_report, delta_rule, function_spec,
                         modulus_of_continuity, modulus_of_continuity_detailed,
                         perturbation_gap, picard_choquet, quantitative_bound,
-                        random_monotone_capacity, uniform_additive)
+                        random_monotone_capacity)
 
 
 PW_KNOTS = [(-1.0, 1.0), (0.0, 2.0), (1.0, 0.5)]
@@ -174,12 +174,12 @@ class TestQuantitativeBound:
 
 class TestChebyshev:
     def test_constant_function(self):
-        res = chebyshev_check([2.0, 2.0, 2.0], uniform_additive(3), 0.5)
+        res = chebyshev_check([2.0, 2.0, 2.0], additive_capacity([1.0 / 3] * 3), 0.5)
         assert res.lhs == 0.0
         assert res.holds
 
     def test_additive_classical_instance(self):
-        cap = uniform_additive(4)
+        cap = additive_capacity([1.0 / 4] * 4)
         x = [0.0, 1.0, 2.0, 3.0]
         res = chebyshev_check(x, cap, 1.4)
         mean = sum(x) / 4
@@ -199,7 +199,7 @@ class TestChebyshev:
 
     def test_positive_radius_required(self):
         with pytest.raises(ValueError):
-            chebyshev_check([1.0, 2.0], uniform_additive(2), 0.0)
+            chebyshev_check([1.0, 2.0], additive_capacity([1.0 / 2] * 2), 0.0)
 
 
 def scheme_moments(n, x, profile=PerturbationProfile()):
