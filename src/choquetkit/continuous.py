@@ -54,6 +54,15 @@ over the scalar oracle at the same tolerances and ``QUAD_LIMIT``, and its
 root-finding uses ``brentq``.  Both are imported on first use, so the
 operators, and importing this module, load no scipy.  The engines share
 only the pieces of the layer cake in ``s`` (:func:`_layer_edges`).
+
+The kernel moment ``T_n(|. - x|)(x)``, through which the paper states
+every quantitative estimate, and the operator normalizer have closed forms
+in n alone for the capacities the command line builds
+(:func:`kernel_moment`, :func:`kernel_normalizer`): the Laplace kernel
+against its own possibility capacity, and Lebesgue length distorted by
+the identity or sqrt, one row each of ``_POWER_MOMENTS``.  Every other
+pair runs the tanh-sinh engine; the tests hold both engines to each
+formula.
 """
 
 from __future__ import annotations
@@ -69,7 +78,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapabilityError, DivergenceError, QuadratureError
-from .functions import FunctionSpec
+from .functions import FunctionSpec, abs_dev
 from .intervals import IntervalUnion, empty_pieces, pieces_where
 from .realline import LAPLACE, Kernel, RealCapacity
 
@@ -899,14 +908,73 @@ def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity) -> float:
         error_estimate=math.fsum(errors))
 
 
+# distortion name -> (p, T_1 Laplace, T_1 Gauss) for gamma(t) = t**p: the
+# exponent and the kernel moment T_n(|. - x|)(x) at n = 1 against
+# gamma(length); the sqrt moments are 30-digit mpmath values from the
+# Lambert W parametrisation of the level sets
+_POWER_MOMENTS = {
+    "identity": (1.0, 1.0, 1.0 / math.sqrt(math.pi)),
+    "sqrt": (0.5, 0.654402534226178633510813469012, 0.494485667875080293795473756008),
+}
+
+
+def _power_moments(mu: RealCapacity):
+    """The :data:`_POWER_MOMENTS` row of a distorted Lebesgue capacity, or None."""
+    if mu.kind != "distorted_lebesgue":
+        return None
+    return _POWER_MOMENTS.get(mu.gamma.name)
+
+
 def kernel_normalizer(kernel: Kernel, mu: RealCapacity) -> float:
     """Choquet integral of the bare kernel (the operator normalizer).
 
-    For a possibility capacity whose own kernel peaks at the same point,
-    every nonempty level set contains the peak, so the integrand is 1 on
-    (0, 1] and the normalizer is exactly 1 -- no quadrature involved.
+    Two capacities need no quadrature:
+
+    * a possibility capacity whose own kernel peaks at the same point:
+      every nonempty level set contains the peak, so the integrand is 1 on
+      (0, 1] and the normalizer is exactly 1;
+    * Lebesgue length distorted by ``gamma(t) = t**p`` with p = 1 or 1/2:
+      the level set at ``alpha = exp(-s)`` has length ``2 s / n``
+      (Laplace) or ``2 sqrt(s / n)`` (Gauss), so the normalizer is
+      ``Gamma(1 + p) (2/n)**p`` or ``Gamma(1 + p/2) 2**p n**(-p/2)``.
+
+    Any other capacity runs the tanh-sinh engine.
     """
     if mu.kind == "possibility" and mu.kernel.x == kernel.x:
         return 1.0
+    power = _power_moments(mu)
+    if power is not None:
+        p = power[0]
+        if kernel.family == LAPLACE:
+            return math.gamma(1.0 + p) * (2.0 / kernel.n) ** p
+        return math.gamma(1.0 + p / 2.0) * 2.0 ** p * kernel.n ** (-p / 2.0)
     return choquet_integral_real_grid(kernel_level_function(kernel), mu)
 
+
+def kernel_moment(kernel: Kernel, mu: RealCapacity) -> float:
+    """The kernel operator at the deviation ``|t - x|`` from the kernel's
+    own centre: ``T_n(|. - x|)(x)``, the moment the quantitative bounds
+    are stated through.
+
+    Closed forms, none of which depends on x:
+
+    * Laplace kernel against the possibility capacity of the same kernel:
+      ``(1 + e**-2) / (4 n)`` (the capacity of the annulus
+      ``{y e**(-n y) >= alpha}`` is ``e**(-n y)`` at its inner radius y);
+    * distorted Lebesgue with a distortion of :data:`_POWER_MOMENTS`:
+      ``T_1 / n`` (Laplace) or ``T_1 / sqrt(n)`` (Gauss), by rescaling t.
+
+    Any other pair (the Gauss kernel against a possibility capacity, a
+    ``power_*`` distortion, ...) runs the tanh-sinh engine on the
+    deviation and divides by :func:`kernel_normalizer`.
+    """
+    if (kernel.family == LAPLACE and mu.kind == "possibility"
+            and mu.kernel == kernel):
+        return (1.0 + math.exp(-2.0)) / (4.0 * kernel.n)
+    power = _power_moments(mu)
+    if power is not None:
+        if kernel.family == LAPLACE:
+            return power[1] / kernel.n
+        return power[2] / math.sqrt(kernel.n)
+    g = product_level_function(abs_dev(kernel.x), kernel)
+    return choquet_integral_real_grid(g, mu) / kernel_normalizer(kernel, mu)

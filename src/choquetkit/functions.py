@@ -99,6 +99,7 @@ def pw_linear(knots: Sequence[Tuple[float, float]]) -> FunctionSpec:
     if len(set(ts)) != len(ts):
         raise ValueError("pw_linear knots must have distinct abscissae")
     vs = [v for _, v in pts]
+    slopes = [(vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j]) for j in range(len(ts) - 1)]
 
     def fn(t: float) -> float:
         if t <= ts[0]:
@@ -106,10 +107,13 @@ def pw_linear(knots: Sequence[Tuple[float, float]]) -> FunctionSpec:
         if t >= ts[-1]:
             return vs[-1]
         j = bisect_right(ts, t) - 1
-        w = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return vs[j] * (1 - w) + vs[j + 1] * w
+        # from the nearer knot, with the distance to it taken directly: next
+        # to a zero-valued knot the value is one product, good to a few ulp
+        left, right = t - ts[j], ts[j + 1] - t
+        if left <= right:
+            return vs[j] + slopes[j] * left
+        return vs[j + 1] - slopes[j] * right
 
-    slopes = [(vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j]) for j in range(len(ts) - 1)]
     if all(s >= 0 for s in slopes):
         mono = "nondecreasing"
     elif all(s <= 0 for s in slopes):

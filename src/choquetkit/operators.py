@@ -10,7 +10,10 @@ the plain basis sum, and the full ground set is pinned to 1.  With
 classical Bernstein polynomial.
 
 The kernel operators divide a real-line Choquet integral of
-``f(t) * kernel(t)`` by the integral of the bare kernel.
+``f(t) * kernel(t)`` by the integral of the bare kernel.  At the deviation
+``|t - x|`` from the kernel's centre they return
+:func:`.continuous.kernel_moment`, which is a closed form for the
+capacities the command line builds.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable, Sequence
 
 from .capacity import DiscreteCapacity
 from .continuous import (choquet_integral_real_grid, integrate_adaptive,
-                         kernel_normalizer, product_level_function)
+                         kernel_moment, kernel_normalizer, product_level_function)
 from .discrete import choquet_integral
 from .functions import FunctionSpec
 from .realline import Kernel, RealCapacity
@@ -155,6 +158,8 @@ def bernstein_choquet_closedform(spec: FunctionSpec, n: int, x: float,
 
 
 def _kernel_choquet(spec: FunctionSpec, kernel: Kernel, mu: RealCapacity) -> float:
+    if spec.name == "abs_dev" and spec.param("center") == kernel.x:
+        return kernel_moment(kernel, mu)
     g = product_level_function(spec, kernel)
     numerator = choquet_integral_real_grid(g, mu)
     return numerator / kernel_normalizer(kernel, mu)

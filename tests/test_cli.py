@@ -328,6 +328,18 @@ class TestOperator:
             assert math.isfinite(cols["bound_value"])
             assert cols["bound_value"] >= cols["abs_error"]
 
+    def test_picard_possibility_rows_at_a_large_centre(self, capsys):
+        # the bound's deviation integral is the closed form (1 + e**-2)/(4n),
+        # which no longer runs quadrature on level sets that carry ulp(1e12)
+        assert main(["operator", "--operator", "picard_choquet", "--function", "sqrt",
+                     "--n", "2", "--xgrid=1e12:1.0000001e12:2"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 2
+        for row in rows:
+            cols = dict(zip(header.split(","), map(float, row.split(","))))
+            assert all(math.isfinite(v) for v in cols.values())
+            assert cols["abs_error"] <= cols["bound_value"]
+
     def test_pw_linear_bound_uses_exact_modulus(self, tmp_path, capsys):
         # slope -1.5 is the steepest on the window (-2, 2), so with delta the
         # deviation integral T the bound is 2 * omega1(T) = 3 * T
@@ -510,6 +522,17 @@ class TestVerify:
         monkeypatch.setitem(cli.OPERATORS, "picard_choquet", (evaluate, lambda s, n, x: -1.0))
         assert main(["verify", "--suite", "bounds", "--trials", "1"]) == 1
         assert "quantitative bound violated at n=2, x=-1.0" in capsys.readouterr().out
+
+    def test_bounds_suite_catches_a_zero_bound(self, monkeypatch, capsys):
+        # under sqrt-Lebesgue the operator errs by 1.8e-3 or more on every
+        # row, so a bound column that collapsed to 0 fails there, and only there
+        evaluate, _ = cli.OPERATORS["picard_choquet"]
+        monkeypatch.setitem(cli.OPERATORS, "picard_choquet", (evaluate, lambda s, n, x: 0.0))
+        assert main(["verify", "--suite", "bounds", "--trials", "1"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("quantitative bound violated") == 9
+        assert out.count("(sqrt_lebesgue)") == 9
+        assert "suite=bounds trials=1 violations=9\n" in out
 
     @pytest.mark.parametrize("flags, code", [(["--suite", "bounds"], 0),
                                              (["--inject-nonmonotone"], 1)])

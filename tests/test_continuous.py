@@ -937,3 +937,72 @@ class TestQuadrature:
             choquet_integral_real(g, SQRT_M)
         with pytest.raises(DivergenceError):
             choquet_integral_real_grid(g, SQRT_M)
+
+
+MOMENT_N = [0.5, 1.5, 2.0, 7.0, 16.0, 64.0, 257.0]
+
+
+def moment_capacities(kernel):
+    """The capacities whose kernel moment and normalizer are closed forms."""
+    out = [("lebesgue", RealCapacity.lebesgue()), ("sqrt_lebesgue", SQRT_M)]
+    if kernel.family == "laplace":
+        out.append(("possibility", RealCapacity.possibility(kernel)))
+    return out
+
+
+def engine_moment(k, mu, engine=choquet_integral_real_grid):
+    """``(numerator, normalizer)`` of the centred deviation by ``engine``."""
+    g = product_level_function(function_spec("abs_dev", center=k.x), k)
+    return engine(g, mu), engine(kernel_level_function(k), mu)
+
+
+class TestKernelMoments:
+    # the formulas check the engines and the engines check the formulas
+
+    @pytest.mark.parametrize("family", ["laplace", "gauss"])
+    @pytest.mark.parametrize("n", MOMENT_N)
+    def test_tanh_sinh_engine_holds_each_closed_form(self, family, n):
+        for x in (-1.0, 0.0, 0.3):
+            k = Kernel(family, n, x)
+            for name, mu in moment_capacities(k):
+                numerator, normalizer = engine_moment(k, mu)
+                assert normalizer == pytest.approx(kernel_normalizer(k, mu), rel=1e-13), name
+                assert numerator / normalizer == pytest.approx(
+                    continuous.kernel_moment(k, mu), rel=1e-13), name
+
+    @pytest.mark.parametrize("family", ["laplace", "gauss"])
+    def test_adaptive_engine_holds_each_closed_form(self, family):
+        k = Kernel(family, 2.0, 0.3)
+        for name, mu in moment_capacities(k):
+            numerator, normalizer = engine_moment(k, mu, choquet_integral_real)
+            assert normalizer == pytest.approx(kernel_normalizer(k, mu),
+                                               rel=continuous.QUAD_REL_TOL), name
+            assert numerator / normalizer == pytest.approx(
+                continuous.kernel_moment(k, mu), rel=continuous.QUAD_REL_TOL), name
+
+    def test_closed_forms_as_written(self):
+        # the Picard possibility moment from the annulus: the capacity is
+        # e**(-n y) at the inner radius y, so T_n = int_0^{1/n} (1 - n y)
+        # e**(-2 n y) dy; Lebesgue moments are E|Y| of the normalized kernels
+        k = Kernel.laplace(4.0, 0.3)
+        assert continuous.kernel_moment(k, RealCapacity.possibility(k)) == (
+            (1.0 + math.exp(-2.0)) / 16.0)
+        assert continuous.kernel_moment(k, RealCapacity.lebesgue()) == 0.25
+        assert kernel_normalizer(k, RealCapacity.lebesgue()) == 0.5
+        assert kernel_normalizer(k, SQRT_M) == pytest.approx(math.sqrt(math.pi / 8.0),
+                                                             rel=4 * EPS)
+        g = Kernel.gauss(4.0, 0.3)
+        assert continuous.kernel_moment(g, RealCapacity.lebesgue()) == pytest.approx(
+            1.0 / math.sqrt(4.0 * math.pi), rel=2 * EPS)
+        assert kernel_normalizer(g, RealCapacity.lebesgue()) == pytest.approx(
+            math.sqrt(math.pi / 4.0), rel=4 * EPS)
+
+    @pytest.mark.parametrize("family", ["laplace", "gauss"])
+    @pytest.mark.parametrize("n", [0.5, 2.0, 64.0])
+    def test_closed_forms_do_not_depend_on_the_centre(self, family, n):
+        def closed(x):
+            k = Kernel(family, n, x)
+            return [(continuous.kernel_moment(k, mu), kernel_normalizer(k, mu))
+                    for _, mu in moment_capacities(k)]
+
+        assert closed(1e6) == closed(0.0) == closed(-1e6) == closed(1e12)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from choquetkit import FunctionSpec, REGISTERED, function_spec
 
 GRID = np.linspace(-2.0, 2.0, 401)
 UNIT = np.linspace(0.0, 1.0, 401)
+EPS = np.finfo(float).eps
 
 
 def spec_instances():
@@ -62,6 +64,35 @@ def test_pw_linear_shape():
     assert spec(-1.0) == 0.0     # constant extension
     assert spec(2.0) == 3.0
     assert spec(0.5) == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("knots", [[(-2.5, 1.0), (0.0, 0.0)],
+                                   [(-1.0, 2.0), (0.0, 0.0), (1.5, 3.0)],
+                                   [(-0.3, 0.0), (0.7, 1e-3), (2.0, 5.0)]])
+def test_pw_linear_relative_precision_next_to_a_zero_knot(knots):
+    # the exact interpolant at the float t, against points that approach
+    # each zero-valued knot from both sides down to a few ulp
+    fn = function_spec("pw_linear", knots=knots).fn
+    ts, vs = [Fraction(t) for t, _ in knots], [Fraction(v) for _, v in knots]
+
+    def exact(t):
+        if t <= ts[0] or t >= ts[-1]:
+            return vs[0] if t <= ts[0] else vs[-1]
+        j = max(i for i in range(len(ts) - 1) if ts[i] <= t)
+        return vs[j] + (t - ts[j]) * (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j])
+
+    zeros = [t for t, v in knots if v == 0.0]
+    checked = 0
+    for z in zeros:
+        for k in range(1, 60):
+            for side in (-1.0, 1.0):
+                t = z + side * 2.0 ** -k * (1.0 + 0.3 * k / 60)
+                want = exact(Fraction(t))
+                if want == 0:
+                    continue
+                assert abs(Fraction(fn(t)) - want) <= 4 * EPS * abs(want), (t, fn(t))
+                checked += 1
+    assert checked >= 50
 
 
 def test_pw_linear_validation():

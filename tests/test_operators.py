@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from choquetkit import (Kernel, PerturbationProfile, RealCapacity,
-                        bernstein_basis, bernstein_choquet,
+from choquetkit import (DistortionFunction, Kernel, PerturbationProfile,
+                        RealCapacity, bernstein_basis, bernstein_choquet,
                         bernstein_choquet_capacity,
                         bernstein_choquet_closedform, bernstein_classical,
-                        check_properties, function_spec, perturbation_gap,
-                        picard_choquet, picard_classical, weierstrass_choquet)
+                        check_properties, function_spec, kernel_normalizer,
+                        perturbation_gap, picard_choquet, picard_classical,
+                        weierstrass_choquet)
+from choquetkit import continuous, operators
 
 POSS = lambda n, x: RealCapacity.possibility(Kernel.laplace(n, x))
 
@@ -277,3 +279,62 @@ def test_off_centre_deviation_matches_lebesgue_closed_forms(n, x):
     gauss = d * math.erf(d * math.sqrt(n)) + math.exp(-n * d * d) / math.sqrt(math.pi * n)
     assert picard_choquet(spec, n, x, mu) == pytest.approx(laplace, rel=2e-14, abs=0.0)
     assert weierstrass_choquet(spec, n, x, mu) == pytest.approx(gauss, rel=2e-14, abs=0.0)
+
+
+class TestKernelMomentDispatch:
+    # tanh-sinh engine calls per _kernel_choquet call: none for a centred
+    # deviation with a closed-form moment, one numerator for a value row
+    # with a closed-form normalizer, and the engine's own count otherwise
+
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        calls = []
+        engine = continuous.choquet_integral_real_grid
+
+        def counted(g, mu):
+            calls.append(mu)
+            return engine(g, mu)
+
+        monkeypatch.setattr(continuous, "choquet_integral_real_grid", counted)
+        monkeypatch.setattr(operators, "choquet_integral_real_grid", counted)
+        return calls
+
+    @pytest.mark.parametrize("op, capacity, deviation_calls, value_calls", [
+        (picard_choquet, POSS, 0, 1),
+        (picard_choquet, lambda n, x: RealCapacity.lebesgue(), 0, 1),
+        (picard_choquet, lambda n, x: RealCapacity.sqrt_lebesgue(), 0, 1),
+        (weierstrass_choquet, lambda n, x: RealCapacity.lebesgue(), 0, 1),
+        (weierstrass_choquet, lambda n, x: RealCapacity.sqrt_lebesgue(), 0, 1),
+        # uncovered: the Gauss kernel against the Laplace possibility, and a
+        # power distortion that equals sqrt but is not keyed as one
+        (weierstrass_choquet, POSS, 1, 1),
+        (picard_choquet, lambda n, x: RealCapacity.distorted_lebesgue(
+            DistortionFunction.power(0.5)), 2, 2),
+        (weierstrass_choquet, lambda n, x: RealCapacity.distorted_lebesgue(
+            DistortionFunction.power(0.5)), 2, 2),
+    ], ids=["picard-possibility", "picard-lebesgue", "picard-sqrt", "gw-lebesgue",
+            "gw-sqrt", "gw-possibility", "picard-power_0.5", "gw-power_0.5"])
+    def test_engine_calls_per_row(self, engine_calls, op, capacity, deviation_calls,
+                                  value_calls):
+        n, x = 4, 0.3
+        op(function_spec("abs_dev", center=x), n, x, capacity(n, x))
+        assert len(engine_calls) == deviation_calls
+        engine_calls.clear()
+        op(function_spec("sqrt", shift=3.0), n, x, capacity(n, x))
+        assert len(engine_calls) == value_calls
+        engine_calls.clear()
+        # a deviation off the kernel's centre is a value row
+        op(function_spec("abs_dev", center=x + 0.5), n, x, capacity(n, x))
+        assert len(engine_calls) == value_calls
+
+    @pytest.mark.parametrize("op", [picard_choquet, weierstrass_choquet])
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_power_half_engine_agrees_with_the_sqrt_closed_form(self, op, n):
+        x = -0.4
+        spec = function_spec("abs_dev", center=x)
+        power = RealCapacity.distorted_lebesgue(DistortionFunction.power(0.5))
+        assert op(spec, n, x, power) == pytest.approx(
+            op(spec, n, x, RealCapacity.sqrt_lebesgue()), rel=1e-12)
+        assert kernel_normalizer(Kernel.laplace(n, x), power) == pytest.approx(
+            kernel_normalizer(Kernel.laplace(n, x), RealCapacity.sqrt_lebesgue()),
+            rel=1e-12)
