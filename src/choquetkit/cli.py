@@ -326,12 +326,10 @@ class _Setup:
 
 
 def _bernstein_bound(setup: _Setup, n: int, x: float) -> float:
-    spec, i0 = setup.spec, setup.profile.i0
-    if spec.monotone == "nondecreasing":
-        return abs(spec.fn(i0 / n) - spec.fn(0.0)) * 2.0 ** -n
-    if spec.monotone == "nonincreasing":
-        return abs(spec.fn(i0 / n) - spec.fn(1.0)) * 2.0 ** -n
-    return math.nan
+    """The perturbation band: the gap correction of
+    :func:`bernstein_choquet_closedform` with the gap at its ceiling 2**-n."""
+    f = setup.spec.fn
+    return abs(f(setup.profile.i0 / n) - min(f(i / n) for i in range(n + 1))) * 2.0 ** -n
 
 
 def _kernel_operator(op, kernel):

@@ -70,7 +70,6 @@ from __future__ import annotations
 import functools
 import math
 import types
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
@@ -79,7 +78,7 @@ import numpy as np
 
 from .errors import CapabilityError, DivergenceError, QuadratureError
 from .functions import FunctionSpec, abs_dev
-from .intervals import IntervalUnion, empty_pieces, pieces_where
+from .intervals import IntervalUnion, pieces_where
 from .realline import LAPLACE, Kernel, RealCapacity
 
 _ROOT_XTOL = 1e-13
@@ -703,10 +702,8 @@ def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFuncti
             f"function {spec.name!r} is not nonnegative on the real line")
     if spec.name == "const":
         c = spec.param("c")
-        if c == 0.0:
-            return LevelSetFunction(lambda t: 0.0, lambda a: IntervalUnion.empty(), 0.0,
-                                    level_batch=lambda alphas: empty_pieces(1, alphas.size))
-
+        if c == 0.0:  # no level reaches 0: one piece, always empty
+            return _closed_form(lambda t: 0.0, lambda a, xp: ((math.inf,), (-math.inf,)), 0.0)
         return _closed_form(lambda t: c * kernel(t), _kernel_ends(kernel, c), c)
     if spec.name == "exp_neg":
         return _product_exp_neg(spec, kernel)
@@ -724,19 +721,16 @@ def integrate_adaptive(fn, a: float, b: float) -> tuple[float, float]:
     ``QUAD_REL_TOL`` in at most ``QUAD_LIMIT`` subintervals.
 
     Raises :class:`QuadratureError` (carrying the partial value and error
-    estimate) instead of silently returning a non-converged result.
+    estimate and quad's own message, which ``full_output`` returns instead
+    of warning) rather than silently returning a non-converged result.
     """
-    from scipy.integrate import IntegrationWarning, quad
+    from scipy.integrate import quad
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        value, err = quad(fn, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
-                          limit=QUAD_LIMIT)
-    bad = [w for w in caught if issubclass(w.category, IntegrationWarning)]
-    if bad:
-        raise QuadratureError(
-            f"quadrature did not converge on [{a}, {b}]: {bad[0].message}",
-            value=value, error_estimate=err)
+    value, err, _info, *message = quad(fn, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
+                                       limit=QUAD_LIMIT, full_output=1)
+    if message:
+        raise QuadratureError(f"quadrature did not converge on [{a}, {b}]: {message[0]}",
+                              value=value, error_estimate=err)
     return value, err
 
 

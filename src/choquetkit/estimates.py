@@ -7,11 +7,11 @@ itself when positive (which balances the bracket to a factor of 2) and
 to ``1/n`` otherwise.
 
 Moduli are exact, on an explicit compact window, for every registered
-spec, so the bound is a true upper bound.  Constants, Lipschitz ramps and
-the monotone concave or convex rules have closed forms; ``concave_quad``
-is a max over the window ends and the turning points of ``f(t + h) - f(t)``,
-and ``pw_linear`` a max over the vertices of the cells on which that
-difference is linear.  Any other family raises :class:`CapabilityError`.
+spec, so the bound is a true upper bound.  One vertex rule serves every
+family: ``omega1`` is the largest ``|f(t + h) - f(t)|`` over the vertices
+of the cells that the family's breakpoints cut out of the ``(t, h)``
+domain (:func:`_omega1` states when that is exact).  A family with no
+breakpoint entry raises :class:`CapabilityError`.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .capacity import EXACT_TOL, DiscreteCapacity
 from .discrete import choquet_integral, choquet_variance
@@ -34,73 +32,46 @@ class ModulusResult:
     method: str  # always "analytic"; the benchmark tracer reads it
 
 
-def _pw_linear_modulus(knots, reach: float, a: float, b: float) -> float:
-    """omega1 of the interpolant through ``knots`` on [a, b] up to ``reach``.
-
-    On the domain ``a <= t``, ``t + h <= b``, ``0 <= h <= reach`` the
-    difference ``f(t + h) - f(t)`` is linear on each cell cut out by the
-    lines ``t = knot``, ``t + h = knot`` and ``h = reach``, so its modulus
-    peaks at a vertex: ``t`` at a start (``a`` or an inner knot) and
-    ``t + h`` at an end (an inner knot or ``b``), or ``h = reach`` with one
-    of the two at such a point.  Clipping, not filtering, moves a candidate
-    that falls outside the domain onto a vertex, so rounding loses none.
-    """
-    ts, vs = np.array(knots).T
-    inner = ts[(ts > a) & (ts < b)]
-    starts = np.concatenate(([a], inner))
-    ends = np.concatenate((inner, [b]))
-    pair_t = np.repeat(starts, ends.size)
-    pair_h = np.clip(np.tile(ends, starts.size) - pair_t, 0.0, reach)
-    reach_t = np.clip(np.concatenate((starts, ends - reach)), a, b - reach)
-    t = np.concatenate((pair_t, reach_t))
-    h = np.concatenate((pair_h, np.full(reach_t.size, reach)))
-    return float(np.max(np.abs(np.interp(t + h, ts, vs) - np.interp(t, ts, vs))))
-
-
-def _concave_quad_modulus(fn, reach: float, a: float, b: float) -> float:
-    """omega1 of ``2t - t**2`` on [a, b] up to ``reach``.
-
-    ``f(t + h) - f(t) = h(2 - 2t - h)`` falls as ``t`` grows, so its largest
-    rise starts at ``t = a`` and its largest drop ends at ``t + h = b``.  Both
-    are concave in ``h``: each peaks at ``h = reach`` or at its turning point,
-    ``h = 1 - a`` for the rise and ``h = b - 1`` for the drop.
-    """
-    hs = [h for h in (reach, 1.0 - a, b - 1.0) if 0.0 < h <= reach]
-    return max(max(fn(a + h) - fn(a), fn(b - h) - fn(b)) for h in hs)
+# family -> the abscissae where f stops being monotone, smooth or of one
+# convexity; a family without an entry has no modulus
+_BREAKPOINTS = {
+    "const": lambda spec: (),
+    "e1": lambda spec: (),
+    "exp_neg": lambda spec: (),
+    "abs_dev": lambda spec: (spec.param("center"),),
+    "sqrt": lambda spec: (-spec.param("shift"),),
+    "concave_quad": lambda spec: (1.0,),
+    "pw_linear": lambda spec: tuple(t for t, _ in spec.param("knots")),
+}
 
 
 def _omega1(spec: FunctionSpec, delta: float, a: float, b: float) -> float:
+    """omega1 of ``spec`` on [a, b] up to ``reach = min(delta, b - a)``: the
+    largest ``|D|``, ``D(t, h) = f(t + h) - f(t)``, over the vertices of the
+    cells that the lines ``t = s``, ``t + h = s`` (``s`` a breakpoint or a
+    window end) and ``h = reach`` cut out of its domain.  Exact when,
+    between breakpoints, f is monotone and ``f'(t + h) - f'(t)`` keeps one
+    sign on each cell: then D is monotone along every cell edge (slopes
+    ``f'(t + h) - f'(t)``, ``f'(t + h)`` and ``-f'(t)``).  Every registered
+    family meets this: linear pieces, sqrt's flat part next to its concave
+    part, and the single convex or concave piece of ``exp_neg`` and
+    ``concave_quad``.  Clipping, not filtering, moves a candidate that falls
+    outside the domain onto a vertex, so rounding loses none.
+    """
+    try:
+        breakpoints = _BREAKPOINTS[spec.name]
+    except KeyError:
+        raise CapabilityError(
+            f"no modulus of continuity for function family {spec.name!r}") from None
     reach = min(delta, b - a)
-    name = spec.name
-    if name == "const":
-        return 0.0
-    if name == "e1":
-        return reach
-    if name == "abs_dev":
-        c = spec.param("center")
-        # slope +-1; the longest monotone run inside the window caps the rise
-        run = max(min(c, b) - a, b - max(c, a))
-        return min(delta, max(run, 0.0))
-    if name == "exp_neg":
-        lam = spec.param("lam")
-        scale = spec.param("scale")
-        # decreasing convex: largest drop at the left edge
-        return scale * (math.exp(-lam * a) - math.exp(-lam * (a + reach)))
-    if name == "sqrt":
-        shift = spec.param("shift")
-        lo = a + shift
-        hi = b + shift
-        if hi <= 0:
-            return 0.0
-        # concave increasing: largest rise starts as far left as possible
-        if lo <= 0:
-            return math.sqrt(min(delta, hi))
-        return math.sqrt(min(lo + delta, hi)) - math.sqrt(lo)
-    if name == "concave_quad":
-        return _concave_quad_modulus(spec.fn, reach, a, b)
-    if name == "pw_linear":
-        return _pw_linear_modulus(spec.param("knots"), reach, a, b)
-    raise CapabilityError(f"no modulus of continuity for function family {name!r}")
+    inner = [s for s in breakpoints(spec) if a < s < b]
+    starts = [a, *inner]
+    ends = [*inner, b]
+    pairs = [(t, min(max(e - t, 0.0), reach)) for t in starts for e in ends]
+    pairs += [(min(max(t, a), b - reach), reach)
+              for t in starts + [e - reach for e in ends]]
+    f = spec.fn
+    return max(abs(f(t + h) - f(t)) for t, h in pairs)
 
 
 def modulus_of_continuity_detailed(spec: FunctionSpec, delta: float,

@@ -11,7 +11,7 @@ The batched level-set oracle describes N sets at once by two endpoint
 arrays ``(lo, hi)`` of shape ``[pieces, N]``: column ``i`` lists the pieces
 of set ``i``, pairwise disjoint except at shared endpoints, and a piece
 with ``lo > hi`` is empty (stored as ``[inf, -inf]``, never NaN).  These
-sets are not canonicalised; the helpers at the end of this module build
+sets are not canonicalised; the helper at the end of this module builds
 them.
 """
 
@@ -88,11 +88,6 @@ class IntervalUnion:
 
     def __iter__(self):
         return iter(self.intervals)
-
-
-def empty_pieces(pieces: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays ``[pieces, n]`` with every piece empty."""
-    return np.full((pieces, n), math.inf), np.full((pieces, n), -math.inf)
 
 
 def pieces_where(inside: np.ndarray, lo_rows, hi_rows) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,11 @@ import pytest
 from choquetkit import (IntervalUnion, Kernel, LevelSetFunction, RealCapacity,
                         cli, function_spec, picard_choquet)
 from choquetkit.cli import main
-from choquetkit.intervals import empty_pieces
+
+
+def empty_pieces(pieces, n):
+    """Endpoint arrays ``[pieces, n]`` with every piece empty."""
+    return np.full((pieces, n), math.inf), np.full((pieces, n), -math.inf)
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -255,6 +259,25 @@ class TestOperator:
         assert header == ["n", "x", "operator_value", "f_x", "abs_error",
                           "bound_value"]
         assert len(rows) == 10
+
+    @pytest.mark.parametrize("operator,center", [("bernstein", 0.0),
+                                                 ("bernstein_choquet", 0.0),
+                                                 ("bernstein_choquet", 0.5)])
+    def test_bernstein_abs_dev_band_bound(self, tmp_path, capsys, operator, center):
+        # abs_dev carries no monotone metadata, and about 0.5 it falls, then
+        # rises: the band bound |f(i0/n) - min_i f(i/n)| * 2**-n holds all the same
+        cfg = write_config(tmp_path, {"function": {"name": "abs_dev", "center": center}})
+        assert main(["operator", "--operator", operator, "--config", cfg,
+                     "--n", "2,8", "--xgrid=0:1:5"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 10
+        f = function_spec("abs_dev", center=center).fn
+        for row in rows:
+            cols = dict(zip(header.split(","), map(float, row.split(","))))
+            n = int(cols["n"])
+            want = abs(f(1 / n) - min(f(i / n) for i in range(n + 1))) * 2.0 ** -n
+            assert math.isfinite(cols["bound_value"])
+            assert f"{cols['bound_value']:.15g}" == f"{want:.15g}"
 
     def test_picard_choquet_possibility_default(self, tmp_path):
         out = tmp_path / "p.csv"

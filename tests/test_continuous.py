@@ -17,7 +17,12 @@ from choquetkit import (DivergenceError, IntervalUnion, Kernel,
 from choquetkit import continuous
 from choquetkit.continuous import (_lambert_branch, _lambert_lanes, _lambert_pair,
                                    _lambert_w0, _newton)
-from choquetkit.intervals import empty_pieces
+
+
+def empty_pieces(pieces, n):
+    """Endpoint arrays ``[pieces, n]`` with every piece empty."""
+    return np.full((pieces, n), math.inf), np.full((pieces, n), -math.inf)
+
 
 SQRT_M = RealCapacity.sqrt_lebesgue()
 XTOL, RTOL, EPS = 1e-13, 4.0 * np.finfo(float).eps, np.finfo(float).eps
@@ -288,6 +293,10 @@ class TestBatchedOracle:
         lo, hi = g.levels([1e-9, 0.5, 2.0])
         assert lo.shape == (1, 3) and (lo > hi).all()
         assert g.level(0.5).is_empty
+        # like every other oracle, a nonpositive level is an error
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                g.level(bad)
 
     def test_levels_require_positive_alpha(self):
         g = product_level_function(function_spec("sqrt"), Kernel.laplace(2.0, 0.0))

@@ -62,7 +62,13 @@ class TestModulus:
         (function_spec("concave_quad"), (-1.0, 0.5)),
         (function_spec("concave_quad"), (0.0, 1.0)),
         (function_spec("sqrt", shift=1.0), (-3.0, -1.0)),
-    ], ids=["exp_neg", "concave_quad", "concave_quad_to_1", "sqrt_left_of_support"])
+        (function_spec("abs_dev", center=0.4), (-1.0, 2.0)),
+        (function_spec("e1"), (-1.0, 2.0)),
+        (function_spec("const", c=3.0), (-1.0, 2.0)),
+        (function_spec("pw_linear", knots=PW_KNOTS), (-2.0, 2.0)),
+        (function_spec("exp_neg", lam=2.0, scale=0.5), (-1.0, 2.0)),
+    ], ids=["exp_neg", "concave_quad", "concave_quad_to_1", "sqrt_left_of_support",
+            "abs_dev", "e1", "const", "pw_linear", "exp_neg_lam2_scale"])
     def test_analytic_matches_grid(self, spec, window):
         analytic = modulus_of_continuity_detailed(spec, 0.3, window)
         assert analytic.method == "analytic"

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from choquetkit import (DistortionFunction, Kernel, PerturbationProfile,
-                        RealCapacity, bernstein_basis, bernstein_choquet,
-                        bernstein_choquet_capacity,
+from choquetkit import (REGISTERED, DistortionFunction, Kernel,
+                        PerturbationProfile, RealCapacity, bernstein_basis,
+                        bernstein_choquet, bernstein_choquet_capacity,
                         bernstein_choquet_closedform, bernstein_classical,
                         check_properties, function_spec, kernel_normalizer,
                         perturbation_gap, picard_choquet, picard_classical,
@@ -117,48 +117,52 @@ class TestBernsteinChoquet:
             assert bernstein_choquet(spec.fn, n, x, prof) == pytest.approx(
                 bernstein_classical(spec.fn, n, x), abs=1e-12)
 
-    def test_closed_form_nondecreasing(self):
-        spec = function_spec("e1")
-        for theta in (0.0, 0.5, 1.0):
-            prof = PerturbationProfile(theta=theta)
-            for n in (2, 8, 33):
+    @pytest.mark.parametrize("name", REGISTERED)
+    def test_closed_form_matches_sorted_integral(self, name):
+        # B_n(f) + [f(i0/n) - min_i f(i/n)] * gap for every f, monotone or not
+        params = {"abs_dev": {"center": 0.4},
+                  "pw_linear": {"knots": [(0.0, 0.5), (0.3, -1.0), (0.7, 2.0), (1.0, 0.2)]}}
+        spec = function_spec(name, **params.get(name, {}))
+        for prof in (PerturbationProfile(), PerturbationProfile(i0=0, theta=0.5),
+                     PerturbationProfile(i0=2, theta=0.0), PerturbationProfile(i0=4)):
+            for n in [n for n in (2, 4, 9, 33) if n >= prof.i0]:
                 for x in np.linspace(0.0, 1.0, 21):
                     x = float(x)
                     assert bernstein_choquet(spec.fn, n, x, prof) == pytest.approx(
                         bernstein_choquet_closedform(spec, n, x, prof), abs=1e-12)
 
-    def test_closed_form_nonincreasing(self):
-        spec = function_spec("exp_neg")
-        for n in (2, 9, 24):
-            for x in np.linspace(0.0, 1.0, 21):
-                x = float(x)
-                assert bernstein_choquet(spec.fn, n, x) == pytest.approx(
-                    bernstein_choquet_closedform(spec, n, x), abs=1e-12)
-
-    def test_closed_form_other_perturbed_index(self):
-        spec = function_spec("concave_quad")
-        for i0 in (0, 2, 4):
-            prof = PerturbationProfile(i0=i0)
-            for x in (0.2, 0.7):
-                assert bernstein_choquet(spec.fn, 4, x, prof) == pytest.approx(
-                    bernstein_choquet_closedform(spec, 4, x, prof), abs=1e-12)
+    def test_closed_form_matches_sorted_integral_on_signed_pw_linear(self, rng):
+        for _ in range(3000):
+            size = int(rng.integers(2, 7))
+            knots = list(zip(np.sort(rng.uniform(0.0, 1.0, size=size)),
+                             rng.uniform(-2.0, 2.0, size=size)))
+            f = function_spec("pw_linear", knots=knots).fn
+            n = int(rng.integers(2, 41))
+            prof = PerturbationProfile(i0=int(rng.integers(0, n + 1)),
+                                       theta=float(rng.uniform(0.0, 1.0)))
+            x = float(rng.uniform(0.0, 1.0))
+            assert bernstein_choquet(f, n, x, prof) == pytest.approx(
+                bernstein_choquet_closedform(f, n, x, prof), abs=1e-12)
 
     def test_closed_form_is_documented_formula(self):
         # built from one basis vector, bit for bit the classical polynomial
         # plus the gap correction
-        for name, anchor in (("sqrt", 0.0), ("exp_neg", 1.0)):
-            spec = function_spec(name)
+        specs = (function_spec("sqrt"), function_spec("exp_neg"),
+                 function_spec("abs_dev", center=0.5))
+        for spec in specs:
             for prof in (PerturbationProfile(), PerturbationProfile(i0=3, theta=0.4)):
                 for n in (3, 16, 64):
+                    lowest = min(spec.fn(i / n) for i in range(n + 1))
                     for x in (0.0, 0.37, 0.9, 1.0):
                         assert bernstein_choquet_closedform(spec, n, x, prof) == (
                             bernstein_classical(spec.fn, n, x)
-                            + (spec.fn(prof.i0 / n) - spec.fn(anchor))
+                            + (spec.fn(prof.i0 / n) - lowest)
                             * perturbation_gap(n, x, prof))
 
-    def test_closed_form_needs_monotone_metadata(self):
+    def test_closed_form_rejects_an_index_outside_the_ground_set(self):
         with pytest.raises(ValueError):
-            bernstein_choquet_closedform(function_spec("abs_dev"), 4, 0.5)
+            bernstein_choquet_closedform(function_spec("sqrt"), 4, 0.5,
+                                         PerturbationProfile(i0=5))
 
     def test_non_monotone_integrand_matches_layer_cake(self):
         # the sorting formula must handle non-monotone value profiles
