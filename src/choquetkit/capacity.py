@@ -3,8 +3,9 @@
 The ground set of size ``m`` is identified with the indices ``0..m-1``;
 subsets are passed around as iterables of indices, and as bitmasks (bit
 ``i`` for element ``i``) in tables.  Random capacities are tabulated up to
-``TABLE_BOUND`` elements; ``check_properties`` decides every property
-exactly on a table, up to ``EXHAUSTIVE_BOUND`` elements.
+``TABLE_BOUND`` elements, and a tabulated capacity keeps its table;
+``check_properties`` decides every property exactly on a table, up to
+``EXHAUSTIVE_BOUND`` elements.
 """
 
 from __future__ import annotations
@@ -41,12 +42,17 @@ class DiscreteCapacity:
     ``evaluator`` maps a frozenset of indices to a nonnegative value.
     ``tails_fn``, when provided, evaluates the capacity on the chain of
     suffix sets of a permutation in one pass (used by the Choquet
-    integral, where it saves rebuilding the nested subsets).
+    integral, where it saves rebuilding the nested subsets).  ``table``,
+    set by ``capacity_from_table`` (and so by ``random_monotone_capacity``
+    and the ``dual`` of a tabulated capacity), is the read-only array of
+    the ``2**size`` values indexed by subset bitmask; it is ``None`` for
+    every other capacity and is left out of ``==``.
     """
 
     size: int
     evaluator: Callable[[frozenset], float]
     tails_fn: Optional[Callable[[Sequence[int]], list[float]]] = None
+    table: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.size < 1:
@@ -95,7 +101,11 @@ class PropertyReport:
 
 
 def dual(cap: DiscreteCapacity) -> DiscreteCapacity:
-    """Dual set function: A -> mu(Omega) - mu(Omega \\ A)."""
+    """Dual set function: A -> mu(Omega) - mu(Omega \\ A), tabulated when
+    ``cap`` is."""
+    if cap.table is not None:
+        # the complement of mask k is full ^ k = full - k: the table reversed
+        return capacity_from_table(cap.size, cap.table[-1] - cap.table[::-1])
     omega = frozenset(range(cap.size))
     total = cap.evaluator(omega)
 
@@ -120,6 +130,15 @@ def _digit_masks(index, base: int, digits: int):
     return a, b
 
 
+def _tabulate(cap: DiscreteCapacity) -> np.ndarray:
+    """mu on all ``2**size`` subsets, indexed by bitmask: the capacity's own
+    table when it has one, else one pass of the evaluator."""
+    if cap.table is not None:
+        return cap.table
+    return np.fromiter((cap.evaluator(_mask_to_set(k)) for k in range(1 << cap.size)),
+                       dtype=float, count=1 << cap.size)
+
+
 def check_properties(cap: DiscreteCapacity) -> PropertyReport:
     """Decide monotone / subadditive / submodular / normalized exactly.
 
@@ -133,8 +152,7 @@ def check_properties(cap: DiscreteCapacity) -> PropertyReport:
     if m > EXHAUSTIVE_BOUND:
         raise CapabilityError(
             f"ground set of size {m} exceeds the enumeration bound {EXHAUSTIVE_BOUND}")
-    mu = np.fromiter((cap.evaluator(_mask_to_set(k)) for k in range(1 << m)),
-                     dtype=float, count=1 << m)
+    mu = _tabulate(cap)
     # up[A, j] = A+j, which is A itself when j is in A: a check on such an
     # entry compares a value with itself and cannot fire
     up = np.arange(1 << m)[:, None] | 1 << np.arange(m)
@@ -327,15 +345,30 @@ def possibility_capacity(weights: Sequence[float]) -> DiscreteCapacity:
 
 
 def capacity_from_table(size: int, table: Sequence[float]) -> DiscreteCapacity:
-    """Capacity given explicitly as 2**size values indexed by subset bitmask."""
+    """Capacity given explicitly as 2**size values indexed by subset bitmask.
+
+    The values are copied into the capacity's read-only ``table``; the
+    suffix sets of the Choquet integral are looked up by their bitmasks.
+    """
     if len(table) != 1 << size:
         raise ValueError("table must have 2**size entries")
-    vals = [float(v) for v in table]
+    arr = np.array(table if isinstance(table, np.ndarray) else [float(v) for v in table],
+                   dtype=float)
+    arr.flags.writeable = False
+    vals = arr.tolist()
 
     def rule(subset: frozenset) -> float:
         return vals[_set_to_mask(subset)]
 
-    return DiscreteCapacity(size, rule)
+    def tails(order: Sequence[int]) -> list[float]:
+        out = [0.0] * (len(order) + 1)
+        mask = 0
+        for k in range(len(order) - 1, -1, -1):
+            mask |= 1 << order[k]
+            out[k] = vals[mask]
+        return out
+
+    return DiscreteCapacity(size, rule, tails_fn=tails, table=arr)
 
 
 def random_monotone_capacity(rng: np.random.Generator, size: int,
@@ -357,4 +390,4 @@ def random_monotone_capacity(rng: np.random.Generator, size: int,
         if top <= 0:
             table[-1] = top = 1.0
         table = table / top
-    return capacity_from_table(size, table.tolist())
+    return capacity_from_table(size, table)

@@ -45,7 +45,10 @@ def bernstein_basis(n: int, i: int, x: float) -> float:
 
 
 def bernstein_basis_vector(n: int, x: float) -> list[float]:
-    return [bernstein_basis(n, i, x) for i in range(n + 1)]
+    """All n + 1 basis polynomials at x, each as ``bernstein_basis`` computes it."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("basis argument must lie in [0, 1]")
+    return [math.comb(n, i) * x ** i * (1.0 - x) ** (n - i) for i in range(n + 1)]
 
 
 def bernstein_classical(f: Callable[[float], float], n: int, x: float) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from choquetkit import (CapabilityError, DiscreteCapacity, DistortionFunction,
                         IntervalUnion, Kernel, RealCapacity, additive_capacity,
-                        capacity_from_table, check_properties,
+                        capacity_from_table, check_properties, choquet_integral,
                         counting_distortion, distorted_probability, dual,
                         kernel_level_function, possibility_capacity,
                         random_monotone_capacity, validate_distortion)
@@ -66,6 +67,50 @@ class TestDual:
             for mask in range(1 << size):
                 subset = frozenset(i for i in range(size) if mask >> i & 1)
                 assert d.evaluator(subset) <= cap.evaluator(subset) + 1e-12
+
+
+class TestTable:
+    def test_only_tabulated_capacities_carry_one(self, rng):
+        cap = random_monotone_capacity(rng, 5)
+        assert cap.table.shape == (32,)
+        assert cap.table.tolist() == [cap.evaluator(_subset(k)) for k in range(32)]
+        for other in (additive_capacity([0.5, 0.5]), possibility_capacity([0.2, 1.0]),
+                      counting_distortion(DistortionFunction.sqrt(), 3),
+                      dual(additive_capacity([0.5, 0.5]))):
+            assert other.table is None
+
+    def test_read_only_copy(self):
+        values = np.array([0.0, 0.3, 0.9, 1.0])
+        cap = capacity_from_table(2, values)
+        with pytest.raises(ValueError):
+            cap.table[1] = 0.5
+        values[1] = 0.5  # the caller's array stays writable and apart
+        assert cap.table[1] == 0.3 and cap.evaluator(frozenset({0})) == 0.3
+
+    def test_equality_ignores_the_table(self, rng):
+        cap = random_monotone_capacity(rng, 3)
+        assert dataclasses.replace(cap, table=cap.table.copy()) == cap
+        assert "table=" not in repr(cap)
+
+    def test_tails_read_the_table(self, rng):
+        for size in (1, 3, 8, 12):
+            cap = random_monotone_capacity(rng, size)
+            plain = DiscreteCapacity(size, cap.evaluator)
+            for _ in range(20):
+                order = rng.permutation(size).tolist()
+                assert cap.tails(order) == plain.tails(order)
+                values = rng.uniform(-3.0, 3.0, size=size).tolist()
+                assert choquet_integral(values, cap) == choquet_integral(values, plain)
+
+    def test_tabulated_dual_matches_the_closure(self, rng):
+        for size in range(2, 13):
+            cap = random_monotone_capacity(rng, size)
+            plain = DiscreteCapacity(size, cap.evaluator)
+            for got, closure in ((dual(cap), dual(plain)),
+                                 (dual(dual(cap)), dual(dual(plain)))):
+                assert got.table is not None and closure.table is None
+                assert got.table.tolist() == [closure.evaluator(_subset(k))
+                                              for k in range(1 << size)]
 
 
 class TestCheckProperties:

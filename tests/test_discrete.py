@@ -6,11 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from choquetkit import (DistortionFunction, additive_capacity,
-                        change_of_variables_check, choquet_integral,
+                        capacity_from_table, change_of_variables_check,
+                        check_properties, choquet_integral,
                         choquet_integral_layer_cake, choquet_variance,
                         counting_distortion, property_suite, pushforward,
                         random_monotone_capacity)
-from choquetkit.capacity import DiscreteCapacity
+from choquetkit.capacity import EXACT_TOL, EXHAUSTIVE_BOUND, DiscreteCapacity, dual
+from choquetkit.discrete import _choquet_rows, _suite_draws
 
 SQRT_CAP3 = counting_distortion(DistortionFunction.sqrt(), 3)
 # frozen from the layer-cake oracle: 1 + sqrt(2/3) + sqrt(1/3)
@@ -182,9 +184,117 @@ class TestPropertySuite:
         assert lhs < rhs - 1e-3
 
     def test_violation_reported_for_broken_capacity(self):
-        # deliberately non-monotone set function: the dual identity breaks
+        # deliberately non-monotone set function: the integral's monotonicity
+        # breaks (the other identities hold for any set function with mu(empty) = 0)
         broken = DiscreteCapacity(
             2, lambda s: {frozenset(): 0.0, frozenset({0}): 0.9,
                           frozenset({1}): 0.2, frozenset({0, 1}): 0.3}[s])
         rep = property_suite(broken, trials=50)
         assert not rep.ok
+        # two-term sums round alike in fsum and numpy: the very same list
+        assert rep.violations == _reference_suite(broken, 50, 0)[0]
+
+    def test_checked_counts(self, rng):
+        cap = random_monotone_capacity(rng, 6)
+        assert not check_properties(cap).submodular
+        rep = property_suite(cap, trials=70, seed=3)
+        assert rep.checked == {"homogeneity": 70, "monotonicity": 70, "translation": 70,
+                               "dual": 70, "subadditivity": 0}
+        assert property_suite(SQRT_CAP3, trials=0).checked == dict.fromkeys(
+            rep.checked, 0)
+
+    def test_draws_match_per_trial_draws(self):
+        for m in (1, 2, 5, 12):
+            rng = np.random.default_rng(m)
+            x, y, a, c = _suite_draws(40, m, m)
+            for t in range(40):
+                assert x[t].tolist() == rng.uniform(-3.0, 3.0, size=m).tolist()
+                assert y[t].tolist() == rng.uniform(-3.0, 3.0, size=m).tolist()
+                assert float(a[t]) == float(rng.uniform(0.0, 4.0))
+                assert float(c[t]) == float(rng.uniform(-2.0, 2.0))
+
+    def test_matches_reference_loop(self, rng):
+        caps = [SQRT_CAP3, additive_capacity([0.1, 0.5, 0.4])]
+        caps += [random_monotone_capacity(rng, m) for m in (2, 4, 7)]
+        for cap in caps:
+            rep = property_suite(cap, trials=150, seed=9)
+            violations, checked = _reference_suite(cap, 150, 9)
+            assert rep.ok and not violations
+            assert rep.checked == checked
+
+    def test_lowered_table_entry_reported(self):
+        # negative control at m = 12: one set (all but element 11) lowered
+        # to 0 makes the capacity non-monotone, and the suite must say so
+        m = 12
+        table = random_monotone_capacity(np.random.default_rng(12), m).table.copy()
+        table[(1 << m) - 1 ^ 1 << 11] = 0.0
+        broken = capacity_from_table(m, table)
+        assert not check_properties(broken).monotone
+        rep = property_suite(broken, trials=200, seed=0)
+        assert not rep.ok
+        violations, _ = _reference_suite(broken, 200, 0)
+        assert [v[:2] for v in rep.violations] == [v[:2] for v in violations]
+        for (name, x, bigger) in rep.violations:
+            assert name == "monotonicity"
+            assert choquet_integral(x, broken) > choquet_integral(bigger, broken) + EXACT_TOL
+
+
+def _reference_suite(cap, trials, seed):
+    """The property suite as a per-trial loop of scalar integrals, with the
+    per-trial draws: (violations, checked)."""
+    submodular = check_properties(cap).submodular
+    mu_omega = cap.total()
+    dual_cap = dual(cap)
+    rng = np.random.default_rng(seed)
+    violations = []
+    checked = dict.fromkeys(("homogeneity", "monotonicity", "translation", "dual",
+                             "subadditivity"), 0)
+    for _ in range(trials):
+        x = rng.uniform(-3.0, 3.0, size=cap.size)
+        y = rng.uniform(-3.0, 3.0, size=cap.size)
+        a = float(rng.uniform(0.0, 4.0))
+        c = float(rng.uniform(-2.0, 2.0))
+        ix = choquet_integral(x, cap)
+        lhs = choquet_integral(a * x, cap)
+        if abs(lhs - a * ix) > EXACT_TOL:
+            violations.append(("homogeneity", a, x.tolist(), lhs, a * ix))
+        bigger = x + np.abs(y)
+        if ix > choquet_integral(bigger, cap) + EXACT_TOL:
+            violations.append(("monotonicity", x.tolist(), bigger.tolist()))
+        lhs = choquet_integral(x + c, cap)
+        if abs(lhs - (ix + c * mu_omega)) > EXACT_TOL:
+            violations.append(("translation", c, x.tolist(), lhs, ix + c * mu_omega))
+        lhs = choquet_integral(-x, cap)
+        rhs = -choquet_integral(x, dual_cap)
+        if abs(lhs - rhs) > EXACT_TOL:
+            violations.append(("dual", x.tolist(), lhs, rhs))
+        for k in ("homogeneity", "monotonicity", "translation", "dual"):
+            checked[k] += 1
+        if submodular:
+            checked["subadditivity"] += 1
+            lhs = choquet_integral(x + y, cap)
+            rhs = ix + choquet_integral(y, cap)
+            if lhs > rhs + EXACT_TOL:
+                violations.append(("subadditivity", x.tolist(), y.tolist(), lhs, rhs))
+    return violations, checked
+
+
+class TestRowEngine:
+    @pytest.mark.parametrize("m", range(1, EXHAUSTIVE_BOUND + 1))
+    def test_matches_scalar_engines(self, m):
+        rng = np.random.default_rng(100 + m)
+        cap = random_monotone_capacity(rng, m)
+        # integer-valued rows tie, which the stable sort breaks by index
+        rows = np.concatenate([rng.uniform(-3.0, 3.0, size=(20, m)),
+                               rng.integers(-2, 3, size=(20, m)).astype(float)])
+        got = _choquet_rows(rows, cap.table)
+        for row, value in zip(rows.tolist(), got.tolist()):
+            assert abs(value - choquet_integral(row, cap)) <= 1e-14
+            assert abs(value - choquet_integral_layer_cake(row, cap)) <= 1e-14
+
+    def test_overflow_raises(self):
+        # as in choquet_integral: finite values, a sum outside the float range
+        with pytest.raises(OverflowError):
+            _choquet_rows(np.array([[1.7e308, 1.7e308]]), np.array([0.0, 2.0, 2.0, 4.0]))
+        with pytest.raises(OverflowError):
+            choquet_integral([1.7e308, 1.7e308], capacity_from_table(2, [0.0, 2.0, 2.0, 4.0]))

@@ -32,6 +32,17 @@ class TestBernsteinBasis:
         with pytest.raises(ValueError):
             bernstein_basis(3, 1, 1.5)
 
+    def test_vector_matches_basis(self):
+        for n in range(1, 65):
+            for x in np.linspace(0.0, 1.0, 101).tolist():
+                assert operators.bernstein_basis_vector(n, x) == [bernstein_basis(n, i, x)
+                                                        for i in range(n + 1)]
+
+    @pytest.mark.parametrize("x", [-0.1, 1.5, math.nan])
+    def test_vector_domain_error(self, x):
+        with pytest.raises(ValueError):
+            operators.bernstein_basis_vector(4, x)
+
 
 class TestBernsteinClassical:
     def test_linear_reproduction(self):
