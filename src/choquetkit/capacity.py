@@ -139,6 +139,36 @@ def _tabulate(cap: DiscreteCapacity) -> np.ndarray:
                        dtype=float, count=1 << cap.size)
 
 
+def _up(m: int) -> np.ndarray:
+    """``up[A, j] = A+j``, which is A itself when j is in A: a check on such
+    an entry compares a value with itself and cannot fire."""
+    return np.arange(1 << m)[:, None] | 1 << np.arange(m)
+
+
+def _exact_table(cap: DiscreteCapacity) -> np.ndarray:
+    """:func:`_tabulate`, for a ground set of at most ``EXHAUSTIVE_BOUND``
+    elements."""
+    if cap.size > EXHAUSTIVE_BOUND:
+        raise CapabilityError(f"ground set of size {cap.size} exceeds the "
+                              f"enumeration bound {EXHAUSTIVE_BOUND}")
+    return _tabulate(cap)
+
+
+def _square_witness(mu: np.ndarray) -> tuple | None:
+    """The first local square ``(A+i, A+j)`` of the bitmask table ``mu``
+    with mu(A+i) + mu(A+j) < mu(A+i+j) + mu(A) - ``EXACT_TOL``, or None
+    when mu is submodular."""
+    m = mu.size.bit_length() - 1
+    up = _up(m)
+    for i in range(m - 1):
+        ai, aj = up[:, i], up[:, i + 1:]
+        bad = mu[ai[:, None] | aj] + mu[:, None] > mu[ai][:, None] + mu[aj] + EXACT_TOL
+        if bad.any():
+            a, j = divmod(int(bad.argmax()), m - 1 - i)
+            return _members(ai[a]), _members(aj[a, j])
+    return None
+
+
 def check_properties(cap: DiscreteCapacity) -> PropertyReport:
     """Decide monotone / subadditive / submodular / normalized exactly.
 
@@ -149,13 +179,8 @@ def check_properties(cap: DiscreteCapacity) -> PropertyReport:
     when monotone, as then mu(A|B) <= mu(A) + mu(B-A) <= mu(A) + mu(B).
     """
     m = cap.size
-    if m > EXHAUSTIVE_BOUND:
-        raise CapabilityError(
-            f"ground set of size {m} exceeds the enumeration bound {EXHAUSTIVE_BOUND}")
-    mu = _tabulate(cap)
-    # up[A, j] = A+j, which is A itself when j is in A: a check on such an
-    # entry compares a value with itself and cannot fire
-    up = np.arange(1 << m)[:, None] | 1 << np.arange(m)
+    mu = _exact_table(cap)
+    up = _up(m)
     witnesses: dict = {}  # one per failed flag
 
     if not mu[0] <= EXACT_TOL:
@@ -165,13 +190,8 @@ def check_properties(cap: DiscreteCapacity) -> PropertyReport:
         witnesses["monotone"] = (_members(a), _members(up[a, j]))
     monotone = "monotone" not in witnesses
 
-    for i in range(m - 1):
-        ai, aj = up[:, i], up[:, i + 1:]
-        bad = mu[ai[:, None] | aj] + mu[:, None] > mu[ai][:, None] + mu[aj] + EXACT_TOL
-        if bad.any():
-            a, j = divmod(int(bad.argmax()), m - 1 - i)
-            witnesses["submodular"] = (_members(ai[a]), _members(aj[a, j]))
-            break
+    if (square := _square_witness(mu)) is not None:
+        witnesses["submodular"] = square
 
     base = 3 if monotone else 4
     low = min(m, 7 if monotone else 6)  # base ** low <= 4096 pairs per chunk

@@ -40,7 +40,12 @@ call: against a Laplace kernel each crossing is a Lambert W value
 (:func:`_lambert_lanes`), against a Gauss kernel one safeguarded Newton
 iteration (:func:`_newton`) runs on the log profile
 ``log c + p log|t + d| + log K - log alpha``.  brentq stays so that the
-two forms check each other: it never sees the pieces or a W.
+two forms check each other: it never sees the pieces or a W.  Each
+product's ``level`` keeps a memo of the crossings brentq has solved, per
+bracket, and starts a new solve between the roots of the nearest solved
+levels, which quad's clustered nodes make tight.  So ``level(alpha)`` is
+brentq's root to its tolerance, and its last bits may depend on the
+levels solved before on the same product.
 
 The two engines are independent of each other.  The double-exponential
 engine (:func:`choquet_integral_real_grid`) serves the kernel operators and
@@ -70,7 +75,7 @@ from __future__ import annotations
 import functools
 import math
 import types
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -614,7 +619,19 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     are Lambert W values, and :func:`_newton` against a Gauss kernel,
     where they are not.  brentq is kept on purpose: it shares only the
     bracket table with the batched solvers, so the adaptive engine and the
-    tests check their formulas independently."""
+    tests check their formulas independently.
+
+    The scalar oracle remembers, per bracket, each level brentq has solved
+    there and its root.  On a monotone bracket the crossing moves with the
+    level, so a new level's crossing lies between the roots of the nearest
+    solved levels below and above it, and brentq starts on that cut-down
+    bracket.  Where those roots do not straddle the level (a stored root
+    within rounding of the new level's), the solve falls back to the whole
+    bracket.  The memo holds
+    only brentq's own roots, at the same tolerances, so ``level(alpha)``
+    still returns brentq's root to ``_ROOT_XTOL``, but its last bits may
+    depend on the levels this product solved before.  The batched oracle
+    neither reads nor fills it."""
     knots, pieces = _log_pieces(spec)
     f = spec.fn
 
@@ -644,19 +661,44 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
         right = _expand(g, pts[-1], alpha, step0) if vals[-1] >= alpha else pts[-1]
         return [left] + pts, pts + [right]
 
-    def level(alpha: float) -> IntervalUnion:
+    # per bracket, the levels brentq has solved there, ascending, and their
+    # roots
+    memo = [([], []) for _ in va]
+
+    def crossing(i: int, a: float, b: float, alpha: float, rising: bool) -> float:
+        """brentq's crossing of ``alpha`` on bracket ``i``, ``[a, b]``, started
+        between the roots of the nearest levels solved there before: the
+        crossing moves right with the level on a rising bracket, left on a
+        falling one."""
         from scipy.optimize import brentq
 
+        levels, roots = memo[i]
+        j = bisect_left(levels, alpha)
+        below = roots[j - 1] if j else (a if rising else b)
+        above = roots[j] if j < len(levels) else (b if rising else a)
+
+        def h(t: float) -> float:
+            return g(t) - alpha
+
+        try:
+            c = brentq(h, *((below, above) if rising else (above, below)), xtol=_ROOT_XTOL)
+        except ValueError:  # a stored root within rounding of alpha's own
+            c = brentq(h, a, b, xtol=_ROOT_XTOL)
+        levels.insert(j, alpha)
+        roots.insert(j, c)
+        return c
+
+    def level(alpha: float) -> IntervalUnion:
         if alpha <= 0:
             raise ValueError("level must be positive")
         if alpha > sup:
             return IntervalUnion.empty()
         out = []
-        for a, b, ga, gb in zip(*brackets(alpha), va, vb):
+        for i, (a, b, ga, gb) in enumerate(zip(*brackets(alpha), va, vb)):
             if ga < alpha and gb < alpha:
                 continue
             if ga < alpha or gb < alpha:
-                c = brentq(lambda t: g(t) - alpha, a, b, xtol=_ROOT_XTOL)
+                c = crossing(i, a, b, alpha, gb > ga)
                 a, b = (a, c) if ga >= alpha else (c, b)
             # join a piece to the one it continues: from_pairs merging every
             # whole bracket made the adaptive engine ~5% slower

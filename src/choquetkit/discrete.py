@@ -28,7 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .capacity import EXACT_TOL, DiscreteCapacity, _tabulate, check_properties, dual
+from .capacity import (EXACT_TOL, DiscreteCapacity, _exact_table, _square_witness,
+                       _tabulate, dual)
 
 
 def _require_finite(values: Sequence[float]) -> None:
@@ -206,8 +207,8 @@ def property_suite(cap: DiscreteCapacity, trials: int = 1000,
     the integral is checked whenever the capacity is submodular.
     Violations carry the offending inputs as witnesses.
     """
-    submodular = check_properties(cap).submodular
-    mu = _tabulate(cap)
+    mu = _exact_table(cap)
+    submodular = _square_witness(mu) is None
     x, y, a, c = _suite_draws(trials, cap.size, seed)
     bigger = x + np.abs(y)
 

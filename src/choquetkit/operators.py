@@ -146,12 +146,15 @@ def bernstein_choquet_closedform(f: Callable[[float], float], n: int, x: float,
 
     Off the empty and the full set the capacity is ``P(A) + gap * [i0 in A]``,
     so in the sorted formula the gap terms telescope from the smallest node
-    value up to ``f(i0/n)``.
+    value up to ``f(i0/n)``.  A :class:`FunctionSpec` is evaluated through
+    its ``fn``, one call frame fewer per node.
     """
     if n < 2:
         raise ValueError("perturbed basis capacity needs n >= 2")
     if profile.i0 > n:
         raise ValueError("perturbed index outside the ground set")
+    if isinstance(f, FunctionSpec):
+        f = f.fn
     p = bernstein_basis_vector(n, x)
     values = [f(i / n) for i in range(n + 1)]
     return (math.fsum(v * w for v, w in zip(values, p))

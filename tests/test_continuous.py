@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -728,6 +729,90 @@ class TestBatchedOracle:
                                     for a, b in zip(edges, edges[1:])
                                     for level in range(3)])
                 g.levels(np.exp(-s[s < 700.0]))
+
+
+MEMO_SPECS = {"sqrt_shift_3": STATIONARY_SPECS["sqrt_shift_3"],
+              "abs_dev_off_centre": function_spec("abs_dev", center=0.0),
+              "pw_linear_3": STATIONARY_SPECS["pw_linear_3"]}
+MEMO_KERNELS = [Kernel.laplace(2.0, 0.3), Kernel.gauss(2.0, 0.3)]
+
+
+@pytest.mark.parametrize("kernel", MEMO_KERNELS, ids=["laplace", "gauss"])
+@pytest.mark.parametrize("spec", MEMO_SPECS.values(), ids=MEMO_SPECS.keys())
+class TestCrossingMemo:
+    """The scalar oracle of a root-finding product starts each brentq solve
+    between the roots of the nearest levels it solved before on the same
+    bracket.  What it returns may depend on those levels only within
+    brentq's tolerance."""
+
+    @staticmethod
+    def assert_same_ends(got: IntervalUnion, want: IntervalUnion) -> None:
+        got = [t for piece in got for t in piece]
+        want = [t for piece in want for t in piece]
+        assert len(got) == len(want), (got, want)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= XTOL + RTOL * abs(b), (a, b)
+
+    def test_used_product_levels_match_a_fresh_product(self, spec, kernel):
+        g = product_level_function(spec, kernel)
+        choquet_integral_real(g, SQRT_M)
+        for alpha in g.sup_value * np.geomspace(1e-12, 1.0, 200):
+            fresh = product_level_function(spec, kernel)
+            self.assert_same_ends(g.level(alpha), fresh.level(alpha))
+
+    def test_used_product_engine_value_matches_a_fresh_product(self, spec, kernel):
+        # the first call solves the levels of another capacity's layer edges
+        g = product_level_function(spec, kernel)
+        choquet_integral_real(g, RealCapacity.possibility(Kernel.laplace(2.0, 0.3)))
+        used = choquet_integral_real(g, SQRT_M)
+        fresh = choquet_integral_real(product_level_function(spec, kernel), SQRT_M)
+        assert used == pytest.approx(fresh, rel=1e-12, abs=0.0)
+
+    def test_level_at_or_next_to_a_solved_level(self, monkeypatch, spec, kernel):
+        # one ulp from a solved level, the stored root's profile value may
+        # already lie past the new level: the cut-down bracket then does not
+        # straddle it and brentq raises, and the solve falls back to the
+        # whole bracket
+        import scipy.optimize
+
+        brentq = scipy.optimize.brentq
+        refused = []
+
+        def counted(*args, **kwargs):
+            try:
+                return brentq(*args, **kwargs)
+            except ValueError:
+                refused.append(args[1:3])
+                raise
+
+        monkeypatch.setattr(scipy.optimize, "brentq", counted)
+        g = product_level_function(spec, kernel)
+        alphas = g.sup_value * np.geomspace(1e-12, 1.0, 50)[:-1]
+        for alpha in alphas:
+            g.level(alpha)
+        for alpha in alphas:
+            for near in (alpha, math.nextafter(alpha, 0.0), math.nextafter(alpha, 1.0)):
+                fresh = product_level_function(spec, kernel)
+                self.assert_same_ends(g.level(near), fresh.level(near))
+        assert refused
+
+    def test_memo_cuts_the_f_calls_of_one_engine_call(self, spec, kernel):
+        # f calls over one adaptive-engine call on sqrt_lebesgue, before the
+        # memo and the bound pinned with it
+        before, bound = {
+            ("sqrt", "laplace"): (6869, 5600), ("sqrt", "gauss"): (13850, 8500),
+            ("abs_dev", "laplace"): (21386, 15300), ("abs_dev", "gauss"): (19496, 13900),
+            ("pw_linear", "laplace"): (8202, 7100), ("pw_linear", "gauss"): (12304, 8700),
+        }[spec.name, kernel.family]
+        calls = []
+
+        def fn(t, f=spec.fn):
+            calls.append(t)
+            return f(t)
+
+        counted = dataclasses.replace(spec, fn=fn)
+        choquet_integral_real(product_level_function(counted, kernel), SQRT_M)
+        assert len(calls) <= bound < before
 
 
 class TestQuadrature:

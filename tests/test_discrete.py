@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from choquetkit import (DistortionFunction, additive_capacity,
+from choquetkit import (CapabilityError, DistortionFunction, additive_capacity,
                         capacity_from_table, change_of_variables_check,
                         check_properties, choquet_integral,
                         choquet_integral_layer_cake, choquet_variance,
@@ -202,6 +202,22 @@ class TestPropertySuite:
                                "dual": 70, "subadditivity": 0}
         assert property_suite(SQRT_CAP3, trials=0).checked == dict.fromkeys(
             rep.checked, 0)
+
+    def test_submodular_flag_is_check_properties(self, rng):
+        # the suite runs only the local-square scan of check_properties
+        caps = [SQRT_CAP3, additive_capacity([0.1, 0.5, 0.4]),
+                capacity_from_table(2, [0.0, 0.8, 0.2, 0.3]),
+                capacity_from_table(2, [0.0, 0.4, 0.4, 1.0])]
+        caps += [random_monotone_capacity(rng, m) for m in (1, 3, 6, 12)]
+        flags = [check_properties(cap).submodular for cap in caps]
+        assert True in flags and False in flags
+        assert [property_suite(cap, trials=5).submodular for cap in caps] == flags
+
+    def test_enumeration_bound(self):
+        big = DiscreteCapacity(EXHAUSTIVE_BOUND + 1, lambda s: float(len(s)))
+        for check in (check_properties, property_suite):
+            with pytest.raises(CapabilityError):
+                check(big)
 
     def test_draws_match_per_trial_draws(self):
         for m in (1, 2, 5, 12):

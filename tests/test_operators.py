@@ -170,6 +170,20 @@ class TestBernsteinChoquet:
                             + (spec.fn(prof.i0 / n) - lowest)
                             * perturbation_gap(n, x, prof))
 
+    @pytest.mark.parametrize("name", REGISTERED)
+    def test_closed_form_of_a_spec_is_its_fn_bit_for_bit(self, name):
+        # a spec is evaluated through spec.fn rather than spec.__call__;
+        # the value is the same float either way
+        params = {"pw_linear": {"knots": [(0.0, 0.5), (0.3, -1.0), (1.0, 0.2)]}}
+        spec = function_spec(name, **params.get(name, {}))
+        for prof in (PerturbationProfile(), PerturbationProfile(i0=3, theta=0.4)):
+            for n in (3, 16, 64):
+                for x in (0.0, 0.37, 0.9, 1.0):
+                    value = bernstein_choquet_closedform(spec, n, x, prof)
+                    assert value == bernstein_choquet_closedform(spec.fn, n, x, prof)
+                    assert value == bernstein_choquet_closedform(
+                        lambda t: spec(t), n, x, prof)
+
     def test_closed_form_rejects_an_index_outside_the_ground_set(self):
         with pytest.raises(ValueError):
             bernstein_choquet_closedform(function_spec("sqrt"), 4, 0.5,
