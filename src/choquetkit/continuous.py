@@ -35,30 +35,30 @@ that serves both forms (:func:`_closed_form`): ``level`` evaluates it with
 products share one table of monotone brackets, built from one table of
 pieces ``f = c |t + d|**p`` (:func:`_log_pieces`), and are solved
 separately in each form.  ``level`` runs ``brentq`` on ``f * kernel`` one
-level at a time.  ``levels`` solves every bracket for all levels in one
-call: against a Laplace kernel each crossing is a Lambert W value
-(:func:`_lambert_lanes`), against a Gauss kernel one safeguarded Newton
-iteration (:func:`_newton`) runs on the log profile
+level at a time, on the whole bracket.  ``levels`` solves every bracket for
+all levels in one call: against a Laplace kernel each crossing is a Lambert
+W value (:func:`_lambert_lanes`), against a Gauss kernel one safeguarded
+Newton iteration (:func:`_newton`) runs on the log profile
 ``log c + p log|t + d| + log K - log alpha``.  brentq stays so that the
-two forms check each other: it never sees the pieces or a W.  Each
-product's ``level`` keeps a memo of the crossings brentq has solved, per
-bracket, and starts a new solve between the roots of the nearest solved
-levels, which quad's clustered nodes make tight.  So ``level(alpha)`` is
-brentq's root to its tolerance, and its last bits may depend on the
-levels solved before on the same product.
+tests can hold the batched solvers to a root finder that never sees the
+pieces or a W; no engine calls ``level``.
 
-The two engines are independent of each other.  The double-exponential
-engine (:func:`choquet_integral_real_grid`) serves the kernel operators and
-their normalizers: tanh-sinh on each finite piece of the layer cake in
-``s``, exp-sinh on the tail, all nodes of all pieces through one batched
-oracle call whose root-finding is a single Lambert W or Newton solve, and
-a step that halves, from ``TS_STEP`` up to ``TS_HALVINGS`` times, only on the
-pieces that miss ``QUAD_ABS_TOL``/``QUAD_REL_TOL``.  The adaptive engine
-(:func:`choquet_integral_real`) is the check engine: it runs ``scipy.quad``
-over the scalar oracle at the same tolerances and ``QUAD_LIMIT``, and its
-root-finding uses ``brentq``.  Both are imported on first use, so the
-operators, and importing this module, load no scipy.  The engines share
-only the pieces of the layer cake in ``s`` (:func:`_layer_edges`).
+Both engines integrate the layer cake in ``s`` over the same pieces
+(:func:`_layer_edges`) and evaluate it through the same batched oracle and
+capacity call (:func:`_layer_heights`); their quadratures are independent.
+The double-exponential engine (:func:`choquet_integral_real_grid`) serves
+the kernel operators and their normalizers: tanh-sinh on each finite piece,
+exp-sinh on the tail, and a step that halves, from ``TS_STEP`` up to
+``TS_HALVINGS`` times, only on the pieces that miss
+``QUAD_ABS_TOL``/``QUAD_REL_TOL``.  The adaptive engine
+(:func:`choquet_integral_real`) is the check engine: a globally adaptive
+G7-K15 Gauss-Kronrod rule at the same tolerances, with at most
+``QUAD_LIMIT`` subintervals per piece, that evaluates every open
+subinterval of every piece in one batched call per pass.  Neither engine
+loads scipy, which only the scalar ``level`` of a root-finding product and
+:func:`integrate_adaptive` import, on first use.  The independence of the
+level sets themselves rests on the tests that hold the batched oracle to
+brentq.
 
 The kernel moment ``T_n(|. - x|)(x)``, through which the paper states
 every quantitative estimate, and the operator normalizer have closed forms
@@ -75,7 +75,7 @@ from __future__ import annotations
 import functools
 import math
 import types
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -96,7 +96,8 @@ _NEWTON_PASSES = 32
 # neglects is below half this fraction of it
 _STEP_TRUST = 0.1
 _TINY = np.finfo(float).tiny
-# scipy.quad's absolute and relative tolerance and subinterval limit
+# the adaptive engines' absolute and relative tolerance and their limit on
+# subintervals (per layer-cake piece in the Gauss-Kronrod engine)
 QUAD_ABS_TOL = 1e-9
 QUAD_REL_TOL = 1e-8
 QUAD_LIMIT = 2000
@@ -613,25 +614,13 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     each bracket: the left tail, each gap between consecutive ``pts`` (the
     knots, the kernel peak and the stationary points) and the right tail.
 
-    The scalar oracle solves each crossing by ``brentq`` on ``f * kernel``.
-    The batched one hands every crossing of a call to one lane solver:
-    :func:`_lambert_lanes` against a Laplace kernel, where the crossings
-    are Lambert W values, and :func:`_newton` against a Gauss kernel,
-    where they are not.  brentq is kept on purpose: it shares only the
-    bracket table with the batched solvers, so the adaptive engine and the
-    tests check their formulas independently.
-
-    The scalar oracle remembers, per bracket, each level brentq has solved
-    there and its root.  On a monotone bracket the crossing moves with the
-    level, so a new level's crossing lies between the roots of the nearest
-    solved levels below and above it, and brentq starts on that cut-down
-    bracket.  Where those roots do not straddle the level (a stored root
-    within rounding of the new level's), the solve falls back to the whole
-    bracket.  The memo holds
-    only brentq's own roots, at the same tolerances, so ``level(alpha)``
-    still returns brentq's root to ``_ROOT_XTOL``, but its last bits may
-    depend on the levels this product solved before.  The batched oracle
-    neither reads nor fills it."""
+    The batched oracle, which both engines read, hands every crossing of a
+    call to one lane solver: :func:`_lambert_lanes` against a Laplace
+    kernel, where the crossings are Lambert W values, and :func:`_newton`
+    against a Gauss kernel, where they are not.  The scalar oracle solves
+    each crossing by ``brentq`` on ``f * kernel`` over the whole bracket.
+    It shares only the bracket table with the batched solvers, so the tests
+    check their formulas against it independently; no engine calls it."""
     knots, pieces = _log_pieces(spec)
     f = spec.fn
 
@@ -661,47 +650,22 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
         right = _expand(g, pts[-1], alpha, step0) if vals[-1] >= alpha else pts[-1]
         return [left] + pts, pts + [right]
 
-    # per bracket, the levels brentq has solved there, ascending, and their
-    # roots
-    memo = [([], []) for _ in va]
-
-    def crossing(i: int, a: float, b: float, alpha: float, rising: bool) -> float:
-        """brentq's crossing of ``alpha`` on bracket ``i``, ``[a, b]``, started
-        between the roots of the nearest levels solved there before: the
-        crossing moves right with the level on a rising bracket, left on a
-        falling one."""
+    def level(alpha: float) -> IntervalUnion:
         from scipy.optimize import brentq
 
-        levels, roots = memo[i]
-        j = bisect_left(levels, alpha)
-        below = roots[j - 1] if j else (a if rising else b)
-        above = roots[j] if j < len(levels) else (b if rising else a)
-
-        def h(t: float) -> float:
-            return g(t) - alpha
-
-        try:
-            c = brentq(h, *((below, above) if rising else (above, below)), xtol=_ROOT_XTOL)
-        except ValueError:  # a stored root within rounding of alpha's own
-            c = brentq(h, a, b, xtol=_ROOT_XTOL)
-        levels.insert(j, alpha)
-        roots.insert(j, c)
-        return c
-
-    def level(alpha: float) -> IntervalUnion:
         if alpha <= 0:
             raise ValueError("level must be positive")
         if alpha > sup:
             return IntervalUnion.empty()
         out = []
-        for i, (a, b, ga, gb) in enumerate(zip(*brackets(alpha), va, vb)):
+        for a, b, ga, gb in zip(*brackets(alpha), va, vb):
             if ga < alpha and gb < alpha:
                 continue
             if ga < alpha or gb < alpha:
-                c = crossing(i, a, b, alpha, gb > ga)
+                c = brentq(lambda t: g(t) - alpha, a, b, xtol=_ROOT_XTOL)
                 a, b = (a, c) if ga >= alpha else (c, b)
-            # join a piece to the one it continues: from_pairs merging every
-            # whole bracket made the adaptive engine ~5% slower
+            # join a piece to the one it continues, so that from_pairs need
+            # not merge whole brackets
             if out and out[-1][1] == a:
                 a = out.pop()[0]
             out.append((a, b))
@@ -759,8 +723,9 @@ def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFuncti
 
 
 def integrate_adaptive(fn, a: float, b: float) -> tuple[float, float]:
-    """Adaptive quadrature of ``fn`` on [a, b] to ``QUAD_ABS_TOL`` or
-    ``QUAD_REL_TOL`` in at most ``QUAD_LIMIT`` subintervals.
+    """``scipy.quad`` of ``fn`` on [a, b] to ``QUAD_ABS_TOL`` or
+    ``QUAD_REL_TOL`` in at most ``QUAD_LIMIT`` subintervals; it serves
+    ``picard_classical`` only.
 
     Raises :class:`QuadratureError` (carrying the partial value and error
     estimate and quad's own message, which ``full_output`` returns instead
@@ -788,35 +753,134 @@ def _layer_edges(g: LevelSetFunction, mu: RealCapacity) -> list[float]:
     return [-math.log(sup)] + breaks + [math.inf]
 
 
+def _layer_heights(g: LevelSetFunction, mu: RealCapacity, s: np.ndarray) -> np.ndarray:
+    """``mu({g >= alpha}) * alpha`` at ``alpha = exp(-s)``, by one batched
+    oracle call and one batched capacity call; a level that underflows to 0
+    adds nothing."""
+    alphas = np.exp(-s)
+    live = alphas > 0.0
+    ys = np.zeros_like(alphas)
+    ys[live] = mu.values(*g.levels(alphas[live])) * alphas[live]
+    return ys
+
+
+# The G7-K15 pair of QUADPACK's qk15 (Piessens, de Doncker-Kapenga,
+# Ueberhuber & Kahaner, 1983) on [-1, 1]: the Kronrod nodes in [0, 1],
+# descending, their weights, and the Gauss weights of the odd-numbered ones
+_K15_NODES = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+              0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+              0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+              0.207784955007898467600689403773245, 0.0)
+_K15_WEIGHTS = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_G7_WEIGHTS = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+               0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+
+def _mirror(half, sign: float = 1.0) -> np.ndarray:
+    """The 15 values of a rule on [-1, 1], ascending in the node, from those
+    of its 8 nodes in [0, 1]; ``sign`` -1 negates the left half (the
+    nodes).  Read-only."""
+    half = np.asarray(half, dtype=float)
+    out = np.concatenate((sign * half[:-1], half[::-1]))
+    out.flags.writeable = False
+    return out
+
+
+_GK_NODES = _mirror(_K15_NODES, -1.0)
+_GK_KRONROD = _mirror(_K15_WEIGHTS)
+_GK_GAUSS = _mirror(np.insert(_G7_WEIGHTS, range(4), 0.0))
+
+
+def _qk15(f: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The K15 value and QUADPACK's qk15 error estimate of each row of ``f``,
+    the integrand at the 15 nodes of a subinterval of half-width ``half``."""
+    kronrod = f @ _GK_KRONROD
+    err = np.abs(kronrod - f @ _GK_GAUSS) * half
+    mean = 0.5 * kronrod
+    resabs = np.abs(f) @ _GK_KRONROD * half
+    resasc = np.abs(f - mean[:, None]) @ _GK_KRONROD * half
+    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0.0)
+    err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    return kronrod * half, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+
+
 def choquet_integral_real_with_error(g: LevelSetFunction,
                                      mu: RealCapacity) -> tuple[float, float]:
-    """Layer-cake Choquet integral with the quadrature error estimate."""
+    """Layer-cake Choquet integral with its error estimate, by a batched,
+    globally adaptive G7-K15 rule on the batched oracle.
+
+    Each piece of :func:`_layer_edges` is mapped onto ``u`` in ``[0, 1]``:
+    a finite piece ``[a, b]`` by ``s = a + (b - a) u``, the tail ``[a, inf)``
+    as QUADPACK's qagi maps it, ``s = a + (1 - u)/u``.  The first piece is
+    graded toward the top of the cake, ``s = a + (b - a) v**2`` (or
+    ``s = a + w**2`` with ``w`` in the tail map when that piece is the
+    tail), since there the layer behaves like ``(s - a)**beta`` with
+    ``beta`` as small as 1/4.  Each pass evaluates the 15 nodes of every
+    open subinterval of every piece with one :func:`_layer_heights` call
+    and takes qk15's estimate on each.  With ``tol = max(QUAD_ABS_TOL,
+    QUAD_REL_TOL |total|)``, the pass ends when the open estimates fit in
+    what the retired ones left of ``tol``; otherwise a subinterval within
+    its equal share of that remainder is retired and the rest are bisected.
+    A piece that would pass ``QUAD_LIMIT`` subintervals, or a subinterval
+    that is not finite, raises :class:`QuadratureError` carrying the
+    partial value and the summed estimate.
+    """
     sup = g.sup_value
     if not math.isfinite(sup):
         raise DivergenceError("integrand has an infinite supremum")
     if sup <= 0:
         return 0.0, 0.0
-
-    def integrand(s: float) -> float:
-        alpha = math.exp(-s)
-        if alpha == 0.0:  # underflow deep in the tail
-            return 0.0
-        return mu.value(g.level(alpha)) * alpha
-
     edges = _layer_edges(g, mu)
-    total = 0.0
-    err = 0.0
-    for a, b in zip(edges, edges[1:]):
-        if a >= b:
-            continue
-        v, e = integrate_adaptive(integrand, a, b)
-        # quad returns (inf, inf) on an infinite tail without a warning
-        if not (math.isfinite(v) and math.isfinite(e)):
+    pieces = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+    start = np.array([a for a, _ in pieces])
+    tail = np.array([math.isinf(b) for _, b in pieces])
+    width = np.array([1.0 if math.isinf(b) else b - a for a, b in pieces])
+    graded = np.arange(len(pieces)) == 0
+    count = np.ones(len(pieces), dtype=int)
+    # the open subintervals [lo, hi] of u and the piece each one lies in
+    piece = np.arange(len(pieces))
+    lo, hi = np.zeros(len(pieces)), np.ones(len(pieces))
+    value = error = 0.0  # over the retired subintervals
+    while True:
+        half = 0.5 * (hi - lo)
+        u = (lo + half)[:, None] + half[:, None] * _GK_NODES
+        on_tail, on_graded = tail[piece][:, None], graded[piece][:, None]
+        # nodes are interior, so u > 0 on the tail
+        r = np.where(on_tail, (1.0 - u) / u, u)
+        dr = np.where(on_tail, 1.0 / (u * u), 1.0)
+        w = width[piece][:, None]
+        s = start[piece][:, None] + w * np.where(on_graded, r * r, r)
+        jac = w * dr * np.where(on_graded, 2.0 * r, 1.0)
+        f = _layer_heights(g, mu, s.ravel()).reshape(s.shape)
+        with np.errstate(invalid="ignore", over="ignore"):  # an infinite layer
+            parts, errs = _qk15(f * jac, half)
+            total = value + float(parts.sum())
+            open_error = float(errs.sum())
+        bad = ~(np.isfinite(parts) & np.isfinite(errs))
+        if bad.any():
+            a, b = pieces[piece[np.argmax(bad)]]
             raise QuadratureError(f"layer-cake piece [{a}, {b}] is not finite",
-                                  value=v, error_estimate=e)
-        total += v
-        err += e
-    return total, err
+                                  value=total, error_estimate=error + open_error)
+        budget = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total)) - error
+        if open_error <= budget:
+            return total, error + open_error
+        retire = errs <= budget / errs.size
+        value += float(parts[retire].sum())
+        error += float(errs[retire].sum())
+        split = ~retire
+        count += np.bincount(piece[split], minlength=len(pieces))
+        if (count > QUAD_LIMIT).any():
+            a, b = pieces[np.argmax(count > QUAD_LIMIT)]
+            raise QuadratureError(
+                f"Gauss-Kronrod rule did not converge on layer-cake piece [{a}, {b}] "
+                f"in {QUAD_LIMIT} subintervals", value=total,
+                error_estimate=error + float(errs[split].sum()))
+        mid = (lo + half)[split]
+        piece = np.tile(piece[split], 2)
+        lo, hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
 
 
 def choquet_integral_real(g: LevelSetFunction, mu: RealCapacity) -> float:
@@ -874,17 +938,6 @@ def _de_nodes(a: float, b: float, level: int) -> tuple[np.ndarray, ...]:
     width = b - a
     s = np.where(offset >= 0.0, a + width * offset, b + width * offset)
     return s, width * weight, coarse
-
-
-def _layer_heights(g: LevelSetFunction, mu: RealCapacity, s: np.ndarray) -> np.ndarray:
-    """``mu({g >= alpha}) * alpha`` at ``alpha = exp(-s)``, by one batched
-    oracle call and one batched capacity call; a level that underflows to 0
-    adds nothing."""
-    alphas = np.exp(-s)
-    live = alphas > 0.0
-    ys = np.zeros_like(alphas)
-    ys[live] = mu.values(*g.levels(alphas[live])) * alphas[live]
-    return ys
 
 
 def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity) -> float:

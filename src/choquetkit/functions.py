@@ -100,6 +100,8 @@ def pw_linear(knots: Sequence[Tuple[float, float]]) -> FunctionSpec:
         raise ValueError("pw_linear knots must have distinct abscissae")
     vs = [v for _, v in pts]
     slopes = [(vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j]) for j in range(len(ts) - 1)]
+    if not all(map(math.isfinite, slopes)):
+        raise ValueError("pw_linear knots are too close for a finite slope")
 
     def fn(t: float) -> float:
         if t <= ts[0]:

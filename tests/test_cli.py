@@ -11,11 +11,6 @@ from choquetkit import (IntervalUnion, Kernel, LevelSetFunction, RealCapacity,
 from choquetkit.cli import main
 
 
-def empty_pieces(pieces, n):
-    """Endpoint arrays ``[pieces, n]`` with every piece empty."""
-    return np.full((pieces, n), math.inf), np.full((pieces, n), -math.inf)
-
-
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -146,11 +141,15 @@ class TestIntegrate:
         assert capsys.readouterr().err == "config error: integrand values must be finite\n"
 
     def test_infinite_level_set_is_numeric_error(self, tmp_path, capsys, monkeypatch):
-        # a level oracle that gives the whole line deep in the tail
-        whole = IntervalUnion.from_pairs([(-math.inf, math.inf)])
+        # a level oracle that gives the whole line deep in the tail, below
+        # alpha = 1e-60, which the adaptive engine's first pass reaches
+        def levels(alphas):
+            whole = alphas < 1e-60
+            return (np.where(whole, -np.inf, 0.0)[None, :],
+                    np.where(whole, np.inf, 1.0)[None, :])
+
         unit = IntervalUnion.from_pairs([(0.0, 1.0)])
-        g = LevelSetFunction(lambda t: 1.0, lambda a: whole if a < 1e-160 else unit,
-                             1.0, lambda alphas: empty_pieces(1, alphas.size))
+        g = LevelSetFunction(lambda t: 1.0, lambda a: unit, 1.0, levels)
         monkeypatch.setattr(cli, "product_level_function", lambda spec, kernel: g)
         cfg = write_config(tmp_path, {"mode": "real", "capacity": "sqrt_lebesgue"})
         assert main(["integrate", "--config", cfg]) == 3
@@ -158,8 +157,9 @@ class TestIntegrate:
 
     def test_grid_infinite_level_set_is_numeric_error(self, tmp_path, capsys,
                                                       monkeypatch):
-        # the adaptive engine sees a finite oracle; the tanh-sinh engine's batched
-        # one gives the whole line below alpha = 1e-5
+        # the batched oracle gives the whole line below alpha = 1e-5; the
+        # adaptive engine, which reads the same oracle, is stubbed out so
+        # that the error comes from the tanh-sinh engine
         def levels(alphas):
             whole = alphas < 1e-5
             return (np.where(whole, -np.inf, 0.0)[None, :],
@@ -168,6 +168,7 @@ class TestIntegrate:
         unit = IntervalUnion.from_pairs([(0.0, 1.0)])
         g = LevelSetFunction(lambda t: 1.0, lambda a: unit, 1.0, levels)
         monkeypatch.setattr(cli, "product_level_function", lambda spec, kernel: g)
+        monkeypatch.setattr(cli, "choquet_integral_real", lambda g, mu: 1.0)
         cfg = write_config(tmp_path, {"mode": "real", "capacity": "sqrt_lebesgue"})
         assert main(["integrate", "--config", cfg]) == 3
         assert capsys.readouterr().err.startswith("numeric error:")

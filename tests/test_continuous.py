@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -200,6 +199,15 @@ def test_stationaries_split_the_profile_into_monotone_brackets(spec, family):
             assert product_level_function(spec, kernel).sup_value >= top * (1.0 - 1e-12)
 
 
+def pw_linear_or_none(knots):
+    """The pw_linear spec through ``knots``, or None where the factory
+    rejects them (two knots too close for a finite slope)."""
+    try:
+        return function_spec("pw_linear", knots=knots)
+    except ValueError:
+        return None
+
+
 def root_finding_specs():
     """sqrt with a shift, abs_dev with a centre and pw_linear with 2 to 5
     knots, all in [-5, 5] (values of pw_linear in [0, 3])."""
@@ -208,7 +216,7 @@ def root_finding_specs():
                      unique_by=lambda k: k[0])
     return st.one_of(st.builds(lambda s: function_spec("sqrt", shift=s), coord),
                      st.builds(lambda c: function_spec("abs_dev", center=c), coord),
-                     st.builds(lambda k: function_spec("pw_linear", knots=k), knots))
+                     st.builds(pw_linear_or_none, knots).filter(lambda s: s is not None))
 
 
 def rounding_band(spec, kernel, t, log_alpha):
@@ -219,29 +227,30 @@ def rounding_band(spec, kernel, t, log_alpha):
     condition of ``f`` on a piece ``c |t + d|**p``, ``(|t| + |d| + |e + d|
     summed over its finite ends e) / |t + d|``, which covers ``t + d`` in
     the Lambert lanes and pw_linear's interpolation between the ends in
-    brentq's ``spec.fn``.  Next to a stationary point ``t_m``,
-    ``h' = kappa_h delta`` and ``rel = kappa_h delta**2 / 2`` make this the
-    band ``4 eps delta / rel`` of ``test_newton_next_to_a_gauss_local_maximum``
-    with a wider rounding."""
-    side = math.copysign(1.0, t - kernel.x)
+    brentq's ``spec.fn``.  The slope of ``log K`` is ``-n sign(t - x)``
+    for a Laplace kernel and ``-2n (t - x)`` for a Gauss kernel.  Next to
+    a stationary point ``t_m``, ``h' = kappa_h delta`` and ``rel = kappa_h
+    delta**2 / 2`` make this the band ``4 eps delta / rel`` of
+    ``test_newton_next_to_a_gauss_local_maximum`` with a wider rounding."""
+    if kernel.family == "laplace":
+        kernel_slope = -kernel.n * math.copysign(1.0, t - kernel.x)
+    else:
+        kernel_slope = -2.0 * kernel.n * (t - kernel.x)
     bands = [0.0]  # at a zero of f the slope is infinite
     for lo, hi, c, p, d in continuous._log_pieces(spec)[1]:
         if lo <= t <= hi and t + d != 0.0 and c > 0.0:
             ends = sum(abs(e + d) for e in (lo, hi) if math.isfinite(e))
             kappa = (abs(t) + abs(d) + ends) / abs(t + d)
-            slope = (p / (t + d) if p > 0.0 else 0.0) - kernel.n * side
+            slope = (p / (t + d) if p > 0.0 else 0.0) + kernel_slope
             bands.append(8.0 * EPS * (1.0 + abs(log_alpha) + kappa) / max(abs(slope), EPS))
     return max(bands)
 
 
-@given(root_finding_specs(), st.floats(1e-3, 1e4), st.floats(-100.0, 100.0),
-       st.floats(1e-12, 1.0))
-def test_laplace_lambert_ends_match_brentq(spec, n, x, frac):
-    # the batched oracle's Lambert lanes against the scalar oracle's brentq,
-    # within brentq's tolerance plus the rounding band, at levels from
-    # 1e-12 of sup up to sup and just below each level breakpoint; levels
-    # below the smallest normal float have no relative precision left
-    kernel = Kernel.laplace(n, x)
+def assert_batched_ends_match_brentq(spec, kernel, frac):
+    """The batched oracle against the scalar oracle's brentq, within
+    brentq's tolerance plus the rounding band, at levels from 1e-12 of sup
+    up to sup and just below each level breakpoint; levels below the
+    smallest normal float have no relative precision left."""
     g = product_level_function(spec, kernel)
     sup = g.sup_value
     alphas = [sup * f for f in (1e-12, 1e-6, frac, 0.5, 1.0 - 1e-9, 1.0)]
@@ -258,6 +267,21 @@ def test_laplace_lambert_ends_match_brentq(spec, n, x, frac):
                         [t for piece in want for t in piece]):
             band = rounding_band(spec, kernel, b, math.log(alpha))
             assert abs(a - b) <= XTOL + RTOL * abs(b) + band, (alpha, a, b)
+
+
+@given(root_finding_specs(), st.floats(1e-3, 1e4), st.floats(-100.0, 100.0),
+       st.floats(1e-12, 1.0))
+def test_laplace_lambert_ends_match_brentq(spec, n, x, frac):
+    # the Lambert lanes against brentq
+    assert_batched_ends_match_brentq(spec, Kernel.laplace(n, x), frac)
+
+
+@given(root_finding_specs(), st.floats(1e-3, 1e4), st.floats(-100.0, 100.0),
+       st.floats(1e-12, 1.0))
+def test_gauss_newton_ends_match_brentq(spec, n, x, frac):
+    # the Newton lanes against brentq: no engine runs brentq, so this is
+    # where the batched Gauss solver meets an independent root finder
+    assert_batched_ends_match_brentq(spec, Kernel.gauss(n, x), frac)
 
 
 @pytest.mark.parametrize("n,x", [(math.inf, 0.0), (math.nan, 0.0), (2.0, math.nan),
@@ -731,90 +755,6 @@ class TestBatchedOracle:
                 g.levels(np.exp(-s[s < 700.0]))
 
 
-MEMO_SPECS = {"sqrt_shift_3": STATIONARY_SPECS["sqrt_shift_3"],
-              "abs_dev_off_centre": function_spec("abs_dev", center=0.0),
-              "pw_linear_3": STATIONARY_SPECS["pw_linear_3"]}
-MEMO_KERNELS = [Kernel.laplace(2.0, 0.3), Kernel.gauss(2.0, 0.3)]
-
-
-@pytest.mark.parametrize("kernel", MEMO_KERNELS, ids=["laplace", "gauss"])
-@pytest.mark.parametrize("spec", MEMO_SPECS.values(), ids=MEMO_SPECS.keys())
-class TestCrossingMemo:
-    """The scalar oracle of a root-finding product starts each brentq solve
-    between the roots of the nearest levels it solved before on the same
-    bracket.  What it returns may depend on those levels only within
-    brentq's tolerance."""
-
-    @staticmethod
-    def assert_same_ends(got: IntervalUnion, want: IntervalUnion) -> None:
-        got = [t for piece in got for t in piece]
-        want = [t for piece in want for t in piece]
-        assert len(got) == len(want), (got, want)
-        for a, b in zip(got, want):
-            assert abs(a - b) <= XTOL + RTOL * abs(b), (a, b)
-
-    def test_used_product_levels_match_a_fresh_product(self, spec, kernel):
-        g = product_level_function(spec, kernel)
-        choquet_integral_real(g, SQRT_M)
-        for alpha in g.sup_value * np.geomspace(1e-12, 1.0, 200):
-            fresh = product_level_function(spec, kernel)
-            self.assert_same_ends(g.level(alpha), fresh.level(alpha))
-
-    def test_used_product_engine_value_matches_a_fresh_product(self, spec, kernel):
-        # the first call solves the levels of another capacity's layer edges
-        g = product_level_function(spec, kernel)
-        choquet_integral_real(g, RealCapacity.possibility(Kernel.laplace(2.0, 0.3)))
-        used = choquet_integral_real(g, SQRT_M)
-        fresh = choquet_integral_real(product_level_function(spec, kernel), SQRT_M)
-        assert used == pytest.approx(fresh, rel=1e-12, abs=0.0)
-
-    def test_level_at_or_next_to_a_solved_level(self, monkeypatch, spec, kernel):
-        # one ulp from a solved level, the stored root's profile value may
-        # already lie past the new level: the cut-down bracket then does not
-        # straddle it and brentq raises, and the solve falls back to the
-        # whole bracket
-        import scipy.optimize
-
-        brentq = scipy.optimize.brentq
-        refused = []
-
-        def counted(*args, **kwargs):
-            try:
-                return brentq(*args, **kwargs)
-            except ValueError:
-                refused.append(args[1:3])
-                raise
-
-        monkeypatch.setattr(scipy.optimize, "brentq", counted)
-        g = product_level_function(spec, kernel)
-        alphas = g.sup_value * np.geomspace(1e-12, 1.0, 50)[:-1]
-        for alpha in alphas:
-            g.level(alpha)
-        for alpha in alphas:
-            for near in (alpha, math.nextafter(alpha, 0.0), math.nextafter(alpha, 1.0)):
-                fresh = product_level_function(spec, kernel)
-                self.assert_same_ends(g.level(near), fresh.level(near))
-        assert refused
-
-    def test_memo_cuts_the_f_calls_of_one_engine_call(self, spec, kernel):
-        # f calls over one adaptive-engine call on sqrt_lebesgue, before the
-        # memo and the bound pinned with it
-        before, bound = {
-            ("sqrt", "laplace"): (6869, 5600), ("sqrt", "gauss"): (13850, 8500),
-            ("abs_dev", "laplace"): (21386, 15300), ("abs_dev", "gauss"): (19496, 13900),
-            ("pw_linear", "laplace"): (8202, 7100), ("pw_linear", "gauss"): (12304, 8700),
-        }[spec.name, kernel.family]
-        calls = []
-
-        def fn(t, f=spec.fn):
-            calls.append(t)
-            return f(t)
-
-        counted = dataclasses.replace(spec, fn=fn)
-        choquet_integral_real(product_level_function(counted, kernel), SQRT_M)
-        assert len(calls) <= bound < before
-
-
 class TestQuadrature:
     def test_possibility_normalizer_exact_and_by_quadrature(self):
         k = Kernel.laplace(4.0, 1.0)
@@ -981,6 +921,31 @@ class TestQuadrature:
                                    Kernel.gauss(2.0, 0.3))
         assert math.isfinite(choquet_integral_real_grid(g, mu))
 
+    def test_gauss_kronrod_constants_are_exact(self):
+        # K15 integrates t**k exactly on [-1, 1] up to k = 22, G7 up to 13
+        for k in range(23):
+            want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            nodes = continuous._GK_NODES ** k
+            assert continuous._GK_KRONROD @ nodes == pytest.approx(want, abs=4 * EPS), k
+            if k <= 13:
+                assert continuous._GK_GAUSS @ nodes == pytest.approx(want, abs=4 * EPS), k
+        # and no further: the rules are the 15- and 7-point ones
+        assert abs(continuous._GK_GAUSS @ continuous._GK_NODES ** 14 - 2.0 / 15.0) > 1e-6
+        assert np.count_nonzero(continuous._GK_GAUSS) == 7
+
+    def test_nonconvergence_raises_with_partial_value_and_estimate(self):
+        # a layer that oscillates faster than QUAD_LIMIT bisections resolve
+        def levels(alphas):
+            half = 1.0 + 0.5 * np.sin(1e6 * np.log(alphas))
+            return -half[None, :], half[None, :]
+
+        g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion.empty(), 1.0, levels)
+        with pytest.raises(QuadratureError, match="did not converge") as err:
+            choquet_integral_real_with_error(g, SQRT_M)
+        assert math.isfinite(err.value.value)
+        assert math.isfinite(err.value.error_estimate)
+        assert err.value.error_estimate > 0.0
+
     def test_monotone_in_capacity(self):
         # pointwise-dominated possibility kernels order the integrals
         g = product_level_function(function_spec("exp_neg"), Kernel.laplace(4.0, 0.5))
@@ -998,15 +963,15 @@ class TestQuadrature:
         assert err.value.error_estimate >= 0.0
 
     def test_infinite_level_set_raises(self):
-        # a whole-line level set deep in the tail: quad returns (inf, inf)
-        # there without an IntegrationWarning
-        whole = IntervalUnion.from_pairs([(-math.inf, math.inf)])
+        # a whole-line level set deep in the tail, below alpha = 1e-60: the
+        # first pass's nodes on the graded tail reach alpha ~ 1e-83
+        def levels(alphas):
+            whole = alphas < 1e-60
+            return (np.where(whole, -np.inf, -1.0)[None, :],
+                    np.where(whole, np.inf, 1.0)[None, :])
 
-        def level(alpha):
-            return whole if alpha < 1e-160 else IntervalUnion.from_pairs([(-1.0, 1.0)])
-
-        g = LevelSetFunction(lambda t: 1.0, level, 1.0,
-                             lambda alphas: empty_pieces(1, alphas.size))
+        unit = IntervalUnion.from_pairs([(-1.0, 1.0)])
+        g = LevelSetFunction(lambda t: 1.0, lambda a: unit, 1.0, levels)
         with pytest.raises(QuadratureError, match="not finite"):
             choquet_integral_real_with_error(g, SQRT_M)
 

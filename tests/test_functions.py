@@ -100,6 +100,9 @@ def test_pw_linear_validation():
         function_spec("pw_linear", knots=[(0.0, 1.0)])
     with pytest.raises(ValueError):
         function_spec("pw_linear", knots=[(0.0, 1.0), (0.0, 2.0)])
+    # a slope that overflows made fn infinite between the knots
+    with pytest.raises(ValueError, match="finite slope"):
+        function_spec("pw_linear", knots=[(0.0, 0.0), (2.2250738585e-313, 1.0)])
 
 
 def test_exp_neg_validation():
