@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -753,6 +754,78 @@ class TestBatchedOracle:
                                     for a, b in zip(edges, edges[1:])
                                     for level in range(3)])
                 g.levels(np.exp(-s[s < 700.0]))
+
+
+HISTORY_SPECS = {"sqrt_shift_3": STATIONARY_SPECS["sqrt_shift_3"],
+                 "abs_dev_off_centre": function_spec("abs_dev", center=0.0),
+                 "pw_linear_3": STATIONARY_SPECS["pw_linear_3"]}
+HISTORY_KERNELS = [Kernel.laplace(2.0, 0.3), Kernel.gauss(2.0, 0.3)]
+
+
+@pytest.mark.parametrize("kernel", HISTORY_KERNELS, ids=["laplace", "gauss"])
+@pytest.mark.parametrize("spec", HISTORY_SPECS.values(), ids=HISTORY_SPECS.keys())
+class TestOracleHistory:
+    """A root-finding product keeps no state between calls: the scalar
+    oracle runs brentq on the whole bracket, so what it returns does not
+    depend on the levels solved before, and the adaptive engine reads the
+    batched oracle only."""
+
+    def test_used_product_levels_match_a_fresh_product(self, spec, kernel):
+        g = product_level_function(spec, kernel)
+        choquet_integral_real(g, SQRT_M)
+        for alpha in g.sup_value * np.geomspace(1e-12, 1.0, 200):
+            g.level(alpha)
+        for alpha in g.sup_value * np.geomspace(1e-12, 1.0, 200):
+            fresh = product_level_function(spec, kernel)
+            assert g.level(alpha) == fresh.level(alpha), alpha
+
+    def test_used_product_engine_value_matches_a_fresh_product(self, spec, kernel):
+        # the first call reads the levels of another capacity's layer edges
+        g = product_level_function(spec, kernel)
+        choquet_integral_real(g, RealCapacity.possibility(Kernel.laplace(2.0, 0.3)))
+        used = choquet_integral_real(g, SQRT_M)
+        fresh = choquet_integral_real(product_level_function(spec, kernel), SQRT_M)
+        assert used == fresh
+
+    def test_level_at_or_next_to_a_solved_level(self, monkeypatch, spec, kernel):
+        # one ulp from a solved level the answer is a fresh product's, and
+        # every brentq call gets a bracket that straddles its level
+        import scipy.optimize
+
+        brentq = scipy.optimize.brentq
+        refused = []
+
+        def counted(*args, **kwargs):
+            try:
+                return brentq(*args, **kwargs)
+            except ValueError:
+                refused.append(args[1:3])
+                raise
+
+        monkeypatch.setattr(scipy.optimize, "brentq", counted)
+        g = product_level_function(spec, kernel)
+        alphas = g.sup_value * np.geomspace(1e-12, 1.0, 50)[:-1]
+        for alpha in alphas:
+            g.level(alpha)
+        for alpha in alphas:
+            for near in (alpha, math.nextafter(alpha, 0.0), math.nextafter(alpha, 1.0)):
+                fresh = product_level_function(spec, kernel)
+                assert g.level(near) == fresh.level(near), near
+        assert not refused
+
+    def test_engine_never_calls_the_scalar_oracle(self, spec, kernel):
+        # the adaptive engine reads levels only; the scalar oracle and its
+        # brentq are for the tests
+        g = product_level_function(spec, kernel)
+        calls = []
+
+        def level(alpha, scalar=g.level):
+            calls.append(alpha)
+            return scalar(alpha)
+
+        counted = dataclasses.replace(g, level=level)
+        assert choquet_integral_real(counted, SQRT_M) == choquet_integral_real(g, SQRT_M)
+        assert calls == []
 
 
 class TestQuadrature:
