@@ -22,6 +22,8 @@ from .errors import CapabilityError
 TABLE_BOUND = 20
 EXHAUSTIVE_BOUND = 14
 EXACT_TOL = 1e-12
+# sets A per block of the first slice of the submodularity check
+_SQUARE_ROWS = 256
 DISTORTION_GRID = 101
 
 def _mask_to_set(mask: int) -> frozenset:
@@ -155,17 +157,25 @@ def _exact_table(cap: DiscreteCapacity) -> np.ndarray:
 
 
 def _square_witness(mu: np.ndarray) -> tuple | None:
-    """The first local square ``(A+i, A+j)`` of the bitmask table ``mu``
-    with mu(A+i) + mu(A+j) < mu(A+i+j) + mu(A) - ``EXACT_TOL``, or None
-    when mu is submodular."""
+    """The first local square ``(A+i, A+j)``, in (i, A, j) order, of the
+    bitmask table ``mu`` with mu(A+i) + mu(A+j) < mu(A+i+j) + mu(A) -
+    ``EXACT_TOL``, or None when mu is submodular.
+
+    The slice i = 0 is tested ``_SQUARE_ROWS`` sets A at a time: a table
+    that is not submodular mostly shows it there, so the first block
+    usually ends the search, while a submodular table pays only the
+    blocks' loop."""
     m = mu.size.bit_length() - 1
     up = _up(m)
     for i in range(m - 1):
-        ai, aj = up[:, i], up[:, i + 1:]
-        bad = mu[ai[:, None] | aj] + mu[:, None] > mu[ai][:, None] + mu[aj] + EXACT_TOL
-        if bad.any():
-            a, j = divmod(int(bad.argmax()), m - 1 - i)
-            return _members(ai[a]), _members(aj[a, j])
+        rows = _SQUARE_ROWS if i == 0 else mu.size
+        for r in range(0, mu.size, rows):
+            ai, aj = up[r:r + rows, i], up[r:r + rows, i + 1:]
+            bad = (mu[ai[:, None] | aj] + mu[r:r + rows, None]
+                   > mu[ai][:, None] + mu[aj] + EXACT_TOL)
+            if bad.any():
+                a, j = divmod(int(bad.argmax()), m - 1 - i)
+                return _members(ai[a]), _members(aj[a, j])
     return None
 
 

@@ -53,9 +53,11 @@ exp-sinh on the tail, and a step that halves, from ``TS_STEP`` up to
 ``QUAD_ABS_TOL``/``QUAD_REL_TOL``.  The adaptive engine
 (:func:`choquet_integral_real`) is the check engine: a globally adaptive
 G7-K15 Gauss-Kronrod rule at the same tolerances, with at most
-``QUAD_LIMIT`` subintervals per piece, that evaluates every open
-subinterval of every piece in one batched call per pass.  Neither engine
-loads scipy, which only the scalar ``level`` of a root-finding product and
+``QUAD_LIMIT`` subintervals per piece, that opens each piece as
+``GK_START`` subintervals, cuts each one that fails its share of the
+tolerance into ``GK_SPLIT`` and evaluates every open subinterval of every
+piece in one batched call per pass.  Neither engine loads scipy, which
+only the scalar ``level`` of a root-finding product and
 :func:`integrate_adaptive` import, on first use.  The independence of the
 level sets themselves rests on the tests that hold the batched oracle to
 brentq.
@@ -101,6 +103,10 @@ _TINY = np.finfo(float).tiny
 QUAD_ABS_TOL = 1e-9
 QUAD_REL_TOL = 1e-8
 QUAD_LIMIT = 2000
+# the Gauss-Kronrod engine opens each piece as GK_START equal subintervals
+# and cuts one that does not retire into GK_SPLIT
+GK_START = 8
+GK_SPLIT = 4
 # the double-exponential engine's first step and its most halvings of it
 TS_STEP = 1.0 / 16.0
 TS_HALVINGS = 10
@@ -807,6 +813,14 @@ def _qk15(f: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kronrod * half, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
 
 
+def _divide(lo: np.ndarray, hi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each ``[lo[i], hi[i]]`` cut into ``k`` equal parts, in order, as the
+    flat arrays of their ends; the last part of each keeps ``hi[i]``."""
+    cuts = lo[:, None] + (hi - lo)[:, None] * (np.arange(k + 1) / k)
+    cuts[:, -1] = hi
+    return cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+
+
 def choquet_integral_real_with_error(g: LevelSetFunction,
                                      mu: RealCapacity) -> tuple[float, float]:
     """Layer-cake Choquet integral with its error estimate, by a batched,
@@ -818,15 +832,18 @@ def choquet_integral_real_with_error(g: LevelSetFunction,
     graded toward the top of the cake, ``s = a + (b - a) v**2`` (or
     ``s = a + w**2`` with ``w`` in the tail map when that piece is the
     tail), since there the layer behaves like ``(s - a)**beta`` with
-    ``beta`` as small as 1/4.  Each pass evaluates the 15 nodes of every
-    open subinterval of every piece with one :func:`_layer_heights` call
-    and takes qk15's estimate on each.  With ``tol = max(QUAD_ABS_TOL,
+    ``beta`` as small as 1/4.  Each piece opens as ``GK_START`` equal
+    subintervals of ``u``.  Each pass evaluates the 15 nodes of every open
+    subinterval of every piece with one :func:`_layer_heights` call and
+    takes qk15's estimate on each.  With ``tol = max(QUAD_ABS_TOL,
     QUAD_REL_TOL |total|)``, the pass ends when the open estimates fit in
     what the retired ones left of ``tol``; otherwise a subinterval within
-    its equal share of that remainder is retired and the rest are bisected.
-    A piece that would pass ``QUAD_LIMIT`` subintervals, or a subinterval
-    that is not finite, raises :class:`QuadratureError` carrying the
-    partial value and the summed estimate.
+    its equal share of that remainder is retired and the rest are each cut
+    into ``GK_SPLIT`` equal parts.  A pass costs mostly its oracle call,
+    not its nodes, so both factors spend nodes to save passes.  A piece
+    that would pass ``QUAD_LIMIT`` subintervals, or a subinterval that is
+    not finite, raises :class:`QuadratureError` carrying the partial value
+    and the summed estimate.
     """
     sup = g.sup_value
     if not math.isfinite(sup):
@@ -839,10 +856,10 @@ def choquet_integral_real_with_error(g: LevelSetFunction,
     tail = np.array([math.isinf(b) for _, b in pieces])
     width = np.array([1.0 if math.isinf(b) else b - a for a, b in pieces])
     graded = np.arange(len(pieces)) == 0
-    count = np.ones(len(pieces), dtype=int)
+    count = np.full(len(pieces), GK_START)
     # the open subintervals [lo, hi] of u and the piece each one lies in
-    piece = np.arange(len(pieces))
-    lo, hi = np.zeros(len(pieces)), np.ones(len(pieces))
+    piece = np.repeat(np.arange(len(pieces)), GK_START)
+    lo, hi = _divide(np.zeros(len(pieces)), np.ones(len(pieces)), GK_START)
     value = error = 0.0  # over the retired subintervals
     while True:
         half = 0.5 * (hi - lo)
@@ -871,16 +888,15 @@ def choquet_integral_real_with_error(g: LevelSetFunction,
         value += float(parts[retire].sum())
         error += float(errs[retire].sum())
         split = ~retire
-        count += np.bincount(piece[split], minlength=len(pieces))
+        count += (GK_SPLIT - 1) * np.bincount(piece[split], minlength=len(pieces))
         if (count > QUAD_LIMIT).any():
             a, b = pieces[np.argmax(count > QUAD_LIMIT)]
             raise QuadratureError(
                 f"Gauss-Kronrod rule did not converge on layer-cake piece [{a}, {b}] "
                 f"in {QUAD_LIMIT} subintervals", value=total,
                 error_estimate=error + float(errs[split].sum()))
-        mid = (lo + half)[split]
-        piece = np.tile(piece[split], 2)
-        lo, hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+        piece = np.repeat(piece[split], GK_SPLIT)
+        lo, hi = _divide(lo[split], hi[split], GK_SPLIT)
 
 
 def choquet_integral_real(g: LevelSetFunction, mu: RealCapacity) -> float:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from choquetkit import capacity
 from choquetkit import (CapabilityError, DiscreteCapacity, DistortionFunction,
                         IntervalUnion, Kernel, RealCapacity, additive_capacity,
                         capacity_from_table, check_properties, choquet_integral,
@@ -182,6 +183,35 @@ class TestCheckProperties:
         assert report.monotone and report.normalized
         assert not report.subadditive and not report.submodular
         assert_witnesses_violate(cap, report)
+
+    def test_square_witness_is_first_in_order(self, rng):
+        # the blocked search returns the witness of a whole-slice scan in
+        # (i, A, j) order; raising mu(everything but 0) breaks only squares
+        # with i >= 1, so that table scans every block of the slice i = 0
+        def whole_slices(mu):
+            m = mu.size.bit_length() - 1
+            up = capacity._up(m)
+            for i in range(m - 1):
+                ai, aj = up[:, i], up[:, i + 1:]
+                bad = mu[ai[:, None] | aj] + mu[:, None] > mu[ai][:, None] + mu[aj] + capacity.EXACT_TOL
+                if bad.any():
+                    a, j = divmod(int(bad.argmax()), m - 1 - i)
+                    return capacity._members(ai[a]), capacity._members(aj[a, j])
+            return None
+
+        for m in range(2, 13):
+            full = (1 << m) - 1
+            sqrt = capacity._tabulate(counting_distortion(DistortionFunction.sqrt(), m))
+            lowered, raised = sqrt.copy(), sqrt.copy()
+            lowered[full ^ 1] -= 0.5
+            raised[full ^ 1] += 0.5
+            tables = [sqrt, lowered, raised, rng.uniform(0.0, 1.0, 1 << m)]
+            tables += [capacity._tabulate(random_monotone_capacity(rng, m)) for _ in range(3)]
+            for mu in tables:
+                assert capacity._square_witness(mu) == whole_slices(mu), m
+            assert capacity._square_witness(sqrt) is None
+            if m > 2:
+                assert min(capacity._square_witness(raised)[0]) >= 1
 
     def test_flags_are_bools(self, rng):
         for cap in (additive_capacity([1.0 / 3] * 3), random_monotone_capacity(rng, 9),
