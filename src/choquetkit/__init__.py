@@ -10,8 +10,8 @@ from .capacity import (DiscreteCapacity, DistortionFunction, PropertyReport,
 from .continuous import (LevelSetFunction, choquet_integral_real,
                          choquet_integral_real_grid,
                          choquet_integral_real_with_error, indicator_plateau,
-                         integrate_adaptive, kernel_level_function,
-                         kernel_normalizer, product_level_function)
+                         kernel_level_function, kernel_normalizer,
+                         product_level_function)
 from .discrete import (Pushforward, PropertySuiteReport,
                        change_of_variables_check, choquet_integral,
                        choquet_integral_layer_cake, choquet_variance,
@@ -23,7 +23,7 @@ from .estimates import (ChebyshevResult, ErrorTable, ModulusResult,
                         quantitative_bound)
 from .functions import FunctionSpec, REGISTERED, function_spec
 from .intervals import IntervalUnion
-from .operators import (DEFAULT_PROFILE, PerturbationProfile, bernstein_basis,
+from .operators import (DEFAULT_PROFILE, PerturbationProfile,
                         bernstein_choquet, bernstein_choquet_capacity,
                         bernstein_choquet_closedform, bernstein_classical,
                         perturbation_gap, picard_choquet, picard_classical,
@@ -39,7 +39,7 @@ __all__ = [
     "ModulusResult", "PerturbationProfile", "PropertyReport",
     "PropertySuiteReport", "Pushforward",
     "QuadratureError", "REGISTERED", "RealCapacity", "additive_capacity",
-    "bernstein_basis", "bernstein_choquet", "bernstein_choquet_capacity",
+    "bernstein_choquet", "bernstein_choquet_capacity",
     "bernstein_choquet_closedform", "bernstein_classical", "capacity_from_table", "change_of_variables_check",
     "chebyshev_check", "check_properties", "choquet_integral",
     "choquet_integral_layer_cake", "choquet_integral_real",
@@ -47,7 +47,7 @@ __all__ = [
     "choquet_variance", "convergence_report", "counting_distortion",
     "delta_rule", "distorted_probability", "distortion_by_name", "dual",
     "function_spec", "indicator_plateau",
-    "integrate_adaptive", "kernel_level_function", "kernel_normalizer",
+    "kernel_level_function", "kernel_normalizer",
     "modulus_of_continuity", "modulus_of_continuity_detailed",
     "perturbation_gap", "picard_choquet", "picard_classical",
     "possibility_capacity", "product_level_function", "property_suite",

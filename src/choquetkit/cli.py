@@ -358,7 +358,7 @@ OPERATORS = {
                   _bernstein_bound),
     "bernstein_choquet": (lambda s, n, x: bernstein_choquet(s.spec.fn, n, x, s.profile),
                           _bernstein_bound),
-    "picard": (lambda s, n, x: picard_classical(s.spec.fn, n, x),
+    "picard": (lambda s, n, x: picard_classical(s.spec, n, x),
                _PICARD_CHOQUET[1]),
     "picard_choquet": _PICARD_CHOQUET,
     "weierstrass_choquet": _kernel_operator(weierstrass_choquet, Kernel.gauss),

@@ -56,11 +56,11 @@ G7-K15 Gauss-Kronrod rule at the same tolerances, with at most
 ``QUAD_LIMIT`` subintervals per piece, that opens each piece as
 ``GK_START`` subintervals, cuts each one that fails its share of the
 tolerance into ``GK_SPLIT`` and evaluates every open subinterval of every
-piece in one batched call per pass.  Neither engine loads scipy, which
-only the scalar ``level`` of a root-finding product and
-:func:`integrate_adaptive` import, on first use.  The independence of the
-level sets themselves rests on the tests that hold the batched oracle to
-brentq.
+piece in one batched call per pass.  The same rule (:func:`_gauss_kronrod`)
+integrates the classical Picard operator in ``t``.  Neither engine loads
+scipy, which only the scalar ``level`` of a root-finding product imports,
+on first use.  The independence of the level sets themselves rests on the
+tests that hold the batched oracle to brentq.
 
 The kernel moment ``T_n(|. - x|)(x)``, through which the paper states
 every quantitative estimate, and the operator normalizer have closed forms
@@ -99,7 +99,7 @@ _NEWTON_PASSES = 32
 _STEP_TRUST = 0.1
 _TINY = np.finfo(float).tiny
 # the adaptive engines' absolute and relative tolerance and their limit on
-# subintervals (per layer-cake piece in the Gauss-Kronrod engine)
+# subintervals (per piece in the Gauss-Kronrod rule)
 QUAD_ABS_TOL = 1e-9
 QUAD_REL_TOL = 1e-8
 QUAD_LIMIT = 2000
@@ -728,25 +728,6 @@ def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFuncti
 # quadrature
 
 
-def integrate_adaptive(fn, a: float, b: float) -> tuple[float, float]:
-    """``scipy.quad`` of ``fn`` on [a, b] to ``QUAD_ABS_TOL`` or
-    ``QUAD_REL_TOL`` in at most ``QUAD_LIMIT`` subintervals; it serves
-    ``picard_classical`` only.
-
-    Raises :class:`QuadratureError` (carrying the partial value and error
-    estimate and quad's own message, which ``full_output`` returns instead
-    of warning) rather than silently returning a non-converged result.
-    """
-    from scipy.integrate import quad
-
-    value, err, _info, *message = quad(fn, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
-                                       limit=QUAD_LIMIT, full_output=1)
-    if message:
-        raise QuadratureError(f"quadrature did not converge on [{a}, {b}]: {message[0]}",
-                              value=value, error_estimate=err)
-    return value, err
-
-
 def _layer_edges(g: LevelSetFunction, mu: RealCapacity) -> list[float]:
     """Edges of the pieces on which both engines integrate ``g``'s layer
     cake on ``(0, sup]``.  The variable is ``s`` with ``alpha = exp(-s)``
@@ -821,41 +802,34 @@ def _divide(lo: np.ndarray, hi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
     return cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
 
 
-def choquet_integral_real_with_error(g: LevelSetFunction,
-                                     mu: RealCapacity) -> tuple[float, float]:
-    """Layer-cake Choquet integral with its error estimate, by a batched,
-    globally adaptive G7-K15 rule on the batched oracle.
+def _gauss_kronrod(integrand: Callable[[np.ndarray], np.ndarray],
+                   pieces: list[tuple[float, float]],
+                   graded: bool) -> tuple[float, float]:
+    """The sum of the integrals of ``integrand`` over ``pieces`` with its
+    error estimate, by a batched, globally adaptive G7-K15 rule.
 
-    Each piece of :func:`_layer_edges` is mapped onto ``u`` in ``[0, 1]``:
-    a finite piece ``[a, b]`` by ``s = a + (b - a) u``, the tail ``[a, inf)``
-    as QUADPACK's qagi maps it, ``s = a + (1 - u)/u``.  The first piece is
-    graded toward the top of the cake, ``s = a + (b - a) v**2`` (or
-    ``s = a + w**2`` with ``w`` in the tail map when that piece is the
-    tail), since there the layer behaves like ``(s - a)**beta`` with
-    ``beta`` as small as 1/4.  Each piece opens as ``GK_START`` equal
-    subintervals of ``u``.  Each pass evaluates the 15 nodes of every open
-    subinterval of every piece with one :func:`_layer_heights` call and
-    takes qk15's estimate on each.  With ``tol = max(QUAD_ABS_TOL,
+    ``integrand`` maps a 1-d array of points to its values there.  Each
+    piece ``(a, b)`` is mapped onto ``u`` in ``[0, 1]``: a finite piece by
+    ``s = a + (b - a) u``, a tail ``b = inf`` as QUADPACK's qagi maps it,
+    ``s = a + (1 - u)/u``.  If ``graded``, the first piece is graded toward
+    its start, ``s = a + (b - a) v**2`` (or ``s = a + w**2`` with ``w`` in
+    the tail map when that piece is a tail).  Each piece opens as
+    ``GK_START`` equal subintervals of ``u``.  Each pass evaluates the 15
+    nodes of every open subinterval of every piece with one ``integrand``
+    call and takes qk15's estimate on each.  With ``tol = max(QUAD_ABS_TOL,
     QUAD_REL_TOL |total|)``, the pass ends when the open estimates fit in
     what the retired ones left of ``tol``; otherwise a subinterval within
     its equal share of that remainder is retired and the rest are each cut
-    into ``GK_SPLIT`` equal parts.  A pass costs mostly its oracle call,
+    into ``GK_SPLIT`` equal parts.  A pass costs mostly its integrand call,
     not its nodes, so both factors spend nodes to save passes.  A piece
     that would pass ``QUAD_LIMIT`` subintervals, or a subinterval that is
     not finite, raises :class:`QuadratureError` carrying the partial value
     and the summed estimate.
     """
-    sup = g.sup_value
-    if not math.isfinite(sup):
-        raise DivergenceError("integrand has an infinite supremum")
-    if sup <= 0:
-        return 0.0, 0.0
-    edges = _layer_edges(g, mu)
-    pieces = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
     start = np.array([a for a, _ in pieces])
     tail = np.array([math.isinf(b) for _, b in pieces])
     width = np.array([1.0 if math.isinf(b) else b - a for a, b in pieces])
-    graded = np.arange(len(pieces)) == 0
+    grade = (np.arange(len(pieces)) == 0) & graded
     count = np.full(len(pieces), GK_START)
     # the open subintervals [lo, hi] of u and the piece each one lies in
     piece = np.repeat(np.arange(len(pieces)), GK_START)
@@ -864,22 +838,22 @@ def choquet_integral_real_with_error(g: LevelSetFunction,
     while True:
         half = 0.5 * (hi - lo)
         u = (lo + half)[:, None] + half[:, None] * _GK_NODES
-        on_tail, on_graded = tail[piece][:, None], graded[piece][:, None]
+        on_tail, on_graded = tail[piece][:, None], grade[piece][:, None]
         # nodes are interior, so u > 0 on the tail
         r = np.where(on_tail, (1.0 - u) / u, u)
         dr = np.where(on_tail, 1.0 / (u * u), 1.0)
         w = width[piece][:, None]
         s = start[piece][:, None] + w * np.where(on_graded, r * r, r)
         jac = w * dr * np.where(on_graded, 2.0 * r, 1.0)
-        f = _layer_heights(g, mu, s.ravel()).reshape(s.shape)
-        with np.errstate(invalid="ignore", over="ignore"):  # an infinite layer
+        f = integrand(s.ravel()).reshape(s.shape)
+        with np.errstate(invalid="ignore", over="ignore"):  # an infinite value
             parts, errs = _qk15(f * jac, half)
             total = value + float(parts.sum())
             open_error = float(errs.sum())
         bad = ~(np.isfinite(parts) & np.isfinite(errs))
         if bad.any():
             a, b = pieces[piece[np.argmax(bad)]]
-            raise QuadratureError(f"layer-cake piece [{a}, {b}] is not finite",
+            raise QuadratureError(f"piece [{a}, {b}] is not finite",
                                   value=total, error_estimate=error + open_error)
         budget = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total)) - error
         if open_error <= budget:
@@ -892,11 +866,30 @@ def choquet_integral_real_with_error(g: LevelSetFunction,
         if (count > QUAD_LIMIT).any():
             a, b = pieces[np.argmax(count > QUAD_LIMIT)]
             raise QuadratureError(
-                f"Gauss-Kronrod rule did not converge on layer-cake piece [{a}, {b}] "
+                f"Gauss-Kronrod rule did not converge on piece [{a}, {b}] "
                 f"in {QUAD_LIMIT} subintervals", value=total,
                 error_estimate=error + float(errs[split].sum()))
         piece = np.repeat(piece[split], GK_SPLIT)
         lo, hi = _divide(lo[split], hi[split], GK_SPLIT)
+
+
+def choquet_integral_real_with_error(g: LevelSetFunction,
+                                     mu: RealCapacity) -> tuple[float, float]:
+    """Layer-cake Choquet integral with its error estimate, by the batched
+    G7-K15 rule :func:`_gauss_kronrod` on the batched oracle: one
+    :func:`_layer_heights` call per pass over the pieces of
+    :func:`_layer_edges`.  The first piece is graded toward the top of the
+    cake, since there the layer behaves like ``(s - a)**beta`` with
+    ``beta`` as small as 1/4.
+    """
+    sup = g.sup_value
+    if not math.isfinite(sup):
+        raise DivergenceError("integrand has an infinite supremum")
+    if sup <= 0:
+        return 0.0, 0.0
+    edges = _layer_edges(g, mu)
+    pieces = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+    return _gauss_kronrod(lambda s: _layer_heights(g, mu, s), pieces, graded=True)
 
 
 def choquet_integral_real(g: LevelSetFunction, mu: RealCapacity) -> float:

@@ -23,26 +23,13 @@ from typing import Callable, Iterable, Sequence
 from .capacity import EXACT_TOL, DiscreteCapacity
 from .discrete import choquet_integral, choquet_variance
 from .errors import CapabilityError
-from .functions import FunctionSpec
+from .functions import _BREAKPOINTS, FunctionSpec
 
 
 @dataclass(frozen=True)
 class ModulusResult:
     value: float
     method: str  # always "analytic"; the benchmark tracer reads it
-
-
-# family -> the abscissae where f stops being monotone, smooth or of one
-# convexity; a family without an entry has no modulus
-_BREAKPOINTS = {
-    "const": lambda spec: (),
-    "e1": lambda spec: (),
-    "exp_neg": lambda spec: (),
-    "abs_dev": lambda spec: (spec.param("center"),),
-    "sqrt": lambda spec: (-spec.param("shift"),),
-    "concave_quad": lambda spec: (1.0,),
-    "pw_linear": lambda spec: tuple(t for t, _ in spec.param("knots")),
-}
 
 
 def _omega1(spec: FunctionSpec, delta: float, a: float, b: float) -> float:

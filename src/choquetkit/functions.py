@@ -150,3 +150,17 @@ def function_spec(name: str, **params) -> FunctionSpec:
 
 
 REGISTERED = tuple(sorted(_FACTORY))
+
+# family -> the abscissae where f stops being monotone, smooth or of one
+# convexity: the modulus of continuity takes its vertices there (a family
+# without an entry has no modulus) and the classical Picard operator splits
+# its quadrature there
+_BREAKPOINTS = {
+    "const": lambda spec: (),
+    "e1": lambda spec: (),
+    "exp_neg": lambda spec: (),
+    "abs_dev": lambda spec: (spec.param("center"),),
+    "sqrt": lambda spec: (-spec.param("shift"),),
+    "concave_quad": lambda spec: (1.0,),
+    "pw_linear": lambda spec: tuple(t for t, _ in spec.param("knots")),
+}

@@ -658,7 +658,8 @@ def test_console_script_smoke(tmp_path):
 
 
 def test_import_leaves_scipy_submodules_unloaded():
-    # scipy loads on the first call of the adaptive engine, not on import
+    # scipy loads on the first call of the scalar root-finding oracle, not
+    # on import
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, choquetkit; print(sorted(m for m in sys.modules "
@@ -670,25 +671,27 @@ def test_import_leaves_scipy_submodules_unloaded():
 
 
 def test_batched_operator_path_loads_no_scipy(tmp_path):
-    # the operator table runs on the batched oracle; scipy serves only the
-    # adaptive engine and the scalar root-finding oracle
+    # the operator tables, classical Picard included, and the Picard
+    # comparison run on the batched oracle and the batched Gauss-Kronrod
+    # rule; scipy serves only the scalar root-finding oracle
     pw_linear = write_config(tmp_path, {"function": {
         "name": "pw_linear", "knots": [[-1, 1], [0, 2], [1, 0.5]]}}, "pw.json")
     sqrt3 = write_config(tmp_path, {"function": {"name": "sqrt", "shift": 3.0}}, "sqrt.json")
+    grid = ["--n", "4", "--xgrid=-0.7:0.3:2"]
     code = "\n".join([
         "import sys",
         "from choquetkit.cli import main",
         f"for name, cfg in (('picard_choquet', {pw_linear!r}),",
-        f"                  ('weierstrass_choquet', {sqrt3!r})):",
+        f"                  ('weierstrass_choquet', {sqrt3!r}), ('picard', {sqrt3!r})):",
         "    assert main(['operator', '--operator', name, '--config', cfg,",
-        "                 '--capacity', 'sqrt_lebesgue', '--n', '4',",
-        "                 '--xgrid=-0.7:0.3:2']) == 0",
+        f"                 '--capacity', 'sqrt_lebesgue'] + {grid!r}) == 0",
+        f"assert main(['compare', '--pair', 'picard', '--function', 'sqrt'] + {grid!r}) == 0",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     *tables, loaded = proc.stdout.splitlines()
     rows = [row for row in tables if not row.startswith("n,")]
-    assert len(rows) == 4
+    assert len(rows) == 8
     assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
     assert loaded == "[]"

@@ -12,7 +12,7 @@ from choquetkit import (DivergenceError, IntervalUnion, Kernel,
                         RealCapacity, choquet_integral_real,
                         choquet_integral_real_grid,
                         choquet_integral_real_with_error, function_spec,
-                        indicator_plateau, integrate_adaptive,
+                        indicator_plateau,
                         kernel_level_function, kernel_normalizer,
                         product_level_function)
 from choquetkit import continuous
@@ -1068,14 +1068,6 @@ class TestQuadrature:
         large = RealCapacity.possibility(Kernel.laplace(2.0, 0.5))
         assert (choquet_integral_real(g, small)
                 <= choquet_integral_real(g, large) + 1e-9)
-
-    def test_nonconvergence_raises_with_partial_value(self):
-        # sin(1/t)/t oscillates ever faster towards 0, which no subdivision
-        # within QUAD_LIMIT resolves to the module tolerances
-        with pytest.raises(QuadratureError) as err:
-            integrate_adaptive(lambda t: math.sin(1.0 / t) / t, 0.0, 1.0)
-        assert math.isfinite(err.value.value)
-        assert err.value.error_estimate >= 0.0
 
     def test_infinite_level_set_raises(self):
         # a whole-line level set deep in the tail, below alpha = 1e-60: the

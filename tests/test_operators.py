@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from choquetkit import (REGISTERED, DistortionFunction, Kernel,
-                        PerturbationProfile, RealCapacity, bernstein_basis,
+from choquetkit import (REGISTERED, DistortionFunction, FunctionSpec, Kernel,
+                        PerturbationProfile, QuadratureError, RealCapacity,
                         bernstein_choquet, bernstein_choquet_capacity,
                         bernstein_choquet_closedform, bernstein_classical,
                         check_properties, function_spec, kernel_normalizer,
@@ -17,26 +17,14 @@ POSS = lambda n, x: RealCapacity.possibility(Kernel.laplace(n, x))
 
 class TestBernsteinBasis:
     def test_endpoint(self):
-        assert bernstein_basis(5, 0, 0.0) == 1.0
+        assert operators.bernstein_basis_vector(5, 0.0)[0] == 1.0
 
     def test_midpoint(self):
-        assert bernstein_basis(2, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert operators.bernstein_basis_vector(2, 0.5)[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_partition_of_unity(self):
-        total = math.fsum(bernstein_basis(5, i, 0.3) for i in range(6))
+        total = math.fsum(operators.bernstein_basis_vector(5, 0.3))
         assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bernstein_basis(3, 4, 0.5)
-        with pytest.raises(ValueError):
-            bernstein_basis(3, 1, 1.5)
-
-    def test_vector_matches_basis(self):
-        for n in range(1, 65):
-            for x in np.linspace(0.0, 1.0, 101).tolist():
-                assert operators.bernstein_basis_vector(n, x) == [bernstein_basis(n, i, x)
-                                                        for i in range(n + 1)]
 
     @pytest.mark.parametrize("x", [-0.1, 1.5, math.nan])
     def test_vector_domain_error(self, x):
@@ -59,7 +47,8 @@ class TestBernsteinClassical:
         for n in (2, 5, 16):
             for x in (0.1, 0.5, 0.9):
                 oracle = math.fsum(
-                    (x - i / n) ** 2 * bernstein_basis(n, i, x) for i in range(n + 1))
+                    (x - i / n) ** 2 * w
+                    for i, w in enumerate(operators.bernstein_basis_vector(n, x)))
                 value = bernstein_classical(lambda t: (x - t) ** 2, n, x)
                 assert value == pytest.approx(oracle, abs=1e-15)
                 assert value == pytest.approx(x * (1 - x) / n, abs=1e-12)
@@ -68,7 +57,7 @@ class TestBernsteinClassical:
 class TestPerturbedCapacity:
     def test_theta_zero_is_additive(self):
         cap = bernstein_choquet_capacity(4, 0.3, PerturbationProfile(theta=0.0))
-        p = [bernstein_basis(4, i, 0.3) for i in range(5)]
+        p = operators.bernstein_basis_vector(4, 0.3)
         for mask in range(1 << 5):
             subset = frozenset(i for i in range(5) if mask >> i & 1)
             assert cap.evaluator(subset) == pytest.approx(
@@ -267,6 +256,74 @@ class TestPicardClassical:
     def test_linear_symmetry(self):
         assert picard_classical(lambda t: t, 5.0, 0.8) == pytest.approx(
             0.8, abs=1e-8)
+
+    def test_nonconvergence_raises_with_partial_value(self):
+        # sin(1/u)/u at u = t - x oscillates ever faster towards the kernel
+        # peak, which no subdivision within QUAD_LIMIT resolves to the
+        # module tolerances
+        x = 0.2
+
+        def f(t):
+            u = t - x
+            return math.sin(1.0 / u) / u if u else 0.0
+
+        with pytest.raises(QuadratureError, match="did not converge") as err:
+            picard_classical(f, 2.0, x)
+        assert math.isfinite(err.value.value)
+        assert err.value.error_estimate > 0.0
+
+
+# every nonnegative registered spec (e0 is const(1)); e1 and concave_quad
+# take negative values
+ADDITIVE_SPECS = {
+    "exp_neg": function_spec("exp_neg"),
+    "const": function_spec("const", c=2.5),
+    "e0": function_spec("e0"),
+    "abs_dev": function_spec("abs_dev"),
+    "abs_dev_off_centre": function_spec("abs_dev", center=-0.4),
+    "sqrt_shift_0": function_spec("sqrt", shift=0.0),
+    "sqrt_shift_3": function_spec("sqrt", shift=3.0),
+    "pw_linear_3": function_spec("pw_linear", knots=[(-1.0, 1.0), (0.0, 2.0), (1.0, 0.5)]),
+}
+
+
+def test_additive_specs_cover_the_nonnegative_registry():
+    assert ({spec.name for spec in ADDITIVE_SPECS.values()}
+            == set(REGISTERED) - {"e0", "e1", "concave_quad"})
+    assert all(spec.nonneg_real_line for spec in ADDITIVE_SPECS.values())
+
+
+@pytest.mark.parametrize("spec", ADDITIVE_SPECS.values(), ids=ADDITIVE_SPECS.keys())
+@pytest.mark.parametrize("n", [2, 8, 32])
+@pytest.mark.parametrize("x", [-1.0, -0.3, 0.0, 0.45, 1.5])
+def test_lebesgue_picard_choquet_is_the_classical_operator(spec, n, x):
+    # An additive capacity gives back the Lebesgue integral, so against
+    # Lebesgue length the Picard-Choquet operator is the classical one.  This
+    # holds the Gauss-Kronrod rule in t, with and without the split at the
+    # spec's breakpoints, against the tanh-sinh layer cake.
+    want = picard_choquet(spec, n, x, RealCapacity.lebesgue())
+    tol = n * continuous.QUAD_ABS_TOL + 2 * continuous.QUAD_REL_TOL * abs(want)
+    for f in (spec, spec.fn):
+        assert abs(picard_classical(f, n, x) - want) <= tol
+
+
+# 20-digit mpmath values of (n/2) * integral over |t - x| <= 40/n of
+# f(t) exp(-n|t - x|), split at the kink of f.  Left inside a subinterval,
+# a kink can fool the Gauss-Kronrod estimate: called with the bare ``fn``,
+# the rule misses both sqrt cells by 2.8 tolerances (2.0e-8 and 1.5e-8).
+@pytest.mark.parametrize("spec, n, x, want", [
+    (function_spec("abs_dev", center=-0.4), 8, 0.75, 1.1500126299252296149),
+    (function_spec("sqrt", shift=-0.4), 4, 1.0, 0.74053757189132250953),
+    (function_spec("sqrt", shift=0.0), 8, 0.3, 0.52363913880777458144),
+])
+def test_classical_picard_splits_at_the_spec_breakpoints(spec, n, x, want):
+    tol = max(n / 2 * continuous.QUAD_ABS_TOL, continuous.QUAD_REL_TOL * abs(want))
+    assert abs(picard_classical(spec, n, x) - want) <= tol
+
+
+def test_classical_picard_of_an_unregistered_family_runs_unsplit():
+    spec = FunctionSpec("cubic", lambda t: t ** 3)
+    assert picard_classical(spec, 4.0, 0.3) == picard_classical(spec.fn, 4.0, 0.3)
 
 
 class TestWeierstrassChoquet:
