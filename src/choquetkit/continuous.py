@@ -15,6 +15,13 @@ Two things keep the quadrature honest:
   component structure (level of a knot, of a local extremum, ...), since
   adaptive refinement across such kinks is not trusted.
 
+A possibility capacity is 1 on every level set that holds its peak
+``x_mu``, i.e. at every level up to ``g(x_mu)``
+(:meth:`RealCapacity.peak_level`): the layer cake there is a rectangle of
+area ``g(x_mu)``, which both engines add exactly, and only the levels above
+it reach the oracle.  Where ``g`` peaks at ``x_mu`` the integral is
+``g(x_mu)`` without an oracle call.
+
 Level sets of the registered products are closed forms where possible
 (constants, decaying exponentials, the deviation ``|t - x|`` against its
 own kernel via the two real Lambert W branches) and bracketed root-finding
@@ -43,9 +50,10 @@ Newton iteration (:func:`_newton`) runs on the log profile
 tests can hold the batched solvers to a root finder that never sees the
 pieces or a W; no engine calls ``level``.
 
-Both engines integrate the layer cake in ``s`` over the same pieces
-(:func:`_layer_edges`) and evaluate it through the same batched oracle and
-capacity call (:func:`_layer_heights`); their quadratures are independent.
+Both engines integrate the layer cake in ``s`` over the same pieces above
+the same rectangle (:func:`_layer_edges`) and evaluate it through the same
+batched oracle and capacity call (:func:`_layer_heights`); their
+quadratures are independent.
 The double-exponential engine (:func:`choquet_integral_real_grid`) serves
 the kernel operators and their normalizers: tanh-sinh on each finite piece,
 exp-sinh on the tail, and a step that halves, from ``TS_STEP`` up to
@@ -728,25 +736,35 @@ def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFuncti
 # quadrature
 
 
-def _layer_edges(g: LevelSetFunction, mu: RealCapacity) -> list[float]:
-    """Edges of the pieces on which both engines integrate ``g``'s layer
-    cake on ``(0, sup]``.  The variable is ``s`` with ``alpha = exp(-s)``
-    (the integrand carries the Jacobian ``alpha``); it runs over
-    ``[-log(sup), inf)``, split at every level breakpoint of ``g`` and at
-    every level where ``mu``'s formula changes (:meth:`RealCapacity.level_kinks`)."""
+def _layer_edges(g: LevelSetFunction, mu: RealCapacity) -> tuple[list[float], float]:
+    """``(edges, full)``: the edges of the pieces on which both engines
+    integrate ``g``'s layer cake on ``(full, sup]``, and the area ``full``
+    of the rectangle below it.
+
+    ``mu`` is 1 on every level set up to ``full``, its
+    :meth:`RealCapacity.peak_level` (at most ``sup``), so the layer cake on
+    ``(0, full]`` is exactly ``full``.  The variable is ``s`` with ``alpha
+    = exp(-s)`` (the integrand carries the Jacobian ``alpha``); it runs
+    from ``-log(sup)`` to ``-log(full)`` (to ``inf`` when ``full`` is 0),
+    split at every level breakpoint of ``g`` strictly between the two.
+    When ``full == sup`` there is no piece."""
     sup = g.sup_value
-    levels = set(g.alpha_breakpoints) | set(mu.level_kinks(g.value))
-    breaks = sorted(-math.log(b) for b in levels if 0.0 < b < sup)
-    return [-math.log(sup)] + breaks + [math.inf]
+    full = min(mu.peak_level(g.value), sup)
+    breaks = sorted(-math.log(b) for b in g.alpha_breakpoints if full < b < sup)
+    end = -math.log(full) if full > 0.0 else math.inf
+    return [-math.log(sup)] + breaks + [end], full
 
 
-def _layer_heights(g: LevelSetFunction, mu: RealCapacity, s: np.ndarray) -> np.ndarray:
+def _layer_heights(g: LevelSetFunction, mu: RealCapacity, s: np.ndarray,
+                   full: float) -> np.ndarray:
     """``mu({g >= alpha}) * alpha`` at ``alpha = exp(-s)``, by one batched
-    oracle call and one batched capacity call; a level that underflows to 0
-    adds nothing."""
+    oracle call and one batched capacity call on the levels above ``full``
+    (of :func:`_layer_edges`).  ``mu`` is 1 at a level at or below it, which
+    a node next to the rectangle's edge can round to; a level that
+    underflows to 0 adds nothing."""
     alphas = np.exp(-s)
-    live = alphas > 0.0
-    ys = np.zeros_like(alphas)
+    live = alphas > full
+    ys = np.where(live, 0.0, alphas)
     ys[live] = mu.values(*g.levels(alphas[live])) * alphas[live]
     return ys
 
@@ -878,18 +896,28 @@ def choquet_integral_real_with_error(g: LevelSetFunction,
     """Layer-cake Choquet integral with its error estimate, by the batched
     G7-K15 rule :func:`_gauss_kronrod` on the batched oracle: one
     :func:`_layer_heights` call per pass over the pieces of
-    :func:`_layer_edges`.  The first piece is graded toward the top of the
-    cake, since there the layer behaves like ``(s - a)**beta`` with
-    ``beta`` as small as 1/4.
+    :func:`_layer_edges`, plus their exact rectangle ``full``, whose
+    error is 0 and which does not widen the tolerance.  The first piece is
+    graded toward the top of the cake, since there the layer behaves like
+    ``(s - a)**beta`` with ``beta`` as small as 1/4.  With no piece above
+    the rectangle the value is ``full``, without an oracle call.
     """
     sup = g.sup_value
     if not math.isfinite(sup):
         raise DivergenceError("integrand has an infinite supremum")
     if sup <= 0:
         return 0.0, 0.0
-    edges = _layer_edges(g, mu)
+    edges, full = _layer_edges(g, mu)
     pieces = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
-    return _gauss_kronrod(lambda s: _layer_heights(g, mu, s), pieces, graded=True)
+    if not pieces:
+        return full, 0.0
+    try:
+        total, err = _gauss_kronrod(lambda s: _layer_heights(g, mu, s, full), pieces,
+                                    graded=True)
+    except QuadratureError as exc:
+        exc.value += full  # the partial value, like the total, holds the rectangle
+        raise
+    return full + total, err
 
 
 def choquet_integral_real(g: LevelSetFunction, mu: RealCapacity) -> float:
@@ -952,7 +980,9 @@ def _de_nodes(a: float, b: float, level: int) -> tuple[np.ndarray, ...]:
 def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity) -> float:
     """The same layer-cake integral by double-exponential rules on the
     batched oracle: tanh-sinh on each finite piece of :func:`_layer_edges`,
-    exp-sinh on the tail.
+    exp-sinh on the tail, summed with their exact rectangle ``full`` by
+    ``math.fsum``.  With no piece above the rectangle the value is
+    ``full``, without an oracle call.
 
     The first pass, at step ``TS_STEP``, evaluates the nodes of every piece
     with one :meth:`LevelSetFunction.levels` and one
@@ -969,14 +999,16 @@ def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity) -> float:
         raise DivergenceError("integrand has an infinite supremum")
     if sup <= 0:
         return 0.0
-    edges = _layer_edges(g, mu)
+    edges, full = _layer_edges(g, mu)
     pieces = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+    if not pieces:
+        return full
     values = [0.0] * len(pieces)
     errors = [math.inf] * len(pieces)
     todo = list(range(len(pieces)))
     for level in range(TS_HALVINGS + 1):
         nodes = [_de_nodes(*pieces[i], level) for i in todo]
-        ys = _layer_heights(g, mu, np.concatenate([s for s, _, _ in nodes]))
+        ys = _layer_heights(g, mu, np.concatenate([s for s, _, _ in nodes]), full)
         start = 0
         failing = []
         for i, (s, w, coarse) in zip(todo, nodes):
@@ -999,10 +1031,10 @@ def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity) -> float:
                 failing.append(i)
         todo = failing
         if not todo:
-            return math.fsum(values)
+            return math.fsum([full] + values)
     raise QuadratureError(
         f"tanh-sinh rule did not converge on {len(todo)} layer-cake piece(s) "
-        f"in {TS_HALVINGS} halvings", value=math.fsum(values),
+        f"in {TS_HALVINGS} halvings", value=math.fsum([full] + values),
         error_estimate=math.fsum(errors))
 
 

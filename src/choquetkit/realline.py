@@ -105,15 +105,20 @@ class RealCapacity:
         x = self.kernel.x
         return max(self.kernel(min(max(x, a), b)) for a, b in A.intervals)
 
-    def level_kinks(self, g: Callable[[float], float]) -> tuple[float, ...]:
-        """Levels ``alpha`` at which ``alpha -> mu({g >= alpha})`` may change
-        formula for a function ``g`` on the line.  A possibility capacity
-        is 1 on the level sets that hold its kernel's peak, i.e. up to
-        ``alpha = g(peak)``, and the kernel's value at their nearest end
-        above it."""
-        if self.kind == "possibility":
-            return (g(self.kernel.x),)
-        return ()
+    def peak_level(self, g: Callable[[float], float]) -> float:
+        """A level ``alpha`` with ``mu({g >= alpha}) = 1`` on every level
+        set of a function ``g`` on the line at or below it.
+
+        A possibility capacity's is ``g(peak)``: every such level set holds
+        its kernel's peak, where the kernel is 1, so the layer cake below it
+        is a rectangle.  A distorted Lebesgue capacity's is 0.  A NaN
+        ``g(peak)`` raises :class:`ValueError`."""
+        if self.kind != "possibility":
+            return 0.0
+        level = g(self.kernel.x)
+        if math.isnan(level):
+            raise ValueError(f"integrand is NaN at the capacity's peak x={self.kernel.x}")
+        return level
 
     def values(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """:meth:`value` of N sets at once, each given by the columns of

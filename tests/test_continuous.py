@@ -16,8 +16,8 @@ from choquetkit import (DivergenceError, IntervalUnion, Kernel,
                         kernel_level_function, kernel_normalizer,
                         product_level_function)
 from choquetkit import continuous
-from choquetkit.continuous import (_lambert_branch, _lambert_lanes, _lambert_pair,
-                                   _lambert_w0, _newton)
+from choquetkit.continuous import (QUAD_ABS_TOL, QUAD_REL_TOL, _lambert_branch,
+                                   _lambert_lanes, _lambert_pair, _lambert_w0, _newton)
 
 
 def empty_pieces(pieces, n):
@@ -749,7 +749,8 @@ class TestBatchedOracle:
         for n in (1.5, 4.0, 64.0):
             for x in (-1.0, 0.3, 1.3):
                 g = product_level_function(spec, Kernel(family, n, x))
-                edges = continuous._layer_edges(g, SQRT_M)
+                edges, full = continuous._layer_edges(g, SQRT_M)
+                assert full == 0.0
                 s = np.concatenate([continuous._de_nodes(a, b, level)[0]
                                     for a, b in zip(edges, edges[1:])
                                     for level in range(3)])
@@ -887,9 +888,9 @@ class TestQuadrature:
         calls = []
         heights = continuous._layer_heights
 
-        def counting(g, mu, s):
+        def counting(g, mu, s, full):
             calls.append(s.size)
-            return heights(g, mu, s)
+            return heights(g, mu, s, full)
 
         monkeypatch.setattr(continuous, "_layer_heights", counting)
         x = 0.3
@@ -971,18 +972,42 @@ class TestQuadrature:
             assert got == pytest.approx(choquet_integral_real(g, mu), rel=1e-9)
 
     @pytest.mark.parametrize("g,mu,want", [
-        # 30-digit mpmath values, split at the capacity kink alpha = g(x_mu)
+        # 30-digit mpmath values.  Every g here is unimodal, with argmax t*,
+        # so above alpha = g(x_mu) the level set is one interval and mu is
+        # K_mu at its end nearer x_mu: the integral is g(x_mu) plus
+        # K_mu g' integrated in t from x_mu to t* (-g' from t* to x_mu)
         (product_level_function(function_spec("exp_neg"), Kernel.gauss(16.0, 0.3)),
          RealCapacity.possibility(Kernel.laplace(16.0, 0.3)),
          0.750755613330227810243743579467),
         (kernel_level_function(Kernel.gauss(8.0, -0.4)),
          RealCapacity.possibility(Kernel.laplace(3.0, 0.1)),
          0.594196065342948193735185190963),
-    ], ids=["exp_neg*gauss", "gauss-kernel"])
+        # t* = 0.31883...
+        (product_level_function(function_spec("sqrt", shift=3.0), Kernel.gauss(4.0, 0.3)),
+         RealCapacity.possibility(Kernel.laplace(3.0, -0.2)),
+         1.30057730325327230073924480530),
+        (product_level_function(function_spec("sqrt", shift=3.0), Kernel.gauss(4.0, 0.3)),
+         RealCapacity.possibility(Kernel.laplace(3.0, 0.8)),
+         1.37694979236877267320224669352),
+        # t* = 0.3; at x_mu = 0, g(x_mu) is the level of the knot 0
+        (product_level_function(STATIONARY_SPECS["pw_linear_3"], Kernel.laplace(2.0, 0.3)),
+         RealCapacity.possibility(Kernel.gauss(2.0, -0.5)),
+         1.14371320618536623726675110527),
+        (product_level_function(STATIONARY_SPECS["pw_linear_3"], Kernel.laplace(2.0, 0.3)),
+         RealCapacity.possibility(Kernel.gauss(2.0, 0.7)),
+         1.41161433004029898452919929193),
+        (product_level_function(STATIONARY_SPECS["pw_linear_3"], Kernel.laplace(2.0, 0.3)),
+         RealCapacity.possibility(Kernel.gauss(2.0, 0.0)),
+         1.52331235543350773811648298632),
+    ], ids=["exp_neg*gauss", "gauss-kernel", "sqrt*gauss-left", "sqrt*gauss-right",
+            "pw_linear*laplace-left", "pw_linear*laplace-right", "pw_linear*laplace-knot"])
     def test_possibility_kink_references(self, g, mu, want):
-        # below alpha = g(x_mu) the level set holds the capacity's peak; both
-        # engines split there (the adaptive one missed by 5e-9 without it)
-        assert continuous._layer_edges(g, mu)[1] == pytest.approx(-math.log(g.value(mu.kernel.x)))
+        # below alpha = g(x_mu) the level set holds the capacity's peak: both
+        # engines add that rectangle exactly and integrate only above it
+        edges, full = continuous._layer_edges(g, mu)
+        assert full == g.value(mu.kernel.x)
+        assert edges[-1] == -math.log(full)
+        assert all(-math.log(b) < edges[-1] for b in g.alpha_breakpoints if b > full)
         assert choquet_integral_real(g, mu) == pytest.approx(want, rel=1e-11)
         assert choquet_integral_real_grid(g, mu) == pytest.approx(want, rel=1e-11)
 
@@ -990,7 +1015,7 @@ class TestQuadrature:
     def test_exp_sinh_tail_reproduces_laplace_normalizer(self, n):
         # one piece [0, inf): the layer is sqrt(2 s / n) exp(-s)
         g = kernel_level_function(Kernel.laplace(float(n), 0.7))
-        assert continuous._layer_edges(g, SQRT_M) == [0.0, math.inf]
+        assert continuous._layer_edges(g, SQRT_M) == ([0.0, math.inf], 0.0)
         assert choquet_integral_real_grid(g, SQRT_M) == pytest.approx(
             math.sqrt(math.pi / (2 * n)), rel=1e-12)
 
@@ -1103,6 +1128,99 @@ class TestQuadrature:
             choquet_integral_real(g, SQRT_M)
         with pytest.raises(DivergenceError):
             choquet_integral_real_grid(g, SQRT_M)
+
+
+RECTANGLE_SPECS = {"kernel": None, "exp_neg": function_spec("exp_neg"),
+                   "sqrt_shift_3": STATIONARY_SPECS["sqrt_shift_3"],
+                   "sqrt_shift_-0.4": STATIONARY_SPECS["sqrt_shift_-0.4"],
+                   "pw_linear_3": STATIONARY_SPECS["pw_linear_3"],
+                   "abs_dev_off_centre": STATIONARY_SPECS["abs_dev_off_centre"]}
+
+
+class TestPeakRectangle:
+    """Below ``alpha = g(x_mu)`` every level set holds a possibility
+    capacity's peak, where the capacity is 1: both engines add that
+    rectangle exactly and integrate only above it."""
+
+    @pytest.mark.parametrize("family", ["laplace", "gauss"])
+    @pytest.mark.parametrize("spec", RECTANGLE_SPECS.values(), ids=RECTANGLE_SPECS.keys())
+    def test_engines_ask_no_level_inside_the_rectangle(self, monkeypatch, spec, family):
+        # the operator's own capacity and two off-centre ones; where the
+        # rectangle is the whole cake neither engine asks at all
+        asked = []
+        levels = LevelSetFunction.levels
+
+        def recording(self, alphas):
+            asked.append(float(np.min(alphas)))
+            return levels(self, alphas)
+
+        monkeypatch.setattr(LevelSetFunction, "levels", recording)
+        x = 0.3
+        for n in (2.0, 8.0):
+            k = Kernel(family, n, x)
+            g = kernel_level_function(k) if spec is None else product_level_function(spec, k)
+            own = RealCapacity.possibility(Kernel.laplace(n, x))
+            for mu in (own, RealCapacity.possibility(Kernel.laplace(3.0, -0.45)),
+                       RealCapacity.possibility(Kernel.gauss(3.0, 1.1))):
+                peak = g.value(mu.kernel.x)
+                for engine in (choquet_integral_real, choquet_integral_real_grid):
+                    asked.clear()
+                    got = engine(g, mu)
+                    assert min(asked, default=math.inf) > peak, (n, mu)
+                    if peak == g.sup_value:
+                        assert asked == [] and got == peak, (n, mu)
+            if spec is None:
+                assert choquet_integral_real(g, own) == 1.0 == kernel_normalizer(k, own)
+                assert choquet_integral_real_grid(g, own) == 1.0
+
+    def test_peak_level(self):
+        def g(t):
+            return 2.0 - abs(t)
+
+        assert RealCapacity.possibility(Kernel.gauss(2.0, 0.5)).peak_level(g) == 1.5
+        assert SQRT_M.peak_level(g) == 0.0
+        assert RealCapacity.lebesgue().peak_level(lambda t: math.nan) == 0.0
+
+    @pytest.mark.parametrize("engine", [choquet_integral_real_with_error,
+                                        choquet_integral_real_grid])
+    def test_partial_value_holds_the_rectangle(self, engine):
+        # a layer that oscillates faster than either engine resolves, above
+        # a rectangle of 0.5
+        def levels(alphas):
+            half = 1.0 + 0.5 * np.sin(1e6 * np.log(alphas))
+            return -half[None, :], half[None, :]
+
+        g = LevelSetFunction(lambda t: 0.5, lambda a: IntervalUnion.empty(), 1.0, levels)
+        with pytest.raises(QuadratureError, match="did not converge") as err:
+            engine(g, RealCapacity.possibility(Kernel.laplace(2.0, 3.0)))
+        assert 0.5 <= err.value.value <= 1.0 + err.value.error_estimate
+
+    def test_nan_at_the_peak_raises(self):
+        # a NaN rectangle must not reach the sum
+        g = dataclasses.replace(kernel_level_function(Kernel.laplace(2.0, 0.3)),
+                                value=lambda t: math.nan)
+        mu = RealCapacity.possibility(Kernel.laplace(2.0, 0.3))
+        with pytest.raises(ValueError, match="NaN"):
+            mu.peak_level(g.value)
+        for engine in (choquet_integral_real, choquet_integral_real_grid):
+            with pytest.raises(ValueError, match="NaN"):
+                engine(g, mu)
+
+
+@given(st.sampled_from(["laplace", "gauss"]), st.floats(1.5, 32.0), st.floats(-2.0, 2.5),
+       root_finding_specs(), st.sampled_from(["laplace", "gauss"]))
+def test_engines_agree_on_random_possibility_capacities(mu_family, n_mu, x_mu, spec, family):
+    # the rectangle g(x_mu) is exact, so neither value is below it (nor
+    # below sup when sup rounds under g(x_mu)); mu <= 1 above it, so
+    # neither exceeds sup by more than the tolerance
+    g = product_level_function(spec, Kernel(family, 2.0, 0.3))
+    mu = RealCapacity.possibility(Kernel(mu_family, n_mu, x_mu))
+    grid = choquet_integral_real_grid(g, mu)
+    adaptive = choquet_integral_real(g, mu)
+    assert abs(grid - adaptive) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(grid))
+    sup = g.sup_value
+    for v in (grid, adaptive):
+        assert min(g.value(x_mu), sup) <= v <= sup + max(QUAD_ABS_TOL, QUAD_REL_TOL * sup)
 
 
 MOMENT_N = [0.5, 1.5, 2.0, 7.0, 16.0, 64.0, 257.0]

@@ -206,6 +206,17 @@ class TestPicardChoquet:
                 got = picard_choquet(spec, n, x, POSS(n, x))
                 assert got == pytest.approx(math.exp(-x), abs=1e-9)
 
+    @pytest.mark.parametrize("spec", [function_spec("exp_neg"), function_spec("sqrt", shift=3.0)],
+                             ids=["exp_neg", "sqrt_shift_3"])
+    def test_possibility_rows_are_f_to_the_last_bit(self, spec):
+        # f K peaks at x, the peak of the operator's own possibility
+        # capacity: the layer cake is the rectangle g(x) = f(x), added
+        # without quadrature, over the normalizer 1
+        for n in (2, 4, 8, 16):
+            for x in np.linspace(-1.0, 1.5, 11):
+                x = float(x)
+                assert picard_choquet(spec, n, x, POSS(n, x)) == spec.fn(x), (n, x)
+
     def test_deviation_bound(self):
         for n in (1, 3, 10):
             x = 0.7
