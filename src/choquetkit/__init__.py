@@ -9,13 +9,12 @@ from .capacity import (DiscreteCapacity, DistortionFunction, PropertyReport,
                        random_monotone_capacity, validate_distortion)
 from .continuous import (LevelSetFunction, choquet_integral_real,
                          choquet_integral_real_grid,
-                         choquet_integral_real_with_error, indicator_plateau,
+                         choquet_integral_real_with_error,
                          kernel_level_function, kernel_normalizer,
                          product_level_function)
-from .discrete import (Pushforward, PropertySuiteReport,
-                       change_of_variables_check, choquet_integral,
+from .discrete import (PropertySuiteReport, choquet_integral,
                        choquet_integral_layer_cake, choquet_variance,
-                       property_suite, pushforward)
+                       property_suite)
 from .errors import CapabilityError, ConfigError, DivergenceError, QuadratureError
 from .estimates import (ChebyshevResult, ErrorTable, ModulusResult,
                         chebyshev_check, convergence_report, delta_rule,
@@ -37,21 +36,21 @@ __all__ = [
     "DiscreteCapacity", "DistortionFunction", "DivergenceError", "ErrorTable",
     "FunctionSpec", "IntervalUnion", "Kernel", "LevelSetFunction",
     "ModulusResult", "PerturbationProfile", "PropertyReport",
-    "PropertySuiteReport", "Pushforward",
+    "PropertySuiteReport",
     "QuadratureError", "REGISTERED", "RealCapacity", "additive_capacity",
     "bernstein_choquet", "bernstein_choquet_capacity",
-    "bernstein_choquet_closedform", "bernstein_classical", "capacity_from_table", "change_of_variables_check",
+    "bernstein_choquet_closedform", "bernstein_classical", "capacity_from_table",
     "chebyshev_check", "check_properties", "choquet_integral",
     "choquet_integral_layer_cake", "choquet_integral_real",
     "choquet_integral_real_grid", "choquet_integral_real_with_error",
     "choquet_variance", "convergence_report", "counting_distortion",
     "delta_rule", "distorted_probability", "distortion_by_name", "dual",
-    "function_spec", "indicator_plateau",
+    "function_spec",
     "kernel_level_function", "kernel_normalizer",
     "modulus_of_continuity", "modulus_of_continuity_detailed",
     "perturbation_gap", "picard_choquet", "picard_classical",
     "possibility_capacity", "product_level_function", "property_suite",
-    "pushforward", "quantitative_bound", "random_monotone_capacity",
+    "quantitative_bound", "random_monotone_capacity",
     "validate_distortion",
     "weierstrass_choquet",
 ]

@@ -31,24 +31,22 @@ sets stay finite down to the smallest positive ``alpha``.  W_0 of a
 positive argument, also from its log, serves the root-finding products
 against a Laplace kernel.
 
-The oracle comes in two forms.  ``level(alpha)`` returns one canonical
-:class:`IntervalUnion`; ``levels(alphas)`` answers a whole array of N
-levels at once with two endpoint arrays ``(lo, hi)`` of shape
-``[pieces, N]``.  Column ``i`` describes the level set at ``alphas[i]`` as
-pieces that are pairwise disjoint except at shared endpoints; an empty
-piece has ``lo > hi`` (never NaN).  A closed form is one endpoint formula
-that serves both forms (:func:`_closed_form`): ``level`` evaluates it with
-``math`` on a float, ``levels`` with numpy on the array.  Root-finding
+The oracle answers an array of N levels at once, ``levels(alphas)``, with
+two endpoint arrays ``(lo, hi)`` of shape ``[pieces, N]``.  Column ``i``
+describes the level set at ``alphas[i]`` as pieces that are pairwise
+disjoint except at shared endpoints; an empty piece has ``lo > hi`` (never
+NaN).  A closed form is one endpoint formula in numpy
+(:func:`_closed_form`), and its ``level(alpha)`` is the column of
+``levels([alpha])`` as one canonical :class:`IntervalUnion`.  Root-finding
 products share one table of monotone brackets, built from one table of
-pieces ``f = c |t + d|**p`` (:func:`_log_pieces`), and are solved
-separately in each form.  ``level`` runs ``brentq`` on ``f * kernel`` one
-level at a time, on the whole bracket.  ``levels`` solves every bracket for
-all levels in one call: against a Laplace kernel each crossing is a Lambert
-W value (:func:`_lambert_lanes`), against a Gauss kernel one safeguarded
-Newton iteration (:func:`_newton`) runs on the log profile
-``log c + p log|t + d| + log K - log alpha``.  brentq stays so that the
-tests can hold the batched solvers to a root finder that never sees the
-pieces or a W; no engine calls ``level``.
+pieces ``f = c |t + d|**p`` (:func:`_log_pieces`), and are solved twice.
+``levels`` solves every bracket for all levels in one call: against a
+Laplace kernel each crossing is a Lambert W value (:func:`_lambert_lanes`),
+against a Gauss kernel one safeguarded Newton iteration (:func:`_newton`)
+runs on the log profile ``log c + p log|t + d| + log K - log alpha``.
+``level`` runs ``brentq`` on ``f * kernel`` one level at a time, on the
+whole bracket, so that the tests can hold the batched solvers to a root
+finder that never sees the pieces or a W; no engine calls ``level``.
 
 Both engines integrate the layer cake in ``s`` over the same pieces above
 the same rectangle (:func:`_layer_edges`) and evaluate it through the same
@@ -68,7 +66,8 @@ piece in one batched call per pass.  The same rule (:func:`_gauss_kronrod`)
 integrates the classical Picard operator in ``t``.  Neither engine loads
 scipy, which only the scalar ``level`` of a root-finding product imports,
 on first use.  The independence of the level sets themselves rests on the
-tests that hold the batched oracle to brentq.
+tests: they hold every level set to ``{t : g(t) >= alpha}``, and the
+batched root-finding solvers to brentq.
 
 The kernel moment ``T_n(|. - x|)(x)``, through which the paper states
 every quantitative estimate, and the operator normalizer have closed forms
@@ -84,7 +83,6 @@ from __future__ import annotations
 
 import functools
 import math
-import types
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
@@ -124,7 +122,8 @@ TS_HALVINGS = 10
 class LevelSetFunction:
     """A nonnegative function together with its super-level-set oracle.
 
-    ``level_batch`` is the batched form of ``level`` (see :meth:`levels`).
+    ``level_batch`` answers an array of levels (see :meth:`levels`);
+    ``level`` answers one level as an :class:`IntervalUnion`.
     """
 
     value: Callable[[float], float]
@@ -145,31 +144,26 @@ class LevelSetFunction:
         return self.level_batch(alphas)
 
 
-# ``math`` under the numpy names the endpoint formulas use, so that one
-# formula evaluates on a float as well as on an array
-_MATH = types.SimpleNamespace(**vars(math), minimum=min, maximum=max)
-
-
 def _closed_form(value: Callable[[float], float], ends, sup: float) -> LevelSetFunction:
     """A level-set function whose level sets come from one endpoint formula.
 
-    ``ends(alpha, xp)`` returns ``(lo_rows, hi_rows)``, the pieces
-    ``[lo_rows[j], hi_rows[j]]`` of the level set at ``0 < alpha <= sup``;
-    a row is a number or an array shaped like ``alpha``.  ``xp`` is numpy
-    for an array of levels and :data:`_MATH` for one float.  Levels above
-    ``sup`` give the empty set; the batched oracle evaluates the formula on
-    the levels clipped to ``sup`` and empties those columns afterwards.
+    ``ends(alpha)`` returns ``(lo_rows, hi_rows)``, the pieces
+    ``[lo_rows[j], hi_rows[j]]`` of the level set at each ``0 < alpha <=
+    sup`` of a numpy array; a row is a number or an array shaped like
+    ``alpha``.  Levels above ``sup`` give the empty set: the batched oracle
+    evaluates the formula on the levels clipped to ``sup`` and empties
+    those columns afterwards.  ``level(alpha)`` is the one column of that
+    oracle at ``[alpha]``, as the union of its non-empty pieces.
     """
 
-    def level(alpha: float) -> IntervalUnion:
-        if alpha <= 0:
-            raise ValueError("level must be positive")
-        if alpha > sup:
-            return IntervalUnion.empty()
-        return IntervalUnion.from_pairs(zip(*ends(alpha, _MATH)))
-
     def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return pieces_where(alphas <= sup, *ends(np.minimum(alphas, sup), np))
+        return pieces_where(alphas <= sup, *ends(np.minimum(alphas, sup)))
+
+    def level(alpha: float) -> IntervalUnion:
+        if not alpha > 0:
+            raise ValueError("level must be positive")
+        lo, hi = levels(np.array([alpha]))
+        return IntervalUnion.from_pairs((a, b) for a, b in zip(lo[:, 0], hi[:, 0]) if a <= b)
 
     return LevelSetFunction(value, level, sup, level_batch=levels)
 
@@ -182,10 +176,10 @@ def _kernel_ends(kernel: Kernel, c: float = 1.0):
     n, x, gauss = kernel.n, kernel.x, kernel.family != LAPLACE
     log_c = math.log(c)
 
-    def ends(alpha, xp):
-        r = (log_c - xp.log(alpha)) / n
+    def ends(alpha):
+        r = (log_c - np.log(alpha)) / n
         if gauss:
-            r = xp.sqrt(r)
+            r = np.sqrt(r)
         return (x - r,), (x + r,)
 
     return ends
@@ -194,16 +188,6 @@ def _kernel_ends(kernel: Kernel, c: float = 1.0):
 def kernel_level_function(kernel: Kernel) -> LevelSetFunction:
     """The bare kernel as a level-set function (sup is 1 at the peak)."""
     return _closed_form(kernel.__call__, _kernel_ends(kernel), 1.0)
-
-
-def indicator_plateau(height: float, a: float, b: float) -> LevelSetFunction:
-    """height * indicator of [a, b]: a single layer of the given height."""
-    if height < 0:
-        raise ValueError("plateau height must be nonnegative")
-    if a > b:
-        raise ValueError("plateau needs a <= b")
-    return _closed_form(lambda t: height if a <= t <= b else 0.0,
-                        lambda alpha, xp: ((a,), (b,)), height)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +210,8 @@ def indicator_plateau(height: float, a: float, b: float) -> LevelSetFunction:
 #   W_0 near the branch point; the terms are of the size of v, so v keeps
 #   full relative precision as w -> -1.  W_0 away from the branch point
 #   takes the usual steps on w*exp(w) = z, whose residual scales with q.
-# Three steps from every start end within 2 ulps of the exact value.  The
-# numpy form solves only the branch each lane asks for, its v-form lanes in
-# one loop.
+# Three steps from every start end within 2 ulps of the exact value.  Each
+# lane solves only the branch it asks for, the v-form lanes in one loop.
 _BRANCH_P = 1.0
 _HALLEY_STEPS = 3
 
@@ -237,43 +220,26 @@ def _branch_v(p):
     return p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
 
 
-def _halley_v(v, l1, xp):
+def _halley_v(v, l1):
     for _ in range(_HALLEY_STEPS):
-        f = v + xp.log1p(-v) - l1
+        f = v + np.log1p(-v) - l1
         v = v + 2.0 * v * (1.0 - v) * f / (2.0 * v * v + f)
     return v
 
 
-def _halley_w(w, q, xp):
+def _halley_w(w, q):
     for _ in range(_HALLEY_STEPS):
-        e = xp.exp(w)
+        e = np.exp(w)
         r = w * e + q
         w = w - r / (e * (w + 1.0) - (w + 2.0) * r / (2.0 * w + 2.0))
     return w
 
 
-def _lambert_pair(L: float) -> tuple[float, float]:
-    """``(W_0, W_{-1})`` at ``z = -exp(L)``, from ``math``.
-
-    For ``L >= -1`` (at and, after rounding, past the branch point -1/e)
-    both branches are -1.
-    """
-    if L >= -1.0:
-        return -1.0, -1.0
-    p = math.sqrt(-2.0 * math.expm1(L + 1.0))
-    if p < _BRANCH_P:
-        return (_halley_v(_branch_v(p), L + 1.0, math) - 1.0,
-                _halley_v(_branch_v(-p), L + 1.0, math) - 1.0)
-    q = math.exp(L)
-    l2 = math.log(-L)
-    return (_halley_w(-q * (1.0 + q * (1.0 + 1.5 * q)), q, math),
-            _halley_v(L + 1.0 - l2 + l2 / L, L + 1.0, math) - 1.0)
-
-
 def _lambert_branch(L: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """:func:`_lambert_pair` on an array, from numpy, one branch per lane:
+    """A real branch of Lambert W at ``z = -exp(L)``, one per lane:
     ``W_0`` where ``upper`` (which broadcasts against ``L``) and ``W_{-1}``
-    elsewhere."""
+    elsewhere.  For ``L >= -1`` (at and, after rounding, past the branch
+    point -1/e) both branches are -1."""
     w = np.full(L.shape, -1.0)
     p = np.sqrt(-2.0 * np.expm1(np.minimum(L, -1.0) + 1.0))
     far = p >= _BRANCH_P
@@ -283,10 +249,10 @@ def _lambert_branch(L: np.ndarray, upper: np.ndarray) -> np.ndarray:
     l2 = np.log(-Lv)
     start = np.where(near[v_lanes], _branch_v(np.where(upper, p, -p)[v_lanes]),
                      Lv + 1.0 - l2 + l2 / Lv)
-    w[v_lanes] = _halley_v(start, Lv + 1.0, np) - 1.0
+    w[v_lanes] = _halley_v(start, Lv + 1.0) - 1.0
     w_lanes = far & upper
     q = np.exp(L[w_lanes])
-    w[w_lanes] = _halley_w(-q * (1.0 + q * (1.0 + 1.5 * q)), q, np)
+    w[w_lanes] = _halley_w(-q * (1.0 + q * (1.0 + 1.5 * q)), q)
     return w
 
 
@@ -309,7 +275,7 @@ def _lambert_w0(L: np.ndarray) -> np.ndarray:
     small = mid & ~big
     l1 = np.logaddexp(0.0, L[mid])
     w[mid] = l1 * (1.0 - np.log1p(l1) / (2.0 + l1))
-    w[small] = _halley_w(w[small], -np.exp(L[small]), np)
+    w[small] = _halley_w(w[small], -np.exp(L[small]))
     wb, Lb = w[big], L[big]
     for _ in range(_HALLEY_STEPS):
         r = (wb + np.log(wb) - Lb) / (wb + 1.0)
@@ -334,20 +300,20 @@ def _product_exp_neg(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
                 f"exp_neg(lam={lam}) against a Laplace kernel needs n > lam, got n={n}")
         sup = scale * math.exp(-lam * x)
 
-        def ends(alpha, xp):
-            la = xp.log(alpha) - log_scale
+        def ends(alpha):
+            la = np.log(alpha) - log_scale
             lo = (n * x + la) / (n - lam)
             hi = (n * x - la) / (n + lam)
-            return (xp.minimum(lo, hi),), (xp.maximum(lo, hi),)
+            return (np.minimum(lo, hi),), (np.maximum(lo, hi),)
 
     else:
         # exponential times Gaussian always decays; the exponent is a
         # downward parabola with vertex x - lam/(2n)
         sup = scale * math.exp(-lam * x + lam * lam / (4 * n))
 
-        def ends(alpha, xp):
-            la = xp.log(alpha) - log_scale
-            root = xp.sqrt(xp.maximum(lam * lam - 4 * n * lam * x - 4 * n * la, 0.0))
+        def ends(alpha):
+            la = np.log(alpha) - log_scale
+            root = np.sqrt(np.maximum(lam * lam - 4 * n * lam * x - 4 * n * la, 0.0))
             mid = 2 * n * x - lam  # 2n times the vertex
             return ((mid - root) / (2 * n),), ((mid + root) / (2 * n),)
 
@@ -372,13 +338,12 @@ def _product_abs_dev_centered(kernel: Kernel) -> LevelSetFunction:
     def value(t: float) -> float:
         return abs(t - x) * kernel(t)
 
-    def ends(alpha, xp):
-        L = log_m + p * xp.log(alpha)
-        w0, wm1 = (_lambert_pair(L) if xp is _MATH
-                   else _lambert_branch(np.stack((L, L)), np.array([[True], [False]])))
+    def ends(alpha):
+        L = log_m + p * np.log(alpha)
+        w0, wm1 = _lambert_branch(np.stack((L, L)), np.array([[True], [False]]))
         y1, y2 = -w0 / m, -wm1 / m
         if gauss:
-            y1, y2 = xp.sqrt(y1), xp.sqrt(y2)
+            y1, y2 = np.sqrt(y1), np.sqrt(y2)
         return (x - y2, x + y1), (x - y1, x + y2)
 
     return _closed_form(value, ends, sup)
@@ -667,7 +632,7 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     def level(alpha: float) -> IntervalUnion:
         from scipy.optimize import brentq
 
-        if alpha <= 0:
+        if not alpha > 0:
             raise ValueError("level must be positive")
         if alpha > sup:
             return IntervalUnion.empty()
@@ -723,7 +688,7 @@ def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFuncti
     if spec.name == "const":
         c = spec.param("c")
         if c == 0.0:  # no level reaches 0: one piece, always empty
-            return _closed_form(lambda t: 0.0, lambda a, xp: ((math.inf,), (-math.inf,)), 0.0)
+            return _closed_form(lambda t: 0.0, lambda a: ((math.inf,), (-math.inf,)), 0.0)
         return _closed_form(lambda t: c * kernel(t), _kernel_ends(kernel, c), c)
     if spec.name == "exp_neg":
         return _product_exp_neg(spec, kernel)
@@ -736,8 +701,9 @@ def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFuncti
 # quadrature
 
 
-def _layer_edges(g: LevelSetFunction, mu: RealCapacity) -> tuple[list[float], float]:
-    """``(edges, full)``: the edges of the pieces on which both engines
+def _layer_edges(g: LevelSetFunction,
+                 mu: RealCapacity) -> tuple[list[tuple[float, float]], float]:
+    """``(pieces, full)``: the pieces ``(a, b)`` on which both engines
     integrate ``g``'s layer cake on ``(full, sup]``, and the area ``full``
     of the rectangle below it.
 
@@ -747,12 +713,19 @@ def _layer_edges(g: LevelSetFunction, mu: RealCapacity) -> tuple[list[float], fl
     = exp(-s)`` (the integrand carries the Jacobian ``alpha``); it runs
     from ``-log(sup)`` to ``-log(full)`` (to ``inf`` when ``full`` is 0),
     split at every level breakpoint of ``g`` strictly between the two.
-    When ``full == sup`` there is no piece."""
+    When ``full == sup`` there is no piece, and a zero ``sup`` gives none
+    and ``full = 0`` without evaluating ``g``.  An infinite or NaN ``sup``
+    raises :class:`DivergenceError`."""
     sup = g.sup_value
+    if not math.isfinite(sup):
+        raise DivergenceError("integrand has an infinite supremum")
+    if sup <= 0:
+        return [], 0.0
     full = min(mu.peak_level(g.value), sup)
     breaks = sorted(-math.log(b) for b in g.alpha_breakpoints if full < b < sup)
     end = -math.log(full) if full > 0.0 else math.inf
-    return [-math.log(sup)] + breaks + [end], full
+    edges = [-math.log(sup)] + breaks + [end]
+    return [(a, b) for a, b in zip(edges, edges[1:]) if a < b], full
 
 
 def _layer_heights(g: LevelSetFunction, mu: RealCapacity, s: np.ndarray,
@@ -902,13 +875,7 @@ def choquet_integral_real_with_error(g: LevelSetFunction,
     ``(s - a)**beta`` with ``beta`` as small as 1/4.  With no piece above
     the rectangle the value is ``full``, without an oracle call.
     """
-    sup = g.sup_value
-    if not math.isfinite(sup):
-        raise DivergenceError("integrand has an infinite supremum")
-    if sup <= 0:
-        return 0.0, 0.0
-    edges, full = _layer_edges(g, mu)
-    pieces = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+    pieces, full = _layer_edges(g, mu)
     if not pieces:
         return full, 0.0
     try:
@@ -994,13 +961,7 @@ def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity) -> float:
     or whose sum is not finite, raises :class:`QuadratureError` carrying
     the partial value and the summed estimate.
     """
-    sup = g.sup_value
-    if not math.isfinite(sup):
-        raise DivergenceError("integrand has an infinite supremum")
-    if sup <= 0:
-        return 0.0
-    edges, full = _layer_edges(g, mu)
-    pieces = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+    pieces, full = _layer_edges(g, mu)
     if not pieces:
         return full
     values = [0.0] * len(pieces)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -100,56 +100,6 @@ def choquet_variance(values: Sequence[float], cap: DiscreteCapacity) -> float:
     mean = choquet_integral(values, cap)
     dev2 = [(v - mean) ** 2 for v in values]
     return choquet_integral(dev2, cap)
-
-
-# ---------------------------------------------------------------------------
-# pushforward distribution and change of variables
-
-
-@dataclass(frozen=True)
-class Pushforward:
-    """Distribution of a ground-set function: B -> mu(X^{-1}(B))."""
-
-    source: DiscreteCapacity
-    values: tuple
-    support: tuple  # distinct attained values, ascending
-
-    def value(self, value_set) -> float:
-        wanted = set(float(v) for v in value_set)
-        preimage = frozenset(i for i, v in enumerate(self.values) if v in wanted)
-        return self.source.evaluator(preimage)
-
-    def as_capacity(self) -> DiscreteCapacity:
-        """Capacity over the indices of ``support`` (for integration)."""
-        support = self.support
-
-        def rule(subset: frozenset) -> float:
-            wanted = set(support[j] for j in subset)
-            preimage = frozenset(i for i, v in enumerate(self.values) if v in wanted)
-            return self.source.evaluator(preimage)
-
-        return DiscreteCapacity(len(support), rule)
-
-
-def pushforward(values: Sequence[float], cap: DiscreteCapacity) -> Pushforward:
-    vals = tuple(float(v) for v in values)
-    if len(vals) != cap.size:
-        raise ValueError("map length must match the ground set size")
-    return Pushforward(cap, vals, tuple(sorted(set(vals))))
-
-
-def change_of_variables_check(f: Callable[[float], float],
-                              values: Sequence[float],
-                              cap: DiscreteCapacity) -> tuple[float, float, float]:
-    """Integrate ``f`` against the pushforward vs ``f o X`` against ``cap``.
-
-    Returns (lhs, rhs, |lhs - rhs|); the two must agree for normalized
-    monotone capacities.
-    """
-    pf = pushforward(values, cap)
-    lhs = choquet_integral([f(v) for v in pf.support], pf.as_capacity())
-    rhs = choquet_integral([f(v) for v in values], cap)
-    return lhs, rhs, abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

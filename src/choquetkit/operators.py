@@ -185,8 +185,10 @@ def picard_classical(f: Callable[[float], float], n: float, x: float) -> float:
     :class:`FunctionSpec`, at the breakpoints of its family, since the
     Gauss-Kronrod error estimate can miss a kink inside a subinterval.  The
     pieces run on the batched G7-K15 rule of the real-line check engine,
-    ungraded, with ``f`` called once per node.
+    ungraded, with ``f`` called once per node.  ``n`` and ``x`` are checked
+    as :class:`Kernel` parameters.
     """
+    kernel = Kernel.laplace(n, x)
     r = PICARD_TAIL / n
     kinks = ()
     if isinstance(f, FunctionSpec):
@@ -195,7 +197,7 @@ def picard_classical(f: Callable[[float], float], n: float, x: float) -> float:
     edges = sorted({x - r, x, x + r, *(k for k in kinks if abs(k - x) < r)})
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(f, t.tolist()), float, t.size) * np.exp(-n * np.abs(t - x))
+        return np.fromiter(map(f, t.tolist()), float, t.size) * kernel.values(t)
 
     total, _ = _gauss_kronrod(integrand, list(zip(edges, edges[1:])), graded=False)
     return n / 2.0 * total

@@ -80,6 +80,15 @@ class RealCapacity:
     gamma: DistortionFunction | None = None
     kernel: Kernel | None = None
 
+    def __post_init__(self):
+        needs = {"distorted_lebesgue": ("gamma", self.gamma),
+                 "possibility": ("kernel", self.kernel)}
+        if self.kind not in needs:
+            raise ValueError(f"unknown capacity kind {self.kind!r}")
+        part, given = needs[self.kind]
+        if given is None:
+            raise ValueError(f"a {self.kind} capacity needs a {part}")
+
     @staticmethod
     def distorted_lebesgue(gamma: DistortionFunction) -> "RealCapacity":
         return RealCapacity("distorted_lebesgue", gamma=gamma)

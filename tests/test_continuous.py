@@ -12,12 +12,11 @@ from choquetkit import (DivergenceError, IntervalUnion, Kernel,
                         RealCapacity, choquet_integral_real,
                         choquet_integral_real_grid,
                         choquet_integral_real_with_error, function_spec,
-                        indicator_plateau,
                         kernel_level_function, kernel_normalizer,
                         product_level_function)
 from choquetkit import continuous
 from choquetkit.continuous import (QUAD_ABS_TOL, QUAD_REL_TOL, _lambert_branch,
-                                   _lambert_lanes, _lambert_pair, _lambert_w0, _newton)
+                                   _lambert_lanes, _lambert_w0, _newton)
 
 
 def empty_pieces(pieces, n):
@@ -30,20 +29,44 @@ XTOL, RTOL, EPS = 1e-13, 4.0 * np.finfo(float).eps, np.finfo(float).eps
 PW_KNOTS = [(-1.0, 0.0), (0.0, 2.0), (1.0, 0.5), (2.0, 1.5)]
 
 
+def plateau(height, a, b):
+    """height * indicator of [a, b]: a single layer of the given height, as
+    a closed form."""
+    return continuous._closed_form(lambda t: height if a <= t <= b else 0.0,
+                                   lambda alpha: ((a,), (b,)), height)
+
+
+CLOSED_FORM_SPECS = [("const", function_spec("const", c=2.0)),
+                     ("exp_neg", function_spec("exp_neg")),
+                     ("exp_neg_lam2", function_spec("exp_neg", lam=2.0, scale=0.5)),
+                     ("abs_dev_centred", function_spec("abs_dev", center=0.3))]
+
+
 def level_functions():
     """Every level-set constructor, against both kernel families."""
-    out = [("plateau", indicator_plateau(2.5, -1.0, 3.0))]
-    specs = [("const", function_spec("const", c=2.0)),
-             ("exp_neg", function_spec("exp_neg")),
-             ("exp_neg_lam2", function_spec("exp_neg", lam=2.0, scale=0.5)),
-             ("abs_dev_centred", function_spec("abs_dev", center=0.3)),
-             ("abs_dev_off_centre", function_spec("abs_dev", center=-0.4)),
-             ("sqrt", function_spec("sqrt", shift=1.0)),
-             ("pw_linear", function_spec("pw_linear", knots=PW_KNOTS))]
+    out = [("plateau", plateau(2.5, -1.0, 3.0))]
+    specs = CLOSED_FORM_SPECS + [
+        ("abs_dev_off_centre", function_spec("abs_dev", center=-0.4)),
+        ("sqrt", function_spec("sqrt", shift=1.0)),
+        ("pw_linear", function_spec("pw_linear", knots=PW_KNOTS))]
     for k in (Kernel.laplace(3.0, 0.3), Kernel.gauss(3.0, 0.3)):
         out.append((f"kernel*{k.family}", kernel_level_function(k)))
         out += [(f"{name}*{k.family}", product_level_function(spec, k))
                 for name, spec in specs]
+    return out
+
+
+def closed_forms():
+    """Every closed-form level set: the plateau, the zero constant, and the
+    bare kernel and each closed-form product against both kernel
+    families."""
+    out = [("plateau", plateau(2.5, -1.0, 3.0)),
+           ("zero", product_level_function(function_spec("const", c=0.0),
+                                           Kernel.laplace(3.0, 0.3)))]
+    for k in (Kernel.laplace(3.0, 0.3), Kernel.gauss(3.0, 0.3)):
+        out.append((f"kernel*{k.family}", kernel_level_function(k)))
+        out += [(f"{name}*{k.family}", product_level_function(spec, k))
+                for name, spec in CLOSED_FORM_SPECS]
     return out
 
 
@@ -154,9 +177,11 @@ class TestProductLevelSets:
                 assert g.level(float(a2)).issubset(g.level(float(a1)))
 
     def test_level_requires_positive_alpha(self):
-        g = product_level_function(function_spec("exp_neg"), Kernel.laplace(2.0, 0.0))
-        with pytest.raises(ValueError):
-            g.level(0.0)
+        for spec in (function_spec("exp_neg"), function_spec("sqrt", shift=1.0)):
+            g = product_level_function(spec, Kernel.laplace(2.0, 0.0))
+            for bad in (0.0, math.nan):
+                with pytest.raises(ValueError):
+                    g.level(bad)
 
     def test_rejects_signed_function(self):
         with pytest.raises(ValueError):
@@ -293,6 +318,17 @@ def test_kernel_rejects_non_finite_parameters(n, x):
             Kernel(family, n, x)
 
 
+def test_real_capacity_rejects_an_unknown_or_incomplete_kind():
+    kernel = Kernel.laplace(2.0, 0.3)
+    with pytest.raises(ValueError, match="unknown capacity kind 'posibility'"):
+        RealCapacity("posibility", kernel=kernel)
+    with pytest.raises(ValueError, match="needs a kernel"):
+        RealCapacity("possibility")
+    with pytest.raises(ValueError, match="needs a gamma"):
+        RealCapacity("distorted_lebesgue", kernel=kernel)
+    assert RealCapacity("possibility", kernel=kernel) == RealCapacity.possibility(kernel)
+
+
 class TestBatchedOracle:
     @pytest.mark.parametrize("label,g", level_functions(),
                              ids=[label for label, _ in level_functions()])
@@ -313,6 +349,25 @@ class TestBatchedOracle:
                 assert a1 == pytest.approx(a2, abs=1e-12), alpha
                 assert b1 == pytest.approx(b2, abs=1e-12), alpha
         assert (lo[:, -2:] > hi[:, -2:]).all()  # above sup: every piece empty
+
+    @pytest.mark.parametrize("label,g", closed_forms(),
+                             ids=[label for label, _ in closed_forms()])
+    def test_closed_form_level_is_its_levels_column(self, label, g):
+        # a closed form's scalar oracle is the column of the batched one at
+        # [alpha], bit for bit: at the smallest level, inside, at sup (its
+        # only level breakpoint), one ulp above it and far above it
+        sup = g.sup_value
+        assert g.alpha_breakpoints == ()
+        for alpha in (5e-324, 1e-300, 0.3 * sup, sup, math.nextafter(sup, math.inf), 2.0 * sup):
+            if alpha > 0.0:
+                lo, hi = g.levels([alpha])
+                assert g.level(alpha) == batched_union(lo, hi, 0), alpha
+        assert g.level(math.nextafter(sup, math.inf)).is_empty
+        if sup > 0.0:
+            assert not g.level(sup).is_empty
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                g.level(bad)
 
     def test_zero_constant_has_only_empty_levels(self):
         g = product_level_function(function_spec("const", c=0.0), Kernel.laplace(2.0, 0.0))
@@ -356,11 +411,11 @@ class TestBatchedOracle:
 
     def test_lambert_branch_point(self):
         # scipy's lambertw is NaN at -1/e itself; both branches meet at -1 there
-        for arg in (-1.0 / math.e, -1.0 / math.e - 1e-17, -0.5):
-            assert _lambert_pair(math.log(-arg)) == (-1.0, -1.0)
-        w0, wm1 = lambert_branches(np.log([1.0 / math.e, 0.5, 0.1]))
-        assert w0[:2].tolist() == [-1.0, -1.0] and wm1[:2].tolist() == [-1.0, -1.0]
-        assert (w0[2], wm1[2]) == pytest.approx(_lambert_pair(math.log(0.1)), rel=1e-15)
+        from scipy.special import lambertw
+        w0, wm1 = lambert_branches(np.log([1.0 / math.e, 1.0 / math.e + 1e-17, 0.5, 0.1]))
+        assert w0[:3].tolist() == [-1.0] * 3 and wm1[:3].tolist() == [-1.0] * 3
+        assert (w0[3], wm1[3]) == pytest.approx(
+            (lambertw(-0.1, 0).real, lambertw(-0.1, -1).real), rel=1e-15)
 
     def test_lambert_matches_scipy(self):
         # z log-spaced over [-1/e, -1e-300]; both solvers see the same z
@@ -369,12 +424,10 @@ class TestBatchedOracle:
         z = -np.exp(L)
         far = z + 1.0 / math.e > 1e-8
         w0, wm1 = lambert_branches(L)
-        scalar = np.array([_lambert_pair(float(v)) for v in L])
-        for col, (k, ours) in enumerate(((0, w0), (-1, wm1))):
+        for k, ours in ((0, w0), (-1, wm1)):
             want = lambertw(z[far], k).real
             assert np.all(np.isfinite(want))
             assert ours[far] == pytest.approx(want, rel=1e-15)
-            assert scalar[far, col] == pytest.approx(want, rel=1e-15)
         # a lane's value does not depend on the branches its neighbours ask for
         upper = np.arange(L.size) % 3 == 0
         assert np.array_equal(_lambert_branch(L, upper), np.where(upper, w0, wm1))
@@ -387,8 +440,7 @@ class TestBatchedOracle:
         z = -np.exp(L)
         assert np.all(z + 1.0 / math.e <= 1e-8)
         w0, wm1 = lambert_branches(L)
-        scalar = np.array([_lambert_pair(float(v)) for v in L])
-        for ours in (w0, wm1, scalar[:, 0], scalar[:, 1]):
+        for ours in (w0, wm1):
             assert np.all(np.abs(ours + np.log(-ours) - L) <= 4e-16)
         assert np.all(w0 >= -1.0) and np.all(wm1 <= -1.0)
         for k in (0, -1):
@@ -749,11 +801,10 @@ class TestBatchedOracle:
         for n in (1.5, 4.0, 64.0):
             for x in (-1.0, 0.3, 1.3):
                 g = product_level_function(spec, Kernel(family, n, x))
-                edges, full = continuous._layer_edges(g, SQRT_M)
+                pieces, full = continuous._layer_edges(g, SQRT_M)
                 assert full == 0.0
                 s = np.concatenate([continuous._de_nodes(a, b, level)[0]
-                                    for a, b in zip(edges, edges[1:])
-                                    for level in range(3)])
+                                    for a, b in pieces for level in range(3)])
                 g.levels(np.exp(-s[s < 700.0]))
 
 
@@ -856,11 +907,11 @@ class TestQuadrature:
             assert got == pytest.approx(closed, rel=1e-8)
 
     def test_plateau_single_layer(self):
-        g = indicator_plateau(2.5, 0.0, 4.0)
+        g = plateau(2.5, 0.0, 4.0)
         assert choquet_integral_real(g, SQRT_M) == pytest.approx(5.0, abs=1e-9)
 
     def test_zero_function(self):
-        g = indicator_plateau(0.0, 0.0, 1.0)
+        g = plateau(0.0, 0.0, 1.0)
         assert choquet_integral_real(g, SQRT_M) == 0.0
 
     def test_error_estimate_consistency(self):
@@ -933,7 +984,7 @@ class TestQuadrature:
                 RealCapacity.possibility(Kernel.laplace(2.0, 0.3))),
             "abs_dev*gauss-sqrt": (
                 product_level_function(function_spec("abs_dev", center=0.3), gauss), SQRT_M),
-            "plateau": (indicator_plateau(2.5, 0.0, 4.0), SQRT_M),
+            "plateau": (plateau(2.5, 0.0, 4.0), SQRT_M),
         }
         for case, (g, mu) in cases.items():
             a = choquet_integral_real(g, mu)
@@ -1004,10 +1055,10 @@ class TestQuadrature:
     def test_possibility_kink_references(self, g, mu, want):
         # below alpha = g(x_mu) the level set holds the capacity's peak: both
         # engines add that rectangle exactly and integrate only above it
-        edges, full = continuous._layer_edges(g, mu)
+        pieces, full = continuous._layer_edges(g, mu)
         assert full == g.value(mu.kernel.x)
-        assert edges[-1] == -math.log(full)
-        assert all(-math.log(b) < edges[-1] for b in g.alpha_breakpoints if b > full)
+        assert pieces[-1][1] == -math.log(full)
+        assert all(-math.log(b) < pieces[-1][1] for b in g.alpha_breakpoints if b > full)
         assert choquet_integral_real(g, mu) == pytest.approx(want, rel=1e-11)
         assert choquet_integral_real_grid(g, mu) == pytest.approx(want, rel=1e-11)
 
@@ -1015,7 +1066,7 @@ class TestQuadrature:
     def test_exp_sinh_tail_reproduces_laplace_normalizer(self, n):
         # one piece [0, inf): the layer is sqrt(2 s / n) exp(-s)
         g = kernel_level_function(Kernel.laplace(float(n), 0.7))
-        assert continuous._layer_edges(g, SQRT_M) == ([0.0, math.inf], 0.0)
+        assert continuous._layer_edges(g, SQRT_M) == ([(0.0, math.inf)], 0.0)
         assert choquet_integral_real_grid(g, SQRT_M) == pytest.approx(
             math.sqrt(math.pi / (2 * n)), rel=1e-12)
 
@@ -1172,6 +1223,19 @@ class TestPeakRectangle:
             if spec is None:
                 assert choquet_integral_real(g, own) == 1.0 == kernel_normalizer(k, own)
                 assert choquet_integral_real_grid(g, own) == 1.0
+
+    def test_zero_sup_needs_no_value(self):
+        # a zero sup is the integral 0 before the capacity reads g
+        def value(t):
+            raise AssertionError("g evaluated")
+
+        g = dataclasses.replace(product_level_function(function_spec("const", c=0.0),
+                                                       Kernel.laplace(2.0, 0.3)),
+                                value=value)
+        mu = RealCapacity.possibility(Kernel.laplace(2.0, 0.3))
+        assert continuous._layer_edges(g, mu) == ([], 0.0)
+        assert choquet_integral_real_with_error(g, mu) == (0.0, 0.0)
+        assert choquet_integral_real_grid(g, mu) == 0.0
 
     def test_peak_level(self):
         def g(t):

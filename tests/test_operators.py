@@ -283,6 +283,14 @@ class TestPicardClassical:
         assert math.isfinite(err.value.value)
         assert err.value.error_estimate > 0.0
 
+    @pytest.mark.parametrize("n,x", [(-2.0, 0.5), (0.0, 0.5), (math.inf, 0.5),
+                                     (math.nan, 0.5), (2.0, math.inf), (2.0, math.nan)])
+    def test_rejects_bad_kernel_parameters(self, n, x):
+        # as the Choquet operators do: the Laplace kernel checks n > 0 and
+        # both parameters finite
+        with pytest.raises(ValueError):
+            picard_classical(lambda t: 1.0, n, x)
+
 
 # every nonnegative registered spec (e0 is const(1)); e1 and concave_quad
 # take negative values
