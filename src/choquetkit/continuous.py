@@ -62,7 +62,13 @@ G7-K15 Gauss-Kronrod rule at the same tolerances, with at most
 ``QUAD_LIMIT`` subintervals per piece, that opens each piece as
 ``GK_START`` subintervals, cuts each one that fails its share of the
 tolerance into ``GK_SPLIT`` and evaluates every open subinterval of every
-piece in one batched call per pass.  The same rule (:func:`_gauss_kronrod`)
+piece in one batched call per pass.  Every piece starts where a level-set
+component is born or a breakpoint is crossed, where its layer behaves like
+``(s - a)**beta`` with ``beta`` down to 1/4, so the rule grades each piece
+toward its start by the cube of its variable, a polynomial change of
+variable that weakens endpoint singularities (as in Sidi, "A new variable
+transformation for numerical integration", 1993); most integrals then
+take one pass.  The same rule (:func:`_gauss_kronrod`), ungraded,
 integrates the classical Picard operator in ``t``.  Neither engine loads
 scipy, which only the scalar ``level`` of a root-finding product imports,
 on first use.  The independence of the level sets themselves rests on the
@@ -72,11 +78,11 @@ batched root-finding solvers to brentq.
 The kernel moment ``T_n(|. - x|)(x)``, through which the paper states
 every quantitative estimate, and the operator normalizer have closed forms
 in n alone for the capacities the command line builds
-(:func:`kernel_moment`, :func:`kernel_normalizer`): the Laplace kernel
-against its own possibility capacity, and Lebesgue length distorted by
-the identity or sqrt, one row each of ``_POWER_MOMENTS``.  Every other
-pair runs the tanh-sinh engine; the tests hold both engines to each
-formula.
+(:func:`kernel_moment`, :func:`kernel_normalizer`): either kernel against
+a possibility capacity whose Laplace or Gauss profile has the kernel's
+``n`` and ``x``, and Lebesgue length distorted by the identity or sqrt,
+one row each of ``_POWER_MOMENTS``.  Every other pair runs the tanh-sinh
+engine; the tests hold both engines to each formula.
 """
 
 from __future__ import annotations
@@ -802,25 +808,28 @@ def _gauss_kronrod(integrand: Callable[[np.ndarray], np.ndarray],
     ``integrand`` maps a 1-d array of points to its values there.  Each
     piece ``(a, b)`` is mapped onto ``u`` in ``[0, 1]``: a finite piece by
     ``s = a + (b - a) u``, a tail ``b = inf`` as QUADPACK's qagi maps it,
-    ``s = a + (1 - u)/u``.  If ``graded``, the first piece is graded toward
-    its start, ``s = a + (b - a) v**2`` (or ``s = a + w**2`` with ``w`` in
-    the tail map when that piece is a tail).  Each piece opens as
-    ``GK_START`` equal subintervals of ``u``.  Each pass evaluates the 15
-    nodes of every open subinterval of every piece with one ``integrand``
-    call and takes qk15's estimate on each.  With ``tol = max(QUAD_ABS_TOL,
-    QUAD_REL_TOL |total|)``, the pass ends when the open estimates fit in
-    what the retired ones left of ``tol``; otherwise a subinterval within
-    its equal share of that remainder is retired and the rest are each cut
-    into ``GK_SPLIT`` equal parts.  A pass costs mostly its integrand call,
-    not its nodes, so both factors spend nodes to save passes.  A piece
-    that would pass ``QUAD_LIMIT`` subintervals, or a subinterval that is
-    not finite, raises :class:`QuadratureError` carrying the partial value
-    and the summed estimate.
+    ``s = a + r`` with ``r = (1 - u)/u``.  If ``graded``, every piece is
+    graded toward its start by the cube: ``s = a + (b - a) u**3`` (Jacobian
+    ``3 u**2``) or ``s = a + r**3`` (Jacobian ``3 r**2 dr``).  Each piece
+    opens as ``GK_START`` equal subintervals of ``u``.  Each pass evaluates
+    the 15 nodes of every open subinterval of every piece with one
+    ``integrand`` call and takes qk15's estimate on each.  With ``tol =
+    max(QUAD_ABS_TOL, QUAD_REL_TOL |total|)``, the pass ends when the open
+    estimates fit in what the retired ones left of ``tol``; otherwise a
+    subinterval within its equal share of that remainder is retired and
+    the rest are each cut into ``GK_SPLIT`` equal parts.  A pass costs
+    mostly its integrand call, not its nodes, so both factors spend nodes
+    to save passes.  A piece that would pass ``QUAD_LIMIT`` subintervals,
+    or a subinterval that is not finite, raises :class:`QuadratureError`
+    carrying the partial value and the summed estimate.
     """
     start = np.array([a for a, _ in pieces])
     tail = np.array([math.isinf(b) for _, b in pieces])
     width = np.array([1.0 if math.isinf(b) else b - a for a, b in pieces])
-    grade = (np.arange(len(pieces)) == 0) & graded
+    # the cube turns a layer (s - a)**beta at a piece's start, beta = 1/4 or
+    # 1/2, into u**(3/4) or u**(3/2); a fourth power stretches the far end
+    # of the piece so much that qk15 splits it there instead
+    power = 3 if graded else 1
     count = np.full(len(pieces), GK_START)
     # the open subintervals [lo, hi] of u and the piece each one lies in
     piece = np.repeat(np.arange(len(pieces)), GK_START)
@@ -829,13 +838,13 @@ def _gauss_kronrod(integrand: Callable[[np.ndarray], np.ndarray],
     while True:
         half = 0.5 * (hi - lo)
         u = (lo + half)[:, None] + half[:, None] * _GK_NODES
-        on_tail, on_graded = tail[piece][:, None], grade[piece][:, None]
+        on_tail = tail[piece][:, None]
         # nodes are interior, so u > 0 on the tail
         r = np.where(on_tail, (1.0 - u) / u, u)
         dr = np.where(on_tail, 1.0 / (u * u), 1.0)
         w = width[piece][:, None]
-        s = start[piece][:, None] + w * np.where(on_graded, r * r, r)
-        jac = w * dr * np.where(on_graded, 2.0 * r, 1.0)
+        s = start[piece][:, None] + w * r ** power
+        jac = w * dr * power * r ** (power - 1)
         f = integrand(s.ravel()).reshape(s.shape)
         with np.errstate(invalid="ignore", over="ignore"):  # an infinite value
             parts, errs = _qk15(f * jac, half)
@@ -870,10 +879,12 @@ def choquet_integral_real_with_error(g: LevelSetFunction,
     G7-K15 rule :func:`_gauss_kronrod` on the batched oracle: one
     :func:`_layer_heights` call per pass over the pieces of
     :func:`_layer_edges`, plus their exact rectangle ``full``, whose
-    error is 0 and which does not widen the tolerance.  The first piece is
-    graded toward the top of the cake, since there the layer behaves like
-    ``(s - a)**beta`` with ``beta`` as small as 1/4.  With no piece above
-    the rectangle the value is ``full``, without an oracle call.
+    error is 0 and which does not widen the tolerance.  Every piece is
+    graded toward its start, the top of the cake or a level where a
+    component is born or a breakpoint is crossed, since there the layer
+    behaves like ``(s - a)**beta`` with ``beta`` as small as 1/4.  With no
+    piece above the rectangle the value is ``full``, without an oracle
+    call.
     """
     pieces, full = _layer_edges(g, mu)
     if not pieces:
@@ -1042,6 +1053,60 @@ def kernel_normalizer(kernel: Kernel, mu: RealCapacity) -> float:
     return choquet_integral_real_grid(kernel_level_function(kernel), mu)
 
 
+# _erfc_tail takes math.erfc below this argument and the continued fraction
+# from it on, where 80 terms reach rounding
+_ERFC_CF_X = 2.0
+_ERFC_CF_TERMS = 80
+
+
+def _erfc_tail(z: float) -> float:
+    """``k`` in ``sqrt(pi) exp(z**2) erfc(z) = 1/(z + k)`` at ``z >= 0``.
+
+    Below ``_ERFC_CF_X`` from ``math.erfc``.  From there on ``1/(z + k)``
+    is close to ``1/z`` and ``k`` would cancel, so it is the continued
+    fraction ``k = (1/2)/(z + 1/(z + (3/2)/(z + 2/(z + ...))))``
+    (Abramowitz & Stegun 7.1.14), summed from its ``_ERFC_CF_TERMS``-th
+    term back; ``k`` falls like ``1/(2 z)`` and stays finite for every
+    finite ``z``."""
+    if z < _ERFC_CF_X:
+        return 1.0 / (math.sqrt(math.pi) * math.exp(z * z) * math.erfc(z)) - z
+    k = 0.0
+    for j in range(_ERFC_CF_TERMS, 0, -1):
+        k = 0.5 * j / (z + k)
+    return k
+
+
+def _gauss_laplace_possibility_moment(n: float) -> float:
+    """``T_n(|. - x|)(x)`` for the Gauss kernel against the possibility
+    capacity of the Laplace kernel with the same ``n`` and ``x``.
+
+    The capacity of the annulus ``{y e**(-n y**2) >= alpha}`` is
+    ``e**(-n y)`` at its inner radius ``y``, which runs up to ``r =
+    1/sqrt(2n)``, so by parts
+
+        T = int_0^r (1 - 2 n y**2) e**(-n (y**2 + y)) dy
+          = r E + n int_0^r y e**(-n (y**2 + y)) dy,   E = e**(-1/2 - n r).
+
+    Completing the square, with ``a = sqrt(n)/2``, ``b = a + 1/sqrt(2)``
+    and ``erfcx(z) = e**(z**2) erfc(z)``,
+
+        T = r E + (1 - E)/2 - (sqrt(pi) a / 2) (erfcx(a) - E erfcx(b)).
+
+    ``sqrt(pi) a erfcx(a)`` tends to 1, so that form cancels as ``n``
+    grows (and ``exp(n/4)`` overflows from n = 2839).  In the tails ``k``
+    of :func:`_erfc_tail` it is a positive term without cancellation plus
+    one damped by ``E``
+
+        T = k_a / (2 (a + k_a)) + E (r - (1/sqrt(2) + k_b) / (2 (b + k_b))).
+    """
+    a = 0.5 * math.sqrt(n)
+    b = a + math.sqrt(0.5)
+    r = 1.0 / math.sqrt(2.0 * n)
+    e = math.exp(-0.5 - math.sqrt(0.5 * n))
+    k_a, k_b = _erfc_tail(a), _erfc_tail(b)
+    return 0.5 * k_a / (a + k_a) + e * (r - (math.sqrt(0.5) + k_b) / (2.0 * (b + k_b)))
+
+
 def kernel_moment(kernel: Kernel, mu: RealCapacity) -> float:
     """The kernel operator at the deviation ``|t - x|`` from the kernel's
     own centre: ``T_n(|. - x|)(x)``, the moment the quantitative bounds
@@ -1049,19 +1114,29 @@ def kernel_moment(kernel: Kernel, mu: RealCapacity) -> float:
 
     Closed forms, none of which depends on x:
 
-    * Laplace kernel against the possibility capacity of the same kernel:
-      ``(1 + e**-2) / (4 n)`` (the capacity of the annulus
-      ``{y e**(-n y) >= alpha}`` is ``e**(-n y)`` at its inner radius y);
+    * a possibility capacity whose profile has the kernel's ``n`` and
+      ``x``: the capacity of the annulus ``{|t - x| K(t) >= alpha}`` is the
+      profile at its inner radius ``y``, so ``T_n`` is ``(1 + e**-2) /
+      (4 n)`` for the Laplace kernel against its own capacity, ``(sqrt(pi)
+      erf(1)/4 + 1/(2e)) / sqrt(2n)`` for the Gauss kernel against its own
+      and :func:`_gauss_laplace_possibility_moment` for the Gauss kernel
+      against the Laplace profile;
     * distorted Lebesgue with a distortion of :data:`_POWER_MOMENTS`:
       ``T_1 / n`` (Laplace) or ``T_1 / sqrt(n)`` (Gauss), by rescaling t.
 
-    Any other pair (the Gauss kernel against a possibility capacity, a
-    ``power_*`` distortion, ...) runs the tanh-sinh engine on the
-    deviation and divides by :func:`kernel_normalizer`.
+    Any other pair (another possibility profile, a ``power_*`` distortion,
+    ...) runs the tanh-sinh engine on the deviation and divides by
+    :func:`kernel_normalizer`.
     """
-    if (kernel.family == LAPLACE and mu.kind == "possibility"
-            and mu.kernel == kernel):
-        return (1.0 + math.exp(-2.0)) / (4.0 * kernel.n)
+    if (mu.kind == "possibility" and mu.kernel.n == kernel.n
+            and mu.kernel.x == kernel.x):
+        n = kernel.n
+        if mu.kernel.family == kernel.family == LAPLACE:
+            return (1.0 + math.exp(-2.0)) / (4.0 * n)
+        if mu.kernel.family == kernel.family:
+            return (math.sqrt(math.pi) * math.erf(1.0) / 4.0 + 0.5 / math.e) / math.sqrt(2.0 * n)
+        if mu.kernel.family == LAPLACE:
+            return _gauss_laplace_possibility_moment(n)
     power = _power_moments(mu)
     if power is not None:
         if kernel.family == LAPLACE:

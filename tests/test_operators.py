@@ -340,6 +340,15 @@ def test_classical_picard_splits_at_the_spec_breakpoints(spec, n, x, want):
     assert abs(picard_classical(spec, n, x) - want) <= tol
 
 
+def test_classical_picard_of_a_bare_callable_runs_unsplit():
+    # the limit the docstring states: the registered sqrt's bare fn, which
+    # misses the cell above by 2.8e-8 relative, runs as a spec of an
+    # unregistered family would
+    spec = function_spec("sqrt", shift=-0.4)
+    assert picard_classical(spec.fn, 4.0, 1.0) == picard_classical(
+        FunctionSpec("unregistered", spec.fn), 4.0, 1.0)
+
+
 def test_classical_picard_of_an_unregistered_family_runs_unsplit():
     spec = FunctionSpec("cubic", lambda t: t ** 3)
     assert picard_classical(spec, 4.0, 0.3) == picard_classical(spec.fn, 4.0, 0.3)
@@ -410,9 +419,8 @@ class TestKernelMomentDispatch:
         (picard_choquet, lambda n, x: RealCapacity.sqrt_lebesgue(), 0, 1),
         (weierstrass_choquet, lambda n, x: RealCapacity.lebesgue(), 0, 1),
         (weierstrass_choquet, lambda n, x: RealCapacity.sqrt_lebesgue(), 0, 1),
-        # uncovered: the Gauss kernel against the Laplace possibility, and a
-        # power distortion that equals sqrt but is not keyed as one
-        (weierstrass_choquet, POSS, 1, 1),
+        (weierstrass_choquet, POSS, 0, 1),
+        # uncovered: a power distortion that equals sqrt but is not keyed as one
         (picard_choquet, lambda n, x: RealCapacity.distorted_lebesgue(
             DistortionFunction.power(0.5)), 2, 2),
         (weierstrass_choquet, lambda n, x: RealCapacity.distorted_lebesgue(
