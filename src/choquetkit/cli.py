@@ -38,8 +38,8 @@ from .estimates import (ErrorTable, chebyshev_check, convergence_report, delta_r
                         format_float, modulus_of_continuity, quantitative_bound)
 from .functions import FunctionSpec, function_spec
 from .intervals import IntervalUnion
-from .operators import (DEFAULT_PROFILE, PerturbationProfile, bernstein_choquet,
-                        bernstein_choquet_capacity, bernstein_classical,
+from .operators import (DEFAULT_PROFILE, MAX_BERNSTEIN_DEGREE, PerturbationProfile,
+                        bernstein_choquet, bernstein_choquet_capacity, bernstein_classical,
                         perturbation_gap, picard_choquet, picard_classical,
                         weierstrass_choquet)
 from .realline import Kernel, RealCapacity
@@ -315,8 +315,12 @@ class _Setup:
                                   **cfg})
         capacity = _real_capacity_factory(cfg.get("capacity"))
         lo, hi = float(np.min(x_grid)), float(np.max(x_grid))
-        if any(name.startswith("bernstein") for name in names) and (lo < 0 or hi > 1):
+        bernstein = any(name.startswith("bernstein") for name in names)
+        if bernstein and (lo < 0 or hi > 1):
             raise ConfigError("bernstein operators need an x grid inside [0, 1]")
+        if bernstein and max(n_list) > MAX_BERNSTEIN_DEGREE:
+            raise ConfigError(f"bernstein operators need n <= {MAX_BERNSTEIN_DEGREE}, past which "
+                              f"C(n, n // 2) overflows a float, got n={max(n_list)}")
         if "bernstein_choquet" in names:
             for n in n_list:
                 if n < 2 or profile.i0 > n:

@@ -21,7 +21,9 @@ capacities the command line builds.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,17 +38,54 @@ from .realline import Kernel, RealCapacity
 
 PICARD_TAIL = 40.0
 
+# C(1029, 514) is 1.43e308; C(1030, 515) exceeds the float range, so every
+# basis row of a higher degree overflows converting it to float
+MAX_BERNSTEIN_DEGREE = 1029
 
-def bernstein_basis_vector(n: int, x: float) -> list[float]:
-    """All n + 1 basis polynomials C(n, i) * x**i * (1 - x)**(n - i) at x."""
+# A certified Bernstein number asks for one (n, x) row several times in a
+# row (the value, its closed-form check, the classical baseline and the
+# band); one entry serves all of them and keeps no other row, so no later
+# row and no benchmark round is served from an earlier one.
+_BASIS_ROWS = 1
+
+
+@functools.lru_cache(maxsize=_BASIS_ROWS, typed=True)
+def _basis_row(n: int, x: float, sign: float) -> tuple[float, ...]:
+    # ``sign`` is copysign(1, x): it keys -0.0 apart from 0.0, whose rows
+    # differ in the sign of their zeros.  ``typed`` gives an int or numpy x,
+    # and a float n (which math.comb rejects), a key of their own.
+    y = 1.0 - x
+    return tuple([math.comb(n, i) * x ** i * y ** (n - i) for i in range(n + 1)])
+
+
+def _basis(n: int, x: float) -> tuple[float, ...]:
+    """The checked, cached, read-only basis row of :func:`bernstein_basis_vector`."""
+    if n < 1:
+        raise ValueError(f"Bernstein degree must be at least 1, got n={n}")
+    if n > MAX_BERNSTEIN_DEGREE:
+        raise ValueError(f"Bernstein degree must be at most {MAX_BERNSTEIN_DEGREE}, "
+                         f"where C(n, n // 2) still fits a float, got n={n}")
     if not 0.0 <= x <= 1.0:
         raise ValueError("basis argument must lie in [0, 1]")
-    return [math.comb(n, i) * x ** i * (1.0 - x) ** (n - i) for i in range(n + 1)]
+    return _basis_row(n, x, math.copysign(1.0, x))
+
+
+def bernstein_basis_vector(n: int, x: float) -> list[float]:
+    """All n + 1 basis polynomials C(n, i) * x**i * (1 - x)**(n - i) at x.
+
+    The row is built once per ``(n, x)`` and kept in a one-row cache; each
+    call returns a fresh list, so changing it leaves the next call's row as
+    it was.  Raises ``ValueError`` for ``n < 1``, for ``n`` above
+    :data:`MAX_BERNSTEIN_DEGREE` (past it ``C(n, n // 2)`` overflows a
+    float) and for ``x`` outside ``[0, 1]``.
+    """
+    return list(_basis(n, x))
 
 
 def bernstein_classical(f: Callable[[float], float], n: int, x: float) -> float:
     """B_n(f)(x) = sum of f(i/n) weighted by the basis."""
-    return math.fsum(f(i / n) * w for i, w in enumerate(bernstein_basis_vector(n, x)))
+    p = _basis(n, x)   # first: it rejects n < 1 before i / n divides by n
+    return math.fsum(map(operator.mul, [f(i / n) for i in range(n + 1)], p))
 
 
 @dataclass(frozen=True)
@@ -68,13 +107,20 @@ DEFAULT_PROFILE = PerturbationProfile()
 
 
 def _gap(p: Sequence[float], profile: PerturbationProfile) -> float:
-    return profile.theta * min(v for i, v in enumerate(p) if i != profile.i0)
+    i0 = profile.i0
+    if i0 >= len(p):
+        raise ValueError("perturbed index outside the ground set")
+    return profile.theta * min(p[:i0] + p[i0 + 1:])
 
 
 def perturbation_gap(n: int, x: float, profile: PerturbationProfile = DEFAULT_PROFILE) -> float:
     """The perturbed singleton mass minus its basis weight:
-    theta * min over the other basis weights."""
-    return _gap(bernstein_basis_vector(n, x), profile)
+    theta * min over the other basis weights.
+
+    Raises ``ValueError`` where :func:`bernstein_basis_vector` does and
+    when ``profile.i0 > n`` puts the perturbed index outside the ground set.
+    """
+    return _gap(_basis(n, x), profile)
 
 
 def bernstein_choquet_capacity(n: int, x: float,
@@ -87,15 +133,10 @@ def bernstein_choquet_capacity(n: int, x: float,
     """
     if n < 2:
         raise ValueError("perturbed basis capacity needs n >= 2")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
     i0 = profile.i0
-    if i0 > n:
-        raise ValueError("perturbed index outside the ground set")
-    p = bernstein_basis_vector(n, x)
+    p = _basis(n, x)
     gap = _gap(p, profile)
     size = n + 1
-    full = frozenset(range(size))
 
     def rule(subset: frozenset) -> float:
         if not subset:
@@ -144,14 +185,13 @@ def bernstein_choquet_closedform(f: Callable[[float], float], n: int, x: float,
     """
     if n < 2:
         raise ValueError("perturbed basis capacity needs n >= 2")
-    if profile.i0 > n:
-        raise ValueError("perturbed index outside the ground set")
     if isinstance(f, FunctionSpec):
         f = f.fn
-    p = bernstein_basis_vector(n, x)
+    p = _basis(n, x)
+    gap = _gap(p, profile)
     values = [f(i / n) for i in range(n + 1)]
-    return (math.fsum(v * w for v, w in zip(values, p))
-            + (values[profile.i0] - min(values)) * _gap(p, profile))
+    return (math.fsum(map(operator.mul, values, p))
+            + (values[profile.i0] - min(values)) * gap)
 
 
 # ---------------------------------------------------------------------------

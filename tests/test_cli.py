@@ -417,6 +417,20 @@ class TestOperator:
         assert out == ""
         assert err.startswith("config error: bernstein_choquet needs 2 <= n and i0 <= n")
 
+    @pytest.mark.parametrize("command", [
+        ["operator", "--operator", "bernstein"],
+        ["operator", "--operator", "bernstein_choquet"],
+        ["compare", "--pair", "bernstein"],
+    ], ids=["bernstein", "bernstein_choquet", "compare"])
+    def test_bernstein_degree_past_the_float_range_is_config_error(self, capsys, command):
+        # C(1030, 515) overflows a float, so no basis row of n >= 1030 exists
+        assert main(command + ["--function", "sqrt", "--n", "4,1100",
+                               "--xgrid=0:1:2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("config error: bernstein operators need n <= 1029, past which "
+                       "C(n, n // 2) overflows a float, got n=1100\n")
+
     @pytest.mark.parametrize("operator, grid", [
         ("picard", {"min": 0, "max": math.inf, "count": 3}),
         ("picard_choquet", "-1e308:1e308:3"),

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -30,6 +31,124 @@ class TestBernsteinBasis:
     def test_vector_domain_error(self, x):
         with pytest.raises(ValueError):
             operators.bernstein_basis_vector(4, x)
+
+
+@functools.cache
+def _binomials(n):
+    return [math.comb(n, i) for i in range(n + 1)]
+
+
+def _ref_basis(n, x):
+    # the uncached basis formula; the binomials are the same ints, kept so
+    # that n = 1029 stays quick
+    c = _binomials(n)
+    return [c[i] * x ** i * (1.0 - x) ** (n - i) for i in range(n + 1)]
+
+
+def _ref_gap(p, prof):
+    return prof.theta * min(v for i, v in enumerate(p) if i != prof.i0)
+
+
+def _ref_choquet(values, p, gap, i0):
+    # the sorted integral over the perturbed capacity's chain of tails
+    size = len(p)
+    order = sorted(range(size), key=values.__getitem__)
+    tails = [0.0] * (size + 1)
+    pos = order.index(i0)
+    acc = 0.0
+    for k in range(size - 1, -1, -1):
+        acc += p[order[k]]
+        tails[k] = acc + (gap if k <= pos else 0.0)
+    tails[0] = 1.0
+    return math.fsum(values[order[k]] * (tails[k] - tails[k + 1]) for k in range(size))
+
+
+def _bits(row):
+    # float.hex tells -0.0 from 0.0 and raises on a value that is not a float
+    return [float.hex(v) for v in row]
+
+
+class TestBasisCache:
+    # 0.0, -0.0 and 0.0 again in a row, and the ints next to their floats:
+    # a key that merged any of them would hand back the previous row
+    XS = ([0.0, -0.0, 0.0, 0, -0.0, 1, 1.0, 1e-300, 1 - 1e-16, 0.37]
+          + [float(x) for x in np.linspace(0.0, 1.0, 101)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 1029])
+    def test_rows_are_the_formula_bit_for_bit(self, n):
+        for x in self.XS:
+            assert _bits(operators.bernstein_basis_vector(n, x)) == _bits(
+                _ref_basis(n, x)), (n, x)
+
+    def test_returned_list_is_fresh(self):
+        row = operators.bernstein_basis_vector(4, 0.3)
+        row[0] = 99.0
+        row.append(1.0)
+        assert _bits(operators.bernstein_basis_vector(4, 0.3)) == _bits(_ref_basis(4, 0.3))
+
+    def test_cache_holds_at_most_one_row(self):
+        for n in (2, 5, 9):
+            for x in (0.1, 0.5):
+                operators.bernstein_basis_vector(n, x)
+                perturbation_gap(n, x)
+                info = operators._basis_row.cache_info()
+                assert info.maxsize == 1
+                assert info.currsize <= 1
+
+    @pytest.mark.parametrize("name", ["sqrt", "exp_neg", "concave_quad"])
+    def test_public_functions_are_the_formulas_bit_for_bit(self, name):
+        # the benchmark's Bernstein grid, each row in the order a certified
+        # number asks for it: value, closed-form check, classical baseline, band
+        f = function_spec(name).fn
+        prof = PerturbationProfile()
+        for n in (4, 8, 16, 32, 64):
+            for x in np.linspace(0.0, 1.0, 101):
+                x = float(x)
+                p = _ref_basis(n, x)
+                values = [f(i / n) for i in range(n + 1)]
+                gap = _ref_gap(p, prof)
+                assert bernstein_choquet(f, n, x) == _ref_choquet(values, p, gap, prof.i0)
+                assert bernstein_choquet_closedform(f, n, x) == (
+                    math.fsum(v * w for v, w in zip(values, p))
+                    + (values[prof.i0] - min(values)) * gap)
+                assert bernstein_classical(f, n, x) == math.fsum(
+                    f(i / n) * w for i, w in enumerate(p))
+                assert float.hex(perturbation_gap(n, x)) == float.hex(gap)
+
+
+class TestBernsteinInputs:
+    def test_degree_limit_is_the_float_range_of_the_binomial(self):
+        assert math.isfinite(float(math.comb(1029, 514)))
+        with pytest.raises(OverflowError):
+            float(math.comb(1030, 515))
+        assert operators.MAX_BERNSTEIN_DEGREE == 1029
+
+    @pytest.mark.parametrize("call", [
+        lambda: operators.bernstein_basis_vector(1030, 0.5),
+        lambda: bernstein_classical(math.sqrt, 1100, 0.5),
+        lambda: bernstein_choquet(math.sqrt, 1100, 0.0),
+        lambda: bernstein_choquet_closedform(math.sqrt, 1030, 1.0),
+        lambda: perturbation_gap(1030, 0.25),
+    ], ids=["basis", "classical", "choquet", "closedform", "gap"])
+    def test_degree_past_the_limit_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match="at most 1029"):
+            call()
+
+    def test_gap_rejects_an_index_outside_the_ground_set(self):
+        with pytest.raises(ValueError, match="perturbed index outside the ground set"):
+            perturbation_gap(2, 0.5, PerturbationProfile(i0=5))
+
+    def test_basis_rejects_a_negative_degree(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            operators.bernstein_basis_vector(-1, 0.5)
+
+    def test_classical_rejects_a_negative_degree(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            bernstein_classical(math.sqrt, -1, 0.5)
+
+    def test_classical_rejects_degree_zero(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            bernstein_classical(math.sqrt, 0, 0.5)
 
 
 class TestBernsteinClassical:
