@@ -36,17 +36,15 @@ two endpoint arrays ``(lo, hi)`` of shape ``[pieces, N]``.  Column ``i``
 describes the level set at ``alphas[i]`` as pieces that are pairwise
 disjoint except at shared endpoints; an empty piece has ``lo > hi`` (never
 NaN).  A closed form is one endpoint formula in numpy
-(:func:`_closed_form`), and its ``level(alpha)`` is the column of
-``levels([alpha])`` as one canonical :class:`IntervalUnion`.  Root-finding
-products share one table of monotone brackets, built from one table of
-pieces ``f = c |t + d|**p`` (:func:`_log_pieces`), and are solved twice.
-``levels`` solves every bracket for all levels in one call: against a
-Laplace kernel each crossing is a Lambert W value (:func:`_lambert_lanes`),
-against a Gauss kernel one safeguarded Newton iteration (:func:`_newton`)
-runs on the log profile ``log c + p log|t + d| + log K - log alpha``.
-``level`` runs ``brentq`` on ``f * kernel`` one level at a time, on the
-whole bracket, so that the tests can hold the batched solvers to a root
-finder that never sees the pieces or a W; no engine calls ``level``.
+(:func:`_closed_form`).  Root-finding products share one table of monotone
+brackets, built from one table of pieces ``f = c |t + d|**p``
+(:func:`_log_pieces`), and ``levels`` solves every bracket for all levels
+in one call: against a Laplace kernel each crossing is a Lambert W value
+(:func:`_lambert_lanes`), against a Gauss kernel one safeguarded Newton
+iteration (:func:`_newton`) runs on the log profile ``log c + p log|t + d|
++ log K - log alpha``.  Every oracle answers one level, ``level(alpha)``,
+with the column of ``levels([alpha])`` as one canonical
+:class:`IntervalUnion` (:func:`_from_levels`); no engine calls ``level``.
 
 Both engines integrate the layer cake in ``s`` over the same pieces above
 the same rectangle (:func:`_layer_edges`) and evaluate it through the same
@@ -69,11 +67,10 @@ toward its start by the cube of its variable, a polynomial change of
 variable that weakens endpoint singularities (as in Sidi, "A new variable
 transformation for numerical integration", 1993); most integrals then
 take one pass.  The same rule (:func:`_gauss_kronrod`), ungraded,
-integrates the classical Picard operator in ``t``.  Neither engine loads
-scipy, which only the scalar ``level`` of a root-finding product imports,
-on first use.  The independence of the level sets themselves rests on the
-tests: they hold every level set to ``{t : g(t) >= alpha}``, and the
-batched root-finding solvers to brentq.
+integrates the classical Picard operator in ``t``.  Everything here runs
+on numpy alone.  The independence of the level sets themselves rests on
+the tests: they hold every level set to ``{t : g(t) >= alpha}``, and the
+root-finding lanes to brentq on ``f * kernel`` over the same brackets.
 
 The kernel moment ``T_n(|. - x|)(x)``, through which the paper states
 every quantitative estimate, and the operator normalizer have closed forms
@@ -150,6 +147,22 @@ class LevelSetFunction:
         return self.level_batch(alphas)
 
 
+def _from_levels(value: Callable[[float], float],
+                 levels: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                 sup: float, alpha_breakpoints: tuple = ()) -> LevelSetFunction:
+    """The level-set function of the batched oracle ``levels``, whose scalar
+    oracle ``level(alpha)`` is the column of ``levels([alpha])`` as one
+    canonical :class:`IntervalUnion`."""
+
+    def level(alpha: float) -> IntervalUnion:
+        if not alpha > 0:
+            raise ValueError("level must be positive")
+        lo, hi = levels(np.array([alpha], dtype=float))
+        return IntervalUnion.from_pairs((a, b) for a, b in zip(lo[:, 0], hi[:, 0]) if a <= b)
+
+    return LevelSetFunction(value, level, sup, levels, alpha_breakpoints)
+
+
 def _closed_form(value: Callable[[float], float], ends, sup: float) -> LevelSetFunction:
     """A level-set function whose level sets come from one endpoint formula.
 
@@ -158,20 +171,13 @@ def _closed_form(value: Callable[[float], float], ends, sup: float) -> LevelSetF
     sup`` of a numpy array; a row is a number or an array shaped like
     ``alpha``.  Levels above ``sup`` give the empty set: the batched oracle
     evaluates the formula on the levels clipped to ``sup`` and empties
-    those columns afterwards.  ``level(alpha)`` is the one column of that
-    oracle at ``[alpha]``, as the union of its non-empty pieces.
+    those columns afterwards.
     """
 
     def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return pieces_where(alphas <= sup, *ends(np.minimum(alphas, sup)))
 
-    def level(alpha: float) -> IntervalUnion:
-        if not alpha > 0:
-            raise ValueError("level must be positive")
-        lo, hi = levels(np.array([alpha]))
-        return IntervalUnion.from_pairs((a, b) for a, b in zip(lo[:, 0], hi[:, 0]) if a <= b)
-
-    return LevelSetFunction(value, level, sup, level_batch=levels)
+    return _from_levels(value, levels, sup)
 
 
 def _kernel_ends(kernel: Kernel, c: float = 1.0):
@@ -297,10 +303,14 @@ def _product_exp_neg(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     # the logs are taken apart: alpha / scale underflows at the smallest levels
     log_scale = math.log(scale)
 
-    def value(t: float) -> float:
-        return scale * math.exp(-lam * t) * kernel(t)
+    gauss = kernel.family != LAPLACE
 
-    if kernel.family == LAPLACE:
+    def value(t: float) -> float:
+        # one exponent: far left of the kernel exp(-lam t) overflows and the
+        # kernel underflows while their product is a float
+        return scale * math.exp(-lam * t - n * ((t - x) ** 2 if gauss else abs(t - x)))
+
+    if not gauss:
         if n <= lam:
             raise DivergenceError(
                 f"exp_neg(lam={lam}) against a Laplace kernel needs n > lam, got n={n}")
@@ -599,13 +609,11 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     each bracket: the left tail, each gap between consecutive ``pts`` (the
     knots, the kernel peak and the stationary points) and the right tail.
 
-    The batched oracle, which both engines read, hands every crossing of a
-    call to one lane solver: :func:`_lambert_lanes` against a Laplace
-    kernel, where the crossings are Lambert W values, and :func:`_newton`
-    against a Gauss kernel, where they are not.  The scalar oracle solves
-    each crossing by ``brentq`` on ``f * kernel`` over the whole bracket.
-    It shares only the bracket table with the batched solvers, so the tests
-    check their formulas against it independently; no engine calls it."""
+    The batched oracle hands every crossing of a call to one lane solver:
+    :func:`_lambert_lanes` against a Laplace kernel, where the crossings are
+    Lambert W values, and :func:`_newton` against a Gauss kernel, where they
+    are not.  The tests hold both to ``brentq`` on ``f * kernel`` over the
+    same brackets, a root finder that never sees the pieces or a W."""
     knots, pieces = _log_pieces(spec)
     f = spec.fn
 
@@ -624,41 +632,15 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     sup = max(vals)
     step0 = max(1.0, 1.0 / kernel.n)
     # the profile at the bracket ends; the tails decay to 0
-    va = [0.0] + vals
-    vb = vals + [0.0]
-
-    def brackets(alpha: float) -> tuple[list[float], list[float]]:
-        """Bracket ends ``(a, b)`` for every level from ``alpha`` up: a
-        tail reaches to where the profile drops below ``alpha``, a tail no
-        such level reaches is its point of ``pts``."""
-        left = _expand(g, pts[0], alpha, -step0) if vals[0] >= alpha else pts[0]
-        right = _expand(g, pts[-1], alpha, step0) if vals[-1] >= alpha else pts[-1]
-        return [left] + pts, pts + [right]
-
-    def level(alpha: float) -> IntervalUnion:
-        from scipy.optimize import brentq
-
-        if not alpha > 0:
-            raise ValueError("level must be positive")
-        if alpha > sup:
-            return IntervalUnion.empty()
-        out = []
-        for a, b, ga, gb in zip(*brackets(alpha), va, vb):
-            if ga < alpha and gb < alpha:
-                continue
-            if ga < alpha or gb < alpha:
-                c = brentq(lambda t: g(t) - alpha, a, b, xtol=_ROOT_XTOL)
-                a, b = (a, c) if ga >= alpha else (c, b)
-            # join a piece to the one it continues, so that from_pairs need
-            # not merge whole brackets
-            if out and out[-1][1] == a:
-                a = out.pop()[0]
-            out.append((a, b))
-        return IntervalUnion.from_pairs(out)
+    ga, gb = np.array([0.0] + vals), np.array(vals + [0.0])
 
     def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a, b = map(np.array, brackets(alphas.min(initial=math.inf)))
-        ga, gb = np.array(va), np.array(vb)
+        # a tail reaches to where the profile drops below the lowest level;
+        # a tail no level reaches is its point of pts
+        alpha = alphas.min(initial=math.inf)
+        left = _expand(g, pts[0], alpha, -step0) if vals[0] >= alpha else pts[0]
+        right = _expand(g, pts[-1], alpha, step0) if vals[-1] >= alpha else pts[-1]
+        a, b = np.array([left] + pts), np.array(pts + [right])
         in_a = ga[:, None] >= alphas
         in_b = gb[:, None] >= alphas
         lo = np.where(in_a, a[:, None], math.inf)
@@ -681,9 +663,7 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
             hi[row[~rising], col[~rising]] = root[~rising]
         return lo, hi
 
-    alpha_breaks = tuple(sorted(v for v in set(vals) if 0.0 < v < sup))
-    return LevelSetFunction(g, level, sup, alpha_breakpoints=alpha_breaks,
-                            level_batch=levels)
+    return _from_levels(g, levels, sup, tuple(sorted(v for v in set(vals) if 0.0 < v < sup)))
 
 
 def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:

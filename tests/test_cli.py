@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from choquetkit import (IntervalUnion, Kernel, LevelSetFunction, RealCapacity,
-                        cli, function_spec, picard_choquet)
+                        capacity_from_table, cli, function_spec, picard_choquet)
 from choquetkit.cli import main
 
 
@@ -76,6 +76,19 @@ class TestIntegrate:
         assert main(["integrate", "--config", cfg]) == 0
         _, rows = read_rows(out)
         assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("family", ["laplace", "gauss"])
+    def test_real_exp_neg_far_left_of_the_kernel(self, capsys, tmp_path, family):
+        # the integrand at the capacity's peak x = -800 is exp(800 - 1600)
+        # against Laplace(2, 0) (less against Gauss), though exp(800) overflows
+        cfg = write_config(tmp_path, {
+            "mode": "real", "function": "exp_neg",
+            "kernel": {"family": family, "n": 2, "x": 0},
+            "capacity": {"kind": "possibility", "kernel": {"family": family, "n": 1, "x": -800}}})
+        assert main(["integrate", "--config", cfg]) == 0
+        _, row = capsys.readouterr().out.splitlines()
+        primary, check = float(row.split(",")[2]), float(row.split(",")[4])
+        assert 0.0 <= primary == pytest.approx(check, rel=1e-8)
 
     def test_real_gauss_centred_deviation(self, tmp_path):
         # the check engine's first nodes round to the Lambert W branch point -1/e
@@ -417,6 +430,20 @@ class TestOperator:
         assert out == ""
         assert err.startswith("config error: bernstein_choquet needs 2 <= n and i0 <= n")
 
+    def test_bernstein_i0_above_n_is_config_error(self, capsys):
+        # the bound column reads f(i0/n), a node of the ground set {0, ..., n}
+        assert main(["operator", "--operator", "bernstein", "--function", "sqrt",
+                     "--i0", "9", "--n", "2,16"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: bernstein needs i0 <= n, got n=2, i0=9\n"
+        assert main(["operator", "--operator", "bernstein", "--function", "sqrt",
+                     "--i0", "2", "--n", "1,2"]) == 2
+        assert capsys.readouterr().err == "config error: bernstein needs i0 <= n, got n=1, i0=2\n"
+        # the default i0 = 1 keeps n = 1, which only the Choquet operator refuses
+        assert main(["operator", "--operator", "bernstein", "--function", "sqrt",
+                     "--n", "1", "--xgrid=0:1:2"]) == 0
+
     @pytest.mark.parametrize("command", [
         ["operator", "--operator", "bernstein"],
         ["operator", "--operator", "bernstein_choquet"],
@@ -549,6 +576,20 @@ class TestVerify:
         assert code == 1
         assert "witness" in capsys.readouterr().out
 
+    def test_capacity_suite_catches_a_dual_that_is_no_involution(self, monkeypatch, capsys):
+        # negative control: a "dual" that raises mu on the masks 3 = {0, 1}
+        # and 6 = {1, 2}; the witness is the first mask that differs
+        def broken(cap):
+            bump = np.isin(np.arange(1 << cap.size), [3, 6]) * 0.25
+            return capacity_from_table(cap.size, cap.table + bump)
+
+        monkeypatch.setattr(cli, "dual", broken)
+        assert main(["verify", "--suite", "capacity", "--trials", "3"]) == 1
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if "dual" in line] == [
+            f"VIOLATION [capacity] trial {t}: dual is not an involution on [0, 1]"
+            for t in range(3)]
+
     def test_negative_trials_rejected(self):
         assert main(["verify", "--suite", "capacity", "--trials", "-3"]) == 2
 
@@ -671,41 +712,35 @@ def test_console_script_smoke(tmp_path):
     assert out.exists()
 
 
-def test_import_leaves_scipy_submodules_unloaded():
-    # scipy loads on the first call of the scalar root-finding oracle, not
-    # on import
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, choquetkit; print(sorted(m for m in sys.modules "
-         "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'], "
-         "['scipy', 'special'])))"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
-
-
-def test_batched_operator_path_loads_no_scipy(tmp_path):
-    # the operator tables, classical Picard included, and the Picard
-    # comparison run on the batched oracle and the batched Gauss-Kronrod
-    # rule; scipy serves only the scalar root-finding oracle
-    pw_linear = write_config(tmp_path, {"function": {
-        "name": "pw_linear", "knots": [[-1, 1], [0, 2], [1, 0.5]]}}, "pw.json")
-    sqrt3 = write_config(tmp_path, {"function": {"name": "sqrt", "shift": 3.0}}, "sqrt.json")
-    grid = ["--n", "4", "--xgrid=-0.7:0.3:2"]
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # choquetkit needs numpy alone: with scipy made unimportable, every
+    # subcommand and the scalar oracle of a root-finding product still run
+    discrete = write_config(tmp_path, {
+        "mode": "discrete", "values": [1.0, 3.0, 2.0],
+        "capacity": {"kind": "discrete", "rule": "distorted_uniform", "gamma": "sqrt",
+                     "size": 3}}, "discrete.json")
+    real_sqrt = write_config(tmp_path, {
+        "mode": "real", "function": {"name": "sqrt", "shift": 3.0},
+        "kernel": {"family": "gauss", "n": 2, "x": 0.3}, "capacity": "sqrt_lebesgue"},
+        "real_sqrt.json")
+    grid = ["--function", "sqrt", "--n", "4", "--xgrid=0:1:2"]
+    runs = ([["integrate", "--config", discrete], ["integrate", "--mode", "real"],
+             ["integrate", "--config", real_sqrt]]
+            + [["operator", "--operator", name] + grid for name in cli.OPERATORS]
+            + [["compare", "--pair", pair] + grid for pair in cli.PAIRS]
+            + [["verify", "--suite", suite, "--trials", "2"] for suite in cli.SUITES])
     code = "\n".join([
         "import sys",
+        "sys.modules['scipy'] = None",
+        "from choquetkit import Kernel, function_spec, product_level_function",
         "from choquetkit.cli import main",
-        f"for name, cfg in (('picard_choquet', {pw_linear!r}),",
-        f"                  ('weierstrass_choquet', {sqrt3!r}), ('picard', {sqrt3!r})):",
-        "    assert main(['operator', '--operator', name, '--config', cfg,",
-        f"                 '--capacity', 'sqrt_lebesgue'] + {grid!r}) == 0",
-        f"assert main(['compare', '--pair', 'picard', '--function', 'sqrt'] + {grid!r}) == 0",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        f"for args in {runs!r}:",
+        "    assert main(args) == 0, args",
+        "g = product_level_function(function_spec('sqrt', shift=3.0), Kernel.gauss(2.0, 0.3))",
+        "print(g.level(0.5))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    *tables, loaded = proc.stdout.splitlines()
-    rows = [row for row in tables if not row.startswith("n,")]
-    assert len(rows) == 8
-    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
-    assert loaded == "[]"
+    assert proc.stdout.splitlines()[-1].startswith("IntervalUnion(intervals=((-0.46")
+    assert len(runs) == 14
+    assert "nan" not in proc.stdout and "inf" not in proc.stdout

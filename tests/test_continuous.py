@@ -1,11 +1,13 @@
 import dataclasses
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from choquetkit import (DivergenceError, IntervalUnion, Kernel,
                         LevelSetFunction, QuadratureError,
@@ -42,18 +44,68 @@ CLOSED_FORM_SPECS = [("const", function_spec("const", c=2.0)),
                      ("abs_dev_centred", function_spec("abs_dev", center=0.3))]
 
 
+def brentq_level(spec, kernel, alpha):
+    """The level set of ``spec.fn * kernel`` at ``alpha`` by brentq: the
+    reference of the root-finding lanes, which never sees the pieces'
+    formulas or a Lambert W.
+
+    The brackets are the oracle's: the gaps between the knots of
+    :func:`_log_pieces`, the kernel peak and the stationary points of
+    :func:`_stationaries`, and the tails out to where :func:`_expand` finds
+    the profile below ``alpha``.  A bracket the level set ends inside gets
+    one brentq call on the whole bracket, whose ends must straddle the
+    level, and a piece that continues the one before joins it."""
+    if not alpha > 0:
+        raise ValueError("level must be positive")
+    knots, pieces = continuous._log_pieces(spec)
+
+    def g(t):
+        return spec.fn(t) * kernel(t)
+
+    pts = sorted(set(knots) | {kernel.x} | set(continuous._stationaries(pieces, kernel)))
+    vals = [g(t) for t in pts]
+    if alpha > max(vals):
+        return IntervalUnion.empty()
+    step0 = max(1.0, 1.0 / kernel.n)
+    left = continuous._expand(g, pts[0], alpha, -step0) if vals[0] >= alpha else pts[0]
+    right = continuous._expand(g, pts[-1], alpha, step0) if vals[-1] >= alpha else pts[-1]
+    out = []
+    for a, b, ga, gb in zip([left] + pts, pts + [right], [0.0] + vals, vals + [0.0]):
+        if ga < alpha and gb < alpha:
+            continue
+        if ga < alpha or gb < alpha:
+            fa, fb = g(a) - alpha, g(b) - alpha
+            assert min(fa, fb) <= 0.0 <= max(fa, fb), ("bracket misses the level", a, b, alpha)
+            c = brentq(lambda t: g(t) - alpha, a, b, xtol=XTOL)
+            a, b = (a, c) if ga >= alpha else (c, b)
+        if out and out[-1][1] == a:
+            a = out.pop()[0]
+        out.append((a, b))
+    return IntervalUnion.from_pairs(out)
+
+
+ROOT_FINDING_SPECS = [("abs_dev_off_centre", function_spec("abs_dev", center=-0.4)),
+                      ("sqrt", function_spec("sqrt", shift=1.0)),
+                      ("pw_linear", function_spec("pw_linear", knots=PW_KNOTS))]
+
+
 def level_functions():
-    """Every level-set constructor, against both kernel families."""
-    out = [("plateau", plateau(2.5, -1.0, 3.0))]
-    specs = CLOSED_FORM_SPECS + [
-        ("abs_dev_off_centre", function_spec("abs_dev", center=-0.4)),
-        ("sqrt", function_spec("sqrt", shift=1.0)),
-        ("pw_linear", function_spec("pw_linear", knots=PW_KNOTS))]
+    """Every level-set constructor, against both kernel families, with the
+    reference its level sets are held to: :func:`brentq_level` for a
+    root-finding product, the scalar oracle for a closed form."""
+    g = plateau(2.5, -1.0, 3.0)
+    out = [("plateau", g, g.level)]
     for k in (Kernel.laplace(3.0, 0.3), Kernel.gauss(3.0, 0.3)):
-        out.append((f"kernel*{k.family}", kernel_level_function(k)))
-        out += [(f"{name}*{k.family}", product_level_function(spec, k))
-                for name, spec in specs]
+        for name, g in [("kernel", kernel_level_function(k))] + [
+                (name, product_level_function(spec, k)) for name, spec in CLOSED_FORM_SPECS]:
+            out.append((f"{name}*{k.family}", g, g.level))
+        out += [(f"{name}*{k.family}", product_level_function(spec, k),
+                 functools.partial(brentq_level, spec, k))
+                for name, spec in ROOT_FINDING_SPECS]
     return out
+
+
+LEVEL_FUNCTION_IDS = [label for label, *_ in level_functions()]
 
 
 def closed_forms():
@@ -105,6 +157,40 @@ class TestProductLevelSets:
             product_level_function(function_spec("exp_neg", lam=2.0),
                                    Kernel.laplace(1.5, 0.0))
 
+    @pytest.mark.parametrize("kernel,t,exponent", [
+        (Kernel.laplace(1.5, 0.0), -1000.0, -500.0),
+        (Kernel.laplace(2.0, 0.0), -600.0, -600.0),
+        (Kernel.gauss(0.0005, 0.0), -1000.0, 500.0),
+        (Kernel.gauss(2.0, 0.0), -1000.0, -1999000.0)],
+        ids=["laplace_1.5", "laplace_2", "gauss_0.0005", "gauss_2"])
+    def test_exp_neg_value_far_left_of_the_kernel(self, kernel, t, exponent):
+        # exp(-t) overflows and the kernel underflows at t, but the product
+        # exp(-t - n|t|) or exp(-t - n t**2) is a float (or 0)
+        g = product_level_function(function_spec("exp_neg"), kernel)
+        assert g.value(t) == pytest.approx(math.exp(exponent), rel=1e-12, abs=0.0)
+
+    def test_exp_neg_value_at_the_kernel_peak_is_unchanged(self, rng):
+        # at t = x the kernel factor is exp(0) = 1, so the one exponent gives
+        # the two-factor product bit for bit: a possibility capacity centred
+        # on the kernel reads the same peak level
+        for _ in range(2000):
+            lam, scale = rng.uniform(0.0, 5.0), rng.uniform(0.01, 10.0)
+            n, x = rng.uniform(lam + 0.01, 20.0), rng.uniform(-100.0, 100.0)
+            spec = function_spec("exp_neg", lam=lam, scale=scale)
+            for kernel in (Kernel.laplace(n, x), Kernel.gauss(n, x)):
+                g = product_level_function(spec, kernel)
+                assert g.value(x) == scale * math.exp(-lam * x) * kernel(x)
+
+    def test_exp_neg_far_from_a_possibility_peak(self):
+        # the capacity's peak lies 600 left of the kernel: its rectangle is
+        # g(-600) = exp(-600), and both engines agree on the integral
+        g = product_level_function(function_spec("exp_neg"), Kernel.laplace(2.0, 0.0))
+        mu = RealCapacity.possibility(Kernel.laplace(1.0, -600.0))
+        assert mu.peak_level(g.value) == pytest.approx(math.exp(-600.0), rel=1e-12, abs=0.0)
+        value = choquet_integral_real(g, mu)
+        assert value > math.exp(-600.0)
+        assert choquet_integral_real_grid(g, mu) == pytest.approx(value, rel=QUAD_REL_TOL, abs=0.0)
+
     def test_exp_neg_gauss_any_rate(self):
         spec = function_spec("exp_neg", lam=3.0)
         g = product_level_function(spec, Kernel.gauss(1.0, 0.0))
@@ -147,17 +233,17 @@ class TestProductLevelSets:
                 assert r * math.exp(-n * r * r) == pytest.approx(
                     g.sup_value / 2, abs=1e-12)
 
-    @pytest.mark.parametrize("label,g", level_functions(),
-                             ids=[label for label, _ in level_functions()])
-    def test_level_sets_are_superlevel_sets(self, label, g):
-        # away from the boundary, both oracles hold exactly {t : g(t) >= alpha}
+    @pytest.mark.parametrize("label,g,reference", level_functions(), ids=LEVEL_FUNCTION_IDS)
+    def test_level_sets_are_superlevel_sets(self, label, g, reference):
+        # away from the boundary, the oracle and its reference hold exactly
+        # {t : g(t) >= alpha}
         ts = [float(t) for t in np.linspace(-3.0, 4.0, 300)]
         gts = [g.value(t) for t in ts]
         alphas = [g.sup_value * f for f in (1e-3, 0.05, 0.3, 0.7, 1.0)]
         alphas += list(g.alpha_breakpoints)
         lo, hi = g.levels(alphas)
         for i, alpha in enumerate(alphas):
-            for level in (g.level(alpha), batched_union(lo, hi, i)):
+            for level in (reference(alpha), batched_union(lo, hi, i)):
                 for t, gt in zip(ts, gts):
                     if abs(gt - alpha) > 1e-6:
                         assert level.contains(t) == (gt >= alpha), (t, gt, alpha)
@@ -272,11 +358,24 @@ def rounding_band(spec, kernel, t, log_alpha):
     return max(bands)
 
 
+def assert_ends_match_brentq(spec, kernel, alpha, level):
+    """``level``, a level set of ``spec.fn * kernel`` at ``alpha``, against
+    :func:`brentq_level` within brentq's tolerance plus the rounding band."""
+    got, want = close_gaps(level), close_gaps(brentq_level(spec, kernel, alpha))
+    assert got.n_components == want.n_components, (alpha, got, want)
+    for a, b in zip([t for piece in got for t in piece],
+                    [t for piece in want for t in piece]):
+        band = rounding_band(spec, kernel, b, math.log(alpha))
+        assert abs(a - b) <= XTOL + RTOL * abs(b) + band, (alpha, a, b)
+
+
 def assert_batched_ends_match_brentq(spec, kernel, frac):
-    """The batched oracle against the scalar oracle's brentq, within
-    brentq's tolerance plus the rounding band, at levels from 1e-12 of sup
-    up to sup and just below each level breakpoint; levels below the
-    smallest normal float have no relative precision left."""
+    """The batched oracle against :func:`brentq_level` at levels from 1e-12
+    of sup up to sup and just below each level breakpoint; levels below the
+    smallest normal float have no relative precision left.  The deviation
+    centred at the kernel peak is the Lambert closed form, not a
+    root-finding product."""
+    assume(not (spec.name == "abs_dev" and spec.param("center") == kernel.x))
     g = product_level_function(spec, kernel)
     sup = g.sup_value
     alphas = [sup * f for f in (1e-12, 1e-6, frac, 0.5, 1.0 - 1e-9, 1.0)]
@@ -286,13 +385,7 @@ def assert_batched_ends_match_brentq(spec, kernel, frac):
         return
     lo, hi = g.levels(alphas)
     for i, alpha in enumerate(alphas):
-        got = close_gaps(batched_union(lo, hi, i))
-        want = close_gaps(g.level(alpha))
-        assert got.n_components == want.n_components, (alpha, got, want)
-        for a, b in zip([t for piece in got for t in piece],
-                        [t for piece in want for t in piece]):
-            band = rounding_band(spec, kernel, b, math.log(alpha))
-            assert abs(a - b) <= XTOL + RTOL * abs(b) + band, (alpha, a, b)
+        assert_ends_match_brentq(spec, kernel, alpha, batched_union(lo, hi, i))
 
 
 @given(root_finding_specs(), st.floats(1e-3, 1e4), st.floats(-100.0, 100.0),
@@ -305,8 +398,8 @@ def test_laplace_lambert_ends_match_brentq(spec, n, x, frac):
 @given(root_finding_specs(), st.floats(1e-3, 1e4), st.floats(-100.0, 100.0),
        st.floats(1e-12, 1.0))
 def test_gauss_newton_ends_match_brentq(spec, n, x, frac):
-    # the Newton lanes against brentq: no engine runs brentq, so this is
-    # where the batched Gauss solver meets an independent root finder
+    # the Newton lanes against brentq, an independent root finder that
+    # only the tests run
     assert_batched_ends_match_brentq(spec, Kernel.gauss(n, x), frac)
 
 
@@ -330,9 +423,8 @@ def test_real_capacity_rejects_an_unknown_or_incomplete_kind():
 
 
 class TestBatchedOracle:
-    @pytest.mark.parametrize("label,g", level_functions(),
-                             ids=[label for label, _ in level_functions()])
-    def test_levels_match_level(self, label, g):
+    @pytest.mark.parametrize("label,g,reference", level_functions(), ids=LEVEL_FUNCTION_IDS)
+    def test_levels_match_level(self, label, g, reference):
         sup = g.sup_value
         alphas = np.concatenate([
             np.linspace(sup * 1e-3, sup, 15), list(g.alpha_breakpoints),
@@ -342,7 +434,7 @@ class TestBatchedOracle:
         assert lo.shape == hi.shape and lo.shape[1] == alphas.size
         assert not np.isnan(lo).any() and not np.isnan(hi).any()
         for i, alpha in enumerate(alphas):
-            want = close_gaps(g.level(float(alpha)))
+            want = close_gaps(reference(float(alpha)))
             got = close_gaps(batched_union(lo, hi, i))
             assert got.n_components == want.n_components, (alpha, got, want)
             for (a1, b1), (a2, b2) in zip(got.intervals, want.intervals):
@@ -365,6 +457,25 @@ class TestBatchedOracle:
         assert g.level(math.nextafter(sup, math.inf)).is_empty
         if sup > 0.0:
             assert not g.level(sup).is_empty
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                g.level(bad)
+
+    @pytest.mark.parametrize("kernel", [Kernel.laplace(3.0, 0.3), Kernel.gauss(3.0, 0.3)],
+                             ids=["laplace", "gauss"])
+    @pytest.mark.parametrize("spec", [spec for _, spec in ROOT_FINDING_SPECS],
+                             ids=[name for name, _ in ROOT_FINDING_SPECS])
+    def test_root_finding_level_is_its_levels_column(self, spec, kernel):
+        # a root-finding product's scalar oracle is the column of its batched
+        # one too, bit for bit, at every level breakpoint, inside, at sup
+        # and above it
+        g = product_level_function(spec, kernel)
+        sup = g.sup_value
+        alphas = [1e-300, 1e-6 * sup, 0.3 * sup, sup, math.nextafter(sup, math.inf), 2.0 * sup]
+        for alpha in alphas + list(g.alpha_breakpoints):
+            lo, hi = g.levels([alpha])
+            assert g.level(alpha) == batched_union(lo, hi, 0), alpha
+        assert g.level(math.nextafter(sup, math.inf)).is_empty
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 g.level(bad)
@@ -514,7 +625,6 @@ class TestBatchedOracle:
         # exp(-2 t**2) on [0, 16]: the constant piece f = 1 (p = 0, with d
         # keeping t + d >= 1) against Gauss(2, 0), whose log profile is the
         # quadratic model
-        from scipy.optimize import brentq
         monkeypatch.setattr(continuous, "_NEWTON_PASSES", 3)
         alphas = [0.9, 0.3, 1e-6]
         roots = _newton(Kernel.gauss(2.0, 0.0),
@@ -529,7 +639,6 @@ class TestBatchedOracle:
         # rises on [0, r] and falls on [r, inf) with r = sqrt(1/2); brackets
         # of different widths and directions share one call, and two rising
         # ones start at the zero of f, where the log profile is -inf
-        from scipy.optimize import brentq
         monkeypatch.setattr(continuous, "_NEWTON_PASSES", 8)
         r = math.sqrt(0.5)
         brackets = [(0.0, r, 0.2, True), (0.25, r, 0.3, True),
@@ -568,7 +677,6 @@ class TestBatchedOracle:
         # bump t exp(-|t|) on W_0 (next to the zero of f) and W_{-1}, and
         # |t -+ 2| exp(-|t|), which falls away from the peak with f, on the
         # W_0 of z > 0
-        from scipy.optimize import brentq
         cases = [
             (Kernel.laplace(2.0, 0.0), (1.0, 0.0, 1.0),
              [(0.0, 16.0, alpha, False) for alpha in (0.9, 0.3, 1e-6, 1e-12)]
@@ -665,23 +773,25 @@ class TestBatchedOracle:
         # t = -1 is a local maximum below sup, so at the level g(-1) a rising
         # and a falling bracket both meet the level at their shared end; the
         # batched oracle returns that end bit for bit, as brentq does
-        knots = [(-2.0, 0.0), (-1.0, 3.0), (-0.9, 0.1), (1.0, 0.5)]
-        g = product_level_function(function_spec("pw_linear", knots=knots), kernel)
+        spec = function_spec("pw_linear", knots=[(-2.0, 0.0), (-1.0, 3.0), (-0.9, 0.1),
+                                                 (1.0, 0.5)])
+        g = product_level_function(spec, kernel)
         peak = g.value(-1.0)
         assert peak in g.alpha_breakpoints and peak < g.sup_value
         lo, hi = g.levels(list(g.alpha_breakpoints))
         i = g.alpha_breakpoints.index(peak)
         assert np.sum((lo[:, i] == -1.0) & (hi[:, i] == -1.0)) == 2
         assert g.level(peak).contains(-1.0)
+        assert brentq_level(spec, kernel, peak).contains(-1.0)
 
     @staticmethod
-    def ends(g, alpha):
-        """The ends of the batched and of the scalar (brentq) level set at
-        ``alpha``, as two sorted lists."""
-        lo, hi = g.levels([alpha])
+    def ends(spec, kernel, alpha):
+        """The ends of the batched level set of ``spec.fn * kernel`` and of
+        :func:`brentq_level` at ``alpha``, as two sorted lists."""
+        lo, hi = product_level_function(spec, kernel).levels([alpha])
         batched = batched_union(lo, hi, 0)
         return ([t for piece in batched for t in piece],
-                [t for piece in g.level(alpha) for t in piece])
+                [t for piece in brentq_level(spec, kernel, alpha) for t in piece])
 
     @pytest.mark.parametrize("spec", [function_spec("pw_linear", knots=PW_KNOTS),
                                       function_spec("sqrt", shift=1.0)],
@@ -700,7 +810,7 @@ class TestBatchedOracle:
         peaks = continuous._stationaries(pieces, kernel)
         assert peaks
         for t_m in peaks:
-            got, want = self.ends(g, g.value(t_m) * (1.0 - rel))
+            got, want = self.ends(spec, kernel, g.value(t_m) * (1.0 - rel))
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 band = 4.0 * EPS * abs(b - t_m) / rel
@@ -722,7 +832,7 @@ class TestBatchedOracle:
         for t_m in peaks:
             for rel in (1e-15, 1e-12, 1e-9):
                 alpha = g.value(t_m) * (1.0 - rel)
-                got, want = self.ends(g, alpha)
+                got, want = self.ends(spec, kernel, alpha)
                 assert len(got) == len(want)
                 for a, b in zip(got, want):
                     band = rounding_band(spec, kernel, b, math.log(alpha))
@@ -738,7 +848,7 @@ class TestBatchedOracle:
         g = product_level_function(spec, kernel)
         lo_end = min(g.value(-1.0), g.value(2.0))
         for alpha in np.linspace(lo_end, g.sup_value, 12)[1:-1]:
-            got, want = self.ends(g, alpha)
+            got, want = self.ends(spec, kernel, alpha)
             assert len(got) == len(want) == 2
             for a, b in zip(got, want):
                 assert abs(a - b) <= XTOL + RTOL * abs(b), (alpha, a, b)
@@ -769,9 +879,9 @@ class TestBatchedOracle:
         # starts at the zero of f, where log g is -inf (against Laplace W_0
         # of z > 0 is then about z), and the root lies within brentq's
         # tolerance of it or just past it
-        g = product_level_function(function_spec("sqrt", shift=1.0), kernel)
-        alpha = g.value(-1.0 + eps) if eps else 1e-300
-        got, want = self.ends(g, alpha)
+        spec = function_spec("sqrt", shift=1.0)
+        alpha = product_level_function(spec, kernel).value(-1.0 + eps) if eps else 1e-300
+        got, want = self.ends(spec, kernel, alpha)
         assert len(got) == len(want) == 2
         assert got[0] == pytest.approx(want[0], abs=XTOL + RTOL)
         assert got[1] == pytest.approx(want[1], abs=XTOL + RTOL * abs(want[1]))
@@ -782,10 +892,11 @@ class TestBatchedOracle:
         # level set against a Laplace kernel ends on the kernel's own closed
         # form
         spec = function_spec("pw_linear", knots=[(-1.0, 1.0), (0.0, 2.0), (1.0, 0.5)])
-        g = product_level_function(spec, Kernel.laplace(n, x))
+        kernel = Kernel.laplace(n, x)
+        g = product_level_function(spec, kernel)
         edge = min(g.value(-1.0), g.value(1.0))
         for alpha in edge * np.geomspace(1e-30, 0.999, 9):
-            got, want = self.ends(g, alpha)
+            got, want = self.ends(spec, kernel, alpha)
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert abs(a - b) <= XTOL + RTOL * abs(b), (alpha, a, b)
@@ -817,10 +928,10 @@ HISTORY_KERNELS = [Kernel.laplace(2.0, 0.3), Kernel.gauss(2.0, 0.3)]
 @pytest.mark.parametrize("kernel", HISTORY_KERNELS, ids=["laplace", "gauss"])
 @pytest.mark.parametrize("spec", HISTORY_SPECS.values(), ids=HISTORY_SPECS.keys())
 class TestOracleHistory:
-    """A root-finding product keeps no state between calls: the scalar
-    oracle runs brentq on the whole bracket, so what it returns does not
-    depend on the levels solved before, and the adaptive engine reads the
-    batched oracle only."""
+    """A root-finding product keeps no state between calls: its scalar
+    oracle is a column of the batched one, which solves every level from
+    the whole bracket, so what it returns does not depend on the levels
+    solved before, and the adaptive engine reads the batched oracle only."""
 
     def test_used_product_levels_match_a_fresh_product(self, spec, kernel):
         g = product_level_function(spec, kernel)
@@ -839,22 +950,9 @@ class TestOracleHistory:
         fresh = choquet_integral_real(product_level_function(spec, kernel), SQRT_M)
         assert used == fresh
 
-    def test_level_at_or_next_to_a_solved_level(self, monkeypatch, spec, kernel):
-        # one ulp from a solved level the answer is a fresh product's, and
-        # every brentq call gets a bracket that straddles its level
-        import scipy.optimize
-
-        brentq = scipy.optimize.brentq
-        refused = []
-
-        def counted(*args, **kwargs):
-            try:
-                return brentq(*args, **kwargs)
-            except ValueError:
-                refused.append(args[1:3])
-                raise
-
-        monkeypatch.setattr(scipy.optimize, "brentq", counted)
+    def test_level_at_or_next_to_a_solved_level(self, spec, kernel):
+        # one ulp from a solved level the answer is a fresh product's and
+        # brentq's, whose brackets straddle every such level
         g = product_level_function(spec, kernel)
         alphas = g.sup_value * np.geomspace(1e-12, 1.0, 50)[:-1]
         for alpha in alphas:
@@ -863,11 +961,10 @@ class TestOracleHistory:
             for near in (alpha, math.nextafter(alpha, 0.0), math.nextafter(alpha, 1.0)):
                 fresh = product_level_function(spec, kernel)
                 assert g.level(near) == fresh.level(near), near
-        assert not refused
+                assert_ends_match_brentq(spec, kernel, near, g.level(near))
 
     def test_engine_never_calls_the_scalar_oracle(self, spec, kernel):
-        # the adaptive engine reads levels only; the scalar oracle and its
-        # brentq are for the tests
+        # the adaptive engine reads levels only
         g = product_level_function(spec, kernel)
         calls = []
 
