@@ -401,11 +401,10 @@ def capacity_from_table(size: int, table: Sequence[float]) -> DiscreteCapacity:
     return DiscreteCapacity(size, rule, tails_fn=tails, table=arr)
 
 
-def random_monotone_capacity(rng: np.random.Generator, size: int,
-                             normalized: bool = True) -> DiscreteCapacity:
+def random_monotone_capacity(rng: np.random.Generator, size: int) -> DiscreteCapacity:
     """Random monotone capacity: uniform draws per subset, lifted to be
     monotone by taking the running max over sub-subsets, then scaled so
-    mu(Omega) = 1 (when ``normalized``).  Reproducible under a fixed rng.
+    mu(Omega) = 1.  Reproducible under a fixed rng.
     """
     if size > TABLE_BOUND:
         raise CapabilityError("random capacity limited to the table bound")
@@ -415,9 +414,7 @@ def random_monotone_capacity(rng: np.random.Generator, size: int,
         # rows [without bit i, with bit i]; the sources never change in a pass
         pairs = table.reshape(-1, 2, 1 << i)
         np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
-    if normalized:
-        top = table[-1]
-        if top <= 0:
-            table[-1] = top = 1.0
-        table = table / top
-    return capacity_from_table(size, table)
+    top = table[-1]
+    if top <= 0:
+        table[-1] = top = 1.0
+    return capacity_from_table(size, table / top)

@@ -10,7 +10,8 @@ compare     classical vs Choquet operator side by side
 
 Configuration is a single JSON document (``--config``); every field has a
 default and individual flags override the file.  Exit codes: 0 success,
-1 property violation, 2 configuration error, 3 numeric non-convergence.
+1 property violation, 2 configuration error, 3 numeric non-convergence or
+float overflow.
 """
 
 from __future__ import annotations
@@ -172,11 +173,11 @@ def _parse_gamma(raw):
         raise ConfigError(f"invalid distortion {raw!r}: {exc}") from exc
 
 
-def _parse_kernel(raw, default_n=1.0, default_x=0.0) -> Kernel:
+def _parse_kernel(raw, default_n=1.0) -> Kernel:
     raw = _object(raw or {}, "kernel")
     try:
         return Kernel(raw.get("family", "laplace"), float(raw.get("n", default_n)),
-                      float(raw.get("x", default_x)))
+                      float(raw.get("x", 0.0)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -605,7 +606,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, DivergenceError) as exc:
+    except (QuadratureError, DivergenceError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -32,10 +32,9 @@ positive argument, also from its log, serves the root-finding products
 against a Laplace kernel.
 
 The oracle answers an array of N levels at once, ``levels(alphas)``, with
-two endpoint arrays ``(lo, hi)`` of shape ``[pieces, N]``.  Column ``i``
-describes the level set at ``alphas[i]`` as pieces that are pairwise
-disjoint except at shared endpoints; an empty piece has ``lo > hi`` (never
-NaN).  A closed form is one endpoint formula in numpy
+the endpoint arrays ``(lo, hi)`` of shape ``[pieces, N]`` that
+:meth:`RealCapacity.values` takes (:mod:`.realline`): column ``i`` is the
+level set at ``alphas[i]``.  A closed form is one endpoint formula in numpy
 (:func:`_closed_form`).  Root-finding products share one table of monotone
 brackets, built from one table of pieces ``f = c |t + d|**p``
 (:func:`_log_pieces`), and ``levels`` solves every bracket for all levels
@@ -93,8 +92,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapabilityError, DivergenceError, QuadratureError
-from .functions import FunctionSpec, abs_dev
-from .intervals import IntervalUnion, pieces_where
+from .functions import _BREAKPOINTS, FunctionSpec, abs_dev
+from .intervals import IntervalUnion
 from .realline import LAPLACE, Kernel, RealCapacity
 
 _ROOT_XTOL = 1e-13
@@ -175,7 +174,10 @@ def _closed_form(value: Callable[[float], float], ends, sup: float) -> LevelSetF
     """
 
     def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return pieces_where(alphas <= sup, *ends(np.minimum(alphas, sup)))
+        inside = alphas <= sup
+        lo_rows, hi_rows = ends(np.minimum(alphas, sup))
+        return (np.array([np.where(inside, lo, math.inf) for lo in lo_rows]),
+                np.array([np.where(inside, hi, -math.inf) for hi in hi_rows]))
 
     return _from_levels(value, levels, sup)
 
@@ -365,21 +367,22 @@ def _product_abs_dev_centered(kernel: Kernel) -> LevelSetFunction:
     return _closed_form(value, ends, sup)
 
 
-def _log_pieces(spec: FunctionSpec) -> tuple[list[float], list[tuple[float, ...]]]:
-    """The knots of ``spec`` and the pieces ``(lo, hi, c, p, d)`` between
-    them, which cover the line, on which ``f = c |t + d|**p`` with
-    ``c >= 0``, so ``f'/f = p/(t + d)``: a linear piece ``a + b t`` is
-    ``c = |b|, p = 1, d = a/b``, ``|t - center|`` is ``p = 1, d = -center``
-    and ``sqrt(t + shift)`` is ``p = 1/2, d = shift``.  A constant stretch
-    is ``p = 0``, with ``d`` putting the zero of ``t + d`` a unit outside it
-    so that ``log|t + d|`` stays finite there."""
+def _log_pieces(spec: FunctionSpec) -> list[tuple[float, ...]]:
+    """The pieces ``(lo, hi, c, p, d)`` of ``spec`` between its
+    breakpoints (``functions._BREAKPOINTS``), which cover the line, on which
+    ``f = c |t + d|**p`` with ``c >= 0``, so ``f'/f = p/(t + d)``: a
+    linear piece ``a + b t`` is ``c = |b|, p = 1, d = a/b``, ``|t -
+    center|`` is ``p = 1, d = -center`` and ``sqrt(t + shift)`` is ``p =
+    1/2, d = shift``.  A constant stretch is ``p = 0``, with ``d`` putting
+    the zero of ``t + d`` a unit outside it so that ``log|t + d|`` stays
+    finite there."""
     if spec.name == "abs_dev":
         c = spec.param("center")
-        return [c], [(-math.inf, c, 1.0, 1.0, -c), (c, math.inf, 1.0, 1.0, -c)]
+        return [(-math.inf, c, 1.0, 1.0, -c), (c, math.inf, 1.0, 1.0, -c)]
     if spec.name == "sqrt":
         shift = spec.param("shift")
-        return [-shift], [(-math.inf, -shift, 0.0, 0.0, shift - 1.0),
-                          (-shift, math.inf, 1.0, 0.5, shift)]
+        return [(-math.inf, -shift, 0.0, 0.0, shift - 1.0),
+                (-shift, math.inf, 1.0, 0.5, shift)]
     if spec.name == "pw_linear":
         knots = spec.param("knots")
         (first, v_first), (last, v_last) = knots[0], knots[-1]
@@ -388,8 +391,7 @@ def _log_pieces(spec: FunctionSpec) -> tuple[list[float], list[tuple[float, ...]
             b = (v1 - v0) / (t1 - t0)
             pieces.append((t0, t1, abs(b), 1.0, (v0 - b * t0) / b) if b != 0.0
                           else (t0, t1, v0, 0.0, 1.0 - t0))
-        pieces.append((last, math.inf, v_last, 0.0, 1.0 - last))
-        return [t for t, _ in knots], pieces
+        return pieces + [(last, math.inf, v_last, 0.0, 1.0 - last)]
     raise CapabilityError(f"no level-set construction for function family {spec.name!r}")
 
 
@@ -607,20 +609,22 @@ def _lambert_lanes(kernel: Kernel, a: np.ndarray, b: np.ndarray,
 def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     """Bracketed root-finding on the product profile, which is monotone on
     each bracket: the left tail, each gap between consecutive ``pts`` (the
-    knots, the kernel peak and the stationary points) and the right tail.
+    breakpoints of ``f``, the kernel peak and the stationary points) and the
+    right tail.
 
     The batched oracle hands every crossing of a call to one lane solver:
     :func:`_lambert_lanes` against a Laplace kernel, where the crossings are
     Lambert W values, and :func:`_newton` against a Gauss kernel, where they
     are not.  The tests hold both to ``brentq`` on ``f * kernel`` over the
     same brackets, a root finder that never sees the pieces or a W."""
-    knots, pieces = _log_pieces(spec)
+    pieces = _log_pieces(spec)
     f = spec.fn
 
     def g(t: float) -> float:
         return f(t) * kernel(t)
 
-    pts = sorted(set(knots) | {kernel.x} | set(_stationaries(pieces, kernel)))
+    pts = sorted(set(_BREAKPOINTS[spec.name](spec)) | {kernel.x}
+                 | set(_stationaries(pieces, kernel)))
     # the piece of f under each bracket (the left tail, each gap of pts and
     # the right tail) is the one in which the bracket's left end lies
     his = [hi for _, hi, *_ in pieces]

@@ -13,9 +13,14 @@ The kernels are the two convolution-type bumps the operators use,
 value 1, so their supremum over an interval is attained at the endpoint
 nearest ``x`` (or is 1 when ``x`` lies inside).
 
-The capacities also come in a batched form: :meth:`RealCapacity.values`
-takes the endpoint arrays ``(lo, hi)`` of shape ``[pieces, N]`` described
-in :mod:`.intervals`.
+A capacity is evaluated on N sets at once (:meth:`RealCapacity.values`),
+each set a column of two endpoint arrays ``(lo, hi)`` of shape ``[pieces,
+N]``: column ``i`` lists the pieces of set ``i``, pairwise disjoint except
+at shared endpoints, and a piece with ``lo > hi`` is empty (stored as
+``[inf, -inf]``, never NaN).  These sets are not canonicalised; the
+batched level-set oracles of :mod:`.continuous` answer in this form.  The
+capacity of one :class:`IntervalUnion` (:meth:`RealCapacity.value`) is the
+column of its components.
 """
 
 from __future__ import annotations
@@ -106,13 +111,10 @@ class RealCapacity:
         return RealCapacity("possibility", kernel=kernel)
 
     def value(self, A: IntervalUnion) -> float:
-        if A.is_empty:
-            return 0.0
-        if self.kind == "distorted_lebesgue":
-            length = A.total_length
-            return self.gamma(length) if length > 0 else 0.0
-        x = self.kernel.x
-        return max(self.kernel(min(max(x, a), b)) for a, b in A.intervals)
+        """The capacity of ``A``: the column of :meth:`values` for its
+        components."""
+        ends = np.array(A.intervals, dtype=float).reshape(-1, 2)
+        return float(self.values(ends[:, :1], ends[:, 1:])[0])
 
     def peak_level(self, g: Callable[[float], float]) -> float:
         """A level ``alpha`` with ``mu({g >= alpha}) = 1`` on every level
@@ -130,20 +132,21 @@ class RealCapacity:
         return level
 
     def values(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """:meth:`value` of N sets at once, each given by the columns of
-        endpoint arrays of shape ``[pieces, N]``.
+        """The capacity of N sets at once, each a column of the endpoint
+        arrays ``(lo, hi)`` of shape ``[pieces, N]`` (see the module
+        docstring).
 
-        The pieces of one set must not overlap (touching is fine); a piece
-        with ``lo > hi`` is empty.  Neither the total length nor the
-        supremum changes when touching pieces merge, so no
-        canonicalisation is needed.
+        The pieces of one set must not overlap (touching is fine).  Neither
+        the total length nor the supremum changes when touching pieces
+        merge, so no canonicalisation is needed.  An empty set, with no
+        piece or only empty ones, has length 0 and supremum 0, and
+        ``gamma(0) = 0``, so it needs no case of its own.
         """
         present = lo <= hi
         if self.kind == "distorted_lebesgue":
-            # gamma(0) = 0, so an empty set needs no case of its own
             return self.gamma(np.where(present, hi - lo, 0.0).sum(axis=0))
         nearest = np.clip(self.kernel.x, np.where(present, lo, 0.0),
                           np.where(present, hi, 0.0))
         sups = np.where(present, self.kernel.values(nearest), 0.0)
-        return sups.max(axis=0)
+        return sups.max(axis=0, initial=0.0)
 

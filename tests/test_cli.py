@@ -681,6 +681,21 @@ def test_empty_or_unknown_flag_value_is_config_error(capsys, flags):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("command", [["operator", "--operator", "picard_choquet"],
+                                     ["operator", "--operator", "weierstrass_choquet"],
+                                     ["operator", "--operator", "picard"],
+                                     ["compare", "--pair", "picard"]],
+                         ids=["picard_choquet", "weierstrass_choquet", "picard",
+                              "compare_picard"])
+def test_float_overflow_is_numeric_error(capsys, command):
+    # exp_neg at x = -800 is exp(800), past the largest float: the product's
+    # supremum and the classical integrand overflow
+    flags = ["--function", "exp_neg", "--n", "2", "--xgrid=-800:-799:2"]
+    assert main(command + flags) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["integrate", "operator", "compare"])
 def test_seed_is_a_verify_flag(capsys, command):
     with pytest.raises(SystemExit) as exc:

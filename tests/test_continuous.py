@@ -19,6 +19,7 @@ from choquetkit import (DivergenceError, IntervalUnion, Kernel,
 from choquetkit import continuous
 from choquetkit.continuous import (QUAD_ABS_TOL, QUAD_REL_TOL, _lambert_branch,
                                    _lambert_lanes, _lambert_w0, _newton)
+from choquetkit.functions import _BREAKPOINTS
 
 
 def empty_pieces(pieces, n):
@@ -49,23 +50,24 @@ def brentq_level(spec, kernel, alpha):
     reference of the root-finding lanes, which never sees the pieces'
     formulas or a Lambert W.
 
-    The brackets are the oracle's: the gaps between the knots of
-    :func:`_log_pieces`, the kernel peak and the stationary points of
+    The brackets are the oracle's: the gaps between the breakpoints of
+    ``spec``'s family, the kernel peak and the stationary points of
     :func:`_stationaries`, and the tails out to where :func:`_expand` finds
     the profile below ``alpha``.  A bracket the level set ends inside gets
     one brentq call on the whole bracket, whose ends must straddle the
     level, and a piece that continues the one before joins it."""
     if not alpha > 0:
         raise ValueError("level must be positive")
-    knots, pieces = continuous._log_pieces(spec)
+    pieces = continuous._log_pieces(spec)
 
     def g(t):
         return spec.fn(t) * kernel(t)
 
-    pts = sorted(set(knots) | {kernel.x} | set(continuous._stationaries(pieces, kernel)))
+    pts = sorted(set(_BREAKPOINTS[spec.name](spec)) | {kernel.x}
+                 | set(continuous._stationaries(pieces, kernel)))
     vals = [g(t) for t in pts]
     if alpha > max(vals):
-        return IntervalUnion.empty()
+        return IntervalUnion()
     step0 = max(1.0, 1.0 / kernel.n)
     left = continuous._expand(g, pts[0], alpha, -step0) if vals[0] >= alpha else pts[0]
     right = continuous._expand(g, pts[-1], alpha, step0) if vals[-1] >= alpha else pts[-1]
@@ -127,6 +129,28 @@ def batched_union(lo, hi, i):
         [(a, b) for a, b in zip(lo[:, i], hi[:, i]) if a <= b])
 
 
+def contains(union, t):
+    return any(a <= t <= b for a, b in union.intervals)
+
+
+def issubset(inner, outer):
+    return all(any(oa <= a and b <= ob for oa, ob in outer.intervals)
+               for a, b in inner.intervals)
+
+
+def scalar_capacity(mu, A):
+    """The capacity of an :class:`IntervalUnion` one component at a time,
+    with ``math.fsum`` and the scalar kernel: the reference that
+    :meth:`RealCapacity.values` is held to."""
+    if not A.intervals:
+        return 0.0
+    if mu.kind == "distorted_lebesgue":
+        length = math.fsum(b - a for a, b in A.intervals)
+        return mu.gamma(length) if length > 0 else 0.0
+    x = mu.kernel.x
+    return max(mu.kernel(min(max(x, a), b)) for a, b in A.intervals)
+
+
 def lambert_branches(L):
     """``(W_0, W_{-1})`` at ``z = -exp(L)`` from the per-lane solver."""
     return (_lambert_branch(L, np.ones(L.shape, bool)),
@@ -135,7 +159,7 @@ def lambert_branches(L):
 
 def close_gaps(union, tol=1e-12):
     """Merge components closer than the root solvers resolve."""
-    return IntervalUnion.from_pairs((a - tol / 2, b + tol / 2) for a, b in union)
+    return IntervalUnion.from_pairs((a - tol / 2, b + tol / 2) for a, b in union.intervals)
 
 
 class TestProductLevelSets:
@@ -150,7 +174,7 @@ class TestProductLevelSets:
             lo, hi = level.intervals[0]
             assert lo == pytest.approx((n * x + la) / (n - 1.0), abs=1e-12)
             assert hi == pytest.approx((n * x - la) / (n + 1.0), abs=1e-12)
-        assert g.level(math.exp(-x) * 1.0001).is_empty
+        assert not g.level(math.exp(-x) * 1.0001).intervals
 
     def test_exp_neg_requires_decay(self):
         with pytest.raises(DivergenceError):
@@ -196,7 +220,7 @@ class TestProductLevelSets:
         g = product_level_function(spec, Kernel.gauss(1.0, 0.0))
         assert g.sup_value == pytest.approx(math.exp(9.0 / 4.0), abs=1e-12)
         lv = g.level(1.0)
-        assert not lv.is_empty
+        assert lv.intervals
 
     def test_const_matches_bare_kernel(self):
         k = Kernel.laplace(2.0, -1.0)
@@ -212,14 +236,14 @@ class TestProductLevelSets:
                                    Kernel.laplace(n, x))
         assert g.sup_value == pytest.approx(1.0 / (n * math.e), abs=1e-15)
         level = g.level(0.5 / (n * math.e))
-        assert level.n_components == 2
+        assert len(level.intervals) == 2
         (a1, b1), (a2, b2) = level.intervals
         # symmetric annulus, and the profile really crosses alpha at the rims
         assert a1 == pytest.approx(2 * x - b2, abs=1e-10)
         assert b1 == pytest.approx(2 * x - a2, abs=1e-10)
         for r in (a2 - x, b2 - x):
             assert r * math.exp(-n * r) == pytest.approx(0.5 / (n * math.e), abs=1e-12)
-        assert g.level(1.01 / (n * math.e)).is_empty
+        assert not g.level(1.01 / (n * math.e)).intervals
 
     def test_abs_dev_gauss_annulus(self):
         n, x = 2.0, 0.0
@@ -227,7 +251,7 @@ class TestProductLevelSets:
                                    Kernel.gauss(n, x))
         assert g.sup_value == pytest.approx(1.0 / math.sqrt(2 * n * math.e), abs=1e-15)
         level = g.level(g.sup_value / 2)
-        assert level.n_components == 2
+        assert len(level.intervals) == 2
         for a, b in level.intervals:
             for r in (abs(a), abs(b)):
                 assert r * math.exp(-n * r * r) == pytest.approx(
@@ -246,7 +270,7 @@ class TestProductLevelSets:
             for level in (reference(alpha), batched_union(lo, hi, i)):
                 for t, gt in zip(ts, gts):
                     if abs(gt - alpha) > 1e-6:
-                        assert level.contains(t) == (gt >= alpha), (t, gt, alpha)
+                        assert contains(level, t) == (gt >= alpha), (t, gt, alpha)
 
     def test_nested_levels(self):
         specs = [
@@ -260,7 +284,7 @@ class TestProductLevelSets:
         for g in specs:
             alphas = np.linspace(g.sup_value * 1e-3, g.sup_value * 0.999, 12)
             for a1, a2 in zip(alphas, alphas[1:]):
-                assert g.level(float(a2)).issubset(g.level(float(a1)))
+                assert issubset(g.level(float(a2)), g.level(float(a1)))
 
     def test_level_requires_positive_alpha(self):
         for spec in (function_spec("exp_neg"), function_spec("sqrt", shift=1.0)):
@@ -285,6 +309,18 @@ STATIONARY_SPECS = {
 }
 
 
+@pytest.mark.parametrize("spec", STATIONARY_SPECS.values(), ids=STATIONARY_SPECS.keys())
+def test_log_pieces_end_at_the_breakpoints(spec):
+    # the oracle's brackets start at the family's breakpoints and its
+    # pieces of f at their own ends: both tables list the same kinks, and
+    # the pieces cover the line without a gap
+    pieces = continuous._log_pieces(spec)
+    ends = {e for lo, hi, *_ in pieces for e in (lo, hi) if math.isfinite(e)}
+    assert tuple(sorted(ends)) == _BREAKPOINTS[spec.name](spec)
+    assert pieces[0][0] == -math.inf and pieces[-1][1] == math.inf
+    assert all(left[1] == right[0] for left, right in zip(pieces, pieces[1:]))
+
+
 @pytest.mark.parametrize("family", ["laplace", "gauss"])
 @pytest.mark.parametrize("spec", STATIONARY_SPECS.values(), ids=STATIONARY_SPECS.keys())
 def test_stationaries_split_the_profile_into_monotone_brackets(spec, family):
@@ -294,7 +330,7 @@ def test_stationaries_split_the_profile_into_monotone_brackets(spec, family):
     # values include knots of the pw_linear specs and the support start of
     # every sqrt spec.  Below the smallest normal float the profile has no
     # relative precision left to compare.
-    knots, pieces = continuous._log_pieces(spec)
+    knots, pieces = _BREAKPOINTS[spec.name](spec), continuous._log_pieces(spec)
     for n in (1.5, 2.0, 8.0, 64.0):
         for x in (-3.0, -1.0, 0.0, 0.4, 1.3):
             kernel = Kernel(family, n, x)
@@ -349,7 +385,7 @@ def rounding_band(spec, kernel, t, log_alpha):
     else:
         kernel_slope = -2.0 * kernel.n * (t - kernel.x)
     bands = [0.0]  # at a zero of f the slope is infinite
-    for lo, hi, c, p, d in continuous._log_pieces(spec)[1]:
+    for lo, hi, c, p, d in continuous._log_pieces(spec):
         if lo <= t <= hi and t + d != 0.0 and c > 0.0:
             ends = sum(abs(e + d) for e in (lo, hi) if math.isfinite(e))
             kappa = (abs(t) + abs(d) + ends) / abs(t + d)
@@ -362,9 +398,9 @@ def assert_ends_match_brentq(spec, kernel, alpha, level):
     """``level``, a level set of ``spec.fn * kernel`` at ``alpha``, against
     :func:`brentq_level` within brentq's tolerance plus the rounding band."""
     got, want = close_gaps(level), close_gaps(brentq_level(spec, kernel, alpha))
-    assert got.n_components == want.n_components, (alpha, got, want)
-    for a, b in zip([t for piece in got for t in piece],
-                    [t for piece in want for t in piece]):
+    assert len(got.intervals) == len(want.intervals), (alpha, got, want)
+    for a, b in zip([t for piece in got.intervals for t in piece],
+                    [t for piece in want.intervals for t in piece]):
         band = rounding_band(spec, kernel, b, math.log(alpha))
         assert abs(a - b) <= XTOL + RTOL * abs(b) + band, (alpha, a, b)
 
@@ -436,7 +472,7 @@ class TestBatchedOracle:
         for i, alpha in enumerate(alphas):
             want = close_gaps(reference(float(alpha)))
             got = close_gaps(batched_union(lo, hi, i))
-            assert got.n_components == want.n_components, (alpha, got, want)
+            assert len(got.intervals) == len(want.intervals), (alpha, got, want)
             for (a1, b1), (a2, b2) in zip(got.intervals, want.intervals):
                 assert a1 == pytest.approx(a2, abs=1e-12), alpha
                 assert b1 == pytest.approx(b2, abs=1e-12), alpha
@@ -454,9 +490,9 @@ class TestBatchedOracle:
             if alpha > 0.0:
                 lo, hi = g.levels([alpha])
                 assert g.level(alpha) == batched_union(lo, hi, 0), alpha
-        assert g.level(math.nextafter(sup, math.inf)).is_empty
+        assert not g.level(math.nextafter(sup, math.inf)).intervals
         if sup > 0.0:
-            assert not g.level(sup).is_empty
+            assert g.level(sup).intervals
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 g.level(bad)
@@ -475,7 +511,7 @@ class TestBatchedOracle:
         for alpha in alphas + list(g.alpha_breakpoints):
             lo, hi = g.levels([alpha])
             assert g.level(alpha) == batched_union(lo, hi, 0), alpha
-        assert g.level(math.nextafter(sup, math.inf)).is_empty
+        assert not g.level(math.nextafter(sup, math.inf)).intervals
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 g.level(bad)
@@ -484,7 +520,7 @@ class TestBatchedOracle:
         g = product_level_function(function_spec("const", c=0.0), Kernel.laplace(2.0, 0.0))
         lo, hi = g.levels([1e-9, 0.5, 2.0])
         assert lo.shape == (1, 3) and (lo > hi).all()
-        assert g.level(0.5).is_empty
+        assert not g.level(0.5).intervals
         # like every other oracle, a nonpositive level is an error
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError):
@@ -517,8 +553,34 @@ class TestBatchedOracle:
         for mu in caps:
             got = mu.values(lo, hi)
             for i, pairs in enumerate(sets):
-                want = mu.value(IntervalUnion.from_pairs(p for p in pairs if p[0] <= p[1]))
-                assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-15)
+                union = IntervalUnion.from_pairs(p for p in pairs if p[0] <= p[1])
+                assert got[i] == pytest.approx(scalar_capacity(mu, union), rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("kernel", [Kernel.laplace(2.0, 0.4), Kernel.gauss(3.0, -0.2)])
+    def test_capacity_value_is_the_column_of_values(self, kernel):
+        # random unions, the empty set, single points and touching pieces
+        # (merged by from_pairs), each padded with empty pieces to the
+        # widest: value reads the column of values bit for bit
+        rng = np.random.default_rng(11)
+        unions = [IntervalUnion(), IntervalUnion.from_pairs([(0.5, 0.5)]),
+                  IntervalUnion.from_pairs([(-1.0, 0.0), (0.0, 2.0)])]
+        for _ in range(200):
+            ends = np.sort(rng.uniform(-3.0, 3.0, size=2 * int(rng.integers(1, 5))))
+            pairs = list(zip(ends[::2], ends[1::2]))
+            if rng.random() < 0.3:
+                pairs.append((ends[1], ends[1] + 0.5))
+            if rng.random() < 0.3:
+                pairs.append((ends[0] - 1.0, ends[0] - 1.0))
+            unions.append(IntervalUnion.from_pairs(p for p in pairs if rng.random() < 0.8))
+        width = max(len(u.intervals) for u in unions)
+        padded = [u.intervals + ((math.inf, -math.inf),) * (width - len(u.intervals))
+                  for u in unions]
+        lo, hi = np.array(padded).transpose(2, 1, 0)
+        for mu in (SQRT_M, RealCapacity.lebesgue(), RealCapacity.possibility(kernel)):
+            got = mu.values(lo, hi)
+            for i, union in enumerate(unions):
+                assert mu.value(union) == got[i], (mu.kind, union)
+                assert type(mu.value(union)) is float
 
     def test_lambert_branch_point(self):
         # scipy's lambertw is NaN at -1/e itself; both branches meet at -1 there
@@ -781,8 +843,8 @@ class TestBatchedOracle:
         lo, hi = g.levels(list(g.alpha_breakpoints))
         i = g.alpha_breakpoints.index(peak)
         assert np.sum((lo[:, i] == -1.0) & (hi[:, i] == -1.0)) == 2
-        assert g.level(peak).contains(-1.0)
-        assert brentq_level(spec, kernel, peak).contains(-1.0)
+        assert contains(g.level(peak), -1.0)
+        assert contains(brentq_level(spec, kernel, peak), -1.0)
 
     @staticmethod
     def ends(spec, kernel, alpha):
@@ -790,8 +852,8 @@ class TestBatchedOracle:
         :func:`brentq_level` at ``alpha``, as two sorted lists."""
         lo, hi = product_level_function(spec, kernel).levels([alpha])
         batched = batched_union(lo, hi, 0)
-        return ([t for piece in batched for t in piece],
-                [t for piece in brentq_level(spec, kernel, alpha) for t in piece])
+        return ([t for piece in batched.intervals for t in piece],
+                [t for piece in brentq_level(spec, kernel, alpha).intervals for t in piece])
 
     @pytest.mark.parametrize("spec", [function_spec("pw_linear", knots=PW_KNOTS),
                                       function_spec("sqrt", shift=1.0)],
@@ -806,7 +868,7 @@ class TestBatchedOracle:
         kernel = Kernel.gauss(n, x)
         g = product_level_function(spec, kernel)
         rel = 1e-15
-        _, pieces = continuous._log_pieces(spec)
+        pieces = continuous._log_pieces(spec)
         peaks = continuous._stationaries(pieces, kernel)
         assert peaks
         for t_m in peaks:
@@ -827,7 +889,7 @@ class TestBatchedOracle:
         spec = STATIONARY_SPECS[name]
         kernel = Kernel.laplace(n, x)
         g = product_level_function(spec, kernel)
-        peaks = continuous._stationaries(continuous._log_pieces(spec)[1], kernel)
+        peaks = continuous._stationaries(continuous._log_pieces(spec), kernel)
         assert peaks
         for t_m in peaks:
             for rel in (1e-15, 1e-12, 1e-9):
@@ -1197,7 +1259,7 @@ class TestQuadrature:
             half = 0.5 * (s + 2.0 * np.maximum(0.0, s - 1.0))
             return -half[None, :], half[None, :]
 
-        g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion.empty(), 1.0, levels)
+        g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion(), 1.0, levels)
         # int_0^1 sqrt(s) e^-s ds + int_1^inf sqrt(3 s - 2) e^-s ds
         want = (math.gamma(1.5) * math.erf(1.0) - math.exp(-1.0)
                 + 3.0 ** 1.5 * math.exp(-2.0 / 3.0) / 3.0
@@ -1214,7 +1276,7 @@ class TestQuadrature:
             half = 1.0 + 0.5 * np.sin(1e6 * np.log(alphas))
             return -half[None, :], half[None, :]
 
-        g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion.empty(), 1.0, levels)
+        g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion(), 1.0, levels)
         with pytest.raises(QuadratureError, match="did not converge") as err:
             choquet_integral_real_grid(g, SQRT_M)
         assert math.isfinite(err.value.value)
@@ -1246,7 +1308,7 @@ class TestQuadrature:
             half = 1.0 + 0.5 * np.sin(1e6 * np.log(alphas))
             return -half[None, :], half[None, :]
 
-        g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion.empty(), 1.0, levels)
+        g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion(), 1.0, levels)
         with pytest.raises(QuadratureError, match="did not converge") as err:
             choquet_integral_real_with_error(g, SQRT_M)
         assert math.isfinite(err.value.value)
@@ -1289,7 +1351,7 @@ class TestQuadrature:
                 choquet_integral_real_grid(g, SQRT_M)
 
     def test_infinite_sup_rejected(self):
-        g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion.empty(),
+        g = LevelSetFunction(lambda t: 1.0, lambda a: IntervalUnion(),
                              math.inf, lambda alphas: empty_pieces(1, alphas.size))
         with pytest.raises(DivergenceError):
             choquet_integral_real(g, SQRT_M)
@@ -1370,7 +1432,7 @@ class TestPeakRectangle:
             half = 1.0 + 0.5 * np.sin(1e6 * np.log(alphas))
             return -half[None, :], half[None, :]
 
-        g = LevelSetFunction(lambda t: 0.5, lambda a: IntervalUnion.empty(), 1.0, levels)
+        g = LevelSetFunction(lambda t: 0.5, lambda a: IntervalUnion(), 1.0, levels)
         with pytest.raises(QuadratureError, match="did not converge") as err:
             engine(g, RealCapacity.possibility(Kernel.laplace(2.0, 3.0)))
         assert 0.5 <= err.value.value <= 1.0 + err.value.error_estimate

@@ -18,6 +18,12 @@ SQRT_CAP3 = counting_distortion(DistortionFunction.sqrt(), 3)
 FIXTURE_132 = 2.393846850117352
 
 
+def unnormalized_capacity(rng, size):
+    """A random monotone capacity with mu(Omega) drawn from (0.5, 3)."""
+    table = random_monotone_capacity(rng, size).table * rng.uniform(0.5, 3.0)
+    return capacity_from_table(size, table)
+
+
 class TestSortingFormula:
     def test_additive_mean(self):
         assert choquet_integral([2.0, 4.0], additive_capacity([0.5, 0.5])) == pytest.approx(
@@ -31,7 +37,7 @@ class TestSortingFormula:
 
     def test_constant_single_layer(self, rng):
         for _ in range(20):
-            cap = random_monotone_capacity(rng, 4, normalized=False)
+            cap = unnormalized_capacity(rng, 4)
             c = float(rng.uniform(-3, 3))
             assert choquet_integral([c] * 4, cap) == pytest.approx(
                 c * cap.total(), abs=1e-12)
@@ -152,7 +158,7 @@ class TestPushforward:
             assert pf.evaluator(subset) == pytest.approx(cap.evaluator(subset), abs=1e-15)
 
     def test_constant_map(self, rng):
-        cap = random_monotone_capacity(rng, 4, normalized=False)
+        cap = unnormalized_capacity(rng, 4)
         support, pf = pushforward([7.0] * 4, cap)
         assert support == [7.0]
         assert pf.evaluator(frozenset({0})) == pytest.approx(cap.total(), abs=1e-15)
