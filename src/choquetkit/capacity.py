@@ -1,9 +1,10 @@
 """Monotone set functions (capacities) on finite ground sets.
 
 The ground set of size ``m`` is identified with the indices ``0..m-1``;
-subsets are passed around as iterables of indices, and as bitmasks (bit
-``i`` for element ``i``) in tables.  Random capacities are tabulated up to
-``TABLE_BOUND`` elements, and a tabulated capacity keeps its table;
+subsets are passed around as iterables of indices, as bitmasks (bit ``i``
+for element ``i``) in tables, and as the rows of a boolean membership
+matrix in ``DiscreteCapacity.values``.  Random capacities are tabulated
+up to ``TABLE_BOUND`` elements, and a tabulated capacity keeps its table;
 ``check_properties`` decides every property exactly on a table, up to
 ``EXHAUSTIVE_BOUND`` elements.
 """
@@ -25,9 +26,9 @@ EXACT_TOL = 1e-12
 # sets A per block of the first slice of the submodularity check
 _SQUARE_ROWS = 256
 DISTORTION_GRID = 101
-
-def _mask_to_set(mask: int) -> frozenset:
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+# bit i of a subset bitmask, for more elements than a table can have; a
+# tabulated capacity's batched values read the first ``size`` of them
+_BITS = 1 << np.arange(62, dtype=np.int64)
 
 
 def _set_to_mask(subset: Iterable[int]) -> int:
@@ -43,17 +44,23 @@ class DiscreteCapacity:
 
     ``evaluator`` maps a frozenset of indices to a nonnegative value.
     ``tails_fn``, when provided, evaluates the capacity on the chain of
-    suffix sets of a permutation in one pass (used by the Choquet
-    integral, where it saves rebuilding the nested subsets).  ``table``,
-    set by ``capacity_from_table`` (and so by ``random_monotone_capacity``
-    and the ``dual`` of a tabulated capacity), is the read-only array of
-    the ``2**size`` values indexed by subset bitmask; it is ``None`` for
-    every other capacity and is left out of ``==``.
+    suffix sets of a permutation in one pass (used by the sorted Choquet
+    integral, where it saves rebuilding the nested subsets).
+    ``values_fn``, when provided, evaluates it on every row of a boolean
+    membership matrix in a few numpy calls (used by the layer cake and by
+    the tabulation of the property checks); every constructor of this
+    module supplies one, and :meth:`values` falls back to one
+    ``evaluator`` call per row without it.  ``table``, set by
+    ``capacity_from_table`` (and so by ``random_monotone_capacity`` and
+    the ``dual`` of a tabulated capacity), is the read-only array of the
+    ``2**size`` values indexed by subset bitmask; it is ``None`` for every
+    other capacity and is left out of ``==``.
     """
 
     size: int
     evaluator: Callable[[frozenset], float]
     tails_fn: Optional[Callable[[Sequence[int]], list[float]]] = None
+    values_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     table: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -81,6 +88,18 @@ class DiscreteCapacity:
             acc.add(order[k])
             out[k] = self.evaluator(frozenset(acc))
         return out
+
+    def values(self, members) -> np.ndarray:
+        """mu of every row of the boolean membership matrix ``members`` of
+        shape ``[k, size]``: row r holds the set {i : members[r, i]}."""
+        members = np.asarray(members, dtype=bool)
+        if members.ndim != 2 or members.shape[1] != self.size:
+            raise ValueError(f"membership matrix must have shape [k, {self.size}], "
+                             f"got {members.shape}")
+        if self.values_fn is not None:
+            return self.values_fn(members)
+        return np.array([self.evaluator(frozenset(np.flatnonzero(row).tolist()))
+                         for row in members], dtype=float)
 
     def total(self) -> float:
         return self.evaluator(frozenset(range(self.size)))
@@ -114,11 +133,15 @@ def dual(cap: DiscreteCapacity) -> DiscreteCapacity:
     def rule(subset: frozenset) -> float:
         return total - cap.evaluator(omega - subset)
 
-    return DiscreteCapacity(cap.size, rule)
+    def values(members: np.ndarray) -> np.ndarray:
+        return total - cap.values(~members)
+
+    return DiscreteCapacity(cap.size, rule, values_fn=values)
 
 
 def _members(mask) -> tuple:
-    return tuple(sorted(_mask_to_set(int(mask))))
+    mask = int(mask)
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _digit_masks(index, base: int, digits: int):
@@ -134,17 +157,16 @@ def _digit_masks(index, base: int, digits: int):
 
 def _tabulate(cap: DiscreteCapacity) -> np.ndarray:
     """mu on all ``2**size`` subsets, indexed by bitmask: the capacity's own
-    table when it has one, else one pass of the evaluator."""
+    table when it has one, else one ``values`` call on every mask's row."""
     if cap.table is not None:
         return cap.table
-    return np.fromiter((cap.evaluator(_mask_to_set(k)) for k in range(1 << cap.size)),
-                       dtype=float, count=1 << cap.size)
+    return cap.values(np.arange(1 << cap.size)[:, None] & _BITS[:cap.size] != 0)
 
 
 def _up(m: int) -> np.ndarray:
     """``up[A, j] = A+j``, which is A itself when j is in A: a check on such
     an entry compares a value with itself and cannot fire."""
-    return np.arange(1 << m)[:, None] | 1 << np.arange(m)
+    return np.arange(1 << m)[:, None] | _BITS[:m]
 
 
 def _exact_table(cap: DiscreteCapacity) -> np.ndarray:
@@ -326,10 +348,15 @@ def additive_capacity(weights: Sequence[float]) -> DiscreteCapacity:
     if any(v < 0 for v in w):
         raise ValueError("weights must be nonnegative")
 
+    arr = np.array(w)
+
     def rule(subset: frozenset) -> float:
         return math.fsum(w[i] for i in subset)
 
-    return DiscreteCapacity(len(w), rule, tails_fn=_weights_tails(w))
+    def values(members: np.ndarray) -> np.ndarray:
+        return members @ arr
+
+    return DiscreteCapacity(len(w), rule, tails_fn=_weights_tails(w), values_fn=values)
 
 
 def distorted_probability(gamma: DistortionFunction,
@@ -350,7 +377,16 @@ def distorted_probability(gamma: DistortionFunction,
     def transform(t: float) -> float:
         return gamma(t) if t > 0 else 0.0
 
-    return DiscreteCapacity(len(w), rule, tails_fn=_weights_tails(w, transform))
+    arr = np.array(w)
+
+    def values(members: np.ndarray) -> np.ndarray:
+        # 0 where no weight is positive, as in ``transform``: exactly 0 for
+        # the empty row, as in ``rule``
+        t = members @ arr
+        return np.where(t > 0, gamma(t), 0.0)
+
+    return DiscreteCapacity(len(w), rule, tails_fn=_weights_tails(w, transform),
+                            values_fn=values)
 
 
 def counting_distortion(gamma: DistortionFunction, size: int) -> DiscreteCapacity:
@@ -366,26 +402,35 @@ def possibility_capacity(weights: Sequence[float]) -> DiscreteCapacity:
     if any(not 0 <= v <= 1 for v in w):
         raise ValueError("possibility weights must lie in [0, 1]")
 
+    arr = np.array(w)
+
     def rule(subset: frozenset) -> float:
         if not subset:
             return 0.0
         return max(w[i] for i in subset)
 
-    return DiscreteCapacity(len(w), rule)
+    def values(members: np.ndarray) -> np.ndarray:
+        # the weights are nonnegative, so a 0 in place of a non-member
+        # leaves a row's max as it is and gives 0 for the empty row
+        return np.where(members, arr, 0.0).max(axis=1)
+
+    return DiscreteCapacity(len(w), rule, values_fn=values)
 
 
 def capacity_from_table(size: int, table: Sequence[float]) -> DiscreteCapacity:
     """Capacity given explicitly as 2**size values indexed by subset bitmask.
 
     The values are copied into the capacity's read-only ``table``; the
-    suffix sets of the Choquet integral are looked up by their bitmasks.
+    suffix sets of the Choquet integral, and the rows of ``values``, are
+    looked up by their bitmasks.
     """
     if len(table) != 1 << size:
         raise ValueError("table must have 2**size entries")
     arr = np.array(table if isinstance(table, np.ndarray) else [float(v) for v in table],
                    dtype=float)
     arr.flags.writeable = False
-    vals = arr.tolist()
+    # a view that reads each entry as a float: no copy of the 2**size values
+    vals = memoryview(arr)
 
     def rule(subset: frozenset) -> float:
         return vals[_set_to_mask(subset)]
@@ -398,7 +443,10 @@ def capacity_from_table(size: int, table: Sequence[float]) -> DiscreteCapacity:
             out[k] = vals[mask]
         return out
 
-    return DiscreteCapacity(size, rule, tails_fn=tails, table=arr)
+    def values(members: np.ndarray) -> np.ndarray:
+        return arr[members @ _BITS[:size]]
+
+    return DiscreteCapacity(size, rule, tails_fn=tails, values_fn=values, table=arr)
 
 
 def random_monotone_capacity(rng: np.random.Generator, size: int) -> DiscreteCapacity:

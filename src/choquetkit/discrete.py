@@ -10,18 +10,24 @@ capacity of the full ground set is finite.
 ``choquet_integral_layer_cake`` evaluates that definition directly --
 integrating ``alpha -> mu({X >= alpha})`` as a step function between the
 attained values -- and is kept deliberately independent of the sorting
-path so the two can verify each other.
+path so the two can verify each other.  Both ask the capacity in one
+batch, through separate entry points: the sorted path reads the suffix
+sets of one permutation from ``cap.tails``, the layer cake reads every
+level set ``{X >= p}``, found by comparing the values with each level,
+from ``cap.values``.  Each constructor writes those two batched forms
+apart, so a fault in either shows as a disagreement of the engines.
 
 ``property_suite`` evaluates the same sorted tail-sum formula row-wise:
 every trial's integrands are stacked into one matrix and integrated in a
 few numpy calls against the capacity's bitmask table (its ``table``, or
-one tabulation through the evaluator).  Only the summation differs from
-``choquet_integral`` (numpy's instead of ``fsum``); the layer-cake engine
-stays the independent check of both.
+one ``cap.values`` call on the rows of all ``2**size`` masks).  Only the
+summation differs from ``choquet_integral`` (numpy's instead of
+``fsum``); the layer-cake engine stays the independent check of both.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -31,9 +37,13 @@ import numpy as np
 from .capacity import (EXACT_TOL, DiscreteCapacity, _exact_table, _square_witness,
                        _tabulate, dual)
 
+# membership-matrix entries per ``values`` call of the layer cake: one call
+# up to m = 511, and a bounded matrix beyond
+_LEVEL_ENTRIES = 1 << 18
+
 
 def _require_finite(values: Sequence[float]) -> None:
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         raise ValueError("integrand values must be finite")
 
 
@@ -65,33 +75,47 @@ def choquet_integral_layer_cake(values: Sequence[float],
     """Definition-based evaluation via the layer-cake representation.
 
     ``alpha -> mu({X >= alpha})`` is a step function whose jumps can only
-    sit at attained values, so integrating it exactly amounts to summing
-    cell width times the capacity at the cell midpoint.  The negative part
-    uses the signed correction ``mu({X >= alpha}) - mu(Omega)``.  Raises
-    ``ValueError`` on a NaN or infinite value.
+    sit at attained values: on the cell between two consecutive distinct
+    values ``q < p`` it is ``mu({X >= p})``.  Every level set ``{X >= p}``
+    is a row of one membership matrix, built by one comparison, and their
+    capacities come from one ``cap.values`` call (for m up to 511; beyond,
+    one per block of rows), never from the sorted path's ``cap.tails``.
+    The cells are summed one by one in ascending order, the positive part
+    first; the negative part uses the signed correction
+    ``mu({X >= alpha}) - mu(Omega)``.  Raises ``ValueError`` on a NaN or
+    infinite value and ``OverflowError`` when finite values give a sum
+    outside the float range, as :func:`choquet_integral` does.
     """
     m = cap.size
     if len(values) != m:
         raise ValueError("integrand length must match the ground set size")
     _require_finite(values)
-
-    def mu_at(level: float) -> float:
-        return cap.evaluator(frozenset(i for i in range(m) if values[i] >= level))
-
-    points = sorted(set(float(v) for v in values))
+    # every value and inf as a level, ascending: row j of the membership
+    # matrix is {X >= p_j}, so row 0 is Omega and the last row, at inf, the
+    # empty set; a tied level repeats the row before it and is skipped
+    xs = np.array([*values, math.inf], dtype=float)
+    levels = np.sort(xs)
+    rows = max(1, _LEVEL_ENTRIES // m)
+    mu: list[float] = []
+    for r in range(0, m + 1, rows):
+        mu += cap.values(xs[:m] >= levels[r:r + rows, None]).tolist()
+    points = levels.tolist()
     total = 0.0
-    pos = [p for p in points if p > 0]
     prev = 0.0
-    for p in pos:
-        total += (p - prev) * mu_at((prev + p) / 2)
-        prev = p
-    neg = [p for p in points if p < 0]
-    if neg:
-        mu_omega = cap.total()
-        prev = neg[0]
-        for p in neg[1:] + [0.0]:
-            total += (p - prev) * (mu_at((prev + p) / 2) - mu_omega)
+    for j in range(bisect.bisect_right(points, 0.0), m):
+        p = points[j]
+        if p != prev:
+            total += (p - prev) * mu[j]
             prev = p
+    neg = bisect.bisect_left(points, 0.0)
+    for j in range(neg):
+        # the cell (p_j, p_j+1), cut at 0, where {X >= alpha} = {X >= p_j+1}
+        p = points[j + 1]
+        if p != points[j]:
+            top = p if j + 1 < neg else 0.0
+            total += (top - points[j]) * (mu[j + 1] - mu[0])
+    if not math.isfinite(total):
+        raise OverflowError("a weighted term exceeds the float range")
     return total
 
 
@@ -155,7 +179,10 @@ def property_suite(cap: DiscreteCapacity, trials: int = 1000,
     Positive homogeneity, monotonicity, translation by constants and the
     dual identity must hold for every monotone capacity; subadditivity of
     the integral is checked whenever the capacity is submodular.
-    Violations carry the offending inputs as witnesses.
+    Violations carry the offending inputs as witnesses.  The capacity and
+    its dual are read as bitmask tables: a capacity's own ``table``, or
+    else one ``values`` call on all ``2**size`` subsets, so at most
+    ``EXHAUSTIVE_BOUND`` elements.
     """
     mu = _exact_table(cap)
     submodular = _square_witness(mu) is None

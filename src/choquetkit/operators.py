@@ -53,9 +53,16 @@ _BASIS_ROWS = 1
 def _basis_row(n: int, x: float, sign: float) -> tuple[float, ...]:
     # ``sign`` is copysign(1, x): it keys -0.0 apart from 0.0, whose rows
     # differ in the sign of their zeros.  ``typed`` gives an int or numpy x,
-    # and a float n (which math.comb rejects), a key of their own.
+    # and a float n (which operator.index rejects), a key of their own.
+    n = operator.index(n)
+    # C(n, i) by the exact recurrence C(n, i + 1) = C(n, i) (n - i) / (i + 1)
+    # over half the row, mirrored: the ints of math.comb, one multiply and
+    # one exact division each
+    c = [1] * (n + 1)
+    for i in range(n // 2):
+        c[i + 1] = c[n - 1 - i] = c[i] * (n - i) // (i + 1)
     y = 1.0 - x
-    return tuple([math.comb(n, i) * x ** i * y ** (n - i) for i in range(n + 1)])
+    return tuple([c[i] * x ** i * y ** (n - i) for i in range(n + 1)])
 
 
 def _basis(n: int, x: float) -> tuple[float, ...]:
@@ -158,7 +165,16 @@ def bernstein_choquet_capacity(n: int, x: float,
         out[0] = 1.0
         return out
 
-    return DiscreteCapacity(size, rule, tails_fn=tails)
+    def values(members: np.ndarray) -> np.ndarray:
+        # the basis becomes an array per call: building the capacity, once
+        # per Bernstein-Choquet value, stays free of numpy work
+        out = members @ np.array(p) + gap * members[:, i0]
+        count = members.sum(axis=1)
+        out[count == 0] = 0.0
+        out[count == size] = 1.0
+        return out
+
+    return DiscreteCapacity(size, rule, tails_fn=tails, values_fn=values)
 
 
 def bernstein_choquet(f: Callable[[float], float], n: int, x: float,

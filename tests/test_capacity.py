@@ -7,10 +7,11 @@ import pytest
 from choquetkit import capacity
 from choquetkit import (CapabilityError, DiscreteCapacity, DistortionFunction,
                         IntervalUnion, Kernel, RealCapacity, additive_capacity,
-                        capacity_from_table, check_properties, choquet_integral,
-                        counting_distortion, distorted_probability, dual,
-                        kernel_level_function, possibility_capacity,
-                        random_monotone_capacity, validate_distortion)
+                        bernstein_choquet_capacity, capacity_from_table,
+                        check_properties, choquet_integral, counting_distortion,
+                        distorted_probability, dual, kernel_level_function,
+                        possibility_capacity, random_monotone_capacity,
+                        validate_distortion)
 
 SQRT_THIRD = math.sqrt(1.0 / 3.0)
 
@@ -112,6 +113,93 @@ class TestTable:
                 assert got.table is not None and closure.table is None
                 assert got.table.tolist() == [closure.evaluator(_subset(k))
                                               for k in range(1 << size)]
+
+
+def _member_rows(rng, size):
+    """The empty set, Omega, the singletons and 200 random sets of
+    {0..size-1} as the rows of a boolean membership matrix."""
+    return np.concatenate([np.zeros((1, size), bool), np.ones((1, size), bool),
+                           np.eye(size, dtype=bool),
+                           rng.random((200, size)) < rng.random((200, 1))])
+
+
+def _evaluated(cap, members):
+    return np.array([cap.evaluator(frozenset(np.flatnonzero(row).tolist()))
+                     for row in members])
+
+
+def _probability(rng, size):
+    w = rng.uniform(0.1, 1.0, size=size)
+    return (w / w.sum()).tolist()
+
+
+def _weight_capacities(rng, size):
+    """One capacity of every weight-based kind on ``size`` elements."""
+    w = _probability(rng, size)
+    caps = {"additive": additive_capacity(w),
+            "counting": counting_distortion(DistortionFunction.sqrt(), size),
+            "possibility": possibility_capacity((np.array(w) / max(w)).tolist()),
+            "dual_sqrt": dual(distorted_probability(DistortionFunction.sqrt(), w))}
+    for gamma in (DistortionFunction.identity(), DistortionFunction.sqrt(),
+                  DistortionFunction.power(0.3)):
+        caps[gamma.name] = distorted_probability(gamma, w)
+    if size >= 3:
+        caps["bernstein"] = bernstein_choquet_capacity(size - 1, 0.3)
+    return caps
+
+
+class TestBatchedValues:
+    @pytest.mark.parametrize("size", [1, 5, 12])
+    def test_tables_are_the_evaluator_bit_for_bit(self, rng, size):
+        cap = random_monotone_capacity(rng, size)
+        listed = capacity_from_table(size, cap.table.tolist())
+        members = _member_rows(rng, size)
+        for c in (cap, listed, dual(cap), dual(dual(cap))):
+            assert c.values(members).tolist() == _evaluated(c, members).tolist()
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_weight_kinds_match_the_evaluator(self, rng, size):
+        members = _member_rows(rng, size)
+        for name, cap in _weight_capacities(rng, size).items():
+            got, want = cap.values(members), _evaluated(cap, members)
+            assert np.abs(got - want).max() <= 1e-15, name
+            if name != "dual_sqrt":
+                assert got[0] == 0.0, name   # the empty row, exactly as the rule
+            if name == "bernstein":
+                assert got[1] == 1.0         # Omega, pinned as in the rule
+            if name == "possibility":
+                assert got.tolist() == want.tolist()
+
+    def test_bare_evaluator_falls_back_to_one_call_per_row(self, rng):
+        calls = []
+
+        def evaluator(subset):
+            calls.append(subset)
+            return math.sqrt(len(subset) / 6) + 0.01 * sum(subset)
+
+        cap = DiscreteCapacity(6, evaluator)
+        members = _member_rows(rng, 6)
+        got = cap.values(members)
+        assert len(calls) == len(members)
+        assert got.tolist() == _evaluated(cap, members).tolist()
+        flipped = dual(cap)
+        assert flipped.values(members).tolist() == _evaluated(flipped, members).tolist()
+
+    def test_tabulate_is_the_per_mask_evaluator_table(self, rng):
+        size = 9
+        bare = DiscreteCapacity(size, lambda s: math.sqrt(len(s) / size))
+        for name, cap in {**_weight_capacities(rng, size), "bare": bare}.items():
+            got = capacity._tabulate(cap)
+            want = np.array([cap.evaluator(_subset(k)) for k in range(1 << size)])
+            if name in ("bare", "possibility"):
+                assert got.tolist() == want.tolist(), name
+            assert np.abs(got - want).max() <= 1e-15, name
+
+    def test_rejects_a_matrix_of_the_wrong_width(self):
+        cap = additive_capacity([0.5, 0.5])
+        for bad in (np.ones((2, 3), bool), np.ones(2, bool)):
+            with pytest.raises(ValueError, match="shape"):
+                cap.values(bad)
 
 
 class TestCheckProperties:

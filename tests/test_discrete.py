@@ -6,12 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from choquetkit import (CapabilityError, DistortionFunction, additive_capacity,
-                        capacity_from_table, check_properties, choquet_integral,
+                        bernstein_choquet_capacity, capacity_from_table,
+                        check_properties, choquet_integral,
                         choquet_integral_layer_cake, choquet_variance,
-                        counting_distortion, property_suite,
+                        counting_distortion, distorted_probability,
+                        possibility_capacity, property_suite,
                         random_monotone_capacity)
 from choquetkit.capacity import EXACT_TOL, EXHAUSTIVE_BOUND, DiscreteCapacity, dual
-from choquetkit.discrete import _choquet_rows, _suite_draws
+from choquetkit.discrete import _LEVEL_ENTRIES, _choquet_rows, _suite_draws
 
 SQRT_CAP3 = counting_distortion(DistortionFunction.sqrt(), 3)
 # frozen from the layer-cake oracle: 1 + sqrt(2/3) + sqrt(1/3)
@@ -68,8 +70,9 @@ class TestSortingFormula:
     @pytest.mark.parametrize("values", [[1e308, 1e308], [1e308, -1e308]])
     def test_term_overflow_raises(self, values):
         # each weighted term is already outside the float range
-        with pytest.raises(OverflowError):
-            choquet_integral(values, additive_capacity([2.0, 2.0]))
+        for engine in (choquet_integral, choquet_integral_layer_cake):
+            with pytest.raises(OverflowError):
+                engine(values, additive_capacity([2.0, 2.0]))
 
     def test_layer_cake_agreement_signed(self, rng):
         for _ in range(300):
@@ -87,6 +90,77 @@ class TestSortingFormula:
             x = rng.uniform(-2.0, 2.0, size=size)
             y = x + rng.uniform(0.0, 1.0, size=size)
             assert choquet_integral(x, cap) <= choquet_integral(y, cap) + 1e-12
+
+
+def _signed_with_ties(rng, m):
+    """m values in [-3, 3]: about half on the half-integers, so they tie
+    and hit 0.0 and -0.0, the rest continuous."""
+    grid = rng.integers(-6, 7, size=m) / 2.0
+    grid[::9] = -0.0
+    return np.where(rng.random(m) < 0.5, grid, rng.uniform(-3.0, 3.0, size=m)).tolist()
+
+
+def _only_values(cap):
+    """``cap`` with its batched ``values`` alone: the evaluator and the
+    tails raise, and every membership matrix is recorded."""
+    shapes = []
+
+    def values(members):
+        shapes.append(members.shape)
+        return cap.values(members)
+
+    def refuse(*args):
+        raise AssertionError("the layer cake reads mu only through values")
+
+    return DiscreteCapacity(cap.size, refuse, tails_fn=refuse, values_fn=values), shapes
+
+
+class TestLayerCake:
+    @pytest.mark.parametrize("m", [64, 200])
+    def test_agrees_with_the_sorted_engine(self, rng, m):
+        w = rng.uniform(0.1, 1.0, size=m)
+        w = (w / w.sum()).tolist()
+        caps = [distorted_probability(DistortionFunction.sqrt(), w), additive_capacity(w),
+                possibility_capacity((np.array(w) / max(w)).tolist()),
+                bernstein_choquet_capacity(64, 0.3), bernstein_choquet_capacity(m - 1, 0.7)]
+        for cap in caps:
+            for _ in range(20):
+                values = _signed_with_ties(rng, cap.size)
+                assert abs(choquet_integral_layer_cake(values, cap)
+                           - choquet_integral(values, cap)) <= 1e-12
+
+    def test_one_values_call_and_no_tails(self, rng):
+        cap = distorted_probability(DistortionFunction.sqrt(), [1 / 64] * 64)
+        for values in ([1.0] * 64, _signed_with_ties(rng, 64),
+                       rng.uniform(-1.0, 1.0, 64).tolist()):
+            counted, shapes = _only_values(cap)
+            got = choquet_integral_layer_cake(values, counted)
+            assert shapes == [(65, 64)]
+            assert got == choquet_integral_layer_cake(values, cap)
+
+    def test_membership_blocks_stay_bounded(self, rng):
+        m = 700
+        cap = counting_distortion(DistortionFunction.sqrt(), m)
+        counted, shapes = _only_values(cap)
+        values = _signed_with_ties(rng, m)
+        got = choquet_integral_layer_cake(values, counted)
+        assert len(shapes) > 1 and sum(k for k, _ in shapes) == m + 1
+        assert all(k * width <= _LEVEL_ENTRIES for k, width in shapes)
+        assert abs(got - choquet_integral(values, cap)) <= 1e-12
+
+    def test_cells_end_at_attained_values(self):
+        # a cell read at its midpoint rounds onto its lower end between
+        # adjacent floats and overflows between large values
+        cap = additive_capacity([0.5, 0.5])
+        for values in ([1.0, math.nextafter(1.0, 2.0)], [1e308, 1.5e308]):
+            assert choquet_integral_layer_cake(values, cap) == choquet_integral(values, cap)
+
+    def test_all_negative_values_read_the_empty_set(self):
+        # mu(empty) of a table is what the table says, as in the evaluator:
+        # the cell (-3, -1) reads mu({0}), the cell (-1, 0) mu(empty)
+        cap = capacity_from_table(2, [0.25, 0.5, 0.75, 1.0])
+        assert choquet_integral_layer_cake([-1.0, -3.0], cap) == (
+            (-1.0 - -3.0) * (0.5 - 1.0) + (0.0 - -1.0) * (0.25 - 1.0))
 
 
 @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=2, max_size=6),

@@ -80,6 +80,13 @@ class TestBasisCache:
             assert _bits(operators.bernstein_basis_vector(n, x)) == _bits(
                 _ref_basis(n, x)), (n, x)
 
+    @pytest.mark.parametrize("n", [*range(1, 81), 256, 1029])
+    def test_binomial_recurrence_is_math_comb_bit_for_bit(self, n):
+        # the row's C(n, i) come from a recurrence over half the row, mirrored
+        for x in (0.0, -0.0, 0.3, 0.5, 1.0):
+            assert _bits(operators.bernstein_basis_vector(n, x)) == _bits(
+                _ref_basis(n, x)), (n, x)
+
     def test_returned_list_is_fresh(self):
         row = operators.bernstein_basis_vector(4, 0.3)
         row[0] = 99.0
