@@ -361,7 +361,8 @@ def additive_capacity(weights: Sequence[float]) -> DiscreteCapacity:
 
 def distorted_probability(gamma: DistortionFunction,
                           weights: Sequence[float]) -> DiscreteCapacity:
-    """mu(A) = gamma(sum of weights over A) for a probability vector."""
+    """mu(A) = gamma(sum of weights over A) for a probability vector, and 0
+    where that sum is 0 (the empty set, or a set of zero weights)."""
     w = [float(v) for v in weights]
     if any(v < 0 for v in w):
         raise ValueError("weights must be nonnegative")
@@ -369,13 +370,13 @@ def distorted_probability(gamma: DistortionFunction,
         raise ValueError("weights must sum to 1")
     validate_distortion(gamma)
 
-    def rule(subset: frozenset) -> float:
-        if not subset:
-            return 0.0
-        return gamma(math.fsum(w[i] for i in subset))
-
     def transform(t: float) -> float:
         return gamma(t) if t > 0 else 0.0
+
+    def rule(subset: frozenset) -> float:
+        # 0 wherever no weight is positive, the empty set included, as in
+        # ``tails`` and ``values``: gamma(0) may be up to 1e-12 off 0
+        return transform(math.fsum(w[i] for i in subset))
 
     arr = np.array(w)
 

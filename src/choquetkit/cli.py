@@ -40,9 +40,9 @@ from .estimates import (ErrorTable, chebyshev_check, convergence_report, delta_r
 from .functions import FunctionSpec, function_spec
 from .intervals import IntervalUnion
 from .operators import (DEFAULT_PROFILE, MAX_BERNSTEIN_DEGREE, PerturbationProfile,
-                        bernstein_choquet, bernstein_choquet_capacity, bernstein_classical,
-                        perturbation_gap, picard_choquet, picard_classical,
-                        weierstrass_choquet)
+                        _nodes, bernstein_choquet, bernstein_choquet_capacity,
+                        bernstein_classical, perturbation_gap, picard_choquet,
+                        picard_classical, weierstrass_choquet)
 from .realline import Kernel, RealCapacity
 
 EXIT_OK = 0
@@ -335,8 +335,8 @@ class _Setup:
 def _bernstein_bound(setup: _Setup, n: int, x: float) -> float:
     """The perturbation band: the gap correction of
     :func:`bernstein_choquet_closedform` with the gap at its ceiling 2**-n."""
-    f = setup.spec.fn
-    return abs(f(setup.profile.i0 / n) - min(f(i / n) for i in range(n + 1))) * 2.0 ** -n
+    nodes = _nodes(setup.spec, n)
+    return abs(nodes[setup.profile.i0] - min(nodes)) * 2.0 ** -n
 
 
 def _kernel_operator(op, kernel):

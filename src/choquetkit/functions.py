@@ -7,6 +7,16 @@ polynomial-type specs); ``nonneg_real_line`` marks the specs that are valid
 integrands for the real-line operators.  Every factory stores all of its
 parameters in ``params`` and rejects a non-numeric or non-finite one with
 ``ValueError``.
+
+Every registered family's ``fn`` also carries an array form ``fn.array(t)``:
+it takes a float ndarray and returns f at every element, bit for bit the
+value the scalar ``fn`` gives there (``-0.0`` and NaN included).  The scalar
+form stays a plain function on ``math``, so a scalar call costs what it did
+without the array form; readers that need f at many points (a long
+Bernstein node vector, the classical Picard quadrature) call ``fn.array``
+where it is present and ``fn`` per element where it is not.  ``exp_neg``'s
+array form keeps ``math.exp`` per element, since ``np.exp`` can differ from
+it by an ulp.
 """
 
 from __future__ import annotations
@@ -16,6 +26,8 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -41,20 +53,34 @@ def _finite(key: str, value):
     return value
 
 
+def _with_array(fn: Callable[[float], float],
+                array: Callable[[np.ndarray], np.ndarray]) -> Callable[[float], float]:
+    """``fn`` itself, with ``array`` attached as its array form ``fn.array``."""
+    fn.array = array
+    return fn
+
+
 def exp_neg(lam: float = 1.0, scale: float = 1.0) -> FunctionSpec:
     """f(t) = scale * exp(-lam * t)."""
     if _finite("lam", lam) <= 0 or _finite("scale", scale) <= 0:
         raise ValueError("exp_neg requires lam > 0 and scale > 0")
+
+    def array(t: np.ndarray) -> np.ndarray:
+        # math.exp per element: np.exp can round to the other neighbouring float
+        e = np.fromiter(map(math.exp, (-lam * t).ravel().tolist()), float, t.size)
+        return scale * e.reshape(t.shape)
+
     return FunctionSpec(
-        "exp_neg", lambda t: scale * math.exp(-lam * t),
+        "exp_neg", _with_array(lambda t: scale * math.exp(-lam * t), array),
         monotone="nonincreasing", nonneg_real_line=True,
         params=(("lam", lam), ("scale", scale)))
 
 
 def const(c: float = 1.0) -> FunctionSpec:
     _finite("c", c)
-    return FunctionSpec("const", lambda t: c, monotone="nondecreasing",
-                        nonneg_real_line=c >= 0, params=(("c", c),))
+    return FunctionSpec(
+        "const", _with_array(lambda t: c, lambda t: np.full(t.shape, c, float)),
+        monotone="nondecreasing", nonneg_real_line=c >= 0, params=(("c", c),))
 
 
 def e0() -> FunctionSpec:
@@ -62,30 +88,43 @@ def e0() -> FunctionSpec:
 
 
 def e1() -> FunctionSpec:
-    return FunctionSpec("e1", lambda t: t, monotone="nondecreasing")
+    return FunctionSpec("e1", _with_array(lambda t: t, lambda t: t.astype(float)),
+                        monotone="nondecreasing")
 
 
 def abs_dev(center: float = 0.0) -> FunctionSpec:
     """f(t) = |t - center| (the deviation the quantitative bound integrates)."""
     _finite("center", center)
+
+    def fn(t):  # on a float or an ndarray alike
+        return abs(t - center)
+
     return FunctionSpec(
-        "abs_dev", lambda t: abs(t - center), nonneg_real_line=True,
+        "abs_dev", _with_array(fn, fn), nonneg_real_line=True,
         params=(("center", center),))
 
 
 def sqrt_spec(shift: float = 0.0) -> FunctionSpec:
     """f(t) = sqrt(max(t + shift, 0)); concave and nondecreasing on its support."""
     _finite("shift", shift)
+
+    def array(t: np.ndarray) -> np.ndarray:
+        # the scalar form's branch: 0.0 wherever t + shift > 0 fails (-0.0, NaN)
+        u = t + shift
+        return np.sqrt(u, out=np.zeros(u.shape), where=u > 0.0)
+
     return FunctionSpec(
-        "sqrt", lambda t: math.sqrt(t + shift) if t + shift > 0 else 0.0,
-        monotone="nondecreasing", nonneg_real_line=True,
-        params=(("shift", shift),))
+        "sqrt", _with_array(lambda t: math.sqrt(t + shift) if t + shift > 0 else 0.0,
+                            array),
+        monotone="nondecreasing", nonneg_real_line=True, params=(("shift", shift),))
 
 
 def concave_quad() -> FunctionSpec:
     """f(t) = 2t - t**2: increasing and strictly concave on [0, 1]."""
-    return FunctionSpec("concave_quad", lambda t: 2.0 * t - t * t,
-                        monotone="nondecreasing")
+    def fn(t):  # on a float or an ndarray alike
+        return 2.0 * t - t * t
+
+    return FunctionSpec("concave_quad", _with_array(fn, fn), monotone="nondecreasing")
 
 
 def pw_linear(knots: Sequence[Tuple[float, float]]) -> FunctionSpec:
@@ -116,13 +155,25 @@ def pw_linear(knots: Sequence[Tuple[float, float]]) -> FunctionSpec:
             return vs[j] + slopes[j] * left
         return vs[j + 1] - slopes[j] * right
 
+    knot_t, knot_v, knot_s = np.array(ts), np.array(vs), np.array(slopes)
+
+    def array(t: np.ndarray) -> np.ndarray:
+        # fn's rule elementwise: searchsorted(side="right") is bisect_right,
+        # and the clip keeps the constant ends out of the interpolation
+        inner = np.clip(t, ts[0], ts[-1])
+        j = np.minimum(np.searchsorted(knot_t, inner, side="right") - 1, len(ts) - 2)
+        left, right = inner - knot_t[j], knot_t[j + 1] - inner
+        out = np.where(left <= right, knot_v[j] + knot_s[j] * left,
+                       knot_v[j + 1] - knot_s[j] * right)
+        return np.where(t <= ts[0], vs[0], np.where(t >= ts[-1], vs[-1], out))
+
     if all(s >= 0 for s in slopes):
         mono = "nondecreasing"
     elif all(s <= 0 for s in slopes):
         mono = "nonincreasing"
     else:
         mono = None
-    return FunctionSpec("pw_linear", fn, monotone=mono,
+    return FunctionSpec("pw_linear", _with_array(fn, array), monotone=mono,
                         nonneg_real_line=all(v >= 0 for v in vs),
                         params=(("knots", tuple(pts)),))
 

@@ -42,10 +42,11 @@ PICARD_TAIL = 40.0
 # basis row of a higher degree overflows converting it to float
 MAX_BERNSTEIN_DEGREE = 1029
 
-# A certified Bernstein number asks for one (n, x) row several times in a
-# row (the value, its closed-form check, the classical baseline and the
-# band); one entry serves all of them and keeps no other row, so no later
-# row and no benchmark round is served from an earlier one.
+# A certified Bernstein number asks for one (n, x) basis row and one (f, n)
+# node vector several times in a row (the value, its closed-form check, the
+# classical baseline and the band); one entry each serves all of them and
+# keeps no other row, so no later row and no benchmark round is served from
+# an earlier one.
 _BASIS_ROWS = 1
 
 
@@ -89,10 +90,51 @@ def bernstein_basis_vector(n: int, x: float) -> list[float]:
     return list(_basis(n, x))
 
 
+# From this degree on a node vector is one call of the array form; below it
+# the scalar form's loop over the n + 1 nodes costs less than numpy's fixed
+# cost per call.  Between Bernstein points of other rows the two broke even
+# near n = 64 (sqrt through numpy 3 us faster, exp_neg 3.5 us slower); at
+# n = 8 one numpy build cost 5-8 us more than three Python loops, and at
+# n = 1029 sqrt takes 42 us through numpy against 270 in the loop.  Both
+# forms give the same floats, so the choice moves no bit.
+_ARRAY_NODES_FROM = 64
+
+
+@functools.lru_cache(maxsize=_BASIS_ROWS)
+def _node_row(fn: Callable[[float], float], n: int) -> tuple[float, ...]:
+    if n < _ARRAY_NODES_FROM:
+        return tuple([fn(i / n) for i in range(n + 1)])
+    # arange(n + 1) / n is i / n bit for bit: both quotients of exact
+    # floats, correctly rounded
+    return tuple(fn.array(np.arange(n + 1) / n).tolist())
+
+
+def _nodes(f: Callable[[float], float], n: int) -> Sequence[float]:
+    """The node values ``f(i / n)``, i = 0..n, of a Bernstein row.
+
+    A registered family (a :class:`FunctionSpec` or its ``fn``) is evaluated
+    by one call of its array form (by its scalar form below
+    ``_ARRAY_NODES_FROM``, the same floats), and the vector is kept in a
+    one-entry cache keyed on ``(fn, n)`` under the policy of the basis row,
+    so the value, its closed-form check, the classical baseline and the band
+    of one row share it.  A bare callable is called once per node on every
+    call, so a function with state sees every evaluation.
+    """
+    if isinstance(f, FunctionSpec):
+        f = f.fn
+    if hasattr(f, "array"):
+        return _node_row(f, n)
+    return [f(i / n) for i in range(n + 1)]
+
+
 def bernstein_classical(f: Callable[[float], float], n: int, x: float) -> float:
-    """B_n(f)(x) = sum of f(i/n) weighted by the basis."""
+    """B_n(f)(x) = sum of f(i/n) weighted by the basis.
+
+    The node values come from :func:`_nodes`: shared per ``(f, n)`` for a
+    registered family, one call per node for a bare callable.
+    """
     p = _basis(n, x)   # first: it rejects n < 1 before i / n divides by n
-    return math.fsum(map(operator.mul, [f(i / n) for i in range(n + 1)], p))
+    return math.fsum(map(operator.mul, _nodes(f, n), p))
 
 
 @dataclass(frozen=True)
@@ -182,9 +224,11 @@ def bernstein_choquet(f: Callable[[float], float], n: int, x: float,
     """Choquet integral of i -> f(i/n) against the perturbed basis capacity.
 
     Valid for arbitrary f; the sorting formula handles non-monotone values.
+    The node values are shared per ``(f, n)`` for a registered family and
+    computed afresh for a bare callable (:func:`_nodes`).
     """
     cap = bernstein_choquet_capacity(n, x, profile)
-    return choquet_integral([f(i / n) for i in range(n + 1)], cap)
+    return choquet_integral(_nodes(f, n), cap)
 
 
 def bernstein_choquet_closedform(f: Callable[[float], float], n: int, x: float,
@@ -196,16 +240,15 @@ def bernstein_choquet_closedform(f: Callable[[float], float], n: int, x: float,
 
     Off the empty and the full set the capacity is ``P(A) + gap * [i0 in A]``,
     so in the sorted formula the gap terms telescope from the smallest node
-    value up to ``f(i0/n)``.  A :class:`FunctionSpec` is evaluated through
-    its ``fn``, one call frame fewer per node.
+    value up to ``f(i0/n)``.  The node values are shared per ``(f, n)`` for a
+    registered family and computed afresh for a bare callable
+    (:func:`_nodes`).
     """
     if n < 2:
         raise ValueError("perturbed basis capacity needs n >= 2")
-    if isinstance(f, FunctionSpec):
-        f = f.fn
     p = _basis(n, x)
     gap = _gap(p, profile)
-    values = [f(i / n) for i in range(n + 1)]
+    values = _nodes(f, n)
     return (math.fsum(map(operator.mul, values, p))
             + (values[profile.i0] - min(values)) * gap)
 
@@ -241,7 +284,8 @@ def picard_classical(f: Callable[[float], float], n: float, x: float) -> float:
     :class:`FunctionSpec`, at the breakpoints of its family, since the
     Gauss-Kronrod error estimate can miss a kink inside a subinterval.  The
     pieces run on the batched G7-K15 rule of the real-line check engine,
-    ungraded, with ``f`` called once per node.  ``n`` and ``x`` are checked
+    ungraded, with a registered family's array form on each batch of nodes
+    and any other ``f`` called once per node.  ``n`` and ``x`` are checked
     as :class:`Kernel` parameters.
 
     A bare callable has no known breakpoints and gets no split at its
@@ -257,9 +301,11 @@ def picard_classical(f: Callable[[float], float], n: float, x: float) -> float:
         kinks = _BREAKPOINTS.get(f.name, lambda spec: ())(f)
         f = f.fn
     edges = sorted({x - r, x, x + r, *(k for k in kinks if abs(k - x) < r)})
+    f_array = getattr(f, "array", None) or (
+        lambda t: np.fromiter(map(f, t.tolist()), float, t.size))
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(f, t.tolist()), float, t.size) * kernel.values(t)
+        return f_array(t) * kernel.values(t)
 
     total, _ = _gauss_kronrod(integrand, list(zip(edges, edges[1:])), graded=False)
     return n / 2.0 * total

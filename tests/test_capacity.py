@@ -385,6 +385,21 @@ class TestDistortedProbability:
         with pytest.raises(ValueError):
             validate_distortion(square)
 
+    def test_zero_weight_sets_are_zero_in_every_form(self):
+        # gamma(0) = 1e-13 passes validate_distortion, yet a nonempty set
+        # whose weights are all 0 is 0 in the evaluator, the tails and the
+        # batched values alike
+        gamma = DistortionFunction("offset", lambda t: 1e-13 + (1 - 1e-13) * t)
+        cap = distorted_probability(gamma, [0.0, 1.0])
+        sets = [frozenset(i for i in range(2) if mask >> i & 1) for mask in range(4)]
+        members = np.array([[i in s for i in range(2)] for s in sets])
+        by_rule = [cap.evaluator(s) for s in sets]
+        assert by_rule == cap.values(members).tolist()
+        assert by_rule[1] == 0.0   # the set {0}
+        for order in ([0, 1], [1, 0]):
+            tails = cap.tails(order)
+            assert tails[:2] == [cap.evaluator(frozenset(order[k:])) for k in range(2)]
+
 
 class TestRandomCapacityGenerator:
     def test_monotone_and_grounded(self, rng):

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -558,6 +559,30 @@ class TestCompare:
             x = float(row[1])
             if 0.0 < x < 1.0:
                 assert float(row[6]) < float(row[5])
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GOLDEN_FUNCTIONS = {
+    "sqrt": {"name": "sqrt"},
+    "exp_neg": {"name": "exp_neg"},
+    "pw_linear": {"name": "pw_linear", "knots": [[-1, 1], [0, 2], [1, 0.5]]},
+}
+GOLDEN_TABLES = [(["operator", "--operator", op], f"operator_{op}")
+                 for op in ("bernstein", "bernstein_choquet", "picard")]
+GOLDEN_TABLES.append((["compare", "--pair", "bernstein"], "compare_bernstein"))
+
+
+@pytest.mark.parametrize("function", GOLDEN_FUNCTIONS)
+@pytest.mark.parametrize("command, stem", GOLDEN_TABLES, ids=[s for _, s in GOLDEN_TABLES])
+def test_tables_match_their_golden_csv_byte_for_byte(tmp_path, command, stem, function):
+    # the Bernstein tables and the classical Picard table on n = 4, 64 and
+    # eleven x in [0, 1], pinned to their bytes; regenerate a file only for
+    # a change that is meant to move these values
+    cfg = write_config(tmp_path, {"function": GOLDEN_FUNCTIONS[function]})
+    out = tmp_path / "out.csv"
+    assert main(command + ["--config", cfg, "--n", "4,64", "--xgrid=0:1:11",
+                           "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{stem}_{function}.csv").read_bytes()
 
 
 class TestVerify:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from choquetkit import FunctionSpec, REGISTERED, function_spec
+from choquetkit.functions import _BREAKPOINTS
 
 GRID = np.linspace(-2.0, 2.0, 401)
 UNIT = np.linspace(0.0, 1.0, 401)
@@ -139,3 +140,63 @@ def test_factories_store_every_parameter():
     assert function_spec("sqrt").param("shift") == 0.0
     with pytest.raises(KeyError):
         function_spec("e1").param("c")
+
+
+ARRAY_SPECS = [
+    function_spec("exp_neg"), function_spec("exp_neg", lam=2, scale=3),
+    function_spec("const", c=2.0), function_spec("const", c=-3), function_spec("e0"),
+    function_spec("e1"),
+    function_spec("abs_dev"), function_spec("abs_dev", center=0.3),
+    function_spec("sqrt"), function_spec("sqrt", shift=3), function_spec("sqrt", shift=-0.4),
+    function_spec("concave_quad"),
+    function_spec("pw_linear", knots=[(-1, 1), (0, 2), (1, 0.5)]),
+    function_spec("pw_linear", knots=[(0.0, 1.0), (0.4, 2.0), (1.0, 0.5)]),
+    function_spec("pw_linear", knots=[(-1.0, 2.0), (0.0, 0.0), (4.0, 1.0), (1e6, -5.0)]),
+]
+
+
+def _array_grid(spec):
+    """±0.0, the family's breakpoints (sqrt's support edge -shift, every
+    pw_linear knot) with their neighbouring floats and the midpoints between
+    them (the nearer-knot tie), NaN, and |t| up to 1e6."""
+    edges = np.array(_BREAKPOINTS[spec.name](spec), dtype=float)
+    mids = (edges[1:] + edges[:-1]) / 2
+    wide = np.geomspace(1e-12, 1e6, 181)
+    t = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, math.nan], np.linspace(-3.0, 3.0, 601), wide, -wide,
+        edges, np.nextafter(edges, -math.inf), np.nextafter(edges, math.inf),
+        mids, np.nextafter(mids, -math.inf), np.nextafter(mids, math.inf)])
+    if spec.name == "exp_neg":   # the scalar form overflows past exp(709)
+        t = t[~(-spec.param("lam") * t > 700.0)]
+    if spec.name == "pw_linear":   # the scalar form has no NaN rule (IndexError)
+        t = t[~np.isnan(t)]
+    return t
+
+
+@pytest.mark.parametrize("spec", ARRAY_SPECS, ids=lambda s: f"{s.name}{dict(s.params)}")
+def test_array_form_is_the_scalar_form_bit_for_bit(spec):
+    t = _array_grid(spec)
+    got = spec.fn.array(t)
+    assert got.dtype == float and got.shape == t.shape
+    want = [float.hex(float(spec.fn(u))) for u in t.tolist()]
+    assert [float.hex(v) for v in got.tolist()] == want
+    # a 2-D batch gives the 1-D values in its shape
+    even = t.size // 2 * 2
+    square = spec.fn.array(t[:even].reshape(2, -1))
+    assert square.shape == (2, even // 2)
+    assert [float.hex(v) for v in square.ravel().tolist()] == want[:even]
+
+
+def test_every_registered_family_has_an_array_form():
+    # e0 is const(1.0) under the name "const"
+    assert {spec.name for spec in ARRAY_SPECS} == set(REGISTERED) - {"e0"}
+    for name in REGISTERED:
+        params = {"knots": [(0, 0), (1, 1)]} if name == "pw_linear" else {}
+        assert callable(function_spec(name, **params).fn.array)
+
+
+def test_sqrt_array_form_keeps_the_branch_at_minus_zero_and_nan():
+    # max(t, 0) would give sqrt(-0.0) = -0.0 and NaN; the branch gives 0.0
+    t = np.array([-0.0, math.nan, -1.0, 4.0])
+    assert [float.hex(v) for v in function_spec("sqrt").fn.array(t).tolist()] == [
+        float.hex(0.0), float.hex(0.0), float.hex(0.0), float.hex(2.0)]

@@ -68,6 +68,11 @@ def _bits(row):
     return [float.hex(v) for v in row]
 
 
+# the three-knot pw_linear of the CLI's configs, and an off-centre deviation
+SPEC_PARAMS = {"pw_linear": {"knots": [(-1, 1), (0, 2), (1, 0.5)]},
+               "abs_dev": {"center": 0.3}}
+
+
 class TestBasisCache:
     # 0.0, -0.0 and 0.0 again in a row, and the ints next to their floats:
     # a key that merged any of them would hand back the previous row
@@ -102,11 +107,12 @@ class TestBasisCache:
                 assert info.maxsize == 1
                 assert info.currsize <= 1
 
-    @pytest.mark.parametrize("name", ["sqrt", "exp_neg", "concave_quad"])
+    @pytest.mark.parametrize("name", ["sqrt", "exp_neg", "concave_quad", "abs_dev",
+                                      "pw_linear", "const", "e1"])
     def test_public_functions_are_the_formulas_bit_for_bit(self, name):
         # the benchmark's Bernstein grid, each row in the order a certified
         # number asks for it: value, closed-form check, classical baseline, band
-        f = function_spec(name).fn
+        f = function_spec(name, **SPEC_PARAMS.get(name, {})).fn
         prof = PerturbationProfile()
         for n in (4, 8, 16, 32, 64):
             for x in np.linspace(0.0, 1.0, 101):
@@ -121,6 +127,86 @@ class TestBasisCache:
                 assert bernstein_classical(f, n, x) == math.fsum(
                     f(i / n) * w for i, w in enumerate(p))
                 assert float.hex(perturbation_gap(n, x)) == float.hex(gap)
+
+
+class TestNodeVector:
+    OPS = (bernstein_classical, bernstein_choquet, bernstein_choquet_closedform)
+
+    @pytest.mark.parametrize("name", REGISTERED)
+    def test_nodes_are_the_scalar_form_bit_for_bit(self, name):
+        spec = function_spec(name, **SPEC_PARAMS.get(name, {}))
+        for n in (1, 2, 3, 7, 64, 1029):
+            want = _bits(float(spec.fn(i / n)) for i in range(n + 1))
+            assert _bits(operators._nodes(spec, n)) == want
+            assert _bits(operators._nodes(spec.fn, n)) == want
+
+    def test_grid_is_i_over_n_bit_for_bit(self):
+        for n in [*range(1, 200), 1029]:
+            assert _bits((np.arange(n + 1) / n).tolist()) == _bits(i / n for i in range(n + 1))
+
+    def test_a_bare_callable_is_called_once_per_node_on_every_call(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t * t
+
+        for op in self.OPS:
+            for _ in range(2):   # a repeated call is not served from a cache
+                calls.clear()
+                op(f, 6, 0.3)
+                assert calls == [i / 6 for i in range(7)], op.__name__
+
+    def test_an_unregistered_spec_runs_on_its_scalar_form(self):
+        spec = FunctionSpec("cube", lambda t: t ** 3)
+        prof = PerturbationProfile()
+        for n in (2, 5, 16):
+            values = [(i / n) ** 3 for i in range(n + 1)]
+            for x in (0.0, 0.4, 1.0):
+                p = _ref_basis(n, x)
+                gap = _ref_gap(p, prof)
+                assert bernstein_classical(spec, n, x) == math.fsum(
+                    v * w for v, w in zip(values, p))
+                assert bernstein_choquet(spec, n, x) == _ref_choquet(values, p, gap, prof.i0)
+                assert bernstein_choquet_closedform(spec, n, x) == (
+                    math.fsum(v * w for v, w in zip(values, p))
+                    + (values[prof.i0] - min(values)) * gap)
+
+    def test_cache_holds_at_most_one_entry(self):
+        specs = [function_spec("sqrt"), function_spec("exp_neg")]
+        for n in (2, 5, 9):
+            for spec in specs:
+                for op in self.OPS:
+                    op(spec, n, 0.3)
+                    info = operators._node_row.cache_info()
+                    assert info.maxsize == 1
+                    assert info.currsize <= 1
+
+    def test_array_form_builds_the_long_rows_and_the_cache_serves_repeats(self):
+        calls = {"scalar": 0, "array": 0}
+
+        def f(t):
+            calls["scalar"] += 1
+            return 2.0 * t
+
+        def array(t):
+            calls["array"] += 1
+            return 2.0 * t
+
+        f.array = array
+        short, long = operators._ARRAY_NODES_FROM - 1, operators._ARRAY_NODES_FROM
+        for n, want in ((short, {"scalar": short + 1, "array": 0}),
+                        (long, {"scalar": 0, "array": 1})):
+            calls.update(scalar=0, array=0)
+            for op in self.OPS:
+                op(f, n, 0.3)
+            assert calls == want, n
+
+    def test_a_row_is_shared_and_read_only(self):
+        spec = function_spec("sqrt")
+        nodes = operators._nodes(spec, 4)
+        assert isinstance(nodes, tuple)
+        assert operators._nodes(spec.fn, 4) is nodes
 
 
 class TestBernsteinInputs:
@@ -478,6 +564,16 @@ def test_classical_picard_of_a_bare_callable_runs_unsplit():
 def test_classical_picard_of_an_unregistered_family_runs_unsplit():
     spec = FunctionSpec("cubic", lambda t: t ** 3)
     assert picard_classical(spec, 4.0, 0.3) == picard_classical(spec.fn, 4.0, 0.3)
+
+
+@pytest.mark.parametrize("name", REGISTERED)
+def test_classical_picard_reads_the_array_form_bit_for_bit(name):
+    # the same family without its array form: one scalar call per node
+    spec = function_spec(name, **SPEC_PARAMS.get(name, {}))
+    scalar = FunctionSpec(spec.name, lambda t: spec.fn(t), params=spec.params)
+    for n, x in ((2.0, -0.7), (4.0, 0.3), (64.0, 1.0)):
+        assert float.hex(picard_classical(spec, n, x)) == float.hex(
+            picard_classical(scalar, n, x))
 
 
 class TestWeierstrassChoquet:
