@@ -10,13 +10,14 @@ parameters in ``params`` and rejects a non-numeric or non-finite one with
 
 Every registered family's ``fn`` also carries an array form ``fn.array(t)``:
 it takes a float ndarray and returns f at every element, bit for bit the
-value the scalar ``fn`` gives there (``-0.0`` and NaN included).  The scalar
-form stays a plain function on ``math``, so a scalar call costs what it did
-without the array form; readers that need f at many points (a long
-Bernstein node vector, the classical Picard quadrature) call ``fn.array``
-where it is present and ``fn`` per element where it is not.  ``exp_neg``'s
-array form keeps ``math.exp`` per element, since ``np.exp`` can differ from
-it by an ulp.
+value the scalar ``fn`` gives there (``-0.0`` and NaN included).  Like the
+scalar form's float arithmetic it overflows to ``inf`` and meets ``inf - inf``
+silently: numpy's overflow and invalid-value warnings are off inside it.  The
+scalar form stays a plain function on ``math``, so a scalar call costs what
+it did without the array form; a reader that needs f at many points (the
+classical Picard quadrature) calls ``fn.array`` where it is present and
+``fn`` per element where it is not.  ``exp_neg``'s array form keeps
+``math.exp`` per element, since ``np.exp`` can differ from it by an ulp.
 """
 
 from __future__ import annotations
@@ -53,10 +54,15 @@ def _finite(key: str, value):
     return value
 
 
+# Python floats overflow and form NaN without a word; numpy would warn
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
 def _with_array(fn: Callable[[float], float],
                 array: Callable[[np.ndarray], np.ndarray]) -> Callable[[float], float]:
-    """``fn`` itself, with ``array`` attached as its array form ``fn.array``."""
-    fn.array = array
+    """``fn`` itself, with ``array``, run without numpy's overflow and
+    invalid-value warnings, attached as its array form ``fn.array``."""
+    fn.array = _QUIET(array)
     return fn
 
 
@@ -147,6 +153,8 @@ def pw_linear(knots: Sequence[Tuple[float, float]]) -> FunctionSpec:
             return vs[0]
         if t >= ts[-1]:
             return vs[-1]
+        if t != t:   # NaN, which bisect_right would put past the last knot
+            return t
         j = bisect_right(ts, t) - 1
         # from the nearer knot, with the distance to it taken directly: next
         # to a zero-valued knot the value is one product, good to a few ulp

@@ -90,41 +90,30 @@ def bernstein_basis_vector(n: int, x: float) -> list[float]:
     return list(_basis(n, x))
 
 
-# From this degree on a node vector is one call of the array form; below it
-# the scalar form's loop over the n + 1 nodes costs less than numpy's fixed
-# cost per call.  Between Bernstein points of other rows the two broke even
-# near n = 64 (sqrt through numpy 3 us faster, exp_neg 3.5 us slower); at
-# n = 8 one numpy build cost 5-8 us more than three Python loops, and at
-# n = 1029 sqrt takes 42 us through numpy against 270 in the loop.  Both
-# forms give the same floats, so the choice moves no bit.
-_ARRAY_NODES_FROM = 64
-
-
 @functools.lru_cache(maxsize=_BASIS_ROWS)
 def _node_row(fn: Callable[[float], float], n: int) -> tuple[float, ...]:
-    if n < _ARRAY_NODES_FROM:
-        return tuple([fn(i / n) for i in range(n + 1)])
-    # arange(n + 1) / n is i / n bit for bit: both quotients of exact
-    # floats, correctly rounded
-    return tuple(fn.array(np.arange(n + 1) / n).tolist())
+    return tuple([fn(i / n) for i in range(n + 1)])
 
 
 def _nodes(f: Callable[[float], float], n: int) -> Sequence[float]:
     """The node values ``f(i / n)``, i = 0..n, of a Bernstein row.
 
-    A registered family (a :class:`FunctionSpec` or its ``fn``) is evaluated
-    by one call of its array form (by its scalar form below
-    ``_ARRAY_NODES_FROM``, the same floats), and the vector is kept in a
-    one-entry cache keyed on ``(fn, n)`` under the policy of the basis row,
-    so the value, its closed-form check, the classical baseline and the band
-    of one row share it.  A bare callable is called once per node on every
-    call, so a function with state sees every evaluation.
+    A registered family (a :class:`FunctionSpec` or its ``fn``, which
+    carries an array form) is a pure function of ``t``, so its vector is
+    kept in a one-entry cache keyed on ``(fn, n)`` under the policy of the
+    basis row: the value, its closed-form check, the classical baseline and
+    the band of one row share one build.  A bare callable is called once per
+    node on every call, so a function with state sees every evaluation.
+
+    The vector comes from the scalar form, not the array form: at the
+    degrees of a table row numpy's fixed cost per call is more than the
+    loop, which the cache runs once per row.
     """
     if isinstance(f, FunctionSpec):
         f = f.fn
     if hasattr(f, "array"):
         return _node_row(f, n)
-    return [f(i / n) for i in range(n + 1)]
+    return _node_row.__wrapped__(f, n)
 
 
 def bernstein_classical(f: Callable[[float], float], n: int, x: float) -> float:

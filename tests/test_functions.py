@@ -152,24 +152,28 @@ ARRAY_SPECS = [
     function_spec("pw_linear", knots=[(-1, 1), (0, 2), (1, 0.5)]),
     function_spec("pw_linear", knots=[(0.0, 1.0), (0.4, 2.0), (1.0, 0.5)]),
     function_spec("pw_linear", knots=[(-1.0, 2.0), (0.0, 0.0), (4.0, 1.0), (1e6, -5.0)]),
+    # parameters at which the arithmetic overflows, which neither form reports
+    function_spec("exp_neg", lam=1e308), function_spec("exp_neg", scale=1e308),
+    function_spec("sqrt", shift=1e308), function_spec("abs_dev", center=-1e308),
+    function_spec("pw_linear", knots=[(-1.5e308, 0.0), (1e308, 1.0)]),
 ]
 
 
 def _array_grid(spec):
     """±0.0, the family's breakpoints (sqrt's support edge -shift, every
     pw_linear knot) with their neighbouring floats and the midpoints between
-    them (the nearer-knot tie), NaN, and |t| up to 1e6."""
+    them (the nearer-knot tie), NaN, |t| up to 1e6, and the overflowing
+    1e300, the largest float and inf, of both signs."""
     edges = np.array(_BREAKPOINTS[spec.name](spec), dtype=float)
     mids = (edges[1:] + edges[:-1]) / 2
-    wide = np.geomspace(1e-12, 1e6, 181)
+    wide = np.concatenate([np.geomspace(1e-12, 1e6, 181),
+                           [1e300, np.finfo(float).max, math.inf]])
     t = np.concatenate([
         [0.0, -0.0, 5e-324, -5e-324, math.nan], np.linspace(-3.0, 3.0, 601), wide, -wide,
         edges, np.nextafter(edges, -math.inf), np.nextafter(edges, math.inf),
         mids, np.nextafter(mids, -math.inf), np.nextafter(mids, math.inf)])
-    if spec.name == "exp_neg":   # the scalar form overflows past exp(709)
-        t = t[~(-spec.param("lam") * t > 700.0)]
-    if spec.name == "pw_linear":   # the scalar form has no NaN rule (IndexError)
-        t = t[~np.isnan(t)]
+    if spec.name == "exp_neg":   # math.exp raises OverflowError past exp(709)
+        t = t[[not -spec.param("lam") * u > 700.0 for u in t.tolist()]]
     return t
 
 

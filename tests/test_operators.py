@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,10 +141,6 @@ class TestNodeVector:
             assert _bits(operators._nodes(spec, n)) == want
             assert _bits(operators._nodes(spec.fn, n)) == want
 
-    def test_grid_is_i_over_n_bit_for_bit(self):
-        for n in [*range(1, 200), 1029]:
-            assert _bits((np.arange(n + 1) / n).tolist()) == _bits(i / n for i in range(n + 1))
-
     def test_a_bare_callable_is_called_once_per_node_on_every_call(self):
         calls = []
 
@@ -182,25 +179,20 @@ class TestNodeVector:
                     assert info.maxsize == 1
                     assert info.currsize <= 1
 
-    def test_array_form_builds_the_long_rows_and_the_cache_serves_repeats(self):
-        calls = {"scalar": 0, "array": 0}
+    def test_one_build_serves_the_three_operators_and_their_repeats(self):
+        calls = []
 
         def f(t):
-            calls["scalar"] += 1
+            calls.append(t)
             return 2.0 * t
 
-        def array(t):
-            calls["array"] += 1
-            return 2.0 * t
-
-        f.array = array
-        short, long = operators._ARRAY_NODES_FROM - 1, operators._ARRAY_NODES_FROM
-        for n, want in ((short, {"scalar": short + 1, "array": 0}),
-                        (long, {"scalar": 0, "array": 1})):
-            calls.update(scalar=0, array=0)
-            for op in self.OPS:
-                op(f, n, 0.3)
-            assert calls == want, n
+        f.array = lambda t: 2.0 * t   # marks f as a registered family
+        for n in (2, 4, 64, 1029):
+            calls.clear()
+            for _ in range(2):
+                for op in self.OPS:
+                    op(f, n, 0.3)
+            assert calls == [i / n for i in range(n + 1)], n
 
     def test_a_row_is_shared_and_read_only(self):
         spec = function_spec("sqrt")
@@ -564,6 +556,18 @@ def test_classical_picard_of_a_bare_callable_runs_unsplit():
 def test_classical_picard_of_an_unregistered_family_runs_unsplit():
     spec = FunctionSpec("cubic", lambda t: t ** 3)
     assert picard_classical(spec, 4.0, 0.3) == picard_classical(spec.fn, 4.0, 0.3)
+
+
+def test_classical_picard_overflows_silently_through_the_array_form():
+    # -lam * t overflows to -inf at every node: exp gives 0.0 in both forms,
+    # and neither warns (a RuntimeWarning fails the test)
+    spec = function_spec("exp_neg", lam=1e308)
+    scalar = FunctionSpec(spec.name, lambda t: spec.fn(t), params=spec.params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (5.0, 5.5, 6.0):
+            got = picard_classical(spec, 64.0, x)
+            assert float.hex(got) == float.hex(picard_classical(scalar, 64.0, x)) == "0x0.0p+0"
 
 
 @pytest.mark.parametrize("name", REGISTERED)
