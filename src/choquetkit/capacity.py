@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -42,23 +43,21 @@ def _set_to_mask(subset: Iterable[int]) -> int:
 class DiscreteCapacity:
     """A set function on the power set of {0..size-1}.
 
-    ``evaluator`` maps a frozenset of indices to a nonnegative value.
-    ``tails_fn``, when provided, evaluates the capacity on the chain of
-    suffix sets of a permutation in one pass (used by the sorted Choquet
-    integral, where it saves rebuilding the nested subsets).
-    ``values_fn``, when provided, evaluates it on every row of a boolean
-    membership matrix in a few numpy calls (used by the layer cake and by
-    the tabulation of the property checks); every constructor of this
-    module supplies one, and :meth:`values` falls back to one
-    ``evaluator`` call per row without it.  ``table``, set by
-    ``capacity_from_table`` (and so by ``random_monotone_capacity`` and
-    the ``dual`` of a tabulated capacity), is the read-only array of the
-    ``2**size`` values indexed by subset bitmask; it is ``None`` for every
-    other capacity and is left out of ``==``.
+    Each constructor of this module writes mu once per engine: ``tails_fn``
+    on the suffix sets of one permutation (the sorted integral) and
+    ``values_fn`` on the rows of a boolean membership matrix (the layer
+    cake, and the property checks' tables).  ``evaluator``, mu of one
+    frozenset, is derived when left out: ``table[mask]`` for a tabulated
+    capacity, else one row of ``values``.  A bare evaluator is a capacity
+    too: :meth:`tails` and :meth:`values` then ask it once per set.
+    ``table``, set by ``capacity_from_table`` (so by
+    ``random_monotone_capacity`` and the ``dual`` of a tabulated capacity),
+    is the read-only array of the ``2**size`` values indexed by subset
+    bitmask; it is ``None`` otherwise and is left out of ``==``.
     """
 
     size: int
-    evaluator: Callable[[frozenset], float]
+    evaluator: Optional[Callable[[frozenset], float]] = None
     tails_fn: Optional[Callable[[Sequence[int]], list[float]]] = None
     values_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     table: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
@@ -66,6 +65,20 @@ class DiscreteCapacity:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("ground set must have at least one element")
+        if self.evaluator is None and self.table is not None:
+            vals = memoryview(self.table)
+            self.evaluator = lambda subset: vals[_set_to_mask(subset)]
+        elif self.evaluator is None:
+            if self.values_fn is None:
+                raise ValueError("a capacity needs an evaluator, a table or a values_fn")
+            values_fn, size = self.values_fn, self.size
+
+            def row(subset: frozenset) -> float:
+                members = np.zeros((1, size), dtype=bool)
+                members[0, list(subset)] = True
+                return float(values_fn(members)[0])
+
+            self.evaluator = row
 
     def value(self, subset: Iterable[int]) -> float:
         s = frozenset(subset)
@@ -101,9 +114,6 @@ class DiscreteCapacity:
         return np.array([self.evaluator(frozenset(np.flatnonzero(row).tolist()))
                          for row in members], dtype=float)
 
-    def total(self) -> float:
-        return self.evaluator(frozenset(range(self.size)))
-
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -127,16 +137,19 @@ def dual(cap: DiscreteCapacity) -> DiscreteCapacity:
     if cap.table is not None:
         # the complement of mask k is full ^ k = full - k: the table reversed
         return capacity_from_table(cap.size, cap.table[-1] - cap.table[::-1])
-    omega = frozenset(range(cap.size))
-    total = cap.evaluator(omega)
 
-    def rule(subset: frozenset) -> float:
-        return total - cap.evaluator(omega - subset)
+    def tails(order: Sequence[int]) -> list[float]:
+        # the suffixes of ``order`` are the complements of the suffixes of
+        # its reverse, whose first is Omega: mu(empty) comes out exactly 0
+        inner = cap.tails(order[::-1])
+        return [inner[0] - t for t in reversed(inner)]
+
+    total = float(cap.values(np.ones((1, cap.size), dtype=bool))[0])
 
     def values(members: np.ndarray) -> np.ndarray:
         return total - cap.values(~members)
 
-    return DiscreteCapacity(cap.size, rule, values_fn=values)
+    return DiscreteCapacity(cap.size, tails_fn=tails, values_fn=values)
 
 
 def _members(mask) -> tuple:
@@ -342,51 +355,45 @@ def _weights_tails(weights: Sequence[float],
     return tails
 
 
+def _weights(weights: Sequence[float]) -> list[float]:
+    w = [float(v) for v in weights]
+    if not all(math.isfinite(v) and v >= 0 for v in w):
+        raise ValueError("weights must be finite and nonnegative")
+    return w
+
+
 def additive_capacity(weights: Sequence[float]) -> DiscreteCapacity:
     """mu(A) = sum of weights over A (weights nonnegative, not necessarily normalized)."""
-    w = [float(v) for v in weights]
-    if any(v < 0 for v in w):
-        raise ValueError("weights must be nonnegative")
-
+    w = _weights(weights)
     arr = np.array(w)
-
-    def rule(subset: frozenset) -> float:
-        return math.fsum(w[i] for i in subset)
 
     def values(members: np.ndarray) -> np.ndarray:
         return members @ arr
 
-    return DiscreteCapacity(len(w), rule, tails_fn=_weights_tails(w), values_fn=values)
+    return DiscreteCapacity(len(w), tails_fn=_weights_tails(w), values_fn=values)
 
 
 def distorted_probability(gamma: DistortionFunction,
                           weights: Sequence[float]) -> DiscreteCapacity:
     """mu(A) = gamma(sum of weights over A) for a probability vector, and 0
     where that sum is 0 (the empty set, or a set of zero weights)."""
-    w = [float(v) for v in weights]
-    if any(v < 0 for v in w):
-        raise ValueError("weights must be nonnegative")
+    w = _weights(weights)
     if abs(math.fsum(w) - 1.0) > 1e-12:
         raise ValueError("weights must sum to 1")
     validate_distortion(gamma)
 
+    # 0 wherever no weight is positive, the empty set included, in both
+    # forms: gamma(0) may be up to 1e-12 off 0
     def transform(t: float) -> float:
         return gamma(t) if t > 0 else 0.0
-
-    def rule(subset: frozenset) -> float:
-        # 0 wherever no weight is positive, the empty set included, as in
-        # ``tails`` and ``values``: gamma(0) may be up to 1e-12 off 0
-        return transform(math.fsum(w[i] for i in subset))
 
     arr = np.array(w)
 
     def values(members: np.ndarray) -> np.ndarray:
-        # 0 where no weight is positive, as in ``transform``: exactly 0 for
-        # the empty row, as in ``rule``
         t = members @ arr
         return np.where(t > 0, gamma(t), 0.0)
 
-    return DiscreteCapacity(len(w), rule, tails_fn=_weights_tails(w, transform),
+    return DiscreteCapacity(len(w), tails_fn=_weights_tails(w, transform),
                             values_fn=values)
 
 
@@ -405,17 +412,16 @@ def possibility_capacity(weights: Sequence[float]) -> DiscreteCapacity:
 
     arr = np.array(w)
 
-    def rule(subset: frozenset) -> float:
-        if not subset:
-            return 0.0
-        return max(w[i] for i in subset)
+    def tails(order: Sequence[int]) -> list[float]:
+        # the running max over the suffixes, from the last element in
+        return [*accumulate((w[i] for i in reversed(order)), max)][::-1] + [0.0]
 
     def values(members: np.ndarray) -> np.ndarray:
         # the weights are nonnegative, so a 0 in place of a non-member
         # leaves a row's max as it is and gives 0 for the empty row
         return np.where(members, arr, 0.0).max(axis=1)
 
-    return DiscreteCapacity(len(w), rule, values_fn=values)
+    return DiscreteCapacity(len(w), tails_fn=tails, values_fn=values)
 
 
 def capacity_from_table(size: int, table: Sequence[float]) -> DiscreteCapacity:
@@ -433,9 +439,6 @@ def capacity_from_table(size: int, table: Sequence[float]) -> DiscreteCapacity:
     # a view that reads each entry as a float: no copy of the 2**size values
     vals = memoryview(arr)
 
-    def rule(subset: frozenset) -> float:
-        return vals[_set_to_mask(subset)]
-
     def tails(order: Sequence[int]) -> list[float]:
         out = [0.0] * (len(order) + 1)
         mask = 0
@@ -447,7 +450,7 @@ def capacity_from_table(size: int, table: Sequence[float]) -> DiscreteCapacity:
     def values(members: np.ndarray) -> np.ndarray:
         return arr[members @ _BITS[:size]]
 
-    return DiscreteCapacity(size, rule, tails_fn=tails, values_fn=values, table=arr)
+    return DiscreteCapacity(size, tails_fn=tails, values_fn=values, table=arr)
 
 
 def random_monotone_capacity(rng: np.random.Generator, size: int) -> DiscreteCapacity:

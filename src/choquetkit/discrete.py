@@ -14,8 +14,9 @@ path so the two can verify each other.  Both ask the capacity in one
 batch, through separate entry points: the sorted path reads the suffix
 sets of one permutation from ``cap.tails``, the layer cake reads every
 level set ``{X >= p}``, found by comparing the values with each level,
-from ``cap.values``.  Each constructor writes those two batched forms
-apart, so a fault in either shows as a disagreement of the engines.
+from ``cap.values``.  Each constructor writes mu in those two forms
+alone, apart (the scalar evaluator is derived from ``values``, or is a
+table lookup), so a fault in either shows as a disagreement of the engines.
 
 ``property_suite`` evaluates the same sorted tail-sum formula row-wise:
 every trial's integrands are stacked into one matrix and integrated in a

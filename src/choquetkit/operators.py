@@ -176,16 +176,6 @@ def bernstein_choquet_capacity(n: int, x: float,
     gap = _gap(p, profile)
     size = n + 1
 
-    def rule(subset: frozenset) -> float:
-        if not subset:
-            return 0.0
-        if len(subset) == size:
-            return 1.0
-        total = math.fsum(p[i] for i in subset)
-        if i0 in subset:
-            total += gap
-        return total
-
     def tails(order: Sequence[int]) -> list[float]:
         out = [0.0] * (size + 1)
         pos = order.index(i0)
@@ -205,7 +195,7 @@ def bernstein_choquet_capacity(n: int, x: float,
         out[count == size] = 1.0
         return out
 
-    return DiscreteCapacity(size, rule, tails_fn=tails, values_fn=values)
+    return DiscreteCapacity(size, tails_fn=tails, values_fn=values)
 
 
 def bernstein_choquet(f: Callable[[float], float], n: int, x: float,

@@ -5,15 +5,95 @@ import numpy as np
 import pytest
 
 from choquetkit import capacity
-from choquetkit import (CapabilityError, DiscreteCapacity, DistortionFunction,
-                        IntervalUnion, Kernel, RealCapacity, additive_capacity,
-                        bernstein_choquet_capacity, capacity_from_table,
+from choquetkit import (DEFAULT_PROFILE, CapabilityError, DiscreteCapacity,
+                        DistortionFunction, IntervalUnion, Kernel, RealCapacity,
+                        additive_capacity, bernstein_choquet_capacity, capacity_from_table,
                         check_properties, choquet_integral, counting_distortion,
                         distorted_probability, dual, kernel_level_function,
-                        possibility_capacity, random_monotone_capacity,
-                        validate_distortion)
+                        perturbation_gap, possibility_capacity,
+                        random_monotone_capacity, validate_distortion)
+from choquetkit.operators import bernstein_basis_vector
 
 SQRT_THIRD = math.sqrt(1.0 / 3.0)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference rules: mu of one frozenset at a time, with ``math.fsum``,
+# for each kind of capacity.  The capacities keep only their batched forms
+# (``tails`` and ``values``) and derive their evaluator from them; these
+# rules share no arithmetic with those forms, and the tests hold the forms
+# to them.
+
+
+def additive_rule(weights):
+    w = [float(v) for v in weights]
+
+    def rule(subset: frozenset) -> float:
+        return math.fsum(w[i] for i in subset)
+
+    return rule
+
+
+def distorted_rule(gamma, weights):
+    w = [float(v) for v in weights]
+
+    def transform(t: float) -> float:
+        return gamma(t) if t > 0 else 0.0
+
+    def rule(subset: frozenset) -> float:
+        # 0 wherever no weight is positive, the empty set included
+        return transform(math.fsum(w[i] for i in subset))
+
+    return rule
+
+
+def possibility_rule(weights):
+    w = [float(v) for v in weights]
+
+    def rule(subset: frozenset) -> float:
+        if not subset:
+            return 0.0
+        return max(w[i] for i in subset)
+
+    return rule
+
+
+def table_rule(table):
+    vals = [float(v) for v in table]
+
+    def rule(subset: frozenset) -> float:
+        return vals[sum(1 << i for i in subset)]
+
+    return rule
+
+
+def bernstein_rule(n, x, profile=DEFAULT_PROFILE):
+    p = bernstein_basis_vector(n, x)
+    gap = perturbation_gap(n, x, profile)
+    i0 = profile.i0
+    size = n + 1
+
+    def rule(subset: frozenset) -> float:
+        if not subset:
+            return 0.0
+        if len(subset) == size:
+            return 1.0
+        total = math.fsum(p[i] for i in subset)
+        if i0 in subset:
+            total += gap
+        return total
+
+    return rule
+
+
+def dual_rule(mu, size):
+    omega = frozenset(range(size))
+    total = mu(omega)
+
+    def rule(subset: frozenset) -> float:
+        return total - mu(omega - subset)
+
+    return rule
 
 
 class TestEvaluateDiscrete:
@@ -38,11 +118,12 @@ class TestEvaluateDiscrete:
 
 class TestDual:
     def test_additive_self_dual(self):
-        cap = additive_capacity([0.2, 0.3, 0.5])
-        d = dual(cap)
+        w = [0.2, 0.3, 0.5]
+        d = dual(additive_capacity(w))
+        mu = additive_rule(w)
         for mask in range(8):
-            subset = {i for i in range(3) if mask >> i & 1}
-            assert d.value(subset) == pytest.approx(cap.value(subset), abs=1e-15)
+            subset = _subset(mask)
+            assert d.value(subset) == pytest.approx(mu(subset), abs=1e-15)
 
     def test_two_point_fixture(self):
         cap = capacity_from_table(2, [0.0, 0.3, 0.9, 1.0])
@@ -55,20 +136,22 @@ class TestDual:
             size = int(rng.integers(2, 6))
             cap = random_monotone_capacity(rng, size)
             dd = dual(dual(cap))
+            mu = table_rule(cap.table)
             for mask in range(1 << size):
-                subset = frozenset(i for i in range(size) if mask >> i & 1)
-                assert dd.evaluator(subset) == pytest.approx(
-                    cap.evaluator(subset), abs=1e-12)
+                subset = _subset(mask)
+                assert dd.evaluator(subset) == pytest.approx(mu(subset), abs=1e-12)
 
     def test_dual_below_subadditive(self, rng):
         # for subadditive capacities the dual never exceeds the original
         gamma = DistortionFunction.sqrt()
         for size in (2, 3, 4):
-            cap = counting_distortion(gamma, size)
-            d = dual(cap)
+            d = dual(counting_distortion(gamma, size))
+            mu = distorted_rule(gamma, [1.0 / size] * size)
+            flipped = dual_rule(mu, size)
             for mask in range(1 << size):
-                subset = frozenset(i for i in range(size) if mask >> i & 1)
-                assert d.evaluator(subset) <= cap.evaluator(subset) + 1e-12
+                subset = _subset(mask)
+                assert d.evaluator(subset) == pytest.approx(flipped(subset), abs=1e-15)
+                assert d.evaluator(subset) <= mu(subset) + 1e-12
 
 
 class TestTable:
@@ -123,9 +206,10 @@ def _member_rows(rng, size):
                            rng.random((200, size)) < rng.random((200, 1))])
 
 
-def _evaluated(cap, members):
-    return np.array([cap.evaluator(frozenset(np.flatnonzero(row).tolist()))
-                     for row in members])
+def _evaluated(mu, members):
+    """The scalar form ``mu`` (an evaluator or a reference rule) on every
+    row of ``members``."""
+    return np.array([mu(frozenset(np.flatnonzero(row).tolist())) for row in members])
 
 
 def _probability(rng, size):
@@ -134,17 +218,22 @@ def _probability(rng, size):
 
 
 def _weight_capacities(rng, size):
-    """One capacity of every weight-based kind on ``size`` elements."""
+    """One capacity of every weight-based kind on ``size`` elements, each
+    with its scalar reference rule."""
     w = _probability(rng, size)
-    caps = {"additive": additive_capacity(w),
-            "counting": counting_distortion(DistortionFunction.sqrt(), size),
-            "possibility": possibility_capacity((np.array(w) / max(w)).tolist()),
-            "dual_sqrt": dual(distorted_probability(DistortionFunction.sqrt(), w))}
-    for gamma in (DistortionFunction.identity(), DistortionFunction.sqrt(),
-                  DistortionFunction.power(0.3)):
-        caps[gamma.name] = distorted_probability(gamma, w)
+    sqrt = DistortionFunction.sqrt()
+    peaks = (np.array(w) / max(w)).tolist()
+    caps = {"additive": (additive_capacity(w), additive_rule(w)),
+            "counting": (counting_distortion(sqrt, size),
+                         distorted_rule(sqrt, [1.0 / size] * size)),
+            "possibility": (possibility_capacity(peaks), possibility_rule(peaks)),
+            "dual_sqrt": (dual(distorted_probability(sqrt, w)),
+                          dual_rule(distorted_rule(sqrt, w), size))}
+    for gamma in (DistortionFunction.identity(), sqrt, DistortionFunction.power(0.3)):
+        caps[gamma.name] = (distorted_probability(gamma, w), distorted_rule(gamma, w))
     if size >= 3:
-        caps["bernstein"] = bernstein_choquet_capacity(size - 1, 0.3)
+        caps["bernstein"] = (bernstein_choquet_capacity(size - 1, 0.3),
+                             bernstein_rule(size - 1, 0.3))
     return caps
 
 
@@ -154,21 +243,43 @@ class TestBatchedValues:
         cap = random_monotone_capacity(rng, size)
         listed = capacity_from_table(size, cap.table.tolist())
         members = _member_rows(rng, size)
-        for c in (cap, listed, dual(cap), dual(dual(cap))):
-            assert c.values(members).tolist() == _evaluated(c, members).tolist()
+        mu = table_rule(cap.table)
+        flipped = dual_rule(mu, size)
+        for c, rule in ((cap, mu), (listed, mu), (dual(cap), flipped),
+                        (dual(dual(cap)), dual_rule(flipped, size))):
+            want = _evaluated(rule, members).tolist()
+            assert c.values(members).tolist() == want
+            assert _evaluated(c.evaluator, members).tolist() == want
 
     @pytest.mark.parametrize("size", [1, 7, 64])
     def test_weight_kinds_match_the_evaluator(self, rng, size):
         members = _member_rows(rng, size)
-        for name, cap in _weight_capacities(rng, size).items():
-            got, want = cap.values(members), _evaluated(cap, members)
+        for name, (cap, rule) in _weight_capacities(rng, size).items():
+            got, want = cap.values(members), _evaluated(rule, members)
             assert np.abs(got - want).max() <= 1e-15, name
+            # the derived evaluator, one row of ``values`` per call
+            assert np.abs(_evaluated(cap.evaluator, members) - want).max() <= 1e-15, name
             if name != "dual_sqrt":
                 assert got[0] == 0.0, name   # the empty row, exactly as the rule
             if name == "bernstein":
                 assert got[1] == 1.0         # Omega, pinned as in the rule
             if name == "possibility":
                 assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_weight_kinds_tails_match_the_rule(self, rng, size):
+        # a running sum of ``size`` weights rounds size - 1 times, each by at
+        # most half an ulp of a partial sum <= 1, and a dual subtracts two of
+        # them; a running max does not round
+        for name, (cap, rule) in _weight_capacities(rng, size).items():
+            for _ in range(5):
+                order = rng.permutation(size).tolist()
+                got = cap.tails(order)
+                want = [rule(frozenset(order[k:])) for k in range(size)] + [0.0]
+                if name == "possibility":
+                    assert got == want
+                assert np.abs(np.subtract(got, want)).max() <= size * 2.0 ** -52, name
+                assert got[-1] == 0.0, name
 
     def test_bare_evaluator_falls_back_to_one_call_per_row(self, rng):
         calls = []
@@ -181,19 +292,27 @@ class TestBatchedValues:
         members = _member_rows(rng, 6)
         got = cap.values(members)
         assert len(calls) == len(members)
-        assert got.tolist() == _evaluated(cap, members).tolist()
+        assert got.tolist() == _evaluated(evaluator, members).tolist()
         flipped = dual(cap)
-        assert flipped.values(members).tolist() == _evaluated(flipped, members).tolist()
+        assert flipped.values(members).tolist() == _evaluated(
+            dual_rule(evaluator, 6), members).tolist()
 
     def test_tabulate_is_the_per_mask_evaluator_table(self, rng):
         size = 9
         bare = DiscreteCapacity(size, lambda s: math.sqrt(len(s) / size))
-        for name, cap in {**_weight_capacities(rng, size), "bare": bare}.items():
+        for name, (cap, rule) in {**_weight_capacities(rng, size),
+                                  "bare": (bare, bare.evaluator)}.items():
             got = capacity._tabulate(cap)
-            want = np.array([cap.evaluator(_subset(k)) for k in range(1 << size)])
+            want = np.array([rule(_subset(k)) for k in range(1 << size)])
             if name in ("bare", "possibility"):
                 assert got.tolist() == want.tolist(), name
             assert np.abs(got - want).max() <= 1e-15, name
+
+    def test_a_capacity_needs_a_form(self):
+        with pytest.raises(ValueError, match="evaluator, a table or a values_fn"):
+            DiscreteCapacity(3)
+        with pytest.raises(ValueError, match="evaluator, a table or a values_fn"):
+            DiscreteCapacity(3, tails_fn=lambda order: [0.0] * 4)
 
     def test_rejects_a_matrix_of_the_wrong_width(self):
         cap = additive_capacity([0.5, 0.5])
@@ -379,6 +498,17 @@ class TestDistortedProbability:
             distorted_probability(DistortionFunction.sqrt(), [0.5, 0.6])
         with pytest.raises(ValueError):
             distorted_probability(DistortionFunction.sqrt(), [-0.2, 1.2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        # NaN slips past ``v < 0`` and the sum-to-1 check: it would give
+        # mu(Omega) = 0
+        with pytest.raises(ValueError, match="finite"):
+            additive_capacity([bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            distorted_probability(DistortionFunction.sqrt(), [bad, 1.0])
+        with pytest.raises(ValueError):
+            possibility_capacity([bad, 1.0])
 
     def test_rejects_convex_distortion(self):
         square = DistortionFunction("square", lambda t: t * t)

@@ -154,6 +154,16 @@ class TestIntegrate:
         assert main(["integrate", "--config", cfg]) == 2
         assert capsys.readouterr().err == "config error: integrand values must be finite\n"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_is_config_error(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, {
+            "mode": "discrete",
+            "capacity": {"kind": "discrete", "rule": "additive", "weights": [bad, 1.0]},
+            "values": [1.0, 2.0],
+        })
+        assert main(["integrate", "--config", cfg]) == 2
+        assert "weights must be finite and nonnegative" in capsys.readouterr().err
+
     def test_infinite_level_set_is_numeric_error(self, tmp_path, capsys, monkeypatch):
         # a level oracle that gives the whole line deep in the tail, below
         # alpha = 1e-60, which the adaptive engine's first pass reaches

@@ -42,7 +42,7 @@ class TestSortingFormula:
             cap = unnormalized_capacity(rng, 4)
             c = float(rng.uniform(-3, 3))
             assert choquet_integral([c] * 4, cap) == pytest.approx(
-                c * cap.total(), abs=1e-12)
+                c * cap.value(range(cap.size)), abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -113,6 +113,45 @@ def _only_values(cap):
         raise AssertionError("the layer cake reads mu only through values")
 
     return DiscreteCapacity(cap.size, refuse, tails_fn=refuse, values_fn=values), shapes
+
+
+def _only_tails(*caps):
+    """Arm ``caps`` to give mu only through ``tails``: from here on their
+    evaluators and batched values raise.  In place, since a dual reads its
+    inner capacity through that very object."""
+    def refuse(*args):
+        raise AssertionError("the sorted engine reads mu only through tails")
+
+    for cap in caps:
+        cap.evaluator = cap.values_fn = refuse
+
+
+class TestSortedEngine:
+    def test_reads_mu_only_through_tails(self, rng):
+        # every constructor's capacity, and a dual of each shape: the sorted
+        # engine must not reach the layer cake's ``values``, nor the
+        # evaluator derived from it
+        m = 12
+        w = rng.uniform(0.1, 1.0, size=m)
+        w = (w / w.sum()).tolist()
+        sqrt = DistortionFunction.sqrt()
+        inner = distorted_probability(sqrt, w)
+        table = random_monotone_capacity(rng, m)
+        caps = {"additive": additive_capacity(w),
+                "distorted": distorted_probability(sqrt, w),
+                "counting": counting_distortion(sqrt, m),
+                "possibility": possibility_capacity((np.array(w) / max(w)).tolist()),
+                "table": table,
+                "bernstein": bernstein_choquet_capacity(m - 1, 0.3),
+                "dual": dual(inner),
+                "tabulated_dual": dual(table)}
+        values = [_signed_with_ties(rng, m) for _ in range(5)]
+        want = {name: [choquet_integral_layer_cake(v, cap) for v in values]
+                for name, cap in caps.items()}
+        _only_tails(inner, *caps.values())
+        for name, cap in caps.items():
+            got = [choquet_integral(v, cap) for v in values]
+            assert np.abs(np.subtract(got, want[name])).max() <= 1e-12, name
 
 
 class TestLayerCake:
@@ -235,7 +274,7 @@ class TestPushforward:
         cap = unnormalized_capacity(rng, 4)
         support, pf = pushforward([7.0] * 4, cap)
         assert support == [7.0]
-        assert pf.evaluator(frozenset({0})) == pytest.approx(cap.total(), abs=1e-15)
+        assert pf.evaluator(frozenset({0})) == pytest.approx(cap.value(range(4)), abs=1e-15)
         assert pf.evaluator(frozenset()) == 0.0
 
     def test_change_of_variables(self, rng):
@@ -353,7 +392,7 @@ def _reference_suite(cap, trials, seed):
     """The property suite as a per-trial loop of scalar integrals, with the
     per-trial draws: (violations, checked)."""
     submodular = check_properties(cap).submodular
-    mu_omega = cap.total()
+    mu_omega = cap.value(range(cap.size))
     dual_cap = dual(cap)
     rng = np.random.default_rng(seed)
     violations = []
