@@ -259,20 +259,15 @@ def check_properties(cap: DiscreteCapacity) -> PropertyReport:
 # distortion functions
 
 
-def _float_or_array(scalar: Callable, array: Callable) -> Callable:
-    """One function that is ``scalar`` on a float and ``array`` on anything
-    else, such as a numpy array: a float keeps the speed of ``math``."""
-    return lambda t: scalar(t) if type(t) is float else array(t)
-
-
 @dataclass(frozen=True)
 class DistortionFunction:
     """Named nondecreasing concave distortion with gamma(0) = 0.
 
-    ``fn`` is defined on [0, inf) and takes a float or a numpy array of
-    them; the normalization gamma(1) = 1 matters only when distorting a
-    probability vector, the real-line variants (e.g. sqrt of Lebesgue
-    length) apply it to arbitrary lengths.
+    ``fn`` is one numpy function on [0, inf): it maps an array of lengths
+    or probabilities elementwise, and a float to a float.  The
+    normalization gamma(1) = 1 matters only when distorting a probability
+    vector; the real-line variants (e.g. sqrt of Lebesgue length) apply it
+    to arbitrary lengths.
     """
 
     name: str
@@ -287,72 +282,49 @@ class DistortionFunction:
 
     @staticmethod
     def sqrt() -> "DistortionFunction":
-        return DistortionFunction("sqrt", _float_or_array(math.sqrt, np.sqrt))
+        return DistortionFunction("sqrt", np.sqrt)
 
     @staticmethod
-    def power(p: float) -> "DistortionFunction":
+    def power(p: float = 0.5) -> "DistortionFunction":
         if isinstance(p, bool) or not isinstance(p, numbers.Real):
             raise ValueError(f"power distortion needs a number p, got {p!r}")
         if not 0 < p <= 1:
             raise ValueError("power distortion requires 0 < p <= 1")
         # float_power, unlike numpy's power, rounds as float ** does
-        return DistortionFunction(f"power_{p:g}", _float_or_array(
-            lambda t: t ** p, lambda t: np.float_power(t, p)))
+        return DistortionFunction(f"power_{p:g}", lambda t: np.float_power(t, p))
 
 
 _DISTORTIONS = {
     "identity": DistortionFunction.identity,
     "sqrt": DistortionFunction.sqrt,
+    "power": DistortionFunction.power,
 }
 
 
 def distortion_by_name(name: str, **params) -> DistortionFunction:
-    if name == "power":
-        return DistortionFunction.power(params.get("p", 0.5))
-    try:
-        return _DISTORTIONS[name]()
-    except KeyError:
-        raise ValueError(f"unknown distortion {name!r}") from None
+    """The registered distortion ``name`` built from ``params``; a
+    parameter that it does not take is a TypeError."""
+    if name not in _DISTORTIONS:
+        raise ValueError(f"unknown distortion {name!r}")
+    return _DISTORTIONS[name](**params)
 
 
 def validate_distortion(gamma: DistortionFunction) -> None:
     """Check gamma(0)=0, gamma(1)=1, monotone and concave on
-    ``DISTORTION_GRID`` equispaced points of [0, 1]."""
-    if abs(gamma(0.0)) > EXACT_TOL:
+    ``DISTORTION_GRID`` equispaced points of [0, 1], read from one call."""
+    vals = gamma(np.linspace(0.0, 1.0, DISTORTION_GRID))
+    if abs(vals[0]) > EXACT_TOL:
         raise ValueError(f"distortion {gamma.name}: gamma(0) != 0")
-    if abs(gamma(1.0) - 1.0) > EXACT_TOL:
+    if abs(vals[-1] - 1.0) > EXACT_TOL:
         raise ValueError(f"distortion {gamma.name}: gamma(1) != 1")
-    ts = np.linspace(0.0, 1.0, DISTORTION_GRID)
-    vals = [gamma(float(t)) for t in ts]
-    for i in range(1, DISTORTION_GRID):
-        if vals[i] < vals[i - 1] - EXACT_TOL:
-            raise ValueError(f"distortion {gamma.name}: not nondecreasing")
-    for i in range(1, DISTORTION_GRID - 1):
-        if vals[i] + EXACT_TOL < (vals[i - 1] + vals[i + 1]) / 2:
-            raise ValueError(f"distortion {gamma.name}: not concave")
+    if (vals[1:] < vals[:-1] - EXACT_TOL).any():
+        raise ValueError(f"distortion {gamma.name}: not nondecreasing")
+    if (vals[1:-1] + EXACT_TOL < (vals[:-2] + vals[2:]) / 2).any():
+        raise ValueError(f"distortion {gamma.name}: not concave")
 
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def _weights_tails(weights: Sequence[float],
-                   transform: Callable[[float], float] | None = None):
-    """Suffix-sum tails for weight-based capacities (O(m) per call)."""
-
-    def tails(order: Sequence[int]) -> list[float]:
-        m = len(order)
-        out = [0.0] * (m + 1)
-        acc = 0.0
-        for k in range(m - 1, -1, -1):
-            acc += weights[order[k]]
-            out[k] = acc
-        if transform is not None:
-            for k in range(m):
-                out[k] = transform(out[k])
-        return out
-
-    return tails
 
 
 def _weights(weights: Sequence[float]) -> list[float]:
@@ -367,34 +339,39 @@ def additive_capacity(weights: Sequence[float]) -> DiscreteCapacity:
     w = _weights(weights)
     arr = np.array(w)
 
+    def tails(order: Sequence[int]) -> list[float]:
+        # the suffix sums, from the last element in (O(m) per call)
+        out = [0.0] * (len(order) + 1)
+        acc = 0.0
+        for k in range(len(order) - 1, -1, -1):
+            acc += w[order[k]]
+            out[k] = acc
+        return out
+
     def values(members: np.ndarray) -> np.ndarray:
         return members @ arr
 
-    return DiscreteCapacity(len(w), tails_fn=_weights_tails(w), values_fn=values)
+    return DiscreteCapacity(len(w), tails_fn=tails, values_fn=values)
 
 
 def distorted_probability(gamma: DistortionFunction,
                           weights: Sequence[float]) -> DiscreteCapacity:
-    """mu(A) = gamma(sum of weights over A) for a probability vector, and 0
-    where that sum is 0 (the empty set, or a set of zero weights)."""
+    """mu(A) = gamma(P(A)) for the probability P of a weight vector: gamma
+    applied to both forms of ``additive_capacity(weights)``."""
     w = _weights(weights)
-    if abs(math.fsum(w) - 1.0) > 1e-12:
+    if abs(math.fsum(w) - 1.0) > EXACT_TOL:
         raise ValueError("weights must sum to 1")
     validate_distortion(gamma)
+    prob = additive_capacity(w)
 
-    # 0 wherever no weight is positive, the empty set included, in both
-    # forms: gamma(0) may be up to 1e-12 off 0
-    def transform(t: float) -> float:
-        return gamma(t) if t > 0 else 0.0
-
-    arr = np.array(w)
-
-    def values(members: np.ndarray) -> np.ndarray:
-        t = members @ arr
+    def distort(t: np.ndarray) -> np.ndarray:
+        # 0 where no weight is positive, the empty set included: gamma(0)
+        # may be up to EXACT_TOL off 0
         return np.where(t > 0, gamma(t), 0.0)
 
-    return DiscreteCapacity(len(w), tails_fn=_weights_tails(w, transform),
-                            values_fn=values)
+    return DiscreteCapacity(
+        len(w), tails_fn=lambda order: distort(np.array(prob.tails_fn(order))).tolist(),
+        values_fn=lambda members: distort(prob.values_fn(members)))
 
 
 def counting_distortion(gamma: DistortionFunction, size: int) -> DiscreteCapacity:

@@ -81,6 +81,14 @@ def _integer(raw) -> int:
     return int(raw)
 
 
+def _number(raw) -> float:
+    """``float(raw)``, except that a bool is a ``ValueError`` instead of
+    0.0 or 1.0."""
+    if isinstance(raw, bool):
+        raise ValueError(f"not a number: {raw!r}")
+    return float(raw)
+
+
 def _parse_n_list(raw) -> list[int]:
     if raw is None:
         raw = [4, 8, 16, 32]
@@ -104,7 +112,7 @@ def _parse_x_grid(raw) -> np.ndarray:
             raise ConfigError("xgrid must look like min:max:count")
         raw = {"min": parts[0], "max": parts[1], "count": parts[2]}
     try:
-        lo, hi, count = float(raw["min"]), float(raw["max"]), _integer(raw["count"])
+        lo, hi, count = _number(raw["min"]), _number(raw["max"]), _integer(raw["count"])
     except (KeyError, TypeError, ValueError):
         raise ConfigError(f"invalid x grid: {raw!r}") from None
     if count < 2:
@@ -129,7 +137,7 @@ def _parse_profile(raw: dict) -> PerturbationProfile:
     """The perturbation given by ``raw``'s ``theta`` and ``i0``; an absent
     key takes the default of :class:`PerturbationProfile`."""
     try:
-        theta = float(raw.get("theta", DEFAULT_PROFILE.theta))
+        theta = _number(raw.get("theta", DEFAULT_PROFILE.theta))
         i0 = _integer(raw.get("i0", DEFAULT_PROFILE.i0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid perturbation: {exc}") from exc
@@ -176,8 +184,8 @@ def _parse_gamma(raw):
 def _parse_kernel(raw, default_n=1.0) -> Kernel:
     raw = _object(raw or {}, "kernel")
     try:
-        return Kernel(raw.get("family", "laplace"), float(raw.get("n", default_n)),
-                      float(raw.get("x", 0.0)))
+        return Kernel(raw.get("family", "laplace"), _number(raw.get("n", default_n)),
+                      _number(raw.get("x", 0.0)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -193,7 +201,7 @@ def _parse_discrete_capacity(raw: dict) -> DiscreteCapacity:
             return cap_mod.counting_distortion(_parse_gamma(raw.get("gamma")),
                                                _integer(raw["size"]))
         if rule == "bernstein_perturbed":
-            return bernstein_choquet_capacity(_integer(raw["n"]), float(raw["x"]),
+            return bernstein_choquet_capacity(_integer(raw["n"]), _number(raw["x"]),
                                               _parse_profile(raw))
         if rule == "table":
             return cap_mod.capacity_from_table(_integer(raw["size"]), raw["values"])
@@ -260,7 +268,7 @@ def cmd_integrate(cfg: dict) -> int:
         if not isinstance(values, list) or len(values) != cap.size:
             raise ConfigError("values must list one number per ground element")
         try:
-            values = [float(v) for v in values]
+            values = [_number(v) for v in values]
         except (TypeError, ValueError):
             raise ConfigError(f"values must be numbers: {values!r}") from None
         try:
@@ -420,12 +428,12 @@ def _verify_capacity(rng: np.random.Generator, trials: int) -> list[str]:
         report = check_properties(cap)
         if not report.monotone:
             bad.append(f"trial {t}: generated capacity not monotone: {report.witnesses}")
-        if abs(cap.value(())) > 1e-12:
+        if abs(cap.value(())) > cap_mod.EXACT_TOL:
             bad.append(f"trial {t}: mu(empty) != 0")
         if report.submodular and not report.subadditive:
             bad.append(f"trial {t}: submodular without subadditive")
         # both tables are indexed by bitmask (bit i for element i)
-        off = np.abs(dual(dual(cap)).table - cap.table) > 1e-12
+        off = np.abs(dual(dual(cap)).table - cap.table) > cap_mod.EXACT_TOL
         if off.any():
             mask = int(np.argmax(off))
             bad.append(f"trial {t}: dual is not an involution on "
@@ -437,7 +445,7 @@ def _verify_capacity(rng: np.random.Generator, trials: int) -> list[str]:
         pts = np.sort(rng.uniform(-3.0, 3.0, size=6))
         a = IntervalUnion.from_pairs([(pts[0], pts[1]), (pts[2], pts[3])])
         b = IntervalUnion.from_pairs([(pts[4], pts[5])])
-        if abs(mu.value(a.union(b)) - max(mu.value(a), mu.value(b))) > 1e-12:
+        if abs(mu.value(a.union(b)) - max(mu.value(a), mu.value(b))) > cap_mod.EXACT_TOL:
             bad.append(f"trial {t}: possibility max rule violated")
     return bad
 
@@ -459,7 +467,7 @@ def _verify_integral(rng: np.random.Generator, trials: int) -> list[str]:
         x = rng.uniform(-3.0, 3.0, size=size)
         exact = float(weights @ x)
         got = choquet_integral(x, additive)
-        if abs(got - exact) > 1e-12:
+        if abs(got - exact) > cap_mod.EXACT_TOL:
             bad.append(f"trial {t}: additive reduction off by {abs(got - exact):.2e}")
 
         cap = random_monotone_capacity(rng, size)
@@ -537,8 +545,11 @@ def cmd_verify(cfg: dict) -> int:
         raise ConfigError(f"unknown suite {suite!r}; choose from {tuple(SUITES)}")
     trials = _parse_count(cfg, "trials", 200)
     rng = np.random.default_rng(_parse_count(cfg, "seed", 0))
+    inject = cfg.get("inject_nonmonotone", False)
+    if not isinstance(inject, bool):
+        raise ConfigError(f"inject_nonmonotone must be true or false: {inject!r}")
     violations = SUITES[suite](rng, trials)
-    if suite == "capacity" and cfg.get("inject_nonmonotone", False):
+    if suite == "capacity" and inject:
         violations += _verify_injected()
 
     with _output(cfg) as stream:

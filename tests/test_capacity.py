@@ -9,8 +9,8 @@ from choquetkit import (DEFAULT_PROFILE, CapabilityError, DiscreteCapacity,
                         DistortionFunction, IntervalUnion, Kernel, RealCapacity,
                         additive_capacity, bernstein_choquet_capacity, capacity_from_table,
                         check_properties, choquet_integral, counting_distortion,
-                        distorted_probability, dual, kernel_level_function,
-                        perturbation_gap, possibility_capacity,
+                        distorted_probability, distortion_by_name, dual,
+                        kernel_level_function, perturbation_gap, possibility_capacity,
                         random_monotone_capacity, validate_distortion)
 from choquetkit.operators import bernstein_basis_vector
 
@@ -469,7 +469,51 @@ def assert_witnesses_violate(cap, report):
         assert mu(set(a) | set(b)) + mu(set(a) & set(b)) > mu(a) + mu(b) + 1e-12
 
 
+# each registered distortion with its scalar ``math`` form
+MATH_FORMS = [(DistortionFunction.identity(), lambda t: t),
+              (DistortionFunction.sqrt(), math.sqrt)] + [
+    (DistortionFunction.power(p), lambda t, p=p: t ** p)
+    for p in (0.5, 0.25, 1 / 3, 0.7, 1.0)]
+MATH_IDS = [gamma.name for gamma, _ in MATH_FORMS]
+
+
+def _hex(values):
+    return [float.hex(float(v)) for v in values]
+
+
 class TestDistortedProbability:
+    @pytest.mark.parametrize("gamma, scalar", MATH_FORMS, ids=MATH_IDS)
+    def test_array_form_is_the_math_form_bit_for_bit(self, rng, gamma, scalar):
+        grid = np.linspace(0.0, 1.0, capacity.DISTORTION_GRID)
+        w = rng.uniform(0.0, 1.0, size=200)
+        # suffix sums of a probability vector, as the sorted engine forms them
+        sums = np.cumsum((w / w.sum())[::-1])[::-1]
+        for ts in (grid, sums):
+            assert _hex(gamma(ts)) == _hex(scalar(float(t)) for t in ts)
+
+    @pytest.mark.parametrize("gamma, scalar", MATH_FORMS, ids=MATH_IDS)
+    def test_forms_are_gamma_of_the_additive_forms(self, gamma, scalar):
+        w = [0.0, 0.25, 0.0, 0.1, 0.65, 0.0]
+        cap, add = distorted_probability(gamma, w), additive_capacity(w)
+
+        def distort(ts):
+            return _hex(scalar(t) if t > 0 else 0.0 for t in ts)
+
+        for order in ([0, 1, 2, 3, 4, 5], [4, 2, 0, 5, 1, 3], [1, 3, 4, 0, 2, 5]):
+            assert _hex(cap.tails(order)) == distort(add.tails(order))
+        members = np.arange(1 << len(w))[:, None] >> np.arange(len(w)) & 1 == 1
+        assert _hex(cap.values(members)) == distort(add.values(members).tolist())
+
+    def test_registry_reads_power_default(self):
+        assert distortion_by_name("power").name == "power_0.5"
+        assert distortion_by_name("power", p=0.25).name == "power_0.25"
+
+    @pytest.mark.parametrize("name, param", [("sqrt", "p"), ("identity", "p"),
+                                             ("power", "q")])
+    def test_rejects_a_parameter_it_does_not_take(self, name, param):
+        with pytest.raises(TypeError):
+            distortion_by_name(name, **{param: 3})
+
     @pytest.mark.parametrize("p", ["abc", None, True])
     def test_power_rejects_non_numbers(self, p):
         with pytest.raises(ValueError, match="needs a number"):

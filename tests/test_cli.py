@@ -611,6 +611,18 @@ class TestVerify:
         assert code == 1
         assert "witness" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("inject", ["false", "true", 0, 1])
+    def test_inject_nonmonotone_must_be_boolean(self, tmp_path, capsys, inject):
+        cfg = write_config(tmp_path, {"inject_nonmonotone": inject})
+        assert main(["verify", "--config", cfg, "--trials", "1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: inject_nonmonotone must be true or false")
+
+    @pytest.mark.parametrize("inject, code", [(False, 0), (True, 1)])
+    def test_inject_nonmonotone_from_config(self, tmp_path, inject, code):
+        cfg = write_config(tmp_path, {"inject_nonmonotone": inject})
+        assert main(["verify", "--config", cfg, "--trials", "1"]) == code
+
     def test_capacity_suite_catches_a_dual_that_is_no_involution(self, monkeypatch, capsys):
         # negative control: a "dual" that raises mu on the masks 3 = {0, 1}
         # and 6 = {1, 2}; the witness is the first mask that differs
@@ -697,11 +709,27 @@ class TestVerify:
                                 "values": [0, 1]}, "values": [1]}),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "bernstein_perturbed",
                                 "n": 2.5, "x": 0.3}, "values": [0, 0.5, 1]}),
+    ("integrate", {"mode": "real", "capacity": {
+        "kind": "distorted_lebesgue", "gamma": {"name": "sqrt", "p": 3}}}),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "distorted_uniform",
+                                "gamma": {"name": "identity", "p": 0.5}, "size": 2},
+                   "values": [1.0, 2.0]}),
+    # a JSON boolean is not a number
+    ("operator", {"x_grid": {"min": False, "max": True, "count": 2}}),
+    ("integrate", {"mode": "real", "kernel": {"family": "laplace", "n": True}}),
+    ("integrate", {"mode": "real", "kernel": {"family": "laplace", "x": False}}),
+    ("operator", {"theta": True}),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "bernstein_perturbed",
+                                "n": 2, "x": True}, "values": [0, 0.5, 1]}),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "additive",
+                                "weights": [0.5, 0.5]}, "values": [True, 1.0]}),
 ], ids=["kernel", "capacity", "function", "capacity_kernel", "gamma",
         "perturbation", "knots", "theta", "sqrt_shift_nan", "const_c_nan",
         "sqrt_shift_str", "abs_dev_center_null", "exp_neg_lam_nan", "power_p_str",
         "counting_size_0", "n_list_fraction", "count_fraction", "i0_fraction",
-        "size_fraction", "n_fraction"])
+        "size_fraction", "n_fraction", "sqrt_p", "identity_p", "x_grid_bool",
+        "kernel_n_bool", "kernel_x_bool", "theta_bool", "bernstein_x_bool",
+        "value_bool"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, payload):
     assert main([command, "--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
