@@ -74,17 +74,17 @@ def _load_config(args: argparse.Namespace) -> dict:
 
 
 def _integer(raw) -> int:
-    """``int(raw)``, except that a bool or a number with a fractional part
-    is a ``ValueError`` instead of a truncation."""
-    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+    """``int(raw)``, except that a bool, a string or a number with a
+    fractional part is a ``ValueError`` instead of a truncation or a parse."""
+    if isinstance(raw, (bool, str)) or isinstance(raw, float) and not raw.is_integer():
         raise ValueError(f"not an integer: {raw!r}")
     return int(raw)
 
 
 def _number(raw) -> float:
-    """``float(raw)``, except that a bool is a ``ValueError`` instead of
-    0.0 or 1.0."""
-    if isinstance(raw, bool):
+    """``float(raw)``, except that a bool or a string is a ``ValueError``
+    instead of 0.0, 1.0 or a parse: a config number is a JSON number."""
+    if isinstance(raw, (bool, str)):
         raise ValueError(f"not a number: {raw!r}")
     return float(raw)
 
@@ -92,10 +92,11 @@ def _number(raw) -> float:
 def _parse_n_list(raw) -> list[int]:
     if raw is None:
         raw = [4, 8, 16, 32]
-    if isinstance(raw, str):
-        raw = [part for part in raw.split(",") if part]
+    integer = _integer
+    if isinstance(raw, str):   # "2,4", whose parts are text
+        raw, integer = [part for part in raw.split(",") if part], int
     try:
-        ns = [_integer(v) for v in raw]
+        ns = [integer(v) for v in raw]
     except (TypeError, ValueError):
         raise ConfigError(f"invalid n list: {raw!r}") from None
     if not ns or any(n <= 0 for n in ns):
@@ -106,13 +107,15 @@ def _parse_n_list(raw) -> list[int]:
 def _parse_x_grid(raw) -> np.ndarray:
     if raw is None:
         raw = {"min": 0.0, "max": 1.0, "count": 11}
-    if isinstance(raw, str):
+    number, integer = _number, _integer
+    if isinstance(raw, str):   # "min:max:count", whose parts are text
         parts = raw.split(":")
         if len(parts) != 3:
             raise ConfigError("xgrid must look like min:max:count")
         raw = {"min": parts[0], "max": parts[1], "count": parts[2]}
+        number, integer = float, int
     try:
-        lo, hi, count = _number(raw["min"]), _number(raw["max"]), _integer(raw["count"])
+        lo, hi, count = number(raw["min"]), number(raw["max"]), integer(raw["count"])
     except (KeyError, TypeError, ValueError):
         raise ConfigError(f"invalid x grid: {raw!r}") from None
     if count < 2:
@@ -194,9 +197,9 @@ def _parse_discrete_capacity(raw: dict) -> DiscreteCapacity:
     rule = raw.get("rule", "additive")
     try:
         if rule == "additive":
-            return cap_mod.additive_capacity(raw["weights"])
+            return cap_mod.additive_capacity([_number(w) for w in raw["weights"]])
         if rule == "possibility":
-            return possibility_capacity(raw["weights"])
+            return possibility_capacity([_number(w) for w in raw["weights"]])
         if rule == "distorted_uniform":
             return cap_mod.counting_distortion(_parse_gamma(raw.get("gamma")),
                                                _integer(raw["size"]))
@@ -204,7 +207,8 @@ def _parse_discrete_capacity(raw: dict) -> DiscreteCapacity:
             return bernstein_choquet_capacity(_integer(raw["n"]), _number(raw["x"]),
                                               _parse_profile(raw))
         if rule == "table":
-            return cap_mod.capacity_from_table(_integer(raw["size"]), raw["values"])
+            return cap_mod.capacity_from_table(_integer(raw["size"]),
+                                               [_number(v) for v in raw["values"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid discrete capacity {raw!r}: {exc}") from exc
     raise ConfigError(f"unknown discrete capacity rule {rule!r}")
@@ -548,8 +552,10 @@ def cmd_verify(cfg: dict) -> int:
     inject = cfg.get("inject_nonmonotone", False)
     if not isinstance(inject, bool):
         raise ConfigError(f"inject_nonmonotone must be true or false: {inject!r}")
+    if inject and suite != "capacity":
+        raise ConfigError(f"inject_nonmonotone runs with the capacity suite only, not {suite!r}")
     violations = SUITES[suite](rng, trials)
-    if suite == "capacity" and inject:
+    if inject:
         violations += _verify_injected()
 
     with _output(cfg) as stream:
@@ -601,7 +607,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITES)
     p.add_argument("--trials", type=int)
     p.add_argument("--inject-nonmonotone", action="store_true",
-                   help="negative control: add a broken capacity to the suite")
+                   help="negative control: add a broken capacity to the capacity suite")
 
     return parser
 

@@ -36,8 +36,8 @@ the endpoint arrays ``(lo, hi)`` of shape ``[pieces, N]`` that
 :meth:`RealCapacity.values` takes (:mod:`.realline`): column ``i`` is the
 level set at ``alphas[i]``.  A closed form is one endpoint formula in numpy
 (:func:`_closed_form`).  Root-finding products share one table of monotone
-brackets, built from one table of pieces ``f = c |t + d|**p``
-(:func:`_log_pieces`), and ``levels`` solves every bracket for all levels
+brackets, built from the spec's pieces ``f = c |t + d|**p``
+(``FunctionSpec.pieces``), and ``levels`` solves every bracket for all levels
 in one call: against a Laplace kernel each crossing is a Lambert W value
 (:func:`_lambert_lanes`), against a Gauss kernel one safeguarded Newton
 iteration (:func:`_newton`) runs on the log profile ``log c + p log|t + d|
@@ -92,7 +92,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapabilityError, DivergenceError, QuadratureError
-from .functions import _BREAKPOINTS, FunctionSpec, abs_dev
+from .functions import FunctionSpec, abs_dev
 from .intervals import IntervalUnion
 from .realline import LAPLACE, Kernel, RealCapacity
 
@@ -367,37 +367,9 @@ def _product_abs_dev_centered(kernel: Kernel) -> LevelSetFunction:
     return _closed_form(value, ends, sup)
 
 
-def _log_pieces(spec: FunctionSpec) -> list[tuple[float, ...]]:
-    """The pieces ``(lo, hi, c, p, d)`` of ``spec`` between its
-    breakpoints (``functions._BREAKPOINTS``), which cover the line, on which
-    ``f = c |t + d|**p`` with ``c >= 0``, so ``f'/f = p/(t + d)``: a
-    linear piece ``a + b t`` is ``c = |b|, p = 1, d = a/b``, ``|t -
-    center|`` is ``p = 1, d = -center`` and ``sqrt(t + shift)`` is ``p =
-    1/2, d = shift``.  A constant stretch is ``p = 0``, with ``d`` putting
-    the zero of ``t + d`` a unit outside it so that ``log|t + d|`` stays
-    finite there."""
-    if spec.name == "abs_dev":
-        c = spec.param("center")
-        return [(-math.inf, c, 1.0, 1.0, -c), (c, math.inf, 1.0, 1.0, -c)]
-    if spec.name == "sqrt":
-        shift = spec.param("shift")
-        return [(-math.inf, -shift, 0.0, 0.0, shift - 1.0),
-                (-shift, math.inf, 1.0, 0.5, shift)]
-    if spec.name == "pw_linear":
-        knots = spec.param("knots")
-        (first, v_first), (last, v_last) = knots[0], knots[-1]
-        pieces = [(-math.inf, first, v_first, 0.0, -first - 1.0)]
-        for (t0, v0), (t1, v1) in zip(knots, knots[1:]):
-            b = (v1 - v0) / (t1 - t0)
-            pieces.append((t0, t1, abs(b), 1.0, (v0 - b * t0) / b) if b != 0.0
-                          else (t0, t1, v0, 0.0, 1.0 - t0))
-        return pieces + [(last, math.inf, v_last, 0.0, 1.0 - last)]
-    raise CapabilityError(f"no level-set construction for function family {spec.name!r}")
-
-
 def _stationaries(pieces, kernel: Kernel) -> list[float]:
     """Stationary points of ``f * kernel`` strictly inside the pieces of
-    :func:`_log_pieces` where ``f`` is not constant: the roots of
+    ``f`` (``FunctionSpec.pieces``) where it is not constant: the roots of
     ``p/(t + d) = -(log K)'(t)``.  A constant piece's only extremum, the
     kernel peak, is in every profile's table anyway."""
     n, x = kernel.n, kernel.x
@@ -439,8 +411,8 @@ def _newton(kernel: Kernel, a: np.ndarray, b: np.ndarray, log_alpha: np.ndarray,
     and level, by one vectorised safeguarded Newton iteration of all lanes.
 
     On lane ``i`` the product is monotone, increasing where ``rising`` is
-    true, ``f = c |t + d|**p`` with ``log c = log_c[i]`` (a piece of
-    :func:`_log_pieces`) and ``K`` is ``kernel``, a Gauss kernel (a Laplace
+    true, ``f = c |t + d|**p`` with ``log c = log_c[i]`` (a row of the
+    spec's ``pieces``) and ``K`` is ``kernel``, a Gauss kernel (a Laplace
     kernel's lanes are :func:`_lambert_lanes`).  The solver works on the
     log profile ``h = log c + p log|t + d| + log K(t) - log alpha``, which
     is concave on the bracket: so is each of its terms.  In ``u = t`` on a
@@ -609,25 +581,27 @@ def _lambert_lanes(kernel: Kernel, a: np.ndarray, b: np.ndarray,
 def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     """Bracketed root-finding on the product profile, which is monotone on
     each bracket: the left tail, each gap between consecutive ``pts`` (the
-    breakpoints of ``f``, the kernel peak and the stationary points) and the
-    right tail.
+    ends of the pieces of ``f``, which are its breakpoints, the kernel peak
+    and the stationary points) and the right tail.  A spec without pieces
+    raises :class:`CapabilityError`.
 
     The batched oracle hands every crossing of a call to one lane solver:
     :func:`_lambert_lanes` against a Laplace kernel, where the crossings are
     Lambert W values, and :func:`_newton` against a Gauss kernel, where they
     are not.  The tests hold both to ``brentq`` on ``f * kernel`` over the
     same brackets, a root finder that never sees the pieces or a W."""
-    pieces = _log_pieces(spec)
+    pieces = spec.pieces
+    if pieces is None:
+        raise CapabilityError(f"no level-set construction for function family {spec.name!r}")
     f = spec.fn
 
     def g(t: float) -> float:
         return f(t) * kernel(t)
 
-    pts = sorted(set(_BREAKPOINTS[spec.name](spec)) | {kernel.x}
-                 | set(_stationaries(pieces, kernel)))
+    his = [hi for _, hi, *_ in pieces]
+    pts = sorted(set(his[:-1]) | {kernel.x} | set(_stationaries(pieces, kernel)))
     # the piece of f under each bracket (the left tail, each gap of pts and
     # the right tail) is the one in which the bracket's left end lies
-    his = [hi for _, hi, *_ in pieces]
     _, _, c, p, d = map(np.array, zip(*(pieces[bisect_right(his, s)]
                                         for s in [-math.inf] + pts)))
     with np.errstate(divide="ignore"):  # c = 0 left of sqrt's support

@@ -10,8 +10,8 @@ Moduli are exact, on an explicit compact window, for every registered
 spec, so the bound is a true upper bound.  One vertex rule serves every
 family: ``omega1`` is the largest ``|f(t + h) - f(t)|`` over the vertices
 of the cells that the family's breakpoints cut out of the ``(t, h)``
-domain (:func:`_omega1` states when that is exact).  A family with no
-breakpoint entry raises :class:`CapabilityError`.
+domain (:func:`_omega1` states when that is exact).  A spec without
+``breakpoints`` raises :class:`CapabilityError`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 from .capacity import EXACT_TOL, DiscreteCapacity
 from .discrete import choquet_integral, choquet_variance
 from .errors import CapabilityError
-from .functions import _BREAKPOINTS, FunctionSpec
+from .functions import FunctionSpec
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,10 @@ def _omega1(spec: FunctionSpec, delta: float, a: float, b: float) -> float:
     ``concave_quad``.  Clipping, not filtering, moves a candidate that falls
     outside the domain onto a vertex, so rounding loses none.
     """
-    try:
-        breakpoints = _BREAKPOINTS[spec.name]
-    except KeyError:
-        raise CapabilityError(
-            f"no modulus of continuity for function family {spec.name!r}") from None
+    if spec.breakpoints is None:
+        raise CapabilityError(f"no modulus of continuity for function family {spec.name!r}")
     reach = min(delta, b - a)
-    inner = [s for s in breakpoints(spec) if a < s < b]
+    inner = [s for s in spec.breakpoints if a < s < b]
     starts = [a, *inner]
     ends = [*inner, b]
     pairs = [(t, min(max(e - t, 0.0), reach)) for t in starts for e in ends]

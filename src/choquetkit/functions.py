@@ -8,6 +8,9 @@ integrands for the real-line operators.  Every factory stores all of its
 parameters in ``params`` and rejects a non-numeric or non-finite one with
 ``ValueError``.
 
+Next to its formula each factory sets the family's ``breakpoints`` and, for
+``abs_dev``, ``sqrt`` and ``pw_linear``, its ``pieces`` (:class:`FunctionSpec`).
+
 Every registered family's ``fn`` also carries an array form ``fn.array(t)``:
 it takes a float ndarray and returns f at every element, bit for bit the
 value the scalar ``fn`` gives there (``-0.0`` and NaN included).  Like the
@@ -33,11 +36,28 @@ import numpy as np
 
 @dataclass(frozen=True)
 class FunctionSpec:
+    """A test function ``fn`` and what the numerical layers know of it.
+
+    ``breakpoints``: the sorted abscissae where f stops being monotone,
+    smooth or of one convexity, at which the modulus of continuity takes
+    its vertices and the classical Picard operator splits its quadrature.
+    ``pieces``: rows ``(lo, hi, c, p, d)`` with ``f = c |t + d|**p`` on
+    ``[lo, hi]``, so ``f'/f = p/(t + d)``; they cover the line, end at the
+    breakpoints and serve the root-finding level sets of nonnegative specs
+    (a ``pw_linear`` flat piece below 0 has ``c < 0``).  A slope ``a + b
+    t`` is ``c = |b|, p = 1, d = a/b``; a constant stretch is ``p = 0``,
+    with the zero of ``t + d`` a unit outside it.  ``None`` (the default)
+    is unknown: the modulus and the root-finding oracle raise
+    ``CapabilityError`` on it.
+    """
+
     name: str
     fn: Callable[[float], float]
     monotone: Optional[str] = None  # "nondecreasing" | "nonincreasing" | None
     nonneg_real_line: bool = False
     params: tuple = field(default=())
+    breakpoints: Optional[tuple] = None
+    pieces: Optional[tuple] = None
 
     def __call__(self, t: float) -> float:
         return self.fn(t)
@@ -79,14 +99,15 @@ def exp_neg(lam: float = 1.0, scale: float = 1.0) -> FunctionSpec:
     return FunctionSpec(
         "exp_neg", _with_array(lambda t: scale * math.exp(-lam * t), array),
         monotone="nonincreasing", nonneg_real_line=True,
-        params=(("lam", lam), ("scale", scale)))
+        params=(("lam", lam), ("scale", scale)), breakpoints=())
 
 
 def const(c: float = 1.0) -> FunctionSpec:
     _finite("c", c)
     return FunctionSpec(
         "const", _with_array(lambda t: c, lambda t: np.full(t.shape, c, float)),
-        monotone="nondecreasing", nonneg_real_line=c >= 0, params=(("c", c),))
+        monotone="nondecreasing", nonneg_real_line=c >= 0, params=(("c", c),),
+        breakpoints=())
 
 
 def e0() -> FunctionSpec:
@@ -95,7 +116,7 @@ def e0() -> FunctionSpec:
 
 def e1() -> FunctionSpec:
     return FunctionSpec("e1", _with_array(lambda t: t, lambda t: t.astype(float)),
-                        monotone="nondecreasing")
+                        monotone="nondecreasing", breakpoints=())
 
 
 def abs_dev(center: float = 0.0) -> FunctionSpec:
@@ -107,7 +128,9 @@ def abs_dev(center: float = 0.0) -> FunctionSpec:
 
     return FunctionSpec(
         "abs_dev", _with_array(fn, fn), nonneg_real_line=True,
-        params=(("center", center),))
+        params=(("center", center),), breakpoints=(center,),
+        pieces=((-math.inf, center, 1.0, 1.0, -center),
+                (center, math.inf, 1.0, 1.0, -center)))
 
 
 def sqrt_spec(shift: float = 0.0) -> FunctionSpec:
@@ -122,7 +145,10 @@ def sqrt_spec(shift: float = 0.0) -> FunctionSpec:
     return FunctionSpec(
         "sqrt", _with_array(lambda t: math.sqrt(t + shift) if t + shift > 0 else 0.0,
                             array),
-        monotone="nondecreasing", nonneg_real_line=True, params=(("shift", shift),))
+        monotone="nondecreasing", nonneg_real_line=True, params=(("shift", shift),),
+        breakpoints=(-shift,),
+        pieces=((-math.inf, -shift, 0.0, 0.0, shift - 1.0),
+                (-shift, math.inf, 1.0, 0.5, shift)))
 
 
 def concave_quad() -> FunctionSpec:
@@ -130,7 +156,8 @@ def concave_quad() -> FunctionSpec:
     def fn(t):  # on a float or an ndarray alike
         return 2.0 * t - t * t
 
-    return FunctionSpec("concave_quad", _with_array(fn, fn), monotone="nondecreasing")
+    return FunctionSpec("concave_quad", _with_array(fn, fn), monotone="nondecreasing",
+                        breakpoints=(1.0,))
 
 
 def pw_linear(knots: Sequence[Tuple[float, float]]) -> FunctionSpec:
@@ -181,9 +208,15 @@ def pw_linear(knots: Sequence[Tuple[float, float]]) -> FunctionSpec:
         mono = "nonincreasing"
     else:
         mono = None
+    pieces = ((-math.inf, ts[0], vs[0], 0.0, -ts[0] - 1.0),
+              *((t0, t1, abs(b), 1.0, (v0 - b * t0) / b) if b != 0.0
+                else (t0, t1, v0, 0.0, 1.0 - t0)
+                for t0, t1, v0, b in zip(ts, ts[1:], vs, slopes)),
+              (ts[-1], math.inf, vs[-1], 0.0, 1.0 - ts[-1]))
     return FunctionSpec("pw_linear", _with_array(fn, array), monotone=mono,
                         nonneg_real_line=all(v >= 0 for v in vs),
-                        params=(("knots", tuple(pts)),))
+                        params=(("knots", tuple(pts)),), breakpoints=tuple(ts),
+                        pieces=pieces)
 
 
 _FACTORY = {
@@ -209,17 +242,3 @@ def function_spec(name: str, **params) -> FunctionSpec:
 
 
 REGISTERED = tuple(sorted(_FACTORY))
-
-# family -> the abscissae where f stops being monotone, smooth or of one
-# convexity: the modulus of continuity takes its vertices there (a family
-# without an entry has no modulus) and the classical Picard operator splits
-# its quadrature there
-_BREAKPOINTS = {
-    "const": lambda spec: (),
-    "e1": lambda spec: (),
-    "exp_neg": lambda spec: (),
-    "abs_dev": lambda spec: (spec.param("center"),),
-    "sqrt": lambda spec: (-spec.param("shift"),),
-    "concave_quad": lambda spec: (1.0,),
-    "pw_linear": lambda spec: tuple(t for t, _ in spec.param("knots")),
-}

@@ -33,7 +33,7 @@ from .capacity import DiscreteCapacity
 from .continuous import (_gauss_kronrod, choquet_integral_real_grid, kernel_moment,
                          kernel_normalizer, product_level_function)
 from .discrete import choquet_integral
-from .functions import _BREAKPOINTS, FunctionSpec
+from .functions import FunctionSpec
 from .realline import Kernel, RealCapacity
 
 PICARD_TAIL = 40.0
@@ -260,24 +260,24 @@ def picard_classical(f: Callable[[float], float], n: float, x: float) -> float:
 
     The domain is truncated to |t - x| <= PICARD_TAIL/n (the discarded mass
     is below exp(-PICARD_TAIL)) and split at the kernel kink x and, for a
-    :class:`FunctionSpec`, at the breakpoints of its family, since the
-    Gauss-Kronrod error estimate can miss a kink inside a subinterval.  The
-    pieces run on the batched G7-K15 rule of the real-line check engine,
-    ungraded, with a registered family's array form on each batch of nodes
-    and any other ``f`` called once per node.  ``n`` and ``x`` are checked
-    as :class:`Kernel` parameters.
+    :class:`FunctionSpec`, at its ``breakpoints``, since the Gauss-Kronrod
+    error estimate can miss a kink inside a subinterval.  The pieces run on
+    the batched G7-K15 rule of the real-line check engine, ungraded, with a
+    registered family's array form on each batch of nodes and any other
+    ``f`` called once per node.  ``n`` and ``x`` are checked as
+    :class:`Kernel` parameters.
 
-    A bare callable has no known breakpoints and gets no split at its
-    kinks, so the result can miss ``QUAD_REL_TOL``: ``sqrt(t - 0.4)`` at
-    ``n = 4, x = 1`` comes out 2.8e-8 relative off through its ``fn`` and
-    2.1e-12 through its :class:`FunctionSpec`.  Pass the spec where there
-    is one.
+    A bare callable, like a spec with ``breakpoints = None``, gets no split
+    at its kinks, so the result can miss ``QUAD_REL_TOL``: ``sqrt(t -
+    0.4)`` at ``n = 4, x = 1`` comes out 2.8e-8 relative off through its
+    ``fn`` and 2.1e-12 through its :class:`FunctionSpec`.  Pass the spec
+    where there is one.
     """
     kernel = Kernel.laplace(n, x)
     r = PICARD_TAIL / n
     kinks = ()
     if isinstance(f, FunctionSpec):
-        kinks = _BREAKPOINTS.get(f.name, lambda spec: ())(f)
+        kinks = f.breakpoints or ()
         f = f.fn
     edges = sorted({x - r, x, x + r, *(k for k in kinks if abs(k - x) < r)})
     f_array = getattr(f, "array", None) or (

@@ -618,6 +618,19 @@ class TestVerify:
         assert capsys.readouterr().err.startswith(
             "config error: inject_nonmonotone must be true or false")
 
+    @pytest.mark.parametrize("suite", ["integral", "chebyshev", "bounds"])
+    def test_inject_nonmonotone_needs_the_capacity_suite(self, tmp_path, capsys, suite):
+        # the control adds a broken capacity to the capacity checks; another
+        # suite would report a pass with the control never run
+        assert main(["verify", "--suite", suite, "--trials", "2",
+                     "--inject-nonmonotone"]) == 2
+        cfg = write_config(tmp_path, {"suite": suite, "inject_nonmonotone": True})
+        assert main(["verify", "--config", cfg, "--trials", "2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith(
+            "config error: inject_nonmonotone runs with the capacity suite only")
+            for line in err)
+
     @pytest.mark.parametrize("inject, code", [(False, 0), (True, 1)])
     def test_inject_nonmonotone_from_config(self, tmp_path, inject, code):
         cfg = write_config(tmp_path, {"inject_nonmonotone": inject})
@@ -676,7 +689,8 @@ class TestVerify:
         assert capsys.readouterr().err == "config error: seed must be nonnegative\n"
 
     @pytest.mark.parametrize("payload", [{"trials": "abc"}, {"seed": "x"},
-                                         {"trials": 2.5}, {"seed": True}])
+                                         {"trials": 2.5}, {"seed": True},
+                                         {"trials": "3"}])
     def test_non_integer_config_rejected(self, tmp_path, capsys, payload):
         cfg = write_config(tmp_path, payload)
         assert main(["verify", "--config", cfg]) == 2
@@ -723,13 +737,29 @@ class TestVerify:
                                 "n": 2, "x": True}, "values": [0, 0.5, 1]}),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "additive",
                                 "weights": [0.5, 0.5]}, "values": [True, 1.0]}),
+    # a JSON string is not a number, even one that reads as one
+    ("operator", {"theta": "0.5"}),
+    ("operator", {"n_list": ["4"]}),
+    ("operator", {"x_grid": {"min": "0", "max": "1", "count": "3"}}),
+    ("integrate", {"mode": "real", "kernel": {"family": "laplace", "n": "2", "x": "0.3"}}),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "additive",
+                                "weights": ["0.2", "0.8"]}, "values": [1.0, 2.0]}),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "additive",
+                                "weights": [0.2, 0.8]}, "values": ["1.0", 2.0]}),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "possibility",
+                                "weights": ["1", 0.5]}, "values": [1.0, 2.0]}),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "table", "size": 1,
+                                "values": ["0", 1]}, "values": [1.0]}),
+    ("verify", {"trials": "3", "seed": "1"}),
 ], ids=["kernel", "capacity", "function", "capacity_kernel", "gamma",
         "perturbation", "knots", "theta", "sqrt_shift_nan", "const_c_nan",
         "sqrt_shift_str", "abs_dev_center_null", "exp_neg_lam_nan", "power_p_str",
         "counting_size_0", "n_list_fraction", "count_fraction", "i0_fraction",
         "size_fraction", "n_fraction", "sqrt_p", "identity_p", "x_grid_bool",
         "kernel_n_bool", "kernel_x_bool", "theta_bool", "bernstein_x_bool",
-        "value_bool"])
+        "value_bool", "theta_str", "n_list_str", "x_grid_str", "kernel_str",
+        "weights_str", "value_str", "possibility_weights_str", "table_values_str",
+        "verify_str"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, payload):
     assert main([command, "--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")

@@ -9,8 +9,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from choquetkit import (DivergenceError, IntervalUnion, Kernel,
-                        LevelSetFunction, QuadratureError,
+from choquetkit import (CapabilityError, DivergenceError, FunctionSpec,
+                        IntervalUnion, Kernel, LevelSetFunction, QuadratureError,
                         RealCapacity, choquet_integral_real,
                         choquet_integral_real_grid,
                         choquet_integral_real_with_error, function_spec,
@@ -19,7 +19,6 @@ from choquetkit import (DivergenceError, IntervalUnion, Kernel,
 from choquetkit import continuous
 from choquetkit.continuous import (QUAD_ABS_TOL, QUAD_REL_TOL, _lambert_branch,
                                    _lambert_lanes, _lambert_w0, _newton)
-from choquetkit.functions import _BREAKPOINTS
 
 
 def empty_pieces(pieces, n):
@@ -50,21 +49,20 @@ def brentq_level(spec, kernel, alpha):
     reference of the root-finding lanes, which never sees the pieces'
     formulas or a Lambert W.
 
-    The brackets are the oracle's: the gaps between the breakpoints of
-    ``spec``'s family, the kernel peak and the stationary points of
+    The brackets are the oracle's: the gaps between the ``breakpoints`` of
+    ``spec``, the kernel peak and the stationary points of
     :func:`_stationaries`, and the tails out to where :func:`_expand` finds
     the profile below ``alpha``.  A bracket the level set ends inside gets
     one brentq call on the whole bracket, whose ends must straddle the
     level, and a piece that continues the one before joins it."""
     if not alpha > 0:
         raise ValueError("level must be positive")
-    pieces = continuous._log_pieces(spec)
 
     def g(t):
         return spec.fn(t) * kernel(t)
 
-    pts = sorted(set(_BREAKPOINTS[spec.name](spec)) | {kernel.x}
-                 | set(continuous._stationaries(pieces, kernel)))
+    pts = sorted(set(spec.breakpoints) | {kernel.x}
+                 | set(continuous._stationaries(spec.pieces, kernel)))
     vals = [g(t) for t in pts]
     if alpha > max(vals):
         return IntervalUnion()
@@ -311,14 +309,24 @@ STATIONARY_SPECS = {
 
 @pytest.mark.parametrize("spec", STATIONARY_SPECS.values(), ids=STATIONARY_SPECS.keys())
 def test_log_pieces_end_at_the_breakpoints(spec):
-    # the oracle's brackets start at the family's breakpoints and its
-    # pieces of f at their own ends: both tables list the same kinks, and
-    # the pieces cover the line without a gap
-    pieces = continuous._log_pieces(spec)
+    # the modulus and the classical Picard operator split at a spec's
+    # breakpoints, the oracle's brackets at the ends of its pieces: both
+    # list the same kinks, and the pieces cover the line without a gap
+    pieces = spec.pieces
     ends = {e for lo, hi, *_ in pieces for e in (lo, hi) if math.isfinite(e)}
-    assert tuple(sorted(ends)) == _BREAKPOINTS[spec.name](spec)
+    assert tuple(sorted(ends)) == spec.breakpoints
     assert pieces[0][0] == -math.inf and pieces[-1][1] == math.inf
     assert all(left[1] == right[0] for left, right in zip(pieces, pieces[1:]))
+
+
+@pytest.mark.parametrize("name", ["cubic", "sqrt", "pw_linear"])
+def test_a_spec_without_pieces_has_no_root_finding_level_sets(name):
+    # a registered name without the family's pieces, as much as an unknown
+    # name, is a capability the oracle lacks, not a missing parameter
+    spec = FunctionSpec(name, lambda t: t * t, nonneg_real_line=True)
+    for kernel in (Kernel.laplace(2.0, 0.3), Kernel.gauss(2.0, 0.3)):
+        with pytest.raises(CapabilityError, match=name):
+            product_level_function(spec, kernel)
 
 
 @pytest.mark.parametrize("family", ["laplace", "gauss"])
@@ -330,7 +338,7 @@ def test_stationaries_split_the_profile_into_monotone_brackets(spec, family):
     # values include knots of the pw_linear specs and the support start of
     # every sqrt spec.  Below the smallest normal float the profile has no
     # relative precision left to compare.
-    knots, pieces = _BREAKPOINTS[spec.name](spec), continuous._log_pieces(spec)
+    knots, pieces = spec.breakpoints, spec.pieces
     for n in (1.5, 2.0, 8.0, 64.0):
         for x in (-3.0, -1.0, 0.0, 0.4, 1.3):
             kernel = Kernel(family, n, x)
@@ -385,7 +393,7 @@ def rounding_band(spec, kernel, t, log_alpha):
     else:
         kernel_slope = -2.0 * kernel.n * (t - kernel.x)
     bands = [0.0]  # at a zero of f the slope is infinite
-    for lo, hi, c, p, d in continuous._log_pieces(spec):
+    for lo, hi, c, p, d in spec.pieces:
         if lo <= t <= hi and t + d != 0.0 and c > 0.0:
             ends = sum(abs(e + d) for e in (lo, hi) if math.isfinite(e))
             kappa = (abs(t) + abs(d) + ends) / abs(t + d)
@@ -868,8 +876,7 @@ class TestBatchedOracle:
         kernel = Kernel.gauss(n, x)
         g = product_level_function(spec, kernel)
         rel = 1e-15
-        pieces = continuous._log_pieces(spec)
-        peaks = continuous._stationaries(pieces, kernel)
+        peaks = continuous._stationaries(spec.pieces, kernel)
         assert peaks
         for t_m in peaks:
             got, want = self.ends(spec, kernel, g.value(t_m) * (1.0 - rel))
@@ -889,7 +896,7 @@ class TestBatchedOracle:
         spec = STATIONARY_SPECS[name]
         kernel = Kernel.laplace(n, x)
         g = product_level_function(spec, kernel)
-        peaks = continuous._stationaries(continuous._log_pieces(spec), kernel)
+        peaks = continuous._stationaries(spec.pieces, kernel)
         assert peaks
         for t_m in peaks:
             for rel in (1e-15, 1e-12, 1e-9):

@@ -143,6 +143,13 @@ class TestModulus:
         with pytest.raises(CapabilityError, match="cubic"):
             modulus_of_continuity(spec, 0.1, (0.0, 1.0))
 
+    @pytest.mark.parametrize("name", ["sqrt", "pw_linear", "abs_dev"])
+    def test_registered_name_without_breakpoints_rejected(self, name):
+        # the vertex rule reads the spec's breakpoints, not its family name
+        spec = FunctionSpec(name, lambda t: t ** 3)
+        with pytest.raises(CapabilityError, match=name):
+            modulus_of_continuity(spec, 0.1, (0.0, 1.0))
+
     def test_abs_dev_window_limited(self):
         spec = function_spec("abs_dev", center=0.0)
         assert modulus_of_continuity(spec, 0.5, (-2.0, 2.0)) == pytest.approx(0.5)

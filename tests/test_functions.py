@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from choquetkit import FunctionSpec, REGISTERED, function_spec
-from choquetkit.functions import _BREAKPOINTS
 
 GRID = np.linspace(-2.0, 2.0, 401)
 UNIT = np.linspace(0.0, 1.0, 401)
@@ -164,7 +163,7 @@ def _array_grid(spec):
     pw_linear knot) with their neighbouring floats and the midpoints between
     them (the nearer-knot tie), NaN, |t| up to 1e6, and the overflowing
     1e300, the largest float and inf, of both signs."""
-    edges = np.array(_BREAKPOINTS[spec.name](spec), dtype=float)
+    edges = np.array(spec.breakpoints, dtype=float)
     mids = (edges[1:] + edges[:-1]) / 2
     wide = np.concatenate([np.geomspace(1e-12, 1e6, 181),
                            [1e300, np.finfo(float).max, math.inf]])
@@ -197,6 +196,20 @@ def test_every_registered_family_has_an_array_form():
     for name in REGISTERED:
         params = {"knots": [(0, 0), (1, 1)]} if name == "pw_linear" else {}
         assert callable(function_spec(name, **params).fn.array)
+
+
+def test_every_registered_family_lists_breakpoints_and_the_root_finders_pieces():
+    # the modulus reads every family's breakpoints; the real-line oracle
+    # finds level sets from pieces on exactly the families it root-finds
+    with_pieces = set()
+    for name in REGISTERED:
+        params = {"knots": [(0, 0), (0.5, 2), (1, 1)]} if name == "pw_linear" else {}
+        spec = function_spec(name, **params)
+        assert isinstance(spec.breakpoints, tuple)
+        assert list(spec.breakpoints) == sorted(spec.breakpoints)
+        if spec.pieces is not None:
+            with_pieces.add(name)
+    assert with_pieces == {"abs_dev", "sqrt", "pw_linear"}
 
 
 def test_sqrt_array_form_keeps_the_branch_at_minus_zero_and_nan():

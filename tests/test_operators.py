@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import warnings
@@ -562,7 +563,7 @@ def test_classical_picard_overflows_silently_through_the_array_form():
     # -lam * t overflows to -inf at every node: exp gives 0.0 in both forms,
     # and neither warns (a RuntimeWarning fails the test)
     spec = function_spec("exp_neg", lam=1e308)
-    scalar = FunctionSpec(spec.name, lambda t: spec.fn(t), params=spec.params)
+    scalar = dataclasses.replace(spec, fn=lambda t: spec.fn(t))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in (5.0, 5.5, 6.0):
@@ -574,7 +575,7 @@ def test_classical_picard_overflows_silently_through_the_array_form():
 def test_classical_picard_reads_the_array_form_bit_for_bit(name):
     # the same family without its array form: one scalar call per node
     spec = function_spec(name, **SPEC_PARAMS.get(name, {}))
-    scalar = FunctionSpec(spec.name, lambda t: spec.fn(t), params=spec.params)
+    scalar = dataclasses.replace(spec, fn=lambda t: spec.fn(t))
     for n, x in ((2.0, -0.7), (4.0, 0.3), (64.0, 1.0)):
         assert float.hex(picard_classical(spec, n, x)) == float.hex(
             picard_classical(scalar, n, x))
