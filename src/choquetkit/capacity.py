@@ -259,6 +259,10 @@ def check_properties(cap: DiscreteCapacity) -> PropertyReport:
 # distortion functions
 
 
+def _identity(t):
+    return t
+
+
 @dataclass(frozen=True)
 class DistortionFunction:
     """Named nondecreasing concave distortion with gamma(0) = 0.
@@ -278,7 +282,7 @@ class DistortionFunction:
 
     @staticmethod
     def identity() -> "DistortionFunction":
-        return DistortionFunction("identity", lambda t: t)
+        return DistortionFunction("identity", _identity)
 
     @staticmethod
     def sqrt() -> "DistortionFunction":

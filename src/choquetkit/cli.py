@@ -114,6 +114,7 @@ def _parse_x_grid(raw) -> np.ndarray:
             raise ConfigError("xgrid must look like min:max:count")
         raw = {"min": parts[0], "max": parts[1], "count": parts[2]}
         number, integer = float, int
+    _object(raw, "x grid", "min", "max", "count")
     try:
         lo, hi, count = number(raw["min"]), number(raw["max"]), integer(raw["count"])
     except (KeyError, TypeError, ValueError):
@@ -129,10 +130,15 @@ def _parse_x_grid(raw) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _object(raw, what: str) -> dict:
-    """``raw`` if it is a JSON object, else a config error naming ``what``."""
+def _object(raw, what: str, *keys: str) -> dict:
+    """``raw`` if it is a JSON object with no key outside ``keys`` (when
+    given; a misspelt key would leave its default in force), else a config
+    error naming ``what`` and the keys."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} must be a JSON object: {raw!r}")
+    if keys and (unknown := [key for key in raw if key not in keys]):
+        raise ConfigError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+                          f"known: {', '.join(keys)}")
     return raw
 
 
@@ -157,8 +163,6 @@ def _parse_function(raw) -> FunctionSpec:
         raw = {"name": raw}
     params = {k: v for k, v in _object(raw, "function").items() if k != "name"}
     try:
-        if "knots" in params:
-            params["knots"] = [tuple(k) for k in params["knots"]]
         return function_spec(raw["name"], **params)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid function spec {raw!r}: {exc}") from exc
@@ -185,7 +189,7 @@ def _parse_gamma(raw):
 
 
 def _parse_kernel(raw, default_n=1.0) -> Kernel:
-    raw = _object(raw or {}, "kernel")
+    raw = _object(raw or {}, "kernel", "family", "n", "x")
     try:
         return Kernel(raw.get("family", "laplace"), _number(raw.get("n", default_n)),
                       _number(raw.get("x", 0.0)))
@@ -231,9 +235,11 @@ def _real_capacity_factory(raw):
         raw = _CAPACITY_SHORTHANDS.get(raw, {"kind": raw})
     kind = _object(raw, "real capacity").get("kind")
     if kind == "distorted_lebesgue":
+        _object(raw, "distorted_lebesgue capacity", "kind", "gamma")
         mu = RealCapacity.distorted_lebesgue(_parse_gamma(raw.get("gamma")))
         return lambda kernel: mu
     if kind == "possibility":
+        _object(raw, "possibility capacity", "kind", "kernel")
         if "kernel" in raw:
             mu = RealCapacity.possibility(_parse_kernel(raw["kernel"]))
             return lambda kernel: mu

@@ -25,7 +25,8 @@ it reach the oracle.  Where ``g`` peaks at ``x_mu`` the integral is
 Level sets of the registered products are closed forms where possible
 (constants, decaying exponentials, the deviation ``|t - x|`` against its
 own kernel via the two real Lambert W branches) and bracketed root-finding
-on the piecewise monotone profile otherwise.  Lambert W is solved here, in
+on the piecewise monotone profile otherwise, chosen from the spec's record
+(``exponential``, ``pieces``), never its name.  Lambert W is solved here, in
 log space: the level enters as ``log(alpha)``, so the deviation's level
 sets stay finite down to the smallest positive ``alpha``.  W_0 of a
 positive argument, also from its log, serves the root-finding products
@@ -77,8 +78,9 @@ in n alone for the capacities the command line builds
 (:func:`kernel_moment`, :func:`kernel_normalizer`): either kernel against
 a possibility capacity whose Laplace or Gauss profile has the kernel's
 ``n`` and ``x``, and Lebesgue length distorted by the identity or sqrt,
-one row each of ``_POWER_MOMENTS``.  Every other pair runs the tanh-sinh
-engine; the tests hold both engines to each formula.
+one row each of ``_POWER_MOMENTS``, keyed on the distortion's function
+(so ``power(0.5)``, a function of its own, runs the engine).  Every other
+pair runs the tanh-sinh engine; the tests hold both engines to each formula.
 """
 
 from __future__ import annotations
@@ -91,8 +93,9 @@ from typing import Callable
 
 import numpy as np
 
+from .capacity import DistortionFunction
 from .errors import CapabilityError, DivergenceError, QuadratureError
-from .functions import FunctionSpec, abs_dev
+from .functions import FunctionSpec, _deviation_pieces, abs_dev
 from .intervals import IntervalUnion
 from .realline import LAPLACE, Kernel, RealCapacity
 
@@ -298,9 +301,7 @@ def _lambert_w0(L: np.ndarray) -> np.ndarray:
     return w
 
 
-def _product_exp_neg(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
-    lam = spec.param("lam")
-    scale = spec.param("scale")
+def _product_exp_neg(scale: float, lam: float, kernel: Kernel) -> LevelSetFunction:
     n, x = kernel.n, kernel.x
     # the logs are taken apart: alpha / scale underflows at the smallest levels
     log_scale = math.log(scale)
@@ -313,9 +314,9 @@ def _product_exp_neg(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
         return scale * math.exp(-lam * t - n * ((t - x) ** 2 if gauss else abs(t - x)))
 
     if not gauss:
-        if n <= lam:
+        if n <= abs(lam):
             raise DivergenceError(
-                f"exp_neg(lam={lam}) against a Laplace kernel needs n > lam, got n={n}")
+                f"exp_neg(lam={lam}) against a Laplace kernel needs n > |lam|, got n={n}")
         sup = scale * math.exp(-lam * x)
 
         def ends(alpha):
@@ -644,19 +645,26 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
     return _from_levels(g, levels, sup, tuple(sorted(v for v in set(vals) if 0.0 < v < sup)))
 
 
+def _centred_deviation(spec: FunctionSpec, kernel: Kernel) -> bool:
+    """Whether ``spec``'s pieces are those of ``|t - x|`` at the kernel's
+    own centre ``x``, whose level sets are the Lambert W closed form."""
+    return spec.pieces == _deviation_pieces(kernel.x)
+
+
 def product_level_function(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
-    """Level-set function of t -> f(t) * kernel(t) for a registered spec."""
+    """Level-set function of t -> f(t) * kernel(t), in closed form where the
+    spec's ``exponential`` or ``pieces`` allow, else root-found on its pieces."""
     if not spec.nonneg_real_line:
         raise ValueError(
             f"function {spec.name!r} is not nonnegative on the real line")
-    if spec.name == "const":
-        c = spec.param("c")
-        if c == 0.0:  # no level reaches 0: one piece, always empty
+    if spec.exponential is not None:
+        scale, lam = spec.exponential
+        if scale == 0.0:  # no level reaches 0: one piece, always empty
             return _closed_form(lambda t: 0.0, lambda a: ((math.inf,), (-math.inf,)), 0.0)
-        return _closed_form(lambda t: c * kernel(t), _kernel_ends(kernel, c), c)
-    if spec.name == "exp_neg":
-        return _product_exp_neg(spec, kernel)
-    if spec.name == "abs_dev" and spec.param("center") == kernel.x:
+        if lam == 0.0:
+            return _closed_form(lambda t: scale * kernel(t), _kernel_ends(kernel, scale), scale)
+        return _product_exp_neg(scale, lam, kernel)
+    if _centred_deviation(spec, kernel):
         return _product_abs_dev_centered(kernel)
     return _generic_product(spec, kernel)
 
@@ -968,13 +976,14 @@ def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity) -> float:
         error_estimate=math.fsum(errors))
 
 
-# distortion name -> (p, T_1 Laplace, T_1 Gauss) for gamma(t) = t**p: the
-# exponent and the kernel moment T_n(|. - x|)(x) at n = 1 against
-# gamma(length); the sqrt moments are 30-digit mpmath values from the
-# Lambert W parametrisation of the level sets
+# distortion function -> (p, T_1 Laplace, T_1 Gauss) for gamma(t) = t**p:
+# the exponent and the kernel moment T_n(|. - x|)(x) at n = 1 against
+# gamma(length), whatever the distortion's name; the sqrt moments are 30-digit
+# mpmath values from the Lambert W parametrisation of the level sets
 _POWER_MOMENTS = {
-    "identity": (1.0, 1.0, 1.0 / math.sqrt(math.pi)),
-    "sqrt": (0.5, 0.654402534226178633510813469012, 0.494485667875080293795473756008),
+    DistortionFunction.identity().fn: (1.0, 1.0, 1.0 / math.sqrt(math.pi)),
+    DistortionFunction.sqrt().fn: (
+        0.5, 0.654402534226178633510813469012, 0.494485667875080293795473756008),
 }
 
 
@@ -982,7 +991,7 @@ def _power_moments(mu: RealCapacity):
     """The :data:`_POWER_MOMENTS` row of a distorted Lebesgue capacity, or None."""
     if mu.kind != "distorted_lebesgue":
         return None
-    return _POWER_MOMENTS.get(mu.gamma.name)
+    return _POWER_MOMENTS.get(mu.gamma.fn)
 
 
 def kernel_normalizer(kernel: Kernel, mu: RealCapacity) -> float:

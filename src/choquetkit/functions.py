@@ -4,12 +4,14 @@ Fixed names (used by the CLI and JSON configs): ``exp_neg``, ``const``,
 ``abs_dev``, ``sqrt``, ``concave_quad``, ``e0``, ``e1``, ``pw_linear``.
 Monotonicity metadata refers to the spec's natural domain ([0, 1] for the
 polynomial-type specs); ``nonneg_real_line`` marks the specs that are valid
-integrands for the real-line operators.  Every factory stores all of its
-parameters in ``params`` and rejects a non-numeric or non-finite one with
-``ValueError``.
+integrands for the real-line operators.  Every factory rejects a
+non-numeric or non-finite parameter with ``ValueError``.
 
 Next to its formula each factory sets the family's ``breakpoints`` and, for
-``abs_dev``, ``sqrt`` and ``pw_linear``, its ``pieces`` (:class:`FunctionSpec`).
+``abs_dev``, ``sqrt`` and ``pw_linear``, its ``pieces``, for ``exp_neg``,
+``const`` and ``e0`` its ``exponential`` (:class:`FunctionSpec`): the
+numerical layers choose a closed form from these records, never from the
+name.
 
 Every registered family's ``fn`` also carries an array form ``fn.array(t)``:
 it takes a float ndarray and returns f at every element, bit for bit the
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,21 +51,22 @@ class FunctionSpec:
     with the zero of ``t + d`` a unit outside it.  ``None`` (the default)
     is unknown: the modulus and the root-finding oracle raise
     ``CapabilityError`` on it.
+    ``exponential``: ``(scale, lam)`` with ``f = scale exp(-lam t)`` on the
+    whole line (``lam = 0`` a constant), from which the real-line oracle
+    writes its level sets in closed form; ``None`` (the default) for every
+    other family.
     """
 
     name: str
     fn: Callable[[float], float]
     monotone: Optional[str] = None  # "nondecreasing" | "nonincreasing" | None
     nonneg_real_line: bool = False
-    params: tuple = field(default=())
+    exponential: Optional[tuple] = None
     breakpoints: Optional[tuple] = None
     pieces: Optional[tuple] = None
 
     def __call__(self, t: float) -> float:
         return self.fn(t)
-
-    def param(self, key: str):
-        return dict(self.params)[key]
 
 
 def _finite(key: str, value):
@@ -99,14 +102,14 @@ def exp_neg(lam: float = 1.0, scale: float = 1.0) -> FunctionSpec:
     return FunctionSpec(
         "exp_neg", _with_array(lambda t: scale * math.exp(-lam * t), array),
         monotone="nonincreasing", nonneg_real_line=True,
-        params=(("lam", lam), ("scale", scale)), breakpoints=())
+        exponential=(scale, lam), breakpoints=())
 
 
 def const(c: float = 1.0) -> FunctionSpec:
     _finite("c", c)
     return FunctionSpec(
         "const", _with_array(lambda t: c, lambda t: np.full(t.shape, c, float)),
-        monotone="nondecreasing", nonneg_real_line=c >= 0, params=(("c", c),),
+        monotone="nondecreasing", nonneg_real_line=c >= 0, exponential=(c, 0.0),
         breakpoints=())
 
 
@@ -119,6 +122,11 @@ def e1() -> FunctionSpec:
                         monotone="nondecreasing", breakpoints=())
 
 
+def _deviation_pieces(center: float) -> tuple:
+    """The ``pieces`` of ``|t - center|``: one slope on each side."""
+    return ((-math.inf, center, 1.0, 1.0, -center), (center, math.inf, 1.0, 1.0, -center))
+
+
 def abs_dev(center: float = 0.0) -> FunctionSpec:
     """f(t) = |t - center| (the deviation the quantitative bound integrates)."""
     _finite("center", center)
@@ -127,10 +135,8 @@ def abs_dev(center: float = 0.0) -> FunctionSpec:
         return abs(t - center)
 
     return FunctionSpec(
-        "abs_dev", _with_array(fn, fn), nonneg_real_line=True,
-        params=(("center", center),), breakpoints=(center,),
-        pieces=((-math.inf, center, 1.0, 1.0, -center),
-                (center, math.inf, 1.0, 1.0, -center)))
+        "abs_dev", _with_array(fn, fn), nonneg_real_line=True, breakpoints=(center,),
+        pieces=_deviation_pieces(center))
 
 
 def sqrt_spec(shift: float = 0.0) -> FunctionSpec:
@@ -145,8 +151,7 @@ def sqrt_spec(shift: float = 0.0) -> FunctionSpec:
     return FunctionSpec(
         "sqrt", _with_array(lambda t: math.sqrt(t + shift) if t + shift > 0 else 0.0,
                             array),
-        monotone="nondecreasing", nonneg_real_line=True, params=(("shift", shift),),
-        breakpoints=(-shift,),
+        monotone="nondecreasing", nonneg_real_line=True, breakpoints=(-shift,),
         pieces=((-math.inf, -shift, 0.0, 0.0, shift - 1.0),
                 (-shift, math.inf, 1.0, 0.5, shift)))
 
@@ -215,8 +220,7 @@ def pw_linear(knots: Sequence[Tuple[float, float]]) -> FunctionSpec:
               (ts[-1], math.inf, vs[-1], 0.0, 1.0 - ts[-1]))
     return FunctionSpec("pw_linear", _with_array(fn, array), monotone=mono,
                         nonneg_real_line=all(v >= 0 for v in vs),
-                        params=(("knots", tuple(pts)),), breakpoints=tuple(ts),
-                        pieces=pieces)
+                        breakpoints=tuple(ts), pieces=pieces)
 
 
 _FACTORY = {

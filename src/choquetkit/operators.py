@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .capacity import DiscreteCapacity
-from .continuous import (_gauss_kronrod, choquet_integral_real_grid, kernel_moment,
-                         kernel_normalizer, product_level_function)
+from .continuous import (_centred_deviation, _gauss_kronrod, choquet_integral_real_grid,
+                         kernel_moment, kernel_normalizer, product_level_function)
 from .discrete import choquet_integral
 from .functions import FunctionSpec
 from .realline import Kernel, RealCapacity
@@ -237,7 +237,7 @@ def bernstein_choquet_closedform(f: Callable[[float], float], n: int, x: float,
 
 
 def _kernel_choquet(spec: FunctionSpec, kernel: Kernel, mu: RealCapacity) -> float:
-    if spec.name == "abs_dev" and spec.param("center") == kernel.x:
+    if _centred_deviation(spec, kernel):
         return kernel_moment(kernel, mu)
     g = product_level_function(spec, kernel)
     numerator = choquet_integral_real_grid(g, mu)

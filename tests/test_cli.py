@@ -706,6 +706,8 @@ class TestVerify:
     ("operator", {"capacity": {"kind": "distorted_lebesgue", "gamma": 3}}),
     ("operator", {"perturbation": "x"}),
     ("operator", {"function": {"name": "pw_linear", "knots": [1, 2]}}),
+    ("operator", {"function": {"name": "pw_linear", "knots": [[0, 1, 2], [1, 0, 3]]}}),
+    ("operator", {"function": {"name": "pw_linear", "knots": 3}}),
     ("operator", {"theta": "abc"}),
     ("operator", {"function": {"name": "sqrt", "shift": math.nan}}),
     ("operator", {"function": {"name": "const", "c": math.nan}}),
@@ -752,7 +754,7 @@ class TestVerify:
                                 "values": ["0", 1]}, "values": [1.0]}),
     ("verify", {"trials": "3", "seed": "1"}),
 ], ids=["kernel", "capacity", "function", "capacity_kernel", "gamma",
-        "perturbation", "knots", "theta", "sqrt_shift_nan", "const_c_nan",
+        "perturbation", "knots", "knots_triple", "knots_number", "theta", "sqrt_shift_nan", "const_c_nan",
         "sqrt_shift_str", "abs_dev_center_null", "exp_neg_lam_nan", "power_p_str",
         "counting_size_0", "n_list_fraction", "count_fraction", "i0_fraction",
         "size_fraction", "n_fraction", "sqrt_p", "identity_p", "x_grid_bool",
@@ -763,6 +765,28 @@ class TestVerify:
 def test_malformed_config_is_config_error(tmp_path, capsys, command, payload):
     assert main([command, "--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("integrate", {"mode": "real", "kernel": {"famly": "gauss", "n": 2, "x": 0.3}}, "famly"),
+    ("integrate", {"mode": "real", "capacity": {
+        "kind": "possibility", "kernal": {"family": "gauss", "n": 2, "x": 0.3}}}, "kernal"),
+    ("operator", {"capacity": {"kind": "possibility",
+                               "kernel": {"family": "laplace", "n": 4, "center": 0.5}}},
+     "center"),
+    ("operator", {"capacity": {"kind": "possibility", "gamma": "sqrt"}}, "gamma"),
+    ("operator", {"capacity": {"kind": "distorted_lebesgue", "gama": "identity"}}, "gama"),
+    ("operator", {"capacity": {"kind": "distorted_lebesgue", "gamma": "sqrt",
+                               "kernel": {"family": "laplace"}}}, "kernel"),
+    ("operator", {"x_grid": {"min": 0, "max": 1, "count": 3, "step": 0.5}}, "step"),
+], ids=["kernel", "possibility", "possibility_kernel", "possibility_gamma",
+        "distorted_lebesgue", "distorted_lebesgue_kernel", "x_grid"])
+def test_unknown_nested_key_is_config_error(tmp_path, capsys, command, payload, key):
+    # a misspelt key would otherwise leave its default in force: a "famly"
+    # integrates against the Laplace kernel, a "kernal" follows the operator's
+    assert main([command, "--config", write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown ") and repr(key) in err
 
 
 @pytest.mark.parametrize("flags", [["--n", "", "--xgrid", "0:1:2"],

@@ -9,13 +9,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from choquetkit import (CapabilityError, DivergenceError, FunctionSpec,
-                        IntervalUnion, Kernel, LevelSetFunction, QuadratureError,
-                        RealCapacity, choquet_integral_real,
+from choquetkit import (CapabilityError, DistortionFunction, DivergenceError,
+                        FunctionSpec, IntervalUnion, Kernel, LevelSetFunction,
+                        QuadratureError, RealCapacity, choquet_integral_real,
                         choquet_integral_real_grid,
                         choquet_integral_real_with_error, function_spec,
                         kernel_level_function, kernel_normalizer,
-                        product_level_function)
+                        picard_choquet, product_level_function,
+                        weierstrass_choquet)
 from choquetkit import continuous
 from choquetkit.continuous import (QUAD_ABS_TOL, QUAD_REL_TOL, _lambert_branch,
                                    _lambert_lanes, _lambert_w0, _newton)
@@ -319,14 +320,42 @@ def test_log_pieces_end_at_the_breakpoints(spec):
     assert all(left[1] == right[0] for left, right in zip(pieces, pieces[1:]))
 
 
-@pytest.mark.parametrize("name", ["cubic", "sqrt", "pw_linear"])
+@pytest.mark.parametrize("name", ["cubic", "sqrt", "pw_linear", "const", "exp_neg",
+                                  "abs_dev"])
 def test_a_spec_without_pieces_has_no_root_finding_level_sets(name):
-    # a registered name without the family's pieces, as much as an unknown
-    # name, is a capability the oracle lacks, not a missing parameter
+    # a registered name without the family's record, as much as an unknown
+    # name, is a capability the oracle lacks: no closed form is chosen by
+    # the name, and no parameter is looked up
     spec = FunctionSpec(name, lambda t: t * t, nonneg_real_line=True)
     for kernel in (Kernel.laplace(2.0, 0.3), Kernel.gauss(2.0, 0.3)):
         with pytest.raises(CapabilityError, match=name):
             product_level_function(spec, kernel)
+    for op in (picard_choquet, weierstrass_choquet):
+        with pytest.raises(CapabilityError, match=name):
+            op(spec, 2.0, 0.3, SQRT_M)
+
+
+def test_the_exponential_record_holds_on_the_whole_line():
+    # exp(+t) declared as (1, -1) is exp_neg mirrored about 0, and the two
+    # kernels and Lebesgue-type capacities are symmetric; against a Laplace
+    # kernel it needs n > |lam|, as exp_neg does
+    spec = FunctionSpec("grow", math.exp, nonneg_real_line=True, exponential=(1.0, -1.0))
+    for op in (picard_choquet, weierstrass_choquet):
+        for n, x in ((2.0, -0.5), (8.0, 0.3)):
+            assert op(spec, n, x, SQRT_M) == op(function_spec("exp_neg"), n, -x, SQRT_M)
+    with pytest.raises(DivergenceError, match="needs n > "):
+        product_level_function(spec, Kernel.laplace(1.0, 0.0))
+
+
+@pytest.mark.parametrize("kernel", [Kernel.laplace(2.0, 0.3), Kernel.gauss(2.0, 0.3)],
+                         ids=["laplace", "gauss"])
+def test_a_distortion_takes_the_closed_form_of_what_it_computes(kernel):
+    # the identity under the name "sqrt" is Lebesgue length: its normalizer
+    # is 2/n = 1 (Laplace) or sqrt(pi/n) (Gauss), not the sqrt formula's
+    mu = RealCapacity.distorted_lebesgue(DistortionFunction("sqrt", lambda t: t))
+    want = kernel_normalizer(kernel, RealCapacity.lebesgue())
+    assert want == pytest.approx(1.0 if kernel.family == "laplace" else math.sqrt(math.pi / 2))
+    assert kernel_normalizer(kernel, mu) == pytest.approx(want, rel=QUAD_REL_TOL)
 
 
 @pytest.mark.parametrize("family", ["laplace", "gauss"])
@@ -419,7 +448,7 @@ def assert_batched_ends_match_brentq(spec, kernel, frac):
     smallest normal float have no relative precision left.  The deviation
     centred at the kernel peak is the Lambert closed form, not a
     root-finding product."""
-    assume(not (spec.name == "abs_dev" and spec.param("center") == kernel.x))
+    assume(not continuous._centred_deviation(spec, kernel))
     g = product_level_function(spec, kernel)
     sup = g.sup_value
     alphas = [sup * f for f in (1e-12, 1e-6, frac, 0.5, 1.0 - 1e-9, 1.0)]

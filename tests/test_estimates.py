@@ -94,7 +94,8 @@ class TestModulus:
             ts = np.sort(rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 6))))
             knots = list(zip(ts, rng.uniform(-1.0, 2.0, size=ts.size)))
             spec = function_spec("pw_linear", knots=knots)
-            knot_t, knot_v = np.array(spec.param("knots")).T
+            knot_t = np.array(spec.breakpoints)
+            knot_v = spec.fn.array(knot_t)
             lipschitz = np.max(np.abs(np.diff(knot_v) / np.diff(knot_t)))
             a = rng.uniform(-3.0, 1.0)
             window = (a, a + rng.uniform(0.2, 4.0))

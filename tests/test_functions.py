@@ -130,32 +130,35 @@ def test_factories_reject_non_finite_parameters(name, params):
         function_spec(name, **params)
 
 
-def test_factories_store_every_parameter():
-    # the level-set and modulus code read these without defaults of their own
-    assert function_spec("exp_neg").params == (("lam", 1.0), ("scale", 1.0))
-    assert function_spec("const").params == (("c", 1.0),)
-    assert function_spec("e0").params == (("c", 1.0),)
-    assert function_spec("abs_dev").param("center") == 0.0
-    assert function_spec("sqrt").param("shift") == 0.0
-    with pytest.raises(KeyError):
-        function_spec("e1").param("c")
+def test_factories_declare_the_exponential_record():
+    # the real-line oracle's closed forms read (scale, lam) of
+    # f = scale exp(-lam t), a constant at lam = 0, and never the name
+    assert function_spec("exp_neg").exponential == (1.0, 1.0)
+    assert function_spec("exp_neg", lam=2, scale=3).exponential == (3, 2)
+    assert function_spec("const").exponential == (1.0, 0.0)
+    assert function_spec("const", c=0.0).exponential == (0.0, 0.0)
+    assert function_spec("e0").exponential == (1.0, 0.0)
+    for name in ("e1", "abs_dev", "sqrt", "concave_quad"):
+        assert function_spec(name).exponential is None
+    assert function_spec("pw_linear", knots=[(0, 0), (1, 1)]).exponential is None
 
 
-ARRAY_SPECS = [
-    function_spec("exp_neg"), function_spec("exp_neg", lam=2, scale=3),
-    function_spec("const", c=2.0), function_spec("const", c=-3), function_spec("e0"),
-    function_spec("e1"),
-    function_spec("abs_dev"), function_spec("abs_dev", center=0.3),
-    function_spec("sqrt"), function_spec("sqrt", shift=3), function_spec("sqrt", shift=-0.4),
-    function_spec("concave_quad"),
-    function_spec("pw_linear", knots=[(-1, 1), (0, 2), (1, 0.5)]),
-    function_spec("pw_linear", knots=[(0.0, 1.0), (0.4, 2.0), (1.0, 0.5)]),
-    function_spec("pw_linear", knots=[(-1.0, 2.0), (0.0, 0.0), (4.0, 1.0), (1e6, -5.0)]),
+ARRAY_CASES = [
+    ("exp_neg", {}), ("exp_neg", {"lam": 2, "scale": 3}),
+    ("const", {"c": 2.0}), ("const", {"c": -3}), ("e0", {}),
+    ("e1", {}),
+    ("abs_dev", {}), ("abs_dev", {"center": 0.3}),
+    ("sqrt", {}), ("sqrt", {"shift": 3}), ("sqrt", {"shift": -0.4}),
+    ("concave_quad", {}),
+    ("pw_linear", {"knots": [(-1, 1), (0, 2), (1, 0.5)]}),
+    ("pw_linear", {"knots": [(0.0, 1.0), (0.4, 2.0), (1.0, 0.5)]}),
+    ("pw_linear", {"knots": [(-1.0, 2.0), (0.0, 0.0), (4.0, 1.0), (1e6, -5.0)]}),
     # parameters at which the arithmetic overflows, which neither form reports
-    function_spec("exp_neg", lam=1e308), function_spec("exp_neg", scale=1e308),
-    function_spec("sqrt", shift=1e308), function_spec("abs_dev", center=-1e308),
-    function_spec("pw_linear", knots=[(-1.5e308, 0.0), (1e308, 1.0)]),
+    ("exp_neg", {"lam": 1e308}), ("exp_neg", {"scale": 1e308}),
+    ("sqrt", {"shift": 1e308}), ("abs_dev", {"center": -1e308}),
+    ("pw_linear", {"knots": [(-1.5e308, 0.0), (1e308, 1.0)]}),
 ]
+ARRAY_SPECS = [function_spec(name, **params) for name, params in ARRAY_CASES]
 
 
 def _array_grid(spec):
@@ -171,12 +174,13 @@ def _array_grid(spec):
         [0.0, -0.0, 5e-324, -5e-324, math.nan], np.linspace(-3.0, 3.0, 601), wide, -wide,
         edges, np.nextafter(edges, -math.inf), np.nextafter(edges, math.inf),
         mids, np.nextafter(mids, -math.inf), np.nextafter(mids, math.inf)])
-    if spec.name == "exp_neg":   # math.exp raises OverflowError past exp(709)
-        t = t[[not -spec.param("lam") * u > 700.0 for u in t.tolist()]]
+    if spec.exponential is not None:   # math.exp raises OverflowError past exp(709)
+        t = t[[not -spec.exponential[1] * u > 700.0 for u in t.tolist()]]
     return t
 
 
-@pytest.mark.parametrize("spec", ARRAY_SPECS, ids=lambda s: f"{s.name}{dict(s.params)}")
+@pytest.mark.parametrize("spec", ARRAY_SPECS,
+                         ids=[f"{name}{params}" for name, params in ARRAY_CASES])
 def test_array_form_is_the_scalar_form_bit_for_bit(spec):
     t = _array_grid(spec)
     got = spec.fn.array(t)

@@ -668,6 +668,20 @@ class TestKernelMomentDispatch:
         assert len(engine_calls) == value_calls
 
     @pytest.mark.parametrize("op", [picard_choquet, weierstrass_choquet])
+    def test_a_distortion_computing_sqrt_takes_the_closed_form_by_any_name(
+            self, engine_calls, op):
+        # the closed forms are keyed on the distortion's function, not its name
+        n, x = 4, 0.3
+        named = RealCapacity.distorted_lebesgue(DistortionFunction("any", np.sqrt))
+        got = op(function_spec("abs_dev", center=x), n, x, named)
+        kernel = Kernel.laplace(n, x) if op is picard_choquet else Kernel.gauss(n, x)
+        normalizer = kernel_normalizer(kernel, named)
+        assert engine_calls == []
+        assert got == op(function_spec("abs_dev", center=x), n, x,
+                         RealCapacity.sqrt_lebesgue())
+        assert normalizer == kernel_normalizer(kernel, RealCapacity.sqrt_lebesgue())
+
+    @pytest.mark.parametrize("op", [picard_choquet, weierstrass_choquet])
     @pytest.mark.parametrize("n", [2, 16])
     def test_power_half_engine_agrees_with_the_sqrt_closed_form(self, op, n):
         x = -0.4
