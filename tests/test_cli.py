@@ -576,22 +576,37 @@ GOLDEN_FUNCTIONS = {
     "sqrt": {"name": "sqrt"},
     "exp_neg": {"name": "exp_neg"},
     "pw_linear": {"name": "pw_linear", "knots": [[-1, 1], [0, 2], [1, 0.5]]},
+    "sqrt3": {"name": "sqrt", "shift": 3},
 }
-GOLDEN_TABLES = [(["operator", "--operator", op], f"operator_{op}")
+# (command, stem, functions): the Bernstein tables and the classical Picard
+# table on n = 4, 64 and eleven x in [0, 1]; the Choquet kernel tables, whose
+# root-finding products run the Lambert (Laplace) and Newton (Gauss) lanes,
+# and the Picard comparison on n = 2, 16 and six x in [-1, 1.5]
+_UNIT_GRID = ["--n", "4,64", "--xgrid=0:1:11"]
+_KERNEL_GRID = ["--n", "2,16", "--xgrid=-1:1.5:6"]
+GOLDEN_TABLES = [(["operator", "--operator", op] + _UNIT_GRID, f"operator_{op}",
+                  ("sqrt", "exp_neg", "pw_linear"))
                  for op in ("bernstein", "bernstein_choquet", "picard")]
-GOLDEN_TABLES.append((["compare", "--pair", "bernstein"], "compare_bernstein"))
+GOLDEN_TABLES.append((["compare", "--pair", "bernstein"] + _UNIT_GRID, "compare_bernstein",
+                      ("sqrt", "exp_neg", "pw_linear")))
+GOLDEN_TABLES += [(["operator", "--operator", op, "--capacity", capacity] + _KERNEL_GRID,
+                   f"operator_{op}_{capacity}", ("sqrt3", "pw_linear"))
+                  for op in ("picard_choquet", "weierstrass_choquet")
+                  for capacity in ("sqrt_lebesgue", "possibility")]
+GOLDEN_TABLES.append((["compare", "--pair", "picard"] + _KERNEL_GRID, "compare_picard",
+                      ("sqrt", "sqrt3")))
+GOLDEN_CASES = [(command, stem, function) for command, stem, functions in GOLDEN_TABLES
+                for function in functions]
 
 
-@pytest.mark.parametrize("function", GOLDEN_FUNCTIONS)
-@pytest.mark.parametrize("command, stem", GOLDEN_TABLES, ids=[s for _, s in GOLDEN_TABLES])
+@pytest.mark.parametrize("command, stem, function", GOLDEN_CASES,
+                         ids=[f"{stem}-{function}" for _, stem, function in GOLDEN_CASES])
 def test_tables_match_their_golden_csv_byte_for_byte(tmp_path, command, stem, function):
-    # the Bernstein tables and the classical Picard table on n = 4, 64 and
-    # eleven x in [0, 1], pinned to their bytes; regenerate a file only for
-    # a change that is meant to move these values
+    # every table of GOLDEN_TABLES pinned to its bytes; regenerate a file
+    # only for a change that is meant to move these values
     cfg = write_config(tmp_path, {"function": GOLDEN_FUNCTIONS[function]})
     out = tmp_path / "out.csv"
-    assert main(command + ["--config", cfg, "--n", "4,64", "--xgrid=0:1:11",
-                           "--out", str(out)]) == 0
+    assert main(command + ["--config", cfg, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{stem}_{function}.csv").read_bytes()
 
 
