@@ -142,9 +142,16 @@ def _object(raw, what: str, *keys: str) -> dict:
     return raw
 
 
+# the keys of a perturbation, in its own object or on a bernstein_perturbed
+# capacity
+_PROFILE_KEYS = ("theta", "i0")
+
+
 def _parse_profile(raw: dict) -> PerturbationProfile:
     """The perturbation given by ``raw``'s ``theta`` and ``i0``; an absent
-    key takes the default of :class:`PerturbationProfile`."""
+    key takes the default of :class:`PerturbationProfile`, any other key is
+    a config error."""
+    _object(raw, "perturbation", *_PROFILE_KEYS)
     try:
         theta = _number(raw.get("theta", DEFAULT_PROFILE.theta))
         i0 = _integer(raw.get("i0", DEFAULT_PROFILE.i0))
@@ -197,8 +204,21 @@ def _parse_kernel(raw, default_n=1.0) -> Kernel:
         raise ConfigError(str(exc)) from exc
 
 
+# discrete capacity rule -> the keys it takes besides "kind" and "rule"
+_DISCRETE_KEYS = {
+    "additive": ("weights",),
+    "possibility": ("weights",),
+    "distorted_uniform": ("gamma", "size"),
+    "bernstein_perturbed": ("n", "x") + _PROFILE_KEYS,
+    "table": ("size", "values"),
+}
+
+
 def _parse_discrete_capacity(raw: dict) -> DiscreteCapacity:
     rule = raw.get("rule", "additive")
+    if not isinstance(rule, str) or rule not in _DISCRETE_KEYS:
+        raise ConfigError(f"unknown discrete capacity rule {rule!r}")
+    _object(raw, f"{rule} capacity", "kind", "rule", *_DISCRETE_KEYS[rule])
     try:
         if rule == "additive":
             return cap_mod.additive_capacity([_number(w) for w in raw["weights"]])
@@ -208,14 +228,14 @@ def _parse_discrete_capacity(raw: dict) -> DiscreteCapacity:
             return cap_mod.counting_distortion(_parse_gamma(raw.get("gamma")),
                                                _integer(raw["size"]))
         if rule == "bernstein_perturbed":
-            return bernstein_choquet_capacity(_integer(raw["n"]), _number(raw["x"]),
-                                              _parse_profile(raw))
+            return bernstein_choquet_capacity(
+                _integer(raw["n"]), _number(raw["x"]),
+                _parse_profile({k: raw[k] for k in _PROFILE_KEYS if k in raw}))
         if rule == "table":
             return cap_mod.capacity_from_table(_integer(raw["size"]),
                                                [_number(v) for v in raw["values"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid discrete capacity {raw!r}: {exc}") from exc
-    raise ConfigError(f"unknown discrete capacity rule {rule!r}")
 
 
 # the ``--capacity`` shorthands; any other string names a kind
@@ -331,7 +351,7 @@ class _Setup:
         x_grid = _parse_x_grid(cfg.get("x_grid"))
         # a top-level theta or i0 overrides the perturbation object's
         profile = _parse_profile({**_object(cfg.get("perturbation", {}), "perturbation"),
-                                  **cfg})
+                                  **{k: cfg[k] for k in _PROFILE_KEYS if k in cfg}})
         capacity = _real_capacity_factory(cfg.get("capacity"))
         lo, hi = float(np.min(x_grid)), float(np.max(x_grid))
         bernstein = any(name.startswith("bernstein") for name in names)

@@ -144,7 +144,7 @@ class LevelSetFunction:
         alphas = np.asarray(alphas, dtype=float)
         if alphas.ndim != 1:
             raise ValueError("levels takes a 1-d array of levels")
-        if not np.all(alphas > 0):
+        if not (alphas > 0).all():
             raise ValueError("level must be positive")
         return self.level_batch(alphas)
 
@@ -240,7 +240,8 @@ def _branch_v(p):
 def _halley_v(v, l1):
     for _ in range(_HALLEY_STEPS):
         f = v + np.log1p(-v) - l1
-        v = v + 2.0 * v * (1.0 - v) * f / (2.0 * v * v + f)
+        twice = 2.0 * v
+        v = v + twice * (1.0 - v) * f / (twice * v + f)
     return v
 
 
@@ -252,6 +253,15 @@ def _halley_w(w, q):
     return w
 
 
+def _lanes(mask: np.ndarray):
+    """The index of the true lanes of ``mask``: None when there is none,
+    ``...`` (a view of every lane) when all are, else ``mask`` itself."""
+    count = np.count_nonzero(mask)
+    if count == 0:
+        return None
+    return ... if count == mask.size else mask
+
+
 def _lambert_branch(L: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """A real branch of Lambert W at ``z = -exp(L)``, one per lane:
     ``W_0`` where ``upper`` (which broadcasts against ``L``) and ``W_{-1}``
@@ -261,15 +271,17 @@ def _lambert_branch(L: np.ndarray, upper: np.ndarray) -> np.ndarray:
     p = np.sqrt(-2.0 * np.expm1(np.minimum(L, -1.0) + 1.0))
     far = p >= _BRANCH_P
     near = (L < -1.0) & ~far
-    v_lanes = near | far & ~upper
-    Lv = L[v_lanes]
-    l2 = np.log(-Lv)
-    start = np.where(near[v_lanes], _branch_v(np.where(upper, p, -p)[v_lanes]),
-                     Lv + 1.0 - l2 + l2 / Lv)
-    w[v_lanes] = _halley_v(start, Lv + 1.0) - 1.0
-    w_lanes = far & upper
-    q = np.exp(L[w_lanes])
-    w[w_lanes] = _halley_w(-q * (1.0 + q * (1.0 + 1.5 * q)), q)
+    v_lanes = _lanes(near | far & ~upper)
+    if v_lanes is not None:
+        Lv = L[v_lanes]
+        l2 = np.log(-Lv)
+        start = np.where(near[v_lanes], _branch_v(np.where(upper, p, -p)[v_lanes]),
+                         Lv + 1.0 - l2 + l2 / Lv)
+        w[v_lanes] = _halley_v(start, Lv + 1.0) - 1.0
+    w_lanes = _lanes(far & upper)
+    if w_lanes is not None:
+        q = np.exp(L[w_lanes])
+        w[w_lanes] = _halley_w(-q * (1.0 + q * (1.0 + 1.5 * q)), q)
     return w
 
 
@@ -289,15 +301,21 @@ def _lambert_w0(L: np.ndarray) -> np.ndarray:
     w = np.exp(np.minimum(L, _W0_TINY_L))
     mid = L > _W0_TINY_L
     big = L >= 0.0
-    small = mid & ~big
-    l1 = np.logaddexp(0.0, L[mid])
-    w[mid] = l1 * (1.0 - np.log1p(l1) / (2.0 + l1))
-    w[small] = _halley_w(w[small], -np.exp(L[small]))
-    wb, Lb = w[big], L[big]
-    for _ in range(_HALLEY_STEPS):
-        r = (wb + np.log(wb) - Lb) / (wb + 1.0)
-        wb = wb - wb * r / (1.0 + 0.5 * r / (wb + 1.0))
-    w[big] = wb
+    lanes = _lanes(mid)
+    if lanes is not None:
+        l1 = np.logaddexp(0.0, L[lanes])
+        w[lanes] = l1 * (1.0 - np.log1p(l1) / (2.0 + l1))
+    lanes = _lanes(mid & ~big)
+    if lanes is not None:
+        w[lanes] = _halley_w(w[lanes], -np.exp(L[lanes]))
+    lanes = _lanes(big)
+    if lanes is not None:
+        wb, Lb = w[lanes], L[lanes]
+        for _ in range(_HALLEY_STEPS):
+            w1 = wb + 1.0
+            r = (wb + np.log(wb) - Lb) / w1
+            wb = wb - wb * r / (1.0 + 0.5 * r / w1)
+        w[lanes] = wb
     return w
 
 
@@ -463,22 +481,40 @@ def _newton(kernel: Kernel, a: np.ndarray, b: np.ndarray, log_alpha: np.ndarray,
     const5, p5, dt5, xt5 = (np.concatenate((v,) * 5)
                             for v in (log_c - log_alpha, p, dt, xt))
     res3 = np.concatenate((_ROOT_HTOL * (1.0 + np.abs(log_alpha)),) * 3)
+    # scratch rows for evaluate, and the columns of state that become the
+    # new outer and inner ends
+    w_buf, q_buf, t_buf = np.empty((3, 5 * m))
+    ends = np.empty(2 * m, dtype=np.intp)
 
-    def evaluate(rows: slice) -> None:
-        w = u[rows] + dt5[rows]
-        q = u[rows] - xt5[rows]
-        pw = p5[rows] / w
-        np.add(const5[rows] + p5[rows] * np.log(np.abs(w)), -n * q * q, out=h[rows])
-        np.add(pw, -2.0 * n * q, out=dh[rows])
-        np.add(pw / w, 2.0 * n, out=curv[rows])
+    def evaluator(rows: slice) -> Callable[[], None]:
+        """A function that sets h, h' and -h'' of the lanes in ``rows`` from
+        their u, on views taken once."""
+        u_r, dt_r, xt_r, c_r, p_r = u[rows], dt5[rows], xt5[rows], const5[rows], p5[rows]
+        h_r, dh_r, curv_r = h[rows], dh[rows], curv[rows]
+        w, q, t = w_buf[rows], q_buf[rows], t_buf[rows]
+
+        def evaluate() -> None:
+            np.add(u_r, dt_r, out=w)
+            np.subtract(u_r, xt_r, out=q)
+            np.log(np.abs(w, out=t), out=t)
+            np.add(c_r, np.multiply(p_r, t, out=t), out=t)
+            np.multiply(np.multiply(-n, q, out=h_r), q, out=h_r)
+            np.add(t, h_r, out=h_r)
+            pw = np.divide(p_r, w, out=t)
+            np.add(pw, np.multiply(-2.0 * n, q, out=q), out=dh_r)
+            np.add(np.divide(pw, w, out=t), 2.0 * n, out=curv_r)
+
+        return evaluate
 
     lanes = np.arange(m)
     probes = slice(m, 4 * m)
     h_lo, h_hi, d_lo, d_hi, c_hi = h[:m], h[4 * m:], dh[:m], dh[4 * m:], curv[4 * m:]
+    hp = h[probes]
+    evaluate_probes = evaluator(probes)
     # a log of 0 at a zero of f; NaN quotients of infinities, which the
     # comparisons and fmin/fmax below pass over
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        evaluate(slice(0, 5 * m))
+        evaluator(slice(0, 5 * m))()
         for _ in range(_NEWTON_PASSES):
             tol = _ROOT_XTOL + _ROOT_RTOL * np.abs(hi)
             done = (hi - lo < tol) | (h_hi == 0.0)
@@ -493,28 +529,35 @@ def _newton(kernel: Kernel, a: np.ndarray, b: np.ndarray, log_alpha: np.ndarray,
                 # h = -inf (a zero of f) it ends at the inner end
                 chord = np.fmax(np.fmin(h_lo / (h_lo - h_hi), 1.0), 0.0)
                 return sign * (lo + chord * (hi - lo))
-            # a finished lane probes inside its bracket without a step
-            half = np.where(done, 0.0, 0.5 * tol)
+            # a finished lane probes inside its bracket without a step (half
+            # is 0.0 there, as tol is positive)
+            half = np.multiply(0.5 * tol, ~done)
             inner = hi - half
             # both ends' tangent roots are lower bounds; the shorter step
             # carries less rounding (a step across a wide tail can land past
             # the root), and a -inf or a flat end has no step
-            step_lo, step_hi = -h_lo / d_lo, h_hi / np.maximum(d_hi, _TINY)
+            neg_h_lo = -h_lo
+            step_lo, step_hi = neg_h_lo / d_lo, h_hi / np.maximum(d_hi, _TINY)
             tangent = np.where(step_lo <= step_hi, lo + step_lo, hi - step_hi)
-            u[m:2 * m] = first = np.fmin(np.fmax(tangent, lo + half), inner)
+            first = np.fmin(np.fmax(tangent, lo + half), inner, out=u[m:2 * m])
             w = lo + dt
-            log_newton = w * np.exp(-h_lo / (w * d_lo)) - dt
+            log_newton = w * np.exp(neg_h_lo / (w * d_lo)) - dt
             quadratic = hi - 2.0 * h_hi / (d_hi + np.sqrt(d_hi * d_hi + 2.0 * c_hi * h_hi))
             past = first + half
             np.fmin(np.fmax(np.fmin(log_newton, quadratic), past), inner, out=u[2 * m:3 * m])
             np.fmin(np.fmax(np.fmax(log_newton, quadratic), past), inner, out=u[3 * m:4 * m])
-            evaluate(probes)
-            hp = h[probes]
+            evaluate_probes()
             hp[np.abs(hp) <= res3] = 0.0
             # the probes rise along the bracket: the new outer end is the
             # last one below the level, the new inner end the one after it
-            outer = (hp < 0.0).reshape(3, m).sum(axis=0) * m + lanes
-            state[:, :m], state[:, 4 * m:] = state[:, outer], state[:, outer + m]
+            below = hp < 0.0
+            outer = ends[:m]
+            np.add(below[:m], below[m:2 * m], out=outer, dtype=np.intp)
+            np.add(outer, below[2 * m:], out=outer)
+            np.add(np.multiply(outer, m, out=outer), lanes, out=outer)
+            np.add(outer, m, out=ends[m:])
+            gathered = state.take(ends, axis=1)
+            state[:, :m], state[:, 4 * m:] = gathered[:, :m], gathered[:, m:]
     open_ = ~done
     i = np.argmax(open_)
     raise QuadratureError(f"root finding on [{a[i]}, {b[i]}] did not converge in "
@@ -556,27 +599,47 @@ def _lambert_lanes(kernel: Kernel, a: np.ndarray, b: np.ndarray,
     sigma = np.where(mid > x, 1.0, -1.0)
     t = np.empty(a.shape)
     flat = p == 0.0
-    t[flat] = x + sigma[flat] * (log_c[flat] - log_alpha[flat]) / n
-    power = np.flatnonzero(~flat)
-    sig, lc, la, pp, dp = (v[power] for v in (sigma, log_c, log_alpha, p, d))
+    lanes = _lanes(flat)
+    if lanes is not None:
+        t[lanes] = x + sigma[lanes] * (log_c[lanes] - log_alpha[lanes]) / n
+    power = _lanes(~flat)
+    if power is not None:
+        t[power] = _lambert_power_lanes(n, x, mid[power], *(v[power] for v in (
+            rising, sigma, log_c, log_alpha, p, d)))
+    # np.clip(t, a, b), bit for bit, without its dispatch
+    return np.minimum(np.maximum(t, a), b)
+
+
+def _lambert_power_lanes(n: float, x: float, mid: np.ndarray, rising: np.ndarray,
+                         sig: np.ndarray, lc: np.ndarray, la: np.ndarray, pp: np.ndarray,
+                         dp: np.ndarray) -> np.ndarray:
+    """The roots of :func:`_lambert_lanes` on its power pieces, whose
+    bracket midpoints are ``mid``, before the clip to the bracket."""
     m = n / pp
     L = np.log(m) + (la - lc) / pp - sig * m * (x + dp)
     w = np.empty(L.shape)
-    bump = np.sign(mid[power] + dp) == sig
-    w[bump] = _lambert_branch(L[bump], rising[power][bump] == (sig[bump] > 0.0))
-    w[~bump] = _lambert_w0(L[~bump])
+    bump = np.sign(mid + dp) == sig
+    lanes = _lanes(bump)
+    if lanes is not None:
+        w[lanes] = _lambert_branch(L[lanes], rising[lanes] == (sig[lanes] > 0.0))
+    lanes = _lanes(~bump)
+    if lanes is not None:
+        w[lanes] = _lambert_w0(L[lanes])
     tp = -sig * w / m - dp
     # the Newton step h / h' = h (t + d) / slope where t + d is not 0 (a W_0
     # that underflowed) and the step is trusted
     r = tp + dp
-    live = np.flatnonzero(r != 0.0)
+    live = _lanes(r != 0.0)
+    if live is None:
+        return tp
     r, pl = r[live], pp[live]
     h = lc[live] + pl * np.log(np.abs(r)) - n * sig[live] * (tp[live] - x) - la[live]
     slope = pl - n * sig[live] * r
-    trust = np.abs(h) * pl < _STEP_TRUST * slope * slope
-    tp[live[trust]] -= h[trust] * r[trust] / slope[trust]
-    t[power] = tp
-    return np.clip(t, a, b)
+    trust = _lanes(np.abs(h) * pl < _STEP_TRUST * slope * slope)
+    if trust is not None:
+        step = h[trust] * r[trust] / slope[trust]
+        tp[trust if live is ... else np.flatnonzero(live)[trust]] -= step
+    return tp
 
 
 def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
@@ -607,11 +670,17 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
                                         for s in [-math.inf] + pts)))
     with np.errstate(divide="ignore"):  # c = 0 left of sqrt's support
         log_c = np.log(c)
+    # the rows (log c, p, d) of each bracket's piece, taken per lane at once
+    piece_rows = np.array([log_c, p, d])
     vals = [g(t) for t in pts]
     sup = max(vals)
     step0 = max(1.0, 1.0 / kernel.n)
     # the profile at the bracket ends; the tails decay to 0
     ga, gb = np.array([0.0] + vals), np.array(vals + [0.0])
+    # whether the profile rises across each bracket, and its value at the
+    # inner end, where a level may meet it exactly
+    rising_b = gb > ga
+    inner_g = np.where(rising_b, gb, ga)
 
     def levels(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # a tail reaches to where the profile drops below the lowest level;
@@ -619,7 +688,8 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
         alpha = alphas.min(initial=math.inf)
         left = _expand(g, pts[0], alpha, -step0) if vals[0] >= alpha else pts[0]
         right = _expand(g, pts[-1], alpha, step0) if vals[-1] >= alpha else pts[-1]
-        a, b = np.array([left] + pts), np.array(pts + [right])
+        ends = np.array([[left] + pts, pts + [right]])
+        a, b = ends
         in_a = ga[:, None] >= alphas
         in_b = gb[:, None] >= alphas
         lo = np.where(in_a, a[:, None], math.inf)
@@ -628,16 +698,17 @@ def _generic_product(spec: FunctionSpec, kernel: Kernel) -> LevelSetFunction:
         # lane of a single solve
         row, col = np.nonzero(in_a != in_b)
         if row.size:
-            rising = (gb > ga)[row]
+            rising = rising_b[row]
             level = alphas[col]
+            lanes = _lambert_lanes if kernel.family == LAPLACE else _newton
             # like brentq, take the bracket end where the profile meets the
             # level exactly (a local maximum at alpha = its value)
             root = np.where(rising, b[row], a[row])
-            solve = level != np.where(rising, gb[row], ga[row])
-            r = row[solve]
-            lanes = _lambert_lanes if kernel.family == LAPLACE else _newton
-            root[solve] = lanes(kernel, a[r], b[r], np.log(level[solve]), rising[solve],
-                                log_c[r], p[r], d[r])
+            solve = _lanes(level != inner_g[row])
+            if solve is not None:
+                r = row[solve]
+                root[solve] = lanes(kernel, *ends.take(r, axis=1), np.log(level[solve]),
+                                    rising[solve], *piece_rows.take(r, axis=1))
             lo[row[rising], col[rising]] = root[rising]
             hi[row[~rising], col[~rising]] = root[~rising]
         return lo, hi
@@ -709,6 +780,8 @@ def _layer_heights(g: LevelSetFunction, mu: RealCapacity, s: np.ndarray,
     underflows to 0 adds nothing."""
     alphas = np.exp(-s)
     live = alphas > full
+    if live.all():
+        return mu.values(*g.levels(alphas)) * alphas
     ys = np.where(live, 0.0, alphas)
     ys[live] = mu.values(*g.levels(alphas[live])) * alphas[live]
     return ys
@@ -752,8 +825,9 @@ def _qk15(f: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = 0.5 * kronrod
     resabs = np.abs(f) @ _GK_KRONROD * half
     resasc = np.abs(f - mean[:, None]) @ _GK_KRONROD * half
-    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0.0)
-    err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    scaled = resasc > 0.0
+    ratio = np.divide(200.0 * err, resasc, out=np.zeros(err.shape), where=scaled)
+    err = np.where(scaled, resasc * np.minimum(1.0, ratio ** 1.5), err)
     return kronrod * half, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
 
 
@@ -763,6 +837,26 @@ def _divide(lo: np.ndarray, hi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
     cuts = lo[:, None] + (hi - lo)[:, None] * (np.arange(k + 1) / k)
     cuts[:, -1] = hi
     return cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+
+
+def _gk_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The half-widths of the subintervals ``[lo, hi]`` and their 15 nodes,
+    one row each."""
+    half = 0.5 * (hi - lo)
+    return half, (lo + half)[:, None] + half[:, None] * _GK_NODES
+
+
+@functools.lru_cache(maxsize=8)
+def _gk_opening(pieces: int) -> tuple[np.ndarray, ...]:
+    """The first pass of :func:`_gauss_kronrod` on ``pieces`` pieces, as
+    read-only arrays: the piece of each subinterval, its ends ``lo``,
+    ``hi`` in ``u`` and its :func:`_gk_nodes`."""
+    piece = np.repeat(np.arange(pieces), GK_START)
+    lo, hi = _divide(np.zeros(pieces), np.ones(pieces), GK_START)
+    out = (piece, lo, hi) + _gk_nodes(lo, hi)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _gauss_kronrod(integrand: Callable[[np.ndarray], np.ndarray],
@@ -791,36 +885,44 @@ def _gauss_kronrod(integrand: Callable[[np.ndarray], np.ndarray],
     """
     start = np.array([a for a, _ in pieces])
     tail = np.array([math.isinf(b) for _, b in pieces])
+    any_tail = tail.any()
     width = np.array([1.0 if math.isinf(b) else b - a for a, b in pieces])
-    # the cube turns a layer (s - a)**beta at a piece's start, beta = 1/4 or
-    # 1/2, into u**(3/4) or u**(3/2); a fourth power stretches the far end
-    # of the piece so much that qk15 splits it there instead
-    power = 3 if graded else 1
     count = np.full(len(pieces), GK_START)
-    # the open subintervals [lo, hi] of u and the piece each one lies in
-    piece = np.repeat(np.arange(len(pieces)), GK_START)
-    lo, hi = _divide(np.zeros(len(pieces)), np.ones(len(pieces)), GK_START)
+    # the open subintervals [lo, hi] of u, the piece each one lies in, and
+    # their nodes u
+    piece, lo, hi, half, u = _gk_opening(len(pieces))
     value = error = 0.0  # over the retired subintervals
     while True:
-        half = 0.5 * (hi - lo)
-        u = (lo + half)[:, None] + half[:, None] * _GK_NODES
-        on_tail = tail[piece][:, None]
-        # nodes are interior, so u > 0 on the tail
-        r = np.where(on_tail, (1.0 - u) / u, u)
-        dr = np.where(on_tail, 1.0 / (u * u), 1.0)
-        w = width[piece][:, None]
-        s = start[piece][:, None] + w * r ** power
-        jac = w * dr * power * r ** (power - 1)
+        # r and its Jacobian w dr/du; with no tail r is u and dr/du 1
+        r = u
+        w = wdr = width[piece][:, None]
+        if any_tail:
+            on_tail = tail[piece][:, None]
+            # nodes are interior, so u > 0 on the tail
+            r = np.where(on_tail, (1.0 - u) / u, u)
+            wdr = w * np.where(on_tail, 1.0 / (u * u), 1.0)
+        if graded:
+            # the cube turns a layer (s - a)**beta at a piece's start, beta =
+            # 1/4 or 1/2, into u**(3/4) or u**(3/2); a fourth power stretches
+            # the far end of the piece so much that qk15 splits it there
+            s = start[piece][:, None] + w * r ** 3
+            jac = wdr * 3 * r ** 2
+        else:
+            s = start[piece][:, None] + w * r
+            jac = wdr
         f = integrand(s.ravel()).reshape(s.shape)
         with np.errstate(invalid="ignore", over="ignore"):  # an infinite value
             parts, errs = _qk15(f * jac, half)
-            total = value + float(parts.sum())
+            open_value = float(parts.sum())
             open_error = float(errs.sum())
-        bad = ~(np.isfinite(parts) & np.isfinite(errs))
-        if bad.any():
-            a, b = pieces[piece[np.argmax(bad)]]
-            raise QuadratureError(f"piece [{a}, {b}] is not finite",
-                                  value=total, error_estimate=error + open_error)
+        total = value + open_value
+        # the sums are finite where every part is, unless they overflow
+        if not (math.isfinite(open_value) and math.isfinite(open_error)):
+            bad = ~(np.isfinite(parts) & np.isfinite(errs))
+            if bad.any():
+                a, b = pieces[piece[np.argmax(bad)]]
+                raise QuadratureError(f"piece [{a}, {b}] is not finite",
+                                      value=total, error_estimate=error + open_error)
         budget = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total)) - error
         if open_error <= budget:
             return total, error + open_error
@@ -837,6 +939,7 @@ def _gauss_kronrod(integrand: Callable[[np.ndarray], np.ndarray],
                 error_estimate=error + float(errs[split].sum()))
         piece = np.repeat(piece[split], GK_SPLIT)
         lo, hi = _divide(lo[split], hi[split], GK_SPLIT)
+        half, u = _gk_nodes(lo, hi)
 
 
 def choquet_integral_real_with_error(g: LevelSetFunction,
@@ -949,10 +1052,10 @@ def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity) -> float:
         ys = _layer_heights(g, mu, np.concatenate([s for s, _, _ in nodes]), full)
         start = 0
         failing = []
-        for i, (s, w, coarse) in zip(todo, nodes):
-            y = ys[start:start + s.size]
-            start += s.size
-            with np.errstate(invalid="ignore", over="ignore"):  # an infinite layer
+        with np.errstate(invalid="ignore", over="ignore"):  # an infinite layer
+            for i, (s, w, coarse) in zip(todo, nodes):
+                y = ys[start:start + s.size]
+                start += s.size
                 added = float(w @ y)
                 if level == 0:
                     previous = 2.0 * float(w[coarse] @ y[coarse])  # the rule at 2h
@@ -960,13 +1063,13 @@ def choquet_integral_real_grid(g: LevelSetFunction, mu: RealCapacity) -> float:
                 else:
                     previous = values[i]
                     values[i] = 0.5 * previous + added
-            errors[i] = abs(values[i] - previous)
-            if not (math.isfinite(values[i]) and math.isfinite(errors[i])):
-                a, b = pieces[i]
-                raise QuadratureError(f"layer-cake piece [{a}, {b}] is not finite",
-                                      value=values[i], error_estimate=errors[i])
-            if errors[i] > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(values[i])):
-                failing.append(i)
+                errors[i] = abs(values[i] - previous)
+                if not (math.isfinite(values[i]) and math.isfinite(errors[i])):
+                    a, b = pieces[i]
+                    raise QuadratureError(f"layer-cake piece [{a}, {b}] is not finite",
+                                          value=values[i], error_estimate=errors[i])
+                if errors[i] > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(values[i])):
+                    failing.append(i)
         todo = failing
         if not todo:
             return math.fsum([full] + values)

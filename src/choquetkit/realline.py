@@ -145,8 +145,9 @@ class RealCapacity:
         present = lo <= hi
         if self.kind == "distorted_lebesgue":
             return self.gamma(np.where(present, hi - lo, 0.0).sum(axis=0))
-        nearest = np.clip(self.kernel.x, np.where(present, lo, 0.0),
-                          np.where(present, hi, 0.0))
+        # x clipped to each piece, as np.clip would; an empty piece's
+        # nearest point is dropped below
+        nearest = np.minimum(np.maximum(self.kernel.x, lo), hi)
         sups = np.where(present, self.kernel.values(nearest), 0.0)
         return sups.max(axis=0, initial=0.0)
 

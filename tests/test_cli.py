@@ -794,8 +794,24 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, payload):
     ("operator", {"capacity": {"kind": "distorted_lebesgue", "gamma": "sqrt",
                                "kernel": {"family": "laplace"}}}, "kernel"),
     ("operator", {"x_grid": {"min": 0, "max": 1, "count": 3, "step": 0.5}}, "step"),
+    ("operator", {"operator": "bernstein_choquet", "perturbation": {"thta": 3.0},
+                  "n_list": [4], "x_grid": "0:1:3"}, "thta"),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "bernstein_perturbed", "n": 4,
+                                "x": 0.3, "thetta": 3}, "values": [0, 1, 2, 3, 4]}, "thetta"),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "bernstein_perturbed", "n": 4,
+                                "x": 0.3, "weights": [1]}, "values": [0, 1, 2, 3, 4]}, "weights"),
+    ("integrate", {"capacity": {"kind": "discrete", "weights": [0.5, 0.5], "theta": 1},
+                   "values": [1, 2]}, "theta"),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "possibility",
+                                "weights": [1, 0.5], "size": 2}, "values": [1, 2]}, "size"),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "distorted_uniform",
+                                "gama": "identity", "size": 2}, "values": [1, 2]}, "gama"),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "table", "size": 1,
+                                "values": [0, 1], "weights": [1]}, "values": [1]}, "weights"),
 ], ids=["kernel", "possibility", "possibility_kernel", "possibility_gamma",
-        "distorted_lebesgue", "distorted_lebesgue_kernel", "x_grid"])
+        "distorted_lebesgue", "distorted_lebesgue_kernel", "x_grid", "perturbation",
+        "bernstein_perturbed", "bernstein_perturbed_weights", "additive", "discrete_possibility",
+        "distorted_uniform", "table"])
 def test_unknown_nested_key_is_config_error(tmp_path, capsys, command, payload, key):
     # a misspelt key would otherwise leave its default in force: a "famly"
     # integrates against the Laplace kernel, a "kernal" follows the operator's

@@ -836,6 +836,58 @@ class TestBatchedOracle:
             delta = math.sqrt(128.0 * EPS * (1.0 + abs(log_peak)) * p) / n
             assert np.all(np.abs(roots - t_m) <= 4.0 * delta + 1e-12 * (1.0 + abs(t_m)))
 
+    def test_lane_solvers_take_zero_lanes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = self.lanes((0.0, 1.0, 0.5, False, 1.0, 0.0, 1.0))
+            empty = tuple(v[:0] for v in empty)
+            for solve, kernel in ((_lambert_lanes, Kernel.laplace(2.0, 0.0)),
+                                  (_newton, Kernel.gauss(2.0, 0.0))):
+                roots = solve(kernel, *empty)
+                assert roots.shape == (0,) and roots.dtype == float
+            for w in (_lambert_branch(np.empty(0), np.empty(0, bool)),
+                      _lambert_branch(np.empty((2, 0)), np.array([[True], [False]])),
+                      _lambert_w0(np.empty(0))):
+                assert w.size == 0 and w.dtype == float
+
+    # c, p, d of f = c |t + d|**p and brackets (a, b, alpha, rising) against
+    # Laplace(1, 0): a constant piece on both sides of the peak; the bump
+    # t exp(-|t|) on both branches (every lane a bump); |t - 2| exp(-|t|),
+    # falling with f towards its zero (no lane a bump), down to a W_0 that
+    # underflows, where t + d rounds to 0 and the root is the zero of f
+    LAMBERT_SETS = {
+        "flat": ((1.0, 0.0, 1.0), [(0.0, 16.0, 0.3, False), (0.0, 40.0, 1e-12, False),
+                                   (-16.0, 0.0, 0.9, True)]),
+        "bump": ((1.0, 1.0, 0.0), [(0.0, 1.0, 0.2, True), (1.0, 8.0, 0.2, False),
+                                   (1.0, 40.0, 1e-9, False), (-40.0, -1.0, 1e-9, True),
+                                   (-1.0, 0.0, 0.3, False)]),
+        "no_bump": ((1.0, 1.0, -2.0), [(0.0, 2.0, 1.9, False), (0.0, 2.0, 1e-3, False),
+                                       (0.0, 2.0, 1e-300, False)]),
+        "underflow": ((1.0, 1.0, -2.0), [(0.0, 2.0, 5e-324, False)]),
+    }
+
+    @pytest.mark.parametrize("names", [("flat",), ("bump",), ("no_bump",), ("underflow",),
+                                       ("flat", "bump"), ("bump", "no_bump", "underflow"),
+                                       ("flat", "bump", "no_bump", "underflow")],
+                             ids="+".join)
+    def test_lambert_lanes_on_degenerate_lane_sets(self, names):
+        # all lanes, none or some of them flat, bumps, or with a W_0 that
+        # underflows: each root is brentq's on f * kernel, and a lane's root
+        # does not depend on the lanes solved with it
+        kernel = Kernel.laplace(1.0, 0.0)
+        lanes = [bracket + piece for name in names
+                 for piece, brackets in [self.LAMBERT_SETS[name]] for bracket in brackets]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = _lambert_lanes(kernel, *self.lanes(*lanes))
+            alone = [_lambert_lanes(kernel, *self.lanes(lane))[0] for lane in lanes]
+        assert roots.tolist() == alone
+        for (a, b, alpha, _, c, p, d), root in zip(lanes, roots):
+            want = brentq(lambda t: c * abs(t + d) ** p * kernel(t) - alpha, a, b, xtol=1e-13)
+            assert root == pytest.approx(want, abs=XTOL + RTOL * abs(want)), (a, b, alpha, p)
+        if "underflow" in names:
+            assert roots[-1] == 2.0
+
     @pytest.mark.parametrize("kernel", [Kernel.laplace(3.0, 0.3), Kernel.gauss(3.0, 0.3)])
     @pytest.mark.parametrize("spec", [function_spec("pw_linear", knots=PW_KNOTS),
                                       function_spec("sqrt", shift=1.0)],
@@ -1163,6 +1215,33 @@ class TestQuadrature:
         assert len(passes) == 48
         assert max(passes) <= 2
         assert sum(passes) / len(passes) <= 0.9
+
+    @pytest.mark.parametrize("graded", [False, True], ids=["ungraded", "graded"])
+    @pytest.mark.parametrize("pieces, want", [
+        ([(0.0, 1.0), (1.0, 3.0)], 1.0 - math.exp(-3.0)),
+        ([(0.0, 1.0), (1.0, math.inf)], 1.0),
+        ([(0.0, 2.0), (2.0, math.inf)], math.sqrt(math.pi) / 2.0),
+    ], ids=["finite", "tail", "sqrt_tail"])
+    def test_gauss_kronrod_with_and_without_a_tail(self, graded, pieces, want):
+        # exp(-s), or sqrt(s) exp(-s) (Gamma(3/2)), over finite pieces alone
+        # and with the qagi tail; the ungraded rule is the classical Picard
+        # operator's.  The first pass's nodes are the piece maps of the
+        # docstring, s = a + (b - a) u**k or a + r**k with r = (1 - u)/u, up
+        # to the rounding of the subinterval ends
+        first = []
+
+        def integrand(s):
+            first.append(s.copy())
+            return np.sqrt(s) * np.exp(-s) if pieces[0][1] == 2.0 else np.exp(-s)
+
+        value, err = continuous._gauss_kronrod(integrand, pieces, graded)
+        assert abs(value - want) <= err <= max(QUAD_ABS_TOL, QUAD_REL_TOL * want)
+        k = 3 if graded else 1
+        u = ((np.arange(continuous.GK_START) + 0.5) / continuous.GK_START)[:, None] \
+            + continuous._GK_NODES / (2 * continuous.GK_START)
+        nodes = [a + (1.0 if math.isinf(b) else b - a)
+                 * (np.where(math.isinf(b), (1.0 - u) / u, u) ** k) for a, b in pieces]
+        np.testing.assert_allclose(first[0], np.concatenate(nodes).ravel(), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("family", ["laplace", "gauss"])
     def test_gauss_kronrod_grades_a_birth_level(self, oracle_passes, family):
