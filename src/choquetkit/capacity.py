@@ -11,6 +11,7 @@ up to ``TABLE_BOUND`` elements, and a tabulated capacity keeps its table;
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -176,10 +177,26 @@ def _tabulate(cap: DiscreteCapacity) -> np.ndarray:
     return cap.values(np.arange(1 << cap.size)[:, None] & _BITS[:cap.size] != 0)
 
 
+@functools.lru_cache(maxsize=EXHAUSTIVE_BOUND)
 def _up(m: int) -> np.ndarray:
     """``up[A, j] = A+j``, which is A itself when j is in A: a check on such
-    an entry compares a value with itself and cannot fire."""
-    return np.arange(1 << m)[:, None] | _BITS[:m]
+    an entry compares a value with itself and cannot fire.  Read-only and
+    built once per ``m``, for the checks' ``m <= EXHAUSTIVE_BOUND`` (1.8 MB
+    at 14)."""
+    up = np.arange(1 << m)[:, None] | _BITS[:m]
+    up.flags.writeable = False
+    return up
+
+
+@functools.lru_cache(maxsize=EXHAUSTIVE_BOUND)
+def _pair_chunk(base: int, low: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_digit_masks` of ``0..base**low - 1``: the pairs (A, B) of a
+    subadditivity chunk on the ``low`` low elements.  Read-only and built
+    once per ``(base, low)``, of which :func:`check_properties` asks 13."""
+    out = _digit_masks(np.arange(base ** low), base, low)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _exact_table(cap: DiscreteCapacity) -> np.ndarray:
@@ -240,7 +257,7 @@ def check_properties(cap: DiscreteCapacity) -> PropertyReport:
 
     base = 3 if monotone else 4
     low = min(m, 7 if monotone else 6)  # base ** low <= 4096 pairs per chunk
-    a_low, b_low = _digit_masks(np.arange(base ** low), base, low)
+    a_low, b_low = _pair_chunk(base, low)
     for high in range(base ** (m - low)):
         a_high, b_high = _digit_masks(high, base, m - low)
         a, b = a_low | a_high << low, b_low | b_high << low

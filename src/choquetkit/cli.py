@@ -54,9 +54,22 @@ EXIT_NUMERIC = 3
 # config assembly
 
 
+# each subcommand's top-level config keys: its flags' dests (``--config``
+# aside), then the keys only a config file sets
+_CONFIG_KEYS = {
+    "integrate": ("out", "mode", "capacity", "function", "kernel", "values"),
+    "operator": ("out", "operator", "capacity", "function", "n_list", "x_grid",
+                 "theta", "i0", "perturbation"),
+    "compare": ("out", "pair", "capacity", "function", "n_list", "x_grid",
+                "theta", "i0", "perturbation"),
+    "verify": ("out", "seed", "suite", "trials", "inject_nonmonotone"),
+}
+
+
 def _load_config(args: argparse.Namespace) -> dict:
     """The ``--config`` document overridden by the flags given; each flag's
-    ``dest`` is its config key and an absent flag leaves no attribute."""
+    ``dest`` is its config key and an absent flag leaves no attribute.  A
+    key outside the subcommand's ``_CONFIG_KEYS`` is a config error."""
     flags = dict(vars(args))
     del flags["command"]
     path = flags.pop("config", None)
@@ -70,7 +83,7 @@ def _load_config(args: argparse.Namespace) -> dict:
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
     cfg.update(flags)
-    return cfg
+    return _object(cfg, f"{args.command} config", *_CONFIG_KEYS[args.command])
 
 
 def _integer(raw) -> int:

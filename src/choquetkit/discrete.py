@@ -141,12 +141,21 @@ def _choquet_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     not finite.
     """
     n, m = rows.shape
-    order = np.argsort(rows, axis=1, kind="stable")
-    tails = np.zeros((n, m + 1))
-    tails[:, :m] = table[np.bitwise_or.accumulate(1 << order[:, ::-1], axis=1)[:, ::-1]]
+    # column-major: order[k] holds the index of every row's k-th smallest value
+    order = np.ascontiguousarray(np.argsort(rows, axis=1, kind="stable").T)
+    masks = 1 << order
+    for k in range(m - 2, -1, -1):
+        np.bitwise_or(masks[k], masks[k + 1], out=masks[k])
+    tails = np.zeros((m + 1, n))
+    tails[:m] = table[masks]
+    # row i's terms go to row i of a C-contiguous (n, m) array: from m = 8
+    # on numpy groups the sum of a contiguous row otherwise than that of a
+    # column, and the row's grouping is the one the results keep
+    terms = np.empty((n, m))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (np.take_along_axis(rows, order, axis=1)
-               * (tails[:, :-1] - tails[:, 1:])).sum(axis=1)
+        np.multiply(rows.take(order + np.arange(0, n * m, m)), tails[:-1] - tails[1:],
+                    out=terms.T)
+        out = terms.sum(axis=1)
     if not np.isfinite(out).all():
         raise OverflowError("a weighted term exceeds the float range")
     return out

@@ -422,6 +422,51 @@ class TestCheckProperties:
             if m > 2:
                 assert min(capacity._square_witness(raised)[0]) >= 1
 
+    def test_size_tables_are_built_once_and_read_only(self):
+        for table in (capacity._up(9), *capacity._pair_chunk(3, 7),
+                      *capacity._pair_chunk(4, 6)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+        assert capacity._up(9) is capacity._up(9)
+        assert capacity._pair_chunk(3, 7) is capacity._pair_chunk(3, 7)
+
+    @pytest.mark.parametrize("size", [8, 9, 10])
+    def test_cached_tables_give_the_per_call_reports(self, monkeypatch, rng, size):
+        # mu(A) = sqrt(|A| / size) is subadditive; a bump on the sets that
+        # hold both last elements, which are past the low digits of a chunk
+        # (7 when monotone, 6 otherwise), breaks it on later chunks only.
+        # mu(empty) = 0.1 or a lowered mu(Omega) make it non-monotone.
+        masks = np.arange(1 << size)
+        both = 3 << size - 2
+        bump = (np.sqrt(np.array([bin(k).count("1") for k in masks]) / size)
+                + 0.5 * ((masks & both) == both))
+        empty, top = bump.copy(), bump.copy()
+        empty[0] = 0.1
+        top[-1] -= 0.6
+        tables = [bump, empty, top, rng.uniform(0.0, 1.0, 1 << size),
+                  random_monotone_capacity(rng, size).table]
+
+        def reports():
+            return [check_properties(capacity_from_table(size, t)) for t in tables]
+
+        cached = reports()
+        monkeypatch.setattr(capacity, "_up",
+                            lambda m: np.arange(1 << m)[:, None] | capacity._BITS[:m])
+        monkeypatch.setattr(capacity, "_pair_chunk", lambda base, low: capacity._digit_masks(
+            np.arange(base ** low), base, low))
+        assert reports() == cached
+        assert [r.monotone for r in cached[:3]] == [True, False, False]
+        for report, low in zip(cached[:3], (7, 6, 6)):
+            assert not report.subadditive
+            a, b = report.witnesses["subadditive"]
+            assert max(a + b) >= low
+        if size == 8:
+            # the first chunk with 7 in A, at the first B that holds 6
+            assert cached[0].witnesses["subadditive"] == ((7,), (6,))
+        for t, report in zip(tables, cached):
+            assert_witnesses_violate(capacity_from_table(size, t), report)
+
     def test_flags_are_bools(self, rng):
         for cap in (additive_capacity([1.0 / 3] * 3), random_monotone_capacity(rng, 9),
                     capacity_from_table(2, [0.5, 0.8, 0.2, 0.3])):

@@ -423,13 +423,14 @@ class TestOperator:
             assert cols["bound_value"] >= grid_bound[n]
 
     def test_quadrature_block_is_not_read(self, tmp_path, capsys):
+        # the tolerances are module constants: a quadrature block, which no
+        # longer sets them, is an unknown key rather than silently dropped
         args = ["operator", "--operator", "picard_choquet", "--function", "exp_neg",
                 "--n", "2", "--xgrid=0:1:2"]
-        assert main(args) == 0
-        plain = capsys.readouterr().out
         cfg = write_config(tmp_path, {"quadrature": {"abs_tol": -1.0}})
-        assert main(args + ["--config", cfg]) == 0
-        assert capsys.readouterr().out == plain
+        assert main(args + ["--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unknown operator config key(s) 'quadrature'" in err
 
     @pytest.mark.parametrize("flags", [["--i0", "9", "--n", "2"],
                                        ["--n", "1", "--xgrid", "0:1:2"]],
@@ -818,6 +819,44 @@ def test_unknown_nested_key_is_config_error(tmp_path, capsys, command, payload, 
     assert main([command, "--config", write_config(tmp_path, payload)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: unknown ") and repr(key) in err
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("operator", {"functon": "sqrt", "n_list": [2], "x_grid": "0:1:2"}, "functon"),
+    ("integrate", {"mode": "real", "capcity": "lebesgue"}, "capcity"),
+    ("compare", {"pair": "picard", "operator": "picard", "n_list": [2]}, "operator"),
+    ("verify", {"suite": "capacity", "trails": 3}, "trails"),
+    ("integrate", {"mode": "real", "config": "other.json"}, "config"),
+], ids=["functon", "capcity", "key_of_another_subcommand", "trails", "config"])
+def test_unknown_top_level_key_is_config_error(tmp_path, capsys, command, payload, key):
+    # a misspelt key would otherwise leave its default in force: a "functon"
+    # prints the exp_neg table, a "capcity" integrates against possibility
+    assert main([command, "--config", write_config(tmp_path, payload)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: unknown {command} config key(s) {key!r}")
+
+
+def test_every_flag_dest_is_a_config_key():
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(subparsers) == set(cli._CONFIG_KEYS) == set(cli.COMMANDS)
+    for command, sub in subparsers.items():
+        dests = {a.dest for a in sub._actions} - {"help", "config"}
+        assert dests <= set(cli._CONFIG_KEYS[command]), command
+
+
+def test_top_level_perturbation_keys_override_the_object(tmp_path, capsys):
+    args = ["operator", "--operator", "bernstein_choquet", "--function", "sqrt",
+            "--n", "4", "--xgrid=0:1:3"]
+    assert main(args + ["--theta", "0.25", "--i0", "2"]) == 0
+    flags = capsys.readouterr().out
+    for payload in ({"perturbation": {"theta": 0.25, "i0": 2}},
+                    {"perturbation": {"theta": 0.9, "i0": 1}, "theta": 0.25, "i0": 2}):
+        assert main(args + ["--config", write_config(tmp_path, payload)]) == 0
+        assert capsys.readouterr().out == flags
+    assert main(args) == 0
+    assert capsys.readouterr().out != flags
 
 
 @pytest.mark.parametrize("flags", [["--n", "", "--xgrid", "0:1:2"],

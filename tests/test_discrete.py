@@ -428,6 +428,17 @@ def _reference_suite(cap, trials, seed):
     return violations, checked
 
 
+def _row_major_rows(rows, table):
+    """The row engine's formula row by row: a stable argsort, the suffix
+    masks by a running OR along each row, the sorted values by
+    ``take_along_axis`` and a row-major ``sum(axis=1)``."""
+    n, m = rows.shape
+    order = np.argsort(rows, axis=1, kind="stable")
+    tails = np.zeros((n, m + 1))
+    tails[:, :m] = table[np.bitwise_or.accumulate(1 << order[:, ::-1], axis=1)[:, ::-1]]
+    return (np.take_along_axis(rows, order, axis=1) * (tails[:, :-1] - tails[:, 1:])).sum(axis=1)
+
+
 class TestRowEngine:
     @pytest.mark.parametrize("m", range(1, EXHAUSTIVE_BOUND + 1))
     def test_matches_scalar_engines(self, m):
@@ -440,6 +451,23 @@ class TestRowEngine:
         for row, value in zip(rows.tolist(), got.tolist()):
             assert abs(value - choquet_integral(row, cap)) <= 1e-14
             assert abs(value - choquet_integral_layer_cake(row, cap)) <= 1e-14
+
+    @pytest.mark.parametrize("m", range(1, EXHAUSTIVE_BOUND + 1))
+    def test_bit_for_bit_the_row_major_formula(self, m):
+        rng = np.random.default_rng(200 + m)
+        # a table that is neither monotone nor 0 on the empty set, whose
+        # mu(empty) the empty suffix must not read
+        table = rng.uniform(-1.0, 2.0, size=1 << m)
+        table[0] = 0.7
+        ties = rng.integers(-2, 3, size=(25, m)).astype(float)
+        ties[ties == 0] = rng.choice([0.0, -0.0], size=int((ties == 0).sum()))
+        wide = rng.uniform(-3.0, 3.0, size=(25, 2 * m + 1))
+        for rows in (wide[:, :m].copy(), ties, np.zeros((0, m)), wide[:, 1::2],
+                     np.asfortranarray(ties)):
+            got = _choquet_rows(rows, table)
+            assert got.tobytes() == _row_major_rows(rows, table).tobytes()
+            assert got.shape == (len(rows),)
+            assert _choquet_rows(rows, np.r_[0.0, table[1:]]).tobytes() == got.tobytes()
 
     def test_overflow_raises(self):
         # as in choquet_integral: finite values, a sum outside the float range
