@@ -1,17 +1,11 @@
-"""Command-line driver.
+"""Command-line interface: the subcommands ``integrate``, ``operator``,
+``compare`` and ``verify``, each a ``cmd_*`` function.
 
-Subcommands
------------
-integrate   one-shot Choquet integral (discrete or real-line), computed by
-            two independent engines, with their difference
-operator    error table for one operator over an (n, x) grid
-verify      randomized property suites; exit code 1 on any violation
-compare     classical vs Choquet operator side by side
-
-Configuration is a single JSON document (``--config``); every field has a
-default and individual flags override the file.  Exit codes: 0 success,
-1 property violation, 2 configuration error, 3 numeric non-convergence or
-float overflow.
+Configuration is a single JSON document (``--config``) read through the
+subcommand's schema (``_SCHEMAS``), which gives each key its JSON kinds,
+parser, default and flag; a flag given overrides the file.  Exit codes:
+0 success, 1 property violation, 2 configuration error, 3 numeric
+non-convergence or float overflow.
 """
 
 from __future__ import annotations
@@ -51,87 +45,121 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 # ---------------------------------------------------------------------------
-# config assembly
+# config schema
 
 
-# each subcommand's top-level config keys: its flags' dests (``--config``
-# aside), then the keys only a config file sets
-_CONFIG_KEYS = {
-    "integrate": ("out", "mode", "capacity", "function", "kernel", "values"),
-    "operator": ("out", "operator", "capacity", "function", "n_list", "x_grid",
-                 "theta", "i0", "perturbation"),
-    "compare": ("out", "pair", "capacity", "function", "n_list", "x_grid",
-                "theta", "i0", "perturbation"),
-    "verify": ("out", "seed", "suite", "trials", "inject_nonmonotone"),
-}
+@dataclass(frozen=True)
+class _Key:
+    """One config key.  ``kinds``: the JSON values it takes, tried in order:
+    ``float`` any number and ``int`` an integral one (a bool is neither),
+    ``[float]`` or ``[int]`` a list of them, ``None`` null, which reads as
+    the default.  ``parse`` turns the value into what the command reads.
+    An absent key reads as ``default``; without one it stays None, and an
+    absent ``_REQUIRED`` key is an error.  A top-level ``flag`` sets it."""
+
+    kinds: tuple
+    parse: Callable = lambda value: value
+    default: object = None
+    choices: object = None
+    flag: str | None = None
+    help: str = ""
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    """The ``--config`` document overridden by the flags given; each flag's
-    ``dest`` is its config key and an absent flag leaves no attribute.  A
-    key outside the subcommand's ``_CONFIG_KEYS`` is a config error."""
-    flags = dict(vars(args))
-    del flags["command"]
-    path = flags.pop("config", None)
-    cfg: dict = {}
-    if path:
+_REQUIRED = object()
+_KIND_NAMES = {str: "a string", dict: "a JSON object", float: "a number", int: "an integer",
+               bool: "true or false", None: "null"}
+_LIST_NAMES = {float: "numbers", int: "integers"}
+
+
+def _as(kind, value):
+    """``value`` as a JSON value of ``kind`` (see :class:`_Key`), else a
+    ValueError, or an OverflowError for an integer past the float range."""
+    if isinstance(kind, list) and isinstance(value, list):
+        return [_as(kind[0], v) for v in value]
+    if kind in (float, int) and type(value) in (int, float):   # a bool is no number
+        if kind is float or type(value) is int or value.is_integer():
+            return kind(value)
+    elif type(value) is (kind or type(None)):
+        return value
+    raise ValueError(value)
+
+
+def _read(raw, schema: dict, what: str) -> dict:
+    """``raw`` read through ``schema``: each key at its parsed value.  A
+    non-object, an unknown key (a misspelt one would leave its default in
+    force), or a value of a kind or outside the choices its key takes is a
+    config error naming ``what`` or the key."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object: {raw!r}")
+    if unknown := [key for key in raw if key not in schema]:
+        raise ConfigError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+                          f"known: {', '.join(schema)}")
+    return {key: _value(raw, key, field, what) for key, field in schema.items()}
+
+
+def _value(raw: dict, key: str, field: _Key, what: str):
+    value = raw.get(key, field.default)
+    if value is _REQUIRED:
+        raise ConfigError(f"{what} needs {key!r}")
+    if value is None and key not in raw:
+        return None
+    if value is None and None in field.kinds:
+        value = field.default
+    for kind in field.kinds:
         try:
-            with open(path) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError("config must be a JSON object")
-    cfg.update(flags)
-    return _object(cfg, f"{args.command} config", *_CONFIG_KEYS[args.command])
-
-
-def _integer(raw) -> int:
-    """``int(raw)``, except that a bool, a string or a number with a
-    fractional part is a ``ValueError`` instead of a truncation or a parse."""
-    if isinstance(raw, (bool, str)) or isinstance(raw, float) and not raw.is_integer():
-        raise ValueError(f"not an integer: {raw!r}")
-    return int(raw)
-
-
-def _number(raw) -> float:
-    """``float(raw)``, except that a bool or a string is a ``ValueError``
-    instead of 0.0, 1.0 or a parse: a config number is a JSON number."""
-    if isinstance(raw, (bool, str)):
-        raise ValueError(f"not a number: {raw!r}")
-    return float(raw)
-
-
-def _parse_n_list(raw) -> list[int]:
-    if raw is None:
-        raw = [4, 8, 16, 32]
-    integer = _integer
-    if isinstance(raw, str):   # "2,4", whose parts are text
-        raw, integer = [part for part in raw.split(",") if part], int
+            value = _as(kind, value)
+            break
+        except (ValueError, OverflowError):
+            pass
+    else:
+        kinds = [_LIST_NAMES[k[0]] if isinstance(k, list) else _KIND_NAMES[k]
+                 for k in field.kinds]
+        raise ConfigError(f"{key} must be {' or '.join(kinds)} in the {what}: {value!r}")
+    if field.choices is not None and value not in field.choices:
+        raise ConfigError(f"unknown {key} {value!r}; choose from {', '.join(field.choices)}")
     try:
-        ns = [integer(v) for v in raw]
-    except (TypeError, ValueError):
-        raise ConfigError(f"invalid n list: {raw!r}") from None
-    if not ns or any(n <= 0 for n in ns):
+        return field.parse(value)
+    except ConfigError:
+        raise
+    except ValueError as exc:   # a check worded after the key
+        raise ConfigError(f"{key} {exc}") from None
+
+
+def _nonnegative(value: int) -> int:
+    if value < 0:
+        raise ValueError("must be nonnegative")
+    return value
+
+
+def _n_list(raw) -> list[int]:
+    if isinstance(raw, str):   # "2,4", whose parts are text
+        try:
+            raw = [int(part) for part in raw.split(",") if part]
+        except ValueError:
+            raise ConfigError(f"invalid n list: {raw!r}") from None
+    if not raw or min(raw) <= 0:
         raise ConfigError("n list must be nonempty and positive")
-    return ns
+    return raw
 
 
-def _parse_x_grid(raw) -> np.ndarray:
-    if raw is None:
-        raw = {"min": 0.0, "max": 1.0, "count": 11}
-    number, integer = _number, _integer
+def _required(kind) -> _Key:
+    return _Key((kind,), default=_REQUIRED)
+
+
+_X_GRID = {"min": _required(float), "max": _required(float), "count": _required(int)}
+
+
+def _x_grid(raw) -> np.ndarray:
     if isinstance(raw, str):   # "min:max:count", whose parts are text
         parts = raw.split(":")
         if len(parts) != 3:
             raise ConfigError("xgrid must look like min:max:count")
-        raw = {"min": parts[0], "max": parts[1], "count": parts[2]}
-        number, integer = float, int
-    _object(raw, "x grid", "min", "max", "count")
-    try:
-        lo, hi, count = number(raw["min"]), number(raw["max"]), integer(raw["count"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError(f"invalid x grid: {raw!r}") from None
+        try:
+            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            raise ConfigError(f"invalid x grid: {raw!r}") from None
+    else:
+        lo, hi, count = _read(raw, _X_GRID, "x grid").values()
     if count < 2:
         raise ConfigError("x grid needs at least 2 points")
     if not lo < hi:
@@ -140,52 +168,34 @@ def _parse_x_grid(raw) -> np.ndarray:
         raise ConfigError(f"x grid needs finite min, max and max - min, got {lo}, {hi}")
     if lo + 1.0 == lo or hi + 1.0 == hi:
         raise ConfigError(f"x grid needs points that x + 1 resolves, got {lo}, {hi}")
-    return np.linspace(lo, hi, count)
-
-
-def _object(raw, what: str, *keys: str) -> dict:
-    """``raw`` if it is a JSON object with no key outside ``keys`` (when
-    given; a misspelt key would leave its default in force), else a config
-    error naming ``what`` and the keys."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{what} must be a JSON object: {raw!r}")
-    if keys and (unknown := [key for key in raw if key not in keys]):
-        raise ConfigError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
-                          f"known: {', '.join(keys)}")
-    return raw
+    try:
+        return np.linspace(lo, hi, count)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise ConfigError(f"x grid of {count} points: {exc}") from None
 
 
 # the keys of a perturbation, in its own object or on a bernstein_perturbed
 # capacity
-_PROFILE_KEYS = ("theta", "i0")
+_PERTURBATION = {"theta": _Key((float,), default=DEFAULT_PROFILE.theta),
+                 "i0": _Key((int,), default=DEFAULT_PROFILE.i0)}
 
 
-def _parse_profile(raw: dict) -> PerturbationProfile:
-    """The perturbation given by ``raw``'s ``theta`` and ``i0``; an absent
-    key takes the default of :class:`PerturbationProfile`, any other key is
-    a config error."""
-    _object(raw, "perturbation", *_PROFILE_KEYS)
-    try:
-        theta = _number(raw.get("theta", DEFAULT_PROFILE.theta))
-        i0 = _integer(raw.get("i0", DEFAULT_PROFILE.i0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid perturbation: {exc}") from exc
-    try:
-        return PerturbationProfile(i0=i0, theta=theta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _named(build: Callable, what: str) -> Callable:
+    """The parser of a name or a ``{"name": ..., **params}`` object, built
+    by ``build(name, **params)``."""
+
+    def parse(raw):
+        spec = {"name": raw} if isinstance(raw, str) else raw
+        try:
+            return build(spec["name"], **{k: v for k, v in spec.items() if k != "name"})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid {what} {spec!r}: {exc}") from exc
+
+    return parse
 
 
-def _parse_function(raw) -> FunctionSpec:
-    if raw is None:
-        raw = "exp_neg"
-    if isinstance(raw, str):
-        raw = {"name": raw}
-    params = {k: v for k, v in _object(raw, "function").items() if k != "name"}
-    try:
-        return function_spec(raw["name"], **params)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid function spec {raw!r}: {exc}") from exc
+_function = _named(function_spec, "function spec")
+_GAMMA = _Key((str, dict, None), _named(distortion_by_name, "distortion"), "sqrt")
 
 
 def _nonneg(spec: FunctionSpec) -> FunctionSpec:
@@ -195,96 +205,80 @@ def _nonneg(spec: FunctionSpec) -> FunctionSpec:
     return spec
 
 
-def _parse_gamma(raw):
-    if raw is None:
-        raw = "sqrt"
-    if isinstance(raw, str):
-        raw = {"name": raw}
-    raw = _object(raw, "distortion")
-    try:
-        return distortion_by_name(raw["name"], **{k: v for k, v in raw.items()
-                                                  if k != "name"})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid distortion {raw!r}: {exc}") from exc
+def _kernel(n: float, default) -> _Key:
+    """A kernel key whose ``n`` defaults to ``n``; null reads as ``{}``."""
+    fields = {"family": _Key((str,), default="laplace"), "n": _Key((float,), default=n),
+              "x": _Key((float,), default=0.0)}
+
+    def parse(raw):
+        cfg = _read(raw or {}, fields, "kernel")
+        try:
+            return Kernel(**cfg)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    return _Key((dict, None), parse, default)
 
 
-def _parse_kernel(raw, default_n=1.0) -> Kernel:
-    raw = _object(raw or {}, "kernel", "family", "n", "x")
-    try:
-        return Kernel(raw.get("family", "laplace"), _number(raw.get("n", default_n)),
-                      _number(raw.get("x", 0.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+def _fixed(mu: RealCapacity) -> Callable[[Kernel], RealCapacity]:
+    return lambda kernel: mu
 
 
-# discrete capacity rule -> the keys it takes besides "kind" and "rule"
-_DISCRETE_KEYS = {
-    "additive": ("weights",),
-    "possibility": ("weights",),
-    "distorted_uniform": ("gamma", "size"),
-    "bernstein_perturbed": ("n", "x") + _PROFILE_KEYS,
-    "table": ("size", "values"),
+def _follow(kernel: Kernel) -> RealCapacity:
+    """The possibility capacity that follows the operator's kernel (the
+    capacity family mu_{n,x})."""
+    return RealCapacity.possibility(Kernel.laplace(kernel.n, kernel.x))
+
+
+# real capacity kind -> (its keys besides "kind", the constructor of kernel
+# -> RealCapacity from their values)
+_REAL_KINDS = {
+    "distorted_lebesgue": ({"gamma": _GAMMA},
+                           lambda gamma: _fixed(RealCapacity.distorted_lebesgue(gamma))),
+    "possibility": ({"kernel": _kernel(1.0, None)}, lambda kernel: _follow if kernel is None
+                    else _fixed(RealCapacity.possibility(kernel))),
 }
-
-
-def _parse_discrete_capacity(raw: dict) -> DiscreteCapacity:
-    rule = raw.get("rule", "additive")
-    if not isinstance(rule, str) or rule not in _DISCRETE_KEYS:
-        raise ConfigError(f"unknown discrete capacity rule {rule!r}")
-    _object(raw, f"{rule} capacity", "kind", "rule", *_DISCRETE_KEYS[rule])
-    try:
-        if rule == "additive":
-            return cap_mod.additive_capacity([_number(w) for w in raw["weights"]])
-        if rule == "possibility":
-            return possibility_capacity([_number(w) for w in raw["weights"]])
-        if rule == "distorted_uniform":
-            return cap_mod.counting_distortion(_parse_gamma(raw.get("gamma")),
-                                               _integer(raw["size"]))
-        if rule == "bernstein_perturbed":
-            return bernstein_choquet_capacity(
-                _integer(raw["n"]), _number(raw["x"]),
-                _parse_profile({k: raw[k] for k in _PROFILE_KEYS if k in raw}))
-        if rule == "table":
-            return cap_mod.capacity_from_table(_integer(raw["size"]),
-                                               [_number(v) for v in raw["values"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid discrete capacity {raw!r}: {exc}") from exc
-
-
+# discrete capacity rule -> (its keys besides "kind" and "rule", the
+# constructor of the capacity from their values)
+_RULES = {
+    "additive": ({"weights": _required([float])}, cap_mod.additive_capacity),
+    "possibility": ({"weights": _required([float])}, possibility_capacity),
+    "distorted_uniform": ({"gamma": _GAMMA, "size": _required(int)}, cap_mod.counting_distortion),
+    "bernstein_perturbed": ({"n": _required(int), "x": _required(float), **_PERTURBATION},
+                            lambda n, x, theta, i0: bernstein_choquet_capacity(
+                                n, x, PerturbationProfile(i0, theta))),
+    "table": ({"size": _required(int), "values": _required([float])},
+              cap_mod.capacity_from_table),
+}
+_RULE = _Key((str,), default="additive", choices=_RULES)
 # the ``--capacity`` shorthands; any other string names a kind
-_CAPACITY_SHORTHANDS = {
-    "possibility": {"kind": "possibility"},
-    "sqrt_lebesgue": {"kind": "distorted_lebesgue", "gamma": "sqrt"},
-    "lebesgue": {"kind": "distorted_lebesgue", "gamma": "identity"},
-}
+_CAPACITY_SHORTHANDS = {"possibility": {"kind": "possibility"},
+                        "sqrt_lebesgue": {"kind": "distorted_lebesgue", "gamma": "sqrt"},
+                        "lebesgue": {"kind": "distorted_lebesgue", "gamma": "identity"}}
 
 
-def _real_capacity_factory(raw):
-    """Returns kernel -> RealCapacity; possibility without an explicit kernel
-    follows the operator's kernel (the capacity family mu_{n,x})."""
-    if raw is None:
-        raw = "possibility"
+def _capacity(raw, kinds: tuple):
+    """A capacity of one of ``kinds``: a discrete one, or a real one as
+    kernel -> RealCapacity."""
     if isinstance(raw, str):
         raw = _CAPACITY_SHORTHANDS.get(raw, {"kind": raw})
-    kind = _object(raw, "real capacity").get("kind")
-    if kind == "distorted_lebesgue":
-        _object(raw, "distorted_lebesgue capacity", "kind", "gamma")
-        mu = RealCapacity.distorted_lebesgue(_parse_gamma(raw.get("gamma")))
-        return lambda kernel: mu
-    if kind == "possibility":
-        _object(raw, "possibility capacity", "kind", "kernel")
-        if "kernel" in raw:
-            mu = RealCapacity.possibility(_parse_kernel(raw["kernel"]))
-            return lambda kernel: mu
-        return lambda kernel: RealCapacity.possibility(
-            Kernel.laplace(kernel.n, kernel.x))
-    raise ConfigError(f"unknown real capacity spec {raw!r}")
+    kind = _value(raw, "kind", _Key((str,), default=_REQUIRED, choices=kinds), "capacity")
+    tags = {"kind": _Key((str,))}
+    if kind == "discrete":
+        kind, tags["rule"] = _value(raw, "rule", _RULE, "discrete capacity"), _RULE
+        fields, build = _RULES[kind]
+    else:
+        fields, build = _REAL_KINDS[kind]
+    cfg = _read(raw, {**tags, **fields}, f"{kind} capacity")
+    try:
+        return build(*(cfg[key] for key in fields))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid capacity {raw!r}: {exc}") from exc
 
 
 @contextmanager
-def _output(cfg: dict):
+def _output(path: str | None):
     """The output stream: the ``out`` file, or stdout for none or ``-``."""
-    path = cfg.get("out")
     if path in (None, "-"):
         yield sys.stdout
         return
@@ -301,19 +295,13 @@ def _output(cfg: dict):
 
 
 def cmd_integrate(cfg: dict) -> int:
-    mode = cfg.get("mode", "discrete")
+    """One-shot integral by two engines, with their difference."""
+    mode, cap, values = cfg["mode"], cfg["capacity"], cfg["values"]
+    if (mode == "discrete") != isinstance(cap, DiscreteCapacity):
+        raise ConfigError(f"{mode} integrate needs a {mode} capacity")
     if mode == "discrete":
-        raw_cap = cfg.get("capacity")
-        if not isinstance(raw_cap, dict) or raw_cap.get("kind") != "discrete":
-            raise ConfigError('discrete integrate needs capacity {"kind": "discrete", ...}')
-        cap = _parse_discrete_capacity(raw_cap)
-        values = cfg.get("values")
-        if not isinstance(values, list) or len(values) != cap.size:
+        if values is None or len(values) != cap.size:
             raise ConfigError("values must list one number per ground element")
-        try:
-            values = [_number(v) for v in values]
-        except (TypeError, ValueError):
-            raise ConfigError(f"values must be numbers: {values!r}") from None
         try:
             primary = choquet_integral(values, cap)
             check = choquet_integral_layer_cake(values, cap)
@@ -322,19 +310,14 @@ def cmd_integrate(cfg: dict) -> int:
         except OverflowError as exc:  # finite values whose sum does not fit a float
             raise DivergenceError(f"discrete integral overflows: {exc}") from exc
         engines = ("sorted_tail_sum", "layer_cake_exact")
-    elif mode == "real":
-        factory = _real_capacity_factory(cfg.get("capacity"))
-        kernel = _parse_kernel(cfg.get("kernel"), default_n=2.0)
-        mu = factory(kernel)
-        spec = _nonneg(_parse_function(cfg.get("function", "e0")))
-        g = product_level_function(spec, kernel)
+    else:
+        mu = cap(cfg["kernel"])
+        g = product_level_function(_nonneg(cfg["function"]), cfg["kernel"])
         primary = choquet_integral_real(g, mu)
         check = choquet_integral_real_grid(g, mu)
         engines = ("adaptive_levels", "tanh_sinh")
-    else:
-        raise ConfigError(f"unknown integrate mode {mode!r}")
 
-    with _output(cfg) as stream:
+    with _output(cfg["out"]) as stream:
         stream.write("mode,primary_engine,primary_value,check_engine,check_value,abs_difference\n")
         stream.write(",".join([mode, engines[0], format_float(primary),
                                engines[1], format_float(check),
@@ -359,13 +342,12 @@ class _Setup:
 
     @staticmethod
     def parse(cfg: dict, names) -> _Setup:
-        spec = _parse_function(cfg.get("function"))
-        n_list = _parse_n_list(cfg.get("n_list"))
-        x_grid = _parse_x_grid(cfg.get("x_grid"))
-        # a top-level theta or i0 overrides the perturbation object's
-        profile = _parse_profile({**_object(cfg.get("perturbation", {}), "perturbation"),
-                                  **{k: cfg[k] for k in _PROFILE_KEYS if k in cfg}})
-        capacity = _real_capacity_factory(cfg.get("capacity"))
+        n_list, x_grid = cfg["n_list"], cfg["x_grid"]
+        try:   # a top-level theta or i0 overrides the perturbation object's
+            profile = PerturbationProfile(**{**cfg["perturbation"], **{
+                k: cfg[k] for k in _PERTURBATION if cfg[k] is not None}})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         lo, hi = float(np.min(x_grid)), float(np.max(x_grid))
         bernstein = any(name.startswith("bernstein") for name in names)
         if bernstein and (lo < 0 or hi > 1):
@@ -380,7 +362,8 @@ class _Setup:
                                   f"got n={n}, i0={profile.i0}")
             if profile.i0 > n:
                 raise ConfigError(f"bernstein needs i0 <= n, got n={n}, i0={profile.i0}")
-        return _Setup(spec, n_list, x_grid, profile, capacity, (lo - 1.0, hi + 1.0))
+        return _Setup(cfg["function"], n_list, x_grid, profile, cfg["capacity"],
+                      (lo - 1.0, hi + 1.0))
 
 
 def _bernstein_bound(setup: _Setup, n: int, x: float) -> float:
@@ -433,24 +416,21 @@ def _table(setup: _Setup, evaluate, bound=None) -> ErrorTable:
 
 
 def cmd_operator(cfg: dict) -> int:
-    name = cfg.get("operator", "bernstein_choquet")
-    if name not in OPERATORS:
-        raise ConfigError(f"unknown operator {name!r}; choose from {tuple(OPERATORS)}")
+    """Error table for one operator over an (n, x) grid."""
+    name = cfg["operator"]
     table = _table(_Setup.parse(cfg, [name]), *OPERATORS[name])
-    with _output(cfg) as stream:
+    with _output(cfg["out"]) as stream:
         table.to_csv(stream)
     return EXIT_OK
 
 
 def cmd_compare(cfg: dict) -> int:
-    pair = cfg.get("pair", "bernstein")
-    if pair not in PAIRS:
-        raise ConfigError(f"compare pairs: {' | '.join(PAIRS)}")
-    classical_name, choquet_name = PAIRS[pair]
-    setup = _Setup.parse(cfg, PAIRS[pair])
-    classical = _table(setup, OPERATORS[classical_name][0])
-    choquet = _table(setup, *OPERATORS[choquet_name])
-    with _output(cfg) as stream:
+    """Classical vs Choquet operator side by side."""
+    names = PAIRS[cfg["pair"]]   # (classical, Choquet)
+    setup = _Setup.parse(cfg, names)
+    classical = _table(setup, OPERATORS[names[0]][0])
+    choquet = _table(setup, *OPERATORS[names[1]])
+    with _output(cfg["out"]) as stream:
         stream.write("n,x,f,classical,choquet,err_classical,err_choquet,bound\n")
         for (n, x, value, fx, err, _), (_, _, c_value, _, c_err, bound) in zip(
                 classical.rows, choquet.rows):
@@ -556,7 +536,7 @@ def _verify_bounds(rng: np.random.Generator, trials: int) -> list[str]:
     evaluate, bound = OPERATORS["picard_choquet"]
     for capacity in ("possibility", "sqrt_lebesgue"):
         setup = _Setup(function_spec("exp_neg"), [2, 4, 8], np.array([-1.0, 0.0, 1.5]),
-                       DEFAULT_PROFILE, _real_capacity_factory(capacity), (-2.0, 3.0))
+                       DEFAULT_PROFILE, _capacity(capacity, _REAL_KINDS), (-2.0, 3.0))
         unit = _table(replace(setup, spec=function_spec("e0")), evaluate)
         for (n, x, value, *_), (_, _, _, _, err, b) in zip(
                 unit.rows, _table(setup, evaluate, bound).rows):
@@ -571,33 +551,16 @@ SUITES = {"capacity": _verify_capacity, "integral": _verify_integral,
           "chebyshev": _verify_chebyshev, "bounds": _verify_bounds}
 
 
-def _parse_count(cfg: dict, key: str, default: int) -> int:
-    raw = cfg.get(key, default)
-    try:
-        value = _integer(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer: {raw!r}") from None
-    if value < 0:
-        raise ConfigError(f"{key} must be nonnegative")
-    return value
-
-
 def cmd_verify(cfg: dict) -> int:
-    suite = cfg.get("suite", "capacity")
-    if suite not in SUITES:
-        raise ConfigError(f"unknown suite {suite!r}; choose from {tuple(SUITES)}")
-    trials = _parse_count(cfg, "trials", 200)
-    rng = np.random.default_rng(_parse_count(cfg, "seed", 0))
-    inject = cfg.get("inject_nonmonotone", False)
-    if not isinstance(inject, bool):
-        raise ConfigError(f"inject_nonmonotone must be true or false: {inject!r}")
+    """Randomized property suites; exit 1 on any violation."""
+    suite, trials, inject = cfg["suite"], cfg["trials"], cfg["inject_nonmonotone"]
     if inject and suite != "capacity":
         raise ConfigError(f"inject_nonmonotone runs with the capacity suite only, not {suite!r}")
-    violations = SUITES[suite](rng, trials)
+    violations = SUITES[suite](np.random.default_rng(cfg["seed"]), trials)
     if inject:
         violations += _verify_injected()
 
-    with _output(cfg) as stream:
+    with _output(cfg["out"]) as stream:
         for v in violations:
             stream.write(f"VIOLATION [{suite}] {v}\n")
         stream.write(f"suite={suite} trials={trials} violations={len(violations)}\n")
@@ -608,46 +571,81 @@ def cmd_verify(cfg: dict) -> int:
 # entry point
 
 
+# each subcommand's top-level keys; a key with a flag is also that option
+_OUT = _Key((str, None), flag="--out", help="output path; stdout if null or -")
+_TABLE = {   # operator and compare
+    "capacity": _Key((str, dict, None), partial(_capacity, kinds=tuple(_REAL_KINDS)),
+                     "possibility", flag="--capacity",
+                     help="capacity shorthand (possibility, sqrt_lebesgue, lebesgue) or kind"),
+    "function": _Key((str, dict, None), _function, "exp_neg", flag="--function",
+                     help="function spec name"),
+    "n_list": _Key(([int], str, None), _n_list, [4, 8, 16, 32], flag="--n",
+                   help="comma-separated n values"),
+    "x_grid": _Key((dict, str, None), _x_grid, {"min": 0.0, "max": 1.0, "count": 11},
+                   flag="--xgrid", help="min:max:count"),
+    "theta": _Key((float,), flag="--theta",
+                  help="perturbation size in [0, 1]; null: the perturbation's"),
+    "i0": _Key((int,), flag="--i0", help="perturbed index; null: the perturbation's"),
+    "perturbation": _Key((dict,), lambda raw: _read(raw, _PERTURBATION, "perturbation"), {}),
+}
+_SCHEMAS = {
+    "integrate": {
+        "out": _OUT,
+        "mode": _Key((str,), default="discrete", choices=("discrete", "real"), flag="--mode"),
+        "capacity": _Key((str, dict, None), partial(_capacity, kinds=(*_REAL_KINDS, "discrete")),
+                         "possibility"),
+        "function": _Key((str, dict, None), _function, "e0"),
+        "kernel": _kernel(2.0, {}),
+        "values": _Key(([float], None))},
+    "operator": {"out": _OUT, "operator": _Key((str,), default="bernstein_choquet",
+                                               choices=OPERATORS, flag="--operator"), **_TABLE},
+    "compare": {"out": _OUT, "pair": _Key((str,), default="bernstein", choices=PAIRS,
+                                          flag="--pair"), **_TABLE},
+    "verify": {
+        "out": _OUT,
+        "seed": _Key((int,), _nonnegative, 0, flag="--seed", help="random seed"),
+        "suite": _Key((str,), default="capacity", choices=SUITES, flag="--suite"),
+        "trials": _Key((int,), _nonnegative, 200, flag="--trials", help="trials per suite"),
+        "inject_nonmonotone": _Key((bool,), default=False, flag="--inject-nonmonotone", help=(
+            "negative control: add a broken capacity to the capacity suite"))},
+}
+
+
+def _load_config(args: argparse.Namespace) -> dict:
+    """The ``--config`` document overridden by the flags given, read
+    through the subcommand's schema; an absent flag leaves no attribute."""
+    flags = dict(vars(args))
+    command, path = flags.pop("command"), flags.pop("config", None)
+    cfg: dict = {}
+    if path:
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+    # a document that is no object is the reader's error, flags or none
+    return _read({**cfg, **flags} if isinstance(cfg, dict) else cfg, _SCHEMAS[command],
+                 f"{command} config")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="choquetkit",
         description="Choquet integrals and Choquet-integral approximation operators")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output path (default stdout)")
-
-    def add(name, **kw):
+    for command, schema in _SCHEMAS.items():
         # an absent flag leaves no attribute, so the config file keeps its key
-        return sub.add_parser(name, argument_default=argparse.SUPPRESS, **kw)
-
-    p = add("integrate", help="one-shot integral, two engines")
-    common(p)
-    p.add_argument("--mode", choices=("discrete", "real"))
-
-    for name in ("operator", "compare"):
-        p = add(name)
-        common(p)
-        if name == "operator":
-            p.add_argument("--operator", choices=OPERATORS)
-        else:
-            p.add_argument("--pair", choices=PAIRS)
-        p.add_argument("--capacity", help="capacity shorthand (possibility, sqrt_lebesgue, lebesgue)")
-        p.add_argument("--function", help="function spec name")
-        p.add_argument("--n", dest="n_list", metavar="N", help="comma-separated n values")
-        p.add_argument("--xgrid", dest="x_grid", metavar="XGRID", help="min:max:count")
-        p.add_argument("--theta", type=float, help="perturbation size in [0, 1]")
-        p.add_argument("--i0", type=int, help="perturbed index")
-
-    p = add("verify", help="randomized property suites")
-    common(p)
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--suite", choices=SUITES)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--inject-nonmonotone", action="store_true",
-                   help="negative control: add a broken capacity to the capacity suite")
-
+        p = sub.add_parser(command, help=COMMANDS[command].__doc__,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="JSON config file")
+        for key, field in schema.items():
+            kind = field.kinds[0]   # a flag's text reads as a number where the key takes one
+            if field.flag:
+                p.add_argument(field.flag, dest=key,
+                               help=f"{field.help} (default: {json.dumps(field.default)})",
+                               **({"action": "store_true"} if kind is bool else
+                                  {"type": kind if kind in (int, float) else str,
+                                   "choices": field.choices}))
     return parser
 
 

@@ -1,11 +1,14 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from choquetkit import (IntervalUnion, Kernel, LevelSetFunction, RealCapacity,
                         capacity_from_table, cli, function_spec, picard_choquet)
@@ -840,10 +843,99 @@ def test_unknown_top_level_key_is_config_error(tmp_path, capsys, command, payloa
 def test_every_flag_dest_is_a_config_key():
     parser = cli._build_parser()
     subparsers = next(a for a in parser._actions if a.dest == "command").choices
-    assert set(subparsers) == set(cli._CONFIG_KEYS) == set(cli.COMMANDS)
+    assert set(subparsers) == set(cli._SCHEMAS) == set(cli.COMMANDS)
     for command, sub in subparsers.items():
         dests = {a.dest for a in sub._actions} - {"help", "config"}
-        assert dests <= set(cli._CONFIG_KEYS[command]), command
+        assert dests <= set(cli._SCHEMAS[command]), command
+
+
+def test_help_shows_every_flag_default_from_the_schema():
+    # argument_default=SUPPRESS hides argparse's own defaults, so each help
+    # line carries its key's default, the one an absent flag leaves in force
+    subparsers = next(a for a in cli._build_parser()._actions if a.dest == "command").choices
+    for command, schema in cli._SCHEMAS.items():
+        actions = {a.dest: a for a in subparsers[command]._actions}
+        for key, field in schema.items():
+            if field.flag is None:
+                assert key not in actions, (command, key)
+                continue
+            action = actions[key]
+            assert action.option_strings == [field.flag]
+            assert action.help.endswith(f"(default: {json.dumps(field.default)})")
+    for default in ("(default: 200)", "(default: 0)", '(default: "capacity")'):
+        assert default in " ".join(subparsers["verify"].format_help().split())
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_lists_every_top_level_key_and_default():
+    # the README's table of top-level keys is the schema's, row for row
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| (.+?) \| `(.+?)` \|$",
+                      README.read_text(), flags=re.M)
+    assert rows == [(command, key, f"`{field.flag}`" if field.flag else "-",
+                     json.dumps(field.default))
+                    for command, schema in cli._SCHEMAS.items()
+                    for key, field in schema.items()]
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("operator", {"operator": ["x"]}, "operator"),
+    ("compare", {"pair": ["picard"]}, "pair"),
+    ("verify", {"suite": {"a": 1}}, "suite"),
+    ("integrate", {"mode": ["real"]}, "mode"),
+], ids=["operator", "pair", "suite", "mode"])
+def test_unhashable_choice_is_config_error(tmp_path, capsys, command, payload, key):
+    # a list or an object where a name goes used to end in "TypeError:
+    # unhashable type", a traceback with exit 1
+    assert main([command, "--config", write_config(tmp_path, payload)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: {key} must be a string")
+
+
+_REAL_RUN = {"mode": "real", "function": "sqrt", "kernel": {"family": "laplace", "n": 2, "x": 0.5}}
+
+
+@pytest.mark.parametrize("kernel", [[], 0, False, "", [1, 2]], ids=repr)
+@pytest.mark.parametrize("where", ["top", "possibility"])
+def test_non_object_kernel_is_config_error(tmp_path, capsys, kernel, where):
+    # a falsy kernel used to read as {} and integrate against the default
+    payload = ({"mode": "real", "kernel": kernel} if where == "top" else
+               {**_REAL_RUN, "capacity": {"kind": "possibility", "kernel": kernel}})
+    assert main(["integrate", "--config", write_config(tmp_path, payload)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: kernel must be a JSON object or null")
+
+
+def test_null_or_empty_kernel_is_every_default(tmp_path, capsys):
+    # at the top level null and {} are the kernel's defaults (Laplace, n = 2,
+    # x = 0), in a possibility capacity the kernel of its defaults (n = 1,
+    # x = 0), which an absent kernel is not: that one follows the operator's
+    runs = {}
+    for name, payload in {
+            "top_absent": {"mode": "real", "function": "sqrt"},
+            "top_null": {"mode": "real", "function": "sqrt", "kernel": None},
+            "top_empty": {"mode": "real", "function": "sqrt", "kernel": {}},
+            "cap_null": {**_REAL_RUN, "capacity": {"kind": "possibility", "kernel": None}},
+            "cap_empty": {**_REAL_RUN, "capacity": {"kind": "possibility", "kernel": {}}},
+            "cap_given": {**_REAL_RUN, "capacity": {"kind": "possibility", "kernel": {
+                "family": "laplace", "n": 1.0, "x": 0.0}}},
+            "cap_absent": {**_REAL_RUN, "capacity": {"kind": "possibility"}}}.items():
+        assert main(["integrate", "--config", write_config(tmp_path, payload)]) == 0
+        runs[name] = capsys.readouterr().out
+    assert runs["top_absent"] == runs["top_null"] == runs["top_empty"]
+    assert runs["cap_null"] == runs["cap_empty"] == runs["cap_given"] != runs["cap_absent"]
+
+
+@pytest.mark.parametrize("out", [True, 2, 7, ["a"], {"path": "a"}], ids=repr)
+def test_non_string_out_is_config_error(tmp_path, capsys, out):
+    # open(out) used to take a number for a file descriptor: true or 2
+    # wrote to stdout or stderr and closed it, 7 was EBADF, ["a"] a traceback
+    payload = {"out": out, "n_list": [2], "x_grid": "0:1:2"}
+    assert main(["operator", "--config", write_config(tmp_path, payload)]) == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err.startswith("config error: out must be a string or null")
+    assert not sys.stdout.closed and not sys.stderr.closed
 
 
 def test_top_level_perturbation_keys_override_the_object(tmp_path, capsys):
@@ -946,3 +1038,144 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1].startswith("IntervalUnion(intervals=((-0.46")
     assert len(runs) == 14
     assert "nan" not in proc.stdout and "inf" not in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# config fuzzer: valid configs drawn from the schema, each with one mutation
+
+# a discrete capacity of every rule, with values of its size
+_FUZZ_DISCRETE = [
+    ({"kind": "discrete", "rule": "additive", "weights": [0.25, 0.75]}, [1.0, -2.0]),
+    ({"kind": "discrete", "rule": "possibility", "weights": [1.0, 0.5]}, [2.0, 0.0]),
+    ({"kind": "discrete", "rule": "distorted_uniform", "gamma": {"name": "power", "p": 0.5},
+      "size": 2}, [1.0, 2.0]),
+    ({"kind": "discrete", "rule": "bernstein_perturbed", "n": 2, "x": 0.3, "theta": 0.5,
+      "i0": 1}, [0.0, 1.0, 2.0]),
+    ({"kind": "discrete", "rule": "table", "size": 1, "values": [0.0, 1.0]}, [3.0]),
+]
+# values besides its default for each top-level key that takes more than a
+# choice; n_list, x_grid and trials are always set, small enough that a run
+# takes milliseconds
+_FUZZ_VALUES = {
+    "out": [None, "-"],
+    "capacity": ["possibility", "sqrt_lebesgue", "lebesgue",
+                 {"kind": "possibility", "kernel": {"family": "gauss", "n": 2.0, "x": 0.3}},
+                 {"kind": "distorted_lebesgue", "gamma": {"name": "power", "p": 0.5}}],
+    "function": ["sqrt", {"name": "sqrt", "shift": 3.0}, {"name": "exp_neg", "lam": 2.0},
+                 {"name": "pw_linear", "knots": [[-1, 1], [0, 2], [1, 0.5]]}],
+    "kernel": [{}, {"family": "gauss", "n": 2.0, "x": 0.3}, {"n": 4}],
+    "n_list": [[2], [2, 3], "2,3"],
+    "x_grid": [{"min": 0.0, "max": 1.0, "count": 2}, "0:0.5:2"],
+    "theta": [0.0, 0.5],
+    "i0": [1, 2],
+    "perturbation": [{}, {"theta": 0.25, "i0": 2}],
+    "seed": [0, 7],
+    "trials": [0, 2],
+    "inject_nonmonotone": [False, True],
+}
+_FUZZ_ALWAYS = ("n_list", "x_grid", "trials")
+# a mutated value: a wrong JSON type, a bool or string for a number, NaN,
+# +-inf, a huge or negative value, an empty list
+_FUZZ_REPLACEMENTS = [False, True, "-", ["-"], {}, None, 1.5, 3, -1, -0.5, [],
+                      math.nan, math.inf, -math.inf, 1e300, -1e300, 10 ** 400]
+
+
+def test_fuzz_examples_cover_the_schema():
+    assert set(cli._RULES) == {cap["rule"] for cap, _ in _FUZZ_DISCRETE}
+    assert set(cli._REAL_KINDS) == {
+        cap["kind"] if isinstance(cap, dict) else cli._CAPACITY_SHORTHANDS[cap]["kind"]
+        for cap in _FUZZ_VALUES["capacity"]}
+    keys = {key for schema in cli._SCHEMAS.values() for key, field in schema.items()
+            if field.choices is None}
+    assert keys == set(_FUZZ_VALUES) | {"values"}
+
+
+@st.composite
+def _fuzz_configs(draw, command):
+    cfg = {}
+    for key, field in cli._SCHEMAS[command].items():
+        if key == "values" or key not in _FUZZ_ALWAYS and draw(st.booleans()):
+            continue   # absent: its default
+        cfg[key] = draw(st.sampled_from(list(field.choices or _FUZZ_VALUES[key])))
+    if cfg.get("mode") == "real":
+        cfg["capacity"] = draw(st.sampled_from(_FUZZ_VALUES["capacity"]))
+    elif command == "integrate":
+        cfg["capacity"], cfg["values"] = draw(st.sampled_from(_FUZZ_DISCRETE))
+    return cfg
+
+
+def _nodes(node, path=()):
+    """Every (path, value) in a JSON document, the document first."""
+    yield path, node
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _field_at(command, cfg, path):
+    """The schema's key at ``path`` where the test can name it, else None."""
+    fields = cli._SCHEMAS[command]
+    if len(path) == 2 and isinstance(cfg.get(path[0]), dict):
+        inner = cfg[path[0]]
+        if path[0] == "capacity":
+            rule = inner.get("rule", "additive")
+            fields = {"kind": cli._Key((str,)), **(
+                {"rule": cli._RULE, **cli._RULES[rule][0]} if inner.get("kind") == "discrete"
+                else cli._REAL_KINDS[inner["kind"]][0])}
+        else:
+            fields = {"x_grid": cli._X_GRID, "perturbation": cli._PERTURBATION}.get(path[0], {})
+    elif len(path) != 1:
+        return None
+    return fields.get(path[-1])
+
+
+def _takes(kinds, value) -> bool:
+    """Whether a key of ``kinds`` takes ``value`` as JSON (the test's own
+    reading of :class:`cli._Key`)."""
+    for kind in kinds:
+        if isinstance(kind, list):
+            ok = isinstance(value, list) and all(_takes((kind[0],), v) for v in value)
+        elif kind is float:
+            ok = type(value) is float or type(value) is int and abs(value) < 1e308
+        elif kind is int:
+            ok = type(value) is int or type(value) is float and value.is_integer()
+        else:
+            ok = type(value) is (kind or type(None))
+        if ok:
+            return True
+    return False
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow,
+                                                   HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.parametrize("command", ["integrate", "operator", "compare", "verify"])
+def test_mutated_config_exits_cleanly(tmp_path, capsys, command, data):
+    cfg = data.draw(_fuzz_configs(command))
+    mutated = json.loads(json.dumps(cfg))
+    nodes = list(_nodes(mutated))
+    # an unknown key, or a value of a kind that its key does not take, is
+    # a config error
+    config_error = data.draw(st.booleans(), label="unknown key")
+    if config_error:
+        node = data.draw(st.sampled_from([n for _, n in nodes if isinstance(n, dict)]))
+        node["zz_unknown"] = 1
+    else:
+        path, _ = data.draw(st.sampled_from(nodes[1:]))
+        value = data.draw(st.sampled_from(_FUZZ_REPLACEMENTS))
+        # trials is the suite's work: a huge count is a long run, not a fault
+        assume(not (path == ("trials",) and isinstance(value, (int, float)) and value > 3))
+        parent = mutated
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        field = _field_at(command, cfg, path)
+        config_error = field is not None and not _takes(field.kinds, value)
+    # an uncaught exception fails the test with the mutated config drawn
+    code = main([command, "--config", write_config(tmp_path, mutated)])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3), mutated
+    assert code != 1 or command == "verify" and "VIOLATION" in out, mutated
+    if config_error:
+        assert code == 2 and err.startswith("config error: "), (mutated, err)
