@@ -139,6 +139,8 @@ def _n_list(raw) -> list[int]:
             raise ConfigError(f"invalid n list: {raw!r}") from None
     if not raw or min(raw) <= 0:
         raise ConfigError("n list must be nonempty and positive")
+    if max(raw) > sys.float_info.max:   # a kernel reads n as a float
+        raise ConfigError(f"n_list entries must not exceed {sys.float_info.max!r}")
     return raw
 
 
@@ -174,12 +176,6 @@ def _x_grid(raw) -> np.ndarray:
         raise ConfigError(f"x grid of {count} points: {exc}") from None
 
 
-# the keys of a perturbation, in its own object or on a bernstein_perturbed
-# capacity
-_PERTURBATION = {"theta": _Key((float,), default=DEFAULT_PROFILE.theta),
-                 "i0": _Key((int,), default=DEFAULT_PROFILE.i0)}
-
-
 def _named(build: Callable, what: str) -> Callable:
     """The parser of a name or a ``{"name": ..., **params}`` object, built
     by ``build(name, **params)``."""
@@ -188,7 +184,7 @@ def _named(build: Callable, what: str) -> Callable:
         spec = {"name": raw} if isinstance(raw, str) else raw
         try:
             return build(spec["name"], **{k: v for k, v in spec.items() if k != "name"})
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid {what} {spec!r}: {exc}") from exc
 
     return parse
@@ -238,17 +234,21 @@ _REAL_KINDS = {
     "possibility": ({"kernel": _kernel(1.0, None)}, lambda kernel: _follow if kernel is None
                     else _fixed(RealCapacity.possibility(kernel))),
 }
-# discrete capacity rule -> (its keys besides "kind" and "rule", the
-# constructor of the capacity from their values)
+# discrete capacity rule -> (its keys besides "kind" and "rule", the constructor
+# of the capacity from their values, the size of its ground set from them)
 _RULES = {
-    "additive": ({"weights": _required([float])}, cap_mod.additive_capacity),
-    "possibility": ({"weights": _required([float])}, possibility_capacity),
-    "distorted_uniform": ({"gamma": _GAMMA, "size": _required(int)}, cap_mod.counting_distortion),
-    "bernstein_perturbed": ({"n": _required(int), "x": _required(float), **_PERTURBATION},
+    "additive": ({"weights": _required([float])}, cap_mod.additive_capacity, len),
+    "possibility": ({"weights": _required([float])}, possibility_capacity, len),
+    "distorted_uniform": ({"gamma": _GAMMA, "size": _required(int)}, cap_mod.counting_distortion,
+                          lambda gamma, size: size),
+    "bernstein_perturbed": ({"n": _required(int), "x": _required(float),
+                             "theta": _Key((float,), default=DEFAULT_PROFILE.theta),
+                             "i0": _Key((int,), default=DEFAULT_PROFILE.i0)},
                             lambda n, x, theta, i0: bernstein_choquet_capacity(
-                                n, x, PerturbationProfile(i0, theta))),
+                                n, x, PerturbationProfile(i0, theta)),
+                            lambda n, *_: n + 1),
     "table": ({"size": _required(int), "values": _required([float])},
-              cap_mod.capacity_from_table),
+              cap_mod.capacity_from_table, lambda size, values: size),
 }
 _RULE = _Key((str,), default="additive", choices=_RULES)
 # the ``--capacity`` shorthands; any other string names a kind
@@ -257,21 +257,28 @@ _CAPACITY_SHORTHANDS = {"possibility": {"kind": "possibility"},
                         "lebesgue": {"kind": "distorted_lebesgue", "gamma": "identity"}}
 
 
-def _capacity(raw, kinds: tuple):
-    """A capacity of one of ``kinds``: a discrete one, or a real one as
-    kernel -> RealCapacity."""
+def _capacity(raw, kinds: tuple, values: list | None = None):
+    """A capacity of one of ``kinds``: a discrete one, which needs
+    ``values``, one per element of its ground set (checked before the set
+    is built), or a real one as kernel -> RealCapacity, which takes none."""
     if isinstance(raw, str):
         raw = _CAPACITY_SHORTHANDS.get(raw, {"kind": raw})
     kind = _value(raw, "kind", _Key((str,), default=_REQUIRED, choices=kinds), "capacity")
     tags = {"kind": _Key((str,))}
     if kind == "discrete":
         kind, tags["rule"] = _value(raw, "rule", _RULE, "discrete capacity"), _RULE
-        fields, build = _RULES[kind]
+        fields, build, ground = _RULES[kind]
     else:
-        fields, build = _REAL_KINDS[kind]
+        (fields, build), ground = _REAL_KINDS[kind], None
     cfg = _read(raw, {**tags, **fields}, f"{kind} capacity")
+    args = [cfg[key] for key in fields]
+    if ground is None and values is not None:
+        raise ConfigError(f"values go with a discrete capacity only, not a {kind} one")
+    if ground is not None and (values is None or len(values) != ground(*args)):
+        raise ConfigError(f"values must list one number per element of the {kind} "
+                          f"capacity's ground set of {ground(*args)}")
     try:
-        return build(*(cfg[key] for key in fields))
+        return build(*args)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid capacity {raw!r}: {exc}") from exc
 
@@ -295,13 +302,10 @@ def _output(path: str | None):
 
 
 def cmd_integrate(cfg: dict) -> int:
-    """One-shot integral by two engines, with their difference."""
-    mode, cap, values = cfg["mode"], cfg["capacity"], cfg["values"]
-    if (mode == "discrete") != isinstance(cap, DiscreteCapacity):
-        raise ConfigError(f"{mode} integrate needs a {mode} capacity")
-    if mode == "discrete":
-        if values is None or len(values) != cap.size:
-            raise ConfigError("values must list one number per ground element")
+    """One-shot integral by the two engines of the capacity's kind, with their difference."""
+    values = cfg["values"]
+    cap = _capacity(cfg["capacity"], (*_REAL_KINDS, "discrete"), values)
+    if isinstance(cap, DiscreteCapacity):
         try:
             primary = choquet_integral(values, cap)
             check = choquet_integral_layer_cake(values, cap)
@@ -309,19 +313,18 @@ def cmd_integrate(cfg: dict) -> int:
             raise ConfigError(str(exc)) from exc
         except OverflowError as exc:  # finite values whose sum does not fit a float
             raise DivergenceError(f"discrete integral overflows: {exc}") from exc
-        engines = ("sorted_tail_sum", "layer_cake_exact")
+        mode, engines = "discrete", ("sorted_tail_sum", "layer_cake_exact")
     else:
         mu = cap(cfg["kernel"])
         g = product_level_function(_nonneg(cfg["function"]), cfg["kernel"])
         primary = choquet_integral_real(g, mu)
         check = choquet_integral_real_grid(g, mu)
-        engines = ("adaptive_levels", "tanh_sinh")
+        mode, engines = "real", ("adaptive_levels", "tanh_sinh")
 
     with _output(cfg["out"]) as stream:
         stream.write("mode,primary_engine,primary_value,check_engine,check_value,abs_difference\n")
-        stream.write(",".join([mode, engines[0], format_float(primary),
-                               engines[1], format_float(check),
-                               format_float(abs(primary - check))]) + "\n")
+        stream.write(",".join([mode, engines[0], format_float(primary), engines[1],
+                               format_float(check), format_float(abs(primary - check))]) + "\n")
     return EXIT_OK
 
 
@@ -343,9 +346,8 @@ class _Setup:
     @staticmethod
     def parse(cfg: dict, names) -> _Setup:
         n_list, x_grid = cfg["n_list"], cfg["x_grid"]
-        try:   # a top-level theta or i0 overrides the perturbation object's
-            profile = PerturbationProfile(**{**cfg["perturbation"], **{
-                k: cfg[k] for k in _PERTURBATION if cfg[k] is not None}})
+        try:
+            profile = PerturbationProfile(cfg["i0"], cfg["theta"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         lo, hi = float(np.min(x_grid)), float(np.max(x_grid))
@@ -583,17 +585,14 @@ _TABLE = {   # operator and compare
                    help="comma-separated n values"),
     "x_grid": _Key((dict, str, None), _x_grid, {"min": 0.0, "max": 1.0, "count": 11},
                    flag="--xgrid", help="min:max:count"),
-    "theta": _Key((float,), flag="--theta",
-                  help="perturbation size in [0, 1]; null: the perturbation's"),
-    "i0": _Key((int,), flag="--i0", help="perturbed index; null: the perturbation's"),
-    "perturbation": _Key((dict,), lambda raw: _read(raw, _PERTURBATION, "perturbation"), {}),
+    "theta": _Key((float,), default=DEFAULT_PROFILE.theta, flag="--theta",
+                  help="perturbation size in [0, 1]"),
+    "i0": _Key((int,), default=DEFAULT_PROFILE.i0, flag="--i0", help="perturbed index"),
 }
 _SCHEMAS = {
     "integrate": {
         "out": _OUT,
-        "mode": _Key((str,), default="discrete", choices=("discrete", "real"), flag="--mode"),
-        "capacity": _Key((str, dict, None), partial(_capacity, kinds=(*_REAL_KINDS, "discrete")),
-                         "possibility"),
+        "capacity": _Key((str, dict, None), default="possibility"),   # cmd_integrate reads it
         "function": _Key((str, dict, None), _function, "e0"),
         "kernel": _kernel(2.0, {}),
         "values": _Key(([float], None))},
@@ -621,7 +620,7 @@ def _load_config(args: argparse.Namespace) -> dict:
         try:
             with open(path) as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:   # bad JSON, or an integer of too many digits
             raise ConfigError(f"cannot read config: {exc}") from exc
     # a document that is no object is the reader's error, flags or none
     return _read({**cfg, **flags} if isinstance(cfg, dict) else cfg, _SCHEMAS[command],

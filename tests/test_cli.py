@@ -31,7 +31,6 @@ class TestIntegrate:
     def test_discrete_fixture(self, tmp_path):
         out = tmp_path / "out.csv"
         cfg = write_config(tmp_path, {
-            "mode": "discrete",
             "capacity": {"kind": "discrete", "rule": "distorted_uniform",
                          "gamma": "sqrt", "size": 3},
             "values": [1.0, 3.0, 2.0],
@@ -50,7 +49,6 @@ class TestIntegrate:
     def test_real_sqrt_lebesgue(self, tmp_path):
         out = tmp_path / "out.csv"
         cfg = write_config(tmp_path, {
-            "mode": "real",
             "capacity": {"kind": "distorted_lebesgue", "gamma": "sqrt"},
             "kernel": {"family": "laplace", "n": 2, "x": 0.0},
             "out": str(out),
@@ -60,18 +58,17 @@ class TestIntegrate:
         assert float(rows[0][2]) == pytest.approx(math.sqrt(math.pi / 4), abs=1e-6)
 
     def test_real_default_engines_agree(self, tmp_path):
+        # the default capacity, possibility, picks the real-line engines: the
+        # bare Laplace kernel against its own possibility capacity is 1
         out = tmp_path / "out.csv"
-        assert main(["integrate", "--mode", "real", "--out", str(out)]) == 0
-        header, rows = read_rows(out)
-        assert header[1::2] == ["primary_engine", "check_engine", "abs_difference"]
-        assert (rows[0][1], rows[0][3]) == ("adaptive_levels", "tanh_sinh")
-        primary, check = float(rows[0][2]), float(rows[0][4])
-        assert abs(primary - check) <= 1e-9 * abs(primary)
+        assert main(["integrate", "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "mode,primary_engine,primary_value,check_engine,check_value,abs_difference\n"
+            "real,adaptive_levels,1,tanh_sinh,1,0\n")
 
     def test_real_possibility_is_one(self, tmp_path):
         out = tmp_path / "out.csv"
         cfg = write_config(tmp_path, {
-            "mode": "real",
             "capacity": {"kind": "possibility",
                          "kernel": {"family": "laplace", "n": 2, "x": 0.0}},
             "kernel": {"family": "laplace", "n": 2, "x": 0.0},
@@ -86,7 +83,7 @@ class TestIntegrate:
         # the integrand at the capacity's peak x = -800 is exp(800 - 1600)
         # against Laplace(2, 0) (less against Gauss), though exp(800) overflows
         cfg = write_config(tmp_path, {
-            "mode": "real", "function": "exp_neg",
+            "function": "exp_neg",
             "kernel": {"family": family, "n": 2, "x": 0},
             "capacity": {"kind": "possibility", "kernel": {"family": family, "n": 1, "x": -800}}})
         assert main(["integrate", "--config", cfg]) == 0
@@ -98,7 +95,6 @@ class TestIntegrate:
         # the check engine's first nodes round to the Lambert W branch point -1/e
         out = tmp_path / "out.csv"
         cfg = write_config(tmp_path, {
-            "mode": "real",
             "capacity": "possibility",
             "kernel": {"family": "gauss", "n": 2, "x": 0.3},
             "function": {"name": "abs_dev", "center": 0.3},
@@ -112,7 +108,6 @@ class TestIntegrate:
 
     def test_non_finite_kernel_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {
-            "mode": "real",
             "capacity": {"kind": "distorted_lebesgue", "gamma": "sqrt"},
             "kernel": {"family": "laplace", "n": float("inf"), "x": 0.0},
         })
@@ -122,13 +117,13 @@ class TestIntegrate:
     def test_unresolvable_kernel_centre_is_config_error(self, tmp_path, capsys, x):
         # x + 1 == x: the level sets of the product cannot be resolved there
         # (1e200 overflowed in a square, 1e100 ended in "does not decay")
-        cfg = write_config(tmp_path, {"mode": "real", "function": "sqrt",
+        cfg = write_config(tmp_path, {"function": "sqrt",
                                       "kernel": {"family": "gauss", "n": 2, "x": x}})
         assert main(["integrate", "--config", cfg]) == 2
         assert "kernel centre" in capsys.readouterr().err
 
     def test_large_kernel_centre_still_integrates(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"mode": "real", "function": "sqrt",
+        cfg = write_config(tmp_path, {"function": "sqrt",
                                       "kernel": {"family": "gauss", "n": 2, "x": 1e15}})
         assert main(["integrate", "--config", cfg]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
@@ -138,7 +133,6 @@ class TestIntegrate:
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, bad):
         out = tmp_path / "out.csv"
         cfg = write_config(tmp_path, {
-            "mode": "discrete",
             "capacity": {"kind": "discrete", "rule": "distorted_uniform",
                          "gamma": "sqrt", "size": 3},
             "values": [bad, 1.0, 2.0],
@@ -150,7 +144,6 @@ class TestIntegrate:
 
     def test_infinities_of_both_signs_are_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
-            "mode": "discrete",
             "capacity": {"kind": "discrete", "rule": "additive", "weights": [0.5, 0.5]},
             "values": [math.inf, -math.inf],
         })
@@ -160,7 +153,6 @@ class TestIntegrate:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_weight_is_config_error(self, tmp_path, capsys, bad):
         cfg = write_config(tmp_path, {
-            "mode": "discrete",
             "capacity": {"kind": "discrete", "rule": "additive", "weights": [bad, 1.0]},
             "values": [1.0, 2.0],
         })
@@ -178,7 +170,7 @@ class TestIntegrate:
         unit = IntervalUnion.from_pairs([(0.0, 1.0)])
         g = LevelSetFunction(lambda t: 1.0, lambda a: unit, 1.0, levels)
         monkeypatch.setattr(cli, "product_level_function", lambda spec, kernel: g)
-        cfg = write_config(tmp_path, {"mode": "real", "capacity": "sqrt_lebesgue"})
+        cfg = write_config(tmp_path, {"capacity": "sqrt_lebesgue"})
         assert main(["integrate", "--config", cfg]) == 3
         assert capsys.readouterr().err.startswith("numeric error:")
 
@@ -196,7 +188,7 @@ class TestIntegrate:
         g = LevelSetFunction(lambda t: 1.0, lambda a: unit, 1.0, levels)
         monkeypatch.setattr(cli, "product_level_function", lambda spec, kernel: g)
         monkeypatch.setattr(cli, "choquet_integral_real", lambda g, mu: 1.0)
-        cfg = write_config(tmp_path, {"mode": "real", "capacity": "sqrt_lebesgue"})
+        cfg = write_config(tmp_path, {"capacity": "sqrt_lebesgue"})
         assert main(["integrate", "--config", cfg]) == 3
         assert capsys.readouterr().err.startswith("numeric error:")
 
@@ -205,13 +197,12 @@ class TestIntegrate:
         {"name": "pw_linear", "knots": [[0.0, -1.0], [1.0, 1.0]]}])
     def test_real_negative_integrand_is_config_error(self, tmp_path, capsys,
                                                      function):
-        cfg = write_config(tmp_path, {"mode": "real", "function": function})
+        cfg = write_config(tmp_path, {"function": function})
         assert main(["integrate", "--config", cfg]) == 2
         assert "not nonnegative" in capsys.readouterr().err
 
     def test_missing_values_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {
-            "mode": "discrete",
             "capacity": {"kind": "discrete", "rule": "additive",
                          "weights": [0.5, 0.5]},
         })
@@ -220,7 +211,6 @@ class TestIntegrate:
     @pytest.mark.parametrize("values", [["a", 1.0], [None, 1.0]])
     def test_non_numeric_value_is_config_error(self, tmp_path, capsys, values):
         cfg = write_config(tmp_path, {
-            "mode": "discrete",
             "capacity": {"kind": "discrete", "rule": "additive",
                          "weights": [0.5, 0.5]},
             "values": values,
@@ -230,7 +220,6 @@ class TestIntegrate:
 
     def test_overflowing_sum_is_numeric_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
-            "mode": "discrete",
             "capacity": {"kind": "discrete", "rule": "additive", "weights": [1, 1]},
             "values": [1e308, 1e308],
         })
@@ -241,7 +230,6 @@ class TestIntegrate:
     def test_overflowing_terms_are_numeric_error(self, tmp_path, capsys, values):
         # each weighted term is already outside the float range
         cfg = write_config(tmp_path, {
-            "mode": "discrete",
             "capacity": {"kind": "discrete", "rule": "additive", "weights": [2, 2]},
             "values": values,
         })
@@ -253,7 +241,6 @@ class TestIntegrate:
         # power 0.5 is the sqrt distortion of test_discrete_fixture
         out = tmp_path / "out.csv"
         cfg = write_config(tmp_path, {
-            "mode": "discrete",
             "capacity": {"kind": "discrete", "rule": "distorted_uniform",
                          "gamma": {"name": "power", "p": 0.5}, "size": 3},
             "values": [1.0, 3.0, 2.0],
@@ -264,10 +251,10 @@ class TestIntegrate:
         assert float(rows[0][2]) == pytest.approx(2.393846850117352, abs=1e-12)
 
     @pytest.mark.parametrize("payload", [
-        {"mode": "discrete", "values": [1.0, 2.0],
+        {"values": [1.0, 2.0],
          "capacity": {"kind": "discrete", "rule": "distorted_uniform",
                       "gamma": "cube", "size": 2}},
-        {"mode": "real", "capacity": {"kind": "distorted_lebesgue", "gamma": "cube"}}])
+        {"capacity": {"kind": "distorted_lebesgue", "gamma": "cube"}}])
     def test_unknown_distortion_is_config_error(self, tmp_path, capsys, payload):
         assert main(["integrate", "--config", write_config(tmp_path, payload)]) == 2
         assert "unknown distortion 'cube'" in capsys.readouterr().err
@@ -718,12 +705,12 @@ class TestVerify:
 
 
 @pytest.mark.parametrize("command, payload", [
-    ("integrate", {"mode": "real", "kernel": "laplace"}),
+    ("integrate", {"kernel": "laplace"}),
     ("operator", {"capacity": ["x"]}),
     ("operator", {"function": 3}),
     ("operator", {"capacity": {"kind": "possibility", "kernel": "laplace"}}),
     ("operator", {"capacity": {"kind": "distorted_lebesgue", "gamma": 3}}),
-    ("operator", {"perturbation": "x"}),
+    ("operator", {"i0": "x"}),
     ("operator", {"function": {"name": "pw_linear", "knots": [1, 2]}}),
     ("operator", {"function": {"name": "pw_linear", "knots": [[0, 1, 2], [1, 0, 3]]}}),
     ("operator", {"function": {"name": "pw_linear", "knots": 3}}),
@@ -733,26 +720,26 @@ class TestVerify:
     ("operator", {"function": {"name": "sqrt", "shift": "x"}}),
     ("operator", {"function": {"name": "abs_dev", "center": None}}),
     ("operator", {"function": {"name": "exp_neg", "lam": math.nan}}),
-    ("integrate", {"mode": "real", "capacity": {
+    ("integrate", {"capacity": {
         "kind": "distorted_lebesgue", "gamma": {"name": "power", "p": "abc"}}}),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "distorted_uniform",
                                 "size": 0}, "values": []}),
     ("operator", {"n_list": [2.5]}),
     ("operator", {"x_grid": {"min": 0, "max": 1, "count": 2.5}}),
-    ("operator", {"perturbation": {"i0": 1.5}}),
+    ("operator", {"i0": 1.5}),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "table", "size": 1.5,
                                 "values": [0, 1]}, "values": [1]}),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "bernstein_perturbed",
                                 "n": 2.5, "x": 0.3}, "values": [0, 0.5, 1]}),
-    ("integrate", {"mode": "real", "capacity": {
+    ("integrate", {"capacity": {
         "kind": "distorted_lebesgue", "gamma": {"name": "sqrt", "p": 3}}}),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "distorted_uniform",
                                 "gamma": {"name": "identity", "p": 0.5}, "size": 2},
                    "values": [1.0, 2.0]}),
     # a JSON boolean is not a number
     ("operator", {"x_grid": {"min": False, "max": True, "count": 2}}),
-    ("integrate", {"mode": "real", "kernel": {"family": "laplace", "n": True}}),
-    ("integrate", {"mode": "real", "kernel": {"family": "laplace", "x": False}}),
+    ("integrate", {"kernel": {"family": "laplace", "n": True}}),
+    ("integrate", {"kernel": {"family": "laplace", "x": False}}),
     ("operator", {"theta": True}),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "bernstein_perturbed",
                                 "n": 2, "x": True}, "values": [0, 0.5, 1]}),
@@ -762,7 +749,7 @@ class TestVerify:
     ("operator", {"theta": "0.5"}),
     ("operator", {"n_list": ["4"]}),
     ("operator", {"x_grid": {"min": "0", "max": "1", "count": "3"}}),
-    ("integrate", {"mode": "real", "kernel": {"family": "laplace", "n": "2", "x": "0.3"}}),
+    ("integrate", {"kernel": {"family": "laplace", "n": "2", "x": "0.3"}}),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "additive",
                                 "weights": ["0.2", "0.8"]}, "values": [1.0, 2.0]}),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "additive",
@@ -773,7 +760,7 @@ class TestVerify:
                                 "values": ["0", 1]}, "values": [1.0]}),
     ("verify", {"trials": "3", "seed": "1"}),
 ], ids=["kernel", "capacity", "function", "capacity_kernel", "gamma",
-        "perturbation", "knots", "knots_triple", "knots_number", "theta", "sqrt_shift_nan", "const_c_nan",
+        "i0_str", "knots", "knots_triple", "knots_number", "theta", "sqrt_shift_nan", "const_c_nan",
         "sqrt_shift_str", "abs_dev_center_null", "exp_neg_lam_nan", "power_p_str",
         "counting_size_0", "n_list_fraction", "count_fraction", "i0_fraction",
         "size_fraction", "n_fraction", "sqrt_p", "identity_p", "x_grid_bool",
@@ -787,8 +774,8 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, payload):
 
 
 @pytest.mark.parametrize("command, payload, key", [
-    ("integrate", {"mode": "real", "kernel": {"famly": "gauss", "n": 2, "x": 0.3}}, "famly"),
-    ("integrate", {"mode": "real", "capacity": {
+    ("integrate", {"kernel": {"famly": "gauss", "n": 2, "x": 0.3}}, "famly"),
+    ("integrate", {"capacity": {
         "kind": "possibility", "kernal": {"family": "gauss", "n": 2, "x": 0.3}}}, "kernal"),
     ("operator", {"capacity": {"kind": "possibility",
                                "kernel": {"family": "laplace", "n": 4, "center": 0.5}}},
@@ -798,8 +785,6 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, payload):
     ("operator", {"capacity": {"kind": "distorted_lebesgue", "gamma": "sqrt",
                                "kernel": {"family": "laplace"}}}, "kernel"),
     ("operator", {"x_grid": {"min": 0, "max": 1, "count": 3, "step": 0.5}}, "step"),
-    ("operator", {"operator": "bernstein_choquet", "perturbation": {"thta": 3.0},
-                  "n_list": [4], "x_grid": "0:1:3"}, "thta"),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "bernstein_perturbed", "n": 4,
                                 "x": 0.3, "thetta": 3}, "values": [0, 1, 2, 3, 4]}, "thetta"),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "bernstein_perturbed", "n": 4,
@@ -813,7 +798,7 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, payload):
     ("integrate", {"capacity": {"kind": "discrete", "rule": "table", "size": 1,
                                 "values": [0, 1], "weights": [1]}, "values": [1]}, "weights"),
 ], ids=["kernel", "possibility", "possibility_kernel", "possibility_gamma",
-        "distorted_lebesgue", "distorted_lebesgue_kernel", "x_grid", "perturbation",
+        "distorted_lebesgue", "distorted_lebesgue_kernel", "x_grid",
         "bernstein_perturbed", "bernstein_perturbed_weights", "additive", "discrete_possibility",
         "distorted_uniform", "table"])
 def test_unknown_nested_key_is_config_error(tmp_path, capsys, command, payload, key):
@@ -826,14 +811,21 @@ def test_unknown_nested_key_is_config_error(tmp_path, capsys, command, payload, 
 
 @pytest.mark.parametrize("command, payload, key", [
     ("operator", {"functon": "sqrt", "n_list": [2], "x_grid": "0:1:2"}, "functon"),
-    ("integrate", {"mode": "real", "capcity": "lebesgue"}, "capcity"),
+    ("integrate", {"capcity": "lebesgue"}, "capcity"),
     ("compare", {"pair": "picard", "operator": "picard", "n_list": [2]}, "operator"),
     ("verify", {"suite": "capacity", "trails": 3}, "trails"),
-    ("integrate", {"mode": "real", "config": "other.json"}, "config"),
-], ids=["functon", "capcity", "key_of_another_subcommand", "trails", "config"])
+    ("integrate", {"config": "other.json"}, "config"),
+    ("integrate", {"mode": "real"}, "mode"),
+    ("operator", {"perturbation": {"thta": 3.0}, "n_list": [4], "x_grid": "0:1:3"},
+     "perturbation"),
+    ("compare", {"perturbation": {}}, "perturbation"),
+], ids=["functon", "capcity", "key_of_another_subcommand", "trails", "config", "mode",
+        "operator_perturbation", "compare_perturbation"])
 def test_unknown_top_level_key_is_config_error(tmp_path, capsys, command, payload, key):
     # a misspelt key would otherwise leave its default in force: a "functon"
-    # prints the exp_neg table, a "capcity" integrates against possibility
+    # prints the exp_neg table, a "capcity" integrates against possibility;
+    # the capacity alone picks integrate's engines, and theta and i0 are
+    # set at the top level only
     assert main([command, "--config", write_config(tmp_path, payload)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -883,8 +875,7 @@ def test_readme_lists_every_top_level_key_and_default():
     ("operator", {"operator": ["x"]}, "operator"),
     ("compare", {"pair": ["picard"]}, "pair"),
     ("verify", {"suite": {"a": 1}}, "suite"),
-    ("integrate", {"mode": ["real"]}, "mode"),
-], ids=["operator", "pair", "suite", "mode"])
+], ids=["operator", "pair", "suite"])
 def test_unhashable_choice_is_config_error(tmp_path, capsys, command, payload, key):
     # a list or an object where a name goes used to end in "TypeError:
     # unhashable type", a traceback with exit 1
@@ -893,14 +884,14 @@ def test_unhashable_choice_is_config_error(tmp_path, capsys, command, payload, k
     assert out == "" and err.startswith(f"config error: {key} must be a string")
 
 
-_REAL_RUN = {"mode": "real", "function": "sqrt", "kernel": {"family": "laplace", "n": 2, "x": 0.5}}
+_REAL_RUN = {"function": "sqrt", "kernel": {"family": "laplace", "n": 2, "x": 0.5}}
 
 
 @pytest.mark.parametrize("kernel", [[], 0, False, "", [1, 2]], ids=repr)
 @pytest.mark.parametrize("where", ["top", "possibility"])
 def test_non_object_kernel_is_config_error(tmp_path, capsys, kernel, where):
     # a falsy kernel used to read as {} and integrate against the default
-    payload = ({"mode": "real", "kernel": kernel} if where == "top" else
+    payload = ({"kernel": kernel} if where == "top" else
                {**_REAL_RUN, "capacity": {"kind": "possibility", "kernel": kernel}})
     assert main(["integrate", "--config", write_config(tmp_path, payload)]) == 2
     out, err = capsys.readouterr()
@@ -913,9 +904,9 @@ def test_null_or_empty_kernel_is_every_default(tmp_path, capsys):
     # x = 0), which an absent kernel is not: that one follows the operator's
     runs = {}
     for name, payload in {
-            "top_absent": {"mode": "real", "function": "sqrt"},
-            "top_null": {"mode": "real", "function": "sqrt", "kernel": None},
-            "top_empty": {"mode": "real", "function": "sqrt", "kernel": {}},
+            "top_absent": {"function": "sqrt"},
+            "top_null": {"function": "sqrt", "kernel": None},
+            "top_empty": {"function": "sqrt", "kernel": {}},
             "cap_null": {**_REAL_RUN, "capacity": {"kind": "possibility", "kernel": None}},
             "cap_empty": {**_REAL_RUN, "capacity": {"kind": "possibility", "kernel": {}}},
             "cap_given": {**_REAL_RUN, "capacity": {"kind": "possibility", "kernel": {
@@ -938,17 +929,75 @@ def test_non_string_out_is_config_error(tmp_path, capsys, out):
     assert not sys.stdout.closed and not sys.stderr.closed
 
 
-def test_top_level_perturbation_keys_override_the_object(tmp_path, capsys):
-    args = ["operator", "--operator", "bernstein_choquet", "--function", "sqrt",
-            "--n", "4", "--xgrid=0:1:3"]
-    assert main(args + ["--theta", "0.25", "--i0", "2"]) == 0
-    flags = capsys.readouterr().out
-    for payload in ({"perturbation": {"theta": 0.25, "i0": 2}},
-                    {"perturbation": {"theta": 0.9, "i0": 1}, "theta": 0.25, "i0": 2}):
-        assert main(args + ["--config", write_config(tmp_path, payload)]) == 0
-        assert capsys.readouterr().out == flags
-    assert main(args) == 0
-    assert capsys.readouterr().out != flags
+# a config of each subcommand that runs in milliseconds
+_QUICK = {"integrate": {}, "operator": {"n_list": [2], "x_grid": "0:1:2"},
+          "compare": {"n_list": [2], "x_grid": "0:1:2"}, "verify": {"trials": 1}}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, schema in cli._SCHEMAS.items()
+    for key, field in schema.items() if field.default is None or None in field.kinds])
+def test_null_reads_as_the_default(tmp_path, capsys, command, key):
+    # a key whose default is null must take null, or an explicit null would
+    # be an error where the absent key is not
+    assert None in cli._SCHEMAS[command][key].kinds
+    payload = {k: v for k, v in _QUICK[command].items() if k != key}
+    assert main([command, "--config", write_config(tmp_path, payload)]) == 0
+    absent = capsys.readouterr().out
+    assert main([command, "--config", write_config(tmp_path, {**payload, key: None})]) == 0
+    assert capsys.readouterr().out == absent
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"values": [1.0, 2.0]}, "values go with a discrete capacity only, not a possibility one"),
+    ({"capacity": "sqrt_lebesgue", "values": []},
+     "values go with a discrete capacity only, not a distorted_lebesgue one"),
+    ({"capacity": {"kind": "discrete", "weights": [0.5, 0.5]}},
+     "values must list one number per element of the additive capacity's ground set of 2"),
+    ({"capacity": {"kind": "discrete", "rule": "bernstein_perturbed", "n": 2, "x": 0.3},
+      "values": [1.0, 2.0]},
+     "values must list one number per element of the bernstein_perturbed capacity's "
+     "ground set of 3"),
+], ids=["no_capacity", "real_capacity", "no_values", "short_values"])
+def test_values_go_with_a_discrete_capacity_only(tmp_path, capsys, payload, message):
+    # without the check, values beside a real capacity would be ignored and
+    # e0 integrated on the real line
+    assert main(["integrate", "--config", write_config(tmp_path, payload)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "distorted_uniform", "size": 1e300},
+                   "values": [1.0]}, "values"),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "table", "size": 1e300,
+                                "values": [0, 1]}, "values": [1.0]}, "values"),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "distorted_uniform",
+                                "size": 1_000_000_000}, "values": [1.0]}, "values"),
+    ("integrate", {"capacity": {"kind": "discrete", "rule": "bernstein_perturbed",
+                                "n": 10 ** 400, "x": 0.3}, "values": [1.0]}, "values"),
+    ("operator", {"operator": "picard", "n_list": [10 ** 400], "x_grid": "0:1:2"}, "n_list"),
+    ("operator", {"function": {"name": "sqrt", "shift": 10 ** 400}}, "function spec"),
+], ids=["distorted_uniform_1e300", "table_1e300", "distorted_uniform_1e9",
+        "bernstein_perturbed_10e400", "picard_n", "sqrt_shift"])
+def test_size_past_what_can_be_built_is_config_error(tmp_path, capsys, monkeypatch, command,
+                                                      payload, key):
+    # the ground set is checked against the values before it is built, and
+    # an integer past the float range is no float: these were OverflowErrors
+    # (exit 3) and, at a billion elements, a MemoryError (exit 1)
+    for rule, (fields, _, ground) in list(cli._RULES.items()):
+        monkeypatch.setitem(cli._RULES, rule, (fields, lambda *args: pytest.fail("built"), ground))
+    assert main([command, "--config", write_config(tmp_path, payload)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ") and key in err
+
+
+def test_integer_past_the_digit_limit_is_config_error(tmp_path, capsys):
+    # Python reads no integer of more than 4300 digits from text
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n_list": [1' + "0" * 5000 + "]}")
+    assert main(["operator", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config: ")
 
 
 @pytest.mark.parametrize("flags", [["--n", "", "--xgrid", "0:1:2"],
@@ -983,6 +1032,13 @@ def test_seed_is_a_verify_flag(capsys, command):
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
+def test_integrate_takes_no_mode_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", "--mode", "real"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode real" in capsys.readouterr().err
+
+
 def test_flags_override_only_their_config_keys(tmp_path, capsys):
     cfg = write_config(tmp_path, {"operator": "bernstein", "n_list": [3, 5],
                                   "x_grid": {"min": 0, "max": 1, "count": 2}})
@@ -995,7 +1051,6 @@ def test_console_script_smoke(tmp_path):
     out = tmp_path / "o.csv"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "mode": "real",
         "capacity": {"kind": "distorted_lebesgue", "gamma": "sqrt"},
         "kernel": {"family": "laplace", "n": 2, "x": 0.0},
         "out": str(out)}))
@@ -1010,15 +1065,15 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     # choquetkit needs numpy alone: with scipy made unimportable, every
     # subcommand and the scalar oracle of a root-finding product still run
     discrete = write_config(tmp_path, {
-        "mode": "discrete", "values": [1.0, 3.0, 2.0],
+        "values": [1.0, 3.0, 2.0],
         "capacity": {"kind": "discrete", "rule": "distorted_uniform", "gamma": "sqrt",
                      "size": 3}}, "discrete.json")
     real_sqrt = write_config(tmp_path, {
-        "mode": "real", "function": {"name": "sqrt", "shift": 3.0},
+        "function": {"name": "sqrt", "shift": 3.0},
         "kernel": {"family": "gauss", "n": 2, "x": 0.3}, "capacity": "sqrt_lebesgue"},
         "real_sqrt.json")
     grid = ["--function", "sqrt", "--n", "4", "--xgrid=0:1:2"]
-    runs = ([["integrate", "--config", discrete], ["integrate", "--mode", "real"],
+    runs = ([["integrate", "--config", discrete], ["integrate"],
              ["integrate", "--config", real_sqrt]]
             + [["operator", "--operator", name] + grid for name in cli.OPERATORS]
             + [["compare", "--pair", pair] + grid for pair in cli.PAIRS]
@@ -1068,7 +1123,6 @@ _FUZZ_VALUES = {
     "x_grid": [{"min": 0.0, "max": 1.0, "count": 2}, "0:0.5:2"],
     "theta": [0.0, 0.5],
     "i0": [1, 2],
-    "perturbation": [{}, {"theta": 0.25, "i0": 2}],
     "seed": [0, 7],
     "trials": [0, 2],
     "inject_nonmonotone": [False, True],
@@ -1090,6 +1144,23 @@ def test_fuzz_examples_cover_the_schema():
     assert keys == set(_FUZZ_VALUES) | {"values"}
 
 
+@pytest.mark.parametrize("capacity, values", [
+    *_FUZZ_DISCRETE, *[(capacity, None) for capacity in _FUZZ_VALUES["capacity"]]],
+    ids=[*(cap["rule"] for cap, _ in _FUZZ_DISCRETE), *map(json.dumps, _FUZZ_VALUES["capacity"])])
+def test_capacity_picks_the_integrate_engines(tmp_path, capsys, capacity, values):
+    # every discrete rule and every real kind (test_fuzz_examples_cover_the_schema)
+    payload = {"capacity": capacity, **({} if values is None else {"values": values})}
+    assert main(["integrate", "--config", write_config(tmp_path, payload)]) == 0
+    mode, primary, _, check, check_value, diff = (
+        capsys.readouterr().out.splitlines()[1].split(","))
+    if values is None:
+        assert (mode, primary, check) == ("real", "adaptive_levels", "tanh_sinh")
+        assert float(diff) <= 1e-8 * abs(float(check_value))
+    else:
+        assert (mode, primary, check) == ("discrete", "sorted_tail_sum", "layer_cake_exact")
+        assert float(diff) <= 1e-12
+
+
 @st.composite
 def _fuzz_configs(draw, command):
     cfg = {}
@@ -1097,10 +1168,10 @@ def _fuzz_configs(draw, command):
         if key == "values" or key not in _FUZZ_ALWAYS and draw(st.booleans()):
             continue   # absent: its default
         cfg[key] = draw(st.sampled_from(list(field.choices or _FUZZ_VALUES[key])))
-    if cfg.get("mode") == "real":
-        cfg["capacity"] = draw(st.sampled_from(_FUZZ_VALUES["capacity"]))
-    elif command == "integrate":
+    if command == "integrate" and draw(st.booleans()):
         cfg["capacity"], cfg["values"] = draw(st.sampled_from(_FUZZ_DISCRETE))
+    elif command == "integrate":   # a real capacity, which takes no values
+        cfg["capacity"] = draw(st.sampled_from(_FUZZ_VALUES["capacity"]))
     return cfg
 
 
@@ -1124,7 +1195,7 @@ def _field_at(command, cfg, path):
                 {"rule": cli._RULE, **cli._RULES[rule][0]} if inner.get("kind") == "discrete"
                 else cli._REAL_KINDS[inner["kind"]][0])}
         else:
-            fields = {"x_grid": cli._X_GRID, "perturbation": cli._PERTURBATION}.get(path[0], {})
+            fields = cli._X_GRID if path[0] == "x_grid" else {}
     elif len(path) != 1:
         return None
     return fields.get(path[-1])
