@@ -3,7 +3,8 @@
 The integral is computed from the layer-cake representation: integrate
 ``alpha -> mu({g >= alpha})`` over ``(0, sup g]``.  A function enters the
 engine as a :class:`LevelSetFunction`, i.e. bundled with an oracle that
-returns each super-level set as an :class:`IntervalUnion`.
+answers an array of levels at once with the endpoints of their
+super-level sets.
 
 Two things keep the quadrature honest:
 

@@ -46,8 +46,31 @@ MAX_BERNSTEIN_DEGREE = 1029
 # node vector several times in a row (the value, its closed-form check, the
 # classical baseline and the band); one entry each serves all of them and
 # keeps no other row, so no later row and no benchmark round is served from
-# an earlier one.
+# an earlier one.  What a row needs of its degree alone is kept per degree,
+# for the last _DEGREES degrees: the binomial factors with their exponents
+# and the node abscissae i / n.  Those tables hold no x, no f and no value,
+# only constants of n, so every row still builds each float of its own and
+# the one-row policy stands; at n = 1029 a degree's table takes ~150 KB.
 _BASIS_ROWS = 1
+_DEGREES = 16
+
+
+@functools.lru_cache(maxsize=_DEGREES)
+def _degree(n: int) -> tuple[tuple[tuple[float, int, int], ...], tuple[float, ...]]:
+    """The constants of a degree-n row: ``(C(n, i), i, n - i)`` and ``i / n``, i = 0..n.
+
+    C(n, i) comes from the exact recurrence C(n, i + 1) = C(n, i) (n - i) / (i + 1)
+    over half the row, mirrored: the ints of math.comb, one multiply and one
+    exact division each.  It is kept as a float, rounded as ``int * float``
+    rounds it, so a row built on these floats has the bits of one built on
+    the ints.
+    """
+    c = [1] * (n + 1)
+    for i in range(n // 2):
+        c[i + 1] = c[n - 1 - i] = c[i] * (n - i) // (i + 1)
+    ks = list(range(n + 1))
+    return (tuple(zip(map(float, c), ks, reversed(ks))),
+            tuple([i / n for i in ks]))
 
 
 @functools.lru_cache(maxsize=_BASIS_ROWS, typed=True)
@@ -55,15 +78,8 @@ def _basis_row(n: int, x: float, sign: float) -> tuple[float, ...]:
     # ``sign`` is copysign(1, x): it keys -0.0 apart from 0.0, whose rows
     # differ in the sign of their zeros.  ``typed`` gives an int or numpy x,
     # and a float n (which operator.index rejects), a key of their own.
-    n = operator.index(n)
-    # C(n, i) by the exact recurrence C(n, i + 1) = C(n, i) (n - i) / (i + 1)
-    # over half the row, mirrored: the ints of math.comb, one multiply and
-    # one exact division each
-    c = [1] * (n + 1)
-    for i in range(n // 2):
-        c[i + 1] = c[n - 1 - i] = c[i] * (n - i) // (i + 1)
     y = 1.0 - x
-    return tuple([c[i] * x ** i * y ** (n - i) for i in range(n + 1)])
+    return tuple([c * x ** i * y ** j for c, i, j in _degree(operator.index(n))[0]])
 
 
 def _basis(n: int, x: float) -> tuple[float, ...]:
@@ -92,7 +108,7 @@ def bernstein_basis_vector(n: int, x: float) -> list[float]:
 
 @functools.lru_cache(maxsize=_BASIS_ROWS)
 def _node_row(fn: Callable[[float], float], n: int) -> tuple[float, ...]:
-    return tuple([fn(i / n) for i in range(n + 1)])
+    return tuple([fn(t) for t in _degree(operator.index(n))[1]])
 
 
 def _nodes(f: Callable[[float], float], n: int) -> Sequence[float]:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -599,10 +600,17 @@ class TestDistortedProbability:
         with pytest.raises(ValueError):
             possibility_capacity([bad, 1.0])
 
-    def test_rejects_convex_distortion(self):
-        square = DistortionFunction("square", lambda t: t * t)
-        with pytest.raises(ValueError):
-            validate_distortion(square)
+    # each breaks one condition, the ones before it hold: t (4 - 3t) is
+    # concave with gamma(1) = 1 but falls from t = 2/3 on
+    @pytest.mark.parametrize("fn, message", [
+        (lambda t: 0.5 + 0.5 * t, "gamma(0) != 0"),
+        (lambda t: 0.5 * t, "gamma(1) != 1"),
+        (lambda t: t * (4.0 - 3.0 * t), "not nondecreasing"),
+        (lambda t: t * t, "not concave"),
+    ], ids=["offset", "short", "dip", "convex"])
+    def test_rejects_a_bad_distortion_with_its_reason(self, fn, message):
+        with pytest.raises(ValueError, match=re.escape(f"distortion bad: {message}")):
+            validate_distortion(DistortionFunction("bad", fn))
 
     def test_zero_weight_sets_are_zero_in_every_form(self):
         # gamma(0) = 1e-13 passes validate_distortion, yet a nonempty set

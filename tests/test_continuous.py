@@ -1623,6 +1623,23 @@ class TestKernelMoments:
             assert numerator / normalizer == pytest.approx(
                 continuous.kernel_moment(k, mu), rel=continuous.QUAD_REL_TOL), name
 
+    @pytest.mark.parametrize("k, profile", [
+        (Kernel.laplace(2.0, 0.3), Kernel.laplace(2.0, 0.8)),
+        (Kernel.gauss(2.0, 0.3), Kernel.gauss(2.0, -0.5)),
+        (Kernel.laplace(2.0, 0.3), Kernel.gauss(2.0, 0.3)),
+    ], ids=["laplace_off_centre", "gauss_off_centre", "laplace_against_gauss"])
+    def test_fallback_to_the_engine_holds_the_adaptive_engine(self, k, profile):
+        # a possibility profile centred elsewhere, or the Gauss profile
+        # under a Laplace kernel, has no closed form and no power moment,
+        # so the moment (and off centre the normalizer) runs tanh-sinh
+        mu = RealCapacity.possibility(profile)
+        assert continuous._power_moments(mu) is None
+        numerator, normalizer = engine_moment(k, mu, choquet_integral_real)
+        assert normalizer == pytest.approx(kernel_normalizer(k, mu),
+                                           rel=continuous.QUAD_REL_TOL)
+        assert numerator / normalizer == pytest.approx(
+            continuous.kernel_moment(k, mu), rel=continuous.QUAD_REL_TOL)
+
     def test_closed_forms_as_written(self):
         # the Picard possibility moment from the annulus: the capacity is
         # e**(-n y) at the inner radius y, so T_n = int_0^{1/n} (1 - n y)

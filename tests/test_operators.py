@@ -109,6 +109,33 @@ class TestBasisCache:
                 assert info.maxsize == 1
                 assert info.currsize <= 1
 
+    def test_degree_tables_are_bounded(self):
+        info = operators._degree.cache_info()
+        assert info.maxsize is not None and info.maxsize >= 16
+
+    @pytest.mark.parametrize("order", [(1029, 64, 4), (4, 64, 1029)])
+    def test_rows_do_not_depend_on_the_order_of_the_degrees(self, order):
+        # from an empty table each degree is built by the row that first
+        # asks for it; a row and a node vector read it the same either way
+        operators._degree.cache_clear()
+        sqrt = function_spec("sqrt")
+        for n in order:
+            for x in (0.0, -0.0, 0.3, 1.0):
+                assert _bits(operators.bernstein_basis_vector(n, x)) == _bits(
+                    _ref_basis(n, x)), (n, x)
+            assert _bits(operators._nodes(sqrt, n)) == _bits(
+                sqrt.fn(i / n) for i in range(n + 1)), n
+
+    def test_an_evicted_degree_is_rebuilt_bit_for_bit(self):
+        want = _bits(_ref_basis(7, 0.3))
+        assert _bits(operators.bernstein_basis_vector(7, 0.3)) == want
+        info = operators._degree.cache_info()
+        for n in range(100, 100 + info.maxsize):
+            operators.bernstein_basis_vector(n, 0.5)
+        misses = operators._degree.cache_info().misses
+        assert _bits(operators.bernstein_basis_vector(7, 0.3)) == want
+        assert operators._degree.cache_info().misses == misses + 1
+
     @pytest.mark.parametrize("name", ["sqrt", "exp_neg", "concave_quad", "abs_dev",
                                       "pw_linear", "const", "e1"])
     def test_public_functions_are_the_formulas_bit_for_bit(self, name):
