@@ -245,7 +245,7 @@ def check_properties(cap: DiscreteCapacity) -> PropertyReport:
     up = _up(m)
     witnesses: dict = {}  # one per failed flag
 
-    if not mu[0] <= EXACT_TOL:
+    if not abs(mu[0]) <= EXACT_TOL:
         witnesses["monotone"] = ("mu(empty) != 0", float(mu[0]))
     elif (drop := mu[:, None] > mu[up] + EXACT_TOL).any():
         a, j = divmod(int(drop.argmax()), m)  # first in mask-then-element order

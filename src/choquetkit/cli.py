@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -24,7 +24,7 @@ import numpy as np
 from . import capacity as cap_mod
 from .capacity import (DiscreteCapacity, check_properties, distortion_by_name,
                        dual, possibility_capacity, random_monotone_capacity)
-from .continuous import (choquet_integral_real, choquet_integral_real_grid,
+from .continuous import (choquet_integral_real, choquet_integral_real_grid, kernel_moment,
                          product_level_function)
 from .discrete import (choquet_integral, choquet_integral_layer_cake,
                        property_suite)
@@ -32,11 +32,10 @@ from .errors import ConfigError, DivergenceError, QuadratureError
 from .estimates import (ErrorTable, chebyshev_check, convergence_report, delta_rule,
                         format_float, modulus_of_continuity, quantitative_bound)
 from .functions import FunctionSpec, function_spec
-from .intervals import IntervalUnion
-from .operators import (DEFAULT_PROFILE, MAX_BERNSTEIN_DEGREE, PerturbationProfile,
-                        _nodes, bernstein_choquet, bernstein_choquet_capacity,
-                        bernstein_classical, perturbation_gap, picard_choquet,
-                        picard_classical, weierstrass_choquet)
+from .operators import (DEFAULT_PROFILE, PerturbationProfile, bernstein_choquet,
+                        bernstein_choquet_capacity, bernstein_classical, perturbation_band,
+                        perturbation_gap, picard_choquet, picard_classical,
+                        weierstrass_choquet)
 from .realline import Kernel, RealCapacity
 
 EXIT_OK = 0
@@ -344,47 +343,32 @@ class _Setup:
     window: tuple
 
     @staticmethod
-    def parse(cfg: dict, names) -> _Setup:
-        n_list, x_grid = cfg["n_list"], cfg["x_grid"]
+    def parse(cfg: dict) -> _Setup:
+        """The setup of a read config; each operator checks its own domain."""
+        x_grid = cfg["x_grid"]
         try:
             profile = PerturbationProfile(cfg["i0"], cfg["theta"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        lo, hi = float(np.min(x_grid)), float(np.max(x_grid))
-        bernstein = any(name.startswith("bernstein") for name in names)
-        if bernstein and (lo < 0 or hi > 1):
-            raise ConfigError("bernstein operators need an x grid inside [0, 1]")
-        if bernstein and max(n_list) > MAX_BERNSTEIN_DEGREE:
-            raise ConfigError(f"bernstein operators need n <= {MAX_BERNSTEIN_DEGREE}, past which "
-                              f"C(n, n // 2) overflows a float, got n={max(n_list)}")
-        # both Bernstein bounds read f(i0/n), a node of the ground set
-        for n in n_list if bernstein else ():
-            if "bernstein_choquet" in names and (n < 2 or profile.i0 > n):
-                raise ConfigError(f"bernstein_choquet needs 2 <= n and i0 <= n, "
-                                  f"got n={n}, i0={profile.i0}")
-            if profile.i0 > n:
-                raise ConfigError(f"bernstein needs i0 <= n, got n={n}, i0={profile.i0}")
-        return _Setup(cfg["function"], n_list, x_grid, profile, cfg["capacity"],
-                      (lo - 1.0, hi + 1.0))
+        window = (float(np.min(x_grid)) - 1.0, float(np.max(x_grid)) + 1.0)
+        return _Setup(cfg["function"], cfg["n_list"], x_grid, profile, cfg["capacity"], window)
 
 
-def _bernstein_bound(setup: _Setup, n: int, x: float) -> float:
-    """The perturbation band: the gap correction of
-    :func:`bernstein_choquet_closedform` with the gap at its ceiling 2**-n."""
-    nodes = _nodes(setup.spec, n)
-    return abs(nodes[setup.profile.i0] - min(nodes)) * 2.0 ** -n
+def _band(setup: _Setup, n: int, x: float) -> float:
+    return perturbation_band(setup.spec, n, setup.profile)
 
 
 def _kernel_operator(op, kernel):
     """Table row of a Choquet kernel operator; the capacity follows its kernel.
-    The bound takes its delta from the operator's own deviation integral
-    ``op(|. - x|)(x)`` and its modulus over the setup's window."""
+    The bound takes its delta from the kernel moment ``T_n(|. - x|)(x)`` and
+    its modulus over the setup's window."""
 
     def evaluate(setup: _Setup, n: int, x: float) -> float:
         return op(_nonneg(setup.spec), n, x, setup.capacity(kernel(n, x)))
 
     def bound(setup: _Setup, n: int, x: float) -> float:
-        tn_phi = op(function_spec("abs_dev", center=x), n, x, setup.capacity(kernel(n, x)))
+        k = kernel(n, x)
+        tn_phi = kernel_moment(k, setup.capacity(k))
         delta = delta_rule(tn_phi, n)
         return quantitative_bound(tn_phi, delta,
                                   modulus_of_continuity(setup.spec, delta, setup.window))
@@ -397,12 +381,9 @@ _PICARD_CHOQUET = _kernel_operator(picard_choquet, Kernel.laplace)
 # name -> (evaluate, bound), each called as f(setup, n, x); the classical
 # Picard operator takes its bound from the Picard-Choquet deviation integral
 OPERATORS = {
-    "bernstein": (lambda s, n, x: bernstein_classical(s.spec.fn, n, x),
-                  _bernstein_bound),
-    "bernstein_choquet": (lambda s, n, x: bernstein_choquet(s.spec.fn, n, x, s.profile),
-                          _bernstein_bound),
-    "picard": (lambda s, n, x: picard_classical(s.spec, n, x),
-               _PICARD_CHOQUET[1]),
+    "bernstein": (lambda s, n, x: bernstein_classical(s.spec.fn, n, x), _band),
+    "bernstein_choquet": (lambda s, n, x: bernstein_choquet(s.spec.fn, n, x, s.profile), _band),
+    "picard": (lambda s, n, x: picard_classical(s.spec, n, x), _PICARD_CHOQUET[1]),
     "picard_choquet": _PICARD_CHOQUET,
     "weierstrass_choquet": _kernel_operator(weierstrass_choquet, Kernel.gauss),
 }
@@ -412,15 +393,18 @@ PAIRS = {"bernstein": ("bernstein", "bernstein_choquet"),
 
 
 def _table(setup: _Setup, evaluate, bound=None) -> ErrorTable:
-    """One operator's rows over the setup's (n, x) grid."""
-    return convergence_report(partial(evaluate, setup), setup.spec.fn, setup.n_list,
-                              setup.x_grid, bound and partial(bound, setup))
+    """One operator's rows over the setup's (n, x) grid; an (n, x) or i0
+    outside the operator's domain (its ``ValueError``) is a config error."""
+    try:
+        return convergence_report(partial(evaluate, setup), setup.spec.fn, setup.n_list,
+                                  setup.x_grid, bound and partial(bound, setup))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_operator(cfg: dict) -> int:
     """Error table for one operator over an (n, x) grid."""
-    name = cfg["operator"]
-    table = _table(_Setup.parse(cfg, [name]), *OPERATORS[name])
+    table = _table(_Setup.parse(cfg), *OPERATORS[cfg["operator"]])
     with _output(cfg["out"]) as stream:
         table.to_csv(stream)
     return EXIT_OK
@@ -429,7 +413,7 @@ def cmd_operator(cfg: dict) -> int:
 def cmd_compare(cfg: dict) -> int:
     """Classical vs Choquet operator side by side."""
     names = PAIRS[cfg["pair"]]   # (classical, Choquet)
-    setup = _Setup.parse(cfg, names)
+    setup = _Setup.parse(cfg)
     classical = _table(setup, OPERATORS[names[0]][0])
     choquet = _table(setup, *OPERATORS[names[1]])
     with _output(cfg["out"]) as stream:
@@ -451,10 +435,8 @@ def _verify_capacity(rng: np.random.Generator, trials: int) -> list[str]:
         size = int(rng.integers(2, 6))
         cap = random_monotone_capacity(rng, size)
         report = check_properties(cap)
-        if not report.monotone:
+        if not report.monotone:   # mu(empty) != 0 included
             bad.append(f"trial {t}: generated capacity not monotone: {report.witnesses}")
-        if abs(cap.value(())) > cap_mod.EXACT_TOL:
-            bad.append(f"trial {t}: mu(empty) != 0")
         if report.submodular and not report.subadditive:
             bad.append(f"trial {t}: submodular without subadditive")
         # both tables are indexed by bitmask (bit i for element i)
@@ -463,14 +445,14 @@ def _verify_capacity(rng: np.random.Generator, trials: int) -> list[str]:
             mask = int(np.argmax(off))
             bad.append(f"trial {t}: dual is not an involution on "
                        f"{[i for i in range(size) if mask >> i & 1]}")
-        # possibility axiom on random interval unions
-        kernel = Kernel.laplace(float(rng.uniform(0.5, 4.0)),
-                                float(rng.uniform(-1.0, 1.0)))
-        mu = RealCapacity.possibility(kernel)
+        # possibility axiom on the columns A = [p0, p1] u [p2, p3], B = [p4, p5], A u B
+        mu = RealCapacity.possibility(Kernel.laplace(float(rng.uniform(0.5, 4.0)),
+                                                     float(rng.uniform(-1.0, 1.0))))
         pts = np.sort(rng.uniform(-3.0, 3.0, size=6))
-        a = IntervalUnion.from_pairs([(pts[0], pts[1]), (pts[2], pts[3])])
-        b = IntervalUnion.from_pairs([(pts[4], pts[5])])
-        if abs(mu.value(a.union(b)) - max(mu.value(a), mu.value(b))) > cap_mod.EXACT_TOL:
+        member = np.array([[True, False, True], [True, False, True], [False, True, True]])
+        mu_a, mu_b, mu_ab = mu.values(np.where(member, pts[0::2, None], np.inf),
+                                      np.where(member, pts[1::2, None], -np.inf))
+        if abs(mu_ab - max(mu_a, mu_b)) > cap_mod.EXACT_TOL:
             bad.append(f"trial {t}: possibility max rule violated")
     return bad
 
@@ -537,9 +519,10 @@ def _verify_bounds(rng: np.random.Generator, trials: int) -> list[str]:
     # bound column that collapsed toward 0 fails
     evaluate, bound = OPERATORS["picard_choquet"]
     for capacity in ("possibility", "sqrt_lebesgue"):
-        setup = _Setup(function_spec("exp_neg"), [2, 4, 8], np.array([-1.0, 0.0, 1.5]),
-                       DEFAULT_PROFILE, _capacity(capacity, _REAL_KINDS), (-2.0, 3.0))
-        unit = _table(replace(setup, spec=function_spec("e0")), evaluate)
+        cfg = _read({"capacity": capacity, "n_list": [2, 4, 8]}, _TABLE, "bounds suite")
+        cfg["x_grid"] = np.array([-1.0, 0.0, 1.5])
+        setup = _Setup.parse(cfg)
+        unit = _table(_Setup.parse({**cfg, "function": function_spec("e0")}), evaluate)
         for (n, x, value, *_), (_, _, _, _, err, b) in zip(
                 unit.rows, _table(setup, evaluate, bound).rows):
             if abs(value - 1.0) > 1e-9:

@@ -35,8 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .capacity import (EXACT_TOL, DiscreteCapacity, _exact_table, _square_witness,
-                       _tabulate, dual)
+from .capacity import EXACT_TOL, DiscreteCapacity, _exact_table, _square_witness
 
 # membership-matrix entries per ``values`` call of the layer cake: one call
 # up to m = 511, and a bounded matrix beyond
@@ -189,10 +188,10 @@ def property_suite(cap: DiscreteCapacity, trials: int = 1000,
     Positive homogeneity, monotonicity, translation by constants and the
     dual identity must hold for every monotone capacity; subadditivity of
     the integral is checked whenever the capacity is submodular.
-    Violations carry the offending inputs as witnesses.  The capacity and
-    its dual are read as bitmask tables: a capacity's own ``table``, or
-    else one ``values`` call on all ``2**size`` subsets, so at most
-    ``EXHAUSTIVE_BOUND`` elements.
+    Violations carry the offending inputs as witnesses.  The capacity is
+    read as a bitmask table ``mu``: its own ``table``, or else one ``values``
+    call on all ``2**size`` subsets, so at most ``EXHAUSTIVE_BOUND`` elements.
+    Its dual's table is ``mu[-1] - mu[::-1]``, as ``capacity.dual`` builds it.
     """
     mu = _exact_table(cap)
     submodular = _square_witness(mu) is None
@@ -204,7 +203,7 @@ def property_suite(cap: DiscreteCapacity, trials: int = 1000,
         families += [x + y, y]
     ints = _choquet_rows(np.concatenate(families), mu).reshape(len(families), trials)
     ix, iax, ibig, ixc, ineg = ints[:5]
-    idual = -_choquet_rows(x, _tabulate(dual(cap)))
+    idual = -_choquet_rows(x, mu[-1] - mu[::-1])
     shifted = ix + c * mu[-1]
 
     # each identity: its violation flags, then its witness columns

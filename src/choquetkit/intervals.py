@@ -44,6 +44,3 @@ class IntervalUnion:
             else:
                 merged.append((a, b))
         return IntervalUnion(tuple(merged))
-
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion.from_pairs(self.intervals + other.intervals)

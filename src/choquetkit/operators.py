@@ -9,8 +9,8 @@ the plain basis sum, and the full ground set is pinned to 1.  With
 ``theta = 0`` the capacity is additive and the operator collapses to the
 classical Bernstein polynomial.  For every f the operator is that
 polynomial plus ``[f(i0/n) - min_i f(i/n)] * gap``
-(:func:`bernstein_choquet_closedform`): it departs from the classical
-one by at most ``2**-n`` times the spread of the node values.
+(:func:`bernstein_choquet_closedform`): for 0 < i0 < n it departs from the
+classical one by at most :func:`perturbation_band`.
 
 The kernel operators divide a real-line Choquet integral of
 ``f(t) * kernel(t)`` by the integral of the bare kernel.  At the deviation
@@ -90,7 +90,7 @@ def _basis(n: int, x: float) -> tuple[float, ...]:
         raise ValueError(f"Bernstein degree must be at most {MAX_BERNSTEIN_DEGREE}, "
                          f"where C(n, n // 2) still fits a float, got n={n}")
     if not 0.0 <= x <= 1.0:
-        raise ValueError("basis argument must lie in [0, 1]")
+        raise ValueError(f"basis argument must lie in [0, 1], got x={x}")
     return _basis_row(n, x, math.copysign(1.0, x))
 
 
@@ -160,10 +160,16 @@ class PerturbationProfile:
 DEFAULT_PROFILE = PerturbationProfile()
 
 
+def _outside(n: int, profile: PerturbationProfile) -> ValueError:
+    """The error of an i0 outside the ground set {0, ..., n}."""
+    return ValueError(f"perturbed index outside the ground set: needs i0 <= n, "
+                      f"got n={n}, i0={profile.i0}")
+
+
 def _gap(p: Sequence[float], profile: PerturbationProfile) -> float:
     i0 = profile.i0
     if i0 >= len(p):
-        raise ValueError("perturbed index outside the ground set")
+        raise _outside(len(p) - 1, profile)
     return profile.theta * min(p[:i0] + p[i0 + 1:])
 
 
@@ -177,6 +183,26 @@ def perturbation_gap(n: int, x: float, profile: PerturbationProfile = DEFAULT_PR
     return _gap(_basis(n, x), profile)
 
 
+def perturbation_band(f: Callable[[float], float], n: int,
+                      profile: PerturbationProfile = DEFAULT_PROFILE) -> float:
+    """``|f(i0/n) - min_i f(i/n)| * 2**-n``, for every n >= 1: the gap
+    correction of :func:`bernstein_choquet_closedform` with the gap at 2**-n,
+    its ceiling for 0 < i0 < n, where one end weight ``(1 - x)**n`` or
+    ``x**n`` is at most 2**-n (at i0 = 0, n = 2, x = 2/3 the gap is 4/9)."""
+    if profile.i0 > n:
+        raise _outside(n, profile)
+    nodes = _nodes(f, n)
+    return abs(nodes[profile.i0] - min(nodes)) * 2.0 ** -n
+
+
+def _perturbed_basis(n: int, x: float, profile: PerturbationProfile) -> tuple:
+    """The perturbed capacity's basis row and gap; it needs n >= 2."""
+    if n < 2:
+        raise ValueError(f"perturbed basis capacity needs n >= 2, got n={n}")
+    p = _basis(n, x)
+    return p, _gap(p, profile)
+
+
 def bernstein_choquet_capacity(n: int, x: float,
                                profile: PerturbationProfile = DEFAULT_PROFILE
                                ) -> DiscreteCapacity:
@@ -185,11 +211,8 @@ def bernstein_choquet_capacity(n: int, x: float,
     Monotone, subadditive, normalized; additive exactly when theta = 0 or
     the perturbation gap vanishes (x in {0, 1}).
     """
-    if n < 2:
-        raise ValueError("perturbed basis capacity needs n >= 2")
     i0 = profile.i0
-    p = _basis(n, x)
-    gap = _gap(p, profile)
+    p, gap = _perturbed_basis(n, x, profile)
     size = n + 1
 
     def tails(order: Sequence[int]) -> list[float]:
@@ -239,10 +262,7 @@ def bernstein_choquet_closedform(f: Callable[[float], float], n: int, x: float,
     registered family and computed afresh for a bare callable
     (:func:`_nodes`).
     """
-    if n < 2:
-        raise ValueError("perturbed basis capacity needs n >= 2")
-    p = _basis(n, x)
-    gap = _gap(p, profile)
+    p, gap = _perturbed_basis(n, x, profile)
     values = _nodes(f, n)
     return (math.fsum(map(operator.mul, values, p))
             + (values[profile.i0] - min(values)) * gap)

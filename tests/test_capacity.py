@@ -349,6 +349,13 @@ class TestCheckProperties:
         assert not report.monotone
         assert "monotone" in report.witnesses
 
+    @pytest.mark.parametrize("empty", [-0.5, 0.5])
+    def test_nonzero_empty_set_is_not_monotone(self, empty):
+        # a negative mu(empty) used to pass as monotone: only mu(empty) > 0 was caught
+        report = check_properties(capacity_from_table(2, [empty, 0.2, 0.3, 1.0]))
+        assert not report.monotone
+        assert report.witnesses["monotone"] == ("mu(empty) != 0", empty)
+
     def test_sampled_flag_and_capability_error(self, rng):
         cap = random_monotone_capacity(rng, 8)
         assert check_properties(cap).sampled is False
@@ -489,7 +496,7 @@ def brute_force_properties(cap):
     mu = [cap.evaluator(_subset(mask)) for mask in range(1 << size)]
     tol = 1e-12
     witness = None
-    if mu[0] > tol:
+    if abs(mu[0]) > tol:
         witness = ("mu(empty) != 0", mu[0])
     else:
         for a in range(1 << size):
@@ -699,8 +706,8 @@ class TestRealCapacity:
             pts = np.sort(rng.uniform(-3.0, 3.0, size=6))
             a = IntervalUnion.from_pairs([(pts[0], pts[1]), (pts[2], pts[3])])
             b = IntervalUnion.from_pairs([(pts[4], pts[5])])
-            assert mu.value(a.union(b)) == pytest.approx(
-                max(mu.value(a), mu.value(b)), abs=1e-15)
+            union = IntervalUnion.from_pairs(a.intervals + b.intervals)
+            assert mu.value(union) == pytest.approx(max(mu.value(a), mu.value(b)), abs=1e-15)
 
     def test_monotone_on_nested_unions(self, rng):
         sqrt_mu = RealCapacity.sqrt_lebesgue()
@@ -708,8 +715,8 @@ class TestRealCapacity:
         for _ in range(200):
             pts = np.sort(rng.uniform(-3.0, 3.0, size=4))
             small = IntervalUnion.from_pairs([(pts[0], pts[1]), (pts[2], pts[3])])
-            big = small.union(IntervalUnion.from_pairs(
-                [(float(rng.uniform(-4, 4)), float(rng.uniform(4, 5)))]))
+            big = IntervalUnion.from_pairs(
+                small.intervals + ((float(rng.uniform(-4, 4)), float(rng.uniform(4, 5))),))
             for mu in (sqrt_mu, poss):
                 assert mu.value(small) <= mu.value(big) + 1e-12
 

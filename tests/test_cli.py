@@ -422,15 +422,17 @@ class TestOperator:
         out, err = capsys.readouterr()
         assert out == "" and "unknown operator config key(s) 'quadrature'" in err
 
-    @pytest.mark.parametrize("flags", [["--i0", "9", "--n", "2"],
-                                       ["--n", "1", "--xgrid", "0:1:2"]],
-                             ids=["i0_above_n", "n_1"])
-    def test_bernstein_choquet_ground_set_is_config_error(self, capsys, flags):
-        # the default operator needs 2 <= n and i0 <= n for every n of the list
+    @pytest.mark.parametrize("flags, reason", [
+        (["--i0", "9", "--n", "2"], "perturbed index outside the ground set: needs i0 <= n, "
+                                    "got n=2, i0=9"),
+        (["--n", "1", "--xgrid", "0:1:2"], "perturbed basis capacity needs n >= 2, got n=1"),
+    ], ids=["i0_above_n", "n_1"])
+    def test_bernstein_choquet_ground_set_is_config_error(self, capsys, flags, reason):
+        # the default operator's capacity needs 2 <= n and i0 <= n
         assert main(["operator"] + flags) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("config error: bernstein_choquet needs 2 <= n and i0 <= n")
+        assert err == f"config error: {reason}\n"
 
     def test_bernstein_i0_above_n_is_config_error(self, capsys):
         # the bound column reads f(i0/n), a node of the ground set {0, ..., n}
@@ -438,13 +440,21 @@ class TestOperator:
                      "--i0", "9", "--n", "2,16"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "config error: bernstein needs i0 <= n, got n=2, i0=9\n"
+        assert err == ("config error: perturbed index outside the ground set: "
+                       "needs i0 <= n, got n=2, i0=9\n")
         assert main(["operator", "--operator", "bernstein", "--function", "sqrt",
                      "--i0", "2", "--n", "1,2"]) == 2
-        assert capsys.readouterr().err == "config error: bernstein needs i0 <= n, got n=1, i0=2\n"
+        assert capsys.readouterr().err == ("config error: perturbed index outside the ground "
+                                           "set: needs i0 <= n, got n=1, i0=2\n")
+
+    def test_bernstein_degree_1_with_the_default_i0(self, capsys):
         # the default i0 = 1 keeps n = 1, which only the Choquet operator refuses
         assert main(["operator", "--operator", "bernstein", "--function", "sqrt",
                      "--n", "1", "--xgrid=0:1:2"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "n,x,operator_value,f_x,abs_error,bound_value"
+        # the band at n = 1: |f(1) - min(f(0), f(1))| / 2
+        assert [row.split(",")[5] for row in rows] == ["0.5", "0.5"]
 
     @pytest.mark.parametrize("command", [
         ["operator", "--operator", "bernstein"],
@@ -457,8 +467,22 @@ class TestOperator:
                                "--xgrid=0:1:2"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("config error: bernstein operators need n <= 1029, past which "
-                       "C(n, n // 2) overflows a float, got n=1100\n")
+        assert err == ("config error: Bernstein degree must be at most 1029, where "
+                       "C(n, n // 2) still fits a float, got n=1100\n")
+
+    @pytest.mark.parametrize("command", [
+        ["operator", "--operator", "bernstein"],
+        ["operator", "--operator", "bernstein_choquet"],
+        ["compare", "--pair", "bernstein"],
+    ], ids=["bernstein", "bernstein_choquet", "compare"])
+    @pytest.mark.parametrize("grid, x", [("-0.5:1:3", "-0.5"), ("0:1.5:3", "1.5")],
+                             ids=["below_0", "above_1"])
+    def test_bernstein_x_outside_the_unit_interval_is_config_error(self, capsys, command,
+                                                                     grid, x):
+        assert main(command + ["--function", "sqrt", "--n", "4", f"--xgrid={grid}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: basis argument must lie in [0, 1], got x={x}\n"
 
     @pytest.mark.parametrize("operator, grid", [
         ("picard", {"min": 0, "max": math.inf, "count": 3}),
@@ -548,7 +572,8 @@ class TestCompare:
         assert main(["compare", "--pair", "bernstein", "--i0", "9", "--n", "2"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "config error: bernstein_choquet needs 2 <= n and i0 <= n, got n=2, i0=9\n"
+        assert err == ("config error: perturbed index outside the ground set: "
+                       "needs i0 <= n, got n=2, i0=9\n")
 
     def test_bernstein_pair(self, tmp_path):
         out = tmp_path / "cb.csv"

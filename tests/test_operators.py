@@ -315,12 +315,58 @@ class TestPerturbedCapacity:
             assert singles > 1.0 + 1e-6  # strictly non-additive for theta=1
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"needs n >= 2, got n=1$"):
             bernstein_choquet_capacity(1, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"needs n >= 2, got n=1$"):
+            bernstein_choquet_closedform(math.sqrt, 1, 0.5)
+        with pytest.raises(ValueError, match=r"needs i0 <= n, got n=4, i0=9$"):
             bernstein_choquet_capacity(4, 0.5, PerturbationProfile(i0=9))
         with pytest.raises(ValueError):
             PerturbationProfile(theta=1.2)
+
+
+class TestPerturbationBand:
+    SPECS = [function_spec("sqrt"), function_spec("exp_neg"), function_spec("concave_quad"),
+             function_spec("abs_dev", center=0.3)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+    def test_band_holds_the_departure_from_the_classical_polynomial(self, spec):
+        # an inner i0, so the end weights (1 - x)**n and x**n, one of them at
+        # most 2**-n, are among those the gap takes its minimum over
+        for n in (2, 3, 8, 64):
+            for prof in (PerturbationProfile(1, 1.0), PerturbationProfile(n // 2, 0.5),
+                         PerturbationProfile(n - 1, 1.0)):
+                band = operators.perturbation_band(spec, n, prof)
+                for x in np.linspace(0.0, 1.0, 21):
+                    classical = bernstein_classical(spec, n, x)
+                    departure = abs(bernstein_choquet_closedform(spec, n, x, prof) - classical)
+                    # the closed form adds its correction to the classical sum
+                    assert departure <= band + math.ulp(classical)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+    def test_band_is_the_departure_at_the_midpoint(self, spec):
+        # at x = 1/2 the smallest basis weight is 2**-n, so with theta = 1
+        # the gap is at its ceiling and the band is attained
+        for n in (2, 3, 8, 64):
+            for i0 in (0, 1, n):
+                prof = PerturbationProfile(i0, 1.0)
+                assert perturbation_gap(n, 0.5, prof) == 2.0 ** -n
+                classical = bernstein_classical(spec, n, 0.5)
+                departure = abs(bernstein_choquet_closedform(spec, n, 0.5, prof) - classical)
+                assert departure == pytest.approx(operators.perturbation_band(spec, n, prof),
+                                                  rel=0, abs=math.ulp(classical))
+
+    def test_the_band_needs_an_inner_index(self):
+        # with i0 = 0 the gap is min(2x(1 - x), x**2), 4/9 at x = 2/3
+        assert perturbation_gap(2, 2.0 / 3.0, PerturbationProfile(i0=0)) > 0.25
+
+    def test_band_takes_degree_1(self):
+        assert operators.perturbation_band(math.sqrt, 1) == 0.5
+        assert operators.perturbation_band(math.sqrt, 1, PerturbationProfile(i0=0)) == 0.0
+
+    def test_band_rejects_an_index_outside_the_ground_set(self):
+        with pytest.raises(ValueError, match=r"needs i0 <= n, got n=1, i0=2$"):
+            operators.perturbation_band(math.sqrt, 1, PerturbationProfile(i0=2))
 
 
 class TestBernsteinChoquet:
