@@ -5,7 +5,8 @@ Configuration is a single JSON document (``--config``) read through the
 subcommand's schema (``_SCHEMAS``), which gives each key its JSON kinds,
 parser, default and flag; a flag given overrides the file.  Exit codes:
 0 success, 1 property violation, 2 configuration error, 3 numeric
-non-convergence or float overflow.
+non-convergence or float overflow.  ``main`` alone maps errors to codes: a
+``ValueError``, the schema's ``ConfigError`` or a library rule's, exits 2.
 """
 
 from __future__ import annotations
@@ -193,13 +194,6 @@ _function = _named(function_spec, "function spec")
 _GAMMA = _Key((str, dict, None), _named(distortion_by_name, "distortion"), "sqrt")
 
 
-def _nonneg(spec: FunctionSpec) -> FunctionSpec:
-    """``spec`` if it may meet a Choquet kernel operator (real-line engine)."""
-    if not spec.nonneg_real_line:
-        raise ConfigError(f"function {spec.name!r} is not nonnegative on the real line")
-    return spec
-
-
 def _kernel(n: float, default) -> _Key:
     """A kernel key whose ``n`` defaults to ``n``; null reads as ``{}``."""
     fields = {"family": _Key((str,), default="laplace"), "n": _Key((float,), default=n),
@@ -308,14 +302,12 @@ def cmd_integrate(cfg: dict) -> int:
         try:
             primary = choquet_integral(values, cap)
             check = choquet_integral_layer_cake(values, cap)
-        except ValueError as exc:  # a NaN or infinite value
-            raise ConfigError(str(exc)) from exc
         except OverflowError as exc:  # finite values whose sum does not fit a float
             raise DivergenceError(f"discrete integral overflows: {exc}") from exc
         mode, engines = "discrete", ("sorted_tail_sum", "layer_cake_exact")
     else:
         mu = cap(cfg["kernel"])
-        g = product_level_function(_nonneg(cfg["function"]), cfg["kernel"])
+        g = product_level_function(cfg["function"], cfg["kernel"])
         primary = choquet_integral_real(g, mu)
         check = choquet_integral_real_grid(g, mu)
         mode, engines = "real", ("adaptive_levels", "tanh_sinh")
@@ -345,11 +337,7 @@ class _Setup:
     @staticmethod
     def parse(cfg: dict) -> _Setup:
         """The setup of a read config; each operator checks its own domain."""
-        x_grid = cfg["x_grid"]
-        try:
-            profile = PerturbationProfile(cfg["i0"], cfg["theta"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        x_grid, profile = cfg["x_grid"], PerturbationProfile(cfg["i0"], cfg["theta"])
         window = (float(np.min(x_grid)) - 1.0, float(np.max(x_grid)) + 1.0)
         return _Setup(cfg["function"], cfg["n_list"], x_grid, profile, cfg["capacity"], window)
 
@@ -364,7 +352,7 @@ def _kernel_operator(op, kernel):
     its modulus over the setup's window."""
 
     def evaluate(setup: _Setup, n: int, x: float) -> float:
-        return op(_nonneg(setup.spec), n, x, setup.capacity(kernel(n, x)))
+        return op(setup.spec, n, x, setup.capacity(kernel(n, x)))
 
     def bound(setup: _Setup, n: int, x: float) -> float:
         k = kernel(n, x)
@@ -394,12 +382,9 @@ PAIRS = {"bernstein": ("bernstein", "bernstein_choquet"),
 
 def _table(setup: _Setup, evaluate, bound=None) -> ErrorTable:
     """One operator's rows over the setup's (n, x) grid; an (n, x) or i0
-    outside the operator's domain (its ``ValueError``) is a config error."""
-    try:
-        return convergence_report(partial(evaluate, setup), setup.spec.fn, setup.n_list,
-                                  setup.x_grid, bound and partial(bound, setup))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    outside the operator's domain raises its ``ValueError``."""
+    return convergence_report(partial(evaluate, setup), setup.spec.fn, setup.n_list,
+                              setup.x_grid, bound and partial(bound, setup))
 
 
 def cmd_operator(cfg: dict) -> int:
@@ -639,7 +624,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](_load_config(args))
-    except ConfigError as exc:
+    except ValueError as exc:   # a ConfigError, or a library rule the config broke
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QuadratureError, DivergenceError, OverflowError) as exc:

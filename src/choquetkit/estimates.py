@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .capacity import EXACT_TOL, DiscreteCapacity
-from .discrete import choquet_integral, choquet_variance
+from .discrete import choquet_integral
 from .errors import CapabilityError
 from .functions import FunctionSpec
 
@@ -112,7 +112,8 @@ def chebyshev_check(values: Sequence[float], cap: DiscreteCapacity,
     mean = choquet_integral(values, cap)
     deviation_set = frozenset(i for i, v in enumerate(values) if abs(v - mean) >= r)
     lhs = cap.evaluator(deviation_set)
-    rhs = choquet_variance(values, cap) / (r * r)
+    # the Choquet variance, on the mean already at hand
+    rhs = choquet_integral([(v - mean) ** 2 for v in values], cap) / (r * r)
     return ChebyshevResult(lhs, rhs, lhs <= rhs + EXACT_TOL)
 
 

@@ -64,7 +64,16 @@ def _degree(n: int) -> tuple[tuple[tuple[float, int, int], ...], tuple[float, ..
     exact division each.  It is kept as a float, rounded as ``int * float``
     rounds it, so a row built on these floats has the bits of one built on
     the ints.
+
+    Every basis row and node vector reads its degree here, so this is the
+    one degree check: ``ValueError`` for ``n < 1`` and for ``n`` above
+    :data:`MAX_BERNSTEIN_DEGREE`, past which ``C(n, n // 2)`` overflows a float.
     """
+    if n < 1:
+        raise ValueError(f"Bernstein degree must be at least 1, got n={n}")
+    if n > MAX_BERNSTEIN_DEGREE:
+        raise ValueError(f"Bernstein degree must be at most {MAX_BERNSTEIN_DEGREE}, "
+                         f"where C(n, n // 2) still fits a float, got n={n}")
     c = [1] * (n + 1)
     for i in range(n // 2):
         c[i + 1] = c[n - 1 - i] = c[i] * (n - i) // (i + 1)
@@ -84,11 +93,6 @@ def _basis_row(n: int, x: float, sign: float) -> tuple[float, ...]:
 
 def _basis(n: int, x: float) -> tuple[float, ...]:
     """The checked, cached, read-only basis row of :func:`bernstein_basis_vector`."""
-    if n < 1:
-        raise ValueError(f"Bernstein degree must be at least 1, got n={n}")
-    if n > MAX_BERNSTEIN_DEGREE:
-        raise ValueError(f"Bernstein degree must be at most {MAX_BERNSTEIN_DEGREE}, "
-                         f"where C(n, n // 2) still fits a float, got n={n}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"basis argument must lie in [0, 1], got x={x}")
     return _basis_row(n, x, math.copysign(1.0, x))
@@ -138,7 +142,7 @@ def bernstein_classical(f: Callable[[float], float], n: int, x: float) -> float:
     The node values come from :func:`_nodes`: shared per ``(f, n)`` for a
     registered family, one call per node for a bare callable.
     """
-    p = _basis(n, x)   # first: it rejects n < 1 before i / n divides by n
+    p = _basis(n, x)   # before f: no node is computed for an x outside [0, 1]
     return math.fsum(map(operator.mul, _nodes(f, n), p))
 
 
@@ -189,9 +193,9 @@ def perturbation_band(f: Callable[[float], float], n: int,
     correction of :func:`bernstein_choquet_closedform` with the gap at 2**-n,
     its ceiling for 0 < i0 < n, where one end weight ``(1 - x)**n`` or
     ``x**n`` is at most 2**-n (at i0 = 0, n = 2, x = 2/3 the gap is 4/9)."""
+    nodes = _nodes(f, n)
     if profile.i0 > n:
         raise _outside(n, profile)
-    nodes = _nodes(f, n)
     return abs(nodes[profile.i0] - min(nodes)) * 2.0 ** -n
 
 

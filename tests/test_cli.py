@@ -1049,6 +1049,42 @@ def test_float_overflow_is_numeric_error(capsys, command):
     assert err.startswith("numeric error: ") and "Traceback" not in err
 
 
+_NOT_NONNEGATIVE = "function 'e1' is not nonnegative on the real line"
+
+
+@pytest.mark.parametrize("argv, config, reason", [
+    (["operator", "--operator", "picard_choquet", "--function", "e1", "--n", "2",
+      "--xgrid", "0:1:2"], None, _NOT_NONNEGATIVE),
+    (["compare", "--pair", "picard", "--function", "e1", "--n", "2", "--xgrid", "0:1:2"],
+     None, _NOT_NONNEGATIVE),
+    (["integrate"], {"function": "e1"}, _NOT_NONNEGATIVE),
+    (["operator", "--theta", "1.5"], None, "theta must lie in [0, 1]"),
+    (["operator", "--i0", "-1"], None, "perturbed index must be nonnegative"),
+    (["operator", "--i0", "9", "--n", "2"], None,
+     "perturbed index outside the ground set: needs i0 <= n, got n=2, i0=9"),
+    (["operator", "--operator", "bernstein", "--xgrid=-0.5:1:3"], None,
+     "basis argument must lie in [0, 1], got x=-0.5"),
+    (["integrate"], {"function": "sqrt", "kernel": {"family": "gauss", "n": 2, "x": 1e200}},
+     "kernel centre x=1e+200 is too large to resolve at the kernel's scale (n=2.0)"),
+], ids=["operator_nonneg", "compare_nonneg", "integrate_nonneg", "theta", "i0_negative",
+        "i0_above_n", "bernstein_x", "kernel_centre"])
+def test_a_broken_library_rule_is_config_error(tmp_path, capsys, argv, config, reason):
+    # main maps the library's ValueError to exit 2, its message the reason
+    if config is not None:
+        argv = argv + ["--config", write_config(tmp_path, config)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: {reason}\n")
+
+
+def test_a_fault_that_is_no_value_error_propagates(monkeypatch):
+    def evaluate(setup, n, x):
+        raise RuntimeError("operator fault")
+
+    monkeypatch.setitem(cli.OPERATORS, "bernstein", (evaluate, cli._band))
+    with pytest.raises(RuntimeError, match="operator fault"):
+        main(["operator", "--operator", "bernstein", "--n", "2"])
+
+
 @pytest.mark.parametrize("command", ["integrate", "operator", "compare"])
 def test_seed_is_a_verify_flag(capsys, command):
     with pytest.raises(SystemExit) as exc:

@@ -263,6 +263,28 @@ class TestBernsteinInputs:
         with pytest.raises(ValueError, match="at least 1"):
             bernstein_classical(math.sqrt, 0, 0.5)
 
+    @pytest.mark.parametrize("n, reason", [
+        (0, "at least 1, got n=0"), (-1, "at least 1, got n=-1"),
+        (1030, "at most 1029, where C(n, n // 2) still fits a float, got n=1030")])
+    @pytest.mark.parametrize("call", [
+        lambda n: bernstein_classical(math.sqrt, n, 0.5),
+        lambda n: operators.perturbation_band(math.sqrt, n),
+        lambda n: operators.perturbation_band(math.sqrt, n, PerturbationProfile(i0=0)),
+    ], ids=["classical", "band", "band_i0_0"])
+    def test_a_degree_outside_the_range_is_the_degree_error(self, call, n, reason):
+        # the band checks the degree before i0 <= n, and never divides by n = 0
+        with pytest.raises(ValueError) as err:
+            call(n)
+        assert str(err.value) == f"Bernstein degree must be {reason}"
+
+    @pytest.mark.parametrize("x", [-0.5, 1.5])
+    @pytest.mark.parametrize("op", TestNodeVector.OPS, ids=lambda op: op.__name__)
+    def test_a_bare_callable_is_not_called_outside_the_unit_interval(self, op, x):
+        calls = []
+        with pytest.raises(ValueError, match=r"basis argument must lie in \[0, 1\]"):
+            op(calls.append, 4, x)
+        assert calls == []
+
 
 class TestBernsteinClassical:
     def test_linear_reproduction(self):
