@@ -494,11 +494,23 @@ def _verify_bounds(rng: np.random.Generator, trials: int) -> list[str]:
     bad: list[str] = []
     if trials == 0:
         return bad
+    # the band holds the Choquet operator's departure from the classical
+    # polynomial at inner and end indices alike, on a function that falls
+    # and then rises
+    f = function_spec("abs_dev", center=0.5)
     for n in (2, 4, 8, 16, 32):
-        for x in np.linspace(0.0, 1.0, 101):
-            gap = perturbation_gap(n, float(x))
+        profiles = [PerturbationProfile(i0) for i0 in sorted({0, 1, n // 2, n - 1, n})]
+        bands = [perturbation_band(f, n, profile) for profile in profiles]
+        for x in np.linspace(0.0, 1.0, 101).tolist():
+            gap = perturbation_gap(n, x)
             if not -1e-15 <= gap <= 2.0 ** -n + 1e-15:
                 bad.append(f"band violated at n={n}, x={x:.3f}: gap={gap:.3e}")
+            classical = bernstein_classical(f, n, x)
+            for profile, band in zip(profiles, bands):
+                departure = abs(bernstein_choquet(f, n, x, profile) - classical)
+                if departure > band + 1e-15:
+                    bad.append(f"band violated at n={n}, i0={profile.i0}, x={x:.3f}: "
+                               f"departure={departure:.3e} > band={band:.3e}")
     # Picard-Choquet is exact on exp_neg under the possibility capacity; under
     # sqrt-Lebesgue its error is 1.8e-3 to a tenth of the bound, so there a
     # bound column that collapsed toward 0 fails

@@ -9,8 +9,8 @@ the plain basis sum, and the full ground set is pinned to 1.  With
 ``theta = 0`` the capacity is additive and the operator collapses to the
 classical Bernstein polynomial.  For every f the operator is that
 polynomial plus ``[f(i0/n) - min_i f(i/n)] * gap``
-(:func:`bernstein_choquet_closedform`): for 0 < i0 < n it departs from the
-classical one by at most :func:`perturbation_band`.
+(:func:`bernstein_choquet_closedform`): it departs from the classical one
+by at most :func:`perturbation_band`.
 
 The kernel operators divide a real-line Choquet integral of
 ``f(t) * kernel(t)`` by the integral of the bare kernel.  At the deviation
@@ -187,16 +187,36 @@ def perturbation_gap(n: int, x: float, profile: PerturbationProfile = DEFAULT_PR
     return _gap(_basis(n, x), profile)
 
 
+def _gap_ceiling(n: int, i0: int) -> float:
+    """The largest gap over x in [0, 1] at theta = 1.
+
+    For 0 < i0 < n the minimum takes in both end weights ``(1 - x)**n`` and
+    ``x**n``, so it is at most 2**-n, reached at x = 1/2.  At i0 = 0 it runs
+    over ``p_1 ... p_n``, whose least is ``p_1`` or ``p_n`` (a basis row is
+    unimodal in i); it peaks where the two cross, at ``x = r / (1 + r)``
+    with ``r = n**(1 / (n - 1))``, at ``(r / (1 + r))**n`` (4/9 at n = 2),
+    and i0 = n is its mirror.  At n = 1 the one other weight, ``x`` or
+    ``1 - x``, reaches 1.
+    """
+    if n == 1:
+        return 1.0
+    if 0 < i0 < n:
+        return 2.0 ** -n
+    r = n ** (1.0 / (n - 1))
+    return (r / (1.0 + r)) ** n
+
+
 def perturbation_band(f: Callable[[float], float], n: int,
                       profile: PerturbationProfile = DEFAULT_PROFILE) -> float:
-    """``|f(i0/n) - min_i f(i/n)| * 2**-n``, for every n >= 1: the gap
-    correction of :func:`bernstein_choquet_closedform` with the gap at 2**-n,
-    its ceiling for 0 < i0 < n, where one end weight ``(1 - x)**n`` or
-    ``x**n`` is at most 2**-n (at i0 = 0, n = 2, x = 2/3 the gap is 4/9)."""
+    """``|f(i0/n) - min_i f(i/n)| * ceiling``, for every n >= 1 and i0 <= n:
+    the gap correction of :func:`bernstein_choquet_closedform` with the gap
+    at its largest over x.  The ceiling is 2**-n for 0 < i0 < n; at an end
+    index i0 = 0 or n it is ``(r / (1 + r))**n`` with ``r = n**(1 / (n - 1))``
+    (4/9 at n = 2, i0 = 0, x = 2/3), and 1 at n = 1."""
     nodes = _nodes(f, n)
     if profile.i0 > n:
         raise _outside(n, profile)
-    return abs(nodes[profile.i0] - min(nodes)) * 2.0 ** -n
+    return abs(nodes[profile.i0] - min(nodes)) * _gap_ceiling(n, profile.i0)
 
 
 def _perturbed_basis(n: int, x: float, profile: PerturbationProfile) -> tuple:

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from choquetkit import (IntervalUnion, Kernel, LevelSetFunction, RealCapacity,
-                        capacity_from_table, cli, function_spec, picard_choquet)
+from choquetkit import (REGISTERED, IntervalUnion, Kernel, LevelSetFunction, RealCapacity,
+                        capacity_from_table, cli, function_spec, operators, picard_choquet)
 from choquetkit.cli import main
 
 
@@ -274,6 +274,15 @@ class TestOperator:
         assert header == ["n", "x", "operator_value", "f_x", "abs_error",
                           "bound_value"]
         assert len(rows) == 10
+        # each degree's C(n, i) and i/n come from a per-degree table, up to
+        # MAX_BERNSTEIN_DEGREE: the rows are the same whichever degree came first
+        tables = []
+        for n_list in ("4,64,1029", "1029,64,4"):
+            assert main(args[:3] + ["--function", "sqrt", "--n", n_list, "--xgrid=0:1:5",
+                                    "--out", str(out1)]) == 0
+            tables.append(sorted(read_rows(out1)[1]))
+        assert tables[0] == tables[1] and len(tables[0]) == 15
+        assert all(math.isfinite(float(c)) for row in tables[0] for c in row)
 
     @pytest.mark.parametrize("operator,center", [("bernstein", 0.0),
                                                  ("bernstein_choquet", 0.0),
@@ -291,18 +300,33 @@ class TestOperator:
             cols = dict(zip(header.split(","), map(float, row.split(","))))
             n = int(cols["n"])
             want = abs(f(1 / n) - min(f(i / n) for i in range(n + 1))) * 2.0 ** -n
-            assert math.isfinite(cols["bound_value"])
+            assert all(map(math.isfinite, cols.values()))
             assert f"{cols['bound_value']:.15g}" == f"{want:.15g}"
 
+    def test_bernstein_band_holds_at_an_end_index(self, capsys):
+        # B_n(e1) = x, so abs_error is the departure from the classical
+        # polynomial; at i0 = n it passes 2**-n, reaching 4/9 at x = 1/3
+        assert main(["operator", "--operator", "bernstein_choquet", "--function", "e1",
+                     "--n", "2", "--i0", "2", "--xgrid", "0:1:4"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 4
+        for row in rows:
+            cols = dict(zip(header.split(","), map(float, row.split(","))))
+            assert cols["abs_error"] <= cols["bound_value"]
+
     def test_picard_choquet_possibility_default(self, tmp_path):
+        # f K peaks at x, the capacity's peak: the layer cake is the
+        # rectangle f(x), added without quadrature, so abs_error is 0
         out = tmp_path / "p.csv"
         assert main(["operator", "--operator", "picard_choquet",
-                     "--function", "exp_neg", "--n", "4",
+                     "--function", "exp_neg", "--n", "2,4",
                      "--xgrid=-1:1:3", "--out", str(out)]) == 0
         _, rows = read_rows(out)
+        assert len(rows) == 6
         for row in rows:
             x, value = float(row[1]), float(row[2])
             assert value == pytest.approx(math.exp(-x), abs=1e-6)
+            assert row[4] == "0"
 
     def test_weierstrass_constant(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -376,7 +400,7 @@ class TestOperator:
         for row in rows:
             cols = dict(zip(header.split(","), map(float, row.split(","))))
             assert all(math.isfinite(v) for v in cols.values())
-            assert cols["abs_error"] <= cols["bound_value"]
+            assert cols["abs_error"] == 0.0 < cols["bound_value"]
 
     def test_pw_linear_bound_uses_exact_modulus(self, tmp_path, capsys):
         # slope -1.5 is the steepest on the window (-2, 2), so with delta the
@@ -389,6 +413,7 @@ class TestOperator:
         assert len(rows) == 3
         for row in rows:
             cols = dict(zip(header.split(","), map(float, row.split(","))))
+            assert all(map(math.isfinite, cols.values()))
             x = cols["x"]
             deviation = picard_choquet(function_spec("abs_dev", center=x), 4, x,
                                        RealCapacity.possibility(Kernel.laplace(4, x)))
@@ -405,6 +430,7 @@ class TestOperator:
         assert len(rows) == 6
         for row in rows:
             cols = dict(zip(header.split(","), map(float, row.split(","))))
+            assert all(map(math.isfinite, cols.values()))
             n, x = int(cols["n"]), cols["x"]
             deviation = picard_choquet(function_spec("abs_dev", center=x), n, x,
                                        RealCapacity.possibility(Kernel.laplace(n, x)))
@@ -453,8 +479,9 @@ class TestOperator:
                      "--n", "1", "--xgrid=0:1:2"]) == 0
         header, *rows = capsys.readouterr().out.splitlines()
         assert header == "n,x,operator_value,f_x,abs_error,bound_value"
-        # the band at n = 1: |f(1) - min(f(0), f(1))| / 2
-        assert [row.split(",")[5] for row in rows] == ["0.5", "0.5"]
+        # the band at n = 1: |f(1) - min(f(0), f(1))| * 1, since at the end
+        # index i0 = 1 the gap 1 - x reaches 1 at x = 0
+        assert [row.split(",")[5] for row in rows] == ["1", "1"]
 
     @pytest.mark.parametrize("command", [
         ["operator", "--operator", "bernstein"],
@@ -626,6 +653,37 @@ def test_tables_match_their_golden_csv_byte_for_byte(tmp_path, command, stem, fu
     assert out.read_bytes() == (GOLDEN / f"{stem}_{function}.csv").read_bytes()
 
 
+# runs whose tables no other test reads cell by cell: both Bernstein
+# operators on every registered family, and kernel tables and comparisons
+# off the golden grids
+_FINITE_RUNS = {
+    **{f"{op}-{name}": (["operator", "--operator", op, "--n", "2,8,64", "--xgrid=0:1:5"],
+                        GOLDEN_FUNCTIONS.get(name, {"name": name}))
+       for op in ("bernstein", "bernstein_choquet") for name in REGISTERED},
+    "weierstrass_choquet-sqrt_lebesgue": (
+        ["operator", "--operator", "weierstrass_choquet", "--capacity", "sqrt_lebesgue",
+         "--n", "2,8", "--xgrid=-1:1:3"], {"name": "sqrt"}),
+    "picard_choquet-sqrt_lebesgue": (
+        ["operator", "--operator", "picard_choquet", "--capacity", "sqrt_lebesgue",
+         "--n", "2,64", "--xgrid=-1:1.5:4"], {"name": "sqrt"}),
+    "weierstrass_choquet-lebesgue": (
+        ["operator", "--operator", "weierstrass_choquet", "--capacity", "lebesgue",
+         "--n", "2,64", "--xgrid=-1:1.5:4"], {"name": "abs_dev"}),
+    # off-centre deviation rows: Lambert lanes with z < 0 and z > 0
+    "compare_picard-abs_dev": (["compare", "--pair", "picard", "--n", "2,64"],
+                               {"name": "abs_dev"}),
+    "compare_bernstein-sqrt": (["compare", "--pair", "bernstein", "--n", "4,64",
+                                "--xgrid=0:1:5"], {"name": "sqrt"}),
+}
+
+
+@pytest.mark.parametrize("argv, function", _FINITE_RUNS.values(), ids=_FINITE_RUNS)
+def test_every_cell_of_the_table_is_finite(tmp_path, capsys, argv, function):
+    assert main(argv + ["--config", write_config(tmp_path, {"function": function})]) == 0
+    _, *rows = capsys.readouterr().out.splitlines()
+    assert rows and all(math.isfinite(float(c)) for row in rows for c in row.split(","))
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite", ["capacity", "integral", "chebyshev",
                                        "bounds"])
@@ -704,6 +762,15 @@ class TestVerify:
         assert out.count("(sqrt_lebesgue)") == 9
         assert "suite=bounds trials=1 violations=9\n" in out
 
+    def test_bounds_suite_checks_the_band_at_every_index(self, monkeypatch, capsys):
+        # negative control: a band at 2**-n for every i0 holds at the inner
+        # indices and falls short at i0 = 0 and i0 = n
+        monkeypatch.setattr(operators, "_gap_ceiling", lambda n, i0: 2.0 ** -n)
+        assert main(["verify", "--suite", "bounds", "--trials", "1"]) == 1
+        found = re.findall(r"band violated at n=(\d+), i0=(\d+),", capsys.readouterr().out)
+        assert {n for n, _ in found} == {"2", "4", "8", "16", "32"}
+        assert all(i0 in ("0", n) for n, i0 in found)
+
     @pytest.mark.parametrize("flags, code", [(["--suite", "bounds"], 0),
                                              (["--inject-nonmonotone"], 1)])
     def test_out_writes_what_stdout_shows(self, tmp_path, capsys, flags, code):
@@ -745,8 +812,6 @@ class TestVerify:
     ("operator", {"function": {"name": "sqrt", "shift": "x"}}),
     ("operator", {"function": {"name": "abs_dev", "center": None}}),
     ("operator", {"function": {"name": "exp_neg", "lam": math.nan}}),
-    ("integrate", {"capacity": {
-        "kind": "distorted_lebesgue", "gamma": {"name": "power", "p": "abc"}}}),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "distorted_uniform",
                                 "size": 0}, "values": []}),
     ("operator", {"n_list": [2.5]}),
@@ -756,8 +821,6 @@ class TestVerify:
                                 "values": [0, 1]}, "values": [1]}),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "bernstein_perturbed",
                                 "n": 2.5, "x": 0.3}, "values": [0, 0.5, 1]}),
-    ("integrate", {"capacity": {
-        "kind": "distorted_lebesgue", "gamma": {"name": "sqrt", "p": 3}}}),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "distorted_uniform",
                                 "gamma": {"name": "identity", "p": 0.5}, "size": 2},
                    "values": [1.0, 2.0]}),
@@ -786,9 +849,9 @@ class TestVerify:
     ("verify", {"trials": "3", "seed": "1"}),
 ], ids=["kernel", "capacity", "function", "capacity_kernel", "gamma",
         "i0_str", "knots", "knots_triple", "knots_number", "theta", "sqrt_shift_nan", "const_c_nan",
-        "sqrt_shift_str", "abs_dev_center_null", "exp_neg_lam_nan", "power_p_str",
+        "sqrt_shift_str", "abs_dev_center_null", "exp_neg_lam_nan",
         "counting_size_0", "n_list_fraction", "count_fraction", "i0_fraction",
-        "size_fraction", "n_fraction", "sqrt_p", "identity_p", "x_grid_bool",
+        "size_fraction", "n_fraction", "identity_p", "x_grid_bool",
         "kernel_n_bool", "kernel_x_bool", "theta_bool", "bernstein_x_bool",
         "value_bool", "theta_str", "n_list_str", "x_grid_str", "kernel_str",
         "weights_str", "value_str", "possibility_weights_str", "table_values_str",
@@ -798,40 +861,48 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, payload):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-@pytest.mark.parametrize("command, payload, key", [
-    ("integrate", {"kernel": {"famly": "gauss", "n": 2, "x": 0.3}}, "famly"),
+@pytest.mark.parametrize("command, payload, what, key", [
+    ("integrate", {"kernel": {"famly": "gauss", "n": 2, "x": 0.3}}, "kernel", "famly"),
     ("integrate", {"capacity": {
-        "kind": "possibility", "kernal": {"family": "gauss", "n": 2, "x": 0.3}}}, "kernal"),
+        "kind": "possibility", "kernal": {"family": "gauss", "n": 2, "x": 0.3}}},
+     "possibility capacity", "kernal"),
     ("operator", {"capacity": {"kind": "possibility",
                                "kernel": {"family": "laplace", "n": 4, "center": 0.5}}},
-     "center"),
-    ("operator", {"capacity": {"kind": "possibility", "gamma": "sqrt"}}, "gamma"),
-    ("operator", {"capacity": {"kind": "distorted_lebesgue", "gama": "identity"}}, "gama"),
+     "kernel", "center"),
+    ("operator", {"capacity": {"kind": "possibility", "gamma": "sqrt"}},
+     "possibility capacity", "gamma"),
+    ("operator", {"capacity": {"kind": "distorted_lebesgue", "gama": "identity"}},
+     "distorted_lebesgue capacity", "gama"),
     ("operator", {"capacity": {"kind": "distorted_lebesgue", "gamma": "sqrt",
-                               "kernel": {"family": "laplace"}}}, "kernel"),
-    ("operator", {"x_grid": {"min": 0, "max": 1, "count": 3, "step": 0.5}}, "step"),
+                               "kernel": {"family": "laplace"}}},
+     "distorted_lebesgue capacity", "kernel"),
+    ("operator", {"x_grid": {"min": 0, "max": 1, "count": 3, "step": 0.5}}, "x grid", "step"),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "bernstein_perturbed", "n": 4,
-                                "x": 0.3, "thetta": 3}, "values": [0, 1, 2, 3, 4]}, "thetta"),
+                                "x": 0.3, "thetta": 3}, "values": [0, 1, 2, 3, 4]},
+     "bernstein_perturbed capacity", "thetta"),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "bernstein_perturbed", "n": 4,
-                                "x": 0.3, "weights": [1]}, "values": [0, 1, 2, 3, 4]}, "weights"),
+                                "x": 0.3, "weights": [1]}, "values": [0, 1, 2, 3, 4]},
+     "bernstein_perturbed capacity", "weights"),
     ("integrate", {"capacity": {"kind": "discrete", "weights": [0.5, 0.5], "theta": 1},
-                   "values": [1, 2]}, "theta"),
+                   "values": [1, 2]}, "additive capacity", "theta"),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "possibility",
-                                "weights": [1, 0.5], "size": 2}, "values": [1, 2]}, "size"),
+                                "weights": [1, 0.5], "size": 2}, "values": [1, 2]},
+     "possibility capacity", "size"),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "distorted_uniform",
-                                "gama": "identity", "size": 2}, "values": [1, 2]}, "gama"),
+                                "gama": "identity", "size": 2}, "values": [1, 2]},
+     "distorted_uniform capacity", "gama"),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "table", "size": 1,
-                                "values": [0, 1], "weights": [1]}, "values": [1]}, "weights"),
+                                "values": [0, 1], "weights": [1]}, "values": [1]},
+     "table capacity", "weights"),
 ], ids=["kernel", "possibility", "possibility_kernel", "possibility_gamma",
         "distorted_lebesgue", "distorted_lebesgue_kernel", "x_grid",
         "bernstein_perturbed", "bernstein_perturbed_weights", "additive", "discrete_possibility",
         "distorted_uniform", "table"])
-def test_unknown_nested_key_is_config_error(tmp_path, capsys, command, payload, key):
+def test_unknown_nested_key_is_config_error(tmp_path, capsys, command, payload, what, key):
     # a misspelt key would otherwise leave its default in force: a "famly"
     # integrates against the Laplace kernel, a "kernal" follows the operator's
     assert main([command, "--config", write_config(tmp_path, payload)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: unknown ") and repr(key) in err
+    assert capsys.readouterr().err.startswith(f"config error: unknown {what} key(s) {key!r}")
 
 
 @pytest.mark.parametrize("command, payload, key", [
@@ -992,15 +1063,18 @@ def test_values_go_with_a_discrete_capacity_only(tmp_path, capsys, payload, mess
     assert out == "" and err == f"config error: {message}\n"
 
 
+_PER_ELEMENT = "values must list one number per element"
+
+
 @pytest.mark.parametrize("command, payload, key", [
     ("integrate", {"capacity": {"kind": "discrete", "rule": "distorted_uniform", "size": 1e300},
-                   "values": [1.0]}, "values"),
+                   "values": [1.0]}, _PER_ELEMENT),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "table", "size": 1e300,
-                                "values": [0, 1]}, "values": [1.0]}, "values"),
+                                "values": [0, 1]}, "values": [1.0]}, _PER_ELEMENT),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "distorted_uniform",
-                                "size": 1_000_000_000}, "values": [1.0]}, "values"),
+                                "size": 1_000_000_000}, "values": [1.0]}, _PER_ELEMENT),
     ("integrate", {"capacity": {"kind": "discrete", "rule": "bernstein_perturbed",
-                                "n": 10 ** 400, "x": 0.3}, "values": [1.0]}, "values"),
+                                "n": 10 ** 400, "x": 0.3}, "values": [1.0]}, _PER_ELEMENT),
     ("operator", {"operator": "picard", "n_list": [10 ** 400], "x_grid": "0:1:2"}, "n_list"),
     ("operator", {"function": {"name": "sqrt", "shift": 10 ** 400}}, "function spec"),
 ], ids=["distorted_uniform_1e300", "table_1e300", "distorted_uniform_1e9",
@@ -1066,8 +1140,16 @@ _NOT_NONNEGATIVE = "function 'e1' is not nonnegative on the real line"
      "basis argument must lie in [0, 1], got x=-0.5"),
     (["integrate"], {"function": "sqrt", "kernel": {"family": "gauss", "n": 2, "x": 1e200}},
      "kernel centre x=1e+200 is too large to resolve at the kernel's scale (n=2.0)"),
+    (["integrate"], {"capacity": {"kind": "distorted_lebesgue",
+                                  "gamma": {"name": "power", "p": "abc"}}},
+     "invalid distortion {'name': 'power', 'p': 'abc'}: power distortion needs a number p, "
+     "got 'abc'"),
+    (["integrate"], {"capacity": {"kind": "distorted_lebesgue",
+                                  "gamma": {"name": "sqrt", "p": 3}}},
+     "invalid distortion {'name': 'sqrt', 'p': 3}: DistortionFunction.sqrt() got an "
+     "unexpected keyword argument 'p'"),
 ], ids=["operator_nonneg", "compare_nonneg", "integrate_nonneg", "theta", "i0_negative",
-        "i0_above_n", "bernstein_x", "kernel_centre"])
+        "i0_above_n", "bernstein_x", "kernel_centre", "power_p_str", "sqrt_p"])
 def test_a_broken_library_rule_is_config_error(tmp_path, capsys, argv, config, reason):
     # main maps the library's ValueError to exit 2, its message the reason
     if config is not None:
@@ -1124,21 +1206,37 @@ def test_console_script_smoke(tmp_path):
 
 def test_every_subcommand_runs_without_scipy(tmp_path):
     # choquetkit needs numpy alone: with scipy made unimportable, every
-    # subcommand and the scalar oracle of a root-finding product still run
-    discrete = write_config(tmp_path, {
-        "values": [1.0, 3.0, 2.0],
-        "capacity": {"kind": "discrete", "rule": "distorted_uniform", "gamma": "sqrt",
-                     "size": 3}}, "discrete.json")
-    real_sqrt = write_config(tmp_path, {
-        "function": {"name": "sqrt", "shift": 3.0},
-        "kernel": {"family": "gauss", "n": 2, "x": 0.3}, "capacity": "sqrt_lebesgue"},
-        "real_sqrt.json")
+    # subcommand and the scalar oracle of a root-finding product still run.
+    # The real-line integrals run both engines on two root-finding products
+    # (Newton lanes against Gauss, Lambert lanes against Laplace), on the
+    # centred deviation's Lambert closed form and on an off-centre deviation
+    # whose level sets gain a component below the top
+    pw_linear = {"name": "pw_linear", "knots": [[-1, 1], [0, 2], [1, 0.5]]}
+    sqrt3 = {"name": "sqrt", "shift": 3.0}
+    configs = {name: write_config(tmp_path, payload, f"{name}.json") for name, payload in {
+        "discrete": {"values": [1.0, 3.0, 2.0], "capacity": {
+            "kind": "discrete", "rule": "distorted_uniform", "gamma": "sqrt", "size": 3}},
+        "real_sqrt": {"function": sqrt3, "kernel": {"family": "gauss", "n": 2, "x": 0.3},
+                      "capacity": "sqrt_lebesgue"},
+        "real_pw": {"function": pw_linear, "kernel": {"family": "laplace", "n": 2, "x": 0.3}},
+        "real_abs_dev": {"function": {"name": "abs_dev", "center": 0.3},
+                         "kernel": {"family": "gauss", "n": 2, "x": 0.3},
+                         "capacity": "sqrt_lebesgue"},
+        "real_birth": {"function": {"name": "abs_dev", "center": 0},
+                       "kernel": {"family": "laplace", "n": 2, "x": 0.3},
+                       "capacity": "sqrt_lebesgue"},
+        "pw_linear": {"function": pw_linear}, "sqrt3": {"function": sqrt3}}.items()}
     grid = ["--function", "sqrt", "--n", "4", "--xgrid=0:1:2"]
-    runs = ([["integrate", "--config", discrete], ["integrate"],
-             ["integrate", "--config", real_sqrt]]
+    kernel_grid = ["--capacity", "sqrt_lebesgue", "--n", "4", "--xgrid=-0.7:0.3:2"]
+    runs = ([["integrate"]] + [["integrate", "--config", configs[name]] for name in (
+                "discrete", "real_sqrt", "real_pw", "real_abs_dev", "real_birth")]
             + [["operator", "--operator", name] + grid for name in cli.OPERATORS]
             + [["compare", "--pair", pair] + grid for pair in cli.PAIRS]
-            + [["verify", "--suite", suite, "--trials", "2"] for suite in cli.SUITES])
+            + [["verify", "--suite", suite, "--trials", "2"] for suite in cli.SUITES]
+            + [["operator", "--operator", name, "--config", configs[cfg]] + kernel_grid
+               for name, cfg in (("picard_choquet", "pw_linear"),
+                                 ("weierstrass_choquet", "sqrt3"), ("picard", "sqrt3"))]
+            + [["compare", "--pair", "picard", "--function", "sqrt"] + kernel_grid[2:]])
     code = "\n".join([
         "import sys",
         "sys.modules['scipy'] = None",
@@ -1152,8 +1250,12 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("IntervalUnion(intervals=((-0.46")
-    assert len(runs) == 14
+    assert len(runs) == 21
     assert "nan" not in proc.stdout and "inf" not in proc.stdout
+    # the two real-line engines agree to QUAD_REL_TOL on all five integrals
+    real = [line.split(",") for line in proc.stdout.splitlines() if line.startswith("real,")]
+    assert len(real) == 5
+    assert all(float(diff) <= 1e-8 * abs(float(check)) for *_, check, diff in real)
 
 
 # ---------------------------------------------------------------------------
@@ -1205,11 +1307,29 @@ def test_fuzz_examples_cover_the_schema():
     assert keys == set(_FUZZ_VALUES) | {"values"}
 
 
+# every rule again on larger ground sets, with signed values, ties and zeros
+_SIGNED_DISCRETE = [
+    ({"kind": "discrete", "rule": "additive", "weights": [0.2, 0.3, 0.5]}, [1.5, -2.0, 0.5]),
+    ({"kind": "discrete", "rule": "possibility", "weights": [0.3, 1.0, 0.6]}, [2.0, -1.0, 0.0]),
+    ({"kind": "discrete", "rule": "distorted_uniform", "gamma": "sqrt", "size": 64},
+     [((7 * i) % 11 - 5) / 4 for i in range(64)]),
+    ({"kind": "discrete", "rule": "bernstein_perturbed", "n": 64, "x": 0.3},
+     [((5 * i) % 9 - 4) / 3 for i in range(65)]),
+    ({"kind": "discrete", "rule": "table", "size": 3,
+      "values": [0, 0.2, 0.5, 0.6, 0.3, 0.5, 0.8, 1]}, [1.0, -2.0, 3.0]),
+]
+
+
 @pytest.mark.parametrize("capacity, values", [
-    *_FUZZ_DISCRETE, *[(capacity, None) for capacity in _FUZZ_VALUES["capacity"]]],
-    ids=[*(cap["rule"] for cap, _ in _FUZZ_DISCRETE), *map(json.dumps, _FUZZ_VALUES["capacity"])])
+    *_FUZZ_DISCRETE, *_SIGNED_DISCRETE,
+    *[(capacity, None) for capacity in _FUZZ_VALUES["capacity"]]],
+    ids=[*(cap["rule"] for cap, _ in _FUZZ_DISCRETE),
+         *(f"{cap['rule']}_signed" for cap, _ in _SIGNED_DISCRETE),
+         *map(json.dumps, _FUZZ_VALUES["capacity"])])
 def test_capacity_picks_the_integrate_engines(tmp_path, capsys, capacity, values):
-    # every discrete rule and every real kind (test_fuzz_examples_cover_the_schema)
+    # every discrete rule and every real kind (test_fuzz_examples_cover_the_schema);
+    # the sorted tail sum agrees with the layer cake, which reads all its
+    # level sets from one batched capacity call
     payload = {"capacity": capacity, **({} if values is None else {"values": values})}
     assert main(["integrate", "--config", write_config(tmp_path, payload)]) == 0
     mode, primary, _, check, check_value, diff = (

@@ -347,6 +347,13 @@ class TestPropertySuite:
         assert [property_suite(cap, trials=5).submodular for cap in caps] == flags
 
     def test_enumeration_bound(self):
+        # at the bound both checks run in full: the largest cached tables and
+        # every chunk of the 3-ary subadditivity loop
+        assert EXHAUSTIVE_BOUND == 14
+        cap = counting_distortion(DistortionFunction.sqrt(), EXHAUSTIVE_BOUND)
+        report = check_properties(cap)
+        assert report.monotone and report.submodular and report.subadditive
+        assert property_suite(cap).ok
         big = DiscreteCapacity(EXHAUSTIVE_BOUND + 1, lambda s: float(len(s)))
         for check in (check_properties, property_suite):
             with pytest.raises(CapabilityError):

@@ -353,24 +353,32 @@ class TestPerturbationBand:
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
     def test_band_holds_the_departure_from_the_classical_polynomial(self, spec):
-        # an inner i0, so the end weights (1 - x)**n and x**n, one of them at
-        # most 2**-n, are among those the gap takes its minimum over
-        for n in (2, 3, 8, 64):
-            for prof in (PerturbationProfile(1, 1.0), PerturbationProfile(n // 2, 0.5),
-                         PerturbationProfile(n - 1, 1.0)):
+        # inner indices, whose gap stays below 2**-n, and the end indices
+        # 0 and n, whose gap passes it; n = 1 has end indices only
+        for n in (1, 2, 3, 8, 64):
+            for prof in (PerturbationProfile(0, 1.0), PerturbationProfile(1, 1.0),
+                         PerturbationProfile(n // 2, 0.5), PerturbationProfile(n - 1, 1.0),
+                         PerturbationProfile(n, 1.0)):
                 band = operators.perturbation_band(spec, n, prof)
+                nodes = [spec.fn(i / n) for i in range(n + 1)]
                 for x in np.linspace(0.0, 1.0, 21):
                     classical = bernstein_classical(spec, n, x)
-                    departure = abs(bernstein_choquet_closedform(spec, n, x, prof) - classical)
+                    if n == 1:
+                        # no capacity of degree 1: the closed form's correction
+                        departure = (abs(nodes[prof.i0] - min(nodes))
+                                     * perturbation_gap(n, x, prof))
+                    else:
+                        departure = abs(bernstein_choquet_closedform(spec, n, x, prof)
+                                        - classical)
                     # the closed form adds its correction to the classical sum
                     assert departure <= band + math.ulp(classical)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
     def test_band_is_the_departure_at_the_midpoint(self, spec):
-        # at x = 1/2 the smallest basis weight is 2**-n, so with theta = 1
-        # the gap is at its ceiling and the band is attained
+        # at x = 1/2 the smallest basis weight is 2**-n, so with theta = 1 and
+        # an inner i0 the gap is at its ceiling and the band is attained
         for n in (2, 3, 8, 64):
-            for i0 in (0, 1, n):
+            for i0 in (1, n // 2, n - 1):
                 prof = PerturbationProfile(i0, 1.0)
                 assert perturbation_gap(n, 0.5, prof) == 2.0 ** -n
                 classical = bernstein_classical(spec, n, 0.5)
@@ -378,12 +386,21 @@ class TestPerturbationBand:
                 assert departure == pytest.approx(operators.perturbation_band(spec, n, prof),
                                                   rel=0, abs=math.ulp(classical))
 
-    def test_the_band_needs_an_inner_index(self):
-        # with i0 = 0 the gap is min(2x(1 - x), x**2), 4/9 at x = 2/3
-        assert perturbation_gap(2, 2.0 / 3.0, PerturbationProfile(i0=0)) > 0.25
+    def test_band_is_attained_at_an_end_index(self):
+        # with i0 = 0 the gap is min(2x(1 - x), x**2), which passes 2**-2 and
+        # peaks at 4/9 where the two cross, x = 2/3
+        prof = PerturbationProfile(i0=0)
+        assert perturbation_gap(2, 2.0 / 3.0, prof) == pytest.approx(4.0 / 9.0, rel=1e-15)
+        spec = function_spec("abs_dev", center=1.0)   # f(0) - min_i f(i/2) = 1
+        classical = bernstein_classical(spec, 2, 2.0 / 3.0)
+        departure = abs(bernstein_choquet_closedform(spec, 2, 2.0 / 3.0, prof) - classical)
+        assert departure == pytest.approx(operators.perturbation_band(spec, 2, prof),
+                                          rel=0, abs=math.ulp(classical))
+        assert operators.perturbation_band(spec, 2, prof) == pytest.approx(4.0 / 9.0, rel=1e-15)
 
     def test_band_takes_degree_1(self):
-        assert operators.perturbation_band(math.sqrt, 1) == 0.5
+        # the one other weight, x or 1 - x, reaches 1
+        assert operators.perturbation_band(math.sqrt, 1) == 1.0
         assert operators.perturbation_band(math.sqrt, 1, PerturbationProfile(i0=0)) == 0.0
 
     def test_band_rejects_an_index_outside_the_ground_set(self):
